@@ -84,6 +84,16 @@ impl TwoLayerStore {
         self.io_errors.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Keep a chunk that lives on (or was just sent to) `node` in the
+    /// remote-chunk cache, if `node` is not this servlet's own.
+    fn cache_if_remote(&self, node: usize, chunk: &Chunk) {
+        if self.is_remote(node) {
+            if let Some(cache) = &self.remote_cache {
+                cache.insert(chunk.clone());
+            }
+        }
+    }
+
     /// (hits, misses) of the remote-chunk cache, if enabled.
     pub fn remote_cache_stats(&self) -> Option<(u64, u64)> {
         self.remote_cache.as_ref().map(|c| c.hit_miss())
@@ -115,11 +125,7 @@ impl TwoLayerStore {
                 return None;
             }
         };
-        if self.is_remote(node) {
-            if let Some(cache) = &self.remote_cache {
-                cache.insert(chunk.clone());
-            }
-        }
+        self.cache_if_remote(node, &chunk);
         Some(chunk)
     }
 }
@@ -175,11 +181,7 @@ impl ChunkStore for TwoLayerStore {
             };
             for (slot, chunk) in slots.into_iter().zip(fetched) {
                 if let Some(chunk) = &chunk {
-                    if self.is_remote(node) {
-                        if let Some(cache) = &self.remote_cache {
-                            cache.insert(chunk.clone());
-                        }
-                    }
+                    self.cache_if_remote(node, chunk);
                 }
                 out[slot] = chunk;
             }
@@ -196,11 +198,7 @@ impl ChunkStore for TwoLayerStore {
             Ok(outcome) => {
                 // Write-through for remote-routed chunks: this servlet
                 // just built them, so it is the likeliest next reader.
-                if self.is_remote(node) {
-                    if let Some(cache) = &self.remote_cache {
-                        cache.insert(chunk);
-                    }
-                }
+                self.cache_if_remote(node, &chunk);
                 outcome
             }
             Err(_) => {
@@ -215,6 +213,50 @@ impl ChunkStore for TwoLayerStore {
                 self.local.put(chunk)
             }
         }
+    }
+
+    /// Batched put, the mirror of [`get_many`](Self::get_many): meta
+    /// chunks go to the local store, data chunks in one
+    /// [`put_many`](ChunkService::put_many) per owning node — over TCP one
+    /// request/response frame per node instead of one blocking round trip
+    /// per chunk. Write-through and the dead-node fallback are those of
+    /// [`put`](Self::put), taken per node: a node that cannot be reached
+    /// costs one io_error and its share of the batch lands locally.
+    fn put_many(&self, chunks: Vec<Chunk>) -> Vec<PutOutcome> {
+        let mut out = vec![PutOutcome::Stored; chunks.len()];
+        let mut by_node: Vec<Vec<usize>> = vec![Vec::new(); self.pool.len()];
+        let mut local: Vec<usize> = Vec::new();
+        for (i, chunk) in chunks.iter().enumerate() {
+            match chunk.ty() {
+                ChunkType::Meta => local.push(i),
+                _ => by_node[self.node_of(&chunk.cid())].push(i),
+            }
+        }
+        for (node, slots) in by_node.into_iter().enumerate() {
+            if slots.is_empty() {
+                continue;
+            }
+            let batch: Vec<Chunk> = slots.iter().map(|&i| chunks[i].clone()).collect();
+            match self.pool[node].put_many(batch) {
+                Ok(outcomes) if outcomes.len() == slots.len() => {
+                    for (&i, outcome) in slots.iter().zip(outcomes) {
+                        out[i] = outcome;
+                        self.cache_if_remote(node, &chunks[i]);
+                    }
+                }
+                _ => {
+                    self.record_io_error();
+                    local.extend(slots);
+                }
+            }
+        }
+        if !local.is_empty() {
+            let batch: Vec<Chunk> = local.iter().map(|&i| chunks[i].clone()).collect();
+            for (&i, outcome) in local.iter().zip(self.local.put_many(batch)) {
+                out[i] = outcome;
+            }
+        }
+        out
     }
 
     fn contains(&self, cid: &Digest) -> bool {

@@ -29,6 +29,7 @@ use forkbase_crypto::fx::FxHashMap;
 use forkbase_crypto::{ChunkerConfig, Digest};
 use forkbase_pos::{builder, merge3_blob, merge3_sorted, Blob, List, Map, Resolver, Set, TreeType};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The branch written when no branch is given (§3.1).
@@ -60,6 +61,9 @@ pub struct Engine {
     /// and callers checkpoint too, and the HEAD.tmp write + rename must
     /// not interleave (a lost rename, or an older cid landing last).
     ckpt_lock: Mutex<()>,
+    /// Recovery points committed by this instance (see
+    /// [`checkpoints_committed`](Self::checkpoints_committed)).
+    checkpoints: AtomicU64,
 }
 
 /// Name of the checkpoint-cid ref file inside a durable instance's
@@ -82,6 +86,7 @@ impl Engine {
             durable: None,
             cache: None,
             ckpt_lock: Mutex::new(()),
+            checkpoints: AtomicU64::new(0),
         }
     }
 
@@ -164,7 +169,16 @@ impl Engine {
         if let Ok(d) = std::fs::File::open(store.dir()) {
             let _ = d.sync_data();
         }
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(cid)
+    }
+
+    /// How many times [`commit_checkpoint`](Self::commit_checkpoint) has
+    /// moved this instance's recovery point. Each one costs a checkpoint
+    /// chunk, a log fsync and an fsynced `HEAD` rename, so this is the
+    /// number to watch when a commit barrier seems slow.
+    pub fn checkpoints_committed(&self) -> u64 {
+        self.checkpoints.load(Ordering::Relaxed)
     }
 
     /// The backing [`LogStore`] when this instance was opened durably.
@@ -991,6 +1005,7 @@ impl Engine {
             durable: None,
             cache: None,
             ckpt_lock: Mutex::new(()),
+            checkpoints: AtomicU64::new(0),
         })
     }
 
@@ -1573,7 +1588,9 @@ impl ForkBase {
     /// [`Engine::commit_checkpoint`], publishing pending hot edits
     /// first so the recovery point contains them.
     pub fn commit_checkpoint(&self) -> Result<Digest> {
-        self.flush_hot()?;
+        if let Some(hot) = &self.hot {
+            hot.publish_all()?;
+        }
         self.inner.commit_checkpoint()
     }
 }

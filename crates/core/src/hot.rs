@@ -190,7 +190,17 @@ impl Shared {
 
     /// Publish a taken batch and clear its in-flight marks. The first
     /// error poisons the tier and is returned.
-    fn publish_work(&self, work: FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>>) -> Result<()> {
+    ///
+    /// `checkpoint` says who owns the recovery point: the background
+    /// publisher passes `true` and each of its rounds ends in a
+    /// checkpoint, taken before the marks clear (a crash loses at most
+    /// the edits still queued); `flush` passes `false` and checkpoints
+    /// once itself, after its last round.
+    fn publish_work(
+        &self,
+        work: FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>>,
+        checkpoint: bool,
+    ) -> Result<()> {
         let mut first_err: Option<FbError> = None;
         for (key, edits) in &work {
             if first_err.is_none() {
@@ -199,7 +209,7 @@ impl Shared {
                 }
             }
         }
-        if first_err.is_none() {
+        if checkpoint && first_err.is_none() {
             if let Err(e) = self.checkpoint_if_durable() {
                 first_err = Some(e);
             }
@@ -383,8 +393,16 @@ impl HotTier {
     }
 
     /// Publish everything pending at call time (waiting out in-flight
-    /// rounds), then checkpoint on durable instances.
+    /// rounds), then checkpoint on durable instances — exactly once,
+    /// however many rounds the publishing took.
     pub(crate) fn flush(&self) -> Result<()> {
+        self.publish_all()?;
+        self.shared.checkpoint_if_durable()
+    }
+
+    /// [`flush`](Self::flush) without the checkpoint, for a caller that
+    /// is about to take one itself.
+    pub(crate) fn publish_all(&self) -> Result<()> {
         loop {
             let work = {
                 let mut p = self.shared.pending.lock().expect("pending lock");
@@ -393,7 +411,7 @@ impl HotTier {
                 }
                 if p.edits.is_empty() {
                     if p.inflight.is_empty() {
-                        break;
+                        return Ok(());
                     }
                     let q = self.shared.room.wait(p).expect("pending lock");
                     drop(q);
@@ -402,9 +420,8 @@ impl HotTier {
                 Shared::take_all(&mut p)
             };
             self.shared.room.notify_all();
-            self.shared.publish_work(work)?;
+            self.shared.publish_work(work, false)?;
         }
-        self.shared.checkpoint_if_durable()
     }
 
     pub(crate) fn stats(&self) -> HotTierStats {
@@ -435,7 +452,15 @@ impl HotTier {
 
 impl Drop for HotTier {
     fn drop(&mut self) {
+        // Set `stop` under the pending lock: the publisher checks it with
+        // the lock held and only lets go of the lock inside `wait`, so it
+        // either sees the flag or is already waiting when the notify
+        // lands. Stored outside the lock, the flag could slip in between
+        // its check and its wait, and it would sleep a whole interval.
+        // (A poisoned lock still excludes; Drop must not panic on it.)
+        let guard = self.shared.pending.lock();
         self.shared.stop.store(true, Ordering::Release);
+        drop(guard);
         self.shared.work.notify_all();
         self.shared.room.notify_all();
         if let Some(handle) = self.publisher.take() {
@@ -481,14 +506,14 @@ fn publisher_loop(shared: Arc<Shared>) {
         // Publish errors poison the tier (inside publish_work); the
         // loop keeps running so drains/flushes can observe the poison
         // instead of hanging on inflight marks.
-        let _ = shared.publish_work(work);
+        let _ = shared.publish_work(work, true);
         p = shared.pending.lock().expect("pending lock");
     }
     // Final drain: publish everything still queued before exiting.
     let work = Shared::take_all(&mut p);
     drop(p);
     if !work.is_empty() {
-        let _ = shared.publish_work(work);
+        let _ = shared.publish_work(work, true);
     }
 }
 
@@ -629,6 +654,67 @@ mod tests {
         let map = db.get_value("k", None).unwrap().as_map().unwrap();
         assert_eq!(map.len(db.store()), 32);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every commit barrier moves the recovery point exactly once: a
+    /// checkpoint is a chunk, a log fsync and an fsynced HEAD rename, and
+    /// taking it per publish round *and* on the way out doubled (tripled,
+    /// for `commit_checkpoint`) the cost of a block boundary.
+    #[test]
+    fn commit_barriers_checkpoint_exactly_once() {
+        let dir = tempdir();
+        let db = ForkBase::open_with(
+            &dir,
+            forkbase_crypto::ChunkerConfig::default(),
+            forkbase_chunk::Durability::Always,
+            forkbase_chunk::CacheConfig::default(),
+            HotTierConfig {
+                enabled: true,
+                publish_batch: 1 << 20,
+                publish_interval: Duration::from_secs(3600),
+            },
+        )
+        .unwrap();
+        let checkpoints_of = |barrier: &dyn Fn() -> Result<()>| {
+            for key in ["a", "b", "c"] {
+                db.hot_put(key, "sk", "v").unwrap();
+            }
+            let before = db.checkpoints_committed();
+            barrier().unwrap();
+            db.checkpoints_committed() - before
+        };
+        assert_eq!(checkpoints_of(&|| db.flush_hot()), 1, "flush_hot");
+        assert_eq!(
+            checkpoints_of(&|| db.get_value("a", None).map(|_| ())),
+            1,
+            "drain before a tree read"
+        );
+        assert_eq!(
+            checkpoints_of(&|| db.commit_checkpoint().map(|_| ())),
+            1,
+            "commit_checkpoint"
+        );
+        assert_eq!(checkpoints_of(&|| Ok(())), 0, "no barrier, no checkpoint");
+        assert_eq!(db.hot_stats().unwrap().pending, 3);
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `Drop` used to set `stop` and notify without the pending lock, so
+    /// the flag could land between the publisher's check and its wait —
+    /// and the drop then slept out the publish interval (here: an hour).
+    #[test]
+    fn drop_never_waits_out_the_publish_interval() {
+        for _ in 0..200 {
+            let db = hot_db(1 << 20, 3_600_000);
+            let start = std::time::Instant::now();
+            drop(db);
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "drop took {:?}",
+                start.elapsed()
+            );
+        }
     }
 
     #[test]

@@ -119,7 +119,12 @@ pub struct LeafChunker {
     detector: Detector,
     q_mask: u64,
     max_len: usize,
+    window: usize,
     cur_len: usize,
+    /// Bytes run through pattern detection since construction — what a
+    /// splice pays per edit, as opposed to what [`skip_clean`](Self::skip_clean)
+    /// let it adopt unscanned.
+    scanned: usize,
     /// A pattern fired at some byte of the current chunk. §4.3.2: "if a
     /// pattern occurs in the middle of an element, the chunk boundary is
     /// extended to cover the whole element" — so the hit is remembered
@@ -154,7 +159,9 @@ impl LeafChunker {
             detector,
             q_mask: (1u64 << cfg.leaf_bits) - 1,
             max_len: cfg.max_leaf_size(),
+            window: cfg.window,
             cur_len: 0,
+            scanned: 0,
             pattern_pending: false,
         }
     }
@@ -176,6 +183,40 @@ impl LeafChunker {
         };
         self.pattern_pending |= fired;
         self.cur_len += bytes.len();
+        self.scanned += bytes.len();
+    }
+
+    /// Advance over `bytes` the caller knows to contain **no pattern
+    /// hit**, without running detection: the length counter moves on and
+    /// the detector is re-warmed with the trailing `window` bytes, which
+    /// is all its state ever depends on (the window is never reset at a
+    /// cut, so a hit at byte `p` is a function of the `window` bytes
+    /// ending at `p` alone). Afterwards the chunker is indistinguishable
+    /// from one that was [`feed`](Self::feed)-ed the same bytes.
+    ///
+    /// Returns `false` — with nothing consumed — when the forced `α·2^q`
+    /// cap would be reached inside `bytes`: where the cap lands depends
+    /// on where the previous cut fell, not on content, so the caller has
+    /// to fall back to scanning ([`feed_bytewise`](Self::feed_bytewise)
+    /// reports the exact forced-cut position).
+    #[inline]
+    pub fn skip_clean(&mut self, bytes: &[u8]) -> bool {
+        if self.cur_len + bytes.len() >= self.max_len {
+            return false;
+        }
+        let tail = &bytes[bytes.len().saturating_sub(self.window)..];
+        match &mut self.detector {
+            Detector::Fast(s) => {
+                s.feed_detect(tail, self.q_mask);
+            }
+            Detector::Reference(h) => {
+                for &b in tail {
+                    h.roll(b);
+                }
+            }
+        }
+        self.cur_len += bytes.len();
+        true
     }
 
     /// Feed a byte-granular stream (every byte is an element, Blob
@@ -214,6 +255,7 @@ impl LeafChunker {
                 hit
             }
         };
+        self.scanned += hit.unwrap_or(take);
         match hit {
             Some(n) => {
                 self.cur_len += n;
@@ -251,6 +293,12 @@ impl LeafChunker {
     /// Bytes fed since the last cut.
     pub fn current_len(&self) -> usize {
         self.cur_len
+    }
+
+    /// Bytes run through pattern detection ([`feed`](Self::feed) and
+    /// [`feed_bytewise`](Self::feed_bytewise)) since construction.
+    pub fn scanned_bytes(&self) -> usize {
+        self.scanned
     }
 
     /// Start a new chunk. Only the length counter and pending pattern
@@ -641,6 +689,72 @@ mod tests {
                 4 * cfg.max_leaf_size()
             ]
         );
+    }
+
+    /// `skip_clean` over a hit-free stretch must leave the chunker in the
+    /// state `feed` would have: same length, same hits on everything fed
+    /// afterwards. Checked per detector and rolling hash, with stretches
+    /// shorter than, equal to and longer than the window.
+    #[test]
+    fn skip_clean_matches_feed_on_clean_stretches() {
+        for kind in [
+            RollingKind::CyclicPoly,
+            RollingKind::RabinKarp,
+            RollingKind::MovingSum,
+        ] {
+            for (bits, window) in [(6u32, 5usize), (8, 48), (10, 64)] {
+                let mut cfg = ChunkerConfig::with_leaf_bits(bits);
+                cfg.window = window;
+                cfg.rolling = kind;
+                let data = pseudo_random(80_000, bits as u64 * 7 + window as u64);
+                let cuts = split_positions_reference(&data, &cfg);
+                for reference in [false, true] {
+                    let make = || {
+                        if reference {
+                            LeafChunker::new_reference(&cfg)
+                        } else {
+                            LeafChunker::new(&cfg)
+                        }
+                    };
+                    let (mut fed, mut skipped) = (make(), make());
+                    let mut prev = 0usize;
+                    for &c in &cuts {
+                        // No hit in a chunk before its last byte. Skip a
+                        // varying share of that stretch, feed the rest.
+                        let clean_end = prev + (c - 1 - prev) * (c % 4) / 3;
+                        fed.feed(&data[prev..clean_end]);
+                        assert!(!fed.boundary(), "{kind:?}: stretch was not clean");
+                        assert!(skipped.skip_clean(&data[prev..clean_end]));
+                        assert_eq!(fed.current_len(), skipped.current_len());
+                        let a = fed.feed_bytewise(&data[clean_end..c]);
+                        let b = skipped.feed_bytewise(&data[clean_end..c]);
+                        assert_eq!(
+                            a, b,
+                            "{kind:?} bits={bits} w={window} ref={reference} at {c}"
+                        );
+                        assert_eq!(fed.current_len(), skipped.current_len());
+                        fed.cut();
+                        skipped.cut();
+                        prev = c;
+                    }
+                    assert!(skipped.scanned_bytes() < fed.scanned_bytes());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skip_clean_refuses_at_the_cap() {
+        let cfg = ChunkerConfig::with_leaf_bits(6);
+        let max = cfg.max_leaf_size();
+        let data = vec![0xAAu8; max];
+        for mut chunker in [LeafChunker::new(&cfg), LeafChunker::new_reference(&cfg)] {
+            chunker.feed(&data[..10]);
+            assert!(!chunker.skip_clean(&data[..max - 10]), "cap reached");
+            assert_eq!(chunker.current_len(), 10, "a refusal consumes nothing");
+            assert!(chunker.skip_clean(&data[..max - 11]));
+            assert_eq!(chunker.feed_bytewise(&data[..5]), Some(1), "forced cut");
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! from an existing buffer — an encoded input run during a from-scratch
 //! build ([`append_encoded_run`](LeafBuilder::append_encoded_run)), an old
 //! leaf's untouched region during a splice
-//! ([`append_blob_shared`](LeafBuilder::append_blob_shared)) — enters the
+//! ([`append_old_run`](LeafBuilder::append_old_run),
+//! [`append_old_blob`](LeafBuilder::append_old_blob)) — enters the
 //! rope as a zero-copy slice of that buffer. Only freshly encoded
 //! elements pass through a small stitch buffer. The ropes are handed to
 //! [`Chunk::new_batch_ropes`], which hashes straight over the spans, so a
@@ -24,6 +25,27 @@
 //! * [`LeafBuilder::seed`] — warm the rolling window with the bytes that
 //!   precede the rebuild point, so boundary decisions match a from-scratch
 //!   build exactly.
+//!
+//! # Edit-local re-chunking
+//!
+//! Old-leaf bytes re-fed through [`append_old_run`](LeafBuilder::append_old_run)
+//! / [`append_old_blob`](LeafBuilder::append_old_blob) are mostly *not*
+//! re-scanned. Whether the pattern fires at byte `p` depends only on the
+//! `window` bytes ending at `p`, so an old byte whose window holds nothing
+//! but unchanged old bytes hits in the new stream exactly where it hit in
+//! the old one — and the old tree recorded where that was: a leaf ends at
+//! the first element containing a hit, so no element of an old leaf but
+//! its **last** contains one. That leaves two places a hit can hide:
+//! (a) the `window` bytes after the last fresh or removed byte, whose
+//! windows straddle the edit, and (b) the old leaf's last element.
+//! Everything else is adopted through [`LeafChunker::skip_clean`]. The
+//! forced `α·2^q` cut is the one boundary that is not a function of
+//! content — it counts bytes from the previous cut, which an edit moves —
+//! so when the cap would fall inside a clean stretch `skip_clean` refuses
+//! and that stretch is scanned for the exact forced-cut position instead.
+//! The builder keeps the distance to the last edit itself
+//! ([`realigned`](LeafBuilder::realigned) reads it), so callers only
+//! report removals ([`mark_removed`](LeafBuilder::mark_removed)).
 
 use crate::entry::{encode_index_payload, IndexEntry};
 use crate::leaf::{encode_item, Item, RawItem};
@@ -32,6 +54,7 @@ use bytes::Bytes;
 use forkbase_chunk::codec::varint_len;
 use forkbase_chunk::{Chunk, ChunkStore};
 use forkbase_crypto::{ChunkerConfig, LeafChunker};
+use std::ops::Range;
 
 /// A leaf the builder has settled on but not necessarily hashed yet.
 ///
@@ -65,6 +88,10 @@ pub struct LeafBuilder<'s> {
     store: &'s dyn ChunkStore,
     ty: TreeType,
     chunker: LeafChunker,
+    window: usize,
+    /// Old-leaf bytes re-fed since the last fresh or removed byte,
+    /// saturating; `usize::MAX` while there has been no edit at all.
+    since_edit: usize,
     /// Frozen rope spans of the pending (uncut) leaf, in content order.
     spans: Vec<Bytes>,
     /// Open segment receiving freshly encoded elements; frozen into
@@ -84,6 +111,8 @@ impl<'s> LeafBuilder<'s> {
             store,
             ty,
             chunker: LeafChunker::new(cfg),
+            window: cfg.window,
+            since_edit: usize::MAX,
             spans: Vec::new(),
             stitch: Vec::new(),
             pending_len: 0,
@@ -102,6 +131,28 @@ impl<'s> LeafBuilder<'s> {
     /// Encoded bytes in the pending (uncut) leaf.
     pub fn pending_bytes(&self) -> usize {
         self.pending_len
+    }
+
+    /// True when the chunk stream has provably rejoined the old tree's:
+    /// the last cut fell where the re-fed old leaf ended, at least one
+    /// rolling window past the last fresh or removed byte. From here on
+    /// old and new boundary decisions agree, so a splice may go back to
+    /// adopting whole leaves ([`push_reused`](Self::push_reused)). Only
+    /// meaningful right after an old leaf has been re-fed to its end.
+    pub fn realigned(&self) -> bool {
+        self.aligned() && self.since_edit >= self.window
+    }
+
+    /// Record that old bytes were dropped at the current position: the
+    /// old bytes that follow no longer see the window they used to.
+    pub fn mark_removed(&mut self) {
+        self.since_edit = 0;
+    }
+
+    /// Bytes this builder has run through pattern detection — the
+    /// per-edit cost the skip rule bounds (test accessor).
+    pub fn scanned_bytes(&self) -> usize {
+        self.chunker.scanned_bytes()
     }
 
     /// Freeze the open stitch segment into a rope span, resolving a
@@ -152,6 +203,7 @@ impl<'s> LeafBuilder<'s> {
         self.chunker.feed(&self.stitch[start..]);
         self.pending_len += self.stitch.len() - start;
         self.count += 1;
+        self.since_edit = 0;
         if self.ty.is_sorted() {
             debug_assert!(
                 self.pending_last_key() <= &item.key[..],
@@ -167,11 +219,11 @@ impl<'s> LeafBuilder<'s> {
         }
     }
 
-    /// Append a run of elements that are **already encoded** for this tree
-    /// type, adopted as zero-copy slices of `src` (an old leaf payload
-    /// during a splice, or the pre-encoded input buffer of a from-scratch
-    /// build). `items` are the run's elements in order, as spans into
-    /// `src` (contiguous — each span starts where the previous one ended).
+    /// Append a run of **fresh** elements that are already encoded for
+    /// this tree type (the pre-encoded input buffer of a from-scratch
+    /// build), adopted as zero-copy slices of `src`. `items` are the run's
+    /// elements in order, as spans into `src` (contiguous — each span
+    /// starts where the previous one ended).
     ///
     /// Bit-identical to decoding every element and calling
     /// [`append_item`](Self::append_item), but the whole run goes through the slice-level
@@ -180,47 +232,111 @@ impl<'s> LeafBuilder<'s> {
     /// `j`'s end (elements never span chunks) and the scan resumes after
     /// the cut. For the ~22-byte elements of a metadata map this is ~5×
     /// less chunker overhead — the difference between paying per *byte*
-    /// and paying per *element*. The adopted bytes enter the leaf rope as
-    /// slices of `src`; they are not copied.
+    /// and paying per *element*. Every byte is scanned: nothing is known
+    /// about fresh content. Bytes re-fed from an old leaf go through
+    /// [`append_old_run`](Self::append_old_run), which pays per byte an
+    /// *edit can reach* instead.
     pub fn append_encoded_run(&mut self, src: &Bytes, items: &[RawItem]) {
-        debug_assert!(self.ty != TreeType::Blob, "use append_blob for Blob trees");
-        let run_end = match items.last() {
-            Some(last) => last.span.1,
-            None => return,
+        self.feed_run(src, items, &(0..0));
+        self.since_edit = 0;
+    }
+
+    /// Re-feed a run of untouched elements of an **old leaf** during a
+    /// splice. `leaf` must be that leaf's whole payload and `items` a
+    /// contiguous run of its elements; the bytes are adopted as zero-copy
+    /// slices of `leaf`.
+    ///
+    /// Bit-identical to [`append_encoded_run`](Self::append_encoded_run),
+    /// but only two stretches of the run are scanned (the module docs
+    /// give the argument): (a) what lies within `window` bytes of the
+    /// last fresh or removed byte and (b) the leaf's last element, if the
+    /// run reaches it. The rest goes through
+    /// [`LeafChunker::skip_clean`] — unless the forced `α·2^q` cut would
+    /// fall inside it, in which case `skip_clean` refuses and the stretch
+    /// is scanned after all, for the exact position of the forced cut.
+    pub fn append_old_run(&mut self, leaf: &Bytes, items: &[RawItem]) {
+        let (Some(first), Some(last)) = (items.first(), items.last()) else {
+            return;
         };
-        let buf: &[u8] = src;
+        // (b): only a run that reaches the leaf's end carries the element
+        // the leaf was cut on.
+        let clean_to = if last.span.1 == leaf.len() {
+            last.span.0
+        } else {
+            last.span.1
+        };
+        let clean = first.span.0 + self.window.saturating_sub(self.since_edit)..clean_to;
+        self.feed_run(leaf, items, &clean);
+        self.since_edit = self.since_edit.saturating_add(last.span.1 - first.span.0);
+    }
+
+    /// Feed `items` (contiguous spans of `src`) to the chunker and adopt
+    /// them into the rope; `clean` is the byte range of `src` known to
+    /// hold no pattern hit.
+    fn feed_run(&mut self, src: &Bytes, items: &[RawItem], clean: &Range<usize>) {
+        debug_assert!(self.ty != TreeType::Blob, "use append_blob for Blob trees");
+        let Some(last) = items.last() else { return };
+        let run_end = last.span.1;
         let mut i = 0usize;
         while i < items.len() {
             let start = items[i].span.0;
-            match self.chunker.feed_bytewise(&buf[start..run_end]) {
-                Some(n) => {
-                    // Boundary (pattern or size cap) after `n` bytes:
-                    // extend it to the end of the element containing it
-                    // and cut there, exactly like the per-element path.
-                    let p = start + n;
+            let hit = self.scan_to_boundary(src, start, run_end, clean);
+            let j = match hit {
+                // Boundary (pattern or size cap) at byte `p`: extend it
+                // to the end of the element containing it and cut there,
+                // exactly like the per-element path.
+                Some(p) => {
                     let j = i + items[i..].partition_point(|r| r.span.1 < p);
-                    let item = &items[j];
-                    self.chunker.feed(&buf[p..item.span.1]);
-                    self.push_span(src.slice(start..item.span.1));
-                    self.count += (j - i + 1) as u64;
-                    if self.ty.is_sorted() {
-                        self.last_key = LastKey::Frozen(src.slice(item.key.0..item.key.1));
-                    }
-                    self.cut();
-                    i = j + 1;
+                    self.chunker.feed(&src[p..items[j].span.1]);
+                    j
                 }
-                None => {
-                    // No boundary in the rest of the run: adopt it whole.
-                    let item = items[items.len() - 1];
-                    self.push_span(src.slice(start..run_end));
-                    self.count += (items.len() - i) as u64;
-                    if self.ty.is_sorted() {
-                        self.last_key = LastKey::Frozen(src.slice(item.key.0..item.key.1));
-                    }
-                    i = items.len();
+                // No boundary in the rest of the run: adopt it whole.
+                None => items.len() - 1,
+            };
+            let item = &items[j];
+            self.push_span(src.slice(start..item.span.1));
+            self.count += (j - i + 1) as u64;
+            if self.ty.is_sorted() {
+                self.last_key = LastKey::Frozen(src.slice(item.key.0..item.key.1));
+            }
+            if hit.is_some() {
+                self.cut();
+            }
+            i = j + 1;
+        }
+    }
+
+    /// Run `buf[pos..end]` through the chunker up to its first boundary
+    /// and return the boundary's offset in `buf`, or `None` with
+    /// everything consumed. `clean` is the stretch of `buf` known to hold
+    /// no pattern hit: it is skipped unscanned unless the size cap falls
+    /// inside it, in which case the scan goes on to find the forced cut.
+    fn scan_to_boundary(
+        &mut self,
+        buf: &[u8],
+        mut pos: usize,
+        end: usize,
+        clean: &Range<usize>,
+    ) -> Option<usize> {
+        while pos < end {
+            let stop = if pos < clean.start {
+                clean.start.min(end)
+            } else if pos < clean.end {
+                let stop = clean.end.min(end);
+                if self.chunker.skip_clean(&buf[pos..stop]) {
+                    pos = stop;
+                    continue;
                 }
+                end
+            } else {
+                end
+            };
+            match self.chunker.feed_bytewise(&buf[pos..stop]) {
+                Some(n) => return Some(pos + n),
+                None => pos = stop,
             }
         }
+        None
     }
 
     /// The pending leaf's current last key (empty when nothing pending).
@@ -232,13 +348,12 @@ impl<'s> LeafBuilder<'s> {
         }
     }
 
-    /// Append raw bytes to a Blob tree; every byte is an element, so a
+    /// Append fresh bytes to a Blob tree; every byte is an element, so a
     /// boundary can fall on any byte. The chunker scans `data` slice-at-a-
     /// time ([`LeafChunker::feed_bytewise`]) and reports the exact cut
     /// position, so the whole input is processed by block instead of one
     /// `feed` call per byte. The bytes are copied through the stitch
-    /// buffer — use [`append_blob_shared`](Self::append_blob_shared) when
-    /// the source is already a shared buffer.
+    /// buffer.
     pub fn append_blob(&mut self, data: &[u8]) {
         debug_assert!(self.ty == TreeType::Blob);
         let mut off = 0usize;
@@ -248,6 +363,7 @@ impl<'s> LeafBuilder<'s> {
             self.stitch.extend_from_slice(&data[off..off + n]);
             self.pending_len += n;
             self.count += n as u64;
+            self.since_edit = 0;
             off += n;
             if hit.is_some() {
                 self.cut();
@@ -255,33 +371,55 @@ impl<'s> LeafBuilder<'s> {
         }
     }
 
-    /// [`append_blob`](Self::append_blob), but the consumed bytes enter
-    /// the leaf ropes as zero-copy slices of `data` — a whole-blob build
-    /// from a shared buffer, or the untouched regions of an old leaf
-    /// during a splice, never copy their payload bytes.
-    pub fn append_blob_shared(&mut self, data: &Bytes) {
+    /// Re-feed `leaf[range]`, an untouched stretch of an **old Blob
+    /// leaf**, during a splice; `leaf` must be that leaf's whole payload.
+    /// The bytes enter the ropes as zero-copy slices of `leaf`, and — as
+    /// in [`append_old_run`](Self::append_old_run), with every byte an
+    /// element — only the `window` bytes after the last fresh or removed
+    /// byte and the leaf's last byte are scanned, unless the size cap
+    /// falls in between.
+    pub fn append_old_blob(&mut self, leaf: &Bytes, range: Range<usize>) {
         debug_assert!(self.ty == TreeType::Blob);
-        let buf: &[u8] = data;
-        let mut off = 0usize;
-        while off < buf.len() {
-            let hit = self.chunker.feed_bytewise(&buf[off..]);
-            let n = hit.unwrap_or(buf.len() - off);
-            self.push_span(data.slice(off..off + n));
-            self.count += n as u64;
-            off += n;
+        let clean_to = if range.end == leaf.len() {
+            range.end.saturating_sub(1)
+        } else {
+            range.end
+        };
+        let clean = range.start + self.window.saturating_sub(self.since_edit)..clean_to;
+        let mut off = range.start;
+        while off < range.end {
+            let hit = self.scan_to_boundary(leaf, off, range.end, &clean);
+            let end = hit.unwrap_or(range.end);
+            self.push_span(leaf.slice(off..end));
+            self.count += (end - off) as u64;
+            off = end;
             if hit.is_some() {
                 self.cut();
             }
         }
+        self.since_edit = self.since_edit.saturating_add(range.len());
     }
 
-    /// Flush the pending leaf (if any), hash and store every fresh leaf,
-    /// and return the leaf entry list. Fresh-leaf cids are computed as one
-    /// batch straight over the payload ropes ([`Chunk::new_batch_ropes`],
-    /// parallel on multi-core hosts): a build or batched update that
-    /// produced many leaves pays for hashing fan-out once instead of
-    /// hashing serially, and single-span leaves are never re-materialized.
-    pub fn finish(mut self) -> Vec<IndexEntry> {
+    /// Flush the pending leaf (if any), hash every fresh leaf, store them
+    /// as one [`ChunkStore::put_many`] batch and return the leaf entry
+    /// list.
+    pub fn finish(self) -> Vec<IndexEntry> {
+        let store = self.store;
+        let (entries, fresh) = self.finish_unstored();
+        store.put_many(fresh);
+        entries
+    }
+
+    /// Flush the pending leaf (if any), hash every fresh leaf, and return
+    /// the leaf entry list together with the fresh leaf chunks, **not yet
+    /// stored**: [`build_from_entries_reusing`] appends the index chunks
+    /// and hands the store the whole tree as one batch. Fresh-leaf cids
+    /// are computed as one batch straight over the payload ropes
+    /// ([`Chunk::new_batch_ropes`], parallel on multi-core hosts): a build
+    /// or batched update that produced many leaves pays for hashing
+    /// fan-out once instead of hashing serially, and single-span leaves
+    /// are never re-materialized.
+    pub(crate) fn finish_unstored(mut self) -> (Vec<IndexEntry>, Vec<Chunk>) {
         if self.pending_len > 0 {
             self.cut();
         }
@@ -293,19 +431,21 @@ impl<'s> LeafBuilder<'s> {
                 PendingLeaf::Reused(_) => None,
             })
             .collect();
-        let mut chunks = Chunk::new_batch_ropes(self.ty.leaf_chunk(), ropes).into_iter();
-        self.entries
+        let chunks = Chunk::new_batch_ropes(self.ty.leaf_chunk(), ropes);
+        let mut cids = chunks.iter().map(Chunk::cid);
+        let entries = self
+            .entries
             .into_iter()
             .map(|p| match p {
                 PendingLeaf::Reused(entry) => entry,
-                PendingLeaf::Fresh { count, key, .. } => {
-                    let chunk = chunks.next().expect("one chunk per fresh leaf");
-                    let cid = chunk.cid();
-                    self.store.put(chunk);
-                    IndexEntry { cid, count, key }
-                }
+                PendingLeaf::Fresh { count, key, .. } => IndexEntry {
+                    cid: cids.next().expect("one chunk per fresh leaf"),
+                    count,
+                    key,
+                },
             })
-            .collect()
+            .collect();
+        (entries, chunks)
     }
 
     fn cut(&mut self) {
@@ -337,7 +477,7 @@ pub fn build_from_entries(
     ty: TreeType,
     entries: Vec<IndexEntry>,
 ) -> forkbase_crypto::Digest {
-    build_from_entries_reusing(store, cfg, ty, entries, None)
+    build_from_entries_reusing(store, cfg, ty, entries, None, Vec::new())
 }
 
 /// One index chunk of the previous tree version: its children (by cid)
@@ -407,12 +547,20 @@ fn collect_old_groups(
 /// functions of the child cid sequence, so an adopted chunk is
 /// bit-identical to what a fresh build would produce — the update paths'
 /// splice-equals-rebuild tests pin this down.
+///
+/// `fresh` holds the leaf chunks `entries` refers to that are not in the
+/// store yet ([`LeafBuilder::finish_unstored`]); the new index chunks are
+/// appended and the store gets the whole tree as **one**
+/// [`ChunkStore::put_many`] — one commit-lock acquisition on a `LogStore`,
+/// one request per owning node on a cluster, however many leaves and
+/// levels the build produced.
 pub(crate) fn build_from_entries_reusing(
     store: &dyn ChunkStore,
     cfg: &ChunkerConfig,
     ty: TreeType,
     mut entries: Vec<IndexEntry>,
     old_root: Option<forkbase_crypto::Digest>,
+    mut fresh: Vec<Chunk>,
 ) -> forkbase_crypto::Digest {
     if entries.is_empty() {
         let chunk = Chunk::new(ty.leaf_chunk(), Bytes::new());
@@ -457,16 +605,19 @@ pub(crate) fn build_from_entries_reusing(
                     break;
                 }
             }
-            next.push(emit_index(store, ty, level, &mut group));
+            next.push(emit_index(&mut fresh, ty, level, &mut group));
         }
         entries = next;
         level += 1;
     }
+    store.put_many(fresh);
     entries.pop().expect("non-empty").cid
 }
 
+/// Encode `group` as one index chunk of `level`, queue it on `fresh` (the
+/// build's `put_many` batch) and return the entry that points at it.
 fn emit_index(
-    store: &dyn ChunkStore,
+    fresh: &mut Vec<Chunk>,
     ty: TreeType,
     level: u64,
     group: &mut Vec<IndexEntry>,
@@ -474,7 +625,7 @@ fn emit_index(
     let payload = encode_index_payload(level, group, ty.is_sorted());
     let chunk = Chunk::new(ty.index_chunk(), payload);
     let cid = chunk.cid();
-    store.put(chunk);
+    fresh.push(chunk);
     let count = group.iter().map(|e| e.count).sum();
     let key = group.last().map(|e| e.key.clone()).unwrap_or_default();
     group.clear();
@@ -531,7 +682,8 @@ pub fn build_items(
     let src = Bytes::from(buf);
     let mut lb = LeafBuilder::new(store, cfg, ty);
     lb.append_encoded_run(&src, &raw);
-    build_from_entries(store, cfg, ty, lb.finish())
+    let (entries, fresh) = lb.finish_unstored();
+    build_from_entries_reusing(store, cfg, ty, entries, None, fresh)
 }
 
 /// The retained element-at-a-time build path: one chunker feed per
@@ -599,23 +751,22 @@ pub fn build_blob_bytes(
             })
             .collect()
     };
+    let chunks = Chunk::new_batch_ropes(TreeType::Blob.leaf_chunk(), ropes);
     let mut prev = 0usize;
-    let entries: Vec<IndexEntry> = Chunk::new_batch_ropes(TreeType::Blob.leaf_chunk(), ropes)
-        .into_iter()
+    let entries: Vec<IndexEntry> = chunks
+        .iter()
         .zip(&cuts)
         .map(|(chunk, &c)| {
-            let cid = chunk.cid();
-            store.put(chunk);
             let count = (c - prev) as u64;
             prev = c;
             IndexEntry {
-                cid,
+                cid: chunk.cid(),
                 count,
                 key: Bytes::new(),
             }
         })
         .collect();
-    build_from_entries(store, cfg, TreeType::Blob, entries)
+    build_from_entries_reusing(store, cfg, TreeType::Blob, entries, None, chunks)
 }
 
 /// The retained copy-through-the-stitch-buffer Blob build — the baseline

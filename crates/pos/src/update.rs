@@ -11,11 +11,28 @@
 //!    ([`LeafBuilder::push_reused`]); warm the rolling window with the
 //!    bytes preceding the rebuild point so boundary decisions match a
 //!    from-scratch build.
-//! 3. Re-chunk through the affected region, applying the edits.
+//! 3. Re-chunk through the affected region, applying the edits. Fresh
+//!    elements are scanned; untouched old elements are re-fed through
+//!    [`LeafBuilder::append_old_run`] / [`LeafBuilder::append_old_blob`],
+//!    which scan only the bytes an edit can reach. A pattern hit at byte
+//!    `p` is a function of the `window` bytes ending at `p` and nothing
+//!    else (the window is never reset at a cut), so an old byte with
+//!    `window` unchanged old bytes behind it hits exactly where it hit in
+//!    the old tree — and the old tree says where that was: a leaf ends at
+//!    the first element containing a hit, so only a leaf's *last* element
+//!    can contain one. A hit can therefore hide in two places only:
+//!    (a) within `window` bytes after the last fresh or removed byte, and
+//!    (b) inside the old leaf's last element. The rest is adopted
+//!    unscanned as zero-copy rope spans. The forced `α·2^q` cut is the
+//!    exception: it counts bytes from the previous cut, which an edit
+//!    moves, so when the cap would land inside a known-clean stretch the
+//!    builder falls back to scanning that stretch for the exact position.
 //! 4. Once past the last edit, stop at the first chunk cut that coincides
 //!    with an old leaf boundary *and* lies at least one rolling-hash window
-//!    beyond the last edited byte — from there on, old and new boundary
-//!    decisions provably agree, so all remaining leaves are reused.
+//!    beyond the last fresh or removed byte ([`LeafBuilder::realigned`];
+//!    the builder keeps that distance itself, the splice only reports
+//!    removals) — from there on, old and new boundary decisions provably
+//!    agree, so all remaining leaves are reused.
 //! 5. Rebuild the index levels from the leaf entry list. Index levels are
 //!    cheap (metadata-sized) and their chunks deduplicate in the store, so
 //!    a full index rebuild preserves both history independence and storage
@@ -29,14 +46,14 @@
 //! sorted by key, duplicate keys last-wins), then the splice alternates
 //! between two modes:
 //!
-//! * **reuse mode** — while the chunk stream is aligned with the old tree
-//!   and no un-realigned edit is pending, whole leaves up to the next
-//!   edit's key are adopted by entry (a `partition_point` over the leaf
-//!   list, no chunk reads);
+//! * **reuse mode** — while the chunk stream is realigned with the old
+//!   tree (trivially so before the first edit), whole leaves up to the
+//!   next edit's key are adopted by entry (a `partition_point` over the
+//!   leaf list, no chunk reads);
 //! * **re-chunk mode** — leaves overlapping a run of consecutive edits are
-//!   decoded and merge-applied; once the boundary stream provably realigns
-//!   (step 4 above) the splice falls back to reuse mode and skips ahead to
-//!   the next edit cluster.
+//!   walked as raw spans and merge-applied; once the boundary stream
+//!   provably realigns (step 4 above) the splice falls back to reuse mode
+//!   and skips ahead to the next edit cluster.
 //!
 //! So a batch with `k` well-separated edit clusters touches `O(k)` leaf
 //! regions and walks the in-between leaves only as metadata — the tree is
@@ -55,7 +72,7 @@
 use crate::builder::{build_from_entries_reusing, LeafBuilder};
 use crate::entry::IndexEntry;
 use crate::error::{TreeError, TreeResult};
-use crate::leaf::{Item, RawItemCursor};
+use crate::leaf::{Item, RawItem, RawItemCursor};
 use crate::scan::scan_tree;
 use crate::types::TreeType;
 use bytes::Bytes;
@@ -137,6 +154,43 @@ fn effective_leaves(entries: &[IndexEntry]) -> &[IndexEntry] {
     }
 }
 
+/// Decode `payload`, an item-leaf of type `ty`, into `out` as raw element
+/// spans. `None` for a corrupt payload.
+fn raw_items_of(ty: TreeType, payload: &[u8], out: &mut Vec<RawItem>) -> Option<()> {
+    out.clear();
+    let mut cursor = RawItemCursor::new(ty, payload);
+    while let Some(raw) = cursor.next() {
+        out.push(raw);
+    }
+    cursor.finished_clean().then_some(())
+}
+
+/// Append the puts among `edits` as fresh elements (deletes of keys the
+/// tree does not hold are no-ops).
+fn append_puts(lb: &mut LeafBuilder, edits: &[Edit]) {
+    for e in edits {
+        if let Edit::Put(item) = e {
+            lb.append_item(item);
+        }
+    }
+}
+
+/// Hash the splice's fresh leaves, rebuild the index levels over the new
+/// leaf list (adopting unchanged index chunks of the old tree at `root`)
+/// and hand the store everything new as one batch.
+fn finish_splice(
+    lb: LeafBuilder,
+    store: &dyn ChunkStore,
+    cfg: &ChunkerConfig,
+    ty: TreeType,
+    root: Digest,
+) -> Digest {
+    #[cfg(test)]
+    tests::LAST_SCANNED.with(|c| c.set(lb.scanned_bytes()));
+    let (entries, fresh) = lb.finish_unstored();
+    build_from_entries_reusing(store, cfg, ty, entries, Some(root), fresh)
+}
+
 /// Apply a batch of keyed edits to a sorted tree in one multi-range
 /// splice; returns the new root. [`TreeError::MissingChunk`] indicates a
 /// missing/corrupt chunk in the tree being updated.
@@ -169,15 +223,11 @@ fn update_sorted_inner(
     let mut lb = LeafBuilder::new(store, cfg, ty);
     let mut leaf_i = 0usize;
     let mut edit_i = 0usize;
-    // `dirty`: an edit has been applied and the boundary stream has not yet
-    // provably realigned with the old tree.
-    let mut dirty = false;
-    let mut bytes_since_edit = 0usize;
     // Scratch for the current leaf's element spans, reused across leaves.
-    let mut raw_items: Vec<crate::leaf::RawItem> = Vec::new();
+    let mut raw_items: Vec<RawItem> = Vec::new();
 
     loop {
-        if lb.aligned() && !dirty {
+        if lb.realigned() {
             // Reuse mode: skip unaffected leaves wholesale.
             let target = if edit_i < edits.len() {
                 leaves
@@ -198,52 +248,37 @@ fn update_sorted_inner(
             seed_before(store, leaves, leaf_i, window, &mut lb)?;
             if leaf_i >= leaves.len() {
                 // Empty tree: all edits are trailing inserts.
-                while edit_i < edits.len() {
-                    if let Edit::Put(item) = &edits[edit_i] {
-                        lb.append_item(item);
-                    }
-                    edit_i += 1;
-                }
+                append_puts(&mut lb, &edits[edit_i..]);
                 break;
             }
         }
 
         // Merge-apply edits through one leaf. The old payload is walked
         // as raw byte spans: untouched elements are compared by key slice
-        // and adopted in whole runs ([`LeafBuilder::append_encoded_run`])
-        // — no per-item decode/re-encode, `Bytes` refcounting, or
-        // per-element chunker calls.
-        let entry = &leaves[leaf_i];
-        let chunk = store.get(&entry.cid)?;
+        // and adopted in whole runs ([`LeafBuilder::append_old_run`]) —
+        // no per-item decode/re-encode or `Bytes` refcounting, and no
+        // boundary scan beyond the bytes the edits can reach.
+        let chunk = store.get(&leaves[leaf_i].cid)?;
         let payload = chunk.payload();
-        raw_items.clear();
-        let mut cursor = RawItemCursor::new(ty, payload);
-        while let Some(raw) = cursor.next() {
-            raw_items.push(raw);
-        }
-        if !cursor.finished_clean() {
-            return None; // corrupt leaf payload
-        }
-        let key_of = |r: &crate::leaf::RawItem| &payload[r.key.0..r.key.1];
-        let is_last_leaf = leaf_i + 1 == leaves.len();
+        raw_items_of(ty, payload, &mut raw_items)?;
+        let key_of = |r: &RawItem| &payload[r.key.0..r.key.1];
         let mut i = 0usize;
         while i < raw_items.len() {
             let item_key = key_of(&raw_items[i]);
-            while edit_i < edits.len() && edits[edit_i].key() < item_key {
-                if let Edit::Put(e) = &edits[edit_i] {
-                    lb.append_item(e);
+            // Edits up to this element's key: puts go in fresh; an edit
+            // *at* the key (unique — the batch is normalized) also drops
+            // the old element.
+            let mut dropped = false;
+            while edit_i < edits.len() && edits[edit_i].key() <= item_key {
+                dropped = edits[edit_i].key() == item_key;
+                match &edits[edit_i] {
+                    Edit::Put(e) => lb.append_item(e),
+                    Edit::Del(_) if dropped => lb.mark_removed(),
+                    Edit::Del(_) => {} // key not present
                 }
-                dirty = true;
-                bytes_since_edit = 0;
                 edit_i += 1;
             }
-            if edit_i < edits.len() && edits[edit_i].key() == item_key {
-                if let Edit::Put(e) = &edits[edit_i] {
-                    lb.append_item(e);
-                }
-                dirty = true;
-                bytes_since_edit = 0;
-                edit_i += 1;
+            if dropped {
                 i += 1;
                 continue;
             }
@@ -253,39 +288,17 @@ fn update_sorted_inner(
                 Some(e) => i + raw_items[i..].partition_point(|r| key_of(r) < e.key()),
                 None => raw_items.len(),
             };
-            bytes_since_edit += raw_items[run_end - 1].span.1 - raw_items[i].span.0;
-            lb.append_encoded_run(payload, &raw_items[i..run_end]);
+            lb.append_old_run(payload, &raw_items[i..run_end]);
             i = run_end;
         }
-        if is_last_leaf {
-            while edit_i < edits.len() {
-                if let Edit::Put(e) = &edits[edit_i] {
-                    lb.append_item(e);
-                }
-                dirty = true;
-                edit_i += 1;
-            }
-        }
         leaf_i += 1;
-
-        if dirty && lb.aligned() && bytes_since_edit >= window {
-            // New cut coincides with an old leaf boundary, one full window
-            // past the last edit: chunking provably realigned.
-            dirty = false;
-        }
-        if leaf_i >= leaves.len() && edit_i >= edits.len() {
+        if leaf_i == leaves.len() {
+            append_puts(&mut lb, &edits[edit_i..]);
             break;
         }
     }
 
-    let entries = lb.finish();
-    Some(build_from_entries_reusing(
-        store,
-        cfg,
-        ty,
-        entries,
-        Some(root),
-    ))
+    Some(finish_splice(lb, store, cfg, ty, root))
 }
 
 /// Replace `remove` bytes at `start` with `insert` in a Blob tree.
@@ -344,72 +357,47 @@ fn splice_blob_inner(
 
     let mut inserted = false;
     let mut to_remove = remove;
-    let mut dirty = false;
-    let mut bytes_since_edit = 0usize;
     let mut li = first;
-    let mut pos = cum;
 
     while li < leaves.len() {
         let e = &leaves[li];
         if inserted && to_remove >= e.count && e.count > 0 {
             // Whole leaf falls inside the removal: drop it unread.
             to_remove -= e.count;
-            pos += e.count;
             li += 1;
-            dirty = true;
+            lb.mark_removed();
             continue;
         }
-        if inserted && to_remove == 0 && !dirty && lb.aligned() {
+        if inserted && to_remove == 0 && lb.realigned() {
             for e2 in &leaves[li..] {
                 lb.push_reused(e2.clone());
             }
-            let _ = li;
             break;
         }
         let chunk = store.get(&e.cid)?;
         let payload = chunk.payload();
         let mut j = 0usize;
         if !inserted {
-            let pre = (start - pos) as usize;
-            lb.append_blob_shared(&payload.slice(..pre));
+            j = (start - cum) as usize;
+            lb.append_old_blob(payload, 0..j);
             lb.append_blob(insert);
             inserted = true;
-            dirty = true;
-            bytes_since_edit = 0;
-            j = pre;
+        }
+        if to_remove > 0 {
             let rm = (to_remove as usize).min(payload.len() - j);
             j += rm;
             to_remove -= rm as u64;
-        } else if to_remove > 0 {
-            let rm = (to_remove as usize).min(payload.len());
-            j = rm;
-            to_remove -= rm as u64;
-            bytes_since_edit = 0;
+            lb.mark_removed();
         }
-        let rest_len = payload.len() - j;
-        lb.append_blob_shared(&payload.slice(j..));
-        if dirty {
-            bytes_since_edit += rest_len;
-        }
-        pos += e.count;
+        lb.append_old_blob(payload, j..payload.len());
         li += 1;
-        if dirty && inserted && to_remove == 0 && lb.aligned() && bytes_since_edit >= window {
-            dirty = false;
-        }
     }
     if !inserted {
-        // start == total: pure append.
+        // Empty object: there was no leaf to insert into.
         lb.append_blob(insert);
     }
 
-    let entries = lb.finish();
-    Some(build_from_entries_reusing(
-        store,
-        cfg,
-        TreeType::Blob,
-        entries,
-        Some(root),
-    ))
+    Some(finish_splice(lb, store, cfg, TreeType::Blob, root))
 }
 
 /// Replace `remove` elements at position `start` with `insert` in a List
@@ -466,12 +454,10 @@ fn splice_list_inner(
 
     let mut inserted = false;
     let mut to_remove = remove;
-    let mut dirty = false;
-    let mut bytes_since_edit = 0usize;
     let mut li = first;
     let mut pos = cum;
     // Scratch for the current leaf's element spans, reused across leaves.
-    let mut raw_items: Vec<crate::leaf::RawItem> = Vec::new();
+    let mut raw_items: Vec<RawItem> = Vec::new();
 
     while li < leaves.len() {
         let e = &leaves[li];
@@ -479,30 +465,22 @@ fn splice_list_inner(
             to_remove -= e.count;
             pos += e.count;
             li += 1;
-            dirty = true;
+            lb.mark_removed();
             continue;
         }
-        if inserted && to_remove == 0 && !dirty && lb.aligned() {
+        if inserted && to_remove == 0 && lb.realigned() {
             for e2 in &leaves[li..] {
                 lb.push_reused(e2.clone());
             }
-            let _ = li;
             break;
         }
         // Walk the old payload as raw byte spans: untouched elements are
-        // adopted in whole runs ([`LeafBuilder::append_encoded_run`]) —
+        // adopted in whole runs ([`LeafBuilder::append_old_run`]) —
         // no per-element decode/re-encode or `Bytes` refcounting;
         // removals skip a span without materializing the items at all.
         let chunk = store.get(&e.cid)?;
         let payload = chunk.payload();
-        raw_items.clear();
-        let mut cursor = RawItemCursor::new(TreeType::List, payload);
-        while let Some(raw) = cursor.next() {
-            raw_items.push(raw);
-        }
-        if !cursor.finished_clean() {
-            return None; // corrupt leaf payload
-        }
+        raw_items_of(TreeType::List, payload, &mut raw_items)?;
         let n = raw_items.len();
         let mut i = 0usize;
         while i < n {
@@ -511,8 +489,6 @@ fn splice_list_inner(
                     lb.append_item(ins);
                 }
                 inserted = true;
-                dirty = true;
-                bytes_since_edit = 0;
             }
             if inserted && to_remove > 0 {
                 // Removal run: drop as much of it as this leaf holds.
@@ -520,7 +496,7 @@ fn splice_list_inner(
                 i += rm;
                 pos += rm as u64;
                 to_remove -= rm as u64;
-                bytes_since_edit = 0;
+                lb.mark_removed();
                 continue;
             }
             // Untouched run: up to the insertion point, else to leaf end.
@@ -531,16 +507,12 @@ fn splice_list_inner(
                 n
             };
             if run_end > i {
-                bytes_since_edit += raw_items[run_end - 1].span.1 - raw_items[i].span.0;
-                lb.append_encoded_run(payload, &raw_items[i..run_end]);
+                lb.append_old_run(payload, &raw_items[i..run_end]);
                 pos += (run_end - i) as u64;
                 i = run_end;
             }
         }
         li += 1;
-        if dirty && inserted && to_remove == 0 && lb.aligned() && bytes_since_edit >= window {
-            dirty = false;
-        }
     }
     if !inserted {
         for ins in insert {
@@ -548,14 +520,7 @@ fn splice_list_inner(
         }
     }
 
-    let entries = lb.finish();
-    Some(build_from_entries_reusing(
-        store,
-        cfg,
-        TreeType::List,
-        entries,
-        Some(root),
-    ))
+    Some(finish_splice(lb, store, cfg, TreeType::List, root))
 }
 
 #[cfg(test)]
@@ -563,6 +528,12 @@ mod tests {
     use super::*;
     use crate::builder::{build_blob, build_items};
     use forkbase_chunk::MemStore;
+
+    thread_local! {
+        /// Bytes the last splice on this thread ran through pattern
+        /// detection (set by `finish_splice`).
+        pub(super) static LAST_SCANNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed;
@@ -631,6 +602,35 @@ mod tests {
             added < total_leaves / 10,
             "edit added {added} chunks out of {total_leaves} leaves"
         );
+    }
+
+    /// The skip rule's whole point: a small edit scans the insert, one
+    /// window on either side of it (the seed before, the straddling
+    /// windows after) and the old leaf's last byte — not the leaf.
+    #[test]
+    fn small_blob_edit_scans_only_what_it_can_reach() {
+        let store = MemStore::new();
+        let cfg = ChunkerConfig::default();
+        let data = pseudo_random(64 << 10, 5);
+        let root = build_blob(&store, &cfg, &data);
+        // Edit the middle of the largest leaf.
+        let scan = scan_tree(&store, root, TreeType::Blob).expect("scan");
+        let (li, best) = (0..scan.leaf_entries.len())
+            .map(|i| (i, scan.leaf_entries[i].count))
+            .max_by_key(|&(_, count)| count)
+            .expect("leaves");
+        let at = scan.leaf_offset(li) + best / 2;
+        assert!(best > 4096, "the largest leaf is a big one: {best}");
+        let insert = pseudo_random(100, 6);
+        let spliced = splice_blob(&store, &cfg, root, at, 100, &insert).expect("splice");
+        let scanned = LAST_SCANNED.with(|c| c.get());
+        assert!(
+            scanned <= insert.len() + 2 * cfg.window + 1,
+            "scanned {scanned} bytes of a {best}-byte leaf"
+        );
+        let mut expected = data.clone();
+        expected.splice(at as usize..at as usize + 100, insert.iter().copied());
+        assert_eq!(spliced, build_blob(&store, &cfg, &expected));
     }
 
     #[test]
