@@ -3,9 +3,9 @@
 use crate::error::Result;
 use crate::fobject::FObject;
 use forkbase_chunk::ChunkStore;
-use forkbase_crypto::fx::FxHashSet;
+use forkbase_crypto::fx::{FxHashMap, FxHashSet};
 use forkbase_crypto::Digest;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A version reached while walking history.
 #[derive(Clone, Debug)]
@@ -72,40 +72,59 @@ pub fn track(
 /// reachable from both via `bases` links (§3.2, §4.5.2 — "the most recent
 /// version where they start to fork"). Returns `None` for disjoint
 /// histories.
+///
+/// Both histories are walked together, deepest version first, each
+/// version passing on to its bases which of `a` and `b` it descends from;
+/// a version is deeper than its bases, so by the time one is taken off
+/// the heap everything that descends from it has been, and the first one
+/// reached from both sides is the answer. Only versions at least as deep
+/// as the answer are loaded — a merge of two heads that forked a few
+/// versions ago costs those few versions, not the object's history.
 pub fn lca(store: &dyn ChunkStore, a: Digest, b: Digest) -> Result<Option<Digest>> {
-    if a == b {
-        return Ok(Some(a));
+    const BOTH: u8 = 0b11;
+    struct Seen {
+        /// Which of `a` (bit 0) and `b` (bit 1) this version is known to
+        /// be an ancestor of, and how much of that its bases have heard.
+        from: u8,
+        passed_on: u8,
+        depth: u64,
+        bases: Vec<Digest>,
     }
-    // All ancestors of `a` (including a itself).
-    let mut a_anc: FxHashSet<Digest> = FxHashSet::default();
-    let mut queue = VecDeque::new();
-    queue.push_back(a);
-    a_anc.insert(a);
-    while let Some(uid) = queue.pop_front() {
-        let obj = FObject::load(store, uid)?;
-        for &base in &obj.bases {
-            if a_anc.insert(base) {
-                queue.push_back(base);
-            }
-        }
-    }
-
-    // Walk up from `b` in depth order (deepest first) so the first common
-    // version found is the most recent fork point.
-    let load_depth = |uid: Digest| -> Result<u64> { Ok(FObject::load(store, uid)?.depth) };
+    let mut seen: FxHashMap<Digest, Seen> = FxHashMap::default();
     let mut heap: BinaryHeap<(u64, Digest)> = BinaryHeap::new();
-    let mut seen: FxHashSet<Digest> = FxHashSet::default();
-    heap.push((load_depth(b)?, b));
-    seen.insert(b);
+    let reach = |seen: &mut FxHashMap<Digest, Seen>, uid: Digest, from: u8| -> Result<u64> {
+        if let Some(s) = seen.get_mut(&uid) {
+            s.from |= from;
+            return Ok(s.depth);
+        }
+        let obj = FObject::load(store, uid)?;
+        seen.insert(
+            uid,
+            Seen {
+                from,
+                passed_on: 0,
+                depth: obj.depth,
+                bases: obj.bases,
+            },
+        );
+        Ok(obj.depth)
+    };
+    heap.push((reach(&mut seen, a, 0b01)?, a));
+    heap.push((reach(&mut seen, b, 0b10)?, b));
     while let Some((_, uid)) = heap.pop() {
-        if a_anc.contains(&uid) {
+        let s = seen.get_mut(&uid).expect("on the heap, so seen");
+        if s.from == BOTH {
             return Ok(Some(uid));
         }
-        let obj = FObject::load(store, uid)?;
-        for &base in &obj.bases {
-            if seen.insert(base) {
-                heap.push((load_depth(base)?, base));
-            }
+        // Re-queued only to pass on a side it had not heard of when it
+        // was first taken off (depths a writer got wrong).
+        if s.passed_on == s.from {
+            continue;
+        }
+        s.passed_on = s.from;
+        let (from, bases) = (s.from, s.bases.clone());
+        for base in bases {
+            heap.push((reach(&mut seen, base, from)?, base));
         }
     }
     Ok(None)
@@ -195,6 +214,30 @@ mod tests {
         assert_eq!(
             lca(store.as_ref(), left2, fork_point).expect("lca"),
             Some(fork_point)
+        );
+    }
+
+    #[test]
+    fn lca_does_not_fetch_beyond_the_fork_point() {
+        let store = Arc::new(MemStore::new());
+        let trunk = chain(&store, "k", 200);
+        let mk = |val: i64, base: Digest, depth: u64| {
+            let chunk = FObject::new("k", &Value::Int(val), vec![base], depth, "").to_chunk();
+            let uid = chunk.cid();
+            forkbase_chunk::ChunkStore::put(store.as_ref(), chunk);
+            uid
+        };
+        let left = mk(-1, mk(-2, trunk[199], 200), 201);
+        let right = mk(-3, trunk[199], 200);
+        let gets_before = forkbase_chunk::ChunkStore::stats(store.as_ref()).gets;
+        assert_eq!(
+            lca(store.as_ref(), left, right).expect("lca"),
+            Some(trunk[199])
+        );
+        let gets = forkbase_chunk::ChunkStore::stats(store.as_ref()).gets - gets_before;
+        assert!(
+            gets <= 5,
+            "fetched {gets} objects to find a fork point 2 hops back"
         );
     }
 

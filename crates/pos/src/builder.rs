@@ -2,8 +2,10 @@
 //!
 //! [`LeafBuilder`] streams elements into leaf chunks, cutting where the
 //! rolling-hash pattern fires (or at the forced `α·2^q` cap). The emitted
-//! leaf entries then pass through [`build_from_entries`], which builds the
-//! index levels using the cid-based pattern P′ until a single root remains.
+//! leaf entries then pass through the index-level regroup
+//! ([`build_from_entries`] from scratch, `build_index_levels` over an old
+//! tree), which groups them with the cid-based pattern P′, level by
+//! level, until a single root remains.
 //!
 //! # Copy-free leaf assembly
 //!
@@ -18,13 +20,27 @@
 //! [`Chunk::new_batch_ropes`], which hashes straight over the spans, so a
 //! leaf whose content is one borrowed run is never copied at all.
 //!
-//! The builder also supports the two operations the splice-based update
-//! path needs (§4.3.3 "only affected nodes are reconstructed"):
-//! * [`LeafBuilder::push_reused`] — adopt an existing leaf wholesale
-//!   (copy-on-write: the chunk is shared with the previous version), and
-//! * [`LeafBuilder::seed`] — warm the rolling window with the bytes that
-//!   precede the rebuild point, so boundary decisions match a from-scratch
-//!   build exactly.
+//! A splice (§4.3.3 "only affected nodes are reconstructed") builds only
+//! the leaves of the regions it re-chunks: before each region it calls
+//! [`LeafBuilder::seed`] to warm the rolling window with the bytes that
+//! precede the rebuild point, so boundary decisions match a from-scratch
+//! build exactly. Leaves outside the regions are never handed to the
+//! builder — the regions reach the index levels as patches (`Patch`)
+//! over the old tree.
+//!
+//! # Path-local index levels
+//!
+//! Level `k` of the new tree is level `k` of the old tree with some
+//! ranges of old entries replaced (level 0: the re-chunked leaves). Which
+//! entries end a level-`k+1` node is decided by P′ of the entry's own
+//! cid; the only state a group carries is its length, for the fanout cap.
+//! So the regroup restarts, with an empty group, at the start of the old
+//! node holding the first replaced entry, runs through the replacement
+//! and on over the old entries behind it, and stops at the first cut
+//! that falls on an old node's end: from there on a from-scratch build
+//! would see the old build's state and the old build's input. The nodes
+//! it produced replace the old nodes it walked — the next level's
+//! patches. A build from scratch is the same regroup with no old tree.
 //!
 //! # Edit-local re-chunking
 //!
@@ -49,26 +65,22 @@
 
 use crate::entry::{encode_index_payload, IndexEntry};
 use crate::leaf::{encode_item, Item, RawItem};
+use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use bytes::Bytes;
 use forkbase_chunk::codec::varint_len;
 use forkbase_chunk::{Chunk, ChunkStore};
-use forkbase_crypto::{ChunkerConfig, LeafChunker};
+use forkbase_crypto::{ChunkerConfig, Digest, LeafChunker};
 use std::ops::Range;
 
-/// A leaf the builder has settled on but not necessarily hashed yet.
-///
-/// Reused leaves arrive with their entry (cid included) ready; fresh
-/// leaves carry only their payload rope — their cids are independent of
-/// each other, so [`LeafBuilder::finish`] computes them all in one batch
-/// (parallel on multi-core hosts) instead of once per cut.
-enum PendingLeaf {
-    Reused(IndexEntry),
-    Fresh {
-        rope: Vec<Bytes>,
-        count: u64,
-        key: Bytes,
-    },
+/// A leaf the builder has cut but not hashed yet: leaf cids are
+/// independent of each other, so [`LeafBuilder::finish`] computes them
+/// all in one batch (parallel on multi-core hosts) instead of once per
+/// cut.
+struct PendingLeaf {
+    rope: Vec<Bytes>,
+    count: u64,
+    key: Bytes,
 }
 
 /// Where the pending leaf's last key currently lives. Keys inside the
@@ -136,9 +148,9 @@ impl<'s> LeafBuilder<'s> {
     /// True when the chunk stream has provably rejoined the old tree's:
     /// the last cut fell where the re-fed old leaf ended, at least one
     /// rolling window past the last fresh or removed byte. From here on
-    /// old and new boundary decisions agree, so a splice may go back to
-    /// adopting whole leaves ([`push_reused`](Self::push_reused)). Only
-    /// meaningful right after an old leaf has been re-fed to its end.
+    /// old and new boundary decisions agree, so a splice may leave the
+    /// leaves that follow where they are. Only meaningful right after an
+    /// old leaf has been re-fed to its end.
     pub fn realigned(&self) -> bool {
         self.aligned() && self.since_edit >= self.window
     }
@@ -186,12 +198,9 @@ impl<'s> LeafBuilder<'s> {
         self.chunker.cut();
     }
 
-    /// Adopt an existing leaf without re-reading it (structural sharing).
-    /// Must be called while aligned; after one or more reuses, call
-    /// [`seed`](Self::seed) before feeding fresh elements again.
-    pub fn push_reused(&mut self, entry: IndexEntry) {
-        debug_assert!(self.aligned(), "reuse only between chunks");
-        self.entries.push(PendingLeaf::Reused(entry));
+    /// Leaves cut so far.
+    pub(crate) fn leaves(&self) -> usize {
+        self.entries.len()
     }
 
     /// Append one element (List/Set/Map trees). For sorted types the caller
@@ -410,39 +419,32 @@ impl<'s> LeafBuilder<'s> {
         entries
     }
 
-    /// Flush the pending leaf (if any), hash every fresh leaf, and return
-    /// the leaf entry list together with the fresh leaf chunks, **not yet
-    /// stored**: [`build_from_entries_reusing`] appends the index chunks
-    /// and hands the store the whole tree as one batch. Fresh-leaf cids
-    /// are computed as one batch straight over the payload ropes
-    /// ([`Chunk::new_batch_ropes`], parallel on multi-core hosts): a build
-    /// or batched update that produced many leaves pays for hashing
-    /// fan-out once instead of hashing serially, and single-span leaves
-    /// are never re-materialized.
+    /// Flush the pending leaf (if any), hash every leaf, and return the
+    /// leaf entry list together with the leaf chunks, **not yet stored**:
+    /// `build_index_levels` appends the index chunks and hands the store
+    /// the whole tree as one batch. Leaf cids are computed as one batch
+    /// straight over the payload ropes ([`Chunk::new_batch_ropes`],
+    /// parallel on multi-core hosts): a build or batched update that
+    /// produced many leaves pays for hashing fan-out once instead of
+    /// hashing serially, and single-span leaves are never re-materialized.
     pub(crate) fn finish_unstored(mut self) -> (Vec<IndexEntry>, Vec<Chunk>) {
         if self.pending_len > 0 {
             self.cut();
         }
-        let ropes: Vec<Vec<Bytes>> = self
+        let ropes = self
             .entries
             .iter_mut()
-            .filter_map(|p| match p {
-                PendingLeaf::Fresh { rope, .. } => Some(std::mem::take(rope)),
-                PendingLeaf::Reused(_) => None,
-            })
+            .map(|p| std::mem::take(&mut p.rope))
             .collect();
         let chunks = Chunk::new_batch_ropes(self.ty.leaf_chunk(), ropes);
-        let mut cids = chunks.iter().map(Chunk::cid);
         let entries = self
             .entries
             .into_iter()
-            .map(|p| match p {
-                PendingLeaf::Reused(entry) => entry,
-                PendingLeaf::Fresh { count, key, .. } => IndexEntry {
-                    cid: cids.next().expect("one chunk per fresh leaf"),
-                    count,
-                    key,
-                },
+            .zip(&chunks)
+            .map(|(p, chunk)| IndexEntry {
+                cid: chunk.cid(),
+                count: p.count,
+                key: p.key,
             })
             .collect();
         (entries, chunks)
@@ -457,7 +459,7 @@ impl<'s> LeafBuilder<'s> {
             LastKey::Stitch(..) => unreachable!("stitch key resolved at freeze"),
             LastKey::None => Bytes::new(),
         };
-        self.entries.push(PendingLeaf::Fresh {
+        self.entries.push(PendingLeaf {
             rope,
             count: self.count,
             key,
@@ -476,142 +478,206 @@ pub fn build_from_entries(
     cfg: &ChunkerConfig,
     ty: TreeType,
     entries: Vec<IndexEntry>,
-) -> forkbase_crypto::Digest {
-    build_from_entries_reusing(store, cfg, ty, entries, None, Vec::new())
+) -> Digest {
+    build_scratch(store, cfg, ty, entries, Vec::new())
 }
 
-/// One index chunk of the previous tree version: its children (by cid)
-/// and the already-computed entry that points at it.
-struct OldGroup {
-    children: Vec<forkbase_crypto::Digest>,
-    entry: IndexEntry,
-    /// True if the group ended at a P′ pattern or the fanout cap — i.e. a
-    /// from-scratch build over the same children is guaranteed to cut in
-    /// the same place. A flush-ended (final) group can only be adopted
-    /// when it is final in the new sequence too.
-    closed: bool,
-}
-
-/// Per level (1 = parents of leaves), old groups keyed by their first
-/// child's cid.
-type OldGroups = Vec<forkbase_crypto::fx::FxHashMap<forkbase_crypto::Digest, Vec<OldGroup>>>;
-
-/// Collect every index chunk of the tree at `root`, grouped by level, for
-/// structural reuse during an update.
-fn collect_old_groups(
+/// [`build_from_entries`] with the leaf chunks `entries` refers to that
+/// are not in the store yet ([`LeafBuilder::finish_unstored`]).
+fn build_scratch(
     store: &dyn ChunkStore,
     cfg: &ChunkerConfig,
     ty: TreeType,
-    root: forkbase_crypto::Digest,
-) -> Option<OldGroups> {
-    let chunk = store.get(&root)?;
-    if !chunk.ty().is_index() {
-        return Some(Vec::new());
-    }
-    let max_fanout = cfg.max_index_fanout();
-    let mut levels: OldGroups = Vec::new();
-    let mut stack = vec![(root, chunk)];
-    while let Some((cid, chunk)) = stack.pop() {
-        let (level, children) =
-            crate::entry::decode_index_payload_shared(chunk.payload(), ty.is_sorted())?;
-        let lvl = level as usize;
-        if levels.len() < lvl {
-            levels.resize_with(lvl, Default::default);
-        }
-        let last = children.last()?;
-        let closed = cfg.index_boundary(&last.cid) || children.len() >= max_fanout;
-        let entry = IndexEntry {
-            cid,
-            count: children.iter().map(|e| e.count).sum(),
-            key: last.key.clone(),
-        };
-        if level > 1 {
-            for c in &children {
-                let child = store.get(&c.cid)?;
-                stack.push((c.cid, child));
-            }
-        }
-        let first = children.first()?.cid;
-        levels[lvl - 1].entry(first).or_default().push(OldGroup {
-            children: children.into_iter().map(|e| e.cid).collect(),
-            entry,
-            closed,
-        });
-    }
-    Some(levels)
+    entries: Vec<IndexEntry>,
+    fresh: Vec<Chunk>,
+) -> Digest {
+    let all = Patch {
+        old: 0..0,
+        new: entries,
+    };
+    build_index_levels(store, cfg, ty, None, vec![all], fresh)
+        .expect("a build from scratch reads no chunk")
 }
 
-/// Build index levels, adopting any old-tree index chunk whose children
-/// are unchanged instead of re-encoding and re-hashing it (§4.3.3: "only
-/// affected nodes are reconstructed"). Group boundaries are pure
-/// functions of the child cid sequence, so an adopted chunk is
-/// bit-identical to what a fresh build would produce — the update paths'
-/// splice-equals-rebuild tests pin this down.
+/// A run of consecutive old entries of one tree level and the new entries
+/// that take its place. `old` is in element offsets and falls on entry
+/// boundaries of that level.
+pub(crate) struct Patch {
+    pub old: Range<u64>,
+    pub new: Vec<IndexEntry>,
+}
+
+/// Build the index levels of the tree whose leaves are those of the old
+/// tree under `old` with `patches` (sorted, disjoint, each covering at
+/// least one old leaf unless the old tree is empty) applied, and return
+/// its root — bit-identical to a from-scratch build over the same leaves
+/// (the module docs give the argument), at the cost of the nodes on the
+/// paths to the patches. `None` when a chunk of the old tree is missing
+/// or corrupt.
 ///
-/// `fresh` holds the leaf chunks `entries` refers to that are not in the
-/// store yet ([`LeafBuilder::finish_unstored`]); the new index chunks are
-/// appended and the store gets the whole tree as **one**
-/// [`ChunkStore::put_many`] — one commit-lock acquisition on a `LogStore`,
-/// one request per owning node on a cluster, however many leaves and
-/// levels the build produced.
-pub(crate) fn build_from_entries_reusing(
+/// `fresh` holds the leaf chunks of the patches, not in the store yet;
+/// the new index chunks are appended and the store gets everything as
+/// **one** [`ChunkStore::put_many`] — one commit-lock acquisition on a
+/// `LogStore`, one request per owning node on a cluster, however many
+/// leaves and levels the build produced.
+pub(crate) fn build_index_levels(
     store: &dyn ChunkStore,
     cfg: &ChunkerConfig,
     ty: TreeType,
-    mut entries: Vec<IndexEntry>,
-    old_root: Option<forkbase_crypto::Digest>,
+    mut old: Option<TreeCursor<'_>>,
+    mut patches: Vec<Patch>,
     mut fresh: Vec<Chunk>,
-) -> forkbase_crypto::Digest {
-    if entries.is_empty() {
-        let chunk = Chunk::new(ty.leaf_chunk(), Bytes::new());
-        let cid = chunk.cid();
-        store.put(chunk);
-        return cid;
+) -> Option<Digest> {
+    debug_assert!(!patches.is_empty());
+    // `patches` describe level `level`; build upwards until a level has
+    // one entry — the root, exactly where a from-scratch build stops.
+    let mut level = 0u64;
+    loop {
+        let added: usize = patches.iter().map(|p| p.new.len()).sum();
+        let replaced: u64 = patches.iter().map(|p| p.old.end - p.old.start).sum();
+        // Old entries of this level outside the patches; the old tree has
+        // no level above its root.
+        let kept = match &old {
+            Some(cur) if cur.height() >= level => cur.total() - replaced,
+            _ => 0,
+        };
+        let root = match (added, kept) {
+            (0, 0) => {
+                let chunk = Chunk::new(ty.leaf_chunk(), Bytes::new());
+                let cid = chunk.cid();
+                store.put(chunk);
+                return Some(cid);
+            }
+            (1, 0) => patches.iter().find_map(|p| p.new.first()).map(|e| e.cid),
+            // Nothing but removals: one untouched old entry may be all
+            // that is left of this level.
+            (0, _) => {
+                let cur = old.as_mut()?;
+                let gap = patches
+                    .iter()
+                    .fold(0, |gap, p| if p.old.start == gap { p.old.end } else { gap });
+                cur.seek_pos(gap, level)?;
+                cur.entry().filter(|e| e.count == kept).map(|e| e.cid)
+            }
+            _ => None,
+        };
+        if let Some(root) = root {
+            store.put_many(fresh);
+            return Some(root);
+        }
+        level += 1;
+        let cur = old.as_mut().filter(|cur| cur.height() >= level);
+        patches = regroup(cfg, ty, level, cur, patches, &mut fresh)?;
     }
-    let old_levels = old_root
-        .and_then(|r| collect_old_groups(store, cfg, ty, r))
-        .unwrap_or_default();
-    let max_fanout = cfg.max_index_fanout();
-    let mut level = 1u64;
-    while entries.len() > 1 {
-        let old = old_levels.get(level as usize - 1);
-        let mut next = Vec::new();
-        let mut i = 0usize;
-        while i < entries.len() {
-            // At a group start: try to adopt an old group wholesale.
-            if let Some(groups) = old.and_then(|m| m.get(&entries[i].cid)) {
-                if let Some(g) = groups.iter().find(|g| {
-                    let k = g.children.len();
-                    (g.closed || i + k == entries.len())
-                        && i + k <= entries.len()
-                        && g.children
-                            .iter()
-                            .zip(&entries[i..i + k])
-                            .all(|(c, e)| *c == e.cid)
-                }) {
-                    next.push(g.entry.clone());
-                    i += g.children.len();
+}
+
+/// The open group of a level regroup and the nodes it has closed.
+struct Grouper<'a> {
+    cfg: &'a ChunkerConfig,
+    ty: TreeType,
+    level: u64,
+    max_fanout: usize,
+    fresh: &'a mut Vec<Chunk>,
+    group: Vec<IndexEntry>,
+    closed: Vec<IndexEntry>,
+}
+
+impl Grouper<'_> {
+    /// Add the next child; close the group at the P′ pattern or the cap.
+    fn push(&mut self, e: IndexEntry) {
+        let cut = self.cfg.index_boundary(&e.cid);
+        self.group.push(e);
+        if cut || self.group.len() >= self.max_fanout {
+            self.close();
+        }
+    }
+
+    fn close(&mut self) {
+        let node = emit_index(self.fresh, self.ty, self.level, &mut self.group);
+        self.closed.push(node);
+    }
+
+    /// Close the open group, if any, and hand over the nodes closed
+    /// since the last call.
+    fn take(&mut self) -> Vec<IndexEntry> {
+        if !self.group.is_empty() {
+            self.close();
+        }
+        std::mem::take(&mut self.closed)
+    }
+}
+
+/// One level of [`build_index_levels`]: group the level below (`old`'s
+/// entries at `level - 1` with `patches` applied) into level-`level`
+/// nodes, touching only the old nodes a patch can reach, and return the
+/// patches this makes at `level`. `old` is `None` above the old tree's
+/// root (and in a build from scratch): then there is nothing outside the
+/// patches.
+fn regroup(
+    cfg: &ChunkerConfig,
+    ty: TreeType,
+    level: u64,
+    mut old: Option<&mut TreeCursor<'_>>,
+    patches: Vec<Patch>,
+    fresh: &mut Vec<Chunk>,
+) -> Option<Vec<Patch>> {
+    let floor = level - 1;
+    let mut g = Grouper {
+        cfg,
+        ty,
+        level,
+        max_fanout: cfg.max_index_fanout(),
+        fresh,
+        group: Vec::new(),
+        closed: Vec::new(),
+    };
+    let mut out = Vec::new();
+    let mut patches = patches.into_iter().peekable();
+    while let Some(first) = patches.peek() {
+        // Restart where the old build's group was empty: at the start of
+        // the old node holding the first replaced entry.
+        let mut start = first.old.start;
+        if let Some(cur) = old.as_deref_mut() {
+            cur.seek_pos(start, floor)?;
+            let (node_start, before) = cur.siblings_before();
+            start = node_start;
+            before.iter().for_each(|e| g.push(e.clone()));
+        }
+        let end = loop {
+            let patch = patches.next().expect("peeked, or left at a patch");
+            patch.new.into_iter().for_each(|e| g.push(e));
+            let Some(cur) = old.as_deref_mut() else {
+                if patches.peek().is_some() {
                     continue;
                 }
-            }
-            // Fresh group: push entries until the P′ pattern or the cap.
-            let mut group: Vec<IndexEntry> = Vec::new();
-            while i < entries.len() {
-                let e = entries[i].clone();
-                i += 1;
-                let cut = cfg.index_boundary(&e.cid);
-                group.push(e);
-                if cut || group.len() >= max_fanout {
-                    break;
+                break patch.old.end;
+            };
+            // The old entries behind the patch, up to the next patch or
+            // to where the groups fall back into the old ones: a cut on
+            // an old node's end (P′ is a function of the child alone and
+            // the cap counts from the cut).
+            cur.seek_pos(patch.old.end, floor)?;
+            let rejoined = loop {
+                if patches.peek().is_some_and(|p| p.old.start == cur.pos()) {
+                    break false;
                 }
+                if cur.at_end() || (g.group.is_empty() && cur.starts(level)) {
+                    break true;
+                }
+                cur.descend_to(floor)?;
+                g.push(cur.entry()?.clone());
+                cur.advance();
+            };
+            if rejoined {
+                break cur.pos();
             }
-            next.push(emit_index(&mut fresh, ty, level, &mut group));
-        }
-        entries = next;
-        level += 1;
+        };
+        out.push(Patch {
+            old: start..end,
+            new: g.take(),
+        });
     }
-    store.put_many(fresh);
-    entries.pop().expect("non-empty").cid
+    Some(out)
 }
 
 /// Encode `group` as one index chunk of `level`, queue it on `fresh` (the
@@ -648,7 +714,7 @@ pub fn build_items(
     cfg: &ChunkerConfig,
     ty: TreeType,
     items: impl IntoIterator<Item = Item>,
-) -> forkbase_crypto::Digest {
+) -> Digest {
     if ty == TreeType::Blob {
         // Blob "items" are byte runs; concatenate and take the blob path.
         let mut buf = Vec::new();
@@ -683,7 +749,7 @@ pub fn build_items(
     let mut lb = LeafBuilder::new(store, cfg, ty);
     lb.append_encoded_run(&src, &raw);
     let (entries, fresh) = lb.finish_unstored();
-    build_from_entries_reusing(store, cfg, ty, entries, None, fresh)
+    build_scratch(store, cfg, ty, entries, fresh)
 }
 
 /// The retained element-at-a-time build path: one chunker feed per
@@ -695,7 +761,7 @@ pub fn build_items_itemwise(
     cfg: &ChunkerConfig,
     ty: TreeType,
     items: impl IntoIterator<Item = Item>,
-) -> forkbase_crypto::Digest {
+) -> Digest {
     let mut lb = LeafBuilder::new(store, cfg, ty);
     if ty == TreeType::Blob {
         for item in items {
@@ -715,11 +781,7 @@ pub fn build_items_itemwise(
 /// The borrowed input is copied into a shared buffer once up front and
 /// then takes the zero-copy path — prefer [`build_blob_bytes`] when the
 /// caller already owns a `Bytes`.
-pub fn build_blob(
-    store: &dyn ChunkStore,
-    cfg: &ChunkerConfig,
-    data: &[u8],
-) -> forkbase_crypto::Digest {
+pub fn build_blob(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: &[u8]) -> Digest {
     build_blob_bytes(store, cfg, Bytes::copy_from_slice(data))
 }
 
@@ -735,11 +797,7 @@ pub fn build_blob(
 /// *highly deduplicated* build (most chunks already in the store) can
 /// leave a few retained leaves pinning the whole input buffer until a GC
 /// compaction, which unshares payloads ([`Chunk::unshared`]).
-pub fn build_blob_bytes(
-    store: &dyn ChunkStore,
-    cfg: &ChunkerConfig,
-    data: Bytes,
-) -> forkbase_crypto::Digest {
+pub fn build_blob_bytes(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: Bytes) -> Digest {
     let cuts = forkbase_crypto::split_positions_parallel(&data, cfg);
     let ropes: Vec<Vec<Bytes>> = {
         let mut prev = 0usize;
@@ -766,16 +824,12 @@ pub fn build_blob_bytes(
             }
         })
         .collect();
-    build_from_entries_reusing(store, cfg, TreeType::Blob, entries, None, chunks)
+    build_scratch(store, cfg, TreeType::Blob, entries, chunks)
 }
 
 /// The retained copy-through-the-stitch-buffer Blob build — the baseline
 /// [`build_blob_bytes`] is benchmarked and equivalence-tested against.
-pub fn build_blob_itemwise(
-    store: &dyn ChunkStore,
-    cfg: &ChunkerConfig,
-    data: &[u8],
-) -> forkbase_crypto::Digest {
+pub fn build_blob_itemwise(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: &[u8]) -> Digest {
     let mut lb = LeafBuilder::new(store, cfg, TreeType::Blob);
     lb.append_blob(data);
     build_from_entries(store, cfg, TreeType::Blob, lb.finish())

@@ -2,12 +2,17 @@
 //! done efficiently by recursively comparing the cids").
 //!
 //! Because identical content yields identical chunks, a diff only needs to
-//! look inside chunks that differ: shared leaves — typically all but the
-//! edited region — are skipped by cid equality.
+//! look inside chunks that differ. Two [`TreeCursor`]s walk the trees in
+//! lockstep; wherever both stand at the start of a subtree with the same
+//! cid they step over it — at the **highest** level that is true, so a
+//! shared region costs one comparison per subtree, not per leaf — and
+//! they descend only where the cids differ. A diff of `D` changed
+//! elements fetches O(D · log N) chunks, none of them from a shared
+//! subtree.
 
-use crate::entry::IndexEntry;
-use crate::leaf::{decode_items, Item};
-use crate::scan::scan_tree;
+use crate::iter::ItemIter;
+use crate::leaf::Item;
+use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use bytes::Bytes;
 use forkbase_chunk::ChunkStore;
@@ -25,7 +30,7 @@ pub struct DiffEntry {
 }
 
 /// Keys that differ between two sorted trees (Map or Set; for Set the
-/// values are empty byte strings).
+/// values are empty byte strings), in key order.
 pub fn sorted_diff(
     store: &dyn ChunkStore,
     ty: TreeType,
@@ -36,152 +41,97 @@ pub fn sorted_diff(
     if left == right {
         return Some(Vec::new());
     }
-    let l = scan_tree(store, left, ty)?.leaf_entries;
-    let r = scan_tree(store, right, ty)?.leaf_entries;
+    let mut l = ItemIter::new(store, left, ty)?;
+    let mut r = ItemIter::new(store, right, ty)?;
+    let only = |item: Item, on_left: bool| {
+        let (left, right) = if on_left {
+            (Some(item.value), None)
+        } else {
+            (None, Some(item.value))
+        };
+        DiffEntry {
+            key: item.key,
+            left,
+            right,
+        }
+    };
 
     let mut out = Vec::new();
-    let mut lc = LeafCursor::new(store, ty, &l);
-    let mut rc = LeafCursor::new(store, ty, &r);
+    // The next unmatched item of each side.
+    let (mut lh, mut rh): (Option<Item>, Option<Item>) = (None, None);
     loop {
-        // Return exhausted leaves before checking for skippable ones.
-        lc.settle();
-        rc.settle();
-        // Subtree skip: both cursors at the start of identical leaves.
-        while lc.at_leaf_start() && rc.at_leaf_start() {
-            match (lc.current_cid(), rc.current_cid()) {
-                (Some(a), Some(b)) if a == b => {
-                    lc.skip_leaf();
-                    rc.skip_leaf();
-                }
-                _ => break,
-            }
+        // Both sides between leaves: what they stand on can be compared
+        // by cid before anything is fetched.
+        if lh.is_none() && rh.is_none() && l.between_leaves() && r.between_leaves() {
+            skip_common(&mut l.cursor, &mut r.cursor, None)?;
         }
-        match (lc.peek()?, rc.peek()?) {
+        if lh.is_none() {
+            lh = l.try_next()?;
+        }
+        if rh.is_none() {
+            rh = r.try_next()?;
+        }
+        let order = match (&lh, &rh) {
             (None, None) => break,
-            (Some(li), None) => {
-                out.push(DiffEntry {
-                    key: li.key.clone(),
-                    left: Some(li.value.clone()),
-                    right: None,
-                });
-                lc.advance();
-            }
-            (None, Some(ri)) => {
-                out.push(DiffEntry {
-                    key: ri.key.clone(),
-                    left: None,
-                    right: Some(ri.value.clone()),
-                });
-                rc.advance();
-            }
-            (Some(li), Some(ri)) => match li.key.cmp(&ri.key) {
-                std::cmp::Ordering::Less => {
-                    out.push(DiffEntry {
-                        key: li.key.clone(),
-                        left: Some(li.value.clone()),
-                        right: None,
-                    });
-                    lc.advance();
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(DiffEntry {
-                        key: ri.key.clone(),
-                        left: None,
-                        right: Some(ri.value.clone()),
-                    });
-                    rc.advance();
-                }
-                std::cmp::Ordering::Equal => {
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (Some(li), Some(ri)) => li.key.cmp(&ri.key),
+        };
+        match order {
+            std::cmp::Ordering::Less => out.extend(lh.take().map(|i| only(i, true))),
+            std::cmp::Ordering::Greater => out.extend(rh.take().map(|i| only(i, false))),
+            std::cmp::Ordering::Equal => {
+                if let (Some(li), Some(ri)) = (lh.take(), rh.take()) {
                     if li.value != ri.value {
                         out.push(DiffEntry {
-                            key: li.key.clone(),
-                            left: Some(li.value.clone()),
-                            right: Some(ri.value.clone()),
+                            key: li.key,
+                            left: Some(li.value),
+                            right: Some(ri.value),
                         });
                     }
-                    lc.advance();
-                    rc.advance();
                 }
-            },
+            }
         }
     }
     Some(out)
 }
 
-/// Item-level cursor over a leaf entry list, decoding lazily.
-struct LeafCursor<'a, 's> {
-    store: &'s dyn ChunkStore,
-    ty: TreeType,
-    leaves: &'a [IndexEntry],
-    leaf_idx: usize,
-    items: Vec<Item>,
-    item_idx: usize,
-    loaded: bool,
-}
-
-impl<'a, 's> LeafCursor<'a, 's> {
-    fn new(store: &'s dyn ChunkStore, ty: TreeType, leaves: &'a [IndexEntry]) -> Self {
-        LeafCursor {
-            store,
-            ty,
-            leaves,
-            leaf_idx: 0,
-            items: Vec::new(),
-            item_idx: 0,
-            loaded: false,
-        }
-    }
-
-    fn at_leaf_start(&self) -> bool {
-        !self.loaded && self.leaf_idx < self.leaves.len()
-    }
-
-    fn current_cid(&self) -> Option<Digest> {
-        self.leaves.get(self.leaf_idx).map(|e| e.cid)
-    }
-
-    fn skip_leaf(&mut self) {
-        debug_assert!(self.at_leaf_start());
-        self.leaf_idx += 1;
-    }
-
-    /// If the current leaf is exhausted, move to the next leaf *without*
-    /// loading it, so the caller can apply the cid-equality skip first.
-    fn settle(&mut self) {
-        if self.loaded && self.item_idx >= self.items.len() {
-            self.loaded = false;
-            self.items.clear();
-            self.leaf_idx += 1;
-        }
-    }
-
-    /// Current item, loading the leaf if necessary. Outer `Option` is a
-    /// storage error; inner `None` means exhausted.
-    #[allow(clippy::option_option)]
-    fn peek(&mut self) -> Option<Option<&Item>> {
-        loop {
-            if self.loaded {
-                if self.item_idx < self.items.len() {
-                    // Borrow-checker friendly re-index.
-                    return Some(self.items.get(self.item_idx));
+/// Step both cursors over every subtree they both stand at the start of
+/// (same cid at the same level — the highest such level first), descending
+/// the side that stands higher wherever there is none, until they stand
+/// on two different leaves or one is at its end.
+///
+/// With `reserved`, a subtree is stepped over only if that leaves more
+/// than `reserved` elements unpassed on both sides.
+fn skip_common(l: &mut TreeCursor, r: &mut TreeCursor, reserved: Option<u64>) -> Option<()> {
+    while !l.at_end() && !r.at_end() {
+        let (ll, rl) = (l.level(), r.level());
+        let fits = |cur: &TreeCursor, count: u64| {
+            reserved.is_none_or(|keep| cur.pos() + count + keep < cur.total())
+        };
+        let common = (ll.max(rl)..=l.height().min(r.height()))
+            .rev()
+            .find(|&level| match (l.start_of(level), r.start_of(level)) {
+                (Some((a, count)), Some((b, _))) => a == b && fits(l, count) && fits(r, count),
+                _ => false,
+            });
+        match common {
+            Some(level) => {
+                l.skip_subtree(level);
+                r.skip_subtree(level);
+            }
+            None if ll == 0 && rl == 0 => break,
+            None => {
+                if ll >= rl {
+                    l.descend()?;
                 }
-                self.loaded = false;
-                self.leaf_idx += 1;
-                continue;
+                if rl >= ll {
+                    r.descend()?;
+                }
             }
-            if self.leaf_idx >= self.leaves.len() {
-                return Some(None);
-            }
-            let chunk = self.store.get(&self.leaves[self.leaf_idx].cid)?;
-            self.items = decode_items(self.ty, chunk.payload())?;
-            self.item_idx = 0;
-            self.loaded = true;
         }
     }
-
-    fn advance(&mut self) {
-        self.item_idx += 1;
-    }
+    Some(())
 }
 
 /// Summary of the differing region between two unsorted trees
@@ -206,27 +156,21 @@ pub fn blob_diff_summary(
     if left == right {
         return Some(None);
     }
-    let l = scan_tree(store, left, TreeType::Blob)?.leaf_entries;
-    let r = scan_tree(store, right, TreeType::Blob)?.leaf_entries;
-    let total_l: u64 = l.iter().map(|e| e.count).sum();
-    let total_r: u64 = r.iter().map(|e| e.count).sum();
-
-    // Common whole-leaf prefix.
-    let mut p = 0usize;
-    while p < l.len() && p < r.len() && l[p].cid == r[p].cid {
-        p += 1;
-    }
-    // Common whole-leaf suffix (not overlapping the prefix).
-    let mut s = 0usize;
-    while s < l.len() - p && s < r.len() - p && l[l.len() - 1 - s].cid == r[r.len() - 1 - s].cid {
-        s += 1;
-    }
-    let prefix_bytes: u64 = l[..p].iter().map(|e| e.count).sum();
-    let suffix_bytes: u64 = l[l.len() - s..].iter().map(|e| e.count).sum();
+    // Common prefix of whole subtrees, from the front.
+    let mut l = TreeCursor::new(store, left, TreeType::Blob)?;
+    let mut r = TreeCursor::new(store, right, TreeType::Blob)?;
+    skip_common(&mut l, &mut r, None)?;
+    let prefix_bytes = l.pos();
+    // Common suffix of whole subtrees, from the back, leaving at least
+    // one byte (so one leaf) of each side's rest out of it.
+    let mut l_back = TreeCursor::new_rev(store, left, TreeType::Blob)?;
+    let mut r_back = TreeCursor::new_rev(store, right, TreeType::Blob)?;
+    skip_common(&mut l_back, &mut r_back, Some(prefix_bytes))?;
+    let suffix_bytes = l_back.pos();
 
     // Refine to byte precision inside the first/last differing leaves.
-    let mid_l = read_concat(store, &l[p..l.len() - s])?;
-    let mid_r = read_concat(store, &r[p..r.len() - s])?;
+    let mid_l = read_middle(&mut l, suffix_bytes)?;
+    let mid_r = read_middle(&mut r, suffix_bytes)?;
     let mut head = 0usize;
     while head < mid_l.len() && head < mid_r.len() && mid_l[head] == mid_r[head] {
         head += 1;
@@ -239,21 +183,21 @@ pub fn blob_diff_summary(
         tail += 1;
     }
 
-    let start = prefix_bytes + head as u64;
-    let left_len = total_l - prefix_bytes - suffix_bytes - head as u64 - tail as u64;
-    let right_len = total_r - prefix_bytes - suffix_bytes - head as u64 - tail as u64;
     Some(Some(RangeDiff {
-        start,
-        left_len,
-        right_len,
+        start: prefix_bytes + head as u64,
+        left_len: (mid_l.len() - head - tail) as u64,
+        right_len: (mid_r.len() - head - tail) as u64,
     }))
 }
 
-fn read_concat(store: &dyn ChunkStore, leaves: &[IndexEntry]) -> Option<Vec<u8>> {
+/// The bytes from the cursor's leaf up to the last `suffix` bytes (a
+/// leaf boundary).
+fn read_middle(cur: &mut TreeCursor, suffix: u64) -> Option<Vec<u8>> {
     let mut out = Vec::new();
-    for e in leaves {
-        let chunk = store.get(&e.cid)?;
-        out.extend_from_slice(chunk.payload());
+    while cur.pos() + suffix < cur.total() {
+        cur.descend_to(0)?;
+        out.extend_from_slice(cur.chunk()?.payload());
+        cur.advance();
     }
     Some(out)
 }
@@ -336,12 +280,14 @@ mod tests {
         let gets = store.stats().gets - gets_before;
         assert_eq!(diff.len(), 1);
         assert_eq!(diff[0].key.as_ref(), b"k010000");
-        // A point edit should touch only the index spine and the edited
-        // leaf — far fewer fetches than the ~hundreds of leaves.
-        assert!(
-            gets < 60,
-            "diff fetched {gets} chunks; expected chunk-local work"
-        );
+        // A point edit touches the two root-to-leaf paths — one chunk
+        // per level and side — and, where the new value moved a leaf
+        // boundary, the leaf behind it.
+        let height = TreeCursor::new(&store, a, TreeType::Map)
+            .expect("open")
+            .height();
+        assert!(height >= 2, "a tree with index levels to prune");
+        assert!(gets <= 2 * (height + 1) + 2, "diff fetched {gets} chunks");
     }
 
     #[test]

@@ -51,22 +51,6 @@ impl IndexEntry {
             put_bytes(out, &self.key);
         }
     }
-
-    /// Deserialize from an index-chunk payload.
-    pub fn decode(buf: &[u8], pos: &mut usize, sorted: bool) -> Option<IndexEntry> {
-        if buf.len() < *pos + Digest::LEN {
-            return None;
-        }
-        let cid = Digest::from_slice(&buf[*pos..*pos + Digest::LEN])?;
-        *pos += Digest::LEN;
-        let count = get_varint(buf, pos)?;
-        let key = if sorted {
-            Bytes::copy_from_slice(get_bytes(buf, pos)?)
-        } else {
-            Bytes::new()
-        };
-        Some(IndexEntry { cid, count, key })
-    }
 }
 
 /// Encode an index-chunk payload: `[level][entry]*` where `level` is the
@@ -81,25 +65,10 @@ pub fn encode_index_payload(level: u64, entries: &[IndexEntry], sorted: bool) ->
     out
 }
 
-/// Decode an index-chunk payload; returns `(level, entries)`.
-pub fn decode_index_payload(buf: &[u8], sorted: bool) -> Option<(u64, Vec<IndexEntry>)> {
-    let mut pos = 0;
-    let level = get_varint(buf, &mut pos)?;
-    let mut entries = Vec::new();
-    while pos < buf.len() {
-        entries.push(IndexEntry::decode(buf, &mut pos, sorted)?);
-    }
-    Some((level, entries))
-}
-
-/// Decode an index-chunk payload with split keys borrowed from the shared
-/// `payload` buffer (no per-entry allocation). Equal results to
-/// [`decode_index_payload`]; used on scan/update hot paths where trees
-/// have thousands of entries.
-pub fn decode_index_payload_shared(
-    payload: &Bytes,
-    sorted: bool,
-) -> Option<(u64, Vec<IndexEntry>)> {
+/// Decode an index-chunk payload; returns `(level, entries)`. Split keys
+/// are zero-copy slices of the shared `payload` buffer (no per-entry
+/// allocation).
+pub fn decode_index_payload(payload: &Bytes, sorted: bool) -> Option<(u64, Vec<IndexEntry>)> {
     let buf: &[u8] = payload;
     let mut pos = 0;
     let level = get_varint(buf, &mut pos)?;
@@ -134,7 +103,7 @@ mod tests {
             IndexEntry::unsorted(hash_bytes(b"a"), 100),
             IndexEntry::unsorted(hash_bytes(b"b"), 3),
         ];
-        let payload = encode_index_payload(1, &entries, false);
+        let payload = Bytes::from(encode_index_payload(1, &entries, false));
         let (level, decoded) = decode_index_payload(&payload, false).expect("valid");
         assert_eq!(level, 1);
         assert_eq!(decoded, entries);
@@ -147,7 +116,7 @@ mod tests {
             IndexEntry::sorted(hash_bytes(b"y"), 20, &b"key-999"[..]),
             IndexEntry::sorted(hash_bytes(b"z"), 1, &b""[..]),
         ];
-        let payload = encode_index_payload(3, &entries, true);
+        let payload = Bytes::from(encode_index_payload(3, &entries, true));
         let (level, decoded) = decode_index_payload(&payload, true).expect("valid");
         assert_eq!(level, 3);
         assert_eq!(decoded, entries);
@@ -158,12 +127,12 @@ mod tests {
         let entries = vec![IndexEntry::unsorted(hash_bytes(b"a"), 7)];
         let mut payload = encode_index_payload(1, &entries, false);
         payload.truncate(payload.len() - 1);
-        assert!(decode_index_payload(&payload, false).is_none());
+        assert!(decode_index_payload(&Bytes::from(payload), false).is_none());
     }
 
     #[test]
     fn empty_payload_decodes_to_no_entries() {
-        let payload = encode_index_payload(2, &[], true);
+        let payload = Bytes::from(encode_index_payload(2, &[], true));
         let (level, decoded) = decode_index_payload(&payload, true).expect("valid");
         assert_eq!(level, 2);
         assert!(decoded.is_empty());

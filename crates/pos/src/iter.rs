@@ -4,104 +4,76 @@
 //! "the actual data is fetched gradually on demand" (§3.4) and any caching
 //! layer underneath sees chunk-granular accesses.
 
-use crate::entry::{decode_index_payload, IndexEntry};
 use crate::leaf::{decode_items, Item};
+use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::Digest;
 
-/// Depth-first iterator over all items of a tree, in order.
+/// Iterator over the items of a tree, in order: a [`TreeCursor`] plus the
+/// decoded items of the leaf it last passed.
 pub struct ItemIter<'s> {
-    store: &'s dyn ChunkStore,
     ty: TreeType,
-    /// Index-node frames: (entries, next child index).
-    stack: Vec<(Vec<IndexEntry>, usize)>,
+    /// Stands on the entry after the leaf `leaf_items` came from.
+    pub(crate) cursor: TreeCursor<'s>,
     leaf_items: std::vec::IntoIter<Item>,
 }
 
 impl<'s> ItemIter<'s> {
     /// Iterate the whole tree from its first element.
     pub fn new(store: &'s dyn ChunkStore, root: Digest, ty: TreeType) -> Option<Self> {
-        let chunk = store.get(&root)?;
-        let mut it = ItemIter {
-            store,
+        Some(ItemIter {
             ty,
-            stack: Vec::new(),
+            cursor: TreeCursor::new(store, root, ty)?,
             leaf_items: Vec::new().into_iter(),
-        };
-        if chunk.ty().is_index() {
-            let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())?;
-            it.stack.push((entries, 0));
-        } else {
-            it.leaf_items = decode_items(ty, chunk.payload())?.into_iter();
-        }
-        Some(it)
+        })
     }
 
     /// Iterate a sorted tree starting from the first item with
     /// `item.key >= key`.
     pub fn seek(store: &'s dyn ChunkStore, root: Digest, ty: TreeType, key: &[u8]) -> Option<Self> {
-        debug_assert!(ty.is_sorted());
-        let mut it = ItemIter {
-            store,
-            ty,
-            stack: Vec::new(),
-            leaf_items: Vec::new().into_iter(),
-        };
-        let mut cid = root;
-        loop {
-            let chunk = store.get(&cid)?;
-            if chunk.ty().is_index() {
-                let (_, entries) = decode_index_payload(chunk.payload(), true)?;
-                let idx = entries.partition_point(|e| e.key.as_ref() < key);
-                if idx == entries.len() {
-                    // Key is beyond this subtree; iterator is exhausted.
-                    return Some(it);
-                }
-                cid = entries[idx].cid;
-                it.stack.push((entries, idx + 1));
-            } else {
-                let items = decode_items(ty, chunk.payload())?;
-                let skip = items.partition_point(|i| i.key.as_ref() < key);
-                let mut iter = items.into_iter();
-                for _ in 0..skip {
-                    iter.next();
-                }
-                it.leaf_items = iter;
-                return Some(it);
+        let mut it = Self::new(store, root, ty)?;
+        it.cursor.seek_key(key)?;
+        if !it.cursor.at_end() {
+            it.load_leaf()?;
+            let skip = it
+                .leaf_items
+                .as_slice()
+                .partition_point(|i| i.key.as_ref() < key);
+            if skip > 0 {
+                it.leaf_items.nth(skip - 1);
             }
         }
+        Some(it)
     }
 
-    /// Advance to the next leaf; returns false when exhausted or on a
-    /// storage error (missing chunk).
-    fn advance_leaf(&mut self) -> bool {
+    /// True when the last loaded leaf is used up: the next item is the
+    /// first of whatever the cursor stands on.
+    pub(crate) fn between_leaves(&self) -> bool {
+        self.leaf_items.as_slice().is_empty()
+    }
+
+    /// Decode the leaf under the cursor and step the cursor past it.
+    fn load_leaf(&mut self) -> Option<()> {
+        self.cursor.descend_to(0)?;
+        let chunk = self.cursor.chunk()?;
+        self.leaf_items = decode_items(self.ty, chunk.payload())?.into_iter();
+        self.cursor.advance();
+        Some(())
+    }
+
+    /// The next item; the outer `None` is a storage error (a missing or
+    /// corrupt chunk), the inner one the end of the tree.
+    #[allow(clippy::option_option)]
+    pub(crate) fn try_next(&mut self) -> Option<Option<Item>> {
         loop {
-            let Some((entries, idx)) = self.stack.last_mut() else {
-                return false;
-            };
-            if *idx >= entries.len() {
-                self.stack.pop();
-                continue;
+            if let Some(item) = self.leaf_items.next() {
+                return Some(Some(item));
             }
-            let cid = entries[*idx].cid;
-            *idx += 1;
-            let Some(chunk) = self.store.get(&cid) else {
-                return false;
-            };
-            if chunk.ty().is_index() {
-                let Some((_, child)) = decode_index_payload(chunk.payload(), self.ty.is_sorted())
-                else {
-                    return false;
-                };
-                self.stack.push((child, 0));
-            } else {
-                let Some(items) = decode_items(self.ty, chunk.payload()) else {
-                    return false;
-                };
-                self.leaf_items = items.into_iter();
-                return true;
+            if self.cursor.at_end() {
+                return Some(None);
             }
+            self.load_leaf()?;
         }
     }
 }
@@ -109,15 +81,9 @@ impl<'s> ItemIter<'s> {
 impl Iterator for ItemIter<'_> {
     type Item = Item;
 
+    /// Ends at the last item or at the first storage error.
     fn next(&mut self) -> Option<Item> {
-        loop {
-            if let Some(item) = self.leaf_items.next() {
-                return Some(item);
-            }
-            if !self.advance_leaf() {
-                return None;
-            }
-        }
+        self.try_next().flatten()
     }
 }
 

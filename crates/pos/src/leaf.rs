@@ -75,50 +75,11 @@ pub fn encode_item(ty: TreeType, item: &Item, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode all items of a leaf payload. For `Blob` this produces one item
-/// per byte — use the raw payload instead on hot paths.
-pub fn decode_items(ty: TreeType, payload: &[u8]) -> Option<Vec<Item>> {
-    let mut items = Vec::new();
-    match ty {
-        TreeType::Blob => {
-            items.reserve(payload.len());
-            for &b in payload {
-                items.push(Item {
-                    key: Bytes::new(),
-                    value: Bytes::copy_from_slice(&[b]),
-                });
-            }
-        }
-        TreeType::List => {
-            let mut pos = 0;
-            while pos < payload.len() {
-                let v = get_bytes(payload, &mut pos)?;
-                items.push(Item::list(Bytes::copy_from_slice(v)));
-            }
-        }
-        TreeType::Set => {
-            let mut pos = 0;
-            while pos < payload.len() {
-                let k = get_bytes(payload, &mut pos)?;
-                items.push(Item::set(Bytes::copy_from_slice(k)));
-            }
-        }
-        TreeType::Map => {
-            let mut pos = 0;
-            while pos < payload.len() {
-                let k = Bytes::copy_from_slice(get_bytes(payload, &mut pos)?);
-                let v = Bytes::copy_from_slice(get_bytes(payload, &mut pos)?);
-                items.push(Item { key: k, value: v });
-            }
-        }
-    }
-    Some(items)
-}
-
-/// Decode all items of a leaf payload, borrowing key/value bytes from the
-/// shared `payload` buffer (no per-item allocation). The update hot path
-/// uses this; results are equal to [`decode_items`].
-pub fn decode_items_shared(ty: TreeType, payload: &Bytes) -> Option<Vec<Item>> {
+/// Decode all items of a leaf payload as zero-copy slices of the shared
+/// `payload` buffer (no per-item allocation; an item kept alive keeps its
+/// leaf alive). For `Blob` this produces one item per byte — use the raw
+/// payload instead on hot paths.
+pub fn decode_items(ty: TreeType, payload: &Bytes) -> Option<Vec<Item>> {
     let buf: &[u8] = payload;
     let mut items = Vec::new();
     // `get_bytes` returns a subslice of `buf`; re-derive its offsets to
@@ -180,7 +141,7 @@ pub struct RawItem {
 /// byte spans instead of materialized [`Item`]s. The update hot path
 /// walks old leaves with this: untouched elements are compared by key
 /// slice and copied verbatim, with no per-item allocation or `Bytes`
-/// refcount traffic (cf. [`decode_items_shared`]).
+/// refcount traffic (cf. [`decode_items`]).
 pub struct RawItemCursor<'a> {
     ty: TreeType,
     data: &'a [u8],
@@ -237,6 +198,26 @@ impl<'a> RawItemCursor<'a> {
     }
 }
 
+/// The element with key `key` in a sorted leaf payload, found without
+/// materializing the others.
+pub fn find_item(ty: TreeType, payload: &[u8], key: &[u8]) -> Option<Item> {
+    debug_assert!(ty.is_sorted());
+    let mut pos = 0;
+    while pos < payload.len() {
+        let k = get_bytes(payload, &mut pos)?;
+        let v = match ty {
+            TreeType::Map => get_bytes(payload, &mut pos)?,
+            _ => &[],
+        };
+        match k.cmp(key) {
+            std::cmp::Ordering::Less => {}
+            std::cmp::Ordering::Equal => return Some(Item::map(k.to_vec(), v.to_vec())),
+            std::cmp::Ordering::Greater => break,
+        }
+    }
+    None
+}
+
 /// Number of elements in a leaf payload without materializing them.
 pub fn count_items(ty: TreeType, payload: &[u8]) -> Option<u64> {
     match ty {
@@ -286,7 +267,10 @@ mod tests {
         for i in &items {
             encode_item(TreeType::Map, i, &mut payload);
         }
-        assert_eq!(decode_items(TreeType::Map, &payload), Some(items.clone()));
+        assert_eq!(
+            decode_items(TreeType::Map, &Bytes::from(payload.clone())),
+            Some(items.clone())
+        );
         assert_eq!(count_items(TreeType::Map, &payload), Some(3));
         assert_eq!(last_key(TreeType::Map, &payload), Some(Bytes::from("cc")));
         let total: usize = items.iter().map(|i| i.encoded_len(TreeType::Map)).sum();
@@ -300,7 +284,10 @@ mod tests {
         for i in &items {
             encode_item(TreeType::List, i, &mut payload);
         }
-        assert_eq!(decode_items(TreeType::List, &payload), Some(items));
+        assert_eq!(
+            decode_items(TreeType::List, &Bytes::from(payload.clone())),
+            Some(items)
+        );
         assert_eq!(count_items(TreeType::List, &payload), Some(3));
     }
 
@@ -311,7 +298,10 @@ mod tests {
         for i in &items {
             encode_item(TreeType::Set, i, &mut payload);
         }
-        assert_eq!(decode_items(TreeType::Set, &payload), Some(items));
+        assert_eq!(
+            decode_items(TreeType::Set, &Bytes::from(payload.clone())),
+            Some(items)
+        );
         assert_eq!(last_key(TreeType::Set, &payload), Some(Bytes::from("beta")));
     }
 
@@ -325,7 +315,10 @@ mod tests {
     fn corrupt_payload_rejected() {
         // Length prefix claims more bytes than present.
         let payload = [5u8, b'a', b'b'];
-        assert_eq!(decode_items(TreeType::List, &payload), None);
+        assert_eq!(
+            decode_items(TreeType::List, &Bytes::copy_from_slice(&payload)),
+            None
+        );
         assert_eq!(count_items(TreeType::List, &payload), None);
     }
 
@@ -350,7 +343,7 @@ mod tests {
             for i in &items {
                 encode_item(ty, i, &mut payload);
             }
-            let decoded = decode_items(ty, &payload).expect("decode");
+            let decoded = decode_items(ty, &Bytes::from(payload.clone())).expect("decode");
             let mut cursor = RawItemCursor::new(ty, &payload);
             let mut at = 0usize;
             let mut got = 0usize;

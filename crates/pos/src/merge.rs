@@ -10,13 +10,13 @@
 use crate::diff::{blob_diff_summary, sorted_diff};
 use crate::error::TreeError;
 use crate::leaf::Item;
+use crate::scan::TreeCursor;
 use crate::tree::Blob;
 use crate::types::TreeType;
 use crate::update::{update_sorted, Edit};
 use bytes::Bytes;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::{ChunkerConfig, Digest};
-use std::collections::BTreeMap;
 
 /// Why a sorted three-way merge failed. Conflicts are the application's
 /// problem to resolve; corruption means one of the three input trees
@@ -133,74 +133,70 @@ pub fn merge3_sorted(
     }
 
     let corrupt = |root| MergeError::Corrupt(TreeError::MissingChunk { root });
-    // A failed diff means *either* side of the pair is unreadable; only
-    // then re-scan the shared base so the error names the tree that is
-    // actually broken (no extra reads on the success path).
-    let blame = |side| {
-        if crate::scan::scan_tree(store, base, ty).is_none() {
-            corrupt(base)
-        } else {
-            corrupt(side)
-        }
-    };
+    let blame = |side| corrupt(unreadable(store, ty, base, side));
     let d_ours = sorted_diff(store, ty, base, ours).ok_or_else(|| blame(ours))?;
     let d_theirs = sorted_diff(store, ty, base, theirs).ok_or_else(|| blame(theirs))?;
 
-    // key -> (base value, new value)
-    type Change = (Option<Bytes>, Option<Bytes>);
-    let to_changes = |d: Vec<crate::diff::DiffEntry>| -> BTreeMap<Bytes, Change> {
-        d.into_iter().map(|e| (e.key, (e.left, e.right))).collect()
-    };
-    let ours_ch = to_changes(d_ours);
-    let theirs_ch = to_changes(d_theirs);
-
+    // Both diffs are in key order: merge-join them. `ours` already holds
+    // our side's changes, so only theirs (and what the resolver decides)
+    // are spliced onto it — by history independence the same tree as
+    // both sides' changes spliced onto `base`.
     let mut edits: Vec<Edit> = Vec::new();
     let mut conflicts: Vec<Conflict> = Vec::new();
     let mut resolved = 0usize;
-
-    let apply = |edits: &mut Vec<Edit>, key: &Bytes, value: &Option<Bytes>| match value {
-        Some(v) => edits.push(Edit::Put(Item {
-            key: key.clone(),
-            value: v.clone(),
-        })),
-        None => edits.push(Edit::Del(key.clone())),
+    let edit = |key: Bytes, value: Option<Bytes>| match value {
+        Some(value) => Edit::Put(Item { key, value }),
+        None => Edit::Del(key),
     };
-
-    for (key, (base_v, ours_v)) in &ours_ch {
-        match theirs_ch.get(key) {
-            None => apply(&mut edits, key, ours_v),
-            Some((_, theirs_v)) => {
-                if ours_v == theirs_v {
-                    apply(&mut edits, key, ours_v);
-                } else {
-                    let c = Conflict {
-                        key: key.clone(),
-                        base: base_v.clone(),
-                        ours: ours_v.clone(),
-                        theirs: theirs_v.clone(),
-                    };
-                    match resolver.resolve(&c) {
-                        Some(value) => {
-                            resolved += 1;
-                            apply(&mut edits, key, &value);
+    let mut d_ours = d_ours.into_iter().peekable();
+    for t in d_theirs {
+        while d_ours.next_if(|o| o.key < t.key).is_some() {}
+        match d_ours.next_if(|o| o.key == t.key) {
+            None => edits.push(edit(t.key, t.right)),
+            Some(o) if o.right == t.right => {}
+            Some(o) => {
+                let c = Conflict {
+                    key: t.key,
+                    base: o.left,
+                    ours: o.right,
+                    theirs: t.right,
+                };
+                match resolver.resolve(&c) {
+                    Some(value) => {
+                        resolved += 1;
+                        if value != c.ours {
+                            edits.push(edit(c.key, value));
                         }
-                        None => conflicts.push(c),
                     }
+                    None => conflicts.push(c),
                 }
             }
-        }
-    }
-    for (key, (_, theirs_v)) in &theirs_ch {
-        if !ours_ch.contains_key(key) {
-            apply(&mut edits, key, theirs_v);
         }
     }
 
     if !conflicts.is_empty() {
         return Err(MergeError::Conflicts(conflicts));
     }
-    let root = update_sorted(store, cfg, ty, base, edits).map_err(MergeError::Corrupt)?;
+    let root = update_sorted(store, cfg, ty, ours, edits).map_err(MergeError::Corrupt)?;
     Ok(MergeOutcome { root, resolved })
+}
+
+/// Which of `base` and `side` a failed diff of the two should be blamed
+/// on: `base` if its index levels cannot be walked, else `side`. Runs on
+/// the failure path only.
+fn unreadable(store: &dyn ChunkStore, ty: TreeType, base: Digest, side: Digest) -> Digest {
+    let walk = || {
+        let mut cur = TreeCursor::new(store, base, ty)?;
+        while !cur.at_end() {
+            cur.descend_to(0)?;
+            cur.advance();
+        }
+        Some(())
+    };
+    match walk() {
+        Some(()) => side,
+        None => base,
+    }
 }
 
 /// A Blob merge conflict: both sides edited overlapping byte ranges.
@@ -241,17 +237,9 @@ pub fn merge3_blob(
     }
     // Identical content means identical roots (history independence), so
     // differing roots guarantee a non-empty diff; a missing summary can
-    // only mean an unreadable tree. On failure, re-scan the shared base
-    // so the error names the tree that is actually broken (no extra
-    // reads on the success path).
+    // only mean an unreadable tree.
     let corrupt = |root| BlobMergeError::Corrupt(TreeError::MissingChunk { root });
-    let blame = |side| {
-        if crate::scan::scan_tree(store, base, crate::types::TreeType::Blob).is_none() {
-            corrupt(base)
-        } else {
-            corrupt(side)
-        }
-    };
+    let blame = |side| corrupt(unreadable(store, TreeType::Blob, base, side));
     let d1 = blob_diff_summary(store, base, ours)
         .flatten()
         .ok_or_else(|| blame(ours))?;

@@ -1,11 +1,351 @@
-//! Tree walking: leaf-entry collection, counting, and point lookups.
+//! Tree walking: the pruned root-to-leaf cursor every reader, diff and
+//! splice navigates with, plus counting and point lookups.
 
-use crate::entry::{decode_index_payload, decode_index_payload_shared, IndexEntry};
-use crate::leaf::{count_items, decode_items, last_key};
+use crate::entry::{decode_index_payload, IndexEntry};
+use crate::leaf::{count_items, decode_items, find_item, last_key, Item};
 use crate::types::TreeType;
 use bytes::Bytes;
-use forkbase_chunk::ChunkStore;
+use forkbase_chunk::{Chunk, ChunkStore};
 use forkbase_crypto::Digest;
+
+/// One decoded index node on a [`TreeCursor`]'s path.
+struct Frame {
+    entries: Vec<IndexEntry>,
+    /// Children already passed in the direction of travel; the current
+    /// child is the next one. Equal to `entries.len()` only in the root
+    /// frame, when the cursor is at its end.
+    idx: usize,
+    /// Elements passed before the current child.
+    pos: u64,
+    /// Elements passed before this node's first child / through its last.
+    start: u64,
+    end: u64,
+}
+
+/// A position in a POS-Tree held as the root-to-node path of decoded
+/// index nodes, so that moving costs chunk fetches only for the nodes a
+/// move actually enters — "only the relevant nodes are fetched instead of
+/// the entire tree" (§4.3.1).
+///
+/// The cursor stands on the **current entry**: a child of the deepest
+/// node on the path, at [`level`](Self::level) (0 = a leaf). It is lazy:
+/// [`advance`](Self::advance) steps to the next entry without entering
+/// it, so a caller that can judge a whole subtree by its entry (equal
+/// cids in a diff, an old group boundary in a splice) never fetches it;
+/// [`descend`](Self::descend) enters it one level at a time.
+///
+/// Positions are element offsets (bytes for Blob); every node is
+/// identified by the offset of its first element. A root that is a single
+/// leaf is presented as one level-0 entry under a synthetic parent, and
+/// the canonical empty leaf as no entry at all. A reverse cursor
+/// ([`new_rev`](Self::new_rev)) travels from the last element to the
+/// first with every offset counted from the end.
+pub struct TreeCursor<'s> {
+    store: &'s dyn ChunkStore,
+    ty: TreeType,
+    root: Digest,
+    height: u64,
+    rev: bool,
+    /// Root first; `frames[i]` is a node of level `height.max(1) - i`.
+    frames: Vec<Frame>,
+}
+
+impl<'s> TreeCursor<'s> {
+    /// A cursor on the first entry under the root. Fetches the root chunk
+    /// only.
+    pub fn new(store: &'s dyn ChunkStore, root: Digest, ty: TreeType) -> Option<Self> {
+        Self::open(store, root, ty, false)
+    }
+
+    /// A reverse cursor on the last entry under the root.
+    pub fn new_rev(store: &'s dyn ChunkStore, root: Digest, ty: TreeType) -> Option<Self> {
+        Self::open(store, root, ty, true)
+    }
+
+    fn open(store: &'s dyn ChunkStore, root: Digest, ty: TreeType, rev: bool) -> Option<Self> {
+        let chunk = store.get(&root)?;
+        let (height, entries) = if chunk.ty().is_index() {
+            let (level, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())?;
+            if level == 0 || entries.is_empty() {
+                return None;
+            }
+            (level, entries)
+        } else {
+            let count = count_items(ty, chunk.payload())?;
+            let key = if ty.is_sorted() && count > 0 {
+                last_key(ty, chunk.payload())?
+            } else {
+                Bytes::new()
+            };
+            let leaf = IndexEntry {
+                cid: root,
+                count,
+                key,
+            };
+            (0, if count > 0 { vec![leaf] } else { Vec::new() })
+        };
+        let end = sum_counts(&entries)?;
+        Some(TreeCursor {
+            store,
+            ty,
+            root,
+            height,
+            rev,
+            frames: vec![Frame {
+                entries,
+                idx: 0,
+                pos: 0,
+                start: 0,
+                end,
+            }],
+        })
+    }
+
+    /// Tree height: 0 = the root is a leaf.
+    pub fn height(&self) -> u64 {
+        self.height
+    }
+
+    /// Total element count (bytes for Blob).
+    pub fn total(&self) -> u64 {
+        self.frames[0].end
+    }
+
+    fn top(&self) -> &Frame {
+        self.frames.last().expect("the root frame is never popped")
+    }
+
+    fn top_mut(&mut self) -> &mut Frame {
+        self.frames
+            .last_mut()
+            .expect("the root frame is never popped")
+    }
+
+    /// Level of the current entry: 0 = a leaf.
+    pub fn level(&self) -> u64 {
+        self.height.max(1) - self.frames.len() as u64
+    }
+
+    /// True once every entry has been passed.
+    pub fn at_end(&self) -> bool {
+        self.frames.len() == 1 && self.frames[0].idx == self.frames[0].entries.len()
+    }
+
+    /// The current entry; `None` at the end.
+    pub fn entry(&self) -> Option<&IndexEntry> {
+        let f = self.top();
+        child(self.rev, f, f.idx)
+    }
+
+    /// Elements passed before the current entry ([`total`](Self::total)
+    /// at the end).
+    pub fn pos(&self) -> u64 {
+        self.top().pos
+    }
+
+    /// The current entry's chunk (a leaf when [`level`](Self::level) is
+    /// 0).
+    pub fn chunk(&self) -> Option<Chunk> {
+        self.store.get(&self.entry()?.cid)
+    }
+
+    /// Enter the current entry's node; its first child becomes current.
+    /// `None` if the chunk is missing or is not the index node its parent
+    /// describes.
+    pub fn descend(&mut self) -> Option<()> {
+        let level = self.level();
+        let count = self.entry()?.count;
+        let chunk = self.chunk()?;
+        if !chunk.ty().is_index() {
+            return None;
+        }
+        let (lvl, entries) = decode_index_payload(chunk.payload(), self.ty.is_sorted())?;
+        if lvl != level || entries.is_empty() || sum_counts(&entries)? != count {
+            return None;
+        }
+        let pos = self.pos();
+        self.frames.push(Frame {
+            entries,
+            idx: 0,
+            pos,
+            start: pos,
+            end: pos.checked_add(count)?,
+        });
+        Some(())
+    }
+
+    /// Descend until the current entry is at `floor` (or the end).
+    pub fn descend_to(&mut self, floor: u64) -> Option<()> {
+        while !self.at_end() && self.level() > floor {
+            self.descend()?;
+        }
+        Some(())
+    }
+
+    /// Step past the current entry's whole subtree without entering it.
+    /// The next entry may sit at a higher level: the cursor climbs out of
+    /// every node it finishes.
+    pub fn advance(&mut self) {
+        while let Some(count) = self.entry().map(|e| e.count) {
+            let root_only = self.frames.len() == 1;
+            let f = self.top_mut();
+            f.idx += 1;
+            f.pos += count;
+            if f.idx < f.entries.len() || root_only {
+                return;
+            }
+            self.frames.pop();
+        }
+    }
+
+    /// Step to the leaf before the current entry's first element; `false`
+    /// (cursor unmoved) at the first leaf.
+    pub fn prev_leaf(&mut self) -> Option<bool> {
+        match self.pos().checked_sub(1) {
+            Some(pos) => self.seek_pos(pos, 0).map(|()| true),
+            None => Some(false),
+        }
+    }
+
+    /// Depth of the frame whose children are level-`level` subtrees;
+    /// `None` for a level this tree does not have.
+    fn depth_of(&self, level: u64) -> Option<usize> {
+        usize::try_from(self.height.max(1).checked_sub(level)?).ok()
+    }
+
+    /// True if the cursor stands at the first element of a level-`level`
+    /// subtree: the current entry is the first child under its
+    /// level-`level` ancestor (trivially so when it is itself at `level`
+    /// or above).
+    pub fn starts(&self, level: u64) -> bool {
+        self.depth_of(level)
+            .is_some_and(|d| self.frames.iter().skip(d).all(|f| f.idx == 0))
+    }
+
+    /// `(cid, element count)` of the level-`level` subtree the cursor
+    /// stands at the first element of, if there is one at or above the
+    /// current entry.
+    pub fn start_of(&self, level: u64) -> Option<(Digest, u64)> {
+        let depth = self.depth_of(level)?;
+        if depth > self.frames.len() || self.at_end() || !self.starts(level) {
+            return None;
+        }
+        match depth.checked_sub(1) {
+            Some(d) => {
+                let f = &self.frames[d];
+                child(self.rev, f, f.idx).map(|e| (e.cid, e.count))
+            }
+            None => (self.height > 0).then(|| (self.root, self.total())),
+        }
+    }
+
+    /// Step past the level-`level` subtree the cursor is in.
+    pub fn skip_subtree(&mut self, level: u64) {
+        match self.depth_of(level) {
+            Some(depth) if depth > 0 => {
+                self.frames.truncate(depth);
+                self.advance();
+            }
+            _ => {
+                let end = self.total();
+                self.frames.truncate(1);
+                let f = self.top_mut();
+                (f.idx, f.pos) = (f.entries.len(), end);
+            }
+        }
+    }
+
+    /// Move to the level-`floor` entry holding the element at offset
+    /// `pos` — the end if there is none. Climbs only as far as the
+    /// nearest node on the path that holds `pos`, so nearby seeks cost
+    /// nearby fetches.
+    pub fn seek_pos(&mut self, pos: u64, floor: u64) -> Option<()> {
+        while self.frames.len() > 1
+            && (self.level() < floor || pos < self.top().start || pos >= self.top().end)
+        {
+            self.frames.pop();
+        }
+        loop {
+            let (mut idx, mut at) = (0, self.top().start);
+            while let Some(e) = child(self.rev, self.top(), idx) {
+                if pos < at + e.count {
+                    break;
+                }
+                at += e.count;
+                idx += 1;
+            }
+            let f = self.top_mut();
+            (f.idx, f.pos) = (idx, at);
+            if self.at_end() || self.level() <= floor {
+                return Some(());
+            }
+            self.descend()?;
+        }
+    }
+
+    /// Move a forward cursor on a sorted tree to the first leaf whose
+    /// last key is `>= key` — the end if `key` is beyond every leaf.
+    /// Forward only: `key` must not sort before the elements already
+    /// passed.
+    pub fn seek_key(&mut self, key: &[u8]) -> Option<()> {
+        debug_assert!(!self.rev && self.ty.is_sorted());
+        while self.frames.len() > 1
+            && self
+                .top()
+                .entries
+                .last()
+                .is_some_and(|e| e.key.as_ref() < key)
+        {
+            self.frames.pop();
+        }
+        loop {
+            let f = self.top_mut();
+            f.idx = f.entries.partition_point(|e| e.key.as_ref() < key);
+            f.pos = f.start + f.entries[..f.idx].iter().map(|e| e.count).sum::<u64>();
+            if self.at_end() || self.level() == 0 {
+                return Some(());
+            }
+            self.descend()?;
+        }
+    }
+
+    /// Append the current entry and the siblings behind it to `out` and
+    /// step past them all. Not at the end.
+    fn take_siblings(&mut self, out: &mut Vec<IndexEntry>) {
+        debug_assert!(!self.rev && !self.at_end());
+        let f = self.top_mut();
+        out.extend_from_slice(&f.entries[f.idx..]);
+        // Onto the last sibling, so that `advance` leaves the node.
+        f.idx = f.entries.len() - 1;
+        f.pos = f.end - f.entries[f.idx].count;
+        self.advance();
+    }
+
+    /// Of the node holding the current entry: the offset of its first
+    /// element and its children before the current one.
+    pub(crate) fn siblings_before(&self) -> (u64, &[IndexEntry]) {
+        debug_assert!(!self.rev);
+        let f = self.top();
+        (f.start, &f.entries[..f.idx])
+    }
+}
+
+/// The `i`-th child of `f` in the direction of travel.
+fn child(rev: bool, f: &Frame, i: usize) -> Option<&IndexEntry> {
+    let i = if rev {
+        f.entries.len().checked_sub(i + 1)?
+    } else {
+        i
+    };
+    f.entries.get(i)
+}
+
+/// Sum of the entries' subtree counts; `None` on overflow (corrupt node).
+fn sum_counts(entries: &[IndexEntry]) -> Option<u64> {
+    entries
+        .iter()
+        .try_fold(0u64, |acc, e| acc.checked_add(e.count))
+}
 
 /// A flattened view of a tree's leaf level.
 #[derive(Clone, Debug)]
@@ -21,151 +361,49 @@ impl TreeScan {
     pub fn total_count(&self) -> u64 {
         self.leaf_entries.iter().map(|e| e.count).sum()
     }
-
-    /// Index of the leaf containing element position `pos` (for unsorted
-    /// trees), or `None` if `pos` is past the end.
-    pub fn leaf_of_pos(&self, pos: u64) -> Option<(usize, u64)> {
-        let mut cum = 0u64;
-        for (i, e) in self.leaf_entries.iter().enumerate() {
-            if pos < cum + e.count {
-                return Some((i, cum));
-            }
-            cum += e.count;
-        }
-        None
-    }
-
-    /// Index of the first leaf whose key range can contain `key` (sorted
-    /// trees): the first leaf with `last_key >= key`. Returns
-    /// `leaf_entries.len()` if `key` is beyond every leaf.
-    pub fn leaf_of_key(&self, key: &[u8]) -> usize {
-        self.leaf_entries.partition_point(|e| e.key.as_ref() < key)
-    }
-
-    /// Cumulative element offset of leaf `idx`.
-    pub fn leaf_offset(&self, idx: usize) -> u64 {
-        self.leaf_entries[..idx].iter().map(|e| e.count).sum()
-    }
 }
 
-/// Walk the tree from `root` and collect the leaf entries. Only index
-/// chunks are fetched; leaves are not touched (their entries carry all the
-/// metadata needed).
+/// Collect every leaf entry of the tree at `root` — for whole-object
+/// reads and tests; everything else walks a [`TreeCursor`] to where it
+/// needs to be. Only index chunks are fetched. An empty tree reports its
+/// canonical empty leaf.
 pub fn scan_tree(store: &dyn ChunkStore, root: Digest, ty: TreeType) -> Option<TreeScan> {
-    let chunk = store.get(&root)?;
-    if !chunk.ty().is_index() {
-        // Root is a single leaf: synthesize its entry.
-        let count = count_items(ty, chunk.payload())?;
-        let key = if ty.is_sorted() {
-            last_key(ty, chunk.payload()).unwrap_or_default()
-        } else {
-            Bytes::new()
-        };
-        return Some(TreeScan {
-            leaf_entries: vec![IndexEntry {
-                cid: root,
-                count,
-                key,
-            }],
-            height: 0,
-        });
-    }
-
-    let (root_level, root_entries) = decode_index_payload_shared(chunk.payload(), ty.is_sorted())?;
+    let mut cur = TreeCursor::new(store, root, ty)?;
     let mut leaf_entries = Vec::new();
-    // Depth-first, left to right. Stack holds (level, entries, next index).
-    let mut stack = vec![(root_level, root_entries, 0usize)];
-    while let Some((level, entries, idx)) = stack.pop() {
-        if idx >= entries.len() {
-            continue;
-        }
-        if level == 1 {
-            // Children are leaves: adopt the whole entry list at once.
-            leaf_entries.extend(entries.into_iter().skip(idx));
-            continue;
-        }
-        let child_cid = entries[idx].cid;
-        stack.push((level, entries, idx + 1));
-        let child = store.get(&child_cid)?;
-        let (child_level, child_entries) =
-            decode_index_payload_shared(child.payload(), ty.is_sorted())?;
-        debug_assert_eq!(child_level, level - 1);
-        stack.push((child_level, child_entries, 0));
+    while !cur.at_end() {
+        cur.descend_to(0)?;
+        cur.take_siblings(&mut leaf_entries);
+    }
+    if leaf_entries.is_empty() {
+        leaf_entries.push(IndexEntry::unsorted(root, 0));
     }
     Some(TreeScan {
         leaf_entries,
-        height: root_level,
+        height: cur.height(),
     })
 }
 
 /// Total element count by reading only the root chunk.
 pub fn total_count(store: &dyn ChunkStore, root: Digest, ty: TreeType) -> Option<u64> {
-    let chunk = store.get(&root)?;
-    if chunk.ty().is_index() {
-        let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())?;
-        Some(entries.iter().map(|e| e.count).sum())
-    } else {
-        count_items(ty, chunk.payload())
-    }
+    TreeCursor::new(store, root, ty).map(|cur| cur.total())
 }
 
-/// Point lookup by key in a sorted tree. Fetches one chunk per level —
-/// "only the relevant nodes are fetched instead of the entire tree"
-/// (§4.3.1).
-pub fn get_by_key(
-    store: &dyn ChunkStore,
-    root: Digest,
-    ty: TreeType,
-    key: &[u8],
-) -> Option<crate::leaf::Item> {
-    debug_assert!(ty.is_sorted());
-    let mut cid = root;
-    loop {
-        let chunk = store.get(&cid)?;
-        if chunk.ty().is_index() {
-            let (_, entries) = decode_index_payload(chunk.payload(), true)?;
-            let idx = entries.partition_point(|e| e.key.as_ref() < key);
-            if idx == entries.len() {
-                return None; // key beyond every subtree
-            }
-            cid = entries[idx].cid;
-        } else {
-            let items = decode_items(ty, chunk.payload())?;
-            return items
-                .binary_search_by(|i| i.key.as_ref().cmp(key))
-                .ok()
-                .map(|i| items[i].clone());
-        }
-    }
+/// Point lookup by key in a sorted tree. Fetches one chunk per level.
+pub fn get_by_key(store: &dyn ChunkStore, root: Digest, ty: TreeType, key: &[u8]) -> Option<Item> {
+    let mut cur = TreeCursor::new(store, root, ty)?;
+    cur.seek_key(key)?;
+    find_item(ty, cur.chunk()?.payload(), key)
 }
 
 /// Point lookup by element position (any tree type). Descends via subtree
 /// counts.
-pub fn get_by_pos(
-    store: &dyn ChunkStore,
-    root: Digest,
-    ty: TreeType,
-    mut pos: u64,
-) -> Option<crate::leaf::Item> {
-    let mut cid = root;
-    loop {
-        let chunk = store.get(&cid)?;
-        if chunk.ty().is_index() {
-            let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())?;
-            let mut found = None;
-            for e in &entries {
-                if pos < e.count {
-                    found = Some(e.cid);
-                    break;
-                }
-                pos -= e.count;
-            }
-            cid = found?;
-        } else {
-            let items = decode_items(ty, chunk.payload())?;
-            return items.get(pos as usize).cloned();
-        }
-    }
+pub fn get_by_pos(store: &dyn ChunkStore, root: Digest, ty: TreeType, pos: u64) -> Option<Item> {
+    let mut cur = TreeCursor::new(store, root, ty)?;
+    cur.seek_pos(pos, 0)?;
+    let items = decode_items(ty, cur.chunk()?.payload())?;
+    // Copied out, so the caller's item does not keep the leaf alive.
+    let item = items.get(usize::try_from(pos - cur.pos()).ok()?)?;
+    Some(Item::map(item.key.to_vec(), item.value.to_vec()))
 }
 
 #[cfg(test)]
@@ -233,26 +471,132 @@ mod tests {
         assert!(get_by_pos(&store, root, TreeType::List, 500).is_none());
     }
 
+    /// A deep List: tiny leaves under a fanout of ~4.
+    fn deep_list(store: &MemStore, n: usize) -> (Digest, ChunkerConfig) {
+        let cfg = ChunkerConfig {
+            leaf_bits: 5,
+            index_bits: 2,
+            ..ChunkerConfig::default()
+        };
+        let items = (0..n).map(|i| Item::list(format!("element-{i}")));
+        (build_items(store, &cfg, TreeType::List, items), cfg)
+    }
+
     #[test]
-    fn leaf_of_key_partitions() {
+    fn cursor_walk_matches_scan_in_both_directions() {
         let store = MemStore::new();
-        let cfg = ChunkerConfig::with_leaf_bits(7);
-        let items: Vec<Item> = (0..3000)
-            .map(|i| Item::map(format!("k{i:06}"), "x"))
-            .collect();
-        let root = build_items(&store, &cfg, TreeType::Map, items);
-        let scan = scan_tree(&store, root, TreeType::Map).expect("scan");
-        // Every key must land in the leaf whose range covers it.
-        for i in (0..3000).step_by(113) {
-            let key = format!("k{i:06}");
-            let li = scan.leaf_of_key(key.as_bytes());
-            assert!(li < scan.leaf_entries.len());
-            assert!(scan.leaf_entries[li].key.as_ref() >= key.as_bytes());
-            if li > 0 {
-                assert!(scan.leaf_entries[li - 1].key.as_ref() < key.as_bytes());
+        let (root, _) = deep_list(&store, 3000);
+        let scan = scan_tree(&store, root, TreeType::List).expect("scan");
+        assert!(scan.height >= 3);
+        for rev in [false, true] {
+            let mut cur = TreeCursor::open(&store, root, TreeType::List, rev).expect("open");
+            let mut expected: Vec<&IndexEntry> = scan.leaf_entries.iter().collect();
+            if rev {
+                expected.reverse();
+            }
+            let mut pos = 0;
+            for e in expected {
+                cur.descend_to(0).expect("descend");
+                assert_eq!((cur.entry(), cur.pos(), cur.level()), (Some(e), pos, 0));
+                pos += e.count;
+                cur.advance();
+            }
+            assert!(cur.at_end());
+            assert_eq!((cur.pos(), cur.total()), (3000, 3000));
+        }
+    }
+
+    #[test]
+    fn cursor_seeks_fetch_only_what_they_enter() {
+        let store = MemStore::new();
+        let (root, _) = deep_list(&store, 3000);
+        let mut cur = TreeCursor::new(&store, root, TreeType::List).expect("open");
+        let gets = || store.stats().gets;
+
+        let before = gets();
+        cur.seek_pos(1500, 0).expect("seek");
+        assert_eq!(
+            gets() - before,
+            cur.height() - 1,
+            "one node per level below the root"
+        );
+        let leaf = cur.entry().expect("a leaf").clone();
+        assert!(cur.pos() <= 1500 && 1500 < cur.pos() + leaf.count);
+
+        // The previous leaf and back: same node or a neighbour, never
+        // the whole path again.
+        let (here, before) = (cur.pos(), gets());
+        assert_eq!(cur.prev_leaf(), Some(true));
+        assert_eq!(cur.pos() + cur.entry().expect("a leaf").count, here);
+        cur.seek_pos(here, 0).expect("seek");
+        assert_eq!(cur.entry(), Some(&leaf));
+        assert!(gets() - before <= 2 * (cur.height() - 1));
+
+        // A seek above the leaves stops there, at the node's first element.
+        cur.seek_pos(1500, 1).expect("seek");
+        assert_eq!(cur.level(), 1);
+        assert!(cur.pos() <= here && cur.starts(1) && !cur.starts(cur.height()));
+
+        // Stepping over a subtree never enters it.
+        let before = gets();
+        let count = cur.entry().expect("a node").count;
+        let at = cur.pos();
+        cur.skip_subtree(1);
+        assert_eq!((cur.pos(), gets()), (at + count, before));
+
+        cur.seek_pos(3000, 0).expect("seek");
+        assert!(cur.at_end());
+        assert_eq!(cur.prev_leaf(), Some(true));
+        assert_eq!(cur.pos() + cur.entry().expect("last leaf").count, 3000);
+    }
+
+    #[test]
+    fn cursor_reports_subtree_starts() {
+        let store = MemStore::new();
+        let (root, _) = deep_list(&store, 3000);
+        let mut cur = TreeCursor::new(&store, root, TreeType::List).expect("open");
+        let h = cur.height();
+        // At the very first leaf the cursor starts every level, the root
+        // included.
+        cur.descend_to(0).expect("descend");
+        assert_eq!(cur.start_of(h), Some((root, 3000)));
+        for level in 0..=h {
+            assert!(cur.starts(level));
+            assert!(cur.start_of(level).is_some());
+        }
+        assert_eq!(cur.start_of(h + 1), None);
+        // One leaf on, it starts that leaf only.
+        cur.advance();
+        cur.descend_to(0).expect("descend");
+        assert!(cur.start_of(0).is_some());
+        assert_eq!(cur.start_of(1), None);
+    }
+
+    #[test]
+    fn cursor_rejects_a_node_that_is_not_what_its_parent_says() {
+        let store = MemStore::new();
+        let (root, _) = deep_list(&store, 3000);
+        // The same tree in a store that lacks one index node.
+        let mut cur = TreeCursor::new(&store, root, TreeType::List).expect("open");
+        let broken = MemStore::new();
+        let missing = cur.entry().expect("first child").cid;
+        let mut stack = vec![root];
+        while let Some(cid) = stack.pop() {
+            let chunk = store.get(&cid).expect("present");
+            if chunk.ty().is_index() {
+                let (_, entries) = decode_index_payload(chunk.payload(), false).expect("decode");
+                stack.extend(entries.iter().map(|e| e.cid));
+            }
+            if cid != missing {
+                broken.put(chunk);
             }
         }
-        assert_eq!(scan.leaf_of_key(b"zzz"), scan.leaf_entries.len());
+        let mut cur2 = TreeCursor::new(&broken, root, TreeType::List).expect("root is there");
+        assert_eq!(cur2.descend(), None);
+        assert_eq!(get_by_pos(&broken, root, TreeType::List, 0), None);
+        // A leaf is not an index node.
+        cur.descend_to(0).expect("descend");
+        assert_eq!(cur.descend(), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::builder::{build_blob, build_items};
 use crate::error::TreeResult;
 use crate::iter::ItemIter;
 use crate::leaf::Item;
-use crate::scan::{get_by_key, get_by_pos, scan_tree, total_count};
+use crate::scan::{get_by_key, get_by_pos, scan_tree, total_count, TreeCursor};
 use crate::types::TreeType;
 use crate::update::{splice_blob, splice_list, update_sorted, Edit};
 use bytes::Bytes;
@@ -89,32 +89,24 @@ impl Blob {
     /// leaves covering the range are prefetched with one batched
     /// [`get_many`](ChunkStore::get_many).
     pub fn read_range(&self, store: &dyn ChunkStore, start: u64, len: u64) -> Option<Vec<u8>> {
-        let scan = scan_tree(store, self.root, TreeType::Blob)?;
-        let total = scan.total_count();
-        let start = start.min(total);
-        let end = (start + len).min(total);
-        // (leaf start offset, leaf end offset, cid) of the covering run.
-        let mut covering: Vec<(u64, u64, Digest)> = Vec::new();
-        let mut cum = 0u64;
-        for e in &scan.leaf_entries {
-            let leaf_start = cum;
-            let leaf_end = cum + e.count;
-            cum = leaf_end;
-            if leaf_end <= start {
-                continue;
-            }
-            if leaf_start >= end {
-                break;
-            }
-            covering.push((leaf_start, leaf_end, e.cid));
+        let mut cur = TreeCursor::new(store, self.root, TreeType::Blob)?;
+        let start = start.min(cur.total());
+        let end = start.saturating_add(len).min(cur.total());
+        // (leaf start offset, cid) of the covering run.
+        let mut covering: Vec<(u64, Digest)> = Vec::new();
+        cur.seek_pos(start, 0)?;
+        while cur.pos() < end {
+            cur.descend_to(0)?;
+            covering.push((cur.pos(), cur.entry()?.cid));
+            cur.advance();
         }
-        let cids: Vec<Digest> = covering.iter().map(|(_, _, cid)| *cid).collect();
+        let cids: Vec<Digest> = covering.iter().map(|(_, cid)| *cid).collect();
         let mut out = Vec::with_capacity((end - start) as usize);
-        for ((leaf_start, leaf_end, _), chunk) in covering.iter().zip(store.get_many(&cids)) {
+        for ((leaf_start, _), chunk) in covering.iter().zip(store.get_many(&cids)) {
             let chunk = chunk?;
             let from = start.saturating_sub(*leaf_start) as usize;
-            let to = (end.min(*leaf_end) - leaf_start) as usize;
-            out.extend_from_slice(&chunk.payload()[from..to]);
+            let to = ((end - leaf_start) as usize).min(chunk.len());
+            out.extend_from_slice(chunk.payload().get(from..to)?);
         }
         Some(out)
     }

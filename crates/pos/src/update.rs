@@ -6,11 +6,11 @@
 //! preserved."
 //!
 //! The splice algorithm:
-//! 1. Collect the leaf entry list (index-chunk metadata only).
-//! 2. Reuse every leaf strictly before the first affected position
-//!    ([`LeafBuilder::push_reused`]); warm the rolling window with the
-//!    bytes preceding the rebuild point so boundary decisions match a
-//!    from-scratch build.
+//! 1. Walk a [`TreeCursor`] from the root to the leaf holding the first
+//!    affected position: one index chunk per level, nothing else.
+//! 2. Warm the rolling window with the bytes preceding the rebuild point
+//!    (the tail of the previous leaf, [`TreeCursor::prev_leaf`]) so
+//!    boundary decisions match a from-scratch build.
 //! 3. Re-chunk through the affected region, applying the edits. Fresh
 //!    elements are scanned; untouched old elements are re-fed through
 //!    [`LeafBuilder::append_old_run`] / [`LeafBuilder::append_old_blob`],
@@ -32,11 +32,13 @@
 //!    beyond the last fresh or removed byte ([`LeafBuilder::realigned`];
 //!    the builder keeps that distance itself, the splice only reports
 //!    removals) — from there on, old and new boundary decisions provably
-//!    agree, so all remaining leaves are reused.
-//! 5. Rebuild the index levels from the leaf entry list. Index levels are
-//!    cheap (metadata-sized) and their chunks deduplicate in the store, so
-//!    a full index rebuild preserves both history independence and storage
-//!    sharing.
+//!    agree, so the leaves that follow stay where they are, unread.
+//! 5. Hand the index levels one patch (`Patch`) per re-chunked region
+//!    (the old leaves it covered → the leaves that replace them).
+//!    `build_index_levels` regroups, level by level, only the nodes on
+//!    the paths to the patches and reaches the same root a from-scratch
+//!    build over the new leaf list would: work per splice is
+//!    O(edited leaves · height), not O(tree).
 //!
 //! # Multi-range splice
 //!
@@ -46,21 +48,21 @@
 //! sorted by key, duplicate keys last-wins), then the splice alternates
 //! between two modes:
 //!
-//! * **reuse mode** — while the chunk stream is realigned with the old
-//!   tree (trivially so before the first edit), whole leaves up to the
-//!   next edit's key are adopted by entry (a `partition_point` over the
-//!   leaf list, no chunk reads);
-//! * **re-chunk mode** — leaves overlapping a run of consecutive edits are
+//! * **seek** — while the chunk stream is realigned with the old tree
+//!   (trivially so before the first edit), the cursor seeks the leaf
+//!   holding the next edit's key ([`TreeCursor::seek_key`], climbing only
+//!   as far as the nearest common ancestor);
+//! * **re-chunk** — leaves overlapping a run of consecutive edits are
 //!   walked as raw spans and merge-applied; once the boundary stream
-//!   provably realigns (step 4 above) the splice falls back to reuse mode
-//!   and skips ahead to the next edit cluster.
+//!   provably realigns (step 4 above) the region is closed and the splice
+//!   seeks the next edit cluster.
 //!
 //! So a batch with `k` well-separated edit clusters touches `O(k)` leaf
-//! regions and walks the in-between leaves only as metadata — the tree is
+//! regions and never looks at what lies between them — the tree is
 //! spliced **once** per batch, never once per edit. Fresh leaves produced
 //! across all regions are hashed as a single batch at
 //! [`LeafBuilder::finish`] (parallel cid computation on multi-core hosts),
-//! and the index levels are rebuilt once at the end. This is what makes
+//! and the index levels are patched once at the end. This is what makes
 //! [`WriteBatch`](crate::batch::WriteBatch) application orders of
 //! magnitude cheaper per edit than a `put` loop.
 //!
@@ -69,15 +71,15 @@
 //! property the `history_independence` and batch-equivalence proptests pin
 //! down.
 
-use crate::builder::{build_from_entries_reusing, LeafBuilder};
-use crate::entry::IndexEntry;
+use crate::builder::{build_index_levels, LeafBuilder, Patch};
 use crate::error::{TreeError, TreeResult};
 use crate::leaf::{Item, RawItem, RawItemCursor};
-use crate::scan::scan_tree;
+use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use bytes::Bytes;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::{ChunkerConfig, Digest};
+use std::ops::Range;
 
 /// A keyed edit against a sorted tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,46 +115,27 @@ pub fn normalize_edits(mut edits: Vec<Edit>) -> Vec<Edit> {
     out
 }
 
-/// Feed the last `window` bytes preceding leaf `first` into the builder's
-/// rolling window.
-fn seed_before(
-    store: &dyn ChunkStore,
-    leaves: &[IndexEntry],
-    first: usize,
-    window: usize,
-    lb: &mut LeafBuilder,
-) -> Option<()> {
-    if first == 0 {
-        lb.seed(&[]);
-        return Some(());
-    }
-    let mut parts: Vec<bytes::Bytes> = Vec::new();
+/// Feed the last `window` bytes preceding the cursor's leaf into the
+/// builder's rolling window; the cursor comes back to where it was.
+fn seed_before(cur: &mut TreeCursor, window: usize, lb: &mut LeafBuilder) -> Option<()> {
+    let here = cur.pos();
+    // Tails of the preceding leaves, nearest first.
+    let mut tails: Vec<Bytes> = Vec::new();
     let mut got = 0usize;
-    for e in leaves[..first].iter().rev() {
-        let chunk = store.get(&e.cid)?;
-        got += chunk.len();
-        parts.push(chunk.payload().clone());
-        if got >= window {
-            break;
-        }
+    while got < window && cur.prev_leaf()? {
+        let chunk = cur.chunk()?;
+        let keep = chunk.len().min(window - got);
+        tails.push(chunk.payload().slice(chunk.len() - keep..));
+        got += keep;
     }
-    let mut all = Vec::with_capacity(got);
-    for p in parts.iter().rev() {
-        all.extend_from_slice(p);
-    }
-    let start = all.len().saturating_sub(window);
-    lb.seed(&all[start..]);
-    Some(())
+    let seed: Vec<u8> = tails.iter().rev().flat_map(|t| t.iter().copied()).collect();
+    lb.seed(&seed);
+    cur.seek_pos(here, 0)
 }
 
-/// Treat the canonical empty leaf as zero leaves.
-fn effective_leaves(entries: &[IndexEntry]) -> &[IndexEntry] {
-    if entries.len() == 1 && entries[0].count == 0 {
-        &[]
-    } else {
-        entries
-    }
-}
+/// The re-chunked regions of a splice: the old leaves each covered (as
+/// an element range) and the builder's leaf count when it closed.
+type Regions = Vec<(Range<u64>, usize)>;
 
 /// Decode `payload`, an item-leaf of type `ty`, into `out` as raw element
 /// spans. `None` for a corrupt payload.
@@ -175,20 +158,37 @@ fn append_puts(lb: &mut LeafBuilder, edits: &[Edit]) {
     }
 }
 
-/// Hash the splice's fresh leaves, rebuild the index levels over the new
-/// leaf list (adopting unchanged index chunks of the old tree at `root`)
-/// and hand the store everything new as one batch.
+/// Hash the splice's fresh leaves, patch them over the old tree under
+/// `cur` — one [`Patch`] per region, the last one taking the leaf the
+/// builder still had pending — and hand the store everything new as one
+/// batch.
 fn finish_splice(
     lb: LeafBuilder,
     store: &dyn ChunkStore,
     cfg: &ChunkerConfig,
     ty: TreeType,
-    root: Digest,
-) -> Digest {
+    cur: TreeCursor,
+    regions: Regions,
+) -> Option<Digest> {
     #[cfg(test)]
     tests::LAST_SCANNED.with(|c| c.set(lb.scanned_bytes()));
     let (entries, fresh) = lb.finish_unstored();
-    build_from_entries_reusing(store, cfg, ty, entries, Some(root), fresh)
+    let last = regions.len() - 1;
+    let mut entries = entries.into_iter();
+    let mut taken = 0usize;
+    let patches = regions
+        .into_iter()
+        .enumerate()
+        .map(|(i, (old, upto))| {
+            let n = if i == last { usize::MAX } else { upto - taken };
+            taken = upto;
+            Patch {
+                old,
+                new: entries.by_ref().take(n).collect(),
+            }
+        })
+        .collect();
+    build_index_levels(store, cfg, ty, Some(cur), patches, fresh)
 }
 
 /// Apply a batch of keyed edits to a sorted tree in one multi-range
@@ -216,89 +216,101 @@ fn update_sorted_inner(
         return Some(root);
     }
     let edits = normalize_edits(edits);
-    let scan = scan_tree(store, root, ty)?;
-    let leaves = effective_leaves(&scan.leaf_entries);
-    let window = cfg.window;
-
+    let mut cur = TreeCursor::new(store, root, ty)?;
     let mut lb = LeafBuilder::new(store, cfg, ty);
-    let mut leaf_i = 0usize;
+    let mut regions = Regions::new();
     let mut edit_i = 0usize;
     // Scratch for the current leaf's element spans, reused across leaves.
     let mut raw_items: Vec<RawItem> = Vec::new();
 
-    loop {
-        if lb.realigned() {
-            // Reuse mode: skip unaffected leaves wholesale.
-            let target = if edit_i < edits.len() {
-                leaves
-                    .partition_point(|e| e.key.as_ref() < edits[edit_i].key())
-                    .min(leaves.len().saturating_sub(1))
-            } else {
-                leaves.len()
-            };
-            if target > leaf_i {
-                for e in &leaves[leaf_i..target] {
-                    lb.push_reused(e.clone());
+    if cur.total() == 0 {
+        // Empty tree: all edits are trailing inserts.
+        append_puts(&mut lb, &edits);
+        regions.push((0..0, 0));
+        edit_i = edits.len();
+    }
+    while let Some(edit) = edits.get(edit_i) {
+        // One region: from the first leaf that can hold the edit (past
+        // every key: the last leaf, which trailing inserts merge into) to
+        // where the chunk stream realigns short of the next edit's leaf.
+        seek_leaf(&mut cur, edit.key())?;
+        let start = cur.pos();
+        seed_before(&mut cur, cfg.window, &mut lb)?;
+        let end = loop {
+            // Merge-apply edits through one leaf. The old payload is
+            // walked as raw byte spans: untouched elements are compared
+            // by key slice and adopted in whole runs
+            // ([`LeafBuilder::append_old_run`]) — no per-item
+            // decode/re-encode or `Bytes` refcounting, and no boundary
+            // scan beyond the bytes the edits can reach.
+            let chunk = cur.chunk()?;
+            let payload = chunk.payload();
+            raw_items_of(ty, payload, &mut raw_items)?;
+            let key_of = |r: &RawItem| &payload[r.key.0..r.key.1];
+            let mut i = 0usize;
+            while i < raw_items.len() {
+                let item_key = key_of(&raw_items[i]);
+                // Edits up to this element's key: puts go in fresh; an
+                // edit *at* the key (unique — the batch is normalized)
+                // also drops the old element.
+                let mut dropped = false;
+                while edit_i < edits.len() && edits[edit_i].key() <= item_key {
+                    dropped = edits[edit_i].key() == item_key;
+                    match &edits[edit_i] {
+                        Edit::Put(e) => lb.append_item(e),
+                        Edit::Del(_) if dropped => lb.mark_removed(),
+                        Edit::Del(_) => {} // key not present
+                    }
+                    edit_i += 1;
                 }
-                leaf_i = target;
+                if dropped {
+                    i += 1;
+                    continue;
+                }
+                // Untouched run: every element strictly before the next
+                // edit's key.
+                let run_end = match edits.get(edit_i) {
+                    Some(e) => i + raw_items[i..].partition_point(|r| key_of(r) < e.key()),
+                    None => raw_items.len(),
+                };
+                lb.append_old_run(payload, &raw_items[i..run_end]);
+                i = run_end;
             }
-            if edit_i >= edits.len() {
-                break; // no edits left, everything reused
-            }
-            seed_before(store, leaves, leaf_i, window, &mut lb)?;
-            if leaf_i >= leaves.len() {
-                // Empty tree: all edits are trailing inserts.
+            cur.advance();
+            if cur.at_end() {
                 append_puts(&mut lb, &edits[edit_i..]);
-                break;
+                edit_i = edits.len();
+                break cur.pos();
             }
-        }
-
-        // Merge-apply edits through one leaf. The old payload is walked
-        // as raw byte spans: untouched elements are compared by key slice
-        // and adopted in whole runs ([`LeafBuilder::append_old_run`]) —
-        // no per-item decode/re-encode or `Bytes` refcounting, and no
-        // boundary scan beyond the bytes the edits can reach.
-        let chunk = store.get(&leaves[leaf_i].cid)?;
-        let payload = chunk.payload();
-        raw_items_of(ty, payload, &mut raw_items)?;
-        let key_of = |r: &RawItem| &payload[r.key.0..r.key.1];
-        let mut i = 0usize;
-        while i < raw_items.len() {
-            let item_key = key_of(&raw_items[i]);
-            // Edits up to this element's key: puts go in fresh; an edit
-            // *at* the key (unique — the batch is normalized) also drops
-            // the old element.
-            let mut dropped = false;
-            while edit_i < edits.len() && edits[edit_i].key() <= item_key {
-                dropped = edits[edit_i].key() == item_key;
-                match &edits[edit_i] {
-                    Edit::Put(e) => lb.append_item(e),
-                    Edit::Del(_) if dropped => lb.mark_removed(),
-                    Edit::Del(_) => {} // key not present
+            if lb.realigned() {
+                // The leaves from here on stand — unless the next edit
+                // lands in the very next one, which keeps the region open.
+                let here = cur.pos();
+                let Some(next) = edits.get(edit_i) else {
+                    break here;
+                };
+                seek_leaf(&mut cur, next.key())?;
+                if cur.pos() != here {
+                    break here;
                 }
-                edit_i += 1;
             }
-            if dropped {
-                i += 1;
-                continue;
-            }
-            // Untouched run: every element strictly before the next
-            // edit's key.
-            let run_end = match edits.get(edit_i) {
-                Some(e) => i + raw_items[i..].partition_point(|r| key_of(r) < e.key()),
-                None => raw_items.len(),
-            };
-            lb.append_old_run(payload, &raw_items[i..run_end]);
-            i = run_end;
-        }
-        leaf_i += 1;
-        if leaf_i == leaves.len() {
-            append_puts(&mut lb, &edits[edit_i..]);
-            break;
-        }
+            cur.descend_to(0)?;
+        };
+        regions.push((start..end, lb.leaves()));
     }
 
-    Some(finish_splice(lb, store, cfg, ty, root))
+    finish_splice(lb, store, cfg, ty, cur, regions)
+}
+
+/// Move `cur` forward to the leaf an edit at `key` lands in: the first
+/// leaf whose last key is `>= key`, or the last leaf when `key` is beyond
+/// them all. The tree must not be empty.
+fn seek_leaf(cur: &mut TreeCursor, key: &[u8]) -> Option<()> {
+    cur.seek_key(key)?;
+    if cur.at_end() {
+        cur.prev_leaf()?;
+    }
+    Some(())
 }
 
 /// Replace `remove` bytes at `start` with `insert` in a Blob tree.
@@ -325,79 +337,60 @@ fn splice_blob_inner(
     remove: u64,
     insert: &[u8],
 ) -> Option<Digest> {
-    let scan = scan_tree(store, root, TreeType::Blob)?;
-    let leaves = effective_leaves(&scan.leaf_entries);
-    let total: u64 = leaves.iter().map(|e| e.count).sum();
+    let mut cur = TreeCursor::new(store, root, TreeType::Blob)?;
+    let total = cur.total();
     let start = start.min(total);
-    let remove = remove.min(total - start);
-    let window = cfg.window;
-
+    let mut to_remove = remove.min(total - start);
     let mut lb = LeafBuilder::new(store, cfg, TreeType::Blob);
 
-    // First leaf containing `start`. A pure append (`start == total`) must
-    // still re-chunk the last leaf: it ends without a boundary pattern, so
-    // appended bytes merge into it.
-    let mut cum = 0u64;
-    let mut first = leaves.len();
-    for (i, e) in leaves.iter().enumerate() {
-        if start < cum + e.count {
-            first = i;
-            break;
-        }
-        cum += e.count;
-    }
-    if first == leaves.len() && !leaves.is_empty() {
-        first = leaves.len() - 1;
-        cum -= leaves[first].count;
-    }
-    for e in &leaves[..first] {
-        lb.push_reused(e.clone());
-    }
-    seed_before(store, leaves, first, window, &mut lb)?;
-
-    let mut inserted = false;
-    let mut to_remove = remove;
-    let mut li = first;
-
-    while li < leaves.len() {
-        let e = &leaves[li];
-        if inserted && to_remove >= e.count && e.count > 0 {
-            // Whole leaf falls inside the removal: drop it unread.
-            to_remove -= e.count;
-            li += 1;
-            lb.mark_removed();
-            continue;
-        }
-        if inserted && to_remove == 0 && lb.realigned() {
-            for e2 in &leaves[li..] {
-                lb.push_reused(e2.clone());
-            }
-            break;
-        }
-        let chunk = store.get(&e.cid)?;
-        let payload = chunk.payload();
-        let mut j = 0usize;
-        if !inserted {
-            j = (start - cum) as usize;
-            lb.append_old_blob(payload, 0..j);
-            lb.append_blob(insert);
-            inserted = true;
-        }
-        if to_remove > 0 {
-            let rm = (to_remove as usize).min(payload.len() - j);
-            j += rm;
-            to_remove -= rm as u64;
-            lb.mark_removed();
-        }
-        lb.append_old_blob(payload, j..payload.len());
-        li += 1;
-    }
-    if !inserted {
-        // Empty object: there was no leaf to insert into.
+    let mut old = 0..0;
+    if total == 0 {
+        // Empty object: there is no leaf to insert into.
         lb.append_blob(insert);
+    } else {
+        // The leaf containing `start`. A pure append (`start == total`)
+        // must still re-chunk the last leaf: it ends without a boundary
+        // pattern, so appended bytes merge into it.
+        cur.seek_pos(start.min(total - 1), 0)?;
+        old.start = cur.pos();
+        seed_before(&mut cur, cfg.window, &mut lb)?;
+        let mut inserted = false;
+        while let Some(count) = cur.entry().map(|e| e.count) {
+            if inserted && to_remove >= count {
+                // Whole leaf (or subtree) falls inside the removal: drop
+                // it unread.
+                to_remove -= count;
+                lb.mark_removed();
+                cur.advance();
+                continue;
+            }
+            if inserted && to_remove == 0 && lb.realigned() {
+                break;
+            }
+            cur.descend_to(0)?;
+            let chunk = cur.chunk()?;
+            let payload = chunk.payload();
+            let mut j = 0usize;
+            if !inserted {
+                j = (start - cur.pos()) as usize;
+                lb.append_old_blob(payload, 0..j);
+                lb.append_blob(insert);
+                inserted = true;
+            }
+            if to_remove > 0 {
+                let rm = (to_remove as usize).min(payload.len() - j);
+                j += rm;
+                to_remove -= rm as u64;
+                lb.mark_removed();
+            }
+            lb.append_old_blob(payload, j..payload.len());
+            cur.advance();
+        }
+        old.end = cur.pos();
     }
 
-    Some(finish_splice(lb, store, cfg, TreeType::Blob, root))
+    let regions = vec![(old, lb.leaves())];
+    finish_splice(lb, store, cfg, TreeType::Blob, cur, regions)
 }
 
 /// Replace `remove` elements at position `start` with `insert` in a List
@@ -424,95 +417,76 @@ fn splice_list_inner(
     remove: u64,
     insert: &[Item],
 ) -> Option<Digest> {
-    let scan = scan_tree(store, root, TreeType::List)?;
-    let leaves = effective_leaves(&scan.leaf_entries);
-    let total: u64 = leaves.iter().map(|e| e.count).sum();
+    let mut cur = TreeCursor::new(store, root, TreeType::List)?;
+    let total = cur.total();
     let start = start.min(total);
-    let remove = remove.min(total - start);
-    let window = cfg.window;
-
+    let mut to_remove = remove.min(total - start);
     let mut lb = LeafBuilder::new(store, cfg, TreeType::List);
 
-    let mut cum = 0u64;
-    let mut first = leaves.len();
-    for (i, e) in leaves.iter().enumerate() {
-        if start < cum + e.count {
-            first = i;
-            break;
-        }
-        cum += e.count;
-    }
-    if first == leaves.len() && !leaves.is_empty() {
-        // Appends re-chunk the final (pattern-less) leaf.
-        first = leaves.len() - 1;
-        cum -= leaves[first].count;
-    }
-    for e in &leaves[..first] {
-        lb.push_reused(e.clone());
-    }
-    seed_before(store, leaves, first, window, &mut lb)?;
-
+    let mut old = 0..0;
     let mut inserted = false;
-    let mut to_remove = remove;
-    let mut li = first;
-    let mut pos = cum;
-    // Scratch for the current leaf's element spans, reused across leaves.
-    let mut raw_items: Vec<RawItem> = Vec::new();
-
-    while li < leaves.len() {
-        let e = &leaves[li];
-        if inserted && to_remove >= e.count && e.count > 0 {
-            to_remove -= e.count;
-            pos += e.count;
-            li += 1;
-            lb.mark_removed();
-            continue;
-        }
-        if inserted && to_remove == 0 && lb.realigned() {
-            for e2 in &leaves[li..] {
-                lb.push_reused(e2.clone());
-            }
-            break;
-        }
-        // Walk the old payload as raw byte spans: untouched elements are
-        // adopted in whole runs ([`LeafBuilder::append_old_run`]) —
-        // no per-element decode/re-encode or `Bytes` refcounting;
-        // removals skip a span without materializing the items at all.
-        let chunk = store.get(&e.cid)?;
-        let payload = chunk.payload();
-        raw_items_of(TreeType::List, payload, &mut raw_items)?;
-        let n = raw_items.len();
-        let mut i = 0usize;
-        while i < n {
-            if !inserted && pos == start {
-                for ins in insert {
-                    lb.append_item(ins);
-                }
-                inserted = true;
-            }
-            if inserted && to_remove > 0 {
-                // Removal run: drop as much of it as this leaf holds.
-                let rm = (to_remove as usize).min(n - i);
-                i += rm;
-                pos += rm as u64;
-                to_remove -= rm as u64;
+    if total > 0 {
+        // Appends re-chunk the final (pattern-less) leaf.
+        cur.seek_pos(start.min(total - 1), 0)?;
+        old.start = cur.pos();
+        seed_before(&mut cur, cfg.window, &mut lb)?;
+        // Scratch for the current leaf's element spans, reused across
+        // leaves.
+        let mut raw_items: Vec<RawItem> = Vec::new();
+        while let Some(count) = cur.entry().map(|e| e.count) {
+            if inserted && to_remove >= count {
+                to_remove -= count;
                 lb.mark_removed();
+                cur.advance();
                 continue;
             }
-            // Untouched run: up to the insertion point, else to leaf end.
-            let left = n - i;
-            let run_end = if !inserted && start < pos + left as u64 {
-                i + (start - pos) as usize
-            } else {
-                n
-            };
-            if run_end > i {
-                lb.append_old_run(payload, &raw_items[i..run_end]);
-                pos += (run_end - i) as u64;
-                i = run_end;
+            if inserted && to_remove == 0 && lb.realigned() {
+                break;
             }
+            // Walk the old payload as raw byte spans: untouched elements
+            // are adopted in whole runs ([`LeafBuilder::append_old_run`])
+            // — no per-element decode/re-encode or `Bytes` refcounting;
+            // removals skip a span without materializing the items at all.
+            cur.descend_to(0)?;
+            let chunk = cur.chunk()?;
+            let payload = chunk.payload();
+            raw_items_of(TreeType::List, payload, &mut raw_items)?;
+            let n = raw_items.len();
+            let mut pos = cur.pos();
+            let mut i = 0usize;
+            while i < n {
+                if !inserted && pos == start {
+                    for ins in insert {
+                        lb.append_item(ins);
+                    }
+                    inserted = true;
+                }
+                if inserted && to_remove > 0 {
+                    // Removal run: drop as much of it as this leaf holds.
+                    let rm = (to_remove as usize).min(n - i);
+                    i += rm;
+                    pos += rm as u64;
+                    to_remove -= rm as u64;
+                    lb.mark_removed();
+                    continue;
+                }
+                // Untouched run: up to the insertion point, else to leaf
+                // end.
+                let left = n - i;
+                let run_end = if !inserted && start < pos + left as u64 {
+                    i + (start - pos) as usize
+                } else {
+                    n
+                };
+                if run_end > i {
+                    lb.append_old_run(payload, &raw_items[i..run_end]);
+                    pos += (run_end - i) as u64;
+                    i = run_end;
+                }
+            }
+            cur.advance();
         }
-        li += 1;
+        old.end = cur.pos();
     }
     if !inserted {
         for ins in insert {
@@ -520,13 +494,15 @@ fn splice_list_inner(
         }
     }
 
-    Some(finish_splice(lb, store, cfg, TreeType::List, root))
+    let regions = vec![(old, lb.leaves())];
+    finish_splice(lb, store, cfg, TreeType::List, cur, regions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{build_blob, build_items};
+    use crate::scan::scan_tree;
     use forkbase_chunk::MemStore;
 
     thread_local! {
@@ -619,7 +595,8 @@ mod tests {
             .map(|i| (i, scan.leaf_entries[i].count))
             .max_by_key(|&(_, count)| count)
             .expect("leaves");
-        let at = scan.leaf_offset(li) + best / 2;
+        let before: u64 = scan.leaf_entries[..li].iter().map(|e| e.count).sum();
+        let at = before + best / 2;
         assert!(best > 4096, "the largest leaf is a big one: {best}");
         let insert = pseudo_random(100, 6);
         let spliced = splice_blob(&store, &cfg, root, at, 100, &insert).expect("splice");
