@@ -198,7 +198,7 @@ impl ChainStore {
     /// Append a run of blocks as one parent-linked chain — block *i+1*'s
     /// parent is block *i*, the first links to `parent`. The whole
     /// batch's meta chunks land with a single group-commit round
-    /// ([`Engine::append_chain`](forkbase_core::Engine::append_chain)),
+    /// ([`ForkBase::append_chain`]),
     /// so bulk sync pays one fsync wait per batch instead of per block.
     /// Returns ids in block order.
     pub fn append_batch(

@@ -39,7 +39,14 @@ impl BranchTable {
 
     /// Set a tagged branch head (Put-Branch, Fork, Rename).
     pub fn set_head(&mut self, branch: &str, head: Digest) {
-        self.tagged.insert(branch.to_string(), head);
+        // Advancing an existing branch is the common case; it needs no
+        // owned name.
+        match self.tagged.get_mut(branch) {
+            Some(current) => *current = head,
+            None => {
+                self.tagged.insert(branch.to_string(), head);
+            }
+        }
     }
 
     /// Remove a tagged branch; returns its head if it existed.

@@ -13,24 +13,29 @@
 //! * **Pending queue** — every hot write is also enqueued (bounded, with
 //!   backpressure once the queue holds `8 × publish_batch` edits).
 //! * **Publisher** — a background thread group-publishes the queue into
-//!   the POS-Tree via [`Engine::commit_map_batch`] (one `WriteBatch`
-//!   splice per key per round) whenever `publish_batch` edits are
-//!   pending or `publish_interval` elapses, then advances the durable
-//!   recovery point ([`Engine::commit_checkpoint`]) so a crash loses at
-//!   most the edits still queued — the *publish window*.
+//!   the POS-Tree whenever `publish_batch` edits are pending or
+//!   `publish_interval` elapses: one map-edits [`Commit`] per key, the
+//!   whole round as one pass of the commit pipeline
+//!   ([`crate::commit`]). It then advances the durable recovery point
+//!   so a crash loses at most the edits still queued — the *publish
+//!   window*.
 //!
 //! The POS-Tree stays the versioned, tamper-evident substrate: every
-//! publish round is an ordinary map commit with hash-chained `FObject`
+//! publish round is ordinary map commits with hash-chained `FObject`
 //! versions, so history, diff, merge and `verify_history` keep working
-//! unchanged. Coordination with direct tree reads/writes lives in
-//! [`ForkBase`](crate::ForkBase), which drains a key's pending edits
-//! before touching its default branch through the tree API.
+//! unchanged. The tier knows nothing of the rest of the API.
+//! [`ForkBase`](crate::ForkBase) keeps the two in step at exactly two
+//! points — before a commit writes a key's default branch (`drain_key`
+//! and `invalidate`) and before a branch table is read (`drain_key`, or
+//! `publish_all`) — and the publisher commits through the `Engine`
+//! underneath the handle, so it never meets that coordination itself.
 
+use crate::commit::{Commit, Payload};
 use crate::db::Engine;
 use crate::error::{FbError, Result};
 use bytes::Bytes;
 use forkbase_crypto::fx::FxHashMap;
-use forkbase_pos::{Hamt, WriteBatch};
+use forkbase_pos::Hamt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -69,8 +74,7 @@ impl HotTierConfig {
     pub fn disabled() -> Self {
         HotTierConfig {
             enabled: false,
-            publish_batch: 512,
-            publish_interval: Duration::from_millis(20),
+            ..Self::on()
         }
     }
 }
@@ -157,26 +161,6 @@ impl Shared {
         FbError::Io(format!("hot tier poisoned by publish failure: {msg}"))
     }
 
-    /// Publish one key's edit run as a single map splice. Returns the
-    /// number of edits on success.
-    fn publish_key(&self, key: &Bytes, edits: Vec<(Bytes, Option<Bytes>)>) -> Result<usize> {
-        let n = edits.len();
-        let mut wb = WriteBatch::with_capacity(n);
-        for (sk, v) in edits {
-            match v {
-                Some(v) => {
-                    wb.put(sk, v);
-                }
-                None => {
-                    wb.delete(sk);
-                }
-            }
-        }
-        self.engine.commit_map_batch(key.clone(), None, wb)?;
-        self.published.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
-    }
-
     /// Take the whole queue, marking every taken key in-flight. Caller
     /// must clear `inflight` (and notify `room`) when done.
     fn take_all(p: &mut Pending) -> FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>> {
@@ -188,47 +172,49 @@ impl Shared {
         work
     }
 
-    /// Publish a taken batch and clear its in-flight marks. The first
+    /// Publish a taken batch — one map-edits commit per key, all in one
+    /// pass of the commit pipeline — and clear its in-flight marks. An
     /// error poisons the tier and is returned.
     ///
     /// `checkpoint` says who owns the recovery point: the background
-    /// publisher passes `true` and each of its rounds ends in a
-    /// checkpoint, taken before the marks clear (a crash loses at most
-    /// the edits still queued); `flush` passes `false` and checkpoints
-    /// once itself, after its last round.
+    /// publisher and per-key drains pass `true` and end in a checkpoint,
+    /// taken before the marks clear (a crash loses at most the edits
+    /// still queued); `flush` passes `false` and checkpoints once
+    /// itself, after its last round.
     fn publish_work(
         &self,
         work: FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>>,
         checkpoint: bool,
     ) -> Result<()> {
-        let mut first_err: Option<FbError> = None;
-        for (key, edits) in &work {
-            if first_err.is_none() {
-                if let Err(e) = self.publish_key(key, edits.clone()) {
-                    first_err = Some(e);
-                }
-            }
-        }
-        if checkpoint && first_err.is_none() {
-            if let Err(e) = self.checkpoint_if_durable() {
-                first_err = Some(e);
+        let edits: usize = work.values().map(Vec::len).sum();
+        let commits: Vec<Commit<'_>> = work
+            .into_iter()
+            .map(|(key, edits)| {
+                Commit::branch(key, None, Payload::MapEdits(edits.into_iter().collect()))
+            })
+            .collect();
+        let mut result = self.engine.commit_all(&commits).map(|_| ());
+        if result.is_ok() {
+            self.published.fetch_add(edits as u64, Ordering::Relaxed);
+            if checkpoint {
+                result = self.checkpoint_if_durable();
             }
         }
         let mut p = self.pending.lock().expect("pending lock");
-        for key in work.keys() {
-            release_inflight(&mut p, key);
+        for commit in &commits {
+            release_inflight(&mut p, &commit.key);
         }
-        if let Some(e) = &first_err {
-            p.poisoned.get_or_insert_with(|| e.to_string());
-        } else {
-            self.publish_rounds.fetch_add(1, Ordering::Relaxed);
+        match &result {
+            Err(e) => {
+                p.poisoned.get_or_insert_with(|| e.to_string());
+            }
+            Ok(()) => {
+                self.publish_rounds.fetch_add(1, Ordering::Relaxed);
+            }
         }
         drop(p);
         self.room.notify_all();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        result
     }
 
     /// Advance the durable recovery point so published edits survive a
@@ -236,7 +222,7 @@ impl Shared {
     /// `Durability::Batch`-deferred records) and atomically rewrites the
     /// HEAD ref; on in-memory instances this is a no-op.
     fn checkpoint_if_durable(&self) -> Result<()> {
-        if self.engine.durable_store().is_some() {
+        if self.engine.durable.is_some() {
             self.engine.commit_checkpoint()?;
         }
         Ok(())
@@ -351,38 +337,25 @@ impl HotTier {
     /// access to the key's default branch. No-op when nothing is
     /// pending.
     pub(crate) fn drain_key(&self, key: &Bytes) -> Result<()> {
+        let mut p = self.shared.pending.lock().expect("pending lock");
         loop {
-            let edits = {
-                let mut p = self.shared.pending.lock().expect("pending lock");
-                if let Some(msg) = &p.poisoned {
-                    return Err(Shared::poison_err(msg));
-                }
-                if p.inflight.contains_key(key) {
-                    let q = self.shared.room.wait(p).expect("pending lock");
-                    drop(q);
-                    continue;
-                }
-                match p.edits.remove(key) {
-                    None => return Ok(()),
-                    Some(edits) => {
-                        p.total -= edits.len();
-                        *p.inflight.entry(key.clone()).or_insert(0) += 1;
-                        edits
-                    }
-                }
-            };
-            self.shared.room.notify_all();
-            let res = self.shared.publish_key(key, edits);
-            let mut p = self.shared.pending.lock().expect("pending lock");
-            release_inflight(&mut p, key);
-            if let Err(e) = &res {
-                p.poisoned.get_or_insert_with(|| e.to_string());
+            if let Some(msg) = &p.poisoned {
+                return Err(Shared::poison_err(msg));
             }
-            drop(p);
-            self.shared.room.notify_all();
-            res?;
-            return self.shared.checkpoint_if_durable();
+            if !p.inflight.contains_key(key) {
+                break;
+            }
+            p = self.shared.room.wait(p).expect("pending lock");
         }
+        let Some(edits) = p.edits.remove(key) else {
+            return Ok(());
+        };
+        p.total -= edits.len();
+        p.inflight.insert(key.clone(), 1);
+        drop(p);
+        self.shared.room.notify_all();
+        let work = FxHashMap::from_iter([(key.clone(), edits)]);
+        self.shared.publish_work(work, true)
     }
 
     /// Remove `key`'s flat-index state (called after a direct tree write
@@ -466,9 +439,9 @@ impl Drop for HotTier {
         if let Some(handle) = self.publisher.take() {
             let _ = handle.join();
         }
-        // The publisher drains on exit; this catches edits enqueued
-        // while it was shutting down. Errors are unreportable from Drop
-        // — they stay recorded in `poisoned` for post-mortems.
+        // Clean close loses nothing: publish what is still queued.
+        // Errors are unreportable from Drop — they stay recorded in
+        // `poisoned` for post-mortems.
         let _ = self.flush();
     }
 }
@@ -486,10 +459,7 @@ fn release_inflight(p: &mut Pending, key: &Bytes) {
 
 fn publisher_loop(shared: Arc<Shared>) {
     let mut p = shared.pending.lock().expect("pending lock");
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
+    while !shared.stop.load(Ordering::Acquire) {
         if p.total < shared.cfg.publish_batch {
             let (q, _timeout) = shared
                 .work
@@ -509,12 +479,8 @@ fn publisher_loop(shared: Arc<Shared>) {
         let _ = shared.publish_work(work, true);
         p = shared.pending.lock().expect("pending lock");
     }
-    // Final drain: publish everything still queued before exiting.
-    let work = Shared::take_all(&mut p);
-    drop(p);
-    if !work.is_empty() {
-        let _ = shared.publish_work(work, true);
-    }
+    // What is still queued is for `Drop` to publish, once it has joined
+    // this thread.
 }
 
 #[cfg(test)]
@@ -591,6 +557,57 @@ mod tests {
         let map = db.new_map([("a", "tree")]);
         db.put("k", None, Value::Map(map)).unwrap();
         assert_eq!(db.hot_get("k", b"a").unwrap(), Some(b("tree")));
+    }
+
+    /// Every reader of a key's branch table sees earlier `hot_put`s, not
+    /// only the ones that read the default branch by name.
+    #[test]
+    fn branch_listings_and_checkpoints_observe_earlier_hot_puts() {
+        let store = Arc::new(forkbase_chunk::MemStore::new());
+        let db = ForkBase::with_store_hot(
+            store.clone(),
+            Default::default(),
+            HotTierConfig {
+                enabled: true,
+                publish_batch: 1 << 20,
+                publish_interval: Duration::from_secs(3600),
+            },
+        );
+        db.hot_put("k", "a", "1").unwrap();
+        db.flush_hot().unwrap();
+        db.hot_put("k", "a", "2").unwrap();
+        let listed = db.list_tagged_branches("k").unwrap();
+        assert_eq!(
+            listed,
+            vec![("master".to_string(), db.head("k", None).unwrap())]
+        );
+
+        db.hot_put("k", "a", "3").unwrap();
+        db.hot_put("fresh", "x", "y").unwrap();
+        assert_eq!(db.list_keys(), vec![b("fresh"), b("k")]);
+        db.hot_put("k", "a", "4").unwrap();
+        let restored = ForkBase::restore(store, Default::default(), db.checkpoint()).unwrap();
+        assert_eq!(restored.hot_get("k", b"a").unwrap(), Some(b("4")));
+        assert_eq!(restored.hot_get("fresh", b"x").unwrap(), Some(b("y")));
+    }
+
+    /// The flat index describes the default branch: once that is renamed
+    /// away or removed, nothing of it may still be served.
+    #[test]
+    fn renaming_or_removing_the_default_branch_drops_hot_state() {
+        for remove in [false, true] {
+            let db = hot_db(1 << 20, 3_600_000);
+            db.hot_put("k", "a", "1").unwrap();
+            if remove {
+                db.fork("k", "master", "kept").unwrap();
+                db.remove_branch("k", "master").unwrap();
+            } else {
+                db.rename_branch("k", "master", "kept").unwrap();
+            }
+            assert_eq!(db.hot_get("k", b"a").unwrap(), None, "remove: {remove}");
+            let kept = db.get_value("k", Some("kept")).unwrap().as_map().unwrap();
+            assert_eq!(kept.get(db.store(), b"a"), Some(b("1")));
+        }
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //!   hash that uniquely identifies the object's value *and* its entire
 //!   history; an untrusted store cannot alter either without detection.
 //!
+//! [`ForkBase`] is the one engine type: Table 1's M1–M17 plus
+//! checkpointing and the hot-state surface ([`db`]). Every write verb on
+//! it builds a [`Commit`] and runs it through the one pipeline in
+//! [`commit`] — stage, encode, store, publish — and [`hot`] is the
+//! optional flat tier that pipeline and the branch-table reads keep in
+//! step with the tree.
+//!
 //! ```
 //! use forkbase_core::{ForkBase, Value};
 //!
@@ -41,6 +48,7 @@
 pub mod access;
 pub mod branch;
 pub mod checkpoint;
+pub mod commit;
 pub mod db;
 pub mod error;
 pub mod fobject;
@@ -53,7 +61,8 @@ pub mod verify;
 pub use access::{AccessControl, Permission};
 pub use branch::BranchTable;
 pub use checkpoint::BranchSnapshot;
-pub use db::{Engine, ForkBase, DEFAULT_BRANCH};
+pub use commit::{Commit, Payload, Target};
+pub use db::{ForkBase, DEFAULT_BRANCH};
 pub use error::{FbError, Result};
 pub use fobject::FObject;
 pub use gc::{compact_into, GcReport};

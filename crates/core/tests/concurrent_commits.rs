@@ -6,17 +6,25 @@
 //! sequential run produces (content-derived uids make this checkable
 //! bit-for-bit), overlapping writers serialize onto one chain with zero
 //! lost updates, and `commit_map_batch`'s merge-on-conflict keeps every
-//! subkey from every racing batch. The property tests pin the batched
-//! entry points (`put_many`, `put_conflict_many`) to their sequential
-//! counterparts on the same input.
+//! subkey from every racing batch, and a merge into a branch keeps every
+//! commit that reached the branch while it was being built. The property
+//! tests pin the batched entry points (`put_many`, `put_conflict_many`,
+//! `commit_all` over every target and payload) to the same commits issued
+//! one at a time.
 //!
 //! CI runs this with `RUST_TEST_THREADS=8` so the writer threads really
-//! overlap on multi-core runners.
+//! overlap on multi-core runners, once per `FB_HOT_TIER` leg: with `1`
+//! the merge races run behind the hot tier, so the pipeline's hot sync
+//! is in the race too.
 
-use forkbase_core::{ForkBase, Value};
+use bytes::Bytes;
+use forkbase_core::{
+    verify_history, Commit, Digest, ForkBase, HotTierConfig, Payload, Resolver, Target, Value,
+    WriteBatch,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const WRITERS: usize = 8;
@@ -187,8 +195,244 @@ fn contended_map_batches_serialize_hot_subkey() {
     );
 }
 
+const MERGE_ROUNDS: usize = 200;
+
+fn one_edit(subkey: String) -> WriteBatch {
+    let mut wb = WriteBatch::new();
+    wb.put(subkey, "1");
+    wb
+}
+
+/// `MERGE_ROUNDS` rounds of `merge_branches(master <- dev)` against one
+/// `write` to master each, both released by the same barrier. Every
+/// acknowledged write must end up in master's history — a merge that read
+/// the head, merged, and then set the head over a commit that landed in
+/// between would leave that commit acknowledged and unreachable. Returns
+/// the engine for checks on what the writes stored.
+fn race_merges_against(write: impl Fn(&ForkBase, usize) -> Digest + Sync) -> ForkBase {
+    let hot = match std::env::var("FB_HOT_TIER").as_deref() {
+        Ok("1") => HotTierConfig::on(),
+        _ => HotTierConfig::disabled(),
+    };
+    let db = ForkBase::in_memory_hot(hot);
+    db.put("k", None, Value::Map(db.new_map([("genesis", "0")])))
+        .expect("put");
+    db.fork("k", "master", "dev").expect("fork");
+    let start = Barrier::new(2);
+    let acknowledged = thread::scope(|s| {
+        s.spawn(|| {
+            for round in 0..MERGE_ROUNDS {
+                db.commit_map_batch("k", Some("dev"), one_edit(format!("dev-{round}")))
+                    .expect("dev commit");
+                start.wait();
+                db.merge_branches("k", "master", "dev", &Resolver::Fail)
+                    .expect("merge");
+                start.wait();
+            }
+        });
+        let writer = s.spawn(|| {
+            (0..MERGE_ROUNDS)
+                .map(|round| {
+                    start.wait();
+                    let uid = write(&db, round);
+                    start.wait();
+                    uid
+                })
+                .collect::<Vec<_>>()
+        });
+        writer.join().expect("writer ok")
+    });
+
+    let head = db.head("k", None).expect("head");
+    for (round, uid) in acknowledged.into_iter().enumerate() {
+        assert_eq!(
+            db.lca("k", head, uid).expect("lca"),
+            Some(uid),
+            "the commit acknowledged in round {round} is not in master's history"
+        );
+    }
+    verify_history(db.store(), head).expect("master's history verifies");
+    db
+}
+
+/// A `commit_map_batch` on master racing each merge: afterwards master
+/// holds every subkey either side wrote.
+#[test]
+fn merge_racing_map_batches_loses_no_commit() {
+    let db = race_merges_against(|db, round| {
+        db.hot_put("k", format!("hot-{round}"), "1")
+            .expect("hot put");
+        db.commit_map_batch("k", None, one_edit(format!("master-{round}")))
+            .expect("master commit")
+    });
+    let map = db.get_value("k", None).expect("get").as_map().expect("map");
+    for round in 0..MERGE_ROUNDS {
+        for side in ["master", "hot", "dev"] {
+            let subkey = format!("{side}-{round}");
+            assert!(
+                map.get(db.store(), subkey.as_bytes()).is_some(),
+                "subkey {subkey} lost"
+            );
+        }
+    }
+}
+
+/// A whole-value `put` on master racing each merge.
+#[test]
+fn merge_racing_puts_loses_no_commit() {
+    race_merges_against(|db, round| {
+        let value = Value::Map(db.new_map([(format!("put-{round}"), "1")]));
+        db.put("k", None, value).expect("put")
+    });
+}
+
+/// One commit of a generated batch, before the versions it names exist.
+#[derive(Clone, Debug)]
+enum Op {
+    /// A whole Map value to `(key, branch)`.
+    Put(usize, usize, Vec<(String, String)>),
+    /// Map edits to `(key, branch)`.
+    Edit(usize, usize, Vec<(String, Option<String>)>),
+    /// Merge the prelude head of the key's other branch into `(key, branch)`.
+    Merge(usize, usize),
+    /// An untagged chain of these contexts: the first on a fresh lineage
+    /// or on the key's prelude version, the rest each on the one before.
+    Chain(usize, bool, Vec<String>),
+}
+
+const KEYS: [&str; 2] = ["a", "b"];
+const BRANCHES: [&str; 2] = ["master", "dev"];
+
+fn op() -> impl Strategy<Value = Op> {
+    let slot = || (0..KEYS.len(), 0..BRANCHES.len());
+    let subkey = || "[a-c]";
+    prop_oneof![
+        (
+            slot(),
+            prop::collection::vec((subkey(), "[a-z]{0,4}"), 0..3)
+        )
+            .prop_map(|((k, b), pairs)| Op::Put(k, b, pairs)),
+        (
+            slot(),
+            prop::collection::vec((subkey(), prop::option::of("[a-z]{0,4}")), 1..3)
+        )
+            .prop_map(|((k, b), edits)| Op::Edit(k, b, edits)),
+        slot().prop_map(|(k, b)| Op::Merge(k, b)),
+        (
+            0..KEYS.len(),
+            any::<bool>(),
+            prop::collection::vec("[a-z]{0,4}", 1..4)
+        )
+            .prop_map(|(k, fresh, contexts)| Op::Chain(k, fresh, contexts)),
+    ]
+}
+
+/// Two diverged branches per key, so merges have work: returns each
+/// key's `[master, dev]` heads (content-derived: the same on every
+/// engine).
+fn prelude(db: &ForkBase) -> Vec<[Digest; 2]> {
+    KEYS.iter()
+        .map(|key| {
+            db.put(*key, None, Value::Map(db.new_map([("a", "0"), ("b", "0")])))
+                .expect("put");
+            db.fork(*key, "master", "dev").expect("fork");
+            let mut edit = WriteBatch::new();
+            edit.put("a", "master");
+            let master = db.commit_map_batch(*key, None, edit).expect("commit");
+            let mut edit = WriteBatch::new();
+            edit.put("b", "dev");
+            let dev = db
+                .commit_map_batch(*key, Some("dev"), edit)
+                .expect("commit");
+            [master, dev]
+        })
+        .collect()
+}
+
+fn commits<'a>(db: &ForkBase, heads: &[[Digest; 2]], ops: &[Op]) -> Vec<Commit<'a>> {
+    let mut out = Vec::new();
+    for op in ops {
+        match op {
+            Op::Put(k, b, pairs) => {
+                let map = db.new_map(pairs.iter().cloned());
+                out.push(Commit::branch(
+                    KEYS[*k],
+                    Some(BRANCHES[*b]),
+                    Payload::Value(Value::Map(map)),
+                ));
+            }
+            Op::Edit(k, b, edits) => {
+                let edits = edits
+                    .iter()
+                    .map(|(sk, v)| (sk.clone(), v.clone().map(Bytes::from)));
+                out.push(Commit::branch(
+                    KEYS[*k],
+                    Some(BRANCHES[*b]),
+                    Payload::MapEdits(edits.collect()),
+                ));
+            }
+            Op::Merge(k, b) => out.push(Commit::branch(
+                KEYS[*k],
+                Some(BRANCHES[*b]),
+                Payload::Merge {
+                    reference: heads[*k][1 - *b],
+                    resolver: &Resolver::TakeOurs,
+                },
+            )),
+            Op::Chain(k, fresh, contexts) => {
+                let base = (!fresh).then_some(heads[*k][0]);
+                let mut target = Target::Untagged { base };
+                for context in contexts {
+                    let value = Payload::Value(Value::String(context.clone()));
+                    out.push(Commit {
+                        target: std::mem::replace(&mut target, Target::Chained),
+                        context: context.clone().into(),
+                        ..Commit::untagged(KEYS[*k], None, value)
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One `commit_all` over every target and payload is the same commits
+    /// issued one at a time: the same uid for each, the same tagged and
+    /// untagged heads afterwards.
+    #[test]
+    fn commit_all_matches_one_commit_at_a_time(ops in prop::collection::vec(op(), 1..12)) {
+        let batched = ForkBase::in_memory();
+        let heads = prelude(&batched);
+        let uids_batch = batched
+            .commit_all(&commits(&batched, &heads, &ops))
+            .expect("commit_all");
+
+        let seq = ForkBase::in_memory();
+        prop_assert_eq!(&prelude(&seq), &heads);
+        let mut uids_seq: Vec<Digest> = Vec::new();
+        for mut commit in commits(&seq, &heads, &ops) {
+            // Alone, "the commit before" has to be named.
+            if let Target::Chained = commit.target {
+                commit.target = Target::Untagged { base: uids_seq.last().copied() };
+            }
+            uids_seq.push(seq.commit(commit).expect("commit"));
+        }
+
+        prop_assert_eq!(uids_batch, uids_seq, "per-commit uids diverge");
+        for key in KEYS {
+            prop_assert_eq!(
+                batched.list_tagged_branches(key).expect("tagged"),
+                seq.list_tagged_branches(key).expect("tagged")
+            );
+            prop_assert_eq!(
+                batched.list_untagged_branches(key).expect("untagged"),
+                seq.list_untagged_branches(key).expect("untagged")
+            );
+        }
+    }
 
     /// `put_many` is equivalent to issuing the same puts sequentially:
     /// same returned uids (duplicate keys chain in batch order), same

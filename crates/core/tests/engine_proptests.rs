@@ -96,6 +96,81 @@ proptest! {
         prop_assert!(guard_failed);
     }
 
+    /// What a guarded put reports is part of its contract: the branch
+    /// when there is no head to guard, both uids when the guard is stale
+    /// — whichever side of the commit pipeline notices.
+    #[test]
+    fn guarded_put_error_values(v in "[a-z]{1,6}") {
+        let db = ForkBase::in_memory();
+        let stale = db.put("other", None, Value::Int(0)).expect("put");
+        let value = || Value::String(v.clone());
+        prop_assert_eq!(
+            db.put_guarded("k", None, value(), stale),
+            Err(FbError::BranchNotFound("master".into()))
+        );
+        let head = db.put("k", None, value()).expect("put");
+        prop_assert_eq!(
+            db.put_guarded("k", Some("dev"), value(), head),
+            Err(FbError::BranchNotFound("dev".into()))
+        );
+        prop_assert_eq!(
+            db.put_guarded("k", None, value(), stale),
+            Err(FbError::GuardFailed { expected: stale, actual: head })
+        );
+        // Two puts guarded on one head in one batch: the second meets
+        // the first, not the head, and the batch moves nothing.
+        let guarded = |s: &str| {
+            let value = forkbase_core::Payload::Value(Value::String(s.into()));
+            forkbase_core::Commit {
+                guard: Some(head),
+                ..forkbase_core::Commit::branch("k", None, value)
+            }
+        };
+        let result = db.commit_all(&[guarded("a"), guarded("b")]);
+        let met_first = matches!(
+            result,
+            Err(FbError::GuardFailed { expected, actual }) if expected == head && actual != head
+        );
+        prop_assert!(met_first);
+        prop_assert_eq!(db.head("k", None), Ok(head), "a failed guard moves nothing");
+    }
+
+    /// `append_chain` is a loop of `put_conflict_with_context`, each on
+    /// the uid before it: the same uids, the same single new head.
+    #[test]
+    fn append_chain_matches_linked_put_conflicts(
+        fresh in any::<bool>(),
+        items in prop::collection::vec(("[a-z]{0,6}", "[a-z]{0,6}"), 0..8),
+    ) {
+        let chained = ForkBase::in_memory();
+        let looped = ForkBase::in_memory();
+        let mut base = None;
+        if !fresh {
+            base = Some(chained.put_conflict("k", None, Value::Int(0)).expect("genesis"));
+            prop_assert_eq!(looped.put_conflict("k", None, Value::Int(0)), Ok(base.expect("set")));
+        }
+        let uids = chained
+            .append_chain(
+                "k",
+                base,
+                items.iter().map(|(v, c)| (Value::String(v.clone()), c.clone().into())),
+            )
+            .expect("append_chain");
+        let mut parent = base;
+        for ((v, c), uid) in items.iter().zip(&uids) {
+            let linked = looped
+                .put_conflict_with_context("k", parent, Value::String(v.clone()), c.clone())
+                .expect("put_conflict");
+            prop_assert_eq!(linked, *uid);
+            parent = Some(linked);
+        }
+        prop_assert_eq!(uids.len(), items.len());
+        prop_assert_eq!(
+            chained.list_untagged_branches("k").ok(),
+            looped.list_untagged_branches("k").ok()
+        );
+    }
+
     /// FoC puts accumulate untagged heads; merging them all restores a
     /// single head.
     #[test]

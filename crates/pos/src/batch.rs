@@ -109,9 +109,36 @@ impl FromIterator<Edit> for WriteBatch {
     }
 }
 
+/// `Some(value)` puts, `None` deletes — the shape latest-state edits
+/// travel in before they become a batch.
+impl<K: Into<Bytes>> FromIterator<(K, Option<Bytes>)> for WriteBatch {
+    fn from_iter<I: IntoIterator<Item = (K, Option<Bytes>)>>(iter: I) -> WriteBatch {
+        iter.into_iter()
+            .map(|(key, value)| match value {
+                Some(value) => Edit::Put(Item {
+                    key: key.into(),
+                    value,
+                }),
+                None => Edit::Del(key.into()),
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn collects_optional_values_as_puts_and_deletes() {
+        let wb: WriteBatch = [("a", Some(Bytes::from("1"))), ("b", None)]
+            .into_iter()
+            .collect();
+        assert_eq!(
+            wb.into_edits(),
+            vec![Edit::Put(Item::map("a", "1")), Edit::Del(Bytes::from("b"))]
+        );
+    }
 
     #[test]
     fn buffers_in_order_with_last_wins_on_normalize() {

@@ -337,19 +337,7 @@ impl Map {
         I: IntoIterator<Item = (K, Option<Bytes>)>,
         K: Into<Bytes>,
     {
-        let edits: Vec<Edit> = edits
-            .into_iter()
-            .map(|(k, v)| match v {
-                Some(v) => Edit::Put(Item {
-                    key: k.into(),
-                    value: v,
-                }),
-                None => Edit::Del(k.into()),
-            })
-            .collect();
-        Ok(Map {
-            root: update_sorted(store, cfg, TreeType::Map, self.root, edits)?,
-        })
+        self.apply(store, cfg, edits.into_iter().collect())
     }
 
     /// Apply a [`WriteBatch`] in a single splice, returning the new map

@@ -55,8 +55,8 @@ pub use rockslite;
 pub use wikilite as wiki;
 
 pub use forkbase_core::{
-    AccessControl, BranchSnapshot, Engine, FbError, ForkBase, GcReport, HotTierConfig,
-    HotTierStats, Permission, Result, Value, ValueType, DEFAULT_BRANCH,
+    AccessControl, BranchSnapshot, Commit, FbError, ForkBase, GcReport, HotTierConfig,
+    HotTierStats, Payload, Permission, Result, Value, ValueType, DEFAULT_BRANCH,
 };
 pub use forkbase_crypto::{ChunkerConfig, Digest};
 pub use forkbase_pos::{Blob, List, Map, Resolver, Set, TreeError, WriteBatch};
