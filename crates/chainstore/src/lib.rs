@@ -39,9 +39,9 @@
 //!   POS-Tree map commits when it is not.
 //!
 //! Durable instances ([`ChainStore::open`]) get the full PR-4/5 stack:
-//! group-commit log segments, checkpoint/HEAD auto-restore (tips
-//! survive a reopen via the branch snapshot), and the sharded chunk
-//! cache in front of reads.
+//! group-commit log segments, auto-restore from the log's last root
+//! record (tips survive a reopen via the branch snapshot it names), and
+//! the sharded chunk cache in front of reads.
 //!
 //! ```
 //! use chainstore::ChainStore;

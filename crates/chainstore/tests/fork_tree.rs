@@ -189,6 +189,21 @@ proptest! {
         for tip in &doomed {
             prop_assert!(chain.header(*tip).is_err(), "retired tip reclaimed");
         }
+        // The compaction carried the recovery point into the fresh
+        // segments: with no checkpoint after it, a reopen restores every
+        // retained tip and serves its chain. (Nothing retired, nothing
+        // compacted, and this test never checkpointed.)
+        drop(chain);
+        let chain = ChainStore::open(&dir).expect("reopen");
+        if !doomed.is_empty() {
+            let mut left = chain.tips();
+            left.sort();
+            prop_assert_eq!(left, want, "retained tips survive the reopen");
+            for tip in &retained {
+                let j = idx_of(tip);
+                prop_assert_eq!(chain.body(ids[j]).expect("body after reopen"), body(j));
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,8 @@
 //! The typed chunk and its content identifier.
 
 use bytes::Bytes;
-use forkbase_crypto::{hash_parts, Digest};
+use forkbase_crypto::parallel::Task;
+use forkbase_crypto::{hash_parts, Digest, Sha256};
 use std::fmt;
 
 /// Chunk content types (paper Table 2), plus `Primitive` for the embedded
@@ -115,20 +116,44 @@ impl Chunk {
         ropes
             .into_iter()
             .zip(cids)
-            .map(|(mut rope, cid)| {
-                let payload = if rope.len() == 1 {
-                    rope.pop().expect("one span")
-                } else {
-                    let len = rope.iter().map(|s| s.len()).sum();
-                    let mut buf = Vec::with_capacity(len);
-                    for span in &rope {
-                        buf.extend_from_slice(span);
-                    }
-                    Bytes::from(buf)
-                };
-                Chunk { ty, payload, cid }
-            })
+            .map(|(rope, cid)| Chunk::from_rope(ty, rope, cid))
             .collect()
+    }
+
+    /// [`new_batch_ropes`](Self::new_batch_ropes) as one job on a
+    /// hash-pool worker ([`forkbase_crypto::parallel::spawn`]): returns
+    /// at once, and the worker hashes the ropes one after another and
+    /// materializes the multi-span payloads, so a builder can have the
+    /// leaves it has cut turned into chunks while it cuts the next ones.
+    /// Joining yields exactly what `new_batch_ropes` would have returned.
+    pub fn spawn_batch_ropes(ty: ChunkType, ropes: Vec<Vec<Bytes>>) -> Task<Vec<Chunk>> {
+        forkbase_crypto::parallel::spawn(move || {
+            ropes
+                .into_iter()
+                .map(|rope| {
+                    let mut h = Sha256::new();
+                    h.update(&[ty as u8]);
+                    rope.iter().for_each(|span| h.update(span));
+                    Chunk::from_rope(ty, rope, h.finalize())
+                })
+                .collect()
+        })
+    }
+
+    /// The chunk of a rope whose cid is known: a single span becomes the
+    /// payload as it is, several are copied into one buffer.
+    fn from_rope(ty: ChunkType, mut rope: Vec<Bytes>, cid: Digest) -> Chunk {
+        let payload = if rope.len() == 1 {
+            rope.pop().expect("one span")
+        } else {
+            let len = rope.iter().map(|s| s.len()).sum();
+            let mut buf = Vec::with_capacity(len);
+            for span in &rope {
+                buf.extend_from_slice(span);
+            }
+            Bytes::from(buf)
+        };
+        Chunk { ty, payload, cid }
     }
 
     /// A copy of this chunk whose payload owns its own allocation.
@@ -256,7 +281,13 @@ mod tests {
                 }
             })
             .collect();
+        let spawned = Chunk::spawn_batch_ropes(ChunkType::List, ropes.clone());
         let batch = Chunk::new_batch_ropes(ChunkType::List, ropes);
+        assert_eq!(
+            spawned.join(),
+            batch,
+            "the pooled job builds the same chunks"
+        );
         assert_eq!(batch.len(), bodies.len());
         for (chunk, body) in batch.iter().zip(&bodies) {
             let solo = Chunk::new(ChunkType::List, Bytes::copy_from_slice(body));

@@ -22,20 +22,33 @@
 //! Segment ids increase monotonically and are never reused (compaction
 //! writes fresh segments and deletes the old ones).
 //!
-//! The snapshot file caches the cid → (segment, offset, len) index up to
-//! a *synced* log position:
+//! A **root record** is the same frame under a type tag that is no
+//! [`ChunkType`] (`0xFF`), its payload the cid of the chunk the
+//! application recovers from (a branch-table checkpoint) and its trailer
+//! `SHA-256(tag ‖ payload)`. [`LogStore::sync_root`] appends one behind
+//! everything queued and fsyncs; [`LogStore::root`] is the last one the
+//! scan met. It is validated and torn-tail-truncated like any record but
+//! never indexed or counted: it is not a chunk. Because the scan stops at
+//! the first record that fails — and because the writer fsyncs a segment
+//! before it opens the next, so a later segment never outlives an earlier
+//! one's tail — a root is recovered only if every record before it is
+//! intact: the recovery point needs no file of its own.
+//!
+//! The snapshot file caches the cid → (segment, offset, len) index and
+//! the root up to a *synced* log position:
 //!
 //! ```text
 //! [magic u32][version u32][covered_seg u32][covered_off u64][count u64]
+//! [root 32B, all-zero = none]
 //! [cid 32B][seg u32][off u64][plen u32] × count
 //! [fxhash-64 of everything above]
 //! ```
 //!
-//! On reopen the snapshot is loaded (if valid) and only records past
-//! `(covered_seg, covered_off)` are scanned — the tail a crash may have
-//! torn — instead of the whole log. The scan streams one record at a
-//! time through a reusable buffer, so reopening a multi-GB store never
-//! loads it into memory.
+//! On reopen the snapshot is loaded (if valid; a file of another version
+//! is discarded) and only records past `(covered_seg, covered_off)` are
+//! scanned — the tail a crash may have torn — instead of the whole log.
+//! The scan streams one record at a time through a reusable buffer, so
+//! reopening a multi-GB store never loads it into memory.
 //!
 //! # Durability and group commit
 //!
@@ -53,7 +66,8 @@
 //!   interval), not by the arrival of the next call. The flusher is
 //!   joined on close. A crash loses at most that window.
 //! * [`Os`](Durability::Os) — records are handed to the OS page cache;
-//!   fsync happens only on [`sync`](LogStore::sync) and close.
+//!   fsync happens only on [`sync`](LogStore::sync), on close, and of a
+//!   full segment when the writer leaves it.
 //!
 //! Reads never take the commit lock: chunks still in the commit queue
 //! are served from a pending-chunk map, everything else via positioned
@@ -79,14 +93,19 @@ use std::hash::Hasher;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 const MAGIC: u32 = 0xF0_4B_BA_5E; // "ForkBase"
 const SNAP_MAGIC: u32 = 0xF0_4B_1D_E0;
-const SNAP_VERSION: u32 = 1;
+/// 2: the header carries the root.
+const SNAP_VERSION: u32 = 2;
+/// Snapshot header bytes before the index entries.
+const SNAP_HEADER: usize = 4 + 4 + 4 + 8 + 8 + 32;
 const SNAPSHOT_FILE: &str = "snapshot.idx";
+/// Type tag of a root record; no [`ChunkType`] has it.
+const ROOT_TAG: u8 = 0xFF;
 /// Record framing overhead: magic + len + type tag + trailing cid.
 const REC_OVERHEAD: usize = 4 + 4 + 1 + 32;
 /// Hand the commit queue to the OS once it holds this many bytes even
@@ -107,7 +126,8 @@ pub enum Durability {
         /// Maximum age of an unsynced record (checked on put/sync).
         interval: Duration,
     },
-    /// No explicit fsync except [`LogStore::sync`] and close.
+    /// No fsync except [`LogStore::sync`], close, and of each full
+    /// segment as the writer leaves it.
     Os,
 }
 
@@ -178,55 +198,82 @@ pub struct CompactStats {
     pub segments_removed: usize,
 }
 
+/// Whose a queued record is.
+#[derive(Clone, Copy)]
+enum Rec {
+    /// A chunk, by cid: indexed, and served from the pending map until
+    /// its bytes are in the segment file.
+    Chunk(Digest),
+    /// A root record naming this cid: neither indexed nor pending.
+    Root(Digest),
+}
+
 /// One contiguous run of queued record bytes, all in one segment.
 struct PendingRun {
     seg: u32,
     bytes: Vec<u8>,
-    /// (cid, encoded record length) per record, in `bytes` order — the
+    /// (owner, encoded record length) per record, in `bytes` order — the
     /// lengths let error recovery re-slice and re-locate the records.
-    recs: Vec<(Digest, u32)>,
+    recs: Vec<(Rec, u32)>,
 }
 
-impl PendingRun {
-    fn record_count(&self) -> usize {
-        self.recs.len()
-    }
+/// Append one framed record to `buf` — the only writer of the on-disk
+/// record format. `hash` is the trailer: `SHA-256(tag ‖ payload)`, which
+/// for a chunk is its cid.
+fn write_record(buf: &mut Vec<u8>, tag: u8, payload: &[u8], hash: &Digest) {
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.push(tag);
+    buf.extend_from_slice(payload);
+    buf.extend_from_slice(hash.as_bytes());
+}
+
+/// Trailer of the root record naming `cid`.
+fn root_hash(cid: &Digest) -> Digest {
+    forkbase_crypto::hash_parts(&[&[ROOT_TAG], cid.as_bytes()])
 }
 
 impl CommitState {
-    /// Place one encoded record at the logical head: rotate to a fresh
-    /// segment when full, assign its on-disk location, append it to the
-    /// queue runs, and advance the head. The single source of truth for
-    /// the placement rule — used by the normal enqueue path and by
-    /// failed-round rollback when queued records are re-located. Takes
-    /// the encoded record by value so starting a fresh run moves the
-    /// buffer instead of copying it.
-    fn place_record(&mut self, segment_bytes: u64, cid: Digest, rec: Vec<u8>) -> Loc {
-        let rec_len = rec.len() as u64;
-        if self.head_off > 0 && self.head_off + rec_len > segment_bytes {
+    /// Place one record of `rec_len` encoded bytes at the logical head:
+    /// rotate to a fresh segment when full, assign its on-disk location,
+    /// enter it in the queue runs, and advance the head. Returns the
+    /// location and the run buffer, into which the caller encodes exactly
+    /// `rec_len` bytes — records are written once, where the leader's
+    /// `write` will read them. `reserve` (≥ `rec_len`) is what the caller
+    /// is about to queue in all, so a batch grows the buffer once. The
+    /// single source of truth for the placement rule — used by the normal
+    /// enqueue path and by failed-round rollback when queued records are
+    /// re-located.
+    fn place_record(
+        &mut self,
+        segment_bytes: u64,
+        rec: Rec,
+        rec_len: usize,
+        reserve: usize,
+    ) -> (Loc, &mut Vec<u8>) {
+        if self.head_off > 0 && self.head_off + rec_len as u64 > segment_bytes {
             self.head_seg += 1;
             self.head_off = 0;
         }
         let loc = Loc {
             seg: self.head_seg,
             off: self.head_off,
-            plen: (rec.len() - REC_OVERHEAD) as u32,
+            plen: (rec_len - REC_OVERHEAD) as u32,
         };
-        self.queue_bytes += rec.len();
+        self.queue_bytes += rec_len;
         self.queue_records += 1;
-        match self.queue.last_mut() {
-            Some(run) if run.seg == loc.seg => {
-                run.bytes.extend_from_slice(&rec);
-                run.recs.push((cid, rec_len as u32));
-            }
-            _ => self.queue.push(PendingRun {
+        self.head_off += rec_len as u64;
+        if self.queue.last().map(|run| run.seg) != Some(loc.seg) {
+            self.queue.push(PendingRun {
                 seg: loc.seg,
-                bytes: rec,
-                recs: vec![(cid, rec_len as u32)],
-            }),
+                bytes: Vec::new(),
+                recs: Vec::new(),
+            });
         }
-        self.head_off += rec_len;
-        loc
+        let run = self.queue.last_mut().expect("a run for the head segment");
+        run.recs.push((rec, rec_len as u32));
+        run.bytes.reserve(reserve);
+        (loc, &mut run.bytes)
     }
 }
 
@@ -254,12 +301,10 @@ struct CommitState {
     /// Segment `file` appends to, and how much of it is written.
     file_seg: u32,
     written_off: u64,
-    /// Records written to the OS but not yet fsynced.
+    /// Records written to the OS but not yet fsynced. All of them are in
+    /// the segment `file` appends to: a segment is fsynced before the
+    /// writer leaves it.
     unsynced_records: usize,
-    /// Segments written by non-sync rounds and rotated away from before
-    /// any fsync covered them — the next sync round must fsync these
-    /// too, or the synced position would claim page-cache-only data.
-    dirty_segs: Vec<u32>,
     /// A segment file was created since the last directory fsync; the
     /// next sync round must fsync the directory too, or a power loss
     /// could drop the whole file's dirent.
@@ -273,6 +318,12 @@ struct CommitState {
     /// cover this much).
     synced_seg: u32,
     synced_off: u64,
+    /// The last root record at or before the synced position — what a
+    /// reopen would recover.
+    root: Option<Digest>,
+    /// The last root record written behind the synced position; the next
+    /// sync round promotes it to `root`.
+    unsynced_root: Option<Digest>,
 }
 
 /// Shared store state: everything the API surface and the background
@@ -289,6 +340,8 @@ struct LogInner {
     /// Lazily opened per-segment read handles (positioned reads only).
     readers: RwLock<FxHashMap<u32, Arc<File>>>,
     stats: StatCounters,
+    /// fsyncs issued ([`LogStore::fsync_count`]).
+    fsyncs: AtomicU64,
     poisoned: AtomicBool,
     reopen: ReopenStats,
     /// Shutdown protocol for the `Batch` flusher thread.
@@ -325,6 +378,20 @@ fn open_rw(path: &Path) -> io::Result<File> {
 fn fsync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_data();
+    }
+}
+
+impl LogInner {
+    /// `sync_data`, counted.
+    fn fsync(&self, file: &File) -> io::Result<()> {
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        file.sync_data()
+    }
+
+    /// [`fsync_dir`] of the store directory, counted.
+    fn fsync_dir(&self) {
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        fsync_dir(&self.dir);
     }
 }
 
@@ -397,6 +464,31 @@ impl LogStore {
         self.inner.sync()
     }
 
+    /// Make `root` the recovery point: queue the chunk (unless the store
+    /// holds it) and a root record naming its cid behind everything
+    /// already queued, then [`sync`](Self::sync) — in every durability
+    /// mode the chunk, its root record and all that came before go out in
+    /// one group-commit round: one `write`, one fsync. On `Ok`,
+    /// [`root`](Self::root) is the chunk's cid here and after any reopen,
+    /// until the next call.
+    pub fn sync_root(&self, root: Chunk) -> io::Result<()> {
+        self.inner.sync_root(root)
+    }
+
+    /// The cid named by the last durable root record, `None` when there
+    /// has never been one. After a crash this is the last root whose
+    /// record — and every record before it — is intact in the log.
+    pub fn root(&self) -> Option<Digest> {
+        self.inner.commit.lock().expect("commit lock").root
+    }
+
+    /// How many fsyncs this handle has issued, of segment files, the
+    /// snapshot and the directory alike — the count to watch when a commit
+    /// barrier seems slow.
+    pub fn fsync_count(&self) -> u64 {
+        self.inner.fsyncs.load(Ordering::Relaxed)
+    }
+
     /// Force an index snapshot now (they normally happen every
     /// `snapshot_bytes` of appends and on clean close). Implies
     /// [`sync`](Self::sync).
@@ -406,6 +498,8 @@ impl LogStore {
 
     /// Rewrite exactly the chunks in `live` into fresh segments, delete
     /// every old segment, and write a new snapshot covering the result.
+    /// The [`root`](Self::root) is carried over when `live` retains its
+    /// chunk, and dropped with the chunk otherwise.
     /// The store stays open throughout; the index swap redirects reads.
     /// (A reader that resolved a location *before* the swap may race the
     /// old segment's deletion and observe a spurious read error — run
@@ -480,16 +574,15 @@ impl LogInner {
         }
         seg_ids.sort_unstable();
 
-        let mut index: FxHashMap<Digest, Loc> = FxHashMap::default();
-        let mut reopen = ReopenStats::default();
-        let stats = StatCounters::default();
+        let mut rec = Recovered::default();
 
         // Load the snapshot; fall back to a full scan when it is absent,
-        // corrupt, or points at segments that no longer exist (e.g. a
-        // crash between compaction's segment deletion and its fresh
-        // snapshot).
+        // corrupt, of another version, or points at segments that no
+        // longer exist (e.g. a crash between compaction's segment
+        // deletion and its fresh snapshot).
         let mut resume = None;
-        if let Some((snap_index, seg, off)) = read_snapshot(&dir.join(SNAPSHOT_FILE)) {
+        if let Some(snap) = read_snapshot(&dir.join(SNAPSHOT_FILE)) {
+            let (seg, off) = (snap.seg, snap.off);
             let covered_exists = match seg_ids.binary_search(&seg) {
                 Ok(_) => std::fs::metadata(segment_path(&dir, seg))
                     .map(|m| m.len() >= off)
@@ -499,12 +592,13 @@ impl LogInner {
                 Err(_) => off == 0,
             };
             if covered_exists {
-                for loc in snap_index.values() {
-                    stats.record_store(loc.plen as u64);
+                for loc in snap.index.values() {
+                    rec.stats.record_store(loc.plen as u64);
                 }
-                reopen.snapshot_chunks = snap_index.len() as u64;
-                reopen.used_snapshot = true;
-                index = snap_index;
+                rec.reopen.snapshot_chunks = snap.index.len() as u64;
+                rec.reopen.used_snapshot = true;
+                rec.index = snap.index;
+                rec.root = snap.root;
                 resume = Some((seg, off));
             }
         }
@@ -526,17 +620,8 @@ impl LogInner {
             let path = segment_path(&dir, seg);
             let file = File::open(&path)?;
             let len = file.metadata()?.len();
-            let (valid_end, records) = scan_segment(
-                &file,
-                seg,
-                start,
-                &mut index,
-                &stats,
-                &mut scratch,
-                &mut reopen,
-            )?;
+            let valid_end = scan_segment(&file, seg, start, &mut rec, &mut scratch)?;
             drop(file);
-            reopen.replayed_chunks += records;
             if valid_end < len {
                 OpenOptions::new()
                     .write(true)
@@ -546,10 +631,16 @@ impl LogInner {
             }
             tail = (seg, valid_end);
         }
+        let Recovered {
+            index,
+            root,
+            stats: recovered,
+            reopen,
+        } = rec;
 
         // Recovery scans are not client traffic: keep only held-data
         // counters.
-        let recovered = stats.snapshot();
+        let recovered = recovered.snapshot();
         let stats = StatCounters::default();
         stats
             .stored_chunks
@@ -585,16 +676,18 @@ impl LogInner {
                 file_seg: head_seg,
                 written_off: head_off,
                 unsynced_records: 0,
-                dirty_segs: Vec::new(),
                 dir_dirty: false,
                 oldest_unsynced: None,
                 bytes_since_snapshot: 0,
                 synced_seg: head_seg,
                 synced_off: head_off,
+                root,
+                unsynced_root: None,
             }),
             commit_cv: Condvar::new(),
             readers: RwLock::new(FxHashMap::default()),
             stats,
+            fsyncs: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             reopen,
             flush_stop: Mutex::new(false),
@@ -648,10 +741,7 @@ impl LogInner {
     fn close(&self) {
         let dirty = {
             let state = self.commit.lock().expect("commit lock");
-            !state.queue.is_empty()
-                || state.unsynced_records > 0
-                || !state.dirty_segs.is_empty()
-                || state.bytes_since_snapshot > 0
+            !state.queue.is_empty() || state.unsynced_records > 0 || state.bytes_since_snapshot > 0
         };
         if dirty && self.sync().is_ok() {
             let mut state = self.commit.lock().expect("commit lock");
@@ -661,15 +751,26 @@ impl LogInner {
 
     /// Drain the commit queue and fsync; see [`LogStore::sync`].
     fn sync(&self) -> io::Result<()> {
-        let mut state = self.commit.lock().expect("commit lock");
+        self.sync_locked(self.commit.lock().expect("commit lock"))
+    }
+
+    /// [`sync`](Self::sync) for a caller that already holds the commit
+    /// lock — everything it queued under that hold is covered.
+    fn sync_locked<'a>(&'a self, mut state: MutexGuard<'a, CommitState>) -> io::Result<()> {
+        let failed_before = state.seq_failed;
         loop {
             if state.writing {
                 state = self.commit_cv.wait(state).expect("commit lock");
                 continue;
             }
-            if state.queue.is_empty() && state.unsynced_records == 0 && state.dirty_segs.is_empty()
-            {
-                return Ok(());
+            if state.queue.is_empty() && state.unsynced_records == 0 {
+                // Nothing left may also mean another leader's round
+                // failed meanwhile and dropped what was queued.
+                return if state.seq_failed > failed_before {
+                    Err(io::Error::other("a commit round failed during sync"))
+                } else {
+                    Ok(())
+                };
             }
             let (s, result) = self.drain_as_leader(state, true);
             state = s;
@@ -686,27 +787,69 @@ impl LogInner {
 
     // ---- write path ------------------------------------------------------
 
-    fn encode_record(chunk: &Chunk) -> Vec<u8> {
-        let mut rec = Vec::with_capacity(REC_OVERHEAD + chunk.len());
-        rec.extend_from_slice(&MAGIC.to_le_bytes());
-        rec.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-        rec.push(chunk.ty() as u8);
-        rec.extend_from_slice(chunk.payload());
-        rec.extend_from_slice(chunk.cid().as_bytes());
-        rec
-    }
-
-    /// Queue `rec`, assigning its on-disk location (rotating the logical
-    /// head segment when full). Commit lock held.
-    fn enqueue(&self, state: &mut CommitState, cid: Digest, rec: Vec<u8>) -> Loc {
-        let rec_len = rec.len() as u64;
-        let loc = state.place_record(self.cfg.segment_bytes, cid, rec);
+    /// Queue one record at the head, encoding it straight into the run
+    /// buffer the leader writes from (`reserve` as in
+    /// [`CommitState::place_record`]). Commit lock held.
+    fn enqueue(
+        &self,
+        state: &mut CommitState,
+        rec: Rec,
+        tag: u8,
+        payload: &[u8],
+        reserve: usize,
+    ) -> Loc {
+        let rec_len = REC_OVERHEAD + payload.len();
+        let hash = match rec {
+            Rec::Chunk(cid) => cid,
+            Rec::Root(cid) => root_hash(&cid),
+        };
+        let (loc, buf) = state.place_record(self.cfg.segment_bytes, rec, rec_len, reserve);
+        write_record(buf, tag, payload, &hash);
         state.seq_enqueued += 1;
-        state.bytes_since_snapshot += rec_len;
+        state.bytes_since_snapshot += rec_len as u64;
         if state.oldest_unsynced.is_none() {
             state.oldest_unsynced = Some(Instant::now());
         }
         loc
+    }
+
+    /// Queue a chunk the index does not hold and publish it to readers:
+    /// pending first, then index, so a reader that sees the index entry
+    /// always finds the bytes somewhere. Commit lock held.
+    fn enqueue_chunk(&self, state: &mut CommitState, chunk: Chunk, reserve: usize) {
+        let (cid, bytes) = (chunk.cid(), chunk.len() as u64);
+        let loc = self.enqueue(
+            state,
+            Rec::Chunk(cid),
+            chunk.ty() as u8,
+            chunk.payload(),
+            reserve,
+        );
+        self.pending.write().insert(cid, chunk);
+        self.index.write().insert(cid, loc);
+        self.stats.record_store(bytes);
+    }
+
+    /// The chunk, then its root record, then one forced drain; see
+    /// [`LogStore::sync_root`].
+    fn sync_root(&self, root: Chunk) -> io::Result<()> {
+        let cid = root.cid();
+        let mut state = self.commit.lock().expect("commit lock");
+        if self.index.read().contains_key(&cid) {
+            self.stats.record_dedup(root.len() as u64);
+        } else {
+            let reserve = 2 * REC_OVERHEAD + root.len() + 32;
+            self.enqueue_chunk(&mut state, root, reserve);
+        }
+        let rec_len = REC_OVERHEAD + 32;
+        self.enqueue(
+            &mut state,
+            Rec::Root(cid),
+            ROOT_TAG,
+            cid.as_bytes(),
+            rec_len,
+        );
+        self.sync_locked(state)
     }
 
     /// Under `Always`, `Deduplicated` is as strong an acknowledgement as
@@ -758,8 +901,7 @@ impl LogInner {
         let mut verdict = Ok(());
         loop {
             let do_sync = self.wants_sync(&state, force_sync);
-            let backlog = state.unsynced_records > 0 || !state.dirty_segs.is_empty();
-            if state.queue.is_empty() && !(do_sync && backlog) {
+            if state.queue.is_empty() && !(do_sync && state.unsynced_records > 0) {
                 break;
             }
             // The writer handle can be absent after a failed repair; one
@@ -789,9 +931,7 @@ impl LogInner {
             // to here.
             let start_seg = file_seg;
             let start_off = written_off;
-            let dirty_before: Vec<u32> = state.dirty_segs.clone();
             let dir_dirty_before = state.dir_dirty;
-            let mut rotated_unsynced: Vec<u32> = Vec::new();
             let mut created_segment = false;
             drop(state);
 
@@ -799,13 +939,13 @@ impl LogInner {
             let io: io::Result<Option<(u32, u64)>> = (|| {
                 for run in &runs {
                     if run.seg != file_seg {
-                        if do_sync {
-                            file.sync_data()?;
-                        } else {
-                            // Rotated away without fsync: this segment
-                            // stays dirty until a sync round covers it.
-                            rotated_unsynced.push(file_seg);
-                        }
+                        // In every round, sync or not: no byte of a
+                        // segment may reach the disk before the one it
+                        // follows is whole there, or recovery — which
+                        // cannot tell a segment that lost its tail from
+                        // one that was left early — would accept a root
+                        // record whose predecessors are gone.
+                        self.fsync(&file)?;
                         file = open_rw(&segment_path(&self.dir, run.seg))?;
                         file_seg = run.seg;
                         written_off = 0;
@@ -815,29 +955,26 @@ impl LogInner {
                     written_off += run.bytes.len() as u64;
                 }
                 if do_sync {
-                    // Older segments written by non-sync rounds must be
-                    // durable before the synced position may pass them.
-                    for seg in &dirty_before {
-                        File::open(segment_path(&self.dir, *seg))?.sync_data()?;
-                    }
-                    file.sync_data()?;
+                    self.fsync(&file)?;
                     // Data is durable; now persist the dirents of any
                     // segment files created since the last dir fsync.
                     if created_segment || dir_dirty_before {
-                        fsync_dir(&self.dir);
+                        self.fsync_dir();
                     }
                     Ok(Some((file_seg, written_off)))
                 } else {
                     Ok(None)
                 }
             })();
+            let mut written_root = None;
             if io.is_ok() {
-                // Written records are now readable via positioned reads;
+                // Written chunks are now readable via positioned reads;
                 // drop them from the pending map.
                 let mut pending = self.pending.write();
-                for run in &runs {
-                    for (cid, _) in &run.recs {
-                        pending.remove(cid);
+                for (rec, _) in runs.iter().flat_map(|run| &run.recs) {
+                    match rec {
+                        Rec::Chunk(cid) => drop(pending.remove(cid)),
+                        Rec::Root(cid) => written_root = Some(*cid),
                     }
                 }
             }
@@ -849,12 +986,16 @@ impl LogInner {
                     state.file = Some(file);
                     state.file_seg = file_seg;
                     state.written_off = written_off;
-                    state.unsynced_records +=
-                        runs.iter().map(PendingRun::record_count).sum::<usize>();
+                    state.unsynced_records += runs.iter().map(|r| r.recs.len()).sum::<usize>();
+                    if written_root.is_some() {
+                        state.unsynced_root = written_root;
+                    }
                     if let Some((seg, off)) = synced_to {
+                        if state.unsynced_root.is_some() {
+                            state.root = state.unsynced_root.take();
+                        }
                         state.seq_synced = seq_hi;
                         state.unsynced_records = 0;
-                        state.dirty_segs.clear();
                         state.dir_dirty = false;
                         // Records enqueued while the lock was released are
                         // not covered by this fsync; restart their clock.
@@ -869,7 +1010,6 @@ impl LogInner {
                             }
                         }
                     } else {
-                        state.dirty_segs.extend(rotated_unsynced);
                         state.dir_dirty = dir_dirty_before || created_segment;
                     }
                 }
@@ -911,8 +1051,8 @@ impl LogInner {
         {
             let mut index = self.index.write();
             let mut pending = self.pending.write();
-            for run in &runs {
-                for (cid, _) in &run.recs {
+            for (rec, _) in runs.iter().flat_map(|run| &run.recs) {
+                if let Rec::Chunk(cid) = rec {
                     index.remove(cid);
                     pending.remove(cid);
                 }
@@ -926,13 +1066,16 @@ impl LogInner {
             state.head_off = start_off;
             for run in stale_queue {
                 let mut pos = 0usize;
-                for (cid, len) in run.recs {
-                    let rec = run.bytes[pos..pos + len as usize].to_vec();
-                    pos += len as usize;
+                for (rec, len) in run.recs {
+                    let len = len as usize;
                     // seq numbers and clocks were assigned at the
                     // original enqueue; only the placement is redone.
-                    let loc = state.place_record(self.cfg.segment_bytes, cid, rec);
-                    index.insert(cid, loc);
+                    let (loc, buf) = state.place_record(self.cfg.segment_bytes, rec, len, len);
+                    buf.extend_from_slice(&run.bytes[pos..pos + len]);
+                    pos += len;
+                    if let Rec::Chunk(cid) = rec {
+                        index.insert(cid, loc);
+                    }
                 }
             }
         }
@@ -971,7 +1114,7 @@ impl LogInner {
     fn write_snapshot(&self, state: &mut CommitState) -> io::Result<()> {
         let (seg, off) = (state.synced_seg, state.synced_off);
         let index = self.index.read();
-        let mut buf = Vec::with_capacity(28 + index.len() * 48);
+        let mut buf = Vec::with_capacity(SNAP_HEADER + 8 + index.len() * 48);
         buf.extend_from_slice(&SNAP_MAGIC.to_le_bytes());
         buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
         buf.extend_from_slice(&seg.to_le_bytes());
@@ -981,6 +1124,8 @@ impl LogInner {
             .filter(|(_, l)| (l.seg, l.off) < (seg, off))
             .collect();
         buf.extend_from_slice(&(covered.len() as u64).to_le_bytes());
+        // `root` only ever names a record before the synced position.
+        buf.extend_from_slice(state.root.unwrap_or(Digest::ZERO).as_bytes());
         for (cid, loc) in covered {
             buf.extend_from_slice(cid.as_bytes());
             buf.extend_from_slice(&loc.seg.to_le_bytes());
@@ -995,11 +1140,11 @@ impl LogInner {
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&buf)?;
-            f.sync_data()?;
+            self.fsync(&f)?;
         }
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         // Make the rename durable.
-        fsync_dir(&self.dir);
+        self.fsync_dir();
         state.bytes_since_snapshot = 0;
         Ok(())
     }
@@ -1064,6 +1209,21 @@ impl LogInner {
         let mut seg = state.head_seg + 1;
         let mut off = 0u64;
         let mut file = open_rw(&segment_path(&self.dir, seg))?;
+        let mut rec = Vec::new();
+        // Append the record in `rec` to the fresh segments, rotating as
+        // the commit path does, and return where it landed.
+        let mut append = |rec: &[u8]| -> io::Result<(u32, u64)> {
+            if off > 0 && off + rec.len() as u64 > self.cfg.segment_bytes {
+                self.fsync(&file)?;
+                seg += 1;
+                off = 0;
+                file = open_rw(&segment_path(&self.dir, seg))?;
+            }
+            file.write_all(rec)?;
+            let at = (seg, off);
+            off += rec.len() as u64;
+            Ok(at)
+        };
         for (cid, loc) in &old_index {
             if !live.contains(cid) {
                 stats.dropped_chunks += 1;
@@ -1077,30 +1237,27 @@ impl LogInner {
                     return Err(e);
                 }
             };
-            let rec = Self::encode_record(&chunk);
-            if off > 0 && off + rec.len() as u64 > self.cfg.segment_bytes {
-                file.sync_data()?;
-                seg += 1;
-                off = 0;
-                file = open_rw(&segment_path(&self.dir, seg))?;
-            }
-            file.write_all(&rec)?;
-            new_index.insert(
-                *cid,
-                Loc {
-                    seg,
-                    off,
-                    plen: loc.plen,
-                },
-            );
-            off += rec.len() as u64;
+            rec.clear();
+            write_record(&mut rec, chunk.ty() as u8, chunk.payload(), cid);
+            let (seg, off) = append(&rec)?;
+            let plen = loc.plen;
+            new_index.insert(*cid, Loc { seg, off, plen });
             stats.kept_chunks += 1;
             stats.kept_bytes += loc.plen as u64;
         }
-        file.sync_data()?;
+        // The root goes where its chunk goes, behind every live chunk as
+        // in the old log: once the old segments are gone, a reopen
+        // recovers it from the fresh ones.
+        let root = state.root.filter(|root| new_index.contains_key(root));
+        if let Some(root) = root {
+            rec.clear();
+            write_record(&mut rec, ROOT_TAG, root.as_bytes(), &root_hash(&root));
+            append(&rec)?;
+        }
+        self.fsync(&file)?;
         // Persist the fresh segments' dirents before the old segments
         // (the only other copy of the data) are deleted.
-        fsync_dir(&self.dir);
+        self.fsync_dir();
 
         // Publish: swap the index, repoint the writer at the new tail,
         // then delete old segments (open handles stay valid on unix).
@@ -1111,11 +1268,11 @@ impl LogInner {
         state.file_seg = seg;
         state.written_off = off;
         state.unsynced_records = 0;
-        state.dirty_segs.clear();
         state.dir_dirty = false;
         state.oldest_unsynced = None;
         state.synced_seg = seg;
         state.synced_off = off;
+        state.root = root;
         self.stats
             .stored_chunks
             .store(stats.kept_chunks, Ordering::Relaxed);
@@ -1203,23 +1360,17 @@ impl LogInner {
             self.stats.record_dedup(bytes);
             return PutOutcome::Deduplicated;
         }
-        let rec = Self::encode_record(&chunk);
 
         let mut state = self.commit.lock().expect("commit lock");
-        // Re-check: a racing put may have landed while we encoded.
+        // Re-check: a racing put may have landed before we got the lock.
         if self.index.read().contains_key(&cid) {
             drop(state);
             self.await_dedup_durable(&cid);
             self.stats.record_dedup(bytes);
             return PutOutcome::Deduplicated;
         }
-        // Publish order matters: pending first, then index, so a reader
-        // that sees the index entry always finds the bytes somewhere.
-        self.pending.write().insert(cid, chunk);
-        let loc = self.enqueue(&mut state, cid, rec);
-        self.index.write().insert(cid, loc);
+        self.enqueue_chunk(&mut state, chunk, REC_OVERHEAD + bytes as usize);
         let my_seq = state.seq_enqueued;
-        self.stats.record_store(bytes);
 
         match self.durability {
             Durability::Always => loop {
@@ -1250,27 +1401,26 @@ impl LogInner {
         PutOutcome::Stored
     }
 
-    /// Batched put: every new chunk is encoded outside the commit lock,
-    /// then the whole batch is enqueued under **one** commit-lock
-    /// acquisition and acknowledged by **one** group-commit round —
-    /// under `Always` the batch pays a single fsync instead of one per
-    /// chunk. Outcomes match mapping [`put`](Self::put), including
-    /// within-batch duplicate cids (later occurrences deduplicate).
+    /// Batched put: the whole batch is enqueued under **one** commit-lock
+    /// acquisition — each new chunk's record encoded once, straight from
+    /// its payload into the run buffer the leader writes from — and
+    /// acknowledged by **one** group-commit round: under `Always` the
+    /// batch pays a single fsync instead of one per chunk. Outcomes match
+    /// mapping [`put`](Self::put), including within-batch duplicate cids
+    /// (later occurrences deduplicate).
     fn put_many(&self, chunks: Vec<Chunk>) -> Vec<PutOutcome> {
         let mut out = vec![PutOutcome::Deduplicated; chunks.len()];
-        // Dedup fast path and record encoding, all without the commit
-        // lock. `fresh` keeps candidate inserts in batch order.
-        let mut fresh: Vec<(usize, Digest, Chunk, Vec<u8>)> = Vec::with_capacity(chunks.len());
+        // Dedup fast path without the commit lock. `fresh` keeps
+        // candidate inserts in batch order.
+        let mut fresh: Vec<(usize, Chunk)> = Vec::with_capacity(chunks.len());
         let mut dedup: Vec<(usize, Digest, u64)> = Vec::new();
         {
             let index = self.index.read();
             for (i, chunk) in chunks.into_iter().enumerate() {
-                let cid = chunk.cid();
-                if index.contains_key(&cid) {
-                    dedup.push((i, cid, chunk.len() as u64));
+                if index.contains_key(&chunk.cid()) {
+                    dedup.push((i, chunk.cid(), chunk.len() as u64));
                 } else {
-                    let rec = Self::encode_record(&chunk);
-                    fresh.push((i, cid, chunk, rec));
+                    fresh.push((i, chunk));
                 }
             }
         }
@@ -1278,38 +1428,46 @@ impl LogInner {
             let mut state = self.commit.lock().expect("commit lock");
             {
                 // Re-check under the lock (racing puts, or the same cid
-                // twice within this batch); publish pending before index
-                // so readers that see the entry always find the bytes.
+                // twice within this batch).
                 let index = self.index.read();
-                fresh.retain(|(i, cid, chunk, _)| {
-                    if index.contains_key(cid) {
-                        dedup.push((*i, *cid, chunk.len() as u64));
-                        false
-                    } else {
-                        true
+                let mut seen: FxHashSet<Digest> = FxHashSet::default();
+                fresh.retain(|(i, chunk)| {
+                    let cid = chunk.cid();
+                    let new = !index.contains_key(&cid) && seen.insert(cid);
+                    if !new {
+                        dedup.push((*i, cid, chunk.len() as u64));
                     }
+                    new
                 });
             }
-            let mut seen: FxHashSet<Digest> = FxHashSet::default();
-            fresh.retain(|(i, cid, chunk, _)| {
-                if seen.insert(*cid) {
-                    true
-                } else {
-                    dedup.push((*i, *cid, chunk.len() as u64));
-                    false
-                }
-            });
+            // Publish pending before index, so readers that see the
+            // entry always find the bytes.
             {
                 let mut pending = self.pending.write();
-                for (_, cid, chunk, _) in &fresh {
-                    pending.insert(*cid, chunk.clone());
+                for (_, chunk) in &fresh {
+                    pending.insert(chunk.cid(), chunk.clone());
                 }
             }
+            let mut remaining: usize = fresh.iter().map(|(_, c)| REC_OVERHEAD + c.len()).sum();
+            let locs: Vec<Loc> = fresh
+                .iter()
+                .map(|(_, chunk)| {
+                    let rec = Rec::Chunk(chunk.cid());
+                    let loc = self.enqueue(
+                        &mut state,
+                        rec,
+                        chunk.ty() as u8,
+                        chunk.payload(),
+                        remaining,
+                    );
+                    remaining -= REC_OVERHEAD + chunk.len();
+                    loc
+                })
+                .collect();
             {
                 let mut index = self.index.write();
-                for (i, cid, chunk, rec) in std::mem::take(&mut fresh) {
-                    let loc = self.enqueue(&mut state, cid, rec);
-                    index.insert(cid, loc);
+                for ((i, chunk), loc) in fresh.into_iter().zip(locs) {
+                    index.insert(chunk.cid(), loc);
                     self.stats.record_store(chunk.len() as u64);
                     out[i] = PutOutcome::Stored;
                 }
@@ -1350,26 +1508,33 @@ impl LogInner {
     }
 }
 
-/// Scan segment `seg` from `start`, adding every intact record to
-/// `index`. Returns `(valid_end, records_recovered)`. Streams through
-/// `scratch`: memory is bounded by the largest single record, not the
-/// log size.
+/// What a reopen rebuilds from the snapshot and the log behind it.
+#[derive(Default)]
+struct Recovered {
+    index: FxHashMap<Digest, Loc>,
+    /// The cid named by the last root record met.
+    root: Option<Digest>,
+    stats: StatCounters,
+    reopen: ReopenStats,
+}
+
+/// Scan segment `seg` from `start`, adding every intact chunk record to
+/// `rec.index` and noting every intact root record in `rec.root`.
+/// Returns where the intact prefix ends. Streams through `scratch`:
+/// memory is bounded by the largest single record, not the log size.
 fn scan_segment(
     file: &File,
     seg: u32,
     start: u64,
-    index: &mut FxHashMap<Digest, Loc>,
-    stats: &StatCounters,
+    rec: &mut Recovered,
     scratch: &mut Vec<u8>,
-    reopen: &mut ReopenStats,
-) -> io::Result<(u64, u64)> {
+) -> io::Result<u64> {
     let len = file.metadata()?.len();
     let mut pos = start;
     let mut header = [0u8; 9];
-    let mut records = 0u64;
     while len.saturating_sub(pos) >= REC_OVERHEAD as u64 {
         file.read_exact_at(&mut header, pos)?;
-        reopen.bytes_scanned += header.len() as u64;
+        rec.reopen.bytes_scanned += header.len() as u64;
         let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
         if magic != MAGIC {
             break;
@@ -1379,43 +1544,50 @@ fn scan_segment(
         if len - pos < rec_len {
             break; // torn tail
         }
-        let Some(ty) = ChunkType::from_u8(header[8]) else {
+        let tag = header[8];
+        if ChunkType::from_u8(tag).is_none() && !(tag == ROOT_TAG && plen == 32) {
             break;
-        };
+        }
         scratch.resize(plen + 32, 0);
         file.read_exact_at(scratch, pos + 9)?;
-        reopen.bytes_scanned += (plen + 32) as u64;
-        let Some(stored_cid) = Digest::from_slice(&scratch[plen..]) else {
+        rec.reopen.bytes_scanned += (plen + 32) as u64;
+        let Some(stored_hash) = Digest::from_slice(&scratch[plen..]) else {
             break;
         };
-        if forkbase_crypto::hash_parts(&[&[ty as u8], &scratch[..plen]]) != stored_cid {
+        if forkbase_crypto::hash_parts(&[&[tag], &scratch[..plen]]) != stored_hash {
             break; // corruption: stop at the last intact prefix
         }
-        if index
-            .insert(
-                stored_cid,
-                Loc {
-                    seg,
-                    off: pos,
-                    plen: plen as u32,
-                },
-            )
-            .is_none()
-        {
-            stats.record_store(plen as u64);
+        if tag == ROOT_TAG {
+            rec.root = Digest::from_slice(&scratch[..plen]);
+        } else {
+            let loc = Loc {
+                seg,
+                off: pos,
+                plen: plen as u32,
+            };
+            if rec.index.insert(stored_hash, loc).is_none() {
+                rec.stats.record_store(plen as u64);
+            }
+            rec.reopen.replayed_chunks += 1;
         }
-        records += 1;
         pos += rec_len;
     }
-    Ok((pos, records))
+    Ok(pos)
 }
 
-/// Parse and checksum-validate a snapshot file. Returns the index plus
-/// the covered position, or `None` when missing or invalid.
-#[allow(clippy::type_complexity)]
-fn read_snapshot(path: &Path) -> Option<(FxHashMap<Digest, Loc>, u32, u64)> {
+/// A parsed snapshot file: the index and root up to a covered position.
+struct Snapshot {
+    index: FxHashMap<Digest, Loc>,
+    root: Option<Digest>,
+    seg: u32,
+    off: u64,
+}
+
+/// Parse and checksum-validate a snapshot file. `None` when missing,
+/// invalid or of another [`SNAP_VERSION`].
+fn read_snapshot(path: &Path) -> Option<Snapshot> {
     let buf = std::fs::read(path).ok()?;
-    if buf.len() < 28 + 8 {
+    if buf.len() < SNAP_HEADER + 8 {
         return None;
     }
     let (body, check) = buf.split_at(buf.len() - 8);
@@ -1430,11 +1602,12 @@ fn read_snapshot(path: &Path) -> Option<(FxHashMap<Digest, Loc>, u32, u64)> {
     let seg = u32::from_le_bytes(body[8..12].try_into().ok()?);
     let off = u64::from_le_bytes(body[12..20].try_into().ok()?);
     let count = u64::from_le_bytes(body[20..28].try_into().ok()?) as usize;
-    if body.len() != 28 + count * 48 {
+    let root = Digest::from_slice(&body[28..SNAP_HEADER]).filter(|r| *r != Digest::ZERO);
+    if count.checked_mul(48) != Some(body.len() - SNAP_HEADER) {
         return None;
     }
     let mut index = FxHashMap::default();
-    for entry in body[28..].chunks_exact(48) {
+    for entry in body[SNAP_HEADER..].chunks_exact(48) {
         let cid = Digest::from_slice(&entry[..32])?;
         let loc = Loc {
             seg: u32::from_le_bytes(entry[32..36].try_into().ok()?),
@@ -1443,7 +1616,12 @@ fn read_snapshot(path: &Path) -> Option<(FxHashMap<Digest, Loc>, u32, u64)> {
         };
         index.insert(cid, loc);
     }
-    Some((index, seg, off))
+    Some(Snapshot {
+        index,
+        root,
+        seg,
+        off,
+    })
 }
 
 #[cfg(test)]
@@ -1466,6 +1644,135 @@ mod tests {
         LogConfig {
             segment_bytes: 4096,
             snapshot_bytes: u64::MAX, // only explicit / close snapshots
+        }
+    }
+
+    /// The record format written out longhand, one `Vec` per chunk — what
+    /// the write path did before it encoded into the run buffer, kept as
+    /// the reference its bytes are compared with.
+    fn encode_record(chunk: &Chunk) -> Vec<u8> {
+        let mut rec = Vec::with_capacity(REC_OVERHEAD + chunk.len());
+        rec.extend_from_slice(&MAGIC.to_le_bytes());
+        rec.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+        rec.push(chunk.ty() as u8);
+        rec.extend_from_slice(chunk.payload());
+        rec.extend_from_slice(chunk.cid().as_bytes());
+        rec
+    }
+
+    fn checkpoint_chunk(i: u32) -> Chunk {
+        Chunk::new(ChunkType::Checkpoint, i.to_le_bytes().to_vec())
+    }
+
+    #[test]
+    fn put_many_writes_the_reference_encoding() {
+        let dir = temp_dir("golden-bytes");
+        let store = LogStore::open_with(&dir, tiny_cfg(), Durability::Os).expect("open");
+        // Every chunk type, empty and multi-KB payloads, a duplicate in
+        // the batch and one already stored, across a segment rotation.
+        let pre = Chunk::new(ChunkType::Meta, &b"stored before the batch"[..]);
+        store.put(pre.clone());
+        let types = [
+            ChunkType::Meta,
+            ChunkType::UIndex,
+            ChunkType::SIndex,
+            ChunkType::Blob,
+            ChunkType::List,
+            ChunkType::Set,
+            ChunkType::Map,
+            ChunkType::Checkpoint,
+        ];
+        let mut batch: Vec<Chunk> = types
+            .iter()
+            .enumerate()
+            .map(|(i, ty)| Chunk::new(*ty, vec![i as u8; [0, 1, 700, 3000][i % 4]]))
+            .collect();
+        batch.insert(3, pre.clone());
+        batch.push(batch[2].clone());
+        store.put_many(batch.clone());
+        let root = checkpoint_chunk(7);
+        store.sync_root(root.clone()).expect("sync_root");
+
+        // What the log must hold: each distinct chunk once in batch
+        // order, rotated by the placement rule, then the root record.
+        let mut want: Vec<Vec<u8>> = vec![Vec::new()];
+        let mut distinct = vec![pre];
+        for chunk in batch.into_iter().chain([root.clone()]) {
+            if !distinct.contains(&chunk) {
+                distinct.push(chunk);
+            }
+        }
+        let mut root_rec = Vec::new();
+        write_record(
+            &mut root_rec,
+            ROOT_TAG,
+            root.cid().as_bytes(),
+            &root_hash(&root.cid()),
+        );
+        for rec in distinct.iter().map(encode_record).chain([root_rec]) {
+            let seg = want.last_mut().expect("a segment");
+            if !seg.is_empty() && seg.len() + rec.len() > 4096 {
+                want.push(rec);
+            } else {
+                seg.extend_from_slice(&rec);
+            }
+        }
+        assert!(want.len() > 1, "the batch crossed a rotation");
+        for (seg, bytes) in want.iter().enumerate() {
+            let got = std::fs::read(segment_path(&dir, seg as u32)).expect("segment");
+            assert_eq!(&got, bytes, "segment {seg}");
+        }
+        drop(store);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn sync_root_is_one_round_in_every_mode() {
+        let batch = Durability::Batch {
+            max_records: 1_000_000,
+            interval: Duration::from_secs(3600),
+        };
+        for durability in [Durability::Always, batch, Durability::Os] {
+            let dir = temp_dir("root-round");
+            let store = LogStore::open_with(&dir, tiny_cfg(), durability).expect("open");
+            assert_eq!(store.root(), None);
+            let bytes_before = store.stats().stored_bytes;
+            if durability != Durability::Always {
+                store.put(Chunk::new(ChunkType::Blob, &b"queued ahead"[..]));
+                assert_eq!(store.pending_unsynced(), 1);
+            }
+            let fsyncs = store.fsync_count();
+            let root = checkpoint_chunk(1);
+            store.sync_root(root.clone()).expect("sync_root");
+            assert_eq!(
+                store.fsync_count() - fsyncs,
+                1,
+                "{durability:?}: the chunk, its root record and the backlog share one fsync"
+            );
+            assert_eq!(store.pending_unsynced(), 0);
+            assert_eq!(store.root(), Some(root.cid()));
+            assert_eq!(store.get(&root.cid()), Some(root.clone()));
+            // A root record is not a chunk.
+            let queued = if durability == Durability::Always {
+                0
+            } else {
+                12
+            };
+            assert_eq!(store.stats().stored_bytes - bytes_before, queued + 4);
+            assert_eq!(store.chunk_count(), if queued == 0 { 1 } else { 2 });
+            // Naming a chunk the store holds appends only the record.
+            store.sync_root(root.clone()).expect("again");
+            assert_eq!(store.fsync_count() - fsyncs, 2);
+            assert_eq!(store.stats().stored_bytes - bytes_before, queued + 4);
+            std::mem::forget(store); // crash: no close-time snapshot
+            let store = LogStore::open_with(&dir, tiny_cfg(), durability).expect("reopen");
+            assert_eq!(store.root(), Some(root.cid()), "{durability:?}");
+            assert_eq!(
+                store.reopen_stats().replayed_chunks,
+                store.chunk_count() as u64
+            );
+            drop(store);
+            std::fs::remove_dir_all(dir).ok();
         }
     }
 
@@ -1659,19 +1966,51 @@ mod tests {
                 cids.push(c.cid());
                 store.put(c);
             }
+            let root = checkpoint_chunk(30);
+            cids.push(root.cid());
+            store.sync_root(root).expect("sync_root");
             store.snapshot().expect("snapshot");
         }
         let store = LogStore::open_with(&dir, tiny_cfg(), Durability::Always).expect("reopen");
         let stats = store.reopen_stats();
         assert!(stats.used_snapshot);
         assert_eq!(
-            stats.snapshot_chunks + stats.replayed_chunks,
-            30,
-            "all chunks accounted for: {stats:?}"
+            (stats.snapshot_chunks, stats.replayed_chunks),
+            (31, 0),
+            "all chunks from the snapshot, nothing replayed: {stats:?}"
+        );
+        assert_eq!(stats.bytes_scanned, 0);
+        assert_eq!(
+            store.root(),
+            cids.last().copied(),
+            "the snapshot carries the root"
         );
         for cid in &cids {
             assert!(store.get(cid).is_some());
         }
+        drop(store);
+
+        // A version-1 file (no root field, entries right behind the
+        // count) must be discarded, not read with the first entry's cid
+        // taken for the root.
+        let path = dir.join(SNAPSHOT_FILE);
+        let v2 = std::fs::read(&path).expect("snapshot");
+        let mut v1 = v2[..28].to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&v2[SNAP_HEADER..v2.len() - 8]);
+        let check = fx64(&v1);
+        v1.extend_from_slice(&check.to_le_bytes());
+        std::fs::write(&path, v1).expect("write v1");
+        assert!(read_snapshot(&path).is_none());
+        let store = LogStore::open_with(&dir, tiny_cfg(), Durability::Always).expect("reopen v1");
+        let stats = store.reopen_stats();
+        assert!(!stats.used_snapshot, "{stats:?}");
+        assert_eq!(stats.replayed_chunks, 31, "the log was rescanned");
+        assert_eq!(
+            store.root(),
+            cids.last().copied(),
+            "and the root found in it"
+        );
         drop(store);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1699,11 +2038,12 @@ mod tests {
     }
 
     #[test]
-    fn deferred_sync_covers_segments_rotated_without_fsync() {
-        // Os durability + tiny segments: the queue high-water drain
-        // rotates through many segments with no fsync, leaving them
-        // dirty; the explicit sync() must cover all of them before the
-        // synced position (and hence the snapshot) may pass them.
+    fn a_segment_is_fsynced_before_the_writer_leaves_it() {
+        // Os durability + tiny segments: the queue high-water drain is a
+        // round that owes nobody an fsync, and rotates through hundreds
+        // of segments. Each must be durable before the next gets a byte
+        // (recovery trusts a later segment only because of that), so the
+        // round fsyncs once per rotation and the closing sync() once.
         let dir = temp_dir("dirty-rot");
         let cfg = LogConfig {
             segment_bytes: 4096,
@@ -1715,11 +2055,17 @@ mod tests {
         // inline non-sync drain over ~400 segment rotations) and leaves
         // a queued tail.
         for i in 0..400u32 {
-            let c = Chunk::new(ChunkType::Blob, vec![(i % 251) as u8; 4000]);
+            let mut payload = vec![(i % 251) as u8; 4000];
+            payload[..4].copy_from_slice(&i.to_le_bytes());
+            let c = Chunk::new(ChunkType::Blob, payload);
             cids.push(c.cid());
             store.put(c);
         }
-        store.sync().expect("sync covers rotated segments");
+        let rotated = store.fsync_count();
+        assert!(rotated >= 250, "one fsync per segment left: {rotated}");
+        store.sync().expect("sync");
+        let segs = std::fs::read_dir(&dir).expect("ls").count() as u64;
+        assert_eq!(store.fsync_count(), segs + 1, "segments + their directory");
         store.snapshot().expect("snapshot");
         drop(store);
         let store = LogStore::open_with(&dir, cfg, Durability::Os).expect("reopen");
@@ -1747,9 +2093,13 @@ mod tests {
             }
             store.put(c);
         }
+        let root = checkpoint_chunk(40);
+        live.insert(root.cid());
+        store.sync_root(root.clone()).expect("sync_root");
         let before = store.stats().stored_bytes;
         let report = store.compact_retain(&live).expect("compact");
-        assert_eq!(report.kept_chunks, 20);
+        assert_eq!(store.root(), Some(root.cid()));
+        assert_eq!(report.kept_chunks, 21);
         assert_eq!(report.dropped_chunks, 20);
         assert!(report.segments_removed > 1);
         assert!(store.stats().stored_bytes < before);
@@ -1763,10 +2113,25 @@ mod tests {
         // Still appendable, and the compacted state survives reopen.
         let extra = Chunk::new(ChunkType::Blob, &b"post-compaction"[..]);
         store.put(extra.clone());
+        // Crash right there: the root must come from the fresh segments
+        // alone (no close-time snapshot, and the one compaction wrote is
+        // removed below so the log itself is what is scanned).
+        std::mem::forget(store);
+        std::fs::remove_file(dir.join(SNAPSHOT_FILE)).expect("compaction's snapshot");
+        let store = LogStore::open_with(&dir, tiny_cfg(), Durability::Always).expect("reopen");
+        assert_eq!(store.chunk_count(), 22);
+        assert_eq!(store.get(&extra.cid()), Some(extra.clone()));
+        assert_eq!(store.root(), Some(root.cid()), "compaction re-appended it");
+
+        // A compaction that drops the root's chunk drops the root too.
+        live.remove(&root.cid());
+        live.insert(extra.cid());
+        store.compact_retain(&live).expect("compact again");
+        assert_eq!(store.root(), None);
         drop(store);
         let store = LogStore::open_with(&dir, tiny_cfg(), Durability::Always).expect("reopen");
+        assert_eq!(store.root(), None);
         assert_eq!(store.chunk_count(), 21);
-        assert_eq!(store.get(&extra.cid()), Some(extra));
         drop(store);
         std::fs::remove_dir_all(dir).ok();
     }

@@ -3,6 +3,9 @@
 //! 1. **Torn-tail sweep** — truncating the log at *every* byte offset
 //!    within the tail record (including a tail record that starts a
 //!    fresh segment) recovers exactly the fully-committed prefix.
+//!    The same sweep, and a one-byte-flip sweep, over every offset of a
+//!    `[checkpoint chunk][root record]` tail: the recovered root is the
+//!    new one only if its record and everything before it is whole.
 //! 2. **Group-commit equivalence** — concurrent writers through the
 //!    commit queue leave the same durable contents as a sequential
 //!    writer, across a reopen.
@@ -161,6 +164,193 @@ fn torn_tail_sweep_across_segment_boundary() {
     );
 }
 
+/// Root-record frame: header, a 32-byte cid payload, the trailer.
+const ROOT_REC_LEN: u64 = 4 + 4 + 1 + 32 + 32;
+
+fn checkpoint_of(i: u32, payload_len: usize) -> Chunk {
+    Chunk::new(
+        ChunkType::Checkpoint,
+        chunk_of(i, payload_len).payload().clone(),
+    )
+}
+
+/// Write `[chunks][root A][chunks][checkpoint B][root B]` — `before` and
+/// `between` are the chunk payload lengths, `ckpt_len` checkpoint B's —
+/// and return the directory, the cids of every chunk but checkpoint B,
+/// and the two checkpoints.
+fn write_two_roots(
+    tag: &str,
+    before: &[usize],
+    between: &[usize],
+    ckpt_len: usize,
+) -> (PathBuf, Vec<Digest>, Chunk, Chunk) {
+    let dir = temp_dir(tag);
+    let store = LogStore::open_with(&dir, tiny_cfg(), Durability::Always).expect("open");
+    let mut cids = Vec::new();
+    let mut put = |i: usize, len: usize| {
+        let c = chunk_of(i as u32, len);
+        cids.push(c.cid());
+        store.put(c);
+    };
+    before.iter().enumerate().for_each(|(i, len)| put(i, *len));
+    let a = checkpoint_of(1_000, 60);
+    store.sync_root(a.clone()).expect("root A");
+    between
+        .iter()
+        .enumerate()
+        .for_each(|(i, len)| put(100 + i, *len));
+    let b = checkpoint_of(2_000, ckpt_len);
+    store.sync_root(b.clone()).expect("root B");
+    assert_eq!(store.root(), Some(b.cid()));
+    cids.push(a.cid());
+    drop(store); // clean close: leaves a snapshot that names root B
+    (dir, cids, a, b)
+}
+
+/// What must hold after any damage inside the `[checkpoint B][root B]`
+/// window: the root falls back to A, every chunk before the window is
+/// served, B's chunk exactly when its own record was spared, and the
+/// store takes a new root.
+fn assert_fell_back_to_a(
+    dir: &Path,
+    cids: &[Digest],
+    a: &Chunk,
+    b: &Chunk,
+    b_whole: bool,
+    what: &str,
+) {
+    let store = LogStore::open_with(dir, tiny_cfg(), Durability::Always).expect("recover");
+    assert_eq!(store.root(), Some(a.cid()), "{what}: root");
+    for (i, cid) in cids.iter().enumerate() {
+        assert!(
+            store.get(cid).is_some(),
+            "{what}: chunk {i} before the window"
+        );
+    }
+    assert_eq!(store.contains(&b.cid()), b_whole, "{what}: checkpoint B");
+    assert_eq!(store.chunk_count(), cids.len() + b_whole as usize, "{what}");
+    assert!(!store.poisoned(), "{what}");
+    let c = checkpoint_of(3_000, 33);
+    store.sync_root(c.clone()).expect("a root after recovery");
+    drop(store);
+    let store = LogStore::open_with(dir, tiny_cfg(), Durability::Always).expect("reopen");
+    assert_eq!(store.root(), Some(c.cid()), "{what}: the next root sticks");
+}
+
+/// Truncate, and separately flip one byte, at **every** offset of the
+/// last `[checkpoint B][root B]` window of the log `write_two_roots`
+/// makes. Returns the offsets at which the two records of the window
+/// start, as `(segment index from the end, offset)`, so callers can
+/// assert the layout they meant to exercise.
+fn sweep_root_window(
+    tag: &str,
+    before: &[usize],
+    between: &[usize],
+    ckpt_len: usize,
+) -> [(usize, u64); 2] {
+    let (dir, cids, a, b) = write_two_roots(tag, before, between, ckpt_len);
+    // Untouched, the log recovers root B — from the snapshot, and with
+    // the snapshot gone from the scan.
+    for keep_snapshot in [true, false] {
+        let scratch = temp_dir(&format!("{tag}-whole"));
+        copy_store(&dir, &scratch);
+        if !keep_snapshot {
+            std::fs::remove_file(scratch.join("snapshot.idx")).expect("snapshot");
+        }
+        let store = LogStore::open_with(&scratch, tiny_cfg(), Durability::Always).expect("open");
+        assert_eq!(store.reopen_stats().used_snapshot, keep_snapshot);
+        assert_eq!(store.root(), Some(b.cid()));
+        assert_eq!(store.chunk_count(), cids.len() + 1);
+        drop(store);
+        std::fs::remove_dir_all(&scratch).ok();
+    }
+
+    // Locate the window: the root record ends the last segment; the
+    // checkpoint record sits right before it, or ends the segment before.
+    let segs = segments(&dir);
+    let len_of = |p: &PathBuf| std::fs::metadata(p).expect("meta").len();
+    let last = segs.len() - 1;
+    let ckpt_rec = (4 + 4 + 1 + 32 + ckpt_len) as u64;
+    let root_at = (last, len_of(&segs[last]) - ROOT_REC_LEN);
+    let ckpt_at = if root_at.1 == 0 {
+        (last - 1, len_of(&segs[last - 1]) - ckpt_rec)
+    } else {
+        (last, root_at.1 - ckpt_rec)
+    };
+    let window: Vec<(usize, u64)> = (ckpt_at.0..=last)
+        .flat_map(|seg| {
+            let from = if seg == ckpt_at.0 { ckpt_at.1 } else { 0 };
+            (from..len_of(&segs[seg])).map(move |off| (seg, off))
+        })
+        .collect();
+    assert_eq!(window.len() as u64, ckpt_rec + ROOT_REC_LEN);
+
+    for &(seg, off) in &window {
+        let b_whole = (seg, off) >= root_at;
+        // A crash tears the log at (seg, off). Segments behind the torn
+        // one are gone with it: the writer fsyncs a segment before it
+        // opens the next, so a later segment on disk means this one is
+        // whole. `keep_snapshot`: the clean-close snapshot survives; it
+        // covers more than the log holds and must be discarded.
+        for keep_snapshot in [false, true] {
+            let scratch = temp_dir(&format!("{tag}-cut"));
+            copy_store(&dir, &scratch);
+            let scratch_segs = segments(&scratch);
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&scratch_segs[seg])
+                .expect("open")
+                .set_len(off)
+                .expect("truncate");
+            for later in &scratch_segs[seg + 1..] {
+                std::fs::remove_file(later).expect("rm");
+            }
+            if !keep_snapshot {
+                std::fs::remove_file(scratch.join("snapshot.idx")).expect("snapshot");
+            }
+            let what = format!("cut at {off} of segment {seg}/{last} (snapshot {keep_snapshot})");
+            assert_fell_back_to_a(&scratch, &cids, &a, &b, b_whole, &what);
+            std::fs::remove_dir_all(&scratch).ok();
+        }
+        // One flipped byte at (seg, off), nothing else lost: a whole root
+        // record in a later segment must not be believed.
+        let scratch = temp_dir(&format!("{tag}-flip"));
+        copy_store(&dir, &scratch);
+        std::fs::remove_file(scratch.join("snapshot.idx")).expect("snapshot");
+        let path = &segments(&scratch)[seg];
+        let mut bytes = std::fs::read(path).expect("read");
+        bytes[off as usize] ^= 0x40;
+        std::fs::write(path, bytes).expect("write");
+        let what = format!("flip at {off} of segment {seg}/{last}");
+        assert_fell_back_to_a(&scratch, &cids, &a, &b, b_whole, &what);
+        std::fs::remove_dir_all(&scratch).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    [(last - ckpt_at.0, ckpt_at.1), (last - root_at.0, root_at.1)]
+}
+
+#[test]
+fn root_window_sweep_mid_segment() {
+    // 60-byte records: both window records share the last segment with
+    // what came before.
+    let [ckpt, root] = sweep_root_window("root-mid", &[60], &[20], 60);
+    assert!(
+        ckpt.0 == 0 && ckpt.1 > 0 && root.0 == 0,
+        "{ckpt:?} {root:?}"
+    );
+}
+
+#[test]
+fn root_window_sweep_across_a_rotation() {
+    // The checkpoint chunk fills its segment to within a root record:
+    // root B starts a segment of its own.
+    let [ckpt, root] = sweep_root_window("root-rot", &[150], &[150, 100], 400);
+    assert_eq!((ckpt.0, root), (1, (0, 0)), "window straddles the rotation");
+    // The checkpoint chunk itself starts the fresh segment.
+    let [ckpt, root] = sweep_root_window("root-rot2", &[150], &[150, 150], 200);
+    assert_eq!((ckpt, root.0), ((0, 0), 0), "window opens the segment");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -171,6 +361,20 @@ proptest! {
         lens in prop::collection::vec(1usize..300, 2..8)
     ) {
         sweep_tail_truncations("prop", &lens);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The root-window sweep holds wherever the records fall.
+    #[test]
+    fn root_window_sweep_random_layout(
+        before in prop::collection::vec(1usize..300, 1..4),
+        between in prop::collection::vec(1usize..300, 0..4),
+        ckpt_len in 1usize..420,
+    ) {
+        sweep_root_window("root-prop", &before, &between, ckpt_len);
     }
 }
 

@@ -36,10 +36,6 @@ use std::sync::{Arc, Mutex};
 /// The branch written when no branch is given (§3.1).
 pub const DEFAULT_BRANCH: &str = "master";
 
-/// Name of the checkpoint-cid ref file inside a durable instance's
-/// directory (cf. git's `HEAD`).
-const HEAD_FILE: &str = "HEAD";
-
 /// What a handle and its hot-tier publisher share: the chunk store, the
 /// branch tables, and the commit pipeline over them
 /// ([`commit_all`](Engine::commit_all), in [`crate::commit`]). Nothing
@@ -57,8 +53,9 @@ pub(crate) struct Engine {
     cache: Option<Arc<ShardedCache>>,
     /// Serializes [`commit_checkpoint`](Self::commit_checkpoint): the
     /// hot-tier publisher checkpoints after publish rounds while flushes
-    /// and callers checkpoint too, and the HEAD.tmp write + rename must
-    /// not interleave (a lost rename, or an older cid landing last).
+    /// and callers checkpoint too, and the root records must enter the
+    /// log in the order the branch tables were captured (an older capture
+    /// landing last would be the one a reopen restores).
     ckpt_lock: Mutex<()>,
     /// Recovery points committed by this instance.
     checkpoints: AtomicU64,
@@ -110,31 +107,18 @@ impl Engine {
     }
 
     /// Checkpoint the branch tables and make that the recovery point:
-    /// the chunk log is fsynced and the checkpoint cid is written to the
-    /// `HEAD` ref file (atomic rename).
+    /// the checkpoint chunk and a root record naming it are appended to
+    /// the chunk log behind everything written so far and fsynced with it
+    /// ([`LogStore::sync_root`]) — one `write`, one fsync.
     pub(crate) fn commit_checkpoint(&self) -> Result<Digest> {
-        let store = self
+        let log = self
             .durable
             .as_ref()
             .ok_or_else(|| FbError::Io("not a durable instance (use ForkBase::open)".into()))?;
         let _serialized = self.ckpt_lock.lock().expect("checkpoint lock");
-        let cid = self.checkpoint();
-        store.sync()?;
-        let tmp = store.dir().join("HEAD.tmp");
-        {
-            // fsync before the rename: a crash must never promote a
-            // HEAD whose data blocks were still in the page cache.
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(cid.to_hex().as_bytes())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, store.dir().join(HEAD_FILE))?;
-        // Make the rename itself durable (best effort — not every
-        // filesystem supports fsync on a directory handle).
-        if let Ok(d) = std::fs::File::open(store.dir()) {
-            let _ = d.sync_data();
-        }
+        let chunk = self.snapshot_branches().to_chunk();
+        let cid = chunk.cid();
+        log.sync_root(chunk)?;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(cid)
     }
@@ -213,10 +197,10 @@ impl ForkBase {
     /// Open (or create) a durable instance in directory `path` over a
     /// segmented [`LogStore`] with default chunking, sizing,
     /// [`Durability`], the default read-tier chunk cache
-    /// ([`CacheConfig::default`] — on), and the hot tier off. If a
-    /// previous session left a checkpoint ref (written by
+    /// ([`CacheConfig::default`] — on), and the hot tier off. If the
+    /// log holds a root record (written by
     /// [`commit_checkpoint`](Self::commit_checkpoint)), all branch
-    /// heads are restored from it.
+    /// heads are restored from the checkpoint the last intact one names.
     pub fn open(path: impl AsRef<Path>) -> Result<ForkBase> {
         Self::open_with(
             path,
@@ -239,7 +223,6 @@ impl ForkBase {
         cache: CacheConfig,
         hot: HotTierConfig,
     ) -> Result<ForkBase> {
-        let path = path.as_ref();
         let log = Arc::new(LogStore::open_with(path, LogConfig::default(), durability)?);
         let cache = cache
             .enabled
@@ -248,15 +231,9 @@ impl ForkBase {
             Some(cache) => cache.clone(),
             None => log.clone(),
         };
-        let branches = match std::fs::read_to_string(path.join(HEAD_FILE)) {
-            Ok(hex) => {
-                let cid = Digest::from_hex(hex.trim()).ok_or_else(|| {
-                    FbError::Corrupt(format!("unparseable checkpoint ref in {HEAD_FILE}"))
-                })?;
-                load_branches(store.as_ref(), cid)?
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => ShardedBranchMap::new(),
-            Err(e) => return Err(e.into()),
+        let branches = match log.root() {
+            Some(checkpoint) => load_branches(store.as_ref(), checkpoint)?,
+            None => ShardedBranchMap::new(),
         };
         Ok(Self::assemble(store, cfg, branches, Some(log), cache, hot))
     }
@@ -298,9 +275,8 @@ impl ForkBase {
 
     /// How many times [`commit_checkpoint`](Self::commit_checkpoint) has
     /// moved this instance's recovery point (the hot tier's publisher
-    /// included). Each one costs a checkpoint chunk, a log fsync and an
-    /// fsynced `HEAD` rename, so this is the number to watch when a
-    /// commit barrier seems slow.
+    /// included). Each one costs a checkpoint chunk and a log fsync, so
+    /// this is the number to watch when a commit barrier seems slow.
     pub fn checkpoints_committed(&self) -> u64 {
         self.core.checkpoints.load(Ordering::Relaxed)
     }
@@ -806,8 +782,8 @@ impl ForkBase {
     }
 
     /// Checkpoint the branch tables into the store **and** make it the
-    /// recovery point: the chunk log is fsynced and the checkpoint cid
-    /// is written to the `HEAD` ref file (atomic rename), so a later
+    /// recovery point: a root record naming the checkpoint is appended
+    /// to the chunk log and the log is fsynced, so a later
     /// [`open`](Self::open) of the same directory restores every branch
     /// head. Requires a durable instance.
     pub fn commit_checkpoint(&self) -> Result<Digest> {

@@ -126,8 +126,9 @@ pub fn compact_in_place(db: &ForkBase) -> Result<GcReport> {
         .cloned()
         .ok_or_else(|| FbError::Io("not a durable instance (use ForkBase::open)".into()))?;
     // The checkpoint chunk is a GC root the branch walk cannot see (it
-    // is referenced by the HEAD file, not by any version), so commit it
-    // first and pin it explicitly. Going through the handle also
+    // is named by the log's root record, not by any version), so commit
+    // it first and pin it explicitly: `compact_retain` carries the root
+    // record over only with its chunk. Going through the handle also
     // publishes any pending hot-tier edits first — compaction must not
     // race the publisher over chunks it is about to retire.
     let checkpoint = db.commit_checkpoint()?;
@@ -331,6 +332,52 @@ mod tests {
         let store = db.durable_store().expect("durable").clone();
         assert!(!store.poisoned());
         drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Compaction deletes the segments that held the root record; it must
+    /// have re-appended it first, or a reopen with no checkpoint in
+    /// between would come up empty.
+    #[test]
+    fn in_place_compaction_carries_the_recovery_point() {
+        let dir = std::env::temp_dir().join(format!(
+            "forkbase-gc-root-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .subsec_nanos()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let db = ForkBase::open(&dir).expect("open");
+        db.put(
+            "doc",
+            None,
+            Value::Blob(db.new_blob(&blob_bytes(60_000, 3))),
+        )
+        .expect("put");
+        db.fork("doc", DEFAULT_BRANCH, "scratch").expect("fork");
+        db.put("doc", Some("scratch"), Value::Int(7)).expect("put");
+        db.put("cfg", None, Value::Int(1)).expect("put");
+        db.remove_branch("doc", "scratch").expect("remove");
+        compact_in_place(&db).expect("gc");
+        let live = db.snapshot_branches();
+        let root = db.durable_store().expect("durable").root();
+        drop(db);
+
+        // Once from the snapshot compaction wrote, once from the log.
+        for from_log in [false, true] {
+            if from_log {
+                std::fs::remove_file(dir.join("snapshot.idx")).expect("snapshot");
+            }
+            let db = ForkBase::open(&dir).expect("reopen");
+            let log = db.durable_store().expect("durable");
+            assert_eq!(log.reopen_stats().used_snapshot, !from_log);
+            assert_eq!(log.root(), root);
+            assert_eq!(db.snapshot_branches(), live, "from_log {from_log}");
+            let head = db.head("doc", None).expect("head");
+            verify_history(db.store(), head).expect("intact");
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 

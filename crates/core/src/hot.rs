@@ -218,9 +218,10 @@ impl Shared {
     }
 
     /// Advance the durable recovery point so published edits survive a
-    /// crash. `commit_checkpoint` fsyncs the log (forcing out any
-    /// `Durability::Batch`-deferred records) and atomically rewrites the
-    /// HEAD ref; on in-memory instances this is a no-op.
+    /// crash. `commit_checkpoint` appends the checkpoint and its root
+    /// record to the log and fsyncs it (forcing out any
+    /// `Durability::Batch`-deferred records with them); on in-memory
+    /// instances this is a no-op.
     fn checkpoint_if_durable(&self) -> Result<()> {
         if self.engine.durable.is_some() {
             self.engine.commit_checkpoint()?;
@@ -674,9 +675,9 @@ mod tests {
     }
 
     /// Every commit barrier moves the recovery point exactly once: a
-    /// checkpoint is a chunk, a log fsync and an fsynced HEAD rename, and
-    /// taking it per publish round *and* on the way out doubled (tripled,
-    /// for `commit_checkpoint`) the cost of a block boundary.
+    /// checkpoint is a chunk and a log fsync, and taking it per publish
+    /// round *and* on the way out doubled (tripled, for
+    /// `commit_checkpoint`) the cost of a block boundary.
     #[test]
     fn commit_barriers_checkpoint_exactly_once() {
         let dir = tempdir();

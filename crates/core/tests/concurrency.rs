@@ -226,12 +226,15 @@ fn concurrent_distinct_keys_are_independent() {
     });
 }
 
-/// `commit_checkpoint` from many threads at once: the HEAD.tmp write +
-/// rename must be serialized (the hot-tier publisher checkpoints in the
-/// background while flushes and callers checkpoint too). Before the
-/// checkpoint lock, two racing renames could fail with ENOENT.
+/// `commit_checkpoint` from many threads at once, each after a `put` of
+/// its own: checkpoints are serialized, capture and root record together,
+/// so the log's last root is the last capture — which saw every put,
+/// since each thread's puts come before its own last checkpoint. A crash
+/// right after the last acknowledgement reopens to exactly the live
+/// tables.
 #[test]
-fn concurrent_checkpoints_serialize() {
+fn reopen_restores_the_last_acknowledged_checkpoint() {
+    use forkbase_chunk::{CacheConfig, Durability};
     let dir = std::env::temp_dir().join(format!(
         "forkbase-ckpt-race-{}-{}",
         std::process::id(),
@@ -241,26 +244,58 @@ fn concurrent_checkpoints_serialize() {
             .subsec_nanos()
     ));
     std::fs::remove_dir_all(&dir).ok();
-    let db = Arc::new(ForkBase::open(&dir).expect("open"));
-    db.put("k", None, Value::Int(0)).expect("seed");
-    thread::scope(|s| {
-        for t in 0..4 {
-            let db = Arc::clone(&db);
-            s.spawn(move || {
-                for i in 0..16 {
-                    db.put("k", None, Value::Int((t * 100 + i) as i64))
-                        .expect("put");
-                    db.commit_checkpoint().expect("checkpoint must never race");
-                }
-            });
-        }
+    // `Always`, hot tier off: no background thread, so forgetting the
+    // handle is a crash.
+    let open = || {
+        ForkBase::open_with(
+            &dir,
+            Default::default(),
+            Durability::Always,
+            CacheConfig::default(),
+            Default::default(),
+        )
+        .expect("open")
+    };
+    let db = Arc::new(open());
+    let acknowledged: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let db = Arc::clone(&db);
+                s.spawn(move || {
+                    let mut last = None;
+                    for i in 0..16 {
+                        db.put(format!("k{t}"), None, Value::Int(i)).expect("put");
+                        db.put("shared", None, Value::Int(t * 100 + i))
+                            .expect("put");
+                        last = Some(db.commit_checkpoint().expect("checkpoint"));
+                    }
+                    last.expect("16 checkpoints")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no panics"))
+            .collect()
     });
-    drop(db);
-    let db = ForkBase::open(&dir).expect("reopen");
+    let live = db.snapshot_branches();
+    let root = db.durable_store().expect("durable").root().expect("a root");
     assert!(
-        matches!(db.get_value("k", None).expect("restored"), Value::Int(_)),
-        "HEAD points at a valid checkpoint"
+        acknowledged.contains(&root),
+        "the root is some thread's last checkpoint"
     );
+    assert_eq!(db.checkpoints_committed(), 64);
+    std::mem::forget(Arc::into_inner(db).expect("threads joined"));
+
+    let db = open();
+    assert_eq!(db.durable_store().expect("durable").root(), Some(root));
+    assert_eq!(db.snapshot_branches(), live, "nothing acknowledged is lost");
+    for t in 0..4 {
+        assert_eq!(
+            db.get_value(format!("k{t}"), None).expect("restored"),
+            Value::Int(15)
+        );
+    }
     drop(db);
     std::fs::remove_dir_all(dir).ok();
 }

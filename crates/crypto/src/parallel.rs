@@ -10,25 +10,51 @@
 //! being materialized into one buffer.
 //!
 //! Parallel batches run on the persistent worker pool (`crate::pool`):
-//! the spawn cost the old `std::thread::scope` fan-out paid on every call
-//! is gone, so mid-size batches (one tree build's worth of leaves) now
-//! benefit too. Small batches — and machines that report a single
-//! hardware thread — take the serial path, which is bit-for-bit the same
-//! computation.
+//! no thread is spawned per call, but a parked worker still takes tens
+//! of microseconds to start, and the thresholds below are set by that.
+//! Small batches — and machines that report a single hardware thread —
+//! take the serial path, which is bit-for-bit the same computation. A
+//! producer that makes its inputs one after another does not have to wait
+//! for the last one: it [`spawn`]s what it has every
+//! [`ASYNC_BATCH_BYTES`] and hashes only the remainder itself.
 //!
 //! Splitting is by *bytes*, not by input count: a batch of one 4 MB leaf
 //! and a thousand 100 B leaves still balances across workers.
 
 use crate::digest::Digest;
 use crate::pool;
+pub use crate::pool::{parallelism as lanes, spawn, Task};
 use crate::Sha256;
 
-/// Minimum total payload bytes before the batch is split across the
-/// worker pool. With persistent workers the per-batch overhead is one
-/// channel send + wakeup per worker (a few microseconds), so the
-/// break-even sits far below the 256 KB the old spawn-per-call fan-out
-/// needed.
-const PARALLEL_THRESHOLD_BYTES: usize = 64 * 1024;
+// Both thresholds below come from one measurement, `pool`'s ignored test
+// `measure_worker_wake_latency` on the 2-core reference host (three runs,
+// recorded in EXPERIMENTS.md "Block commit (PR 18)"): a parked worker
+// starts a job 45 / 49 / 56 µs (medians; 66 µs inside a block commit,
+// where the caches are not the test's) after it was sent, and one core
+// hashes 1.44–1.48 GB/s — so **one wake costs what hashing 65–82 KB
+// costs**, call it 70 KB. The hand-off itself, a channel send, is a few
+// microseconds; the wait for the worker to get going is the price.
+
+/// Minimum total payload bytes before a batch is split across the worker
+/// pool. Split in two, a batch of `T` bytes is done when the worker is:
+/// one wake plus `T/2` of hashing, against `T` on one lane — a saving of
+/// `T/2 − 70 KB`. That breaks even at 140 KB and reaches a fifth of the
+/// batch at 233 KB; 256 KiB is the next power of two. (A 64 KiB page
+/// build split in two would wait 70 KB's worth for a lane that takes
+/// 32 KB off it.)
+pub const PARALLEL_THRESHOLD_BYTES: usize = 256 * 1024;
+
+/// How many bytes of finished inputs a producer collects before it
+/// [`spawn`]s their hashing and carries on producing. The worker pays
+/// the wake only when it had parked, so the batch must keep it busy for
+/// a multiple of the wake or it parks between batches and pays every
+/// time (one 7 KB leaf per job did exactly that, and was slower than not
+/// overlapping at all). 128 KiB is 1.9 wakes of hashing: the wake is at
+/// most a third of the first batch, and a producer that cuts 128 KiB
+/// faster than 1.9 wakes — a tree splice does — never lets the worker
+/// park again. Twice this is [`PARALLEL_THRESHOLD_BYTES`], so whatever a
+/// producer has left at the end is hashed on its own lane.
+pub const ASYNC_BATCH_BYTES: usize = 128 * 1024;
 
 /// Most lanes a single batch will use, independent of core count.
 const MAX_LANES: usize = 8;

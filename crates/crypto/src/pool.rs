@@ -5,9 +5,10 @@
 //! worker) on *every* batch. A from-scratch build or a batched update
 //! hashes one mid-size batch per tree, so the spawn cost never amortized.
 //! This module keeps a fixed set of workers parked on a channel for the
-//! lifetime of the process: a batch now costs one channel send and one
-//! wakeup per worker, so parallel hashing pays off for much smaller
-//! batches (the threshold in `parallel.rs` dropped 256 KB → 64 KB).
+//! lifetime of the process: a batch costs one channel send and one
+//! wakeup per worker. The wakeup is not free — a parked worker starts a
+//! job some 50–70 µs after the send — and the thresholds in `parallel.rs`
+//! are derived from that measurement.
 //!
 //! The pool is started on first use and sized to
 //! `available_parallelism - 1` (capped) — the submitting thread always
@@ -25,9 +26,19 @@
 //! spawn replaced by a channel send. A panicking task is caught in the
 //! worker (keeping the pool alive) and re-raised on the submitting thread
 //! once the batch drains.
+//!
+//! # Detached execution
+//!
+//! [`spawn`] offers one job that owns everything it touches (`'static`)
+//! to the workers and returns at once with a [`Task`]. A producer uses it
+//! to get work hashed *while it produces more*. A parked worker takes
+//! tens of microseconds to start (see the thresholds in `parallel.rs`),
+//! so [`Task::join`] runs the job itself when no worker has got to it
+//! yet: the producer pays for a slow start with its own time at the end,
+//! never with a wait.
 
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -93,9 +104,9 @@ fn pool() -> Option<&'static Pool> {
             return None;
         }
         let (sender, receiver) = channel::<Job>();
-        let receiver = std::sync::Arc::new(Mutex::new(receiver));
+        let receiver = Arc::new(Mutex::new(receiver));
         for i in 0..workers {
-            let receiver = std::sync::Arc::clone(&receiver);
+            let receiver = Arc::clone(&receiver);
             std::thread::Builder::new()
                 .name(format!("fb-hash-{i}"))
                 .spawn(move || loop {
@@ -121,7 +132,7 @@ fn pool() -> Option<&'static Pool> {
 /// Number of shares a batch should be split into to use every available
 /// lane: the pool workers plus the submitting thread. Returns 1 when the
 /// pool is disabled (single-core hosts).
-pub(crate) fn parallelism() -> usize {
+pub fn parallelism() -> usize {
     pool().map(|p| p.workers + 1).unwrap_or(1)
 }
 
@@ -201,10 +212,118 @@ pub(crate) fn run_scoped<'env>(mut tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) 
     }
 }
 
+/// A [`spawn`]ed job until someone takes it out to run it.
+type Offered<T> = Arc<Mutex<Option<Box<dyn FnOnce() -> T + Send>>>>;
+
+/// A job handed to the pool by [`spawn`]. Whoever takes it out of `job`
+/// first runs it: a worker, or [`join`](Task::join).
+pub struct Task<T> {
+    job: Offered<T>,
+    result: Receiver<std::thread::Result<T>>,
+}
+
+impl<T> Task<T> {
+    /// The job's result. A job no worker has started yet runs here, now
+    /// — joining never waits out a worker's wake, only a job already
+    /// under way. A panic inside the job is re-raised here, with its
+    /// payload.
+    pub fn join(self) -> T {
+        let unstarted = self.job.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(job) = unstarted {
+            return job();
+        }
+        match self.result.recv().expect("a worker took the job") {
+            Ok(value) => value,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+}
+
+/// Offer `job` to the pool workers while the caller carries on; see the
+/// module docs. A [`Task`] dropped unjoined lets the job run unseen. With
+/// no pool (single hardware thread) the job simply runs at `join`.
+pub fn spawn<T, F>(job: F) -> Task<T>
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let job: Offered<T> = Arc::new(Mutex::new(Some(Box::new(job))));
+    let (done, result) = channel();
+    if let Some(pool) = pool() {
+        let offered = Arc::clone(&job);
+        let run = move || {
+            let taken = offered.lock().unwrap_or_else(|e| e.into_inner()).take();
+            if let Some(job) = taken {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                let _ = done.send(outcome); // the task may have been dropped
+            }
+        };
+        let sender = pool.sender.lock().unwrap_or_else(|e| e.into_inner());
+        sender.send(Box::new(run)).expect("hash pool alive");
+    }
+    Task { job, result }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn spawned_jobs_return_their_values_and_panics() {
+        let tasks: Vec<Task<usize>> = (0..8).map(|i| spawn(move || i * i)).collect();
+        let got: Vec<usize> = tasks.into_iter().map(Task::join).collect();
+        assert_eq!(got, (0..8).map(|i| i * i).collect::<Vec<_>>());
+        drop(spawn(|| 1)); // unjoined: must not wedge the worker
+        let started = spawn(|| std::thread::current().name().map(str::to_owned));
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        if parallelism() > 1 {
+            assert!(started.join().expect("named").starts_with("fb-hash-"));
+        }
+        let boom = spawn(|| -> usize { panic!("boom") });
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| boom.join()));
+        assert!(caught.is_err(), "the job's panic surfaces at join");
+        assert_eq!(spawn(|| 7).join(), 7, "and the pool survives it");
+    }
+
+    /// Prints the two numbers the thresholds in `parallel.rs` are derived
+    /// from: how long a parked worker takes to start a job, and how many
+    /// bytes SHA-256 hashes in that time.
+    /// `cargo test --release -p forkbase-crypto --lib -- --ignored --nocapture wake`
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn measure_worker_wake_latency() {
+        use std::time::{Duration, Instant};
+        let mut wakes: Vec<Duration> = (0..200)
+            .map(|_| {
+                std::thread::sleep(Duration::from_millis(2)); // let it park
+                let sent = Instant::now();
+                let started = spawn(Instant::now);
+                std::thread::sleep(Duration::from_millis(1)); // let it start
+                started.join().duration_since(sent)
+            })
+            .collect();
+        wakes.sort();
+        let buf = vec![0xA5u8; 1 << 20];
+        let mut rates: Vec<f64> = (0..50)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(crate::hash_bytes(std::hint::black_box(&buf)));
+                buf.len() as f64 / start.elapsed().as_secs_f64()
+            })
+            .collect();
+        rates.sort_by(f64::total_cmp);
+        let (wake, rate) = (wakes[wakes.len() / 2], rates[rates.len() / 2]);
+        println!(
+            "lanes {}: worker wake p25/p50/p75 = {:?}/{:?}/{:?}; SHA-256 {:.0} MB/s; one wake = {:.0} KB hashed",
+            parallelism(),
+            wakes[wakes.len() / 4],
+            wake,
+            wakes[wakes.len() * 3 / 4],
+            rate / 1e6,
+            wake.as_secs_f64() * rate / 1e3,
+        );
+    }
 
     #[test]
     fn runs_all_tasks_with_stack_borrows() {

@@ -302,3 +302,57 @@ fn golden_sha256_digests() {
         assert_eq!(sha256_naive(&data).to_hex(), expect, "naive len {len}");
     }
 }
+
+/// Batched and pooled hashing are the serial hash, whichever side of a
+/// threshold a batch falls on: totals one byte below, at and one byte
+/// above `ASYNC_BATCH_BYTES` and `PARALLEL_THRESHOLD_BYTES`, as
+/// contiguous payloads, as ropes, and as a job spawned on the pool —
+/// joined after a worker took it and joined before one could.
+#[test]
+fn batch_hashing_equivalence_around_the_thresholds() {
+    use forkbase_crypto::parallel::{spawn, ASYNC_BATCH_BYTES, PARALLEL_THRESHOLD_BYTES};
+    use forkbase_crypto::{hash_tagged_batch, hash_tagged_parts_batch, Digest};
+
+    for threshold in [ASYNC_BATCH_BYTES, PARALLEL_THRESHOLD_BYTES] {
+        for total in [threshold - 1, threshold, threshold + 1] {
+            // 37 payloads of uneven size that sum to `total`.
+            let mut sizes: Vec<usize> = (0..36).map(|i| total / 40 + i * 13).collect();
+            sizes.push(total - sizes.iter().sum::<usize>());
+            let payloads: Vec<Vec<u8>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, len)| pseudo_random(*len, (total + i) as u64))
+                .collect();
+            assert_eq!(payloads.iter().map(Vec::len).sum::<usize>(), total);
+            let want: Vec<Digest> = payloads
+                .iter()
+                .map(|p| hash_parts_naive(&[&[6u8], p]))
+                .collect();
+
+            let whole: Vec<(u8, &[u8])> = payloads.iter().map(|p| (6u8, p.as_slice())).collect();
+            assert_eq!(hash_tagged_batch(&whole), want, "batch of {total}");
+
+            let ropes: Vec<Vec<&[u8]>> = payloads
+                .iter()
+                .map(|p| {
+                    let (a, rest) = p.split_at(p.len() / 3);
+                    let (b, c) = rest.split_at(rest.len() / 2);
+                    vec![a, b, c]
+                })
+                .collect();
+            let parts: Vec<(u8, &[&[u8]])> = ropes.iter().map(|r| (6u8, r.as_slice())).collect();
+            assert_eq!(hash_tagged_parts_batch(&parts), want, "ropes of {total}");
+
+            for let_it_start in [true, false] {
+                let owned = payloads.clone();
+                let job = spawn(move || -> Vec<Digest> {
+                    owned.iter().map(|p| hash_parts(&[&[6u8], p])).collect()
+                });
+                if let_it_start {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                assert_eq!(job.join(), want, "spawned, {total}, started {let_it_start}");
+            }
+        }
+    }
+}

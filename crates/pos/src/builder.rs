@@ -62,6 +62,22 @@
 //! The builder keeps the distance to the last edit itself
 //! ([`realigned`](LeafBuilder::realigned) reads it), so callers only
 //! report removals ([`mark_removed`](LeafBuilder::mark_removed)).
+//!
+//! # Hashing overlaps the walk
+//!
+//! A leaf's cid depends on nothing but its own bytes, and its rope is
+//! owned `Bytes`, so a cut leaf can be hashed while the caller is still
+//! walking towards the next cut. Whenever the leaves cut so far hold
+//! [`ASYNC_BATCH_BYTES`] the builder hands their ropes to the hash pool
+//! as one job ([`Chunk::spawn_batch_ropes`] — the worker also copies the
+//! multi-span ropes into payloads) and goes on;
+//! [`finish`](LeafBuilder::finish) hashes what is left
+//! itself and joins the jobs in order. Batches are that coarse because a
+//! parked worker takes as long to start as 70 KB take to hash. A build
+//! that never collects that much, and every build on a host with one
+//! hardware thread, hashes one batch at the end. Which thread hashes a
+//! leaf changes nothing about the leaf, so splices, merges and builds
+//! from scratch — they all cut through this builder — keep their roots.
 
 use crate::entry::{encode_index_payload, IndexEntry};
 use crate::leaf::{encode_item, Item, RawItem};
@@ -70,13 +86,14 @@ use crate::types::TreeType;
 use bytes::Bytes;
 use forkbase_chunk::codec::varint_len;
 use forkbase_chunk::{Chunk, ChunkStore};
+use forkbase_crypto::parallel::{self, Task, ASYNC_BATCH_BYTES};
 use forkbase_crypto::{ChunkerConfig, Digest, LeafChunker};
 use std::ops::Range;
 
-/// A leaf the builder has cut but not hashed yet: leaf cids are
-/// independent of each other, so [`LeafBuilder::finish`] computes them
-/// all in one batch (parallel on multi-core hosts) instead of once per
-/// cut.
+/// A leaf the builder has cut: leaf cids are independent of each other,
+/// so they are computed in batches (on the hash pool, or in
+/// [`LeafBuilder::finish`], parallel on multi-core hosts) instead of once
+/// per cut. `rope` is empty once a batch has taken it.
 struct PendingLeaf {
     rope: Vec<Bytes>,
     count: u64,
@@ -114,6 +131,13 @@ pub struct LeafBuilder<'s> {
     count: u64,
     last_key: LastKey,
     entries: Vec<PendingLeaf>,
+    /// Jobs hashing the ropes of `entries[..handed]`, in entry order.
+    hashing: Vec<Task<Vec<Chunk>>>,
+    handed: usize,
+    /// Bytes in the ropes of `entries[handed..]`.
+    unhashed: usize,
+    /// Set by `finish`: what is cut from now on stays on this thread.
+    finishing: bool,
 }
 
 impl<'s> LeafBuilder<'s> {
@@ -131,6 +155,10 @@ impl<'s> LeafBuilder<'s> {
             count: 0,
             last_key: LastKey::None,
             entries: Vec::new(),
+            hashing: Vec::new(),
+            handed: 0,
+            unhashed: 0,
+            finishing: false,
         }
     }
 
@@ -201,6 +229,12 @@ impl<'s> LeafBuilder<'s> {
     /// Leaves cut so far.
     pub(crate) fn leaves(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Batches of cut leaves handed to the hash pool so far (test
+    /// accessor; always 0 on a host with one hardware thread).
+    pub fn batches_handed(&self) -> usize {
+        self.hashing.len()
     }
 
     /// Append one element (List/Set/Map trees). For sorted types the caller
@@ -419,24 +453,28 @@ impl<'s> LeafBuilder<'s> {
         entries
     }
 
-    /// Flush the pending leaf (if any), hash every leaf, and return the
-    /// leaf entry list together with the leaf chunks, **not yet stored**:
-    /// `build_index_levels` appends the index chunks and hands the store
-    /// the whole tree as one batch. Leaf cids are computed as one batch
-    /// straight over the payload ropes ([`Chunk::new_batch_ropes`],
-    /// parallel on multi-core hosts): a build or batched update that
-    /// produced many leaves pays for hashing fan-out once instead of
-    /// hashing serially, and single-span leaves are never re-materialized.
+    /// Flush the pending leaf (if any), hash every leaf not handed to the
+    /// pool yet, and return the leaf entry list together with the leaf
+    /// chunks, **not yet stored**: `build_index_levels` appends the index
+    /// chunks and hands the store the whole tree as one batch. The
+    /// remaining cids are computed as one batch straight over the payload
+    /// ropes ([`Chunk::new_batch_ropes`], parallel on multi-core hosts)
+    /// while the pool finishes the batches it was handed (module docs);
+    /// single-span leaves are never re-materialized.
     pub(crate) fn finish_unstored(mut self) -> (Vec<IndexEntry>, Vec<Chunk>) {
+        // The last cut's leaves stay here: this thread has nothing else
+        // left to do.
+        self.finishing = true;
         if self.pending_len > 0 {
             self.cut();
         }
-        let ropes = self
-            .entries
-            .iter_mut()
-            .map(|p| std::mem::take(&mut p.rope))
-            .collect();
-        let chunks = Chunk::new_batch_ropes(self.ty.leaf_chunk(), ropes);
+        let rest = Chunk::new_batch_ropes(self.ty.leaf_chunk(), self.take_ropes());
+        // Joined from the back: a batch the pool has not started is
+        // hashed here ([`Task::join`]) while it gets on with the ones
+        // before.
+        let mut batches: Vec<Vec<Chunk>> = self.hashing.into_iter().rev().map(Task::join).collect();
+        batches.reverse();
+        let chunks: Vec<Chunk> = batches.into_iter().flatten().chain(rest).collect();
         let entries = self
             .entries
             .into_iter()
@@ -448,6 +486,17 @@ impl<'s> LeafBuilder<'s> {
             })
             .collect();
         (entries, chunks)
+    }
+
+    /// The ropes not handed to the pool yet, out of their entries.
+    fn take_ropes(&mut self) -> Vec<Vec<Bytes>> {
+        let ropes = self.entries[self.handed..]
+            .iter_mut()
+            .map(|p| std::mem::take(&mut p.rope))
+            .collect();
+        self.handed = self.entries.len();
+        self.unhashed = 0;
+        ropes
     }
 
     fn cut(&mut self) {
@@ -464,9 +513,16 @@ impl<'s> LeafBuilder<'s> {
             count: self.count,
             key,
         });
+        self.unhashed += self.pending_len;
         self.count = 0;
         self.pending_len = 0;
         self.chunker.cut();
+        // Size first: a small build must not be what starts the pool.
+        if self.unhashed >= ASYNC_BATCH_BYTES && !self.finishing && parallel::lanes() > 1 {
+            let ropes = self.take_ropes();
+            self.hashing
+                .push(Chunk::spawn_batch_ropes(self.ty.leaf_chunk(), ropes));
+        }
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! 1. open a durable engine (`ForkBase::open`: a segmented, group-commit
 //!    log-structured chunk store),
-//! 2. commit a checkpoint (durable branch refs, like git's packed-refs +
-//!    HEAD),
+//! 2. commit a checkpoint (durable branch refs, like git's packed-refs,
+//!    named by a root record in the chunk log),
 //! 3. "crash" and reopen the instance from the directory alone — branch
 //!    heads and data both recover,
 //! 4. abandon a branch, then reclaim its space by **in-place** GC
@@ -54,8 +54,8 @@ fn main() {
         )
         .expect("put");
 
-        // Checkpoint: branch tables into the store, cid into the HEAD
-        // ref file. This is the whole recovery point.
+        // Checkpoint: branch tables into the store, their cid into a
+        // root record behind them. This is the whole recovery point.
         let cid = db.commit_checkpoint().expect("checkpoint");
         println!(
             "session 1: wrote 2 branches, checkpoint = {}",
