@@ -95,6 +95,20 @@ impl Chunk {
         Self::new_batch_ropes(ty, payloads.into_iter().map(|p| vec![p]).collect())
     }
 
+    /// Create many chunks of any types at once — what a batch decoded off
+    /// the wire is — with their cids computed by one
+    /// [`forkbase_crypto::hash_tagged_batch`] call. Identical to mapping
+    /// [`Chunk::new`] over `parts`, in order.
+    pub fn new_batch_mixed(parts: Vec<(ChunkType, Bytes)>) -> Vec<Chunk> {
+        let inputs: Vec<(u8, &[u8])> = parts.iter().map(|(ty, p)| (*ty as u8, &p[..])).collect();
+        let cids = forkbase_crypto::hash_tagged_batch(&inputs);
+        parts
+            .into_iter()
+            .zip(cids)
+            .map(|((ty, payload), cid)| Chunk { ty, payload, cid })
+            .collect()
+    }
+
     /// Create many chunks of one type from *rope* payloads — each payload
     /// a sequence of byte spans (typically zero-copy slices of input
     /// buffers or of previous-version leaves, plus small stitch
@@ -259,6 +273,18 @@ mod tests {
             assert_eq!(chunk.payload(), payload);
             assert!(chunk.verify());
         }
+    }
+
+    #[test]
+    fn new_batch_mixed_matches_new() {
+        let types = [ChunkType::Blob, ChunkType::Map, ChunkType::Meta];
+        let parts: Vec<(ChunkType, Bytes)> = (0..40)
+            .map(|i| (types[i % 3], Bytes::from(vec![i as u8; i * 53])))
+            .collect();
+        let batch = Chunk::new_batch_mixed(parts.clone());
+        let solo: Vec<Chunk> = parts.into_iter().map(|(ty, p)| Chunk::new(ty, p)).collect();
+        assert_eq!(batch, solo);
+        assert!(Chunk::new_batch_mixed(Vec::new()).is_empty());
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub enum Transport {
     #[default]
     InProcess,
     /// Loopback TCP: every node binds a [`ChunkServer`] on an ephemeral
-    /// `127.0.0.1` port and peers dial it with pooled, pipelined
-    /// [`TcpChunkClient`]s. Same chunks, same stats, real wire.
+    /// `127.0.0.1` port and peers dial it with [`TcpChunkClient`]s, a
+    /// few sockets each. Same chunks, same stats, real wire.
     Tcp(TcpConfig),
 }
 

@@ -24,8 +24,10 @@
 //! * **in-process** ([`StoreService`]) — direct handles to the peer
 //!   stores; zero-cost routing for single-machine runs and tests;
 //! * **TCP** ([`net`]) — every node serves a [`ChunkServer`] speaking
-//!   length-prefixed, checksummed binary frames, and peers dial it with
-//!   pooled, pipelined [`TcpChunkClient`]s. A killed node surfaces as
+//!   length-prefixed, checksummed binary frames, and peers reach it
+//!   through [`TcpChunkClient`]s that keep a few sockets each and use a
+//!   socket for one request at a time, written and read back on the
+//!   caller's thread. A killed node surfaces as
 //!   [`FbError::Io`](forkbase_core::FbError::Io) (counted in that
 //!   servlet's `io_errors`), never a hang; a restarted node is picked up
 //!   by lazy re-dial.

@@ -1,45 +1,50 @@
-//! The client side of the cluster wire: a [`ChunkService`] over pooled,
-//! pipelined TCP connections.
+//! The client side of the cluster wire: a [`ChunkService`] over a small
+//! pool of TCP connections, each used by one request at a time.
 //!
-//! Each client owns a small pool of sockets to one peer. A request
-//! picks a socket round-robin, registers a waiter under a fresh request
-//! id, writes its frame, and blocks on the response channel — so many
-//! threads share one socket with their requests in flight
-//! simultaneously, and a `get_many` batch is one frame each way no
-//! matter how many cids it carries. One reader thread per socket
-//! dispatches responses back to waiters by request id.
+//! A request checks a socket out of the pool — the most recently used
+//! idle one, a freshly dialled one while fewer than
+//! [`TcpConfig::connections`] exist, otherwise whichever is put back
+//! first — writes its frame, reads frames on the calling thread until
+//! its own request id answers, and puts the socket back. That is one
+//! `write`, the peer's work and one `read`: no reader thread, no
+//! hand-off between threads, and as many requests in flight as there
+//! are sockets (the server answers a connection's requests one after
+//! another anyway). A `get_many` or `put_many` batch is one frame each
+//! way however many chunks it carries, up to
+//! [`FRAME_BUDGET`]; a larger one goes as
+//! several round trips on the same socket.
 //!
-//! Connections are dialed lazily and re-dialed on the next request
-//! after a failure: a killed peer surfaces as
-//! [`FbError::Io`] on every in-flight
-//! request (the reader thread drops their channels — nothing hangs),
-//! and a restarted peer is picked up transparently.
+//! A socket that saw any error, a timeout or a frame that is not the
+//! answer to the request in hand is closed, never pooled: a killed peer
+//! surfaces as [`FbError::Io`] on the request that met it, a reply that
+//! comes after its caller gave up has no socket left to be read from,
+//! and the next request dials afresh — which is also how a restarted
+//! peer is picked up.
 
-use super::frame::FrameDecoder;
+use super::frame::{self, FrameDecoder, FRAME_BUDGET};
 use super::proto::{self, Request, Response};
-use crate::service::ChunkService;
+use crate::service::{ChunkService, Completion};
 use forkbase_chunk::{Chunk, PutOutcome, StoreStats};
 use forkbase_core::{FbError, Result};
 use forkbase_crypto::Digest;
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Tuning for the TCP transport.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
-    /// Sockets per peer. Requests round-robin across them; each socket
-    /// carries many in-flight requests (pipelining), so a handful go a
-    /// long way.
+    /// Sockets per peer, at most. Each carries one request at a time,
+    /// so this is also how many requests to one peer can be in flight;
+    /// a further caller waits for a socket to come back.
     pub connections: usize,
     /// Dial timeout for one connection attempt.
     pub connect_timeout: Duration,
-    /// Upper bound on waiting for one response. Connection loss is
-    /// detected eagerly by the reader thread; this is the safety net for
-    /// a peer that accepted the request and then wedged.
+    /// The sockets' read and write timeout: how long a request waits on
+    /// a peer that accepted the connection and then wedged before it
+    /// gives up with [`FbError::Io`].
     pub response_timeout: Duration,
 }
 
@@ -53,171 +58,121 @@ impl Default for TcpConfig {
     }
 }
 
-/// Waiters keyed by request id; the reader thread completes them.
-///
-/// One map per connection *generation*, shared between that generation's
-/// `Live` state and its reader thread — tearing down generation N can
-/// only ever drop waiters registered against generation N, never those
-/// of a re-dialed replacement.
-type Pending = Mutex<HashMap<u64, mpsc::Sender<Response>>>;
+/// Most cids one `get_many` request frame carries.
+const CIDS_PER_FRAME: usize = FRAME_BUDGET / Digest::LEN;
 
-/// An established connection. Present while believed healthy; cleared
-/// (by writer or reader, whoever sees the failure first) so the next
-/// request re-dials.
-struct Live {
-    stream: TcpStream,
-    generation: u64,
-    pending: Arc<Pending>,
-}
-
-/// One pooled connection slot.
+/// One established connection and the buffers that live with it.
 struct Conn {
-    state: Mutex<Option<Live>>,
-    generations: AtomicU64,
+    stream: TcpStream,
+    decoder: FrameDecoder,
+    /// The request frame being written; kept for its capacity.
+    out: Vec<u8>,
 }
 
-impl Conn {
-    fn new() -> Arc<Conn> {
-        Arc::new(Conn {
-            state: Mutex::new(None),
-            generations: AtomicU64::new(0),
-        })
-    }
-
-    /// Tear down the live connection of generation `gen` (no-op if a
-    /// newer one replaced it) and fail every waiter registered against
-    /// that generation.
-    fn fail(&self, gen: u64) {
-        let pending = {
-            let mut state = self.state.lock().expect("conn state lock");
-            match state.as_ref() {
-                Some(live) if live.generation == gen => {
-                    let _ = live.stream.shutdown(Shutdown::Both);
-                    state.take().map(|live| live.pending)
-                }
-                _ => None,
-            }
-        };
-        // Dropping the senders wakes every waiter with a recv error,
-        // which the request path reports as FbError::Io.
-        if let Some(pending) = pending {
-            pending.lock().expect("pending lock").clear();
-        }
-    }
-
-    /// Register `req_id`, then write the frame — both under the state
-    /// lock, so concurrent senders interleave whole frames and a
-    /// connection teardown cannot slip between registration and write.
-    /// Returns the response channel and the pending map the waiter was
-    /// registered in, so a timed-out waiter can deregister from the
-    /// right generation.
-    fn send(
-        self: &Arc<Conn>,
-        addr: SocketAddr,
-        cfg: &TcpConfig,
-        req_id: u64,
-        frame: &[u8],
-    ) -> Result<(mpsc::Receiver<Response>, Arc<Pending>)> {
-        let mut state = self.state.lock().expect("conn state lock");
-        if state.is_none() {
-            let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)
-                .map_err(|e| FbError::Io(format!("connect {addr}: {e}")))?;
-            let _ = stream.set_nodelay(true);
-            let reader_stream = stream
-                .try_clone()
-                .map_err(|e| FbError::Io(format!("clone socket to {addr}: {e}")))?;
-            let generation = self.generations.fetch_add(1, Ordering::SeqCst) + 1;
-            let pending = Arc::new(Mutex::new(HashMap::new()));
-            *state = Some(Live {
-                stream,
-                generation,
-                pending: Arc::clone(&pending),
-            });
-            let conn = Arc::clone(self);
-            let spawned = std::thread::Builder::new()
-                .name("fb-chunk-client-rx".into())
-                .spawn(move || reader_loop(reader_stream, &conn, generation, &pending));
-            if let Err(e) = spawned {
-                // Without a reader nothing would ever dispatch responses
-                // — every request on this slot would write fine and then
-                // wait out the full response timeout. Tear the dial back
-                // down so the next request re-dials instead.
-                if let Some(live) = state.take() {
-                    let _ = live.stream.shutdown(Shutdown::Both);
-                }
-                return Err(FbError::Io(format!("spawn reader: {e}")));
-            }
-        }
-        let live = state.as_mut().expect("dialed above");
-        let generation = live.generation;
-        let pending = Arc::clone(&live.pending);
-        let (tx, rx) = mpsc::channel();
-        pending.lock().expect("pending lock").insert(req_id, tx);
-        if let Err(e) = live.stream.write_all(frame) {
-            drop(state);
-            pending.lock().expect("pending lock").remove(&req_id);
-            self.fail(generation);
-            return Err(FbError::Io(format!("write to {addr}: {e}")));
-        }
-        Ok((rx, pending))
-    }
+/// The sockets of one client.
+#[derive(Default)]
+struct Pool {
+    /// Connections nobody is using, most recently used last.
+    idle: Vec<Conn>,
+    /// Connections that exist or are being dialled: `idle` plus the
+    /// checked-out ones.
+    open: usize,
 }
 
-/// Reads frames off one socket and routes them to waiters until the
-/// socket dies or produces garbage, then fails the connection.
-fn reader_loop(mut stream: TcpStream, conn: &Arc<Conn>, generation: u64, pending: &Arc<Pending>) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    'conn: loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break 'conn,
-            Ok(n) => n,
-        };
-        decoder.feed(&buf[..n]);
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    let Some((req_id, resp)) = proto::decode_response(frame.opcode, &frame.payload)
-                    else {
-                        break 'conn; // malformed body: untrusted stream
-                    };
-                    // Unknown ids (waiter timed out and left) are dropped.
-                    let waiter = pending.lock().expect("pending lock").remove(&req_id);
-                    if let Some(tx) = waiter {
-                        let _ = tx.send(resp);
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => break 'conn, // framing corruption
-            }
-        }
-    }
-    conn.fail(generation);
-    // If a re-dial already replaced this generation, fail() was a no-op
-    // on the new state — still wake any waiters left in *this*
-    // generation's map (only ours; the replacement has its own).
-    pending.lock().expect("pending lock").clear();
+/// Encode `req` into `buf` as one frame and hand it to `dst` whole.
+fn write_request(
+    dst: &mut impl Write,
+    buf: &mut Vec<u8>,
+    req_id: u64,
+    req: &Request,
+) -> Result<()> {
+    frame::recycle(buf);
+    proto::encode_request(req_id, req, buf)?;
+    dst.write_all(buf)
+        .map_err(|e| FbError::Io(format!("write request: {e}")))
 }
 
 /// A [`ChunkService`] talking to one remote node over TCP.
 pub struct TcpChunkClient {
     addr: SocketAddr,
     cfg: TcpConfig,
-    conns: Vec<Arc<Conn>>,
-    next_conn: AtomicUsize,
+    pool: Mutex<Pool>,
+    /// Signalled whenever a socket is put back or closed.
+    freed: Condvar,
     next_req_id: AtomicU64,
+}
+
+/// A checked-out connection with (after [`send`](Flight::send)) a
+/// request in flight on it. Dropping it closes the socket; only
+/// [`land`](Flight::land) puts it back in the pool — so every early
+/// return on an error path closes.
+struct Flight<'a> {
+    client: &'a TcpChunkClient,
+    conn: Option<Conn>,
+    req_id: u64,
+}
+
+impl Flight<'_> {
+    fn conn(&mut self) -> &mut Conn {
+        self.conn.as_mut().expect("present until land or drop")
+    }
+
+    /// Write `req` under a fresh request id.
+    fn send(&mut self, req: &Request) -> Result<()> {
+        self.req_id = self.client.next_req_id.fetch_add(1, Ordering::Relaxed);
+        let req_id = self.req_id;
+        let Conn { stream, out, .. } = self.conn();
+        write_request(stream, out, req_id, req)
+    }
+
+    /// Read the next frame, which must answer the request in flight.
+    fn recv(&mut self) -> Result<Response> {
+        let (addr, req_id) = (self.client.addr, self.req_id);
+        let fail = |what: &dyn std::fmt::Display| FbError::Io(format!("node {addr}: {what}"));
+        let Conn {
+            stream, decoder, ..
+        } = self.conn();
+        let frame = loop {
+            if let Some(frame) = decoder.next_frame().map_err(|e| fail(&e))? {
+                break frame;
+            }
+            if decoder.read_from(stream).map_err(|e| fail(&e))? == 0 {
+                return Err(fail(&"connection lost"));
+            }
+        };
+        match proto::decode_response(frame.opcode, &frame.payload) {
+            Some((id, Response::Err(msg))) if id == req_id => Err(fail(&msg)),
+            Some((id, resp)) if id == req_id => Ok(resp),
+            Some((id, _)) => Err(fail(&format_args!("answered request {id}, not {req_id}"))),
+            None => Err(fail(&"malformed reply")),
+        }
+    }
+
+    /// The exchange is over and the stream is in step: pool the socket.
+    fn land(mut self) {
+        let conn = self.conn.take().expect("present until land or drop");
+        self.client.lock_pool().idle.push(conn);
+        self.client.freed.notify_one();
+    }
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        if self.conn.take().is_some() {
+            self.client.forget_one();
+        }
+    }
 }
 
 impl TcpChunkClient {
     /// A client for the node at `addr`. No connection is made until the
     /// first request.
     pub fn new(addr: SocketAddr, cfg: TcpConfig) -> TcpChunkClient {
-        let slots = cfg.connections.max(1);
         TcpChunkClient {
             addr,
             cfg,
-            conns: (0..slots).map(|_| Conn::new()).collect(),
-            next_conn: AtomicUsize::new(0),
+            pool: Mutex::new(Pool::default()),
+            freed: Condvar::new(),
             next_req_id: AtomicU64::new(1),
         }
     }
@@ -227,24 +182,80 @@ impl TcpChunkClient {
         self.addr
     }
 
-    /// One round trip: send `req` on the next pooled connection and wait
-    /// for its response.
-    fn request(&self, req: &Request) -> Result<Response> {
-        let conn = &self.conns[self.next_conn.fetch_add(1, Ordering::Relaxed) % self.conns.len()];
-        let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
-        let frame = proto::encode_request(req_id, req);
-        let (rx, pending) = conn.send(self.addr, &self.cfg, req_id, &frame)?;
-        match rx.recv_timeout(self.cfg.response_timeout) {
-            Ok(Response::Err(msg)) => Err(FbError::Io(format!("node {}: {msg}", self.addr))),
-            Ok(resp) => Ok(resp),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                Err(FbError::Io(format!("connection to {} lost", self.addr)))
+    fn lock_pool(&self) -> std::sync::MutexGuard<'_, Pool> {
+        // Every update leaves the pool consistent, so a panic elsewhere
+        // while it was held is no reason to fail here (or in a `Drop`).
+        self.pool
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// One connection fewer exists (closed, or never established).
+    fn forget_one(&self) {
+        self.lock_pool().open -= 1;
+        self.freed.notify_one();
+    }
+
+    fn dial(&self) -> Result<Conn> {
+        let addr = self.addr;
+        let fail = |what: &str, e: std::io::Error| FbError::Io(format!("{what} {addr}: {e}"));
+        let stream = TcpStream::connect_timeout(&addr, self.cfg.connect_timeout)
+            .map_err(|e| fail("connect", e))?;
+        let _ = stream.set_nodelay(true);
+        let timeout = Some(self.cfg.response_timeout);
+        stream
+            .set_read_timeout(timeout)
+            .and_then(|()| stream.set_write_timeout(timeout))
+            .map_err(|e| fail("set timeouts for", e))?;
+        Ok(Conn {
+            stream,
+            decoder: FrameDecoder::new(),
+            out: Vec::new(),
+        })
+    }
+
+    /// Take a connection for exclusive use: the most recently used idle
+    /// one, else a new one while under the limit, else wait for one.
+    fn check_out(&self) -> Result<Flight<'_>> {
+        let mut pool = self.lock_pool();
+        let conn = loop {
+            if let Some(conn) = pool.idle.pop() {
+                break Some(conn);
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                pending.lock().expect("pending lock").remove(&req_id);
-                Err(FbError::Io(format!("request to {} timed out", self.addr)))
+            if pool.open < self.cfg.connections.max(1) {
+                pool.open += 1;
+                break None;
             }
-        }
+            pool = self
+                .freed
+                .wait(pool)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        };
+        drop(pool);
+        let conn = match conn {
+            Some(conn) => conn,
+            None => self.dial().inspect_err(|_| self.forget_one())?,
+        };
+        Ok(Flight {
+            client: self,
+            conn: Some(conn),
+            req_id: 0,
+        })
+    }
+
+    /// Check a socket out and write `req` on it.
+    fn start(&self, req: &Request) -> Result<Flight<'_>> {
+        let mut flight = self.check_out()?;
+        flight.send(req)?;
+        Ok(flight)
+    }
+
+    /// One round trip.
+    fn call(&self, req: &Request) -> Result<Response> {
+        let mut flight = self.start(req)?;
+        let resp = flight.recv()?;
+        flight.land();
+        Ok(resp)
     }
 
     fn unexpected(&self) -> FbError {
@@ -267,45 +278,184 @@ impl TcpChunkClient {
     }
 }
 
+/// Cut `chunks` into runs of at most [`FRAME_BUDGET`] encoded bytes (a
+/// run takes at least one chunk), one `put_many` frame each.
+fn put_frames(chunks: Vec<Chunk>) -> Vec<Vec<Chunk>> {
+    let mut frames: Vec<Vec<Chunk>> = Vec::new();
+    // Bytes in the last run; "full" before there is one, so the first
+    // chunk opens it.
+    let mut bytes = FRAME_BUDGET;
+    for chunk in chunks {
+        let len = proto::sized_chunk_len(&chunk);
+        if bytes + len > FRAME_BUDGET {
+            frames.push(Vec::new());
+            bytes = 0;
+        }
+        bytes += len;
+        frames.last_mut().expect("pushed above").push(chunk);
+    }
+    frames
+}
+
 impl ChunkService for TcpChunkClient {
     fn get(&self, cid: &Digest) -> Result<Option<Chunk>> {
-        match self.request(&Request::Get(*cid))? {
+        match self.call(&Request::Get(*cid))? {
             Response::Get(found) => found.map(|c| self.verify(c, cid)).transpose(),
             _ => Err(self.unexpected()),
         }
     }
 
     fn get_many(&self, cids: &[Digest]) -> Result<Vec<Option<Chunk>>> {
-        match self.request(&Request::GetMany(cids.to_vec()))? {
-            Response::GetMany(found) if found.len() == cids.len() => found
-                .into_iter()
-                .zip(cids)
-                .map(|(c, cid)| c.map(|c| self.verify(c, cid)).transpose())
-                .collect(),
-            Response::GetMany(_) => Err(self.unexpected()),
-            _ => Err(self.unexpected()),
-        }
+        self.start_get_many(cids).wait()
     }
 
     fn put(&self, chunk: Chunk) -> Result<PutOutcome> {
-        match self.request(&Request::Put(chunk))? {
+        match self.call(&Request::Put(chunk))? {
             Response::Put(outcome) => Ok(outcome),
             _ => Err(self.unexpected()),
         }
     }
 
     fn put_many(&self, chunks: Vec<Chunk>) -> Result<Vec<PutOutcome>> {
-        let n = chunks.len();
-        match self.request(&Request::PutMany(chunks))? {
-            Response::PutMany(outcomes) if outcomes.len() == n => Ok(outcomes),
-            _ => Err(self.unexpected()),
-        }
+        self.start_put_many(chunks).wait()
+    }
+
+    /// The first request frame goes out now. The completion reads its
+    /// reply — as many frames as the server cut it into — and, for a
+    /// batch of more cids than one frame carries, plays the remaining
+    /// frames one round trip at a time.
+    fn start_get_many<'a>(&'a self, cids: &'a [Digest]) -> Completion<'a, Vec<Option<Chunk>>> {
+        let mut runs = cids.chunks(CIDS_PER_FRAME);
+        let Some(mut run) = runs.next() else {
+            return Completion::ready(Ok(Vec::new()));
+        };
+        let started = self.start(&Request::GetMany(run.to_vec()));
+        Completion::deferred(move || {
+            let mut flight = started?;
+            let mut found = Vec::with_capacity(cids.len());
+            let mut run_end = run.len();
+            loop {
+                while found.len() < run_end {
+                    let Response::GetMany(part) = flight.recv()? else {
+                        return Err(self.unexpected());
+                    };
+                    if part.is_empty() || found.len() + part.len() > run_end {
+                        return Err(self.unexpected());
+                    }
+                    for chunk in part {
+                        let cid = &cids[found.len()];
+                        found.push(chunk.map(|c| self.verify(c, cid)).transpose()?);
+                    }
+                }
+                let Some(next) = runs.next() else { break };
+                run = next;
+                run_end += run.len();
+                flight.send(&Request::GetMany(run.to_vec()))?;
+            }
+            flight.land();
+            Ok(found)
+        })
+    }
+
+    /// The first frame goes out now; the completion reads its reply and
+    /// plays the frames of a batch over the budget one round trip at a
+    /// time.
+    fn start_put_many(&self, chunks: Vec<Chunk>) -> Completion<'_, Vec<PutOutcome>> {
+        let total = chunks.len();
+        let mut frames = put_frames(chunks).into_iter();
+        let Some(first) = frames.next() else {
+            return Completion::ready(Ok(Vec::new()));
+        };
+        let mut asked = first.len();
+        let started = self.start(&Request::PutMany(first));
+        Completion::deferred(move || {
+            let mut flight = started?;
+            let mut outcomes = Vec::with_capacity(total);
+            loop {
+                match flight.recv()? {
+                    Response::PutMany(part) if part.len() == asked => outcomes.extend(part),
+                    _ => return Err(self.unexpected()),
+                }
+                let Some(next) = frames.next() else { break };
+                asked = next.len();
+                flight.send(&Request::PutMany(next))?;
+            }
+            flight.land();
+            Ok(outcomes)
+        })
     }
 
     fn stats(&self) -> Result<StoreStats> {
-        match self.request(&Request::Stats)? {
+        match self.call(&Request::Stats)? {
             Response::Stats(stats) => Ok(stats),
             _ => Err(self.unexpected()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use forkbase_chunk::ChunkType;
+
+    /// Counts `write` calls; takes whatever it is given.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_is_one_write() {
+        let chunks: Vec<Chunk> = (0..8u8)
+            .map(|i| Chunk::new(ChunkType::Blob, vec![i; 2048]))
+            .collect();
+        let req = Request::PutMany(chunks);
+        let (mut dst, mut buf) = (CountingWriter::default(), Vec::new());
+        write_request(&mut dst, &mut buf, 41, &req).expect("writes");
+        assert_eq!(dst.writes, 1, "header, body and checksum leave together");
+
+        let mut dec = FrameDecoder::new();
+        let mut wire = &dst.bytes[..];
+        while !wire.is_empty() {
+            dec.read_from(&mut wire).expect("slice read");
+        }
+        let frame = dec.next_frame().expect("valid").expect("complete");
+        assert_eq!(
+            proto::decode_request(frame.opcode, &frame.payload),
+            Some((41, req))
+        );
+        assert_eq!(dec.buffered(), 0, "and it is exactly one frame");
+    }
+
+    #[test]
+    fn put_frames_respect_the_budget_and_keep_order() {
+        assert!(put_frames(Vec::new()).is_empty());
+        let chunks: Vec<Chunk> = (0..40u8)
+            .map(|i| Chunk::new(ChunkType::Blob, vec![i; FRAME_BUDGET / 10]))
+            .collect();
+        let frames = put_frames(chunks.clone());
+        assert!(frames.len() >= 4);
+        for frame in &frames {
+            let bytes: usize = frame.iter().map(proto::sized_chunk_len).sum();
+            assert!(!frame.is_empty() && bytes <= FRAME_BUDGET);
+        }
+        assert_eq!(frames.concat(), chunks);
+        // A chunk over the budget still travels, alone.
+        let big = Chunk::new(ChunkType::Blob, vec![1u8; FRAME_BUDGET + 1]);
+        let small = Chunk::new(ChunkType::Blob, vec![2u8; 10]);
+        let frames = put_frames(vec![small.clone(), big.clone(), small.clone()]);
+        assert_eq!(frames, vec![vec![small.clone()], vec![big], vec![small]]);
     }
 }

@@ -3,15 +3,18 @@
 //! Three layers, each testable on its own:
 //!
 //! * [`frame`] — length-prefixed binary frames
-//!   (`[magic][len][opcode][payload][checksum]`) with an incremental,
-//!   torn-read-safe [`FrameDecoder`];
+//!   (`[magic][len][opcode][payload][checksum]`), written in place into
+//!   the buffer that is sent, with an incremental, torn-read-safe
+//!   [`FrameDecoder`] that reads the socket into the buffer a frame is
+//!   handed out from;
 //! * [`proto`] — request/response messages (get / get_many / put /
 //!   put_many / stats), every payload led by a client-chosen request id
-//!   so responses can be matched out of wait-order;
+//!   so a caller knows its own answer from a stray one;
 //! * [`server`] / [`client`] — a blocking thread-per-connection
-//!   [`ChunkServer`] on the servlet side, and a [`TcpChunkClient`] with
-//!   connection pooling and pipelined request/response on the caller
-//!   side.
+//!   [`ChunkServer`] on the servlet side, and a [`TcpChunkClient`] on
+//!   the caller side that keeps a few sockets per peer and uses each
+//!   for one request at a time: write the frame, read the reply, on the
+//!   calling thread.
 //!
 //! The in-process transport
 //! ([`StoreService`](crate::service::StoreService)) remains the test
@@ -30,7 +33,7 @@ pub mod server;
 
 pub use client::{TcpChunkClient, TcpConfig};
 pub use frame::{Frame, FrameDecoder, FrameError};
-pub use server::ChunkServer;
+pub use server::{ChunkServer, WireCounters};
 
 #[cfg(test)]
 mod tests {
@@ -85,11 +88,11 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_requests_share_sockets() {
+    fn more_callers_than_sockets_take_turns() {
         let (_server, client, _store) = loopback_pair();
         let client = Arc::new(client);
-        // More threads than pooled sockets: requests must interleave on
-        // shared connections and all come back correctly matched.
+        // More threads than pooled sockets: callers wait for a socket
+        // and every reply goes to the request that asked.
         std::thread::scope(|s| {
             for t in 0..16u32 {
                 let client = Arc::clone(&client);

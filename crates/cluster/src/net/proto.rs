@@ -1,18 +1,35 @@
 //! Request/response messages carried by the frame layer.
 //!
 //! Every payload begins with a little-endian `u64` request id. The
-//! client allocates ids and matches responses back to waiters, so one
-//! socket can carry many in-flight requests (pipelining); the server
-//! echoes the id verbatim. Response opcodes are the request opcode with
-//! the high bit set, plus [`OP_ERR`] for server-side failures.
+//! client allocates ids and the server echoes them verbatim, so a caller
+//! can tell its own answer from anything else that turns up on the
+//! socket (a reply its previous owner stopped waiting for, say).
+//! Response opcodes are the request opcode with the high bit set, plus
+//! [`OP_ERR`] for server-side failures.
 //!
-//! Chunks travel in their canonical on-wire form
-//! ([`Chunk::encode`]: `[type: u8][payload…]`) and are re-hashed on
-//! decode, so a fetched chunk is verified against the requested cid end
-//! to end — the wire inherits the storage layer's tamper evidence
-//! (§4.4) rather than trusting the frame checksum alone.
+//! A message is encoded once, straight into the buffer that is written
+//! to the socket: the frame header is reserved, the body appended behind
+//! it — chunk payloads copied from their [`Bytes`] exactly once — and
+//! the checksum taken over the body where it lies. Decoding goes the
+//! other way without a copy: a chunk's payload is a slice of the frame
+//! it arrived in.
+//!
+//! Chunks travel in their canonical on-wire form (`[type: u8][payload…]`)
+//! and are re-hashed on decode — a whole batch as one
+//! [`hash_tagged_batch`](forkbase_crypto::hash_tagged_batch) call — so a
+//! fetched chunk is verified against the requested cid end to end: the
+//! wire inherits the storage layer's tamper evidence (§4.4) rather than
+//! trusting the frame checksum alone.
+//!
+//! One request is one frame; the sender keeps it within
+//! [`FRAME_BUDGET`]. A `get_many` reply cannot be sized by the asker, so
+//! the server splits it: each frame answers the next run of cids, and
+//! the client reads frames until every cid is answered.
 
-use forkbase_chunk::{Chunk, PutOutcome, StoreStats};
+use super::frame::{self, FRAME_BUDGET};
+use bytes::Bytes;
+use forkbase_chunk::{Chunk, ChunkType, PutOutcome, StoreStats};
+use forkbase_core::{FbError, Result};
 use forkbase_crypto::Digest;
 
 /// Fetch one chunk.
@@ -62,18 +79,39 @@ pub enum Response {
     Err(String),
 }
 
-fn put_u32(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&u32::try_from(v).expect("count fits u32").to_le_bytes());
+fn put_u32(out: &mut Vec<u8>, v: usize) -> Result<()> {
+    let v = u32::try_from(v).map_err(|_| FbError::Io(format!("count {v} does not fit a frame")))?;
+    out.extend_from_slice(&v.to_le_bytes());
+    Ok(())
+}
+
+/// `[type][payload]`, the chunk's bytes copied out of their `Bytes` once.
+fn put_chunk(out: &mut Vec<u8>, chunk: &Chunk) {
+    out.push(chunk.ty() as u8);
+    out.extend_from_slice(chunk.payload());
+}
+
+/// A chunk inside a batch: its encoded length, then the chunk.
+fn put_sized_chunk(out: &mut Vec<u8>, chunk: &Chunk) -> Result<()> {
+    put_u32(out, 1 + chunk.len())?;
+    put_chunk(out, chunk);
+    Ok(())
+}
+
+/// Bytes a chunk takes inside a batch — what a sender adds up
+/// against [`FRAME_BUDGET`].
+pub fn sized_chunk_len(chunk: &Chunk) -> usize {
+    4 + 1 + chunk.len()
 }
 
 /// Sequential reader over a payload.
 struct Cursor<'a> {
-    buf: &'a [u8],
+    buf: &'a Bytes,
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
+    fn new(buf: &'a Bytes) -> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
@@ -89,11 +127,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+        Some(u32::from_le_bytes(*self.take(4)?.first_chunk()?))
     }
 
     fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+        Some(u64::from_le_bytes(*self.take(8)?.first_chunk()?))
     }
 
     fn digest(&mut self) -> Option<Digest> {
@@ -104,6 +142,22 @@ impl<'a> Cursor<'a> {
         let slice = &self.buf[self.pos..];
         self.pos = self.buf.len();
         slice
+    }
+
+    /// The `len` bytes of an encoded chunk: its type, and its payload as
+    /// a slice of the frame. Not yet a [`Chunk`] — the cid is still to
+    /// be computed.
+    fn chunk_parts(&mut self, len: usize) -> Option<(ChunkType, Bytes)> {
+        let ty = ChunkType::from_u8(self.u8()?)?;
+        let start = self.pos;
+        self.take(len.checked_sub(1)?)?;
+        Some((ty, self.buf.slice(start..self.pos)))
+    }
+
+    /// A chunk that fills the rest of the payload.
+    fn chunk(&mut self) -> Option<Chunk> {
+        let (ty, payload) = self.chunk_parts(self.buf.len() - self.pos)?;
+        Some(Chunk::new(ty, payload))
     }
 
     fn done(&self) -> bool {
@@ -126,50 +180,64 @@ fn outcome_from(byte: u8) -> Option<PutOutcome> {
     }
 }
 
-/// The request id of any payload (request or response) — what the
-/// client's reader uses to route a response to its waiter without
-/// decoding the body.
-pub fn peek_req_id(payload: &[u8]) -> Option<u64> {
-    Cursor::new(payload).u64()
+impl Request {
+    fn opcode(&self) -> u8 {
+        match self {
+            Request::Get(_) => OP_GET,
+            Request::GetMany(_) => OP_GET_MANY,
+            Request::Put(_) => OP_PUT,
+            Request::PutMany(_) => OP_PUT_MANY,
+            Request::Stats => OP_STATS,
+        }
+    }
 }
 
-/// Encode a request as a complete frame.
-pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64);
-    p.extend_from_slice(&req_id.to_le_bytes());
-    let opcode = match req {
-        Request::Get(cid) => {
-            p.extend_from_slice(cid.as_bytes());
-            OP_GET
+impl Response {
+    fn opcode(&self) -> u8 {
+        match self {
+            Response::Get(_) => OP_GET | OP_RESP,
+            Response::GetMany(_) => OP_GET_MANY | OP_RESP,
+            Response::Put(_) => OP_PUT | OP_RESP,
+            Response::PutMany(_) => OP_PUT_MANY | OP_RESP,
+            Response::Stats(_) => OP_STATS | OP_RESP,
+            Response::Err(_) => OP_ERR,
         }
+    }
+}
+
+/// Start a frame for `opcode` answering or asking `req_id`.
+fn begin(out: &mut Vec<u8>, opcode: u8, req_id: u64) -> usize {
+    let start = frame::begin(out, opcode);
+    out.extend_from_slice(&req_id.to_le_bytes());
+    start
+}
+
+/// Append a request to `out` as one complete frame.
+pub fn encode_request(req_id: u64, req: &Request, out: &mut Vec<u8>) -> Result<()> {
+    let start = begin(out, req.opcode(), req_id);
+    match req {
+        Request::Get(cid) => out.extend_from_slice(cid.as_bytes()),
         Request::GetMany(cids) => {
-            put_u32(&mut p, cids.len());
+            put_u32(out, cids.len())?;
             for cid in cids {
-                p.extend_from_slice(cid.as_bytes());
+                out.extend_from_slice(cid.as_bytes());
             }
-            OP_GET_MANY
         }
-        Request::Put(chunk) => {
-            p.extend_from_slice(&chunk.encode());
-            OP_PUT
-        }
+        Request::Put(chunk) => put_chunk(out, chunk),
         Request::PutMany(chunks) => {
-            put_u32(&mut p, chunks.len());
+            put_u32(out, chunks.len())?;
             for chunk in chunks {
-                let encoded = chunk.encode();
-                put_u32(&mut p, encoded.len());
-                p.extend_from_slice(&encoded);
+                put_sized_chunk(out, chunk)?;
             }
-            OP_PUT_MANY
         }
-        Request::Stats => OP_STATS,
-    };
-    super::frame::encode(opcode, &p)
+        Request::Stats => {}
+    }
+    frame::finish(out, start)
 }
 
 /// Decode a request frame body. `None` on any malformed payload — the
 /// server drops the connection rather than guess.
-pub fn decode_request(opcode: u8, payload: &[u8]) -> Option<(u64, Request)> {
+pub fn decode_request(opcode: u8, payload: &Bytes) -> Option<(u64, Request)> {
     let mut c = Cursor::new(payload);
     let req_id = c.u64()?;
     let req = match opcode {
@@ -182,15 +250,15 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Option<(u64, Request)> {
             }
             Request::GetMany(cids)
         }
-        OP_PUT => Request::Put(Chunk::decode(c.rest())?),
+        OP_PUT => Request::Put(c.chunk()?),
         OP_PUT_MANY => {
             let n = c.u32()? as usize;
-            let mut chunks = Vec::with_capacity(n.min(1 << 16));
+            let mut parts = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 let len = c.u32()? as usize;
-                chunks.push(Chunk::decode(c.take(len)?)?);
+                parts.push(c.chunk_parts(len)?);
             }
-            Request::PutMany(chunks)
+            Request::PutMany(Chunk::new_batch_mixed(parts))
         }
         OP_STATS => Request::Stats,
         _ => return None,
@@ -198,81 +266,89 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Option<(u64, Request)> {
     c.done().then_some((req_id, req))
 }
 
-/// Encode a response as a complete frame.
-pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64);
-    p.extend_from_slice(&req_id.to_le_bytes());
-    let opcode = match resp {
-        Response::Get(chunk) => {
-            match chunk {
-                Some(chunk) => {
-                    p.push(1);
-                    p.extend_from_slice(&chunk.encode());
-                }
-                None => p.push(0),
-            }
-            OP_GET | OP_RESP
+/// Append a response to `out`: one complete frame, except that a
+/// [`Response::GetMany`] over [`FRAME_BUDGET`] becomes several, each
+/// answering the next run of slots.
+pub fn encode_response(req_id: u64, resp: &Response, out: &mut Vec<u8>) -> Result<()> {
+    let mut start = begin(out, resp.opcode(), req_id);
+    match resp {
+        Response::Get(None) => out.push(0),
+        Response::Get(Some(chunk)) => {
+            out.push(1);
+            put_chunk(out, chunk);
         }
-        Response::GetMany(chunks) => {
-            put_u32(&mut p, chunks.len());
-            for chunk in chunks {
-                match chunk {
-                    Some(chunk) => {
-                        p.push(1);
-                        let encoded = chunk.encode();
-                        put_u32(&mut p, encoded.len());
-                        p.extend_from_slice(&encoded);
+        Response::GetMany(slots) => {
+            let mut slots = &slots[..];
+            loop {
+                let count_at = out.len();
+                out.extend_from_slice(&[0; 4]);
+                let mut n = 0u32;
+                while let Some((slot, tail)) = slots.split_first() {
+                    let len = 1 + slot.as_ref().map_or(0, sized_chunk_len);
+                    if n > 0 && out.len() - count_at + len > FRAME_BUDGET {
+                        break;
                     }
-                    None => p.push(0),
+                    match slot {
+                        Some(chunk) => {
+                            out.push(1);
+                            put_sized_chunk(out, chunk)?;
+                        }
+                        None => out.push(0),
+                    }
+                    n += 1;
+                    slots = tail;
                 }
+                out[count_at..count_at + 4].copy_from_slice(&n.to_le_bytes());
+                if slots.is_empty() {
+                    break;
+                }
+                frame::finish(out, start)?;
+                start = begin(out, resp.opcode(), req_id);
             }
-            OP_GET_MANY | OP_RESP
         }
-        Response::Put(outcome) => {
-            p.push(outcome_byte(*outcome));
-            OP_PUT | OP_RESP
-        }
+        Response::Put(outcome) => out.push(outcome_byte(*outcome)),
         Response::PutMany(outcomes) => {
-            put_u32(&mut p, outcomes.len());
-            p.extend(outcomes.iter().map(|o| outcome_byte(*o)));
-            OP_PUT_MANY | OP_RESP
+            put_u32(out, outcomes.len())?;
+            out.extend(outcomes.iter().map(|o| outcome_byte(*o)));
         }
-        Response::Stats(stats) => {
-            p.extend_from_slice(&stats.to_wire());
-            OP_STATS | OP_RESP
-        }
-        Response::Err(msg) => {
-            p.extend_from_slice(msg.as_bytes());
-            OP_ERR
-        }
-    };
-    super::frame::encode(opcode, &p)
+        Response::Stats(stats) => out.extend_from_slice(&stats.to_wire()),
+        Response::Err(msg) => out.extend_from_slice(msg.as_bytes()),
+    }
+    frame::finish(out, start)
 }
 
 /// Decode a response frame body. `None` on any malformed payload.
-pub fn decode_response(opcode: u8, payload: &[u8]) -> Option<(u64, Response)> {
+pub fn decode_response(opcode: u8, payload: &Bytes) -> Option<(u64, Response)> {
     let mut c = Cursor::new(payload);
     let req_id = c.u64()?;
     let resp = match opcode {
         o if o == OP_GET | OP_RESP => Response::Get(match c.u8()? {
             0 => None,
-            1 => Some(Chunk::decode(c.rest())?),
+            1 => Some(c.chunk()?),
             _ => return None,
         }),
         o if o == OP_GET_MANY | OP_RESP => {
             let n = c.u32()? as usize;
-            let mut chunks = Vec::with_capacity(n.min(1 << 16));
+            let mut present = Vec::with_capacity(n.min(1 << 16));
+            let mut parts = Vec::new();
             for _ in 0..n {
-                chunks.push(match c.u8()? {
-                    0 => None,
+                present.push(match c.u8()? {
+                    0 => false,
                     1 => {
                         let len = c.u32()? as usize;
-                        Some(Chunk::decode(c.take(len)?)?)
+                        parts.push(c.chunk_parts(len)?);
+                        true
                     }
                     _ => return None,
                 });
             }
-            Response::GetMany(chunks)
+            let mut chunks = Chunk::new_batch_mixed(parts).into_iter();
+            Response::GetMany(
+                present
+                    .into_iter()
+                    .map(|here| here.then(|| chunks.next()).flatten())
+                    .collect(),
+            )
         }
         o if o == OP_PUT | OP_RESP => Response::Put(outcome_from(c.u8()?)?),
         o if o == OP_PUT_MANY | OP_RESP => {
@@ -292,23 +368,39 @@ pub fn decode_response(opcode: u8, payload: &[u8]) -> Option<(u64, Response)> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::frame::FrameDecoder;
+    use super::super::frame::{Frame, FrameDecoder};
     use super::*;
-    use forkbase_chunk::ChunkType;
+
+    fn frames_of(mut bytes: &[u8]) -> Vec<Frame> {
+        let mut dec = FrameDecoder::new();
+        let mut frames = Vec::new();
+        loop {
+            while let Some(frame) = dec.next_frame().expect("valid") {
+                frames.push(frame);
+            }
+            if bytes.is_empty() {
+                assert_eq!(dec.buffered(), 0, "no partial frame left over");
+                return frames;
+            }
+            dec.read_from(&mut bytes).expect("slice read");
+        }
+    }
 
     fn round_trip_request(req: Request) -> (u64, Request) {
-        let bytes = encode_request(77, &req);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        let frame = dec.next_frame().expect("valid").expect("complete");
+        let mut bytes = Vec::new();
+        encode_request(77, &req, &mut bytes).expect("encodes");
+        let [frame] = &frames_of(&bytes)[..] else {
+            panic!("a request is one frame");
+        };
         decode_request(frame.opcode, &frame.payload).expect("decodes")
     }
 
     fn round_trip_response(resp: Response) -> (u64, Response) {
-        let bytes = encode_response(98, &resp);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        let frame = dec.next_frame().expect("valid").expect("complete");
+        let mut bytes = Vec::new();
+        encode_response(98, &resp, &mut bytes).expect("encodes");
+        let [frame] = &frames_of(&bytes)[..] else {
+            panic!("a small response is one frame");
+        };
         decode_response(frame.opcode, &frame.payload).expect("decodes")
     }
 
@@ -316,12 +408,14 @@ mod tests {
     fn requests_round_trip() {
         let a = Chunk::new(ChunkType::Blob, &b"aaa"[..]);
         let b = Chunk::new(ChunkType::Map, &b"bbb"[..]);
+        let empty = Chunk::new(ChunkType::Blob, Bytes::new());
         for req in [
             Request::Get(a.cid()),
             Request::GetMany(vec![a.cid(), b.cid()]),
             Request::GetMany(vec![]),
             Request::Put(a.clone()),
-            Request::PutMany(vec![a.clone(), b.clone()]),
+            Request::Put(empty.clone()),
+            Request::PutMany(vec![a.clone(), empty, b.clone()]),
             Request::PutMany(vec![]),
             Request::Stats,
         ] {
@@ -358,30 +452,74 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_decoded_id() {
-        let bytes = encode_request(0xDEAD_BEEF_0123, &Request::Stats);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        let frame = dec.next_frame().unwrap().unwrap();
-        assert_eq!(peek_req_id(&frame.payload), Some(0xDEAD_BEEF_0123));
+    fn a_decoded_chunk_is_a_slice_of_its_frame() {
+        let a = Chunk::new(ChunkType::Blob, vec![7u8; 1000]);
+        let mut bytes = Vec::new();
+        encode_request(1, &Request::PutMany(vec![a.clone(), a.clone()]), &mut bytes).unwrap();
+        let frame = frames_of(&bytes).pop().unwrap();
+        let (_, Request::PutMany(chunks)) = decode_request(frame.opcode, &frame.payload).unwrap()
+        else {
+            panic!("a put_many");
+        };
+        let frame_range = frame.payload.as_ptr_range();
+        for chunk in &chunks {
+            assert_eq!(*chunk, a);
+            assert!(frame_range.contains(&chunk.payload().as_ptr()));
+        }
+    }
+
+    #[test]
+    fn a_get_many_reply_over_the_budget_is_several_frames() {
+        // Over three budgets of chunks, with absent slots mixed in.
+        let slots: Vec<Option<Chunk>> = (0..4 * FRAME_BUDGET / (256 << 10))
+            .map(|i| (i % 5 != 4).then(|| Chunk::new(ChunkType::Blob, vec![i as u8; 256 << 10])))
+            .collect();
+        let mut bytes = Vec::new();
+        encode_response(5, &Response::GetMany(slots.clone()), &mut bytes).unwrap();
+        let frames = frames_of(&bytes);
+        assert!(frames.len() >= 3, "{} frames", frames.len());
+        let mut back = Vec::new();
+        for frame in &frames {
+            assert!(frame.payload.len() <= FRAME_BUDGET + 16);
+            match decode_response(frame.opcode, &frame.payload) {
+                Some((5, Response::GetMany(run))) => {
+                    assert!(!run.is_empty());
+                    back.extend(run);
+                }
+                other => panic!("not a get_many run: {other:?}"),
+            }
+        }
+        assert_eq!(back, slots);
+    }
+
+    #[test]
+    fn a_chunk_no_frame_can_carry_is_an_error_not_a_panic() {
+        let huge = Chunk::new(ChunkType::Blob, vec![0u8; frame::MAX_BODY_LEN]);
+        let mut out = Vec::new();
+        assert!(matches!(
+            encode_request(1, &Request::Put(huge.clone()), &mut out),
+            Err(FbError::Io(_))
+        ));
+        out.clear();
+        assert!(matches!(
+            encode_response(1, &Response::GetMany(vec![Some(huge)]), &mut out),
+            Err(FbError::Io(_))
+        ));
     }
 
     #[test]
     fn truncated_and_trailing_payloads_rejected() {
         let a = Chunk::new(ChunkType::Blob, &b"aaa"[..]);
-        let bytes = encode_request(5, &Request::Get(a.cid()));
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        let frame = dec.next_frame().unwrap().unwrap();
+        let mut bytes = Vec::new();
+        encode_request(5, &Request::Get(a.cid()), &mut bytes).unwrap();
+        let frame = frames_of(&bytes).pop().unwrap();
         // Truncated: drop the last payload byte.
-        assert_eq!(
-            decode_request(frame.opcode, &frame.payload[..frame.payload.len() - 1]),
-            None
-        );
+        let short = frame.payload.slice(..frame.payload.len() - 1);
+        assert_eq!(decode_request(frame.opcode, &short), None);
         // Trailing garbage after a well-formed body.
         let mut long = frame.payload.to_vec();
         long.push(0);
-        assert_eq!(decode_request(frame.opcode, &long), None);
+        assert_eq!(decode_request(frame.opcode, &Bytes::from(long)), None);
         // Unknown opcode.
         assert_eq!(decode_request(0x7E, &frame.payload), None);
     }

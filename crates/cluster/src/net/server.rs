@@ -2,20 +2,20 @@
 //! server loop over any [`ChunkService`] backend.
 //!
 //! Each accepted connection gets one handler thread that decodes frames,
-//! executes requests against the backend, and writes the response frame
-//! back. Requests on one connection are served in order, but the client
-//! does not wait between sends — a pipelined batch pays one round trip,
-//! not one per request. Concurrency comes from connections (the client
-//! pools several), matching the `Durability::Batch` flusher precedent of
-//! plain background threads over an async runtime.
+//! executes requests against the backend, and writes the response back
+//! in one `write`. Requests on one connection are served one after
+//! another; concurrency comes from connections (the client keeps a few
+//! per peer and uses each for one request at a time), matching the
+//! `Durability::Batch` flusher precedent of plain background threads
+//! over an async runtime.
 
-use super::frame::FrameDecoder;
+use super::frame::{self, FrameDecoder};
 use super::proto::{self, Request, Response};
 use crate::service::ChunkService;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -27,6 +27,17 @@ use std::thread::JoinHandle;
 struct Shared {
     stop: AtomicBool,
     conns: Mutex<HashMap<u64, TcpStream>>,
+    accepted: AtomicU64,
+    requests: AtomicU64,
+}
+
+/// What a [`ChunkServer`] has seen on its wire so far.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WireCounters {
+    /// Connections accepted.
+    pub connections: u64,
+    /// Request frames decoded and executed.
+    pub requests: u64,
 }
 
 /// A running chunk-service endpoint. Dropping (or [`stop`]ping) it
@@ -56,6 +67,8 @@ impl ChunkServer {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
+            accepted: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -71,6 +84,14 @@ impl ChunkServer {
     /// The bound address (the real port when bound with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Connections accepted and request frames served since the start.
+    pub fn counters(&self) -> WireCounters {
+        WireCounters {
+            connections: self.shared.accepted.load(Ordering::Relaxed),
+            requests: self.shared.requests.load(Ordering::Relaxed),
+        }
     }
 
     /// Stop accepting, close every open connection, and join the accept
@@ -104,6 +125,7 @@ fn accept_loop(listener: TcpListener, backend: Arc<dyn ChunkService>, shared: Ar
             break;
         }
         let Ok(stream) = stream else { continue };
+        shared.accepted.fetch_add(1, Ordering::Relaxed);
         let _ = stream.set_nodelay(true);
         let id = next_id;
         next_id += 1;
@@ -115,7 +137,7 @@ fn accept_loop(listener: TcpListener, backend: Arc<dyn ChunkService>, shared: Ar
         let _ = std::thread::Builder::new()
             .name("fb-chunk-conn".into())
             .spawn(move || {
-                let _ = serve_conn(stream, &*backend);
+                let _ = serve_conn(stream, &*backend, &conn_shared.requests);
                 // The connection is done: drop its shutdown handle too,
                 // closing the dup'd fd.
                 conn_shared.conns.lock().expect("conns lock").remove(&id);
@@ -140,27 +162,32 @@ fn execute(backend: &dyn ChunkService, req: Request) -> Response {
 /// One connection's serve loop: read → decode → execute → respond.
 /// Returns (dropping the connection) on EOF, I/O failure, or the first
 /// malformed frame — after corruption the stream offset is untrusted.
-fn serve_conn(mut stream: TcpStream, backend: &dyn ChunkService) -> std::io::Result<()> {
+fn serve_conn(
+    mut stream: TcpStream,
+    backend: &dyn ChunkService,
+    requests: &AtomicU64,
+) -> std::io::Result<()> {
+    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
     let mut decoder = FrameDecoder::new();
-    let mut buf = vec![0u8; 64 * 1024];
+    let mut out = Vec::new();
     loop {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Ok(()); // clean EOF
-        }
-        decoder.feed(&buf[..n]);
-        while let Some(frame) = decoder
-            .next_frame()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-        {
-            let Some((req_id, req)) = proto::decode_request(frame.opcode, &frame.payload) else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "malformed request payload",
-                ));
-            };
+        while let Some(frame) = decoder.next_frame().map_err(|e| invalid(e.to_string()))? {
+            let (req_id, req) = proto::decode_request(frame.opcode, &frame.payload)
+                .ok_or_else(|| invalid("malformed request payload".into()))?;
+            requests.fetch_add(1, Ordering::Relaxed);
             let resp = execute(backend, req);
-            stream.write_all(&proto::encode_response(req_id, &resp))?;
+            frame::recycle(&mut out);
+            if let Err(e) = proto::encode_response(req_id, &resp, &mut out) {
+                // What was found does not fit the wire: say so instead
+                // of leaving the caller to its timeout.
+                out.clear();
+                proto::encode_response(req_id, &Response::Err(e.to_string()), &mut out)
+                    .map_err(|e| invalid(e.to_string()))?;
+            }
+            stream.write_all(&out)?;
+        }
+        if decoder.read_from(&mut stream)? == 0 {
+            return Ok(()); // clean EOF
         }
     }
 }

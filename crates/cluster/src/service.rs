@@ -2,7 +2,9 @@
 //!
 //! Every cluster node exposes its chunk storage through [`ChunkService`]
 //! — the five-operation surface a remote peer needs (fetch, batched
-//! fetch, store, batched store, health). The dispatcher, the two-layer
+//! fetch, store, batched store, health), the two batched ones also in a
+//! split-phase form ([`Completion`]) so a caller can have several nodes
+//! working at once. The dispatcher, the two-layer
 //! store, and the remote-chunk cache are all written against
 //! `Arc<dyn ChunkService>`, so the wire is pluggable:
 //!
@@ -25,11 +27,38 @@ use forkbase_core::Result;
 use forkbase_crypto::Digest;
 use std::sync::Arc;
 
+/// The second half of a split-phase request: the request is already on
+/// its way (or, for a service that has no wire, already answered), and
+/// [`wait`](Self::wait) collects the answer.
+///
+/// A caller with batches for several nodes starts them all and only then
+/// waits, so the nodes work at the same time. Between start and wait it
+/// must not issue another request to the *same* service: a network
+/// service holds one of its pooled connections for the completion.
+/// Dropping a completion without waiting abandons the request.
+pub struct Completion<'a, T>(Box<dyn FnOnce() -> Result<T> + 'a>);
+
+impl<'a, T: 'a> Completion<'a, T> {
+    /// A request that has already been answered.
+    pub fn ready(answer: Result<T>) -> Completion<'a, T> {
+        Completion(Box::new(move || answer))
+    }
+
+    /// A request in flight; `collect` blocks for its answer.
+    pub fn deferred(collect: impl FnOnce() -> Result<T> + 'a) -> Completion<'a, T> {
+        Completion(Box::new(collect))
+    }
+
+    /// Block until the answer is here.
+    pub fn wait(self) -> Result<T> {
+        (self.0)()
+    }
+}
+
 /// The service surface of one cluster node's chunk storage.
 ///
 /// Implementations must be thread-safe: servlet pool views and benchmark
-/// drivers issue requests from many threads concurrently, and a network
-/// implementation is expected to pipeline them over shared connections.
+/// drivers issue requests from many threads concurrently.
 pub trait ChunkService: Send + Sync {
     /// Fetch a chunk by cid. `Ok(None)` means the node does not hold the
     /// chunk; `Err` means the node could not be asked.
@@ -49,6 +78,20 @@ pub trait ChunkService: Send + Sync {
     /// Store many chunks at once; element `i` answers `chunks[i]`.
     fn put_many(&self, chunks: Vec<Chunk>) -> Result<Vec<PutOutcome>> {
         chunks.into_iter().map(|c| self.put(c)).collect()
+    }
+
+    /// [`get_many`](Self::get_many) in two phases: send now, collect
+    /// with [`Completion::wait`]. The default has nothing to overlap and
+    /// answers on the spot; a network transport sends the request here
+    /// and reads the reply in the completion.
+    fn start_get_many<'a>(&'a self, cids: &'a [Digest]) -> Completion<'a, Vec<Option<Chunk>>> {
+        Completion::ready(self.get_many(cids))
+    }
+
+    /// [`put_many`](Self::put_many) in two phases, like
+    /// [`start_get_many`](Self::start_get_many).
+    fn start_put_many(&self, chunks: Vec<Chunk>) -> Completion<'_, Vec<PutOutcome>> {
+        Completion::ready(self.put_many(chunks))
     }
 
     /// The node's storage statistics — the observability surface that
@@ -73,6 +116,14 @@ impl<S: ChunkService + ?Sized> ChunkService for Arc<S> {
 
     fn put_many(&self, chunks: Vec<Chunk>) -> Result<Vec<PutOutcome>> {
         (**self).put_many(chunks)
+    }
+
+    fn start_get_many<'a>(&'a self, cids: &'a [Digest]) -> Completion<'a, Vec<Option<Chunk>>> {
+        (**self).start_get_many(cids)
+    }
+
+    fn start_put_many(&self, chunks: Vec<Chunk>) -> Completion<'_, Vec<PutOutcome>> {
+        (**self).start_put_many(chunks)
     }
 
     fn stats(&self) -> Result<StoreStats> {

@@ -124,7 +124,7 @@ impl ChunkService for Servlet {
     }
 
     fn put_many(&self, chunks: Vec<Chunk>) -> forkbase_core::Result<Vec<PutOutcome>> {
-        Ok(chunks.into_iter().map(|c| self.local.put(c)).collect())
+        Ok(self.local.put_many(chunks))
     }
 
     /// The node's merged view: local storage counters, plus the

@@ -113,6 +113,21 @@ impl TwoLayerStore {
         self.io_errors.load(Ordering::Relaxed)
     }
 
+    /// The non-empty per-node shares of a batch, this servlet's own node
+    /// last: its service answers on the spot, and by then every remote
+    /// node's request should be on the wire. The remote nodes stay in
+    /// index order, so every caller takes its sockets in the same order
+    /// and two batches never wait on each other's.
+    fn remotes_first(&self, by_node: Vec<Vec<usize>>) -> Vec<(usize, Vec<usize>)> {
+        let mut shares: Vec<(usize, Vec<usize>)> = by_node
+            .into_iter()
+            .enumerate()
+            .filter(|(_, slots)| !slots.is_empty())
+            .collect();
+        shares.sort_by_key(|(node, _)| !self.is_remote(*node));
+        shares
+    }
+
     /// Fetch from the owning node, filling the remote cache when the
     /// owner is not this servlet's node. A transport failure counts as
     /// an io_error and reads as absent, like a failed durable read.
@@ -147,43 +162,46 @@ impl ChunkStore for TwoLayerStore {
 
     /// Batched get: local probes first, then the remote cache, then one
     /// [`get_many`](ChunkService::get_many) per owning node for whatever
-    /// is left — over TCP that is one request/response frame per node,
-    /// however many cids the batch carries.
+    /// is left — over TCP that is one request frame per node, however
+    /// many cids the batch carries, and every node's request is on the
+    /// wire before the first reply is waited for: a batch spanning R
+    /// remote nodes costs one round trip, not R.
     fn get_many(&self, cids: &[Digest]) -> Vec<Option<Chunk>> {
         let mut out: Vec<Option<Chunk>> = Vec::with_capacity(cids.len());
-        let mut missing: Vec<usize> = Vec::new();
+        let mut by_node: Vec<Vec<usize>> = vec![Vec::new(); self.pool.len()];
         for (i, cid) in cids.iter().enumerate() {
             let found = self
                 .local
                 .get(cid)
                 .or_else(|| self.remote_cache.as_ref().and_then(|cache| cache.get(cid)));
             if found.is_none() {
-                missing.push(i);
+                by_node[self.node_of(cid)].push(i);
             }
             out.push(found);
         }
-        // Group the leftovers by owning node: one batched call each.
-        let mut by_node: Vec<Vec<usize>> = vec![Vec::new(); self.pool.len()];
-        for &i in &missing {
-            by_node[self.node_of(&cids[i])].push(i);
-        }
-        for (node, slots) in by_node.into_iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let node_cids: Vec<Digest> = slots.iter().map(|&i| cids[i]).collect();
-            let fetched = match self.pool[node].get_many(&node_cids) {
-                Ok(fetched) if fetched.len() == node_cids.len() => fetched,
-                _ => {
-                    self.record_io_error();
-                    continue; // the slots stay None
+        let shares: Vec<(usize, Vec<usize>, Vec<Digest>)> = self
+            .remotes_first(by_node)
+            .into_iter()
+            .map(|(node, slots)| {
+                let node_cids = slots.iter().map(|&i| cids[i]).collect();
+                (node, slots, node_cids)
+            })
+            .collect();
+        let started: Vec<_> = shares
+            .iter()
+            .map(|(node, _, node_cids)| self.pool[*node].start_get_many(node_cids))
+            .collect();
+        for ((node, slots, _), request) in shares.iter().zip(started) {
+            match request.wait() {
+                Ok(fetched) if fetched.len() == slots.len() => {
+                    for (&slot, chunk) in slots.iter().zip(fetched) {
+                        if let Some(chunk) = &chunk {
+                            self.cache_if_remote(*node, chunk);
+                        }
+                        out[slot] = chunk;
+                    }
                 }
-            };
-            for (slot, chunk) in slots.into_iter().zip(fetched) {
-                if let Some(chunk) = &chunk {
-                    self.cache_if_remote(node, chunk);
-                }
-                out[slot] = chunk;
+                _ => self.record_io_error(), // the slots stay None
             }
         }
         out
@@ -218,44 +236,53 @@ impl ChunkStore for TwoLayerStore {
     /// Batched put, the mirror of [`get_many`](Self::get_many): meta
     /// chunks go to the local store, data chunks in one
     /// [`put_many`](ChunkService::put_many) per owning node — over TCP one
-    /// request/response frame per node instead of one blocking round trip
-    /// per chunk. Write-through and the dead-node fallback are those of
-    /// [`put`](Self::put), taken per node: a node that cannot be reached
-    /// costs one io_error and its share of the batch lands locally.
+    /// request frame per node instead of one blocking round trip per
+    /// chunk, all of them sent before this servlet stores its own share
+    /// and only then waited for. Write-through and the dead-node fallback
+    /// are those of [`put`](Self::put), taken per node: a node that
+    /// cannot be reached costs one io_error and its share of the batch
+    /// lands locally.
     fn put_many(&self, chunks: Vec<Chunk>) -> Vec<PutOutcome> {
         let mut out = vec![PutOutcome::Stored; chunks.len()];
         let mut by_node: Vec<Vec<usize>> = vec![Vec::new(); self.pool.len()];
-        let mut local: Vec<usize> = Vec::new();
+        let mut meta: Vec<usize> = Vec::new();
         for (i, chunk) in chunks.iter().enumerate() {
             match chunk.ty() {
-                ChunkType::Meta => local.push(i),
+                ChunkType::Meta => meta.push(i),
                 _ => by_node[self.node_of(&chunk.cid())].push(i),
             }
         }
-        for (node, slots) in by_node.into_iter().enumerate() {
-            if slots.is_empty() {
-                continue;
+        let batch_of =
+            |slots: &[usize]| -> Vec<Chunk> { slots.iter().map(|&i| chunks[i].clone()).collect() };
+        let put_locally = |slots: &[usize], out: &mut [PutOutcome]| {
+            if !slots.is_empty() {
+                for (&i, outcome) in slots.iter().zip(self.local.put_many(batch_of(slots))) {
+                    out[i] = outcome;
+                }
             }
-            let batch: Vec<Chunk> = slots.iter().map(|&i| chunks[i].clone()).collect();
-            match self.pool[node].put_many(batch) {
+        };
+        let shares = self.remotes_first(by_node);
+        let started: Vec<_> = shares
+            .iter()
+            .map(|(node, slots)| self.pool[*node].start_put_many(batch_of(slots)))
+            .collect();
+        put_locally(&meta, &mut out);
+        let mut fallen: Vec<usize> = Vec::new();
+        for ((node, slots), request) in shares.iter().zip(started) {
+            match request.wait() {
                 Ok(outcomes) if outcomes.len() == slots.len() => {
                     for (&i, outcome) in slots.iter().zip(outcomes) {
                         out[i] = outcome;
-                        self.cache_if_remote(node, &chunks[i]);
+                        self.cache_if_remote(*node, &chunks[i]);
                     }
                 }
                 _ => {
                     self.record_io_error();
-                    local.extend(slots);
+                    fallen.extend(slots);
                 }
             }
         }
-        if !local.is_empty() {
-            let batch: Vec<Chunk> = local.iter().map(|&i| chunks[i].clone()).collect();
-            for (&i, outcome) in local.iter().zip(self.local.put_many(batch)) {
-                out[i] = outcome;
-            }
-        }
+        put_locally(&fallen, &mut out);
         out
     }
 

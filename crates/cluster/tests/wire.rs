@@ -36,7 +36,18 @@ fn sample_frames() -> Vec<(u8, Vec<u8>)> {
 }
 
 fn stream_of(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
-    frames.iter().flat_map(|(op, p)| encode(*op, p)).collect()
+    frames
+        .iter()
+        .flat_map(|(op, p)| encode(*op, p).expect("encodes"))
+        .collect()
+}
+
+/// Hand `bytes` to the decoder the way a socket would: as the source of
+/// its reads, until they are all taken.
+fn feed(decoder: &mut FrameDecoder, mut bytes: &[u8]) {
+    while !bytes.is_empty() {
+        decoder.read_from(&mut bytes).expect("slice read");
+    }
 }
 
 fn drain(decoder: &mut FrameDecoder) -> Vec<(u8, Vec<u8>)> {
@@ -54,9 +65,9 @@ fn frames_survive_a_split_at_every_byte_offset() {
     for split in 0..=stream.len() {
         let mut decoder = FrameDecoder::new();
         let mut got = Vec::new();
-        decoder.feed(&stream[..split]);
+        feed(&mut decoder, &stream[..split]);
         got.extend(drain(&mut decoder));
-        decoder.feed(&stream[split..]);
+        feed(&mut decoder, &stream[split..]);
         got.extend(drain(&mut decoder));
         assert_eq!(got, frames, "split at byte {split}");
     }
@@ -69,7 +80,7 @@ fn frames_survive_byte_at_a_time_delivery() {
     let mut decoder = FrameDecoder::new();
     let mut got = Vec::new();
     for byte in &stream {
-        decoder.feed(std::slice::from_ref(byte));
+        feed(&mut decoder, std::slice::from_ref(byte));
         got.extend(drain(&mut decoder));
     }
     assert_eq!(got, frames);
@@ -81,7 +92,7 @@ fn truncation_at_every_offset_reads_as_incomplete_then_completes() {
     let stream = stream_of(&frames);
     for cut in 0..stream.len() {
         let mut decoder = FrameDecoder::new();
-        decoder.feed(&stream[..cut]);
+        feed(&mut decoder, &stream[..cut]);
         let complete = drain(&mut decoder);
         assert!(
             complete.len() <= frames.len(),
@@ -91,7 +102,7 @@ fn truncation_at_every_offset_reads_as_incomplete_then_completes() {
         // never an invented or reordered frame.
         assert_eq!(complete[..], frames[..complete.len()], "cut at {cut}");
         // The rest of the bytes finish the job.
-        decoder.feed(&stream[cut..]);
+        feed(&mut decoder, &stream[cut..]);
         let mut all = complete;
         all.extend(drain(&mut decoder));
         assert_eq!(all, frames, "resumed after cut at {cut}");
@@ -101,13 +112,13 @@ fn truncation_at_every_offset_reads_as_incomplete_then_completes() {
 #[test]
 fn single_byte_corruption_never_yields_a_frame() {
     let (opcode, payload) = (0x03u8, b"checksummed payload".to_vec());
-    let pristine = encode(opcode, &payload);
+    let pristine = encode(opcode, &payload).expect("encodes");
     for offset in 0..pristine.len() {
         for flip in [0x01u8, 0x80] {
             let mut corrupt = pristine.clone();
             corrupt[offset] ^= flip;
             let mut decoder = FrameDecoder::new();
-            decoder.feed(&corrupt);
+            feed(&mut decoder, &corrupt);
             match decoder.next_frame() {
                 // Detected: bad magic, bad length, or bad checksum.
                 Err(_) => {}

@@ -20,8 +20,8 @@ fn main() {
 
     // --- The same cluster over TCP ---------------------------------------
     // Each node binds a ChunkServer on an ephemeral loopback port; peers
-    // reach it through pooled, pipelined TcpChunkClients. The transport
-    // is invisible to the API.
+    // reach it through TcpChunkClients that pool a few sockets per peer.
+    // The transport is invisible to the API.
     let cluster = Cluster::builder(3)
         .partitioning(Partitioning::TwoLayer)
         .tcp()
