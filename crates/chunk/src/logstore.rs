@@ -52,26 +52,59 @@
 //!
 //! # Durability and group commit
 //!
-//! [`Durability`] picks the commit policy:
+//! One rule decides who touches the segment file: **a caller that must
+//! wait for durability leads its own round; a caller that need not wait
+//! never touches the file.** A *round* is the group commit: the leader
+//! takes the whole queue, releases the commit lock, issues one `write`
+//! (+ one fsync when the round owes one), re-locks and publishes.
+//!
+//! * Callers that wait — a `put` under [`Always`](Durability::Always),
+//!   [`sync`](LogStore::sync), [`sync_root`](LogStore::sync_root), close
+//!   and compaction — lead inline. When several arrive together one
+//!   becomes the **leader**, the rest wait for its fsync: N threads share
+//!   one.
+//! * Everything else is the **writer thread**'s (`logstore-writer`, one
+//!   per store, joined on close). A `put` under
+//!   [`Batch`](Durability::Batch) or [`Os`](Durability::Os) encodes its
+//!   record into the queue and returns; when that made the backlog *due*
+//!   — `max_records` or `interval` reached under `Batch`, 1 MiB queued
+//!   in either mode — it signals the writer, which leads the round. The
+//!   writer sleeps on a condvar of the commit mutex, so a signal cannot
+//!   fall between its check and its wait; under `Batch` it also wakes
+//!   every half interval, so an idle store's unsynced window is bounded by
+//!   wall-clock. A putter that finds 8 MiB queued (a disk slower than its
+//!   producers) waits for the writer's next round: queue memory is
+//!   bounded.
+//!
+//! [`Durability`] picks the policy:
 //!
 //! * [`Always`](Durability::Always) — a `put` returns only after its
-//!   record is fsynced. Concurrent `put`s coalesce: one caller becomes
-//!   the commit **leader**, drains the whole queue with a single
-//!   write+fsync, and wakes the waiters — N threads share one fsync.
+//!   record is fsynced.
 //! * [`Batch`](Durability::Batch) — a `put` returns once its record is
-//!   queued; the queue is written and fsynced when it reaches
-//!   `max_records` or `interval` has elapsed. Deadlines are evaluated on
-//!   `put`/[`sync`](LogStore::sync) **and** by a background flusher
-//!   thread, so an idle store's window is bounded by wall-clock (~the
-//!   interval), not by the arrival of the next call. The flusher is
-//!   joined on close. A crash loses at most that window.
-//! * [`Os`](Durability::Os) — records are handed to the OS page cache;
-//!   fsync happens only on [`sync`](LogStore::sync), on close, and of a
-//!   full segment when the writer leaves it.
+//!   queued. A crash loses at most one window: the `max_records` (or
+//!   `interval`) that signal the writer, plus what arrives while its
+//!   round is in flight.
+//! * [`Os`](Durability::Os) — records are handed to the OS page cache
+//!   1 MiB at a time; fsync happens only on [`sync`](LogStore::sync), on
+//!   close, and of a full segment when the writer leaves it.
+//!
+//! A failed round drops the records it took, latches
+//! [`poisoned`](LogStore::poisoned) and counts in `io_errors` whoever led
+//! it; the next [`sync`](LogStore::sync) returns `Err`, once.
+//!
+//! Periodic index snapshots (every `snapshot_bytes` appended) are the
+//! writer thread's too, whoever led the round that made one due: the
+//! index up to the synced position is serialised under the commit lock,
+//! and the file is written, fsynced and renamed with the lock released —
+//! puts and rounds go on meanwhile. A snapshot never covers a byte past
+//! the synced position and never overlaps a compaction (which waits for
+//! it, then holds the commit lock throughout).
 //!
 //! Reads never take the commit lock: chunks still in the commit queue
 //! are served from a pending-chunk map, everything else via positioned
-//! reads (`pread`) on per-segment read handles.
+//! reads (`pread`) on per-segment read handles. A batched read sorts its
+//! misses by log position and fetches each run of adjacent records — a
+//! blob's leaves, written by one `put_many` — with one `pread`.
 //!
 //! # Failure reporting
 //!
@@ -109,25 +142,40 @@ const ROOT_TAG: u8 = 0xFF;
 /// Record framing overhead: magic + len + type tag + trailing cid.
 const REC_OVERHEAD: usize = 4 + 4 + 1 + 32;
 /// Hand the commit queue to the OS once it holds this many bytes even
-/// when no sync deadline requires it (bounds queue memory).
+/// when no sync deadline requires it.
 const QUEUE_HIGH_WATER: usize = 1 << 20;
+/// A putter that finds this much queued waits for the writer thread's
+/// next round (bounds queue memory under a disk slower than its
+/// producers).
+const QUEUE_BOUND: usize = 8 * QUEUE_HIGH_WATER;
+/// Longest run of adjacent records a batched read fetches with one
+/// `pread` (bounds its scratch buffer).
+const RUN_MAX_BYTES: u64 = 1 << 20;
 
-/// When a `put` counts as committed.
+/// When a `put` counts as committed — and so who writes it: a `put` that
+/// waits for its fsync leads the commit round itself, a `put` that does
+/// not only queues its record and leaves the file to the store's writer
+/// thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Durability {
     /// Every `put` waits for an fsync covering its record; concurrent
     /// callers share one fsync via group commit.
     Always,
-    /// fsync after `max_records` queued records or `interval`, whichever
-    /// first; `put` returns as soon as the record is queued.
+    /// `put` returns as soon as the record is queued and never touches
+    /// the file; the writer thread writes and fsyncs the queue once it
+    /// holds `max_records` or its oldest record is `interval` old,
+    /// whichever first. A crash loses at most that window plus what was
+    /// put while the writer's round was in flight.
     Batch {
-        /// Records per fsync window.
+        /// Unsynced records that signal the writer thread.
         max_records: usize,
-        /// Maximum age of an unsynced record (checked on put/sync).
+        /// Maximum age of an unsynced record (checked on put, and by the
+        /// writer thread every half interval).
         interval: Duration,
     },
-    /// No fsync except [`LogStore::sync`], close, and of each full
-    /// segment as the writer leaves it.
+    /// `put` queues; the writer thread hands the queue to the OS 1 MiB
+    /// at a time. No fsync except [`LogStore::sync`], close, and of each
+    /// full segment as the writer leaves it.
     Os,
 }
 
@@ -169,6 +217,13 @@ struct Loc {
     plen: u32,
 }
 
+impl Loc {
+    /// Where the record ends: the offset of the next one in the segment.
+    fn end(&self) -> u64 {
+        self.off + REC_OVERHEAD as u64 + self.plen as u64
+    }
+}
+
 /// What the last reopen had to do — lets tests (and operators) assert
 /// that snapshots actually bound recovery work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -206,6 +261,19 @@ enum Rec {
     Chunk(Digest),
     /// A root record naming this cid: neither indexed nor pending.
     Root(Digest),
+}
+
+/// What a group-commit leader is out to do.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Lead {
+    /// Rounds while the durability policy says one is due: the writer
+    /// thread, an `Always` putter.
+    Policy,
+    /// Write and fsync everything outstanding.
+    Sync,
+    /// As `Sync`, with the commit lock held through the I/O: nothing can
+    /// be queued behind the round, so it ends with the log quiescent.
+    Quiesce,
 }
 
 /// One contiguous run of queued record bytes, all in one segment.
@@ -324,10 +392,27 @@ struct CommitState {
     /// The last root record written behind the synced position; the next
     /// sync round promotes it to `root`.
     unsynced_root: Option<Digest>,
+    /// Highest `seq_failed` a [`sync`](LogInner::sync) has returned `Err`
+    /// for: a round that failed with nobody waiting on it (the writer
+    /// thread's) is reported by the next sync.
+    failed_reported: u64,
+    /// The writer thread is writing a periodic snapshot (commit lock
+    /// released during its I/O); compaction, `snapshot()` and close wait
+    /// for it.
+    snapshotting: bool,
+    /// Threads in [`quiesce`](LogInner::quiesce) waiting to have the log
+    /// to themselves: a leader stops after the round it is in and nobody
+    /// else starts one, however much is queued.
+    quiescers: usize,
+    /// The writer thread has been signalled and has not looked yet —
+    /// spares every further put the `notify`.
+    writer_woken: bool,
+    /// Close asked the writer thread to exit.
+    stop: bool,
 }
 
-/// Shared store state: everything the API surface and the background
-/// flusher thread both need.
+/// Shared store state: everything the API surface and the writer thread
+/// both need.
 struct LogInner {
     dir: PathBuf,
     cfg: LogConfig,
@@ -336,28 +421,34 @@ struct LogInner {
     /// Chunks queued but not yet written to their segment file.
     pending: RwLock<FxHashMap<Digest, Chunk>>,
     commit: Mutex<CommitState>,
+    /// Waiters on a round: `Always` putters and syncs behind a leader,
+    /// putters held at [`QUEUE_BOUND`], whoever waits out a snapshot.
     commit_cv: Condvar,
+    /// The writer thread's, also on the commit mutex.
+    writer_cv: Condvar,
     /// Lazily opened per-segment read handles (positioned reads only).
     readers: RwLock<FxHashMap<u32, Arc<File>>>,
     stats: StatCounters,
     /// fsyncs issued ([`LogStore::fsync_count`]).
     fsyncs: AtomicU64,
+    /// Rounds led by a caller ([`LogStore::caller_rounds`]).
+    caller_rounds: AtomicU64,
+    /// Positioned segment reads ([`LogStore::read_count`]).
+    reads: AtomicU64,
     poisoned: AtomicBool,
     reopen: ReopenStats,
-    /// Shutdown protocol for the `Batch` flusher thread.
-    flush_stop: Mutex<bool>,
-    flush_cv: Condvar,
 }
 
 /// Append-only segmented persistent chunk store with group commit.
 ///
-/// The handle owns the shared store state plus, under
-/// [`Durability::Batch`], the background flusher thread that bounds an
-/// idle store's unsynced window by wall-clock. Dropping the store stops
-/// and joins the flusher, then flushes and snapshots.
+/// The handle owns the shared store state plus the writer thread, which
+/// leads every commit round no caller waits for and writes the periodic
+/// index snapshots. Dropping the store stops and joins the writer, then
+/// flushes and snapshots.
 pub struct LogStore {
     inner: Arc<LogInner>,
-    flusher: Option<std::thread::JoinHandle<()>>,
+    /// `None` only once `drop` has joined it.
+    writer: Option<std::thread::JoinHandle<()>>,
 }
 
 fn segment_path(dir: &Path, seg: u32) -> PathBuf {
@@ -419,8 +510,8 @@ impl LogStore {
         durability: Durability,
     ) -> io::Result<LogStore> {
         let inner = Arc::new(LogInner::open_with(path, cfg, durability)?);
-        let flusher = LogInner::spawn_flusher(&inner);
-        Ok(LogStore { inner, flusher })
+        let writer = Some(LogInner::spawn_writer(&inner));
+        Ok(LogStore { inner, writer })
     }
 
     /// Directory holding the segments and snapshot.
@@ -451,8 +542,8 @@ impl LogStore {
 
     /// Acknowledged puts not yet covered by an fsync (the records a
     /// crash right now would lose, queue and written-but-unsynced alike).
-    /// Under `Batch` the background flusher drives this back to zero
-    /// within roughly one interval even when no call arrives.
+    /// Under `Batch` the writer thread drives this back to zero within
+    /// roughly one interval even when no call arrives.
     pub fn pending_unsynced(&self) -> u64 {
         let state = self.inner.commit.lock().expect("commit lock");
         state.seq_enqueued - state.seq_synced.max(state.seq_failed)
@@ -489,6 +580,20 @@ impl LogStore {
         self.inner.fsyncs.load(Ordering::Relaxed)
     }
 
+    /// How many times a caller — an `Always` put, [`sync`](Self::sync),
+    /// [`sync_root`](Self::sync_root), compaction, close — led a commit
+    /// round on its own thread. `Batch` and `Os` puts never move it: their
+    /// rounds are the writer thread's.
+    pub fn caller_rounds(&self) -> u64 {
+        self.inner.caller_rounds.load(Ordering::Relaxed)
+    }
+
+    /// How many positioned reads this handle has issued against segment
+    /// files; a batched read costs one per run of adjacent records.
+    pub fn read_count(&self) -> u64 {
+        self.inner.reads.load(Ordering::Relaxed)
+    }
+
     /// Force an index snapshot now (they normally happen every
     /// `snapshot_bytes` of appends and on clean close). Implies
     /// [`sync`](Self::sync).
@@ -510,16 +615,22 @@ impl LogStore {
 }
 
 impl Drop for LogStore {
-    /// Clean close: stop and join the flusher thread, then flush + fsync
+    /// Clean close: stop and join the writer thread, then flush + fsync
     /// everything acknowledged and leave a fresh snapshot so the next
     /// open replays nothing. The snapshot is skipped when nothing was
     /// appended since the last one — a read-only session must not
     /// rewrite store metadata.
     fn drop(&mut self) {
-        if let Some(handle) = self.flusher.take() {
-            *self.inner.flush_stop.lock().expect("flush lock") = true;
-            self.inner.flush_cv.notify_all();
-            let _ = handle.join();
+        if let Some(handle) = self.writer.take() {
+            if let Ok(mut state) = self.inner.commit.lock() {
+                state.stop = true;
+                self.inner.wake_writer(&mut state);
+            }
+            // A panicked writer poisoned the commit mutex: nothing below
+            // can run, and `drop` must not panic over it.
+            if handle.join().is_err() {
+                return;
+            }
         }
         self.inner.close();
     }
@@ -683,105 +794,162 @@ impl LogInner {
                 synced_off: head_off,
                 root,
                 unsynced_root: None,
+                failed_reported: 0,
+                snapshotting: false,
+                quiescers: 0,
+                writer_woken: false,
+                stop: false,
             }),
             commit_cv: Condvar::new(),
+            writer_cv: Condvar::new(),
             readers: RwLock::new(FxHashMap::default()),
             stats,
             fsyncs: AtomicU64::new(0),
+            caller_rounds: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             reopen,
-            flush_stop: Mutex::new(false),
-            flush_cv: Condvar::new(),
         })
     }
 
-    /// Start the `Batch` flusher thread: it wakes every half interval
-    /// and drains the queue whenever the commit policy says a sync is
-    /// due, so an idle store's unsynced window is bounded by wall-clock.
-    /// `Always`/`Os` stores need no thread (nothing is time-driven).
-    fn spawn_flusher(inner: &Arc<LogInner>) -> Option<std::thread::JoinHandle<()>> {
-        let Durability::Batch { interval, .. } = inner.durability else {
-            return None;
+    /// Start the writer thread. It sleeps on `writer_cv` until a put
+    /// makes the backlog due, a round makes a snapshot due, or close asks
+    /// it to stop; under `Batch` it also wakes every half interval, so an
+    /// idle store's unsynced window is bounded by wall-clock.
+    fn spawn_writer(inner: &Arc<LogInner>) -> std::thread::JoinHandle<()> {
+        let tick = match inner.durability {
+            Durability::Batch { interval, .. } => {
+                Some((interval / 2).max(Duration::from_millis(1)))
+            }
+            Durability::Always | Durability::Os => None,
         };
-        let tick = (interval / 2).max(Duration::from_millis(1));
         let inner = Arc::clone(inner);
-        let handle = std::thread::Builder::new()
-            .name("logstore-flusher".into())
-            .spawn(move || {
-                let mut stop = inner.flush_stop.lock().expect("flush lock");
-                loop {
-                    if *stop {
-                        return;
-                    }
-                    let (guard, _) = inner.flush_cv.wait_timeout(stop, tick).expect("flush lock");
-                    stop = guard;
-                    if *stop {
-                        return;
-                    }
-                    drop(stop);
-                    inner.flush_if_due();
-                    stop = inner.flush_stop.lock().expect("flush lock");
-                }
-            })
-            .expect("spawn logstore flusher");
-        Some(handle)
+        std::thread::Builder::new()
+            .name("logstore-writer".into())
+            .spawn(move || inner.writer_loop(tick))
+            .expect("spawn logstore writer")
     }
 
-    /// One flusher wake-up: become the commit leader iff a sync is due
-    /// and nobody else is writing. I/O errors latch the poisoned flag
-    /// and `io_errors` exactly as a put-driven round would.
-    fn flush_if_due(&self) {
-        let state = self.commit.lock().expect("commit lock");
-        if !state.writing && self.wants_sync(&state, false) {
-            let (_state, _verdict) = self.drain_as_leader(state, false);
+    /// Body of the writer thread: lead every round no caller waits for,
+    /// write every periodic snapshot. `writer_woken` and `stop` are set
+    /// under the commit lock this loop checks them under, so neither can
+    /// be missed. A failed round is not retried before the next signal or
+    /// tick; it poisons the store and the next `sync` reports it.
+    fn writer_loop(&self, tick: Option<Duration>) {
+        let mut state = self.commit.lock().expect("commit lock");
+        while !state.stop {
+            if !state.writer_woken {
+                state = match tick {
+                    Some(tick) => {
+                        self.writer_cv
+                            .wait_timeout(state, tick)
+                            .expect("commit lock")
+                            .0
+                    }
+                    None => self.writer_cv.wait(state).expect("commit lock"),
+                };
+            }
+            state.writer_woken = false;
+            // A quiescer does both itself, and is waiting for the log.
+            if state.stop || state.quiescers > 0 {
+                continue;
+            }
+            if !state.writing && self.backlog_due(&state) {
+                state = self.drain_as_leader(state, Lead::Policy).0;
+            }
+            if !state.stop && state.bytes_since_snapshot >= self.cfg.snapshot_bytes {
+                state = self.periodic_snapshot(state);
+            }
         }
     }
 
-    /// Clean-close body shared by [`LogStore::drop`].
+    /// Signal the writer thread, once until it has looked. Commit lock
+    /// held.
+    fn wake_writer(&self, state: &mut CommitState) {
+        if !state.writer_woken {
+            state.writer_woken = true;
+            self.writer_cv.notify_one();
+        }
+    }
+
+    /// Clean-close body shared by [`LogStore::drop`]; the writer thread
+    /// is gone.
     fn close(&self) {
-        let dirty = {
-            let state = self.commit.lock().expect("commit lock");
-            !state.queue.is_empty() || state.unsynced_records > 0 || state.bytes_since_snapshot > 0
-        };
-        if dirty && self.sync().is_ok() {
-            let mut state = self.commit.lock().expect("commit lock");
+        let state = self.commit.lock().expect("commit lock");
+        if state.queue.is_empty() && state.unsynced_records == 0 && state.bytes_since_snapshot == 0
+        {
+            return;
+        }
+        if let (mut state, Ok(())) = self.sync_locked(state, Lead::Sync) {
             let _ = self.write_snapshot(&mut state);
         }
     }
 
     /// Drain the commit queue and fsync; see [`LogStore::sync`].
     fn sync(&self) -> io::Result<()> {
-        self.sync_locked(self.commit.lock().expect("commit lock"))
+        self.sync_locked(self.commit.lock().expect("commit lock"), Lead::Sync)
+            .1
     }
 
     /// [`sync`](Self::sync) for a caller that already holds the commit
-    /// lock — everything it queued under that hold is covered.
-    fn sync_locked<'a>(&'a self, mut state: MutexGuard<'a, CommitState>) -> io::Result<()> {
-        let failed_before = state.seq_failed;
+    /// lock — everything it queued under that hold is covered — leading
+    /// as `lead` (`Sync` or `Quiesce`). Returns the guard it ends with
+    /// and the verdict; on `Ok` nothing is queued, nothing unsynced and no
+    /// round in flight — for good, until the guard is dropped, when
+    /// `lead` is `Quiesce`, which also waits out a periodic snapshot.
+    fn sync_locked<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, CommitState>,
+        lead: Lead,
+    ) -> (MutexGuard<'a, CommitState>, io::Result<()>) {
+        // Rounds that failed with nobody waiting on them count too.
+        let failed_before = state.failed_reported;
         loop {
-            if state.writing {
+            let blocked = state.writing
+                || match lead {
+                    Lead::Quiesce => state.snapshotting,
+                    _ => state.quiescers > 0,
+                };
+            if blocked {
                 state = self.commit_cv.wait(state).expect("commit lock");
                 continue;
             }
-            if state.queue.is_empty() && state.unsynced_records == 0 {
-                // Nothing left may also mean another leader's round
-                // failed meanwhile and dropped what was queued.
-                return if state.seq_failed > failed_before {
-                    Err(io::Error::other("a commit round failed during sync"))
-                } else {
-                    Ok(())
-                };
+            let result = if state.queue.is_empty() && state.unsynced_records == 0 {
+                // Nothing left may also mean a round failed and dropped
+                // what was queued.
+                if state.seq_failed == failed_before {
+                    return (state, Ok(()));
+                }
+                Err(io::Error::other("a commit round failed before this sync"))
+            } else {
+                let (s, result) = self.lead(state, lead);
+                state = s;
+                result
+            };
+            if result.is_err() {
+                state.failed_reported = state.seq_failed;
+                return (state, result);
             }
-            let (s, result) = self.drain_as_leader(state, true);
-            state = s;
-            result?;
         }
+    }
+
+    /// Take the log for oneself: drained, fsynced, no round and no
+    /// snapshot in flight, and the commit lock held — what compaction and
+    /// an explicit snapshot start from. Leaders yield to a quiescer after
+    /// the round they are in, and its own round keeps the lock through
+    /// the I/O, so this ends however fast the producers are.
+    fn quiesce(&self) -> io::Result<MutexGuard<'_, CommitState>> {
+        let mut state = self.commit.lock().expect("commit lock");
+        state.quiescers += 1;
+        let (mut state, result) = self.sync_locked(state, Lead::Quiesce);
+        state.quiescers -= 1;
+        self.commit_cv.notify_all();
+        result.map(|()| state)
     }
 
     /// Force an index snapshot now; see [`LogStore::snapshot`].
     fn snapshot(&self) -> io::Result<()> {
-        self.sync()?;
-        let mut state = self.commit.lock().expect("commit lock");
+        let mut state = self.quiesce()?;
         self.write_snapshot(&mut state)
     }
 
@@ -849,7 +1017,7 @@ impl LogInner {
             cid.as_bytes(),
             rec_len,
         );
-        self.sync_locked(state)
+        self.sync_locked(state, Lead::Sync).1
     }
 
     /// Under `Always`, `Deduplicated` is as strong an acknowledgement as
@@ -865,43 +1033,103 @@ impl LogInner {
         }
     }
 
-    /// Should the *current* backlog be fsynced this round?
+    /// Is there a backlog, and should a round fsync it now?
     fn wants_sync(&self, state: &CommitState, force: bool) -> bool {
-        if force {
-            return true;
-        }
         let outstanding = state.unsynced_records + state.queue_records;
+        outstanding > 0
+            && (force
+                || match self.durability {
+                    Durability::Always => true,
+                    Durability::Batch {
+                        max_records,
+                        interval,
+                    } => {
+                        outstanding >= max_records
+                            || state
+                                .oldest_unsynced
+                                .is_some_and(|t| t.elapsed() >= interval)
+                    }
+                    Durability::Os => false,
+                })
+    }
+
+    /// Is the backlog the writer thread's to drain now: a `Batch` window
+    /// is full or old, or the queue holds enough to hand to the OS.
+    fn backlog_due(&self, state: &CommitState) -> bool {
+        self.wants_sync(state, false) || state.queue_bytes >= QUEUE_HIGH_WATER
+    }
+
+    /// [`drain_as_leader`](Self::drain_as_leader) on a caller's thread,
+    /// counted in [`LogStore::caller_rounds`].
+    fn lead<'a>(
+        &'a self,
+        state: MutexGuard<'a, CommitState>,
+        lead: Lead,
+    ) -> (MutexGuard<'a, CommitState>, io::Result<()>) {
+        self.caller_rounds.fetch_add(1, Ordering::Relaxed);
+        self.drain_as_leader(state, lead)
+    }
+
+    /// What a put owes once its records, the last of them `my_seq`, are
+    /// queued. Under `Always`: wait until a round has fsynced them,
+    /// leading it when nobody else is. Otherwise nothing that touches the
+    /// file: signal the writer thread when the backlog is due, and wait
+    /// for it only while the queue is at its bound.
+    fn settle_put<'a>(&'a self, mut state: MutexGuard<'a, CommitState>, my_seq: u64) {
         match self.durability {
-            Durability::Always => outstanding > 0,
-            Durability::Batch {
-                max_records,
-                interval,
-            } => {
-                outstanding > 0
-                    && (outstanding >= max_records
-                        || state
-                            .oldest_unsynced
-                            .is_some_and(|t| t.elapsed() >= interval))
-            }
-            Durability::Os => false,
+            Durability::Always => loop {
+                if state.seq_synced >= my_seq || state.seq_failed >= my_seq {
+                    // Either durable, or dropped by a failed round (the
+                    // poisoned flag and io_errors report the latter).
+                    break;
+                }
+                if state.writing || state.quiescers > 0 {
+                    state = self.commit_cv.wait(state).expect("commit lock");
+                    continue;
+                }
+                let (s, result) = self.lead(state, Lead::Policy);
+                state = s;
+                if result.is_err() {
+                    break; // poisoned flag + io_errors already recorded
+                }
+            },
+            Durability::Batch { .. } | Durability::Os => loop {
+                // A leader at work looks at the backlog again before it
+                // finishes; only an idle log needs the signal.
+                if !state.writing && self.backlog_due(&state) {
+                    self.wake_writer(&mut state);
+                }
+                if state.queue_bytes < QUEUE_BOUND {
+                    break;
+                }
+                state = self.commit_cv.wait(state).expect("commit lock");
+            },
         }
     }
 
-    /// Group-commit leader: repeatedly take the whole queue, release the
-    /// commit lock, write (rotating segment files as needed) and
-    /// optionally fsync, then re-lock and publish. Waiters blocked in
-    /// `put(Always)` are woken once their sequence is synced. Returns
-    /// the re-acquired guard and the I/O verdict.
+    /// Group-commit leader: while a round is due, take the whole queue,
+    /// release the commit lock, write (rotating segment files as needed)
+    /// and optionally fsync, then re-lock and publish. Waiters blocked in
+    /// `put(Always)` are woken once their sequence is synced, putters held
+    /// at the queue bound once the queue is taken. Returns the
+    /// re-acquired guard and the I/O verdict.
     fn drain_as_leader<'a>(
         &'a self,
         mut state: MutexGuard<'a, CommitState>,
-        force_sync: bool,
+        lead: Lead,
     ) -> (MutexGuard<'a, CommitState>, io::Result<()>) {
         state.writing = true;
         let mut verdict = Ok(());
         loop {
-            let do_sync = self.wants_sync(&state, force_sync);
-            if state.queue.is_empty() && !(do_sync && state.unsynced_records > 0) {
+            // Lead while a round is due, not while the queue is
+            // non-empty: a writer thread that chased every record its
+            // producers add meanwhile would never stop.
+            let do_sync = self.wants_sync(&state, lead != Lead::Policy);
+            if !do_sync && state.queue_bytes < QUEUE_HIGH_WATER {
+                break;
+            }
+            // Whoever waits to quiesce the log takes it from here.
+            if state.quiescers > 0 && lead != Lead::Quiesce {
                 break;
             }
             // The writer handle can be absent after a failed repair; one
@@ -933,9 +1161,9 @@ impl LogInner {
             let start_off = written_off;
             let dir_dirty_before = state.dir_dirty;
             let mut created_segment = false;
-            drop(state);
+            let held = (lead == Lead::Quiesce).then_some(state);
 
-            // ---- commit lock released: the actual I/O ------------------
+            // ---- commit lock released (unless quiescing): the I/O ------
             let io: io::Result<Option<(u32, u64)>> = (|| {
                 for run in &runs {
                     if run.seg != file_seg {
@@ -980,7 +1208,7 @@ impl LogInner {
             }
 
             // ---- re-locked: publish ------------------------------------
-            state = self.commit.lock().expect("commit lock");
+            state = held.unwrap_or_else(|| self.commit.lock().expect("commit lock"));
             match io {
                 Ok(synced_to) => {
                     state.file = Some(file);
@@ -1002,16 +1230,13 @@ impl LogInner {
                         state.oldest_unsynced = (state.queue_records > 0).then(Instant::now);
                         state.synced_seg = seg;
                         state.synced_off = off;
-                        self.commit_cv.notify_all();
                         if state.bytes_since_snapshot >= self.cfg.snapshot_bytes {
-                            if let Err(e) = self.write_snapshot(&mut state) {
-                                verdict = Err(e);
-                                break;
-                            }
+                            self.wake_writer(&mut state);
                         }
                     } else {
                         state.dir_dirty = dir_dirty_before || created_segment;
                     }
+                    self.commit_cv.notify_all();
                 }
                 Err(e) => {
                     self.rollback_failed_round(&mut state, runs, seq_hi, start_seg, start_off);
@@ -1107,11 +1332,10 @@ impl LogInner {
         self.commit_cv.notify_all();
     }
 
-    /// Serialize the index up to the synced position and atomically
-    /// replace `snapshot.idx`. Entries past the synced position are
+    /// Serialize the index up to the synced position. Entries past it are
     /// excluded — a crash must never leave the snapshot ahead of the
-    /// data. Commit lock held.
-    fn write_snapshot(&self, state: &mut CommitState) -> io::Result<()> {
+    /// data. Commit lock held; resets the snapshot clock.
+    fn encode_snapshot(&self, state: &mut CommitState) -> Vec<u8> {
         let (seg, off) = (state.synced_seg, state.synced_off);
         let index = self.index.read();
         let mut buf = Vec::with_capacity(SNAP_HEADER + 8 + index.len() * 48);
@@ -1132,10 +1356,16 @@ impl LogInner {
             buf.extend_from_slice(&loc.off.to_le_bytes());
             buf.extend_from_slice(&loc.plen.to_le_bytes());
         }
-        drop(index);
+        state.bytes_since_snapshot = 0;
+        buf
+    }
+
+    /// Checksum an encoded snapshot and atomically replace
+    /// `snapshot.idx` with it. One caller at a time (the temporary's name
+    /// is fixed): the commit lock or the `snapshotting` flag.
+    fn store_snapshot(&self, mut buf: Vec<u8>) -> io::Result<()> {
         let check = fx64(&buf);
         buf.extend_from_slice(&check.to_le_bytes());
-
         let tmp = self.dir.join("snapshot.tmp");
         {
             let mut f = File::create(&tmp)?;
@@ -1145,8 +1375,36 @@ impl LogInner {
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         // Make the rename durable.
         self.fsync_dir();
-        state.bytes_since_snapshot = 0;
         Ok(())
+    }
+
+    /// Snapshot with the commit lock held throughout — for callers that
+    /// have quiesced the log ([`quiesce`](Self::quiesce), close).
+    fn write_snapshot(&self, state: &mut CommitState) -> io::Result<()> {
+        let buf = self.encode_snapshot(state);
+        self.store_snapshot(buf)
+    }
+
+    /// The writer thread's snapshot: encoded under the lock, written with
+    /// the lock released. What it covers stays valid meanwhile — the log
+    /// before the synced position changes only under compaction, which
+    /// waits for `snapshotting` to clear. A failure poisons the store and
+    /// the next attempt comes `snapshot_bytes` later.
+    fn periodic_snapshot<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, CommitState>,
+    ) -> MutexGuard<'a, CommitState> {
+        let buf = self.encode_snapshot(&mut state);
+        state.snapshotting = true;
+        drop(state);
+        if self.store_snapshot(buf).is_err() {
+            self.poisoned.store(true, Ordering::Relaxed);
+            self.stats.record_io_error();
+        }
+        let mut state = self.commit.lock().expect("commit lock");
+        state.snapshotting = false;
+        self.commit_cv.notify_all();
+        state
     }
 
     // ---- read path -------------------------------------------------------
@@ -1159,21 +1417,72 @@ impl LogInner {
         Ok(self.readers.write().entry(seg).or_insert(f).clone())
     }
 
-    fn read_record(&self, cid: &Digest, loc: Loc) -> io::Result<Chunk> {
-        let file = self.reader(loc.seg)?;
-        let mut buf = vec![0u8; 1 + loc.plen as usize];
-        file.read_exact_at(&mut buf, loc.off + 8)?;
-        let ty = ChunkType::from_u8(buf[0]).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "bad chunk type tag on disk")
-        })?;
-        let chunk = Chunk::new(ty, Bytes::copy_from_slice(&buf[1..]));
-        if chunk.cid() != *cid {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("cid mismatch reading {}", cid.short_hex()),
-            ));
+    /// Read the records of `run` — `(i, loc)`: the record of `cids[i]`;
+    /// same segment, ascending, each starting where the one before ends —
+    /// with one positioned read into `scratch`, and hand `each` every `i`
+    /// with its chunk, or why there is none. Every payload is copied
+    /// once, into the `Bytes` its chunk owns (a chunk the cache keeps must
+    /// not pin the run), and its cid recomputed and compared. A failed
+    /// read fails every record of the run; a bad tag or a cid mismatch
+    /// only its own.
+    fn read_run(
+        &self,
+        scratch: &mut Vec<u8>,
+        cids: &[Digest],
+        run: &[(usize, Loc)],
+        mut each: impl FnMut(usize, io::Result<Chunk>),
+    ) {
+        let (first, last) = (run[0].1, run[run.len() - 1].1);
+        // From the first record's type tag to the last one's payload end.
+        let base = first.off + 8;
+        let len = (last.off + 9 + last.plen as u64 - base) as usize;
+        if scratch.len() < len {
+            scratch.resize(len, 0);
         }
-        Ok(chunk)
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        let read = self
+            .reader(first.seg)
+            .and_then(|file| file.read_exact_at(&mut scratch[..len], base));
+        if let Err(e) = read {
+            for &(i, _) in run {
+                each(i, Err(io::Error::new(e.kind(), e.to_string())));
+            }
+            return;
+        }
+        for &(i, loc) in run {
+            let cid = cids[i];
+            let at = (loc.off + 8 - base) as usize;
+            let payload = &scratch[at + 1..at + 1 + loc.plen as usize];
+            let chunk = match ChunkType::from_u8(scratch[at]) {
+                Some(ty) => Ok(Chunk::new(ty, Bytes::copy_from_slice(payload))),
+                None => Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "bad chunk type tag on disk",
+                )),
+            };
+            each(
+                i,
+                chunk.and_then(|chunk| {
+                    if chunk.cid() == cid {
+                        Ok(chunk)
+                    } else {
+                        Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("cid mismatch reading {}", cid.short_hex()),
+                        ))
+                    }
+                }),
+            );
+        }
+    }
+
+    /// One record: a run of one.
+    fn read_record(&self, cid: &Digest, loc: Loc) -> io::Result<Chunk> {
+        let mut out = None;
+        self.read_run(&mut Vec::new(), &[*cid], &[(0, loc)], |_, chunk| {
+            out = Some(chunk)
+        });
+        out.expect("one record, one result")
     }
 
     /// Latch the poisoned flag and count a failed read. Only the first
@@ -1191,11 +1500,10 @@ impl LogInner {
 
     /// In-place compaction body; see [`LogStore::compact_retain`].
     fn compact_retain(&self, live: &FxHashSet<Digest>) -> io::Result<CompactStats> {
-        // Quiesce the write path: drain + fsync, then keep the commit
-        // lock so nothing lands mid-compaction.
-        self.sync()?;
-        let mut state = self.commit.lock().expect("commit lock");
-        debug_assert!(!state.writing && state.queue.is_empty());
+        // Quiesce the write path — drained, fsynced, no round and no
+        // snapshot in flight — and keep that one hold of the commit lock
+        // to the end, so nothing lands mid-compaction.
+        let mut state = self.quiesce()?;
 
         let old_index: Vec<(Digest, Loc)> =
             self.index.read().iter().map(|(c, l)| (*c, *l)).collect();
@@ -1313,37 +1621,50 @@ impl LogInner {
     }
 
     /// Batched get: all locations are resolved under **one** index
-    /// read-lock acquisition and all still-queued chunks under one
-    /// pending-map acquisition; only the positioned segment reads remain
-    /// per-chunk. Equivalent to mapping [`get`](Self::get), including
-    /// per-request stats.
+    /// read-lock acquisition, all still-queued chunks under one
+    /// pending-map acquisition, and the rest — sorted by log position —
+    /// with one positioned read per run of adjacent records.
+    /// Equivalent to mapping [`get`](Self::get), including per-request
+    /// stats.
     fn get_many(&self, cids: &[Digest]) -> Vec<Option<Chunk>> {
-        let locs: Vec<Option<Loc>> = {
-            let index = self.index.read();
-            cids.iter().map(|cid| index.get(cid).copied()).collect()
-        };
         let mut out: Vec<Option<Chunk>> = vec![None; cids.len()];
-        let mut disk: Vec<usize> = Vec::new();
+        // (position in `cids`, where on disk) of every miss.
+        let mut disk: Vec<(usize, Loc)> = {
+            let index = self.index.read();
+            cids.iter()
+                .enumerate()
+                .filter_map(|(i, cid)| Some((i, *index.get(cid)?)))
+                .collect()
+        };
         {
             let pending = self.pending.read();
-            for (i, loc) in locs.iter().enumerate() {
-                if loc.is_none() {
-                    continue;
+            disk.retain(|&(i, _)| match pending.get(&cids[i]) {
+                Some(chunk) => {
+                    out[i] = Some(chunk.clone());
+                    false
                 }
-                match pending.get(&cids[i]) {
-                    Some(chunk) => out[i] = Some(chunk.clone()),
-                    None => disk.push(i),
-                }
-            }
+                None => true,
+            });
         }
-        for i in disk {
-            out[i] = match self.read_record(&cids[i], locs[i].expect("resolved loc")) {
-                Ok(chunk) => Some(chunk),
-                Err(e) => {
-                    self.note_read_error(&e);
-                    None
+        disk.sort_unstable_by_key(|&(_, loc)| (loc.seg, loc.off));
+        let mut scratch = Vec::new();
+        let mut rest = disk.as_slice();
+        while let Some(&(_, first)) = rest.first() {
+            // The run: records that each start where the one before ends.
+            let mut n = 1;
+            while let Some(&(_, next)) = rest.get(n) {
+                let adjacent = next.seg == first.seg && next.off == rest[n - 1].1.end();
+                if !adjacent || next.end() - first.off > RUN_MAX_BYTES {
+                    break;
                 }
-            };
+                n += 1;
+            }
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
+            self.read_run(&mut scratch, cids, run, |i, chunk| match chunk {
+                Ok(chunk) => out[i] = Some(chunk),
+                Err(e) => self.note_read_error(&e),
+            });
         }
         for found in &out {
             self.stats.record_get(found.is_some());
@@ -1371,33 +1692,7 @@ impl LogInner {
         }
         self.enqueue_chunk(&mut state, chunk, REC_OVERHEAD + bytes as usize);
         let my_seq = state.seq_enqueued;
-
-        match self.durability {
-            Durability::Always => loop {
-                if state.seq_synced >= my_seq || state.seq_failed >= my_seq {
-                    // Either durable, or dropped by a failed round (the
-                    // poisoned flag and io_errors report the latter).
-                    break;
-                }
-                if state.writing {
-                    state = self.commit_cv.wait(state).expect("commit lock");
-                    continue;
-                }
-                let (s, result) = self.drain_as_leader(state, false);
-                state = s;
-                if result.is_err() {
-                    break; // poisoned flag + io_errors already recorded
-                }
-            },
-            Durability::Batch { .. } | Durability::Os => {
-                let due = self.wants_sync(&state, false) || state.queue_bytes >= QUEUE_HIGH_WATER;
-                if due && !state.writing {
-                    let (s, _result) = self.drain_as_leader(state, false);
-                    state = s;
-                }
-            }
-        }
-        drop(state);
+        self.settle_put(state, my_seq);
         PutOutcome::Stored
     }
 
@@ -1473,31 +1768,7 @@ impl LogInner {
                 }
             }
             let my_seq = state.seq_enqueued;
-            match self.durability {
-                Durability::Always => loop {
-                    if state.seq_synced >= my_seq || state.seq_failed >= my_seq {
-                        break;
-                    }
-                    if state.writing {
-                        state = self.commit_cv.wait(state).expect("commit lock");
-                        continue;
-                    }
-                    let (s, result) = self.drain_as_leader(state, false);
-                    state = s;
-                    if result.is_err() {
-                        break;
-                    }
-                },
-                Durability::Batch { .. } | Durability::Os => {
-                    let due =
-                        self.wants_sync(&state, false) || state.queue_bytes >= QUEUE_HIGH_WATER;
-                    if due && !state.writing {
-                        let (s, _result) = self.drain_as_leader(state, false);
-                        state = s;
-                    }
-                }
-            }
-            drop(state);
+            self.settle_put(state, my_seq);
         }
         for (i, cid, bytes) in dedup {
             self.await_dedup_durable(&cid);
@@ -2039,11 +2310,12 @@ mod tests {
 
     #[test]
     fn a_segment_is_fsynced_before_the_writer_leaves_it() {
-        // Os durability + tiny segments: the queue high-water drain is a
-        // round that owes nobody an fsync, and rotates through hundreds
-        // of segments. Each must be durable before the next gets a byte
-        // (recovery trusts a later segment only because of that), so the
-        // round fsyncs once per rotation and the closing sync() once.
+        // Os durability + tiny segments: the writer thread's high-water
+        // drains are rounds that owe nobody an fsync, and rotate through
+        // hundreds of segments. Each must be durable before the next gets
+        // a byte (recovery trusts a later segment only because of that),
+        // so whoever leads fsyncs once per rotation, and the closing
+        // sync() once more.
         let dir = temp_dir("dirty-rot");
         let cfg = LogConfig {
             segment_bytes: 4096,
@@ -2051,9 +2323,9 @@ mod tests {
         };
         let store = LogStore::open_with(&dir, cfg, Durability::Os).expect("open");
         let mut cids = Vec::new();
-        // ~1.6 MiB of records: crosses the 1 MiB queue high-water (one
-        // inline non-sync drain over ~400 segment rotations) and leaves
-        // a queued tail.
+        // ~1.6 MiB of records: crosses the 1 MiB queue high-water (a
+        // non-sync drain over hundreds of segment rotations, on the
+        // writer thread) and leaves a tail for sync().
         for i in 0..400u32 {
             let mut payload = vec![(i % 251) as u8; 4000];
             payload[..4].copy_from_slice(&i.to_le_bytes());
@@ -2061,8 +2333,6 @@ mod tests {
             cids.push(c.cid());
             store.put(c);
         }
-        let rotated = store.fsync_count();
-        assert!(rotated >= 250, "one fsync per segment left: {rotated}");
         store.sync().expect("sync");
         let segs = std::fs::read_dir(&dir).expect("ls").count() as u64;
         assert_eq!(store.fsync_count(), segs + 1, "segments + their directory");
@@ -2072,6 +2342,62 @@ mod tests {
         assert!(store.reopen_stats().used_snapshot);
         for cid in &cids {
             assert!(store.get(cid).is_some(), "all records durable");
+        }
+        assert!(!store.poisoned());
+        drop(store);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A putter that finds `QUEUE_BOUND` queued waits for the writer
+    /// thread and goes on once a round has taken the queue. The test
+    /// stands in for a leader stuck on a slow disk by setting `writing`
+    /// itself, so the writer leads nothing until it says so, and the
+    /// putter's state is read off the commit lock, not guessed from a
+    /// clock.
+    #[test]
+    fn a_putter_held_at_the_queue_bound_resumes_when_the_writer_drains() {
+        let dir = temp_dir("bound");
+        let store = LogStore::open_with(&dir, LogConfig::default(), Durability::Os).expect("open");
+        store.inner.commit.lock().expect("commit lock").writing = true;
+        let chunks: Vec<Chunk> = (0..12u32)
+            .map(|i| {
+                let mut payload = vec![i as u8; 1 << 20];
+                payload[..4].copy_from_slice(&i.to_le_bytes());
+                Chunk::new(ChunkType::Blob, payload)
+            })
+            .collect();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for (i, chunk) in chunks.iter().enumerate() {
+                    store.put(chunk.clone());
+                    done_tx.send(i).expect("receiver alive");
+                }
+            });
+            // The eighth MiB reaches the bound. Its putter holds the
+            // commit lock from the enqueue to its wait, so once the queue
+            // is seen this full under the lock, that putter is parked.
+            while store.inner.commit.lock().expect("commit lock").queue_bytes < QUEUE_BOUND {
+                std::thread::yield_now();
+            }
+            let returned: Vec<usize> = done_rx.try_iter().collect();
+            let queued = store.pending_unsynced();
+            {
+                let mut state = store.inner.commit.lock().expect("commit lock");
+                state.writing = false;
+                store.inner.commit_cv.notify_all();
+            }
+            assert_eq!(returned, (0..7).collect::<Vec<_>>(), "the eighth is held");
+            assert_eq!(queued, 8);
+            for i in 7..12 {
+                let done = done_rx.recv_timeout(Duration::from_secs(30));
+                assert_eq!(done, Ok(i), "the held putter never resumed");
+            }
+        });
+        assert_eq!(store.caller_rounds(), 0, "every round was the writer's");
+        store.sync().expect("sync");
+        for chunk in &chunks {
+            assert_eq!(store.get(&chunk.cid()).as_ref(), Some(chunk));
         }
         assert!(!store.poisoned());
         drop(store);

@@ -6,8 +6,8 @@
 //! in one `write`. Requests on one connection are served one after
 //! another; concurrency comes from connections (the client keeps a few
 //! per peer and uses each for one request at a time), matching the
-//! `Durability::Batch` flusher precedent of plain background threads
-//! over an async runtime.
+//! `LogStore` writer-thread precedent of plain background threads over
+//! an async runtime.
 
 use super::frame::{self, FrameDecoder};
 use super::proto::{self, Request, Response};
