@@ -12,6 +12,7 @@ use forkbase_chunk::{Chunk, ChunkStore, ChunkType, MemStore, PutOutcome};
 use forkbase_cluster::net::{ChunkServer, TcpChunkClient, TcpConfig};
 use forkbase_cluster::service::{ChunkService, StoreService};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const THREADS: u32 = 8;
 const OPS: u32 = 500;
@@ -94,8 +95,20 @@ fn eight_threads_share_two_sockets_and_every_reply_is_its_callers() {
     );
     // The callers are joined; what the exchange added to the process is
     // one handler thread per accepted connection on the server — and
-    // nothing on the client.
-    if let (Some(before), Some(after)) = (threads_before, live_threads()) {
+    // nothing on the client. A scoped thread counts as joined once its
+    // closure has returned, a moment before the thread itself has left
+    // the process, so the count is given that moment to settle.
+    let settled = |before: u64| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let after = live_threads()?;
+            if after == before + seen.connections || Instant::now() > deadline {
+                return Some(after);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    if let (Some(before), Some(after)) = (threads_before, threads_before.and_then(settled)) {
         assert_eq!(
             after - before,
             seen.connections,

@@ -103,7 +103,11 @@ pub fn sorted_diff(
 ///
 /// With `reserved`, a subtree is stepped over only if that leaves more
 /// than `reserved` elements unpassed on both sides.
-fn skip_common(l: &mut TreeCursor, r: &mut TreeCursor, reserved: Option<u64>) -> Option<()> {
+pub(crate) fn skip_common(
+    l: &mut TreeCursor,
+    r: &mut TreeCursor,
+    reserved: Option<u64>,
+) -> Option<()> {
     while !l.at_end() && !r.at_end() {
         let (ll, rl) = (l.level(), r.level());
         let fits = |cur: &TreeCursor, count: u64| {

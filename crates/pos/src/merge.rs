@@ -6,8 +6,53 @@
 //! built-in resolution functions (such as append, aggregate and
 //! choose-one). ForkBase allows users to hook customized resolution
 //! strategies."
+//!
+//! # Disjoint edits merge by cid
+//!
+//! POS-Trees are compared by cid, not by content (§4.3), and a sorted
+//! merge of two branches that changed different parts of the base needs
+//! nothing else. Before any element is decoded, [`merge3_sorted`] walks
+//! base→ours and base→theirs at leaf-entry level: two [`TreeCursor`]s
+//! step over every subtree whose cid the trees share (the diff's
+//! highest-level skip), and where they stand on different leaves the
+//! leaf entries are merge-joined on their split keys until both sides
+//! have passed the same key and the cids line up again. Each side so
+//! becomes a list of **leaf regions**: a range of whole base leaves (in
+//! base element offsets) and the side's leaf entries that replace them.
+//! The walk fetches index nodes only.
+//!
+//! **The gap rule.** When every region of ours lies at least
+//! `cfg.window` elements away from every region of theirs, the merged
+//! tree is ours with each of their regions' base leaves replaced by
+//! their leaf entries: one `Patch` per region of theirs, its offsets
+//! shifted by the count change of ours' regions before it, regrouped by
+//! `build_index_levels` over a cursor on ours. No leaf is fetched,
+//! decoded, re-chunked, hashed or put again.
+//!
+//! **Why the root is bit-identical.** A leaf cut after a cut at `c`
+//! depends only on the `window` bytes before `c` and the bytes after it
+//! (the rolling window is never reset, the size cap counts from the
+//! cut). Regions are leaf-aligned, so a non-zero gap between two regions
+//! holds at least one whole base leaf that both sides keep — and with
+//! it that leaf's end cut, in all three trees. A gap of `window`
+//! elements is at least `window` bytes (no element is empty), so the
+//! window before a region holds base bytes only, in the merged content
+//! as in the side the region came from. By induction over the regions
+//! in base order, the merged content is cut at each region's start and
+//! then exactly as that region's side cut it, up to the next region's
+//! start: its leaves are ours' and theirs' leaves, interleaved. Over
+//! that leaf list `build_index_levels` reaches the root a from-scratch
+//! build would — its existing contract.
+//!
+//! Every other case takes the key-level path unchanged: regions closer
+//! than the gap (the only way both sides can touch one key), a region
+//! that replaces no base leaf, a tree that is a single leaf, an
+//! unreadable chunk. Conflicts, resolvers and [`MergeError::Corrupt`]
+//! blame therefore behave as they always did.
 
-use crate::diff::{blob_diff_summary, sorted_diff};
+use crate::builder::{build_index_levels, Patch};
+use crate::diff::{blob_diff_summary, skip_common, sorted_diff};
+use crate::entry::IndexEntry;
 use crate::error::TreeError;
 use crate::leaf::Item;
 use crate::scan::TreeCursor;
@@ -17,6 +62,7 @@ use crate::update::{update_sorted, Edit};
 use bytes::Bytes;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::{ChunkerConfig, Digest};
+use std::ops::Range;
 
 /// Why a sorted three-way merge failed. Conflicts are the application's
 /// problem to resolve; corruption means one of the three input trees
@@ -131,6 +177,9 @@ pub fn merge3_sorted(
             resolved: 0,
         });
     }
+    if let Some(root) = adopt_their_leaves(store, cfg, ty, base, ours, theirs) {
+        return Ok(MergeOutcome { root, resolved: 0 });
+    }
 
     let corrupt = |root| MergeError::Corrupt(TreeError::MissingChunk { root });
     let blame = |side| corrupt(unreadable(store, ty, base, side));
@@ -179,6 +228,141 @@ pub fn merge3_sorted(
     }
     let root = update_sorted(store, cfg, ty, ours, edits).map_err(MergeError::Corrupt)?;
     Ok(MergeOutcome { root, resolved })
+}
+
+/// A run of whole base leaves one side replaced: the base elements they
+/// hold and the side's leaf entries in their place.
+struct Region {
+    base: Range<u64>,
+    leaves: Vec<IndexEntry>,
+}
+
+/// How far a cursor has got in a leaf merge-join: nowhere yet, through
+/// a leaf's split key, or to its end.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Passed {
+    Start,
+    Key(Bytes),
+    End,
+}
+
+impl Passed {
+    /// `so_far`, or `End` once `cur` has passed everything.
+    fn at(cur: &TreeCursor, so_far: Passed) -> Passed {
+        if cur.at_end() {
+            Passed::End
+        } else {
+            so_far
+        }
+    }
+}
+
+/// The structural merge (module docs): ours with each region of theirs
+/// patched in by cid. `None` sends the merge down the key-level path.
+fn adopt_their_leaves(
+    store: &dyn ChunkStore,
+    cfg: &ChunkerConfig,
+    ty: TreeType,
+    base: Digest,
+    ours: Digest,
+    theirs: Digest,
+) -> Option<Digest> {
+    let ours_regions = leaf_regions(store, ty, base, ours)?;
+    let theirs_regions = leaf_regions(store, ty, base, theirs)?;
+    // `true` marks a region of theirs.
+    let mut regions: Vec<(bool, Region)> = ours_regions
+        .into_iter()
+        .map(|r| (false, r))
+        .chain(theirs_regions.into_iter().map(|r| (true, r)))
+        .collect();
+    regions.sort_by_key(|(_, r)| r.base.start);
+    // The gap rule; a non-zero gap is what holds a shared leaf.
+    let gap = (cfg.window as u64).max(1);
+    let apart = regions
+        .windows(2)
+        .all(|w| w[0].0 == w[1].0 || w[0].1.base.end + gap <= w[1].1.base.start);
+    if !apart || regions.iter().any(|(_, r)| r.base.is_empty()) {
+        return None;
+    }
+    // Their base offsets, moved by what ours' regions before them added
+    // and removed, name the same leaves in ours.
+    let (mut added, mut removed) = (0u64, 0u64);
+    let mut patches = Vec::new();
+    for (theirs, r) in regions {
+        let len = r.base.end - r.base.start;
+        if theirs {
+            let start = r.base.start + added - removed;
+            patches.push(Patch {
+                old: start..start + len,
+                new: r.leaves,
+            });
+        } else {
+            added += r.leaves.iter().map(|e| e.count).sum::<u64>();
+            removed += len;
+        }
+    }
+    if patches.is_empty() {
+        return None;
+    }
+    let cur = TreeCursor::new(store, ours, ty)?;
+    build_index_levels(store, cfg, ty, Some(cur), patches, Vec::new())
+}
+
+/// The leaf regions where `side` differs from `base`, in order. Fetches
+/// index nodes only; `None` for a single-leaf tree or an unreadable
+/// chunk.
+fn leaf_regions(
+    store: &dyn ChunkStore,
+    ty: TreeType,
+    base: Digest,
+    side: Digest,
+) -> Option<Vec<Region>> {
+    let mut b = TreeCursor::new(store, base, ty)?;
+    let mut s = TreeCursor::new(store, side, ty)?;
+    if b.height() == 0 || s.height() == 0 {
+        return None;
+    }
+    let mut regions: Vec<Region> = Vec::new();
+    loop {
+        skip_common(&mut b, &mut s, None)?;
+        if b.at_end() && s.at_end() {
+            return Some(regions);
+        }
+        // Nothing shared since the last region: it goes on.
+        let at = b.pos();
+        if regions.last().is_none_or(|r| r.base.end != at) {
+            regions.push(Region {
+                base: at..at,
+                leaves: Vec::new(),
+            });
+        }
+        let region = regions.last_mut()?;
+        // Merge-join the leaves on their split keys until both sides have
+        // passed the same key, or both their ends.
+        let (mut pb, mut ps) = (Passed::at(&b, Passed::Start), Passed::at(&s, Passed::Start));
+        while pb != ps || pb == Passed::Start {
+            let order = pb.cmp(&ps);
+            if order.is_le() {
+                pb = next_leaf(&mut b)?.1;
+            }
+            if order.is_ge() {
+                let (leaf, passed) = next_leaf(&mut s)?;
+                region.leaves.push(leaf);
+                ps = passed;
+            }
+        }
+        region.base.end = b.pos();
+    }
+}
+
+/// Step `cur` past its next leaf: the leaf's entry and how far the
+/// cursor has now passed.
+fn next_leaf(cur: &mut TreeCursor) -> Option<(IndexEntry, Passed)> {
+    cur.descend_to(0)?;
+    let leaf = cur.entry()?.clone();
+    cur.advance();
+    let passed = Passed::at(cur, Passed::Key(leaf.key.clone()));
+    Some((leaf, passed))
 }
 
 /// Which of `base` and `side` a failed diff of the two should be blamed

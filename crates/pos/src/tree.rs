@@ -11,7 +11,7 @@ use crate::iter::ItemIter;
 use crate::leaf::Item;
 use crate::scan::{get_by_key, get_by_pos, scan_tree, total_count, TreeCursor};
 use crate::types::TreeType;
-use crate::update::{splice_blob, splice_list, update_sorted, Edit};
+use crate::update::{sort_last_wins, splice_blob, splice_list, update_sorted, Edit};
 use bytes::Bytes;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::{ChunkerConfig, Digest};
@@ -264,18 +264,10 @@ impl Map {
         K: Into<Bytes>,
         V: Into<Bytes>,
     {
-        let mut sorted: std::collections::BTreeMap<Bytes, Bytes> =
-            std::collections::BTreeMap::new();
-        for (k, v) in pairs {
-            sorted.insert(k.into(), v.into());
-        }
+        let mut items: Vec<Item> = pairs.into_iter().map(|(k, v)| Item::map(k, v)).collect();
+        sort_last_wins(&mut items, |i| &i.key);
         Map {
-            root: build_items(
-                store,
-                cfg,
-                TreeType::Map,
-                sorted.into_iter().map(|(k, v)| Item { key: k, value: v }),
-            ),
+            root: build_items(store, cfg, TreeType::Map, items),
         }
     }
 
@@ -389,9 +381,10 @@ impl Set {
         I: IntoIterator<Item = K>,
         K: Into<Bytes>,
     {
-        let sorted: std::collections::BTreeSet<Bytes> = elems.into_iter().map(Into::into).collect();
+        let mut items: Vec<Item> = elems.into_iter().map(Item::set).collect();
+        sort_last_wins(&mut items, |i| &i.key);
         Set {
-            root: build_items(store, cfg, TreeType::Set, sorted.into_iter().map(Item::set)),
+            root: build_items(store, cfg, TreeType::Set, items),
         }
     }
 

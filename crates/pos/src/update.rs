@@ -102,17 +102,24 @@ impl Edit {
 
 /// Sort edits by key, last-wins on duplicates.
 pub fn normalize_edits(mut edits: Vec<Edit>) -> Vec<Edit> {
-    // Stable sort preserves input order among equal keys; keep the last.
-    edits.sort_by(|a, b| a.key().cmp(b.key()));
-    let mut out: Vec<Edit> = Vec::with_capacity(edits.len());
-    for e in edits {
-        if out.last().map(|l| l.key() == e.key()).unwrap_or(false) {
-            *out.last_mut().expect("non-empty") = e;
-        } else {
-            out.push(e);
-        }
+    sort_last_wins(&mut edits, Edit::key);
+    edits
+}
+
+/// Sort `v` by `key`, stably, and collapse equal keys in place to the
+/// last of them. Input already in key order is one pass: no sort.
+pub(crate) fn sort_last_wins<T>(v: &mut Vec<T>, key: impl Fn(&T) -> &[u8]) {
+    if !v.is_sorted_by(|a, b| key(a) <= key(b)) {
+        v.sort_by(|a, b| key(a).cmp(key(b)));
     }
-    out
+    // `dedup_by` keeps the first of a run: move each later one into it.
+    v.dedup_by(|later, kept| {
+        let same = key(later) == key(kept);
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
 }
 
 /// Feed the last `window` bytes preceding the cursor's leaf into the
@@ -504,6 +511,7 @@ mod tests {
     use crate::builder::{build_blob, build_items};
     use crate::scan::scan_tree;
     use forkbase_chunk::MemStore;
+    use proptest::prelude::*;
 
     thread_local! {
         /// Bytes the last splice on this thread ran through pattern
@@ -775,6 +783,55 @@ mod tests {
             vec![Edit::Del(Bytes::from("k000001"))],
         );
         assert_eq!(result, Err(TreeError::MissingChunk { root }));
+    }
+
+    /// `normalize_edits` as it was before ordered input skipped the sort:
+    /// a stable sort, then last-wins into a fresh vector.
+    fn normalize_by_sorting(mut edits: Vec<Edit>) -> Vec<Edit> {
+        edits.sort_by(|a, b| a.key().cmp(b.key()));
+        let mut out: Vec<Edit> = Vec::new();
+        for e in edits {
+            match out.last_mut() {
+                Some(last) if last.key() == e.key() => *last = e,
+                _ => out.push(e),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random, sorted, reversed and duplicate-heavy batches normalize
+        /// exactly as the sort-every-time version did.
+        #[test]
+        fn normalize_matches_sorting_every_batch(
+            draws in prop::collection::vec((0u8..40, any::<bool>()), 0..64),
+            order in 0u8..4,
+        ) {
+            let mut keys: Vec<u8> = draws.iter().map(|&(k, _)| k).collect();
+            match order {
+                1 => keys.sort(),
+                2 => keys.sort_by(|a, b| b.cmp(a)),
+                3 => keys.iter_mut().for_each(|k| *k %= 3),
+                _ => {}
+            }
+            // Each edit carries its batch position, so "last wins" shows.
+            let edits: Vec<Edit> = keys
+                .iter()
+                .zip(&draws)
+                .enumerate()
+                .map(|(i, (&k, &(_, put)))| {
+                    let key = vec![b'k', k];
+                    if put {
+                        Edit::Put(Item::map(key, vec![i as u8]))
+                    } else {
+                        Edit::Del(Bytes::from(key))
+                    }
+                })
+                .collect();
+            prop_assert_eq!(normalize_edits(edits.clone()), normalize_by_sorting(edits));
+        }
     }
 
     #[test]
