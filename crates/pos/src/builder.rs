@@ -792,10 +792,17 @@ pub fn build_items(
         let start = buf.len();
         encode_item(ty, &item, &mut buf);
         let koff = start + varint_len(item.key.len() as u64);
+        let end = buf.len();
         raw.push(RawItem {
-            span: (start, buf.len()),
+            span: (start, end),
             key: if ty.is_sorted() {
                 (koff, koff + item.key.len())
+            } else {
+                (0, 0)
+            },
+            // A Map entry's value is its last bytes.
+            value: if ty == TreeType::Map {
+                (end - item.value.len(), end)
             } else {
                 (0, 0)
             },

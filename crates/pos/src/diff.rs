@@ -9,14 +9,31 @@
 //! they descend only where the cids differ. A diff of `D` changed
 //! elements fetches O(D · log N) chunks, none of them from a shared
 //! subtree.
+//!
+//! **Shared entries pass a run at a time.** Inside an index node whose
+//! cid differs, the entries before and after the edit are mostly shared.
+//! Once the walk has stepped over one equal-cid entry, both cursors stand
+//! past the first child of their nodes, so no subtree above the current
+//! level can start there: the per-entry loop could only find the current
+//! level, entry after entry. `TreeCursor::skip_equal_run` takes those
+//! same steps directly — one cid compare per entry, `reserved` checked
+//! for each, stopping before either node's last entry so that leaving a
+//! node stays with the loop. It fetches nothing the loop would not.
+//!
+//! **Only what differs is materialised.** The leaves of a differing
+//! region are merge-joined as raw element spans (the splice's
+//! [`RawItemCursor`](crate::leaf::RawItemCursor)): keys compared as byte
+//! slices, values of equal keys by their bytes. An entry becomes
+//! [`Bytes`] slices of its leaf only when it differs; a leaf that does
+//! not decode cleanly fails the diff.
 
-use crate::iter::ItemIter;
-use crate::leaf::Item;
+use crate::leaf::{raw_items_of, RawItem};
 use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use bytes::Bytes;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::Digest;
+use std::cmp::Ordering;
 
 /// One differing key between two sorted trees.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,54 +58,32 @@ pub fn sorted_diff(
     if left == right {
         return Some(Vec::new());
     }
-    let mut l = ItemIter::new(store, left, ty)?;
-    let mut r = ItemIter::new(store, right, ty)?;
-    let only = |item: Item, on_left: bool| {
-        let (left, right) = if on_left {
-            (Some(item.value), None)
-        } else {
-            (None, Some(item.value))
-        };
-        DiffEntry {
-            key: item.key,
-            left,
-            right,
-        }
-    };
-
+    let mut l = Side::new(store, left, ty)?;
+    let mut r = Side::new(store, right, ty)?;
     let mut out = Vec::new();
-    // The next unmatched item of each side.
-    let (mut lh, mut rh): (Option<Item>, Option<Item>) = (None, None);
     loop {
         // Both sides between leaves: what they stand on can be compared
         // by cid before anything is fetched.
-        if lh.is_none() && rh.is_none() && l.between_leaves() && r.between_leaves() {
+        if l.between_leaves() && r.between_leaves() {
             skip_common(&mut l.cursor, &mut r.cursor, None)?;
         }
-        if lh.is_none() {
-            lh = l.try_next()?;
-        }
-        if rh.is_none() {
-            rh = r.try_next()?;
-        }
-        let order = match (&lh, &rh) {
+        let order = match (l.peek()?, r.peek()?) {
             (None, None) => break,
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (Some(li), Some(ri)) => li.key.cmp(&ri.key),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(a), Some(b)) => l.bytes(a.key).cmp(r.bytes(b.key)),
         };
         match order {
-            std::cmp::Ordering::Less => out.extend(lh.take().map(|i| only(i, true))),
-            std::cmp::Ordering::Greater => out.extend(rh.take().map(|i| only(i, false))),
-            std::cmp::Ordering::Equal => {
-                if let (Some(li), Some(ri)) = (lh.take(), rh.take()) {
-                    if li.value != ri.value {
-                        out.push(DiffEntry {
-                            key: li.key,
-                            left: Some(li.value),
-                            right: Some(ri.value),
-                        });
-                    }
+            Ordering::Less => out.push(l.pass_alone(true)),
+            Ordering::Greater => out.push(r.pass_alone(false)),
+            Ordering::Equal => {
+                let (a, b) = (l.pass(), r.pass());
+                if l.bytes(a.value) != r.bytes(b.value) {
+                    out.push(DiffEntry {
+                        key: l.slice(a.key),
+                        left: Some(l.slice(a.value)),
+                        right: Some(r.slice(b.value)),
+                    });
                 }
             }
         }
@@ -96,10 +91,91 @@ pub fn sorted_diff(
     Some(out)
 }
 
+/// One side of a sorted diff: its cursor, and the leaf the cursor last
+/// passed as raw element spans with the next unmatched one.
+struct Side<'s> {
+    ty: TreeType,
+    /// Stands on the entry after the leaf `items` came from.
+    cursor: TreeCursor<'s>,
+    leaf: Bytes,
+    items: Vec<RawItem>,
+    next: usize,
+}
+
+impl<'s> Side<'s> {
+    fn new(store: &'s dyn ChunkStore, root: Digest, ty: TreeType) -> Option<Self> {
+        Some(Side {
+            ty,
+            cursor: TreeCursor::new(store, root, ty)?,
+            leaf: Bytes::new(),
+            items: Vec::new(),
+            next: 0,
+        })
+    }
+
+    /// True when the last leaf is used up: the next item is the first of
+    /// whatever the cursor stands on.
+    fn between_leaves(&self) -> bool {
+        self.next == self.items.len()
+    }
+
+    /// The next unmatched item, decoding the leaf under the cursor when
+    /// the last one is used up. The outer `None` is a storage error (a
+    /// missing chunk, a leaf that does not decode cleanly), the inner one
+    /// the end of the tree.
+    #[allow(clippy::option_option)]
+    fn peek(&mut self) -> Option<Option<RawItem>> {
+        while self.between_leaves() {
+            if self.cursor.at_end() {
+                return Some(None);
+            }
+            self.cursor.descend_to(0)?;
+            self.leaf = self.cursor.chunk()?.payload().clone();
+            raw_items_of(self.ty, &self.leaf, &mut self.items)?;
+            self.next = 0;
+            self.cursor.advance();
+        }
+        Some(Some(self.items[self.next]))
+    }
+
+    /// Step past the item [`peek`](Self::peek) returned.
+    fn pass(&mut self) -> RawItem {
+        let item = self.items[self.next];
+        self.next += 1;
+        item
+    }
+
+    /// Step past the peeked item, a key only this side holds.
+    fn pass_alone(&mut self, on_left: bool) -> DiffEntry {
+        let item = self.pass();
+        let value = Some(self.slice(item.value));
+        let (left, right) = if on_left {
+            (value, None)
+        } else {
+            (None, value)
+        };
+        DiffEntry {
+            key: self.slice(item.key),
+            left,
+            right,
+        }
+    }
+
+    fn bytes(&self, (start, end): (usize, usize)) -> &[u8] {
+        &self.leaf[start..end]
+    }
+
+    /// A zero-copy slice of the leaf.
+    fn slice(&self, (start, end): (usize, usize)) -> Bytes {
+        self.leaf.slice(start..end)
+    }
+}
+
 /// Step both cursors over every subtree they both stand at the start of
-/// (same cid at the same level — the highest such level first), descending
-/// the side that stands higher wherever there is none, until they stand
-/// on two different leaves or one is at its end.
+/// (same cid at the same level — the highest such level first, then the
+/// run of equal entries behind it), descending the side that stands
+/// higher wherever there is none, until they stand on two different
+/// leaves or one is at its end.
 ///
 /// With `reserved`, a subtree is stepped over only if that leaves more
 /// than `reserved` elements unpassed on both sides.
@@ -123,6 +199,7 @@ pub(crate) fn skip_common(
             Some(level) => {
                 l.skip_subtree(level);
                 r.skip_subtree(level);
+                TreeCursor::skip_equal_run(l, r, reserved);
             }
             None if ll == 0 && rl == 0 => break,
             None => {
@@ -210,6 +287,7 @@ fn read_middle(cur: &mut TreeCursor, suffix: u64) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::builder::{build_blob, build_items};
+    use crate::leaf::Item;
     use forkbase_chunk::MemStore;
     use forkbase_crypto::ChunkerConfig;
 

@@ -72,7 +72,9 @@ pub fn decode_index_payload(payload: &Bytes, sorted: bool) -> Option<(u64, Vec<I
     let buf: &[u8] = payload;
     let mut pos = 0;
     let level = get_varint(buf, &mut pos)?;
-    let mut entries = Vec::new();
+    // No entry is shorter than a cid, a one-byte count and (sorted) a
+    // one-byte key length: room for every entry the payload can hold.
+    let mut entries = Vec::with_capacity(buf.len() / (Digest::LEN + 1 + usize::from(sorted)));
     while pos < buf.len() {
         if buf.len() < pos + Digest::LEN {
             return None;

@@ -15,7 +15,7 @@ use forkbase_crypto::Digest;
 pub struct ItemIter<'s> {
     ty: TreeType,
     /// Stands on the entry after the leaf `leaf_items` came from.
-    pub(crate) cursor: TreeCursor<'s>,
+    cursor: TreeCursor<'s>,
     leaf_items: std::vec::IntoIter<Item>,
 }
 
@@ -47,12 +47,6 @@ impl<'s> ItemIter<'s> {
         Some(it)
     }
 
-    /// True when the last loaded leaf is used up: the next item is the
-    /// first of whatever the cursor stands on.
-    pub(crate) fn between_leaves(&self) -> bool {
-        self.leaf_items.as_slice().is_empty()
-    }
-
     /// Decode the leaf under the cursor and step the cursor past it.
     fn load_leaf(&mut self) -> Option<()> {
         self.cursor.descend_to(0)?;
@@ -65,7 +59,7 @@ impl<'s> ItemIter<'s> {
     /// The next item; the outer `None` is a storage error (a missing or
     /// corrupt chunk), the inner one the end of the tree.
     #[allow(clippy::option_option)]
-    pub(crate) fn try_next(&mut self) -> Option<Option<Item>> {
+    fn try_next(&mut self) -> Option<Option<Item>> {
         loop {
             if let Some(item) = self.leaf_items.next() {
                 return Some(Some(item));

@@ -135,6 +135,9 @@ pub struct RawItem {
     pub span: (usize, usize),
     /// The key bytes within the payload (empty range for List).
     pub key: (usize, usize),
+    /// The value bytes within the payload (Map; an empty range for Set
+    /// and List).
+    pub value: (usize, usize),
 }
 
 /// Streaming decoder over an item-leaf payload (List/Set/Map) yielding
@@ -181,14 +184,20 @@ impl<'a> RawItemCursor<'a> {
             TreeType::List => (0, 0),
             _ => (fs, fs + first.len()),
         };
-        if self.ty == TreeType::Map && get_bytes(self.data, &mut pos).is_none() {
-            self.corrupt = true;
-            return None;
-        }
+        let value = if self.ty == TreeType::Map {
+            let Some(v) = get_bytes(self.data, &mut pos) else {
+                self.corrupt = true;
+                return None;
+            };
+            (pos - v.len(), pos)
+        } else {
+            (0, 0)
+        };
         self.pos = pos;
         Some(RawItem {
             span: (start, pos),
             key,
+            value,
         })
     }
 
@@ -196,6 +205,17 @@ impl<'a> RawItemCursor<'a> {
     pub fn finished_clean(&self) -> bool {
         !self.corrupt && self.pos == self.data.len()
     }
+}
+
+/// Decode `payload`, an item-leaf of type `ty`, into `out` as raw element
+/// spans. `None` for a corrupt payload.
+pub(crate) fn raw_items_of(ty: TreeType, payload: &[u8], out: &mut Vec<RawItem>) -> Option<()> {
+    out.clear();
+    let mut cursor = RawItemCursor::new(ty, payload);
+    while let Some(raw) = cursor.next() {
+        out.push(raw);
+    }
+    cursor.finished_clean().then_some(())
 }
 
 /// The element with key `key` in a sorted leaf payload, found without
@@ -352,6 +372,13 @@ mod tests {
                 let key = &payload[raw.key.0..raw.key.1];
                 if ty != TreeType::List {
                     assert_eq!(key, decoded[got].key.as_ref());
+                }
+                let value = &payload[raw.value.0..raw.value.1];
+                if ty == TreeType::Map {
+                    assert_eq!(value, decoded[got].value.as_ref());
+                    assert_eq!(raw.value.1, raw.span.1, "a value ends its entry");
+                } else {
+                    assert_eq!(raw.value, (0, 0));
                 }
                 // Re-encoding the decoded item reproduces the span bytes.
                 let mut re = Vec::new();

@@ -255,6 +255,38 @@ impl<'s> TreeCursor<'s> {
         }
     }
 
+    /// Step `l` and `r`, which stand on entries of the same level, past
+    /// every entry that follows in both their nodes with equal cids, one
+    /// cid compare each, stopping before either node's last entry
+    /// (leaving a node is [`advance`](Self::advance)'s job). With
+    /// `reserved`, an entry is passed only if that leaves more than
+    /// `reserved` elements unpassed on both sides.
+    ///
+    /// Each step is the one `skip_common`'s loop would take: a node whose
+    /// first child has been passed starts no higher subtree, so the
+    /// current level is the only one the two cursors can share.
+    pub(crate) fn skip_equal_run(l: &mut Self, r: &mut TreeCursor<'_>, reserved: Option<u64>) {
+        if l.level() != r.level() {
+            return;
+        }
+        let (l_total, r_total) = (l.total(), r.total());
+        let (l_rev, r_rev) = (l.rev, r.rev);
+        let (lf, rf) = (l.top_mut(), r.top_mut());
+        while lf.idx + 1 < lf.entries.len() && rf.idx + 1 < rf.entries.len() {
+            let (Some(a), Some(b)) = (child(l_rev, lf, lf.idx), child(r_rev, rf, rf.idx)) else {
+                return;
+            };
+            let (count, r_count) = (a.count, b.count);
+            let fits =
+                |pos: u64, total: u64| reserved.is_none_or(|keep| pos + count + keep < total);
+            if a.cid != b.cid || !fits(lf.pos, l_total) || !fits(rf.pos, r_total) {
+                return;
+            }
+            (lf.idx, lf.pos) = (lf.idx + 1, lf.pos + count);
+            (rf.idx, rf.pos) = (rf.idx + 1, rf.pos + r_count);
+        }
+    }
+
     /// Move to the level-`floor` entry holding the element at offset
     /// `pos` — the end if there is none. Climbs only as far as the
     /// nearest node on the path that holds `pos`, so nearby seeks cost

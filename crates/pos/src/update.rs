@@ -73,7 +73,7 @@
 
 use crate::builder::{build_index_levels, LeafBuilder, Patch};
 use crate::error::{TreeError, TreeResult};
-use crate::leaf::{Item, RawItem, RawItemCursor};
+use crate::leaf::{raw_items_of, Item, RawItem};
 use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use bytes::Bytes;
@@ -143,17 +143,6 @@ fn seed_before(cur: &mut TreeCursor, window: usize, lb: &mut LeafBuilder) -> Opt
 /// The re-chunked regions of a splice: the old leaves each covered (as
 /// an element range) and the builder's leaf count when it closed.
 type Regions = Vec<(Range<u64>, usize)>;
-
-/// Decode `payload`, an item-leaf of type `ty`, into `out` as raw element
-/// spans. `None` for a corrupt payload.
-fn raw_items_of(ty: TreeType, payload: &[u8], out: &mut Vec<RawItem>) -> Option<()> {
-    out.clear();
-    let mut cursor = RawItemCursor::new(ty, payload);
-    while let Some(raw) = cursor.next() {
-        out.push(raw);
-    }
-    cursor.finished_clean().then_some(())
-}
 
 /// Append the puts among `edits` as fresh elements (deletes of keys the
 /// tree does not hold are no-ops).
