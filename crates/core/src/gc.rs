@@ -30,7 +30,7 @@ use crate::fobject::FObject;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::fx::FxHashSet;
 use forkbase_crypto::Digest;
-use forkbase_pos::entry::decode_index_payload;
+use forkbase_pos::IndexNode;
 
 use crate::db::ForkBase;
 
@@ -49,25 +49,29 @@ pub struct GcReport {
     pub dropped_bytes: u64,
 }
 
-/// Collect the cids of every chunk reachable from the given version:
-/// the meta chunks of the version and its whole derivation history, plus
-/// each version's value-tree chunks.
-fn mark_version(
-    store: &dyn ChunkStore,
-    head: Digest,
-    live: &mut FxHashSet<Digest>,
-    versions: &mut usize,
-) -> Result<()> {
-    let mut stack = vec![head];
+/// The live set of an instance: every chunk reachable from any branch
+/// head of any key — the meta chunks of the heads and of their whole
+/// derivation history, and every chunk of each version's value tree. The
+/// count of distinct live versions is returned alongside the cid set.
+///
+/// Only meta chunks, tree roots and index nodes are fetched: a leaf is
+/// named by its parent's entry, so the mark only checks that the store
+/// holds it.
+pub fn live_set(db: &ForkBase) -> Result<(FxHashSet<Digest>, usize)> {
+    let store = db.store();
+    let snap = db.snapshot_branches();
+    // A head may appear in several branch tables; the `live` set
+    // deduplicates it like any other version.
+    let mut stack: Vec<Digest> = snap.heads().collect();
+    let (mut live, mut versions) = (FxHashSet::default(), 0usize);
     while let Some(uid) = stack.pop() {
         if !live.insert(uid) {
             continue;
         }
         let obj = FObject::load(store, uid)?;
-        *versions += 1;
+        versions += 1;
         stack.extend(obj.bases.iter().copied());
-        let value = obj.value(store)?;
-        let Some((ty, root)) = value.tree_root() else {
+        let Some((ty, root)) = obj.value(store)?.tree_root() else {
             continue;
         };
         let mut tree = vec![root];
@@ -76,28 +80,18 @@ fn mark_version(
                 continue;
             }
             let chunk = store.get(&cid).ok_or(FbError::VersionNotFound(cid))?;
-            if chunk.ty().is_index() {
-                let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())
-                    .ok_or_else(|| FbError::Corrupt("bad index chunk".into()))?;
-                tree.extend(entries.iter().map(|e| e.cid));
+            if !chunk.ty().is_index() {
+                continue;
             }
-        }
-    }
-    Ok(())
-}
-
-/// The live set of an instance: every chunk reachable from any branch
-/// head of any key. The count of distinct live versions is returned
-/// alongside the cid set.
-pub fn live_set(db: &ForkBase) -> Result<(FxHashSet<Digest>, usize)> {
-    let snap = db.snapshot_branches();
-    let mut live = FxHashSet::default();
-    let mut versions = 0usize;
-    for head in snap.heads() {
-        // A head may appear in several branch tables; mark_version
-        // deduplicates through the `live` set.
-        if !live.contains(&head) {
-            mark_version(db.store(), head, &mut live, &mut versions)?;
+            let node = IndexNode::parse(chunk.payload().clone(), ty.is_sorted())
+                .ok_or_else(|| FbError::Corrupt("bad index chunk".into()))?;
+            for e in node.entries() {
+                if node.level() > 1 {
+                    tree.push(*e.cid);
+                } else if live.insert(*e.cid) && !store.contains(e.cid) {
+                    return Err(FbError::VersionNotFound(*e.cid));
+                }
+            }
         }
     }
     Ok((live, versions))

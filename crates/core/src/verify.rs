@@ -12,7 +12,7 @@ use crate::fobject::FObject;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::fx::FxHashSet;
 use forkbase_crypto::Digest;
-use forkbase_pos::entry::decode_index_payload;
+use forkbase_pos::IndexNode;
 
 /// Outcome of a verification pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,8 +56,7 @@ pub fn verify_object(store: &dyn ChunkStore, uid: Digest) -> Result<usize> {
         )));
     }
     let obj = FObject::decode(meta.payload())?;
-    let value = obj.value(store)?;
-    let Some((ty, root)) = value.tree_root() else {
+    let Some((ty, root)) = obj.value(store)?.tree_root() else {
         return Ok(0); // primitive: fully embedded in the (verified) meta chunk
     };
 
@@ -68,9 +67,9 @@ pub fn verify_object(store: &dyn ChunkStore, uid: Digest) -> Result<usize> {
         let chunk = fetch_verified(store, cid)?;
         verified += 1;
         if chunk.ty().is_index() {
-            let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())
+            let node = IndexNode::parse(chunk.payload().clone(), ty.is_sorted())
                 .ok_or_else(|| FbError::Corrupt("bad index chunk".into()))?;
-            stack.extend(entries.iter().map(|e| e.cid));
+            stack.extend(node.entries().map(|e| *e.cid));
         }
     }
     Ok(verified)

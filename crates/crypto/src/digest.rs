@@ -8,6 +8,7 @@ use std::fmt;
 
 /// A 256-bit digest. Ordered lexicographically, hashable, cheap to copy.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)]
 pub struct Digest([u8; 32]);
 
 impl Digest {
@@ -21,6 +22,13 @@ impl Digest {
     /// Wrap raw digest bytes.
     pub const fn from_bytes(bytes: [u8; 32]) -> Self {
         Digest(bytes)
+    }
+
+    /// View 32 bytes in place as a digest (no copy).
+    pub fn from_array_ref(bytes: &[u8; 32]) -> &Digest {
+        // SAFETY: `Digest` is `repr(transparent)` over `[u8; 32]`, so the
+        // two types have the same layout and alignment.
+        unsafe { &*(bytes as *const [u8; 32]).cast::<Digest>() }
     }
 
     /// Borrow the raw bytes.
@@ -149,6 +157,14 @@ mod tests {
         assert!(Digest::from_slice(&[0u8; 31]).is_none());
         assert!(Digest::from_slice(&[0u8; 33]).is_none());
         assert!(Digest::from_slice(&[0u8; 32]).is_some());
+    }
+
+    #[test]
+    fn array_ref_views_the_same_bytes() {
+        let bytes = [9u8; 32];
+        let d = Digest::from_array_ref(&bytes);
+        assert_eq!(*d, Digest::from_bytes(bytes));
+        assert!(std::ptr::eq(d.as_bytes(), &bytes));
     }
 
     #[test]

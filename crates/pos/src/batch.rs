@@ -15,7 +15,7 @@
 //! (`insert`/`delete`): a Set element is an [`Item`] with an empty value.
 
 use crate::leaf::Item;
-use crate::update::{normalize_edits, Edit};
+use crate::update::Edit;
 use bytes::Bytes;
 
 /// An ordered edit buffer with last-wins semantics, RocksDB-WriteBatch
@@ -87,12 +87,6 @@ impl WriteBatch {
     pub fn into_edits(self) -> Vec<Edit> {
         self.edits
     }
-
-    /// Consume the batch as a normalized edit list: sorted by key,
-    /// duplicate keys collapsed to the last buffered edit.
-    pub fn into_normalized_edits(self) -> Vec<Edit> {
-        normalize_edits(self.edits)
-    }
 }
 
 impl Extend<Edit> for WriteBatch {
@@ -128,6 +122,7 @@ impl<K: Into<Bytes>> FromIterator<(K, Option<Bytes>)> for WriteBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::update::normalize_edits;
 
     #[test]
     fn collects_optional_values_as_puts_and_deletes() {
@@ -145,7 +140,7 @@ mod tests {
         let mut wb = WriteBatch::new();
         wb.put("b", "1").delete("a").put("b", "2").insert("c");
         assert_eq!(wb.len(), 4);
-        let normalized = wb.into_normalized_edits();
+        let normalized = normalize_edits(wb.into_edits());
         assert_eq!(normalized.len(), 3, "duplicate key collapsed");
         assert_eq!(normalized[0], Edit::Del(Bytes::from("a")));
         assert_eq!(normalized[1], Edit::Put(Item::map("b", "2")), "last wins");

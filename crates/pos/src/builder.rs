@@ -81,6 +81,7 @@
 
 use crate::entry::{encode_index_payload, IndexEntry};
 use crate::leaf::{encode_item, Item, RawItem};
+use crate::metrics;
 use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use bytes::Bytes;
@@ -449,6 +450,7 @@ impl<'s> LeafBuilder<'s> {
     pub fn finish(self) -> Vec<IndexEntry> {
         let store = self.store;
         let (entries, fresh) = self.finish_unstored();
+        metrics::stored(&fresh);
         store.put_many(fresh);
         entries
     }
@@ -601,6 +603,7 @@ pub(crate) fn build_index_levels(
             (0, 0) => {
                 let chunk = Chunk::new(ty.leaf_chunk(), Bytes::new());
                 let cid = chunk.cid();
+                metrics::stored(std::slice::from_ref(&chunk));
                 store.put(chunk);
                 return Some(cid);
             }
@@ -613,11 +616,12 @@ pub(crate) fn build_index_levels(
                     .iter()
                     .fold(0, |gap, p| if p.old.start == gap { p.old.end } else { gap });
                 cur.seek_pos(gap, level)?;
-                cur.entry().filter(|e| e.count == kept).map(|e| e.cid)
+                cur.entry().filter(|e| e.count == kept).map(|e| *e.cid)
             }
             _ => None,
         };
         if let Some(root) = root {
+            metrics::stored(&fresh);
             store.put_many(fresh);
             return Some(root);
         }
@@ -697,7 +701,7 @@ fn regroup(
             cur.seek_pos(start, floor)?;
             let (node_start, before) = cur.siblings_before();
             start = node_start;
-            before.iter().for_each(|e| g.push(e.clone()));
+            before.for_each(|e| g.push(e.to_owned()));
         }
         let end = loop {
             let patch = patches.next().expect("peeked, or left at a patch");
@@ -721,7 +725,7 @@ fn regroup(
                     break true;
                 }
                 cur.descend_to(floor)?;
-                g.push(cur.entry()?.clone());
+                g.push(cur.entry()?.to_owned());
                 cur.advance();
             };
             if rejoined {

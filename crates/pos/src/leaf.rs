@@ -80,51 +80,21 @@ pub fn encode_item(ty: TreeType, item: &Item, out: &mut Vec<u8>) {
 /// leaf alive). For `Blob` this produces one item per byte — use the raw
 /// payload instead on hot paths.
 pub fn decode_items(ty: TreeType, payload: &Bytes) -> Option<Vec<Item>> {
-    let buf: &[u8] = payload;
-    let mut items = Vec::new();
-    // `get_bytes` returns a subslice of `buf`; re-derive its offsets to
-    // take zero-copy `Bytes` slices of the shared buffer.
-    let range_of = |sub: &[u8]| -> (usize, usize) {
-        let start = sub.as_ptr() as usize - buf.as_ptr() as usize;
-        (start, start + sub.len())
-    };
-    match ty {
-        TreeType::Blob => {
-            items.reserve(buf.len());
-            for i in 0..buf.len() {
-                items.push(Item {
-                    key: Bytes::new(),
-                    value: payload.slice(i..i + 1),
-                });
-            }
-        }
-        TreeType::List => {
-            let mut pos = 0;
-            while pos < buf.len() {
-                let (s, e) = range_of(get_bytes(buf, &mut pos)?);
-                items.push(Item::list(payload.slice(s..e)));
-            }
-        }
-        TreeType::Set => {
-            let mut pos = 0;
-            while pos < buf.len() {
-                let (s, e) = range_of(get_bytes(buf, &mut pos)?);
-                items.push(Item::set(payload.slice(s..e)));
-            }
-        }
-        TreeType::Map => {
-            let mut pos = 0;
-            while pos < buf.len() {
-                let (ks, ke) = range_of(get_bytes(buf, &mut pos)?);
-                let (vs, ve) = range_of(get_bytes(buf, &mut pos)?);
-                items.push(Item {
-                    key: payload.slice(ks..ke),
-                    value: payload.slice(vs..ve),
-                });
-            }
-        }
+    let slice = |(s, e): (usize, usize)| payload.slice(s..e);
+    if ty == TreeType::Blob {
+        return Some(
+            (0..payload.len())
+                .map(|i| Item::list(slice((i, i + 1))))
+                .collect(),
+        );
     }
-    Some(items)
+    let mut raw = Vec::new();
+    raw_items_of(ty, payload, &mut raw)?;
+    let item = |r: &RawItem| Item {
+        key: slice(r.key),
+        value: slice(r.value),
+    };
+    Some(raw.iter().map(item).collect())
 }
 
 /// One element of a leaf payload as byte ranges into that payload —
@@ -135,8 +105,7 @@ pub struct RawItem {
     pub span: (usize, usize),
     /// The key bytes within the payload (empty range for List).
     pub key: (usize, usize),
-    /// The value bytes within the payload (Map; an empty range for Set
-    /// and List).
+    /// The value bytes within the payload (empty range for Set).
     pub value: (usize, usize),
 }
 
@@ -179,19 +148,17 @@ impl<'a> RawItemCursor<'a> {
             self.corrupt = true;
             return None;
         };
-        let fs = first.as_ptr() as usize - self.data.as_ptr() as usize;
-        let key = match self.ty {
-            TreeType::List => (0, 0),
-            _ => (fs, fs + first.len()),
-        };
-        let value = if self.ty == TreeType::Map {
-            let Some(v) = get_bytes(self.data, &mut pos) else {
-                self.corrupt = true;
-                return None;
-            };
-            (pos - v.len(), pos)
-        } else {
-            (0, 0)
+        let first = (pos - first.len(), pos);
+        let (key, value) = match self.ty {
+            TreeType::List => ((0, 0), first),
+            TreeType::Map => {
+                let Some(v) = get_bytes(self.data, &mut pos) else {
+                    self.corrupt = true;
+                    return None;
+                };
+                (first, (pos - v.len(), pos))
+            }
+            _ => (first, (0, 0)),
         };
         self.pos = pos;
         Some(RawItem {
@@ -222,54 +189,32 @@ pub(crate) fn raw_items_of(ty: TreeType, payload: &[u8], out: &mut Vec<RawItem>)
 /// materializing the others.
 pub fn find_item(ty: TreeType, payload: &[u8], key: &[u8]) -> Option<Item> {
     debug_assert!(ty.is_sorted());
-    let mut pos = 0;
-    while pos < payload.len() {
-        let k = get_bytes(payload, &mut pos)?;
-        let v = match ty {
-            TreeType::Map => get_bytes(payload, &mut pos)?,
-            _ => &[],
-        };
-        match k.cmp(key) {
-            std::cmp::Ordering::Less => {}
-            std::cmp::Ordering::Equal => return Some(Item::map(k.to_vec(), v.to_vec())),
-            std::cmp::Ordering::Greater => break,
-        }
-    }
-    None
+    let bytes = |(s, e): (usize, usize)| &payload[s..e];
+    let mut cursor = RawItemCursor::new(ty, payload);
+    std::iter::from_fn(|| cursor.next())
+        .find(|r| bytes(r.key) >= key)
+        .filter(|r| bytes(r.key) == key)
+        .map(|r| Item::map(bytes(r.key).to_vec(), bytes(r.value).to_vec()))
 }
 
 /// Number of elements in a leaf payload without materializing them.
 pub fn count_items(ty: TreeType, payload: &[u8]) -> Option<u64> {
-    match ty {
-        TreeType::Blob => Some(payload.len() as u64),
-        _ => {
-            let mut n = 0u64;
-            let mut pos = 0;
-            while pos < payload.len() {
-                get_bytes(payload, &mut pos)?;
-                if ty == TreeType::Map {
-                    get_bytes(payload, &mut pos)?;
-                }
-                n += 1;
-            }
-            Some(n)
-        }
+    if ty == TreeType::Blob {
+        return Some(payload.len() as u64);
     }
+    let mut cursor = RawItemCursor::new(ty, payload);
+    let n = std::iter::from_fn(|| cursor.next()).count();
+    cursor.finished_clean().then_some(n as u64)
 }
 
 /// The largest (= last) key of a sorted leaf payload, if any.
 pub fn last_key(ty: TreeType, payload: &[u8]) -> Option<Bytes> {
     debug_assert!(ty.is_sorted());
-    let mut pos = 0;
-    let mut last: Option<&[u8]> = None;
-    while pos < payload.len() {
-        let k = get_bytes(payload, &mut pos)?;
-        if ty == TreeType::Map {
-            get_bytes(payload, &mut pos)?;
-        }
-        last = Some(k);
-    }
-    last.map(Bytes::copy_from_slice)
+    let mut cursor = RawItemCursor::new(ty, payload);
+    let (s, e) = std::iter::from_fn(|| cursor.next()).last()?.key;
+    cursor
+        .finished_clean()
+        .then(|| Bytes::copy_from_slice(&payload[s..e]))
 }
 
 #[cfg(test)]
@@ -374,11 +319,11 @@ mod tests {
                     assert_eq!(key, decoded[got].key.as_ref());
                 }
                 let value = &payload[raw.value.0..raw.value.1];
-                if ty == TreeType::Map {
+                if ty == TreeType::Set {
+                    assert_eq!(raw.value, (0, 0));
+                } else {
                     assert_eq!(value, decoded[got].value.as_ref());
                     assert_eq!(raw.value.1, raw.span.1, "a value ends its entry");
-                } else {
-                    assert_eq!(raw.value, (0, 0));
                 }
                 // Re-encoding the decoded item reproduces the span bytes.
                 let mut re = Vec::new();

@@ -52,6 +52,7 @@ pub mod hamt;
 pub mod iter;
 pub mod leaf;
 pub mod merge;
+pub mod metrics;
 pub mod scan;
 pub mod tree;
 pub mod types;
@@ -59,7 +60,7 @@ pub mod update;
 
 pub use batch::WriteBatch;
 pub use diff::{blob_diff_summary, sorted_diff, DiffEntry, RangeDiff};
-pub use entry::IndexEntry;
+pub use entry::{EntryRef, IndexEntry, IndexNode};
 pub use error::{TreeError, TreeResult};
 pub use hamt::Hamt;
 pub use iter::ItemIter;
@@ -68,7 +69,7 @@ pub use merge::{
     merge3_blob, merge3_sorted, BlobConflict, BlobMergeError, Conflict, MergeError, MergeOutcome,
     Resolver,
 };
-pub use tree::{Blob, List, Map, Set, TreeRef};
+pub use tree::{Blob, List, Map, Set};
 pub use types::TreeType;
 pub use update::{normalize_edits, splice_blob, splice_list, update_sorted, Edit};
 

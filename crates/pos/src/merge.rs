@@ -359,7 +359,7 @@ fn leaf_regions(
 /// cursor has now passed.
 fn next_leaf(cur: &mut TreeCursor) -> Option<(IndexEntry, Passed)> {
     cur.descend_to(0)?;
-    let leaf = cur.entry()?.clone();
+    let leaf = cur.entry()?.to_owned();
     cur.advance();
     let passed = Passed::at(cur, Passed::Key(leaf.key.clone()));
     Some((leaf, passed))

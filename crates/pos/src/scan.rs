@@ -1,31 +1,72 @@
 //! Tree walking: the pruned root-to-leaf cursor every reader, diff and
 //! splice navigates with, plus counting and point lookups.
 
-use crate::entry::{decode_index_payload, IndexEntry};
+use crate::entry::{encode_index_payload, EntryRef, IndexEntry, IndexNode};
 use crate::leaf::{count_items, decode_items, find_item, last_key, Item};
+use crate::metrics;
 use crate::types::TreeType;
 use bytes::Bytes;
 use forkbase_chunk::{Chunk, ChunkStore};
 use forkbase_crypto::Digest;
 
-/// One decoded index node on a [`TreeCursor`]'s path.
-struct Frame {
-    entries: Vec<IndexEntry>,
-    /// Children already passed in the direction of travel; the current
-    /// child is the next one. Equal to `entries.len()` only in the root
-    /// frame, when the cursor is at its end.
-    idx: usize,
-    /// Elements passed before the current child.
-    pos: u64,
-    /// Elements passed before this node's first child / through its last.
-    start: u64,
-    end: u64,
+/// Fetch a chunk for a tree reader, counting it as a leaf or an index
+/// get ([`metrics`]).
+pub(crate) fn fetch(store: &dyn ChunkStore, cid: &Digest) -> Option<Chunk> {
+    let chunk = store.get(cid)?;
+    metrics::got(&chunk);
+    Some(chunk)
 }
 
-/// A position in a POS-Tree held as the root-to-node path of decoded
-/// index nodes, so that moving costs chunk fetches only for the nodes a
-/// move actually enters — "only the relevant nodes are fetched instead of
-/// the entire tree" (§4.3.1).
+/// One index node on a [`TreeCursor`]'s path, read in place.
+struct Frame {
+    node: IndexNode,
+    /// Children already passed in the direction of travel; the current
+    /// child is the next one. Equal to `node.len()` only in the root
+    /// frame, when the cursor is at its end.
+    idx: usize,
+    /// Elements passed before this node's first child.
+    start: u64,
+}
+
+impl Frame {
+    /// The `i`-th child in the direction of travel.
+    fn child(&self, rev: bool, i: usize) -> Option<EntryRef<'_>> {
+        let i = if rev {
+            self.node.len().checked_sub(i + 1)?
+        } else {
+            i
+        };
+        self.node.entry(i)
+    }
+
+    /// Elements passed before the current child.
+    fn pos(&self, rev: bool) -> u64 {
+        let n = &self.node;
+        self.start
+            + if rev {
+                n.total() - n.before(n.len() - self.idx)
+            } else {
+                n.before(self.idx)
+            }
+    }
+
+    /// Stand on the child holding the node's element `off` (counted in
+    /// the direction of travel); past the last child if there is none.
+    fn seek(&mut self, rev: bool, off: u64) {
+        let n = &self.node;
+        self.idx = match n.total().checked_sub(off.saturating_add(1)) {
+            Some(back) if rev => n.len() - 1 - n.find(back),
+            None if rev => n.len(),
+            _ => n.find(off),
+        };
+    }
+}
+
+/// A position in a POS-Tree held as the root-to-node path of index
+/// nodes, so that moving costs chunk fetches only for the nodes a move
+/// actually enters — "only the relevant nodes are fetched instead of the
+/// entire tree" (§4.3.1). Each node is read in place ([`IndexNode`]):
+/// the cursor lends out its entries as borrows of the node's payload.
 ///
 /// The cursor stands on the **current entry**: a child of the deepest
 /// node on the path, at [`level`](Self::level) (0 = a leaf). It is lazy:
@@ -63,40 +104,37 @@ impl<'s> TreeCursor<'s> {
     }
 
     fn open(store: &'s dyn ChunkStore, root: Digest, ty: TreeType, rev: bool) -> Option<Self> {
-        let chunk = store.get(&root)?;
-        let (height, entries) = if chunk.ty().is_index() {
-            let (level, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())?;
-            if level == 0 || entries.is_empty() {
-                return None;
-            }
-            (level, entries)
+        let chunk = fetch(store, &root)?;
+        let node = if chunk.ty().is_index() {
+            IndexNode::parse(chunk.payload().clone(), ty.is_sorted())
+                .filter(|n| n.level() > 0 && !n.is_empty())?
         } else {
+            // A root leaf: one entry (none for the canonical empty leaf)
+            // under a synthetic parent whose level is the tree's height, 0.
             let count = count_items(ty, chunk.payload())?;
             let key = if ty.is_sorted() && count > 0 {
                 last_key(ty, chunk.payload())?
             } else {
                 Bytes::new()
             };
-            let leaf = IndexEntry {
+            let leaf = (count > 0).then_some(IndexEntry {
                 cid: root,
                 count,
                 key,
-            };
-            (0, if count > 0 { vec![leaf] } else { Vec::new() })
+            });
+            let payload = encode_index_payload(0, leaf.as_slice(), ty.is_sorted());
+            IndexNode::parse(Bytes::from(payload), ty.is_sorted())?
         };
-        let end = sum_counts(&entries)?;
         Some(TreeCursor {
             store,
             ty,
             root,
-            height,
+            height: node.level(),
             rev,
             frames: vec![Frame {
-                entries,
+                node,
                 idx: 0,
-                pos: 0,
                 start: 0,
-                end,
             }],
         })
     }
@@ -108,7 +146,7 @@ impl<'s> TreeCursor<'s> {
 
     /// Total element count (bytes for Blob).
     pub fn total(&self) -> u64 {
-        self.frames[0].end
+        self.frames[0].node.total()
     }
 
     fn top(&self) -> &Frame {
@@ -128,48 +166,42 @@ impl<'s> TreeCursor<'s> {
 
     /// True once every entry has been passed.
     pub fn at_end(&self) -> bool {
-        self.frames.len() == 1 && self.frames[0].idx == self.frames[0].entries.len()
+        self.frames.len() == 1 && self.frames[0].idx == self.frames[0].node.len()
     }
 
-    /// The current entry; `None` at the end.
-    pub fn entry(&self) -> Option<&IndexEntry> {
+    /// The current entry, borrowed from its node; `None` at the end.
+    pub fn entry(&self) -> Option<EntryRef<'_>> {
         let f = self.top();
-        child(self.rev, f, f.idx)
+        f.child(self.rev, f.idx)
     }
 
     /// Elements passed before the current entry ([`total`](Self::total)
     /// at the end).
     pub fn pos(&self) -> u64 {
-        self.top().pos
+        self.top().pos(self.rev)
     }
 
     /// The current entry's chunk (a leaf when [`level`](Self::level) is
     /// 0).
     pub fn chunk(&self) -> Option<Chunk> {
-        self.store.get(&self.entry()?.cid)
+        fetch(self.store, self.entry()?.cid)
     }
 
     /// Enter the current entry's node; its first child becomes current.
     /// `None` if the chunk is missing or is not the index node its parent
-    /// describes.
+    /// describes: another level, no entries, or counts that do not sum
+    /// to the parent entry's.
     pub fn descend(&mut self) -> Option<()> {
         let level = self.level();
         let count = self.entry()?.count;
-        let chunk = self.chunk()?;
-        if !chunk.ty().is_index() {
-            return None;
-        }
-        let (lvl, entries) = decode_index_payload(chunk.payload(), self.ty.is_sorted())?;
-        if lvl != level || entries.is_empty() || sum_counts(&entries)? != count {
-            return None;
-        }
-        let pos = self.pos();
+        let chunk = self.chunk().filter(|c| c.ty().is_index())?;
+        let node = IndexNode::parse(chunk.payload().clone(), self.ty.is_sorted())
+            .filter(|n| level > 0 && n.level() == level && !n.is_empty() && n.total() == count)?;
+        let start = self.pos();
         self.frames.push(Frame {
-            entries,
+            node,
             idx: 0,
-            pos,
-            start: pos,
-            end: pos.checked_add(count)?,
+            start,
         });
         Some(())
     }
@@ -186,12 +218,11 @@ impl<'s> TreeCursor<'s> {
     /// The next entry may sit at a higher level: the cursor climbs out of
     /// every node it finishes.
     pub fn advance(&mut self) {
-        while let Some(count) = self.entry().map(|e| e.count) {
+        while self.entry().is_some() {
             let root_only = self.frames.len() == 1;
             let f = self.top_mut();
             f.idx += 1;
-            f.pos += count;
-            if f.idx < f.entries.len() || root_only {
+            if f.idx < f.node.len() || root_only {
                 return;
             }
             self.frames.pop();
@@ -233,7 +264,7 @@ impl<'s> TreeCursor<'s> {
         match depth.checked_sub(1) {
             Some(d) => {
                 let f = &self.frames[d];
-                child(self.rev, f, f.idx).map(|e| (e.cid, e.count))
+                f.child(self.rev, f.idx).map(|e| (*e.cid, e.count))
             }
             None => (self.height > 0).then(|| (self.root, self.total())),
         }
@@ -247,10 +278,9 @@ impl<'s> TreeCursor<'s> {
                 self.advance();
             }
             _ => {
-                let end = self.total();
                 self.frames.truncate(1);
                 let f = self.top_mut();
-                (f.idx, f.pos) = (f.entries.len(), end);
+                f.idx = f.node.len();
             }
         }
     }
@@ -272,18 +302,18 @@ impl<'s> TreeCursor<'s> {
         let (l_total, r_total) = (l.total(), r.total());
         let (l_rev, r_rev) = (l.rev, r.rev);
         let (lf, rf) = (l.top_mut(), r.top_mut());
-        while lf.idx + 1 < lf.entries.len() && rf.idx + 1 < rf.entries.len() {
-            let (Some(a), Some(b)) = (child(l_rev, lf, lf.idx), child(r_rev, rf, rf.idx)) else {
+        while lf.idx + 1 < lf.node.len() && rf.idx + 1 < rf.node.len() {
+            let (Some(a), Some(b)) = (lf.child(l_rev, lf.idx), rf.child(r_rev, rf.idx)) else {
                 return;
             };
-            let (count, r_count) = (a.count, b.count);
-            let fits =
-                |pos: u64, total: u64| reserved.is_none_or(|keep| pos + count + keep < total);
-            if a.cid != b.cid || !fits(lf.pos, l_total) || !fits(rf.pos, r_total) {
+            let fits = |f: &Frame, rev: bool, total: u64| {
+                reserved.is_none_or(|keep| f.pos(rev) + a.count + keep < total)
+            };
+            if a.cid != b.cid || !fits(lf, l_rev, l_total) || !fits(rf, r_rev, r_total) {
                 return;
             }
-            (lf.idx, lf.pos) = (lf.idx + 1, lf.pos + count);
-            (rf.idx, rf.pos) = (rf.idx + 1, rf.pos + r_count);
+            lf.idx += 1;
+            rf.idx += 1;
         }
     }
 
@@ -293,21 +323,16 @@ impl<'s> TreeCursor<'s> {
     /// nearby fetches.
     pub fn seek_pos(&mut self, pos: u64, floor: u64) -> Option<()> {
         while self.frames.len() > 1
-            && (self.level() < floor || pos < self.top().start || pos >= self.top().end)
+            && (self.level() < floor
+                || pos < self.top().start
+                || pos - self.top().start >= self.top().node.total())
         {
             self.frames.pop();
         }
         loop {
-            let (mut idx, mut at) = (0, self.top().start);
-            while let Some(e) = child(self.rev, self.top(), idx) {
-                if pos < at + e.count {
-                    break;
-                }
-                at += e.count;
-                idx += 1;
-            }
+            let rev = self.rev;
             let f = self.top_mut();
-            (f.idx, f.pos) = (idx, at);
+            f.seek(rev, pos - f.start);
             if self.at_end() || self.level() <= floor {
                 return Some(());
             }
@@ -318,22 +343,16 @@ impl<'s> TreeCursor<'s> {
     /// Move a forward cursor on a sorted tree to the first leaf whose
     /// last key is `>= key` — the end if `key` is beyond every leaf.
     /// Forward only: `key` must not sort before the elements already
-    /// passed.
+    /// passed. Each node on the way is binary-searched on its keys in
+    /// place.
     pub fn seek_key(&mut self, key: &[u8]) -> Option<()> {
         debug_assert!(!self.rev && self.ty.is_sorted());
-        while self.frames.len() > 1
-            && self
-                .top()
-                .entries
-                .last()
-                .is_some_and(|e| e.key.as_ref() < key)
-        {
+        while self.frames.len() > 1 && self.top().node.lower_bound(key) == self.top().node.len() {
             self.frames.pop();
         }
         loop {
             let f = self.top_mut();
-            f.idx = f.entries.partition_point(|e| e.key.as_ref() < key);
-            f.pos = f.start + f.entries[..f.idx].iter().map(|e| e.count).sum::<u64>();
+            f.idx = f.node.lower_bound(key);
             if self.at_end() || self.level() == 0 {
                 return Some(());
             }
@@ -341,42 +360,13 @@ impl<'s> TreeCursor<'s> {
         }
     }
 
-    /// Append the current entry and the siblings behind it to `out` and
-    /// step past them all. Not at the end.
-    fn take_siblings(&mut self, out: &mut Vec<IndexEntry>) {
-        debug_assert!(!self.rev && !self.at_end());
-        let f = self.top_mut();
-        out.extend_from_slice(&f.entries[f.idx..]);
-        // Onto the last sibling, so that `advance` leaves the node.
-        f.idx = f.entries.len() - 1;
-        f.pos = f.end - f.entries[f.idx].count;
-        self.advance();
-    }
-
     /// Of the node holding the current entry: the offset of its first
     /// element and its children before the current one.
-    pub(crate) fn siblings_before(&self) -> (u64, &[IndexEntry]) {
+    pub(crate) fn siblings_before(&self) -> (u64, impl Iterator<Item = EntryRef<'_>>) {
         debug_assert!(!self.rev);
         let f = self.top();
-        (f.start, &f.entries[..f.idx])
+        (f.start, f.node.entries().take(f.idx))
     }
-}
-
-/// The `i`-th child of `f` in the direction of travel.
-fn child(rev: bool, f: &Frame, i: usize) -> Option<&IndexEntry> {
-    let i = if rev {
-        f.entries.len().checked_sub(i + 1)?
-    } else {
-        i
-    };
-    f.entries.get(i)
-}
-
-/// Sum of the entries' subtree counts; `None` on overflow (corrupt node).
-fn sum_counts(entries: &[IndexEntry]) -> Option<u64> {
-    entries
-        .iter()
-        .try_fold(0u64, |acc, e| acc.checked_add(e.count))
 }
 
 /// A flattened view of a tree's leaf level.
@@ -388,26 +378,24 @@ pub struct TreeScan {
     pub height: u64,
 }
 
-impl TreeScan {
-    /// Total element count (bytes for Blob).
-    pub fn total_count(&self) -> u64 {
-        self.leaf_entries.iter().map(|e| e.count).sum()
-    }
-}
-
-/// Collect every leaf entry of the tree at `root` — for whole-object
-/// reads and tests; everything else walks a [`TreeCursor`] to where it
-/// needs to be. Only index chunks are fetched. An empty tree reports its
-/// canonical empty leaf.
+/// Collect every leaf entry of the tree at `root`, for tests and tools;
+/// every reader walks a [`TreeCursor`] to where it needs to be. Only
+/// index chunks are fetched. An empty tree reports its canonical empty
+/// leaf.
 pub fn scan_tree(store: &dyn ChunkStore, root: Digest, ty: TreeType) -> Option<TreeScan> {
     let mut cur = TreeCursor::new(store, root, ty)?;
     let mut leaf_entries = Vec::new();
     while !cur.at_end() {
         cur.descend_to(0)?;
-        cur.take_siblings(&mut leaf_entries);
+        leaf_entries.push(cur.entry()?.to_owned());
+        cur.advance();
     }
     if leaf_entries.is_empty() {
-        leaf_entries.push(IndexEntry::unsorted(root, 0));
+        leaf_entries.push(IndexEntry {
+            cid: root,
+            count: 0,
+            key: Bytes::new(),
+        });
     }
     Some(TreeScan {
         leaf_entries,
@@ -458,6 +446,10 @@ mod tests {
             .collect()
     }
 
+    fn leaf_total(scan: &TreeScan) -> u64 {
+        scan.leaf_entries.iter().map(|e| e.count).sum()
+    }
+
     #[test]
     fn scan_counts_match() {
         let store = MemStore::new();
@@ -465,7 +457,7 @@ mod tests {
         let data = pseudo_random(50_000, 11);
         let root = build_blob(&store, &cfg, &data);
         let scan = scan_tree(&store, root, TreeType::Blob).expect("scan");
-        assert_eq!(scan.total_count(), data.len() as u64);
+        assert_eq!(leaf_total(&scan), data.len() as u64);
         assert_eq!(
             total_count(&store, root, TreeType::Blob),
             Some(data.len() as u64)
@@ -529,7 +521,8 @@ mod tests {
             let mut pos = 0;
             for e in expected {
                 cur.descend_to(0).expect("descend");
-                assert_eq!((cur.entry(), cur.pos(), cur.level()), (Some(e), pos, 0));
+                let here = cur.entry().map(EntryRef::to_owned);
+                assert_eq!((here.as_ref(), cur.pos(), cur.level()), (Some(e), pos, 0));
                 pos += e.count;
                 cur.advance();
             }
@@ -552,7 +545,7 @@ mod tests {
             cur.height() - 1,
             "one node per level below the root"
         );
-        let leaf = cur.entry().expect("a leaf").clone();
+        let leaf = cur.entry().expect("a leaf").to_owned();
         assert!(cur.pos() <= 1500 && 1500 < cur.pos() + leaf.count);
 
         // The previous leaf and back: same node or a neighbour, never
@@ -561,7 +554,7 @@ mod tests {
         assert_eq!(cur.prev_leaf(), Some(true));
         assert_eq!(cur.pos() + cur.entry().expect("a leaf").count, here);
         cur.seek_pos(here, 0).expect("seek");
-        assert_eq!(cur.entry(), Some(&leaf));
+        assert_eq!(cur.entry().map(EntryRef::to_owned), Some(leaf));
         assert!(gets() - before <= 2 * (cur.height() - 1));
 
         // A seek above the leaves stops there, at the node's first element.
@@ -611,13 +604,13 @@ mod tests {
         // The same tree in a store that lacks one index node.
         let mut cur = TreeCursor::new(&store, root, TreeType::List).expect("open");
         let broken = MemStore::new();
-        let missing = cur.entry().expect("first child").cid;
+        let missing = *cur.entry().expect("first child").cid;
         let mut stack = vec![root];
         while let Some(cid) = stack.pop() {
             let chunk = store.get(&cid).expect("present");
             if chunk.ty().is_index() {
-                let (_, entries) = decode_index_payload(chunk.payload(), false).expect("decode");
-                stack.extend(entries.iter().map(|e| e.cid));
+                let node = IndexNode::parse(chunk.payload().clone(), false).expect("parse");
+                stack.extend(node.entries().map(|e| *e.cid));
             }
             if cid != missing {
                 broken.put(chunk);
@@ -639,7 +632,7 @@ mod tests {
         let scan = scan_tree(&store, root, TreeType::Blob).expect("scan");
         assert_eq!(scan.height, 0);
         assert_eq!(scan.leaf_entries.len(), 1);
-        assert_eq!(scan.total_count(), 5);
+        assert_eq!(leaf_total(&scan), 5);
     }
 
     #[test]
@@ -648,7 +641,7 @@ mod tests {
         let cfg = ChunkerConfig::default();
         let root = build_blob(&store, &cfg, b"");
         let scan = scan_tree(&store, root, TreeType::Blob).expect("scan");
-        assert_eq!(scan.total_count(), 0);
+        assert_eq!(leaf_total(&scan), 0);
         assert_eq!(scan.leaf_entries.len(), 1, "canonical empty leaf");
     }
 }

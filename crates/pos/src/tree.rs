@@ -9,21 +9,46 @@ use crate::builder::{build_blob, build_items};
 use crate::error::TreeResult;
 use crate::iter::ItemIter;
 use crate::leaf::Item;
-use crate::scan::{get_by_key, get_by_pos, scan_tree, total_count, TreeCursor};
+use crate::metrics;
+use crate::scan::{get_by_key, get_by_pos, total_count, TreeCursor};
 use crate::types::TreeType;
 use crate::update::{sort_last_wins, splice_blob, splice_list, update_sorted, Edit};
 use bytes::Bytes;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::{ChunkerConfig, Digest};
 
-/// An untyped tree reference: root cid + element type.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TreeRef {
-    /// Root chunk cid.
-    pub root: Digest,
-    /// Element type of the tree.
-    pub ty: TreeType,
+/// What every handle has: re-attaching to a root, the root, and the
+/// element count, read off the root chunk alone.
+macro_rules! handle_basics {
+    ($handle:ident, $ty:expr) => {
+        impl $handle {
+            /// Re-attach to an existing root.
+            pub fn from_root(root: Digest) -> $handle {
+                $handle { root }
+            }
+
+            /// The root cid.
+            pub fn root(&self) -> Digest {
+                self.root
+            }
+
+            /// Number of elements (bytes, for a Blob).
+            pub fn len(&self, store: &dyn ChunkStore) -> u64 {
+                total_count(store, self.root, $ty).unwrap_or(0)
+            }
+
+            /// True if there is no element.
+            pub fn is_empty(&self, store: &dyn ChunkStore) -> bool {
+                self.len(store) == 0
+            }
+        }
+    };
 }
+
+handle_basics!(Blob, TreeType::Blob);
+handle_basics!(List, TreeType::List);
+handle_basics!(Map, TreeType::Map);
+handle_basics!(Set, TreeType::Set);
 
 /// A byte-sequence object backed by a POS-Tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -52,37 +77,11 @@ impl Blob {
         }
     }
 
-    /// Re-attach to an existing root.
-    pub fn from_root(root: Digest) -> Blob {
-        Blob { root }
-    }
-
-    /// The root cid.
-    pub fn root(&self) -> Digest {
-        self.root
-    }
-
-    /// Length in bytes.
-    pub fn len(&self, store: &dyn ChunkStore) -> u64 {
-        total_count(store, self.root, TreeType::Blob).unwrap_or(0)
-    }
-
-    /// True if the blob holds no bytes.
-    pub fn is_empty(&self, store: &dyn ChunkStore) -> bool {
-        self.len(store) == 0
-    }
-
-    /// Read the entire content. Sibling leaves are prefetched with one
-    /// [`get_many`](ChunkStore::get_many) instead of a per-leaf `get`,
-    /// so the cache/backing tier sees a single batched request.
+    /// Read the entire content: [`read_range`](Self::read_range) over
+    /// the whole blob, so the leaf cids come off a cursor (index nodes
+    /// only) and the leaves with one [`get_many`](ChunkStore::get_many).
     pub fn read_all(&self, store: &dyn ChunkStore) -> Option<Vec<u8>> {
-        let scan = scan_tree(store, self.root, TreeType::Blob)?;
-        let cids: Vec<Digest> = scan.leaf_entries.iter().map(|e| e.cid).collect();
-        let mut out = Vec::with_capacity(scan.total_count() as usize);
-        for chunk in store.get_many(&cids) {
-            out.extend_from_slice(chunk?.payload());
-        }
-        Some(out)
+        self.read_range(store, 0, u64::MAX)
     }
 
     /// Read `len` bytes starting at `start` (clamped to the object). The
@@ -97,13 +96,14 @@ impl Blob {
         cur.seek_pos(start, 0)?;
         while cur.pos() < end {
             cur.descend_to(0)?;
-            covering.push((cur.pos(), cur.entry()?.cid));
+            covering.push((cur.pos(), *cur.entry()?.cid));
             cur.advance();
         }
         let cids: Vec<Digest> = covering.iter().map(|(_, cid)| *cid).collect();
         let mut out = Vec::with_capacity((end - start) as usize);
         for ((leaf_start, _), chunk) in covering.iter().zip(store.get_many(&cids)) {
             let chunk = chunk?;
+            metrics::got(&chunk);
             let from = start.saturating_sub(*leaf_start) as usize;
             let to = ((end - leaf_start) as usize).min(chunk.len());
             out.extend_from_slice(chunk.payload().get(from..to)?);
@@ -184,26 +184,6 @@ impl List {
         }
     }
 
-    /// Re-attach to an existing root.
-    pub fn from_root(root: Digest) -> List {
-        List { root }
-    }
-
-    /// The root cid.
-    pub fn root(&self) -> Digest {
-        self.root
-    }
-
-    /// Number of elements.
-    pub fn len(&self, store: &dyn ChunkStore) -> u64 {
-        total_count(store, self.root, TreeType::List).unwrap_or(0)
-    }
-
-    /// True if no elements.
-    pub fn is_empty(&self, store: &dyn ChunkStore) -> bool {
-        self.len(store) == 0
-    }
-
     /// Fetch the element at `idx`.
     pub fn get(&self, store: &dyn ChunkStore, idx: u64) -> Option<Bytes> {
         get_by_pos(store, self.root, TreeType::List, idx).map(|i| i.value)
@@ -269,26 +249,6 @@ impl Map {
         Map {
             root: build_items(store, cfg, TreeType::Map, items),
         }
-    }
-
-    /// Re-attach to an existing root.
-    pub fn from_root(root: Digest) -> Map {
-        Map { root }
-    }
-
-    /// The root cid.
-    pub fn root(&self) -> Digest {
-        self.root
-    }
-
-    /// Number of entries.
-    pub fn len(&self, store: &dyn ChunkStore) -> u64 {
-        total_count(store, self.root, TreeType::Map).unwrap_or(0)
-    }
-
-    /// True if no entries.
-    pub fn is_empty(&self, store: &dyn ChunkStore) -> bool {
-        self.len(store) == 0
     }
 
     /// Point lookup.
@@ -388,26 +348,6 @@ impl Set {
         }
     }
 
-    /// Re-attach to an existing root.
-    pub fn from_root(root: Digest) -> Set {
-        Set { root }
-    }
-
-    /// The root cid.
-    pub fn root(&self) -> Digest {
-        self.root
-    }
-
-    /// Number of elements.
-    pub fn len(&self, store: &dyn ChunkStore) -> u64 {
-        total_count(store, self.root, TreeType::Set).unwrap_or(0)
-    }
-
-    /// True if no elements.
-    pub fn is_empty(&self, store: &dyn ChunkStore) -> bool {
-        self.len(store) == 0
-    }
-
     /// Membership test.
     pub fn contains(&self, store: &dyn ChunkStore, key: &[u8]) -> bool {
         get_by_key(store, self.root, TreeType::Set, key).is_some()
@@ -442,14 +382,11 @@ impl Set {
         cfg: &ChunkerConfig,
         key: impl Into<Bytes>,
     ) -> TreeResult<Set> {
-        let root = update_sorted(
+        self.apply(
             store,
             cfg,
-            TreeType::Set,
-            self.root,
-            vec![Edit::Put(Item::set(key.into()))],
-        )?;
-        Ok(Set { root })
+            WriteBatch::from_iter([Edit::Put(Item::set(key.into()))]),
+        )
     }
 
     /// Remove an element.
@@ -459,14 +396,7 @@ impl Set {
         cfg: &ChunkerConfig,
         key: impl Into<Bytes>,
     ) -> TreeResult<Set> {
-        let root = update_sorted(
-            store,
-            cfg,
-            TreeType::Set,
-            self.root,
-            vec![Edit::Del(key.into())],
-        )?;
-        Ok(Set { root })
+        self.apply(store, cfg, WriteBatch::from_iter([Edit::Del(key.into())]))
     }
 }
 

@@ -21,8 +21,9 @@
 //! prefix and suffix compare.
 //!
 //! The last part counts the chunks a diff of two disjoint clusters on a
-//! default-config 200 000-entry map fetches, and feeds the diff and the
-//! merge a truncated leaf.
+//! default-config 200 000-entry map fetches — in the store, and split into
+//! leaves and index nodes by the tree layer's counters — and feeds the
+//! diff and the merge a truncated leaf.
 //!
 //! CI runs this file in the default and the `naive-baseline` leg.
 
@@ -31,6 +32,7 @@ use forkbase_chunk::{MemStore, PutOutcome, StoreStats};
 use forkbase_crypto::{ChunkerConfig, Digest};
 use forkbase_pos::builder::{build_blob, build_items};
 use forkbase_pos::leaf::decode_items;
+use forkbase_pos::metrics;
 use forkbase_pos::scan::scan_tree;
 use forkbase_pos::types::TreeType;
 use forkbase_pos::{
@@ -503,17 +505,24 @@ fn a_diff_of_disjoint_clusters_fetches_what_differs_and_no_more() {
         .update(&store, &cfg, batch(150_000, 100, "theirs"))
         .expect("theirs");
     for (a, b) in [(ours.root(), theirs.root()), (theirs.root(), ours.root())] {
-        let before = store.stats().gets;
+        let (before, counted) = (store.stats().gets, metrics::snapshot());
         let diff = sorted_diff(&store, TreeType::Map, a, b).expect("diff");
         let gets = store.stats().gets - before;
+        let split = metrics::snapshot().since(counted);
         assert_eq!(diff.len(), 300);
         assert_eq!(gets, GETS, "diff fetched {gets} chunks");
+        assert_eq!(
+            (split.index_gets, split.leaf_gets),
+            (INDEX_GETS, GETS - INDEX_GETS),
+            "{split:?}"
+        );
     }
 }
 
 /// [`a_diff_of_disjoint_clusters_fetches_what_differs_and_no_more`]'s
-/// count.
+/// counts: all chunks, and the index nodes among them.
 const GETS: u64 = 17;
+const INDEX_GETS: u64 = 6;
 
 /// A store that serves one chunk with its last byte cut off.
 struct Truncating {

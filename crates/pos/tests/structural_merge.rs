@@ -18,93 +18,30 @@
 //! same conflicts.
 //!
 //! The second half counts chunk gets and puts by chunk type on a
-//! default-config 200 000-entry map: merging two disjoint clusters
+//! default-config 200 000-entry map, off the tree layer's per-thread
+//! counters ([`forkbase_pos::metrics`]): merging two disjoint clusters
 //! fetches and puts no leaf.
 //!
 //! CI runs this file in the default and the `naive-baseline` leg.
 
 use bytes::Bytes;
-use forkbase_chunk::{MemStore, PutOutcome, StoreStats};
+use forkbase_chunk::MemStore;
 use forkbase_crypto::{ChunkerConfig, Digest};
 use forkbase_pos::builder::build_items;
+use forkbase_pos::metrics;
 use forkbase_pos::scan::scan_tree;
 use forkbase_pos::types::TreeType;
 use forkbase_pos::{
-    merge3_sorted, sorted_diff, update_sorted, Chunk, ChunkStore, ChunkType, Conflict, Edit, Item,
-    Map, MergeError, MergeOutcome, Resolver,
+    merge3_sorted, sorted_diff, update_sorted, ChunkStore, Conflict, Edit, Item, Map, MergeError,
+    MergeOutcome, Resolver,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 type Model = BTreeMap<Bytes, Bytes>;
-
-// ---------------------------------------------------------------------
-// A store that counts leaves and index nodes apart
-// ---------------------------------------------------------------------
-
-/// Gets and puts by chunk kind: `[leaf gets, index gets, leaf puts,
-/// index puts]`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Traffic([u64; 4]);
-
-impl Traffic {
-    fn leaf_gets(self) -> u64 {
-        self.0[0]
-    }
-    fn index_gets(self) -> u64 {
-        self.0[1]
-    }
-    fn leaf_puts(self) -> u64 {
-        self.0[2]
-    }
-    fn index_puts(self) -> u64 {
-        self.0[3]
-    }
-    fn since(self, before: Traffic) -> Traffic {
-        Traffic(std::array::from_fn(|i| self.0[i] - before.0[i]))
-    }
-}
-
-#[derive(Default)]
-struct CountingStore {
-    inner: MemStore,
-    counts: [AtomicU64; 4],
-}
-
-impl CountingStore {
-    fn count(&self, ty: ChunkType, put: bool) {
-        let slot = 2 * usize::from(put) + usize::from(ty.is_index());
-        self.counts[slot].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn traffic(&self) -> Traffic {
-        Traffic(std::array::from_fn(|i| {
-            self.counts[i].load(Ordering::Relaxed)
-        }))
-    }
-}
-
-impl ChunkStore for CountingStore {
-    fn get(&self, cid: &Digest) -> Option<Chunk> {
-        let chunk = self.inner.get(cid)?;
-        self.count(chunk.ty(), false);
-        Some(chunk)
-    }
-    fn put(&self, chunk: Chunk) -> PutOutcome {
-        self.count(chunk.ty(), true);
-        self.inner.put(chunk)
-    }
-    fn contains(&self, cid: &Digest) -> bool {
-        self.inner.contains(cid)
-    }
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-}
 
 // ---------------------------------------------------------------------
 // Content
@@ -408,7 +345,7 @@ fn merge_case(
     tally: &Tally,
 ) {
     let cfg = cfg_of(cfg_draw);
-    let store = CountingStore::default();
+    let store = MemStore::new();
     let base_model: Model = (0..elements(&cfg))
         .map(|i| (Bytes::from(format!("k{i:05}")), value(ty, seed ^ i)))
         .collect();
@@ -449,9 +386,9 @@ fn merge_case(
     assert_eq!(ours, build(&store, &cfg, ty, &ours_model));
     assert_eq!(theirs, build(&store, &cfg, ty, &theirs_model));
 
-    let before = store.traffic();
+    let before = metrics::snapshot();
     let got = merge3_sorted(&store, &cfg, ty, base, ours, theirs, &resolver(kind));
-    let traffic = store.traffic().since(before);
+    let traffic = metrics::snapshot().since(before);
     let key_level = key_level_merge(&store, &cfg, ty, [base, ours, theirs], kind);
     let model = model_merge(&base_model, &ours_model, &theirs_model, kind);
 
@@ -464,9 +401,9 @@ fn merge_case(
             assert_eq!(got, key_level, "merge vs key-level, {:?}", cfg);
             assert_eq!(got.root, build(&store, &cfg, ty, &merged), "merge vs model");
             assert_eq!(got.resolved, resolved);
-            if traffic.leaf_gets() == 0 && traffic.leaf_puts() == 0 && traffic.index_puts() > 0 {
+            if traffic.leaf_gets == 0 && traffic.leaf_puts == 0 && traffic.index_puts > 0 {
                 bump(&tally.structural);
-            } else if traffic.leaf_gets() > 0 {
+            } else if traffic.leaf_gets > 0 {
                 bump(&tally.key_level);
             }
         }
@@ -560,7 +497,7 @@ fn batch(from: usize, n: usize, tag: &str) -> Vec<(String, Option<Bytes>)> {
 
 #[test]
 fn disjoint_clusters_merge_without_a_leaf_fetched_or_put() {
-    let store = CountingStore::default();
+    let store = MemStore::new();
     let cfg = ChunkerConfig::default();
     let base = Map::build(
         &store,
@@ -589,7 +526,7 @@ fn disjoint_clusters_merge_without_a_leaf_fetched_or_put() {
     let never = Resolver::Custom(Box::new(|c: &Conflict| panic!("asked to resolve {c:?}")));
 
     for (ours, theirs) in [(ours, theirs), (theirs, ours)] {
-        let before = store.traffic();
+        let before = metrics::snapshot();
         let merged = merge3_sorted(
             &store,
             &cfg,
@@ -600,16 +537,16 @@ fn disjoint_clusters_merge_without_a_leaf_fetched_or_put() {
             &never,
         )
         .expect("merge");
-        let t = store.traffic().since(before);
+        let t = metrics::snapshot().since(before);
         println!("height {height}: {t:?}");
         assert_eq!(merged.root, both.root());
-        assert_eq!((t.leaf_gets(), t.leaf_puts()), (0, 0), "{t:?}");
+        assert_eq!((t.leaf_gets, t.leaf_puts), (0, 0), "{t:?}");
         assert!(
-            t.index_gets() <= 2 * 3 * (height + 1),
+            t.index_gets <= 2 * 3 * (height + 1),
             "{} index gets at height {height}",
-            t.index_gets()
+            t.index_gets
         );
-        assert!(t.index_puts() <= height + 1, "{t:?}");
+        assert!(t.index_puts <= height + 1, "{t:?}");
     }
 }
 
@@ -618,7 +555,7 @@ fn disjoint_clusters_merge_without_a_leaf_fetched_or_put() {
 /// batches make.
 #[test]
 fn clusters_in_one_leaf_take_the_key_level_path() {
-    let store = CountingStore::default();
+    let store = MemStore::new();
     let cfg = ChunkerConfig::default();
     let base = Map::build(
         &store,
@@ -631,7 +568,7 @@ fn clusters_in_one_leaf_take_the_key_level_path() {
     let theirs = base
         .update(&store, &cfg, batch(10_001, 1, "theirs"))
         .expect("theirs");
-    let before = store.traffic();
+    let before = metrics::snapshot();
     let merged = merge3_sorted(
         &store,
         &cfg,
@@ -642,7 +579,7 @@ fn clusters_in_one_leaf_take_the_key_level_path() {
         &Resolver::Fail,
     )
     .expect("merge");
-    assert!(store.traffic().since(before).leaf_gets() > 0);
+    assert!(metrics::snapshot().since(before).leaf_gets > 0);
     let both = base
         .update(
             &store,
