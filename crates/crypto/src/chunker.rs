@@ -320,6 +320,12 @@ impl LeafChunker {
     }
 }
 
+impl Drop for LeafChunker {
+    fn drop(&mut self) {
+        crate::metrics::scalar_scanned(self.scanned);
+    }
+}
+
 /// Split `data` byte-wise (Blob semantics) and return the chunk end
 /// positions (exclusive). The final position is always `data.len()`.
 pub fn split_positions(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {

@@ -18,6 +18,7 @@
 //!   configuration, and a streaming boundary detector.
 //! * [`fx`] — a fast non-cryptographic hasher for in-memory tables (the
 //!   FxHash algorithm), used where HashDoS resistance is irrelevant.
+//! * [`metrics`] — per-thread counters of bytes scanned and hashed.
 //! * [`blake2`] — BLAKE2b (RFC 7693), the paper's suggested faster
 //!   alternative to SHA-256, for the CryptoHash-cost ablation.
 
@@ -26,6 +27,7 @@ pub mod chunker;
 pub mod digest;
 pub mod fixed;
 pub mod fx;
+pub mod metrics;
 pub mod parallel;
 pub(crate) mod pool;
 pub mod rolling;

@@ -409,6 +409,7 @@ impl<const NAIVE: bool> Sha256Core<NAIVE> {
     /// Finish the computation and return the digest. The hasher is consumed;
     /// clone it first if the running state must be kept.
     pub fn finalize(mut self) -> Digest {
+        crate::metrics::hashed(self.total_len);
         let bit_len = self.total_len.wrapping_mul(8);
 
         // Padding: 0x80, zeros, then the 64-bit big-endian bit length.

@@ -90,6 +90,7 @@ use forkbase_chunk::{Chunk, ChunkStore};
 use forkbase_crypto::parallel::{self, Task, ASYNC_BATCH_BYTES};
 use forkbase_crypto::{ChunkerConfig, Digest, LeafChunker};
 use std::ops::Range;
+use std::time::Instant;
 
 /// A leaf the builder has cut: leaf cids are independent of each other,
 /// so they are computed in batches (on the hash pool, or in
@@ -865,7 +866,9 @@ pub fn build_blob(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: &[u8]) -> D
 /// leave a few retained leaves pinning the whole input buffer until a GC
 /// compaction, which unshares payloads ([`Chunk::unshared`]).
 pub fn build_blob_bytes(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: Bytes) -> Digest {
+    let t0 = Instant::now();
     let cuts = forkbase_crypto::split_positions_parallel(&data, cfg);
+    let t1 = Instant::now();
     let ropes: Vec<Vec<Bytes>> = {
         let mut prev = 0usize;
         cuts.iter()
@@ -891,7 +894,11 @@ pub fn build_blob_bytes(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: Bytes
             }
         })
         .collect();
-    build_scratch(store, cfg, TreeType::Blob, entries, chunks)
+    let t2 = Instant::now();
+    let root = build_scratch(store, cfg, TreeType::Blob, entries, chunks);
+    let ns = |a: Instant, b: Instant| (b - a).as_nanos() as u64;
+    metrics::blob_phases([ns(t0, t1), ns(t1, t2), ns(t2, Instant::now())]);
+    root
 }
 
 /// The retained copy-through-the-stitch-buffer Blob build — the baseline
@@ -927,6 +934,24 @@ mod tests {
         let r1 = build_blob(&store, &cfg, &data);
         let r2 = build_blob(&store, &cfg, &data);
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn blob_build_counts_its_bytes_and_phases() {
+        let store = MemStore::new();
+        let cfg = ChunkerConfig::default();
+        let data = pseudo_random(64 * 1024, 9);
+        let (pos, crypto) = (metrics::snapshot(), forkbase_crypto::metrics::snapshot());
+        build_blob(&store, &cfg, &data);
+        let pos = metrics::snapshot().since(pos);
+        let crypto = forkbase_crypto::metrics::snapshot().since(crypto);
+        assert_eq!(
+            crypto.lane_scan_bytes + crypto.scalar_scan_bytes,
+            data.len() as u64
+        );
+        // Every leaf once, then the index node over them.
+        assert!(crypto.sha256_bytes > data.len() as u64, "{crypto:?}");
+        assert!(pos.blob_scan_ns > 0 && pos.blob_hash_ns > 0 && pos.blob_store_ns > 0);
     }
 
     #[test]

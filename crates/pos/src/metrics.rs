@@ -7,7 +7,8 @@
 //! are counted where the tree readers get a chunk (the cursor's one fetch
 //! helper and `Blob`'s batched leaf reads), stores where the builder hands
 //! chunks to `put` / `put_many` — whether or not the store already held
-//! them.
+//! them. A from-scratch Blob build also times its three phases: the
+//! boundary scan, the leaf hashes and the index levels with the store.
 
 use forkbase_chunk::Chunk;
 use std::cell::Cell;
@@ -28,6 +29,13 @@ pub struct PosMetrics {
     pub index_puts: u64,
     /// Leaf chunks handed to the store.
     pub leaf_puts: u64,
+    /// Nanoseconds Blob builds spent placing leaf boundaries
+    /// ([`split_positions`](forkbase_crypto::split_positions)).
+    pub blob_scan_ns: u64,
+    /// Nanoseconds Blob builds spent hashing their leaves.
+    pub blob_hash_ns: u64,
+    /// Nanoseconds Blob builds spent on index levels and store puts.
+    pub blob_store_ns: u64,
 }
 
 impl PosMetrics {
@@ -40,6 +48,9 @@ impl PosMetrics {
             leaf_gets: self.leaf_gets - before.leaf_gets,
             index_puts: self.index_puts - before.index_puts,
             leaf_puts: self.leaf_puts - before.leaf_puts,
+            blob_scan_ns: self.blob_scan_ns - before.blob_scan_ns,
+            blob_hash_ns: self.blob_hash_ns - before.blob_hash_ns,
+            blob_store_ns: self.blob_store_ns - before.blob_store_ns,
         }
     }
 }
@@ -85,4 +96,13 @@ pub(crate) fn got(chunk: &Chunk) {
 pub(crate) fn stored(chunks: &[Chunk]) {
     let (index, leaf) = split(chunks);
     bump(|m| (m.index_puts, m.leaf_puts) = (m.index_puts + index, m.leaf_puts + leaf));
+}
+
+/// One Blob build's phases, `[scan, hash, store]` in nanoseconds.
+pub(crate) fn blob_phases([scan, hash, store]: [u64; 3]) {
+    bump(|m| {
+        m.blob_scan_ns += scan;
+        m.blob_hash_ns += hash;
+        m.blob_store_ns += store;
+    });
 }
