@@ -19,9 +19,18 @@
 //! proptests and the `crypto_micro` benches compare against, and the
 //! `naive-baseline` cargo feature makes [`new`](LeafChunker::new) produce
 //! it so whole-system A/B runs need no code changes.
+//!
+//! # Hits, then one cut walk
+//!
+//! [`split_positions`] (a whole blob at once) finds every pattern hit
+//! first — with the sixteen-lane kernel of [`crate::lanes`] where the CPU
+//! has `avx512f`, else with the block scanner — and then places the cuts
+//! in one walk. Splices and element-at-a-time builds feed a
+//! [`LeafChunker`].
 
 use crate::digest::Digest;
 use crate::rolling::{RollingHash, RollingKind, RollingScanner};
+use std::ops::Range;
 
 /// Parameters controlling pattern detection for both tree levels.
 #[derive(Clone, Debug)]
@@ -82,6 +91,24 @@ impl ChunkerConfig {
         self.max_factor << self.index_bits
     }
 
+    /// The leaf pattern mask `2^q − 1`: a byte ends a leaf where the
+    /// primed rolling hash `P & mask == 0`. Every scanner and cut walk
+    /// starts here, so this is where a config they cannot run is refused,
+    /// with one message: a window of 0 bytes has no hash, `leaf_bits ≥ 64`
+    /// would shift the mask to 0 and make every primed byte a boundary,
+    /// and a forced-cut factor of 0 would cut nothing.
+    pub fn leaf_mask(&self) -> u64 {
+        assert!(
+            self.window >= 1 && self.leaf_bits < 64 && self.max_factor >= 1,
+            "ChunkerConfig out of range: window {} (must be >= 1), leaf_bits {} (must be < 64), \
+             max_factor {} (must be >= 1)",
+            self.window,
+            self.leaf_bits,
+            self.max_factor
+        );
+        (1u64 << self.leaf_bits) - 1
+    }
+
     /// The index-node split pattern P′ (§4.3.3): fires when the child cid's
     /// low `r` bits are zero. A pure function of the entry, so index-node
     /// boundaries are content-defined too.
@@ -140,8 +167,10 @@ impl LeafChunker {
         if cfg!(feature = "naive-baseline") {
             Self::new_reference(cfg)
         } else {
+            let q_mask = cfg.leaf_mask();
             Self::with_detector(
                 cfg,
+                q_mask,
                 Detector::Fast(Box::new(cfg.rolling.scanner(cfg.window))),
             )
         }
@@ -151,13 +180,18 @@ impl LeafChunker {
     /// [`RollingHash::roll`] call per byte. Kept as the provably-unchanged
     /// baseline for equivalence tests and benchmarks.
     pub fn new_reference(cfg: &ChunkerConfig) -> Self {
-        Self::with_detector(cfg, Detector::Reference(cfg.rolling.build(cfg.window)))
+        let q_mask = cfg.leaf_mask();
+        Self::with_detector(
+            cfg,
+            q_mask,
+            Detector::Reference(cfg.rolling.build(cfg.window)),
+        )
     }
 
-    fn with_detector(cfg: &ChunkerConfig, detector: Detector) -> Self {
+    fn with_detector(cfg: &ChunkerConfig, q_mask: u64, detector: Detector) -> Self {
         LeafChunker {
             detector,
-            q_mask: (1u64 << cfg.leaf_bits) - 1,
+            q_mask,
             max_len: cfg.max_leaf_size(),
             window: cfg.window,
             cur_len: 0,
@@ -328,112 +362,134 @@ impl Drop for LeafChunker {
 
 /// Split `data` byte-wise (Blob semantics) and return the chunk end
 /// positions (exclusive). The final position is always `data.len()`.
-pub fn split_positions(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
-    split_with(LeafChunker::new(cfg), data)
-}
-
-/// Minimum input size before [`split_positions_parallel`] fans the hit
-/// scan out over the worker pool; below this the serial scan wins.
-const PARALLEL_SCAN_MIN: usize = 512 * 1024;
-
-/// [`split_positions`], with the pattern scan parallelized across the
-/// persistent worker pool — bit-identical results.
 ///
-/// This exploits a structural property of the chunker: the rolling window
-/// is **never reset at a cut** (see [`LeafChunker::cut`]), so whether the
-/// pattern fires at byte `p` depends only on the `window` bytes ending at
-/// `p` — not on where any previous cut fell. The input is therefore split
-/// into segments, each lane warms a private scanner with the `window`
-/// bytes preceding its segment and collects every pattern-hit position,
-/// and the cut positions (pattern hits interleaved with forced `α·2^q`
-/// cuts, which *do* depend on the previous cut) are derived from the
-/// merged hit list in one cheap sequential walk.
-pub fn split_positions_parallel(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
-    let window = cfg.window;
-    // Size/config gates first: a below-threshold input must not be the
-    // thing that materializes the worker pool.
-    if cfg!(feature = "naive-baseline") || data.len() < PARALLEL_SCAN_MIN || window == 0 {
-        return split_positions(data, cfg);
+/// Every pattern hit is found first ([`pattern_hits`]), then one walk
+/// places the cuts. That is bit-identical to cutting while scanning
+/// because the rolling window is **never reset at a cut** (see
+/// [`LeafChunker::cut`]): whether the pattern fires at byte `p` depends
+/// only on the `window` bytes ending at `p`, not on where any previous cut
+/// fell. Only the forced `α·2^q` cuts depend on the previous cut, and the
+/// walk places those.
+pub fn split_positions(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
+    if cfg!(feature = "naive-baseline") {
+        return split_positions_reference(data, cfg);
     }
-    let lanes = crate::pool::parallelism();
-    if lanes <= 1 {
-        return split_positions(data, cfg);
-    }
-    let mask = (1u64 << cfg.leaf_bits) - 1;
-    let seg = data.len().div_ceil(lanes).max(window);
-    let bounds: Vec<(usize, usize)> = (0..lanes)
-        .map(|i| (i * seg, ((i + 1) * seg).min(data.len())))
-        .filter(|(s, e)| s < e)
-        .collect();
-
-    let mut hit_lists: Vec<Vec<usize>> = vec![Vec::new(); bounds.len()];
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = hit_lists
-            .iter_mut()
-            .zip(&bounds)
-            .map(|(hits, &(s, e))| {
-                Box::new(move || {
-                    let mut scanner = cfg.rolling.scanner(window);
-                    // Warm the window with the bytes preceding the
-                    // segment (empty for the first): hashes — and the
-                    // primed condition — then match the streaming scan
-                    // exactly. Warm-up hits belong to the previous lane.
-                    let warm_from = s.saturating_sub(window);
-                    scanner.feed_detect(&data[warm_from..s], mask);
-                    let mut pos = s;
-                    while pos < e {
-                        match scanner.scan_boundary(&data[pos..e], mask) {
-                            Some(n) => {
-                                pos += n;
-                                hits.push(pos);
-                            }
-                            None => break,
-                        }
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        crate::pool::run_scoped(tasks);
-    }
-
-    // Derive cuts: scanning from `prev`, the boundary is the first
-    // pattern hit within `max` bytes, else a forced cut at `prev + max`,
-    // else the end-of-input flush.
-    let max = cfg.max_leaf_size();
-    let hits: Vec<usize> = hit_lists.concat();
-    let mut cuts = Vec::with_capacity(hits.len() + data.len() / max + 1);
+    let hits = pattern_hits(data, cfg);
+    let (max, end) = (cfg.max_leaf_size(), data.len());
+    // From `prev`, the cut is the first hit within `max` bytes, else a
+    // forced cut at `prev + max`, else the end of input.
+    let mut cuts = Vec::with_capacity(hits.len() + end / max + 1);
+    let mut hits = hits.into_iter().peekable();
     let mut prev = 0usize;
-    let mut hi = 0usize;
-    while prev < data.len() {
-        while hi < hits.len() && hits[hi] <= prev {
-            hi += 1;
-        }
-        match hits.get(hi) {
-            Some(&h) if h - prev <= max => {
-                cuts.push(h);
-                prev = h;
-            }
-            _ => {
-                if data.len() - prev <= max {
-                    cuts.push(data.len());
-                    prev = data.len();
-                } else {
-                    cuts.push(prev + max);
-                    prev += max;
-                }
-            }
-        }
+    while prev < end {
+        while hits.next_if(|&h| h <= prev).is_some() {}
+        prev = match hits.peek() {
+            Some(&h) if h - prev <= max => h,
+            _ => end.min(prev + max),
+        };
+        cuts.push(prev);
     }
     cuts
+}
+
+/// Inputs at least this long are scanned by the sixteen-lane kernel
+/// ([`crate::lanes`]) where it runs; below it the lanes' warm-up is too
+/// large a share of the work and the scalar scanner wins.
+pub const LANE_SCAN_MIN: usize = 1024;
+
+/// Inputs at least this long fan the hit scan out over the worker pool;
+/// below it the wake-up of a parked worker costs more than it saves.
+const PARALLEL_SCAN_MIN: usize = 512 * 1024;
+
+/// Every position `p` in `data` where the leaf pattern fires on byte
+/// `p − 1` with the scanner primed, in order — the hits
+/// [`split_positions`] places its cuts from.
+///
+/// The sixteen-lane kernel scans where it runs (`avx512f`, the cyclic
+/// polynomial, a window of at most [`lanes::MAX_WINDOW`](crate::lanes::MAX_WINDOW))
+/// and the input is at least [`LANE_SCAN_MIN`] long; otherwise the
+/// scalar scanner does. Above 512 KiB on a multi-core host the input is
+/// also split into one segment per worker-pool lane, each scanned the same
+/// way after warming up on the `window` bytes before it.
+pub fn pattern_hits(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
+    let mask = cfg.leaf_mask();
+    // Size gate first: a below-threshold input must not be the thing that
+    // materializes the worker pool.
+    if data.len() < PARALLEL_SCAN_MIN || crate::pool::parallelism() <= 1 {
+        let mut hits = Vec::new();
+        segment_hits(data, 0..data.len(), cfg, mask, &mut hits);
+        return hits;
+    }
+    let seg = data.len().div_ceil(crate::pool::parallelism());
+    let mut hit_lists: Vec<Vec<usize>> = vec![Vec::new(); data.len().div_ceil(seg)];
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = hit_lists
+        .iter_mut()
+        .enumerate()
+        .map(|(i, hits)| {
+            let range = i * seg..((i + 1) * seg).min(data.len());
+            Box::new(move || segment_hits(data, range, cfg, mask, hits))
+                as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    crate::pool::run_scoped(tasks);
+    hit_lists.concat()
+}
+
+/// The hits of `data[range]`: the lane kernel over as much of it as it
+/// covers, the scalar scanner over the rest.
+fn segment_hits(
+    data: &[u8],
+    range: Range<usize>,
+    cfg: &ChunkerConfig,
+    mask: u64,
+    hits: &mut Vec<usize>,
+) {
+    let mut from = range.start;
+    if crate::lanes::scans(cfg, range.len()) {
+        from = crate::lanes::scan(data, range.clone(), cfg.window, mask, hits);
+    }
+    scalar_hits_into(data, from..range.end, cfg, mask, hits);
+}
+
+/// [`pattern_hits`] through the scalar scanner alone, whatever the CPU —
+/// the path hosts without `avx512f` take.
+pub fn scalar_pattern_hits(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
+    let mask = cfg.leaf_mask();
+    let mut hits = Vec::new();
+    scalar_hits_into(data, 0..data.len(), cfg, mask, &mut hits);
+    hits
+}
+
+/// Push every hit in `data[range]` found by the scalar scanner, warmed up
+/// on the `window` bytes before `range` (fewer at the input's start, where
+/// the scanner is then unprimed until byte `window`, as in a stream).
+pub(crate) fn scalar_hits_into(
+    data: &[u8],
+    range: Range<usize>,
+    cfg: &ChunkerConfig,
+    mask: u64,
+    hits: &mut Vec<usize>,
+) {
+    if range.is_empty() {
+        return;
+    }
+    let mut scanner = cfg.rolling.scanner(cfg.window);
+    scanner.feed_detect(
+        &data[range.start.saturating_sub(cfg.window)..range.start],
+        mask,
+    );
+    let mut pos = range.start;
+    while let Some(n) = scanner.scan_boundary(&data[pos..range.end], mask) {
+        pos += n;
+        hits.push(pos);
+    }
+    crate::metrics::scalar_scanned(range.len());
 }
 
 /// [`split_positions`] through the retained naive per-byte pipeline —
 /// the equivalence oracle for the block scanner.
 pub fn split_positions_reference(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
-    split_with(LeafChunker::new_reference(cfg), data)
-}
-
-fn split_with(mut chunker: LeafChunker, data: &[u8]) -> Vec<usize> {
+    let mut chunker = LeafChunker::new_reference(cfg);
     let mut cuts = Vec::new();
     let mut off = 0usize;
     while off < data.len() {
@@ -485,6 +541,8 @@ mod tests {
 
     #[test]
     fn parallel_split_matches_serial() {
+        // Above 512 KiB the scan fans out over thread lanes (each running
+        // the lane kernel where it can); the serial reference must agree.
         for (bits, window, len, seed) in [
             (8u32, 48usize, 2_000_000usize, 41u64),
             (12, 48, 3_000_000, 42),
@@ -496,8 +554,8 @@ mod tests {
             cfg.window = window;
             let data = pseudo_random(len, seed);
             assert_eq!(
-                split_positions_parallel(&data, &cfg),
                 split_positions(&data, &cfg),
+                split_positions_reference(&data, &cfg),
                 "bits={bits} window={window} len={len}"
             );
         }
@@ -506,10 +564,25 @@ mod tests {
         let cfg = ChunkerConfig::with_leaf_bits(8);
         let data = vec![0xAAu8; 2_000_000];
         assert_eq!(
-            split_positions_parallel(&data, &cfg),
-            split_positions(&data, &cfg)
+            split_positions(&data, &cfg),
+            split_positions_reference(&data, &cfg)
         );
-        assert!(split_positions_parallel(&[], &cfg).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "ChunkerConfig out of range: window 0")]
+    fn zero_window_is_refused_up_front() {
+        let cfg = ChunkerConfig {
+            window: 0,
+            ..Default::default()
+        };
+        split_positions(&pseudo_random(10_000, 5), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf_bits 64 (must be < 64)")]
+    fn leaf_bits_past_the_mask_are_refused() {
+        LeafChunker::new(&ChunkerConfig::with_leaf_bits(64));
     }
 
     #[test]

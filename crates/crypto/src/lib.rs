@@ -16,6 +16,8 @@
 //! * [`chunker`] — the pattern-detection parameters (`q`, `r`, window size,
 //!   forced-split factor α) of §4.3.2–4.3.3 packaged as a reusable
 //!   configuration, and a streaming boundary detector.
+//! * [`lanes`] — the sixteen-lane AVX-512 kernel that finds a blob's
+//!   pattern hits, bit-identical to the scalar scanner.
 //! * [`fx`] — a fast non-cryptographic hasher for in-memory tables (the
 //!   FxHash algorithm), used where HashDoS resistance is irrelevant.
 //! * [`metrics`] — per-thread counters of bytes scanned and hashed.
@@ -27,6 +29,7 @@ pub mod chunker;
 pub mod digest;
 pub mod fixed;
 pub mod fx;
+pub mod lanes;
 pub mod metrics;
 pub mod parallel;
 pub(crate) mod pool;
@@ -35,8 +38,7 @@ pub mod sha256;
 
 pub use blake2::{blake2b_256, blake2b_256_parts, Blake2b, Blake2b256};
 pub use chunker::{
-    split_positions, split_positions_parallel, split_positions_reference, ChunkerConfig,
-    LeafChunker,
+    pattern_hits, split_positions, split_positions_reference, ChunkerConfig, LeafChunker,
 };
 pub use digest::Digest;
 pub use fixed::{dedup_fixed, dedup_pattern, fixed_split_positions, DedupStats};

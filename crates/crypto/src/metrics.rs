@@ -55,6 +55,11 @@ fn bump(f: impl FnOnce(&mut CryptoMetrics)) {
     });
 }
 
+/// `bytes` scanned by the lane kernel.
+pub(crate) fn lane_scanned(bytes: usize) {
+    bump(|m| m.lane_scan_bytes += bytes as u64);
+}
+
 /// `bytes` scanned by the scalar scanner.
 pub(crate) fn scalar_scanned(bytes: usize) {
     if bytes > 0 {

@@ -188,19 +188,24 @@ impl RollingScanner {
 /// `h` in the paper maps a byte to a pseudo-random integer; we derive the
 /// table from splitmix64 with a fixed seed so chunk boundaries — and hence
 /// every cid in the system — are stable across runs and platforms.
-fn byte_table() -> [u64; 256] {
+const fn byte_table() -> [u64; 256] {
     let mut table = [0u64; 256];
     let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-    for slot in table.iter_mut() {
+    let mut i = 0;
+    while i < 256 {
         // splitmix64 step
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        *slot = z ^ (z >> 31);
+        table[i] = z ^ (z >> 31);
+        i += 1;
     }
     table
 }
+
+/// [`byte_table`], computed at compile time for the lane kernel.
+pub(crate) static BYTE_TABLE: [u64; 256] = byte_table();
 
 // ---------------------------------------------------------------------------
 // Shared block-scan engine

@@ -854,11 +854,10 @@ pub fn build_blob(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: &[u8]) -> D
 }
 
 /// Build a Blob tree from a shared buffer. Every leaf payload is a
-/// zero-copy slice of `data`, and the two byte-level passes of the build
-/// both run parallel on multi-core hosts: the boundary scan through
-/// [`split_positions_parallel`](forkbase_crypto::split_positions_parallel)
-/// (pattern hits are independent of cut positions because the rolling
-/// window never resets at a cut) and the leaf cids as one rope batch.
+/// zero-copy slice of `data`, and the build's two byte-level passes are
+/// the boundary scan ([`split_positions`](forkbase_crypto::split_positions),
+/// sixteen SIMD lanes where the CPU has them, thread lanes too on large
+/// inputs) and the leaf cids as one rope batch.
 ///
 /// Memory tradeoff: stored leaves alias `data`'s allocation. For fresh
 /// content the slices sum to the buffer, so nothing extra is pinned; a
@@ -867,7 +866,7 @@ pub fn build_blob(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: &[u8]) -> D
 /// compaction, which unshares payloads ([`Chunk::unshared`]).
 pub fn build_blob_bytes(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: Bytes) -> Digest {
     let t0 = Instant::now();
-    let cuts = forkbase_crypto::split_positions_parallel(&data, cfg);
+    let cuts = forkbase_crypto::split_positions(&data, cfg);
     let t1 = Instant::now();
     let ropes: Vec<Vec<Bytes>> = {
         let mut prev = 0usize;
@@ -945,10 +944,12 @@ mod tests {
         build_blob(&store, &cfg, &data);
         let pos = metrics::snapshot().since(pos);
         let crypto = forkbase_crypto::metrics::snapshot().since(crypto);
-        assert_eq!(
-            crypto.lane_scan_bytes + crypto.scalar_scan_bytes,
-            data.len() as u64
-        );
+        // 64 KiB is a whole number of lane steps: where the kernel scans,
+        // it scans every byte and the scalar scanner none.
+        let len = data.len() as u64;
+        let lanes = forkbase_crypto::lanes::scans(&cfg, data.len());
+        assert_eq!(crypto.lane_scan_bytes, if lanes { len } else { 0 });
+        assert_eq!(crypto.scalar_scan_bytes, if lanes { 0 } else { len });
         // Every leaf once, then the index node over them.
         assert!(crypto.sha256_bytes > data.len() as u64, "{crypto:?}");
         assert!(pos.blob_scan_ns > 0 && pos.blob_hash_ns > 0 && pos.blob_store_ns > 0);

@@ -166,8 +166,6 @@ fn finish_splice(
     cur: TreeCursor,
     regions: Regions,
 ) -> Option<Digest> {
-    #[cfg(test)]
-    tests::LAST_SCANNED.with(|c| c.set(lb.scanned_bytes()));
     let (entries, fresh) = lb.finish_unstored();
     let last = regions.len() - 1;
     let mut entries = entries.into_iter();
@@ -502,12 +500,6 @@ mod tests {
     use forkbase_chunk::MemStore;
     use proptest::prelude::*;
 
-    thread_local! {
-        /// Bytes the last splice on this thread ran through pattern
-        /// detection (set by `finish_splice`).
-        pub(super) static LAST_SCANNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed;
         (0..len)
@@ -596,8 +588,12 @@ mod tests {
         let at = before + best / 2;
         assert!(best > 4096, "the largest leaf is a big one: {best}");
         let insert = pseudo_random(100, 6);
+        let before = forkbase_crypto::metrics::snapshot();
         let spliced = splice_blob(&store, &cfg, root, at, 100, &insert).expect("splice");
-        let scanned = LAST_SCANNED.with(|c| c.get());
+        let counted = forkbase_crypto::metrics::snapshot().since(before);
+        // A splice keeps the scalar scanner: the lane kernel sees nothing.
+        assert_eq!(counted.lane_scan_bytes, 0);
+        let scanned = counted.scalar_scan_bytes as usize;
         assert!(
             scanned <= insert.len() + 2 * cfg.window + 1,
             "scanned {scanned} bytes of a {best}-byte leaf"
