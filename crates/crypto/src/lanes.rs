@@ -151,8 +151,8 @@ mod avx512 {
         // Every lane's last data gather ends at `starts[lane] + seg`, and
         // ring slots run `0..window`: these asserts are what the raw
         // accesses below rely on.
-        assert!(seg.is_multiple_of(STEP) && starts[LANES - 1] + seg <= data.len());
-        assert!(starts.is_sorted() && ring.len() == window * LANES);
+        assert!(seg.is_multiple_of(STEP) && starts.iter().all(|&s| s + seg <= data.len()));
+        assert_eq!(ring.len(), window * LANES);
         let base = data.as_ptr() as *const i64;
         let table = BYTE_TABLE.as_ptr() as *const i64;
         let off = [0, 8].map(|h| _mm512_loadu_si512(starts[h..].as_ptr() as *const __m512i));
