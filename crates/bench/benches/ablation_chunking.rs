@@ -12,8 +12,11 @@
 //!
 //! plus the chunk-size sensitivity of both (q = 10, 12, 14).
 
+mod fixed;
+
 use fb_bench::*;
-use forkbase_crypto::{dedup_fixed, dedup_pattern, ChunkerConfig};
+use fixed::{dedup_fixed, dedup_pattern};
+use forkbase_crypto::ChunkerConfig;
 
 enum Edit {
     Insert,

@@ -1,6 +1,5 @@
-//! Ablation micro-benches for the POS-Tree: build cost vs. rolling-hash
-//! choice and chunk size, point-edit cost (copy-on-write splice vs. full
-//! rebuild), and diff cost.
+//! Ablation micro-benches for the POS-Tree: build cost vs. chunk size,
+//! point-edit cost (copy-on-write splice vs. full rebuild), and diff cost.
 //!
 //! These back the design choices DESIGN.md calls out: the cyclic
 //! polynomial leaf pattern, the cheap cid-based index pattern P′ (index
@@ -9,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fb_bench::random_bytes;
 use forkbase_chunk::MemStore;
-use forkbase_crypto::{ChunkerConfig, RollingKind};
+use forkbase_crypto::ChunkerConfig;
 use forkbase_pos::tree::{Blob, Map};
 use forkbase_pos::WriteBatch;
 
@@ -17,26 +16,13 @@ fn build_blob(c: &mut Criterion) {
     let data = random_bytes(1024 * 1024, 3);
     let mut group = c.benchmark_group("pos_build_blob_1MB");
     group.throughput(Throughput::Bytes(data.len() as u64));
-    for kind in [
-        RollingKind::CyclicPoly,
-        RollingKind::RabinKarp,
-        RollingKind::MovingSum,
-    ] {
-        let cfg = ChunkerConfig {
-            rolling: kind,
-            ..Default::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{kind:?}")),
-            &cfg,
-            |b, cfg| {
-                b.iter(|| {
-                    let store = MemStore::new();
-                    Blob::build(&store, cfg, &data)
-                });
-            },
-        );
-    }
+    let cfg = ChunkerConfig::default();
+    group.bench_function("CyclicPoly", |b| {
+        b.iter(|| {
+            let store = MemStore::new();
+            Blob::build(&store, &cfg, &data)
+        });
+    });
     group.finish();
 }
 

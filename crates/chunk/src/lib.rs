@@ -14,11 +14,6 @@
 //!   natural layout, §4.4): group-committed writes with a
 //!   [`Durability`] knob, index snapshots so reopen replays only the
 //!   tail, torn-tail recovery, and in-place compaction.
-//! * [`ReplicatedStore`] — k-way replication wrapper (§4.4: "there are only
-//!   k copies of any chunk").
-//! * [`PartitionedStore`] — routes chunks to one of several instances by
-//!   cid hash; the second layer of the two-layer partitioning scheme
-//!   (§4.6).
 //! * [`ShardedCache`] — sharded clock chunk cache in front of another
 //!   store, modelling servlet/client caches (§4.6, §5.2); the bare
 //!   [`ChunkCache`] is embeddable where a wrapper store does not fit.
@@ -28,16 +23,12 @@ pub mod chunk;
 pub mod codec;
 pub mod logstore;
 pub mod memstore;
-pub mod partitioned;
-pub mod replicated;
 pub mod store;
 
 pub use cache::{CacheConfig, ChunkCache, ShardedCache};
 pub use chunk::{Chunk, ChunkType};
 pub use logstore::{CompactStats, Durability, LogConfig, LogStore, ReopenStats};
 pub use memstore::MemStore;
-pub use partitioned::PartitionedStore;
-pub use replicated::ReplicatedStore;
 pub use store::{ChunkStore, PutOutcome, StoreStats};
 
 pub use forkbase_crypto::Digest;

@@ -8,28 +8,24 @@
 //! once it grows to `α ×` the expected size (probability of a forced cut is
 //! `(1/e)^α`, §4.3.3).
 //!
-//! # Fast and reference paths
-//!
-//! [`LeafChunker::new`] routes pattern detection through the devirtualized
-//! block scanner ([`crate::rolling::RollingScanner`]): the rolling-hash
-//! implementation is selected once at construction, and whole slices are
-//! scanned per call with a bounds-check-free inner loop.
-//! [`LeafChunker::new_reference`] retains the original per-byte
-//! `Box<dyn RollingHash>` pipeline; it is the baseline the equivalence
-//! proptests and the `crypto_micro` benches compare against, and the
-//! `naive-baseline` cargo feature makes [`new`](LeafChunker::new) produce
-//! it so whole-system A/B runs need no code changes.
+//! The rolling hash is always the cyclic polynomial ([`CyclicPoly`]).
 //!
 //! # Hits, then one cut walk
 //!
 //! [`split_positions`] (a whole blob at once) finds every pattern hit
 //! first — with the sixteen-lane kernel of [`crate::lanes`] where the CPU
-//! has `avx512f`, else with the block scanner — and then places the cuts
-//! in one walk. Splices and element-at-a-time builds feed a
-//! [`LeafChunker`].
+//! has `avx512f`, else with the block scanner of [`CyclicPoly`] — and then
+//! places the cuts in one walk. Splices and element-at-a-time builds feed
+//! a [`LeafChunker`], which scans whole slices per call.
+//!
+//! # Reference oracle
+//!
+//! [`split_positions_reference`] shares no code with either path: one
+//! [`CyclicPoly::roll`] per byte and the cut rule written out. The
+//! equivalence tests hold every fast path to it.
 
 use crate::digest::Digest;
-use crate::rolling::{RollingHash, RollingKind, RollingScanner};
+use crate::rolling::CyclicPoly;
 use std::ops::Range;
 
 /// Parameters controlling pattern detection for both tree levels.
@@ -44,8 +40,6 @@ pub struct ChunkerConfig {
     /// Forced-split factor α: a leaf is cut at `α·2^q` bytes, an index node
     /// at `α·2^r` entries, regardless of pattern.
     pub max_factor: usize,
-    /// Which rolling hash implements `P`.
-    pub rolling: RollingKind,
 }
 
 impl Default for ChunkerConfig {
@@ -56,7 +50,6 @@ impl Default for ChunkerConfig {
             leaf_bits: 12,
             index_bits: 7,
             max_factor: 8,
-            rolling: RollingKind::CyclicPoly,
         }
     }
 }
@@ -91,42 +84,54 @@ impl ChunkerConfig {
         self.max_factor << self.index_bits
     }
 
-    /// The leaf pattern mask `2^q − 1`: a byte ends a leaf where the
-    /// primed rolling hash `P & mask == 0`. Every scanner and cut walk
-    /// starts here, so this is where a config they cannot run is refused,
-    /// with one message: a window of 0 bytes has no hash, `leaf_bits ≥ 64`
-    /// would shift the mask to 0 and make every primed byte a boundary,
-    /// and a forced-cut factor of 0 would cut nothing.
-    pub fn leaf_mask(&self) -> u64 {
+    /// Refuse a config no scanner or regroup can run, with one message:
+    /// a window of 0 bytes has no hash, `leaf_bits ≥ 64` would shift the
+    /// leaf mask to 0 and make every primed byte a boundary, a forced-cut
+    /// factor of 0 would cut nothing, and an `index_bits` of 0 or ≥ 64
+    /// would make every entry close its own index node, so a level never
+    /// shrinks and a tree build never ends. The caps `max_factor << bits`
+    /// must not shift bits out either: a cap of 0 never lets a cut walk
+    /// or an index level advance.
+    fn check(&self) {
+        let cap_bits = self.max_factor.leading_zeros();
         assert!(
-            self.window >= 1 && self.leaf_bits < 64 && self.max_factor >= 1,
+            self.window >= 1
+                && self.leaf_bits < 64
+                && self.max_factor >= 1
+                && (1..64).contains(&self.index_bits)
+                && cap_bits >= self.leaf_bits.max(self.index_bits),
             "ChunkerConfig out of range: window {} (must be >= 1), leaf_bits {} (must be < 64), \
-             max_factor {} (must be >= 1)",
+             max_factor {} (must be >= 1), index_bits {} (must be in 1..=63), and \
+             max_factor << leaf_bits / index_bits must fit in a usize",
             self.window,
             self.leaf_bits,
-            self.max_factor
+            self.max_factor,
+            self.index_bits
         );
+    }
+
+    /// The leaf pattern mask `2^q − 1`: a byte ends a leaf where the
+    /// primed rolling hash `P & mask == 0`. Every scanner and cut walk
+    /// starts here, so it checks the config first.
+    pub fn leaf_mask(&self) -> u64 {
+        self.check();
         (1u64 << self.leaf_bits) - 1
+    }
+
+    /// The index pattern mask `2^r − 1` of P′ (§4.3.3). A level regroup
+    /// takes it once, so it checks the config first.
+    pub fn index_mask(&self) -> u64 {
+        self.check();
+        (1u64 << self.index_bits) - 1
     }
 
     /// The index-node split pattern P′ (§4.3.3): fires when the child cid's
     /// low `r` bits are zero. A pure function of the entry, so index-node
-    /// boundaries are content-defined too.
-    #[inline]
+    /// boundaries are content-defined too. A loop over many entries takes
+    /// [`index_mask`](Self::index_mask) once instead.
     pub fn index_boundary(&self, cid: &Digest) -> bool {
-        let mask = (1u64 << self.index_bits) - 1;
-        cid.prefix_u64() & mask == 0
+        cid.prefix_u64() & self.index_mask() == 0
     }
-}
-
-/// Pattern-detection backend: the devirtualized block scanner, or the
-/// retained per-byte-through-a-vtable reference pipeline. The scanner is
-/// boxed to keep the variants similar in size (its lookup tables are 4 KB
-/// inline); the indirection is paid once per slice-level call, never per
-/// byte.
-enum Detector {
-    Fast(Box<RollingScanner>),
-    Reference(Box<dyn RollingHash + Send>),
 }
 
 /// Streaming leaf-boundary detector.
@@ -143,7 +148,9 @@ enum Detector {
 /// independent of where the previous cut fell. This is what localizes the
 /// effect of an edit to O(1) chunks.
 pub struct LeafChunker {
-    detector: Detector,
+    /// Boxed: its lookup tables are 4 KB inline. The indirection is paid
+    /// once per slice-level call, never per byte.
+    hash: Box<CyclicPoly>,
     q_mask: u64,
     max_len: usize,
     window: usize,
@@ -160,37 +167,11 @@ pub struct LeafChunker {
 }
 
 impl LeafChunker {
-    /// Build a detector from `cfg`, using the devirtualized block scanner
-    /// (unless the `naive-baseline` feature routes it to the reference
-    /// pipeline).
+    /// Build a detector from `cfg`.
     pub fn new(cfg: &ChunkerConfig) -> Self {
-        if cfg!(feature = "naive-baseline") {
-            Self::new_reference(cfg)
-        } else {
-            let q_mask = cfg.leaf_mask();
-            Self::with_detector(
-                cfg,
-                q_mask,
-                Detector::Fast(Box::new(cfg.rolling.scanner(cfg.window))),
-            )
-        }
-    }
-
-    /// Build a detector running the retained naive pipeline: one virtual
-    /// [`RollingHash::roll`] call per byte. Kept as the provably-unchanged
-    /// baseline for equivalence tests and benchmarks.
-    pub fn new_reference(cfg: &ChunkerConfig) -> Self {
         let q_mask = cfg.leaf_mask();
-        Self::with_detector(
-            cfg,
-            q_mask,
-            Detector::Reference(cfg.rolling.build(cfg.window)),
-        )
-    }
-
-    fn with_detector(cfg: &ChunkerConfig, q_mask: u64, detector: Detector) -> Self {
         LeafChunker {
-            detector,
+            hash: Box::new(CyclicPoly::new(cfg.window)),
             q_mask,
             max_len: cfg.max_leaf_size(),
             window: cfg.window,
@@ -204,18 +185,7 @@ impl LeafChunker {
     /// the pattern fired at any byte of the element.
     #[inline]
     pub fn feed(&mut self, bytes: &[u8]) {
-        let fired = match &mut self.detector {
-            Detector::Fast(s) => s.feed_detect(bytes, self.q_mask),
-            Detector::Reference(h) => {
-                let mut fired = false;
-                for &b in bytes {
-                    let v = h.roll(b);
-                    fired |= h.primed() && v & self.q_mask == 0;
-                }
-                fired
-            }
-        };
-        self.pattern_pending |= fired;
+        self.pattern_pending |= self.hash.feed_detect(bytes, self.q_mask);
         self.cur_len += bytes.len();
         self.scanned += bytes.len();
     }
@@ -239,16 +209,7 @@ impl LeafChunker {
             return false;
         }
         let tail = &bytes[bytes.len().saturating_sub(self.window)..];
-        match &mut self.detector {
-            Detector::Fast(s) => {
-                s.feed_detect(tail, self.q_mask);
-            }
-            Detector::Reference(h) => {
-                for &b in tail {
-                    h.roll(b);
-                }
-            }
-        }
+        self.hash.feed_detect(tail, self.q_mask);
         self.cur_len += bytes.len();
         true
     }
@@ -275,20 +236,7 @@ impl LeafChunker {
         );
         let room = self.max_len - self.cur_len;
         let take = data.len().min(room);
-        let hit = match &mut self.detector {
-            Detector::Fast(s) => s.scan_boundary(&data[..take], self.q_mask),
-            Detector::Reference(h) => {
-                let mut hit = None;
-                for (i, &b) in data[..take].iter().enumerate() {
-                    let v = h.roll(b);
-                    if h.primed() && v & self.q_mask == 0 {
-                        hit = Some(i + 1);
-                        break;
-                    }
-                }
-                hit
-            }
-        };
+        let hit = self.hash.scan_boundary(&data[..take], self.q_mask);
         self.scanned += hit.unwrap_or(take);
         match hit {
             Some(n) => {
@@ -345,10 +293,7 @@ impl LeafChunker {
 
     /// Full reset (new object).
     pub fn reset(&mut self) {
-        match &mut self.detector {
-            Detector::Fast(s) => s.reset(),
-            Detector::Reference(h) => h.reset(),
-        }
+        self.hash.reset();
         self.cur_len = 0;
         self.pattern_pending = false;
     }
@@ -371,9 +316,6 @@ impl Drop for LeafChunker {
 /// fell. Only the forced `α·2^q` cuts depend on the previous cut, and the
 /// walk places those.
 pub fn split_positions(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
-    if cfg!(feature = "naive-baseline") {
-        return split_positions_reference(data, cfg);
-    }
     let hits = pattern_hits(data, cfg);
     let (max, end) = (cfg.max_leaf_size(), data.len());
     // From `prev`, the cut is the first hit within `max` bytes, else a
@@ -405,8 +347,8 @@ const PARALLEL_SCAN_MIN: usize = 512 * 1024;
 /// `p − 1` with the scanner primed, in order — the hits
 /// [`split_positions`] places its cuts from.
 ///
-/// The sixteen-lane kernel scans where it runs (`avx512f`, the cyclic
-/// polynomial, a window of at most [`lanes::MAX_WINDOW`](crate::lanes::MAX_WINDOW))
+/// The sixteen-lane kernel scans where it runs (`avx512f`, a window of at
+/// most [`lanes::MAX_WINDOW`](crate::lanes::MAX_WINDOW))
 /// and the input is at least [`LANE_SCAN_MIN`] long; otherwise the
 /// scalar scanner does. Above 512 KiB on a multi-core host the input is
 /// also split into one segment per worker-pool lane, each scanned the same
@@ -473,7 +415,7 @@ pub(crate) fn scalar_hits_into(
     if range.is_empty() {
         return;
     }
-    let mut scanner = cfg.rolling.scanner(cfg.window);
+    let mut scanner = CyclicPoly::new(cfg.window);
     scanner.feed_detect(
         &data[range.start.saturating_sub(cfg.window)..range.start],
         mask,
@@ -486,25 +428,23 @@ pub(crate) fn scalar_hits_into(
     crate::metrics::scalar_scanned(range.len());
 }
 
-/// [`split_positions`] through the retained naive per-byte pipeline —
-/// the equivalence oracle for the block scanner.
+/// [`split_positions`] the plain way — the equivalence oracle for every
+/// faster path. One [`CyclicPoly::roll`] per byte; a chunk ends at a byte
+/// where the primed hash matches the mask or where it reaches `α·2^q`
+/// bytes, and the last chunk ends at the end of input.
 pub fn split_positions_reference(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
-    let mut chunker = LeafChunker::new_reference(cfg);
+    let (mask, max) = (cfg.leaf_mask(), cfg.max_leaf_size());
+    let mut hash = CyclicPoly::new(cfg.window);
     let mut cuts = Vec::new();
-    let mut off = 0usize;
-    while off < data.len() {
-        match chunker.feed_bytewise(&data[off..]) {
-            Some(n) => {
-                off += n;
-                cuts.push(off);
-                chunker.cut();
-            }
-            None => {
-                off = data.len();
-            }
+    let mut prev = 0usize;
+    for (i, &b) in data.iter().enumerate() {
+        let v = hash.roll(b);
+        if (hash.primed() && v & mask == 0) || i + 1 - prev >= max {
+            prev = i + 1;
+            cuts.push(prev);
         }
     }
-    if cuts.last() != Some(&data.len()) && !data.is_empty() {
+    if prev < data.len() {
         cuts.push(data.len());
     }
     cuts
@@ -586,6 +526,37 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ChunkerConfig out of range")]
+    fn index_bits_of_zero_are_refused() {
+        let cfg = ChunkerConfig {
+            index_bits: 0,
+            ..Default::default()
+        };
+        cfg.index_boundary(&Digest::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "ChunkerConfig out of range")]
+    fn index_bits_of_64_are_refused() {
+        let cfg = ChunkerConfig {
+            index_bits: 64,
+            ..Default::default()
+        };
+        cfg.index_boundary(&Digest::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "ChunkerConfig out of range")]
+    fn an_index_cap_shifted_past_usize_is_refused() {
+        // 8 << 61 wraps to a fanout cap of 0.
+        let cfg = ChunkerConfig {
+            index_bits: 61,
+            ..Default::default()
+        };
+        cfg.index_boundary(&Digest::ZERO);
+    }
+
+    #[test]
     fn split_is_deterministic() {
         let cfg = ChunkerConfig::default();
         let data = pseudo_random(200_000, 99);
@@ -594,22 +565,25 @@ mod tests {
 
     #[test]
     fn split_matches_reference_pipeline() {
-        for (bits, window, seed) in [(8u32, 48usize, 1u64), (10, 7, 2), (12, 64, 3), (9, 1, 4)] {
+        for (bits, window, seed) in [
+            (8u32, 48usize, 1u64),
+            (10, 7, 2),
+            (12, 64, 3),
+            (9, 1, 4),
+            (8, 4, 5),
+            (10, 16, 6),
+            (9, 47, 7),
+            (6, 48, 8),
+            (7, 64, 9),
+        ] {
             let mut cfg = ChunkerConfig::with_leaf_bits(bits);
             cfg.window = window;
-            for kind in [
-                RollingKind::CyclicPoly,
-                RollingKind::RabinKarp,
-                RollingKind::MovingSum,
-            ] {
-                cfg.rolling = kind;
-                let data = pseudo_random(150_000, seed);
-                assert_eq!(
-                    split_positions(&data, &cfg),
-                    split_positions_reference(&data, &cfg),
-                    "bits={bits} window={window} {kind:?}"
-                );
-            }
+            let data = pseudo_random(150_000, seed);
+            assert_eq!(
+                split_positions(&data, &cfg),
+                split_positions_reference(&data, &cfg),
+                "bits={bits} window={window}"
+            );
         }
     }
 
@@ -718,26 +692,38 @@ mod tests {
         }
     }
 
+    /// `feed` against one `roll` per byte and the element rule written
+    /// out: a hit anywhere in an element, or the cap reached, ends the
+    /// chunk at the element's end.
     #[test]
     fn element_feed_matches_reference() {
-        let cfg = ChunkerConfig::with_leaf_bits(7);
-        let mut fast = LeafChunker::new(&cfg);
-        let mut reference = LeafChunker::new_reference(&cfg);
-        let data = pseudo_random(60_000, 31);
-        let mut off = 0usize;
-        let mut len = 1usize;
-        while off < data.len() {
-            let end = (off + len).min(data.len());
-            fast.feed(&data[off..end]);
-            reference.feed(&data[off..end]);
-            assert_eq!(fast.boundary(), reference.boundary(), "at {off}");
-            assert_eq!(fast.current_len(), reference.current_len());
-            if fast.boundary() {
-                fast.cut();
-                reference.cut();
+        for window in [1usize, 4, 16, 47, 48, 64] {
+            let mut cfg = ChunkerConfig::with_leaf_bits(7);
+            cfg.window = window;
+            let mask = cfg.leaf_mask();
+            let mut fast = LeafChunker::new(&cfg);
+            let mut hash = CyclicPoly::new(window);
+            let data = pseudo_random(60_000, 31 + window as u64);
+            let (mut off, mut len, mut chunk) = (0usize, 1usize, 0usize);
+            while off < data.len() {
+                let end = (off + len).min(data.len());
+                fast.feed(&data[off..end]);
+                let mut fired = false;
+                for &b in &data[off..end] {
+                    let v = hash.roll(b);
+                    fired |= hash.primed() && v & mask == 0;
+                }
+                chunk += end - off;
+                let boundary = fired || chunk >= cfg.max_leaf_size();
+                assert_eq!(fast.boundary(), boundary, "w={window} at {off}");
+                assert_eq!(fast.current_len(), chunk);
+                if boundary {
+                    fast.cut();
+                    chunk = 0;
+                }
+                off = end;
+                len = len % 97 + 13;
             }
-            off = end;
-            len = len % 97 + 13;
         }
     }
 
@@ -772,53 +758,42 @@ mod tests {
 
     /// `skip_clean` over a hit-free stretch must leave the chunker in the
     /// state `feed` would have: same length, same hits on everything fed
-    /// afterwards. Checked per detector and rolling hash, with stretches
-    /// shorter than, equal to and longer than the window.
+    /// afterwards. Checked with stretches shorter than, equal to and
+    /// longer than the window.
     #[test]
     fn skip_clean_matches_feed_on_clean_stretches() {
-        for kind in [
-            RollingKind::CyclicPoly,
-            RollingKind::RabinKarp,
-            RollingKind::MovingSum,
+        for (bits, window) in [
+            (6u32, 1usize),
+            (6, 4),
+            (6, 5),
+            (7, 16),
+            (8, 47),
+            (8, 48),
+            (10, 64),
         ] {
-            for (bits, window) in [(6u32, 5usize), (8, 48), (10, 64)] {
-                let mut cfg = ChunkerConfig::with_leaf_bits(bits);
-                cfg.window = window;
-                cfg.rolling = kind;
-                let data = pseudo_random(80_000, bits as u64 * 7 + window as u64);
-                let cuts = split_positions_reference(&data, &cfg);
-                for reference in [false, true] {
-                    let make = || {
-                        if reference {
-                            LeafChunker::new_reference(&cfg)
-                        } else {
-                            LeafChunker::new(&cfg)
-                        }
-                    };
-                    let (mut fed, mut skipped) = (make(), make());
-                    let mut prev = 0usize;
-                    for &c in &cuts {
-                        // No hit in a chunk before its last byte. Skip a
-                        // varying share of that stretch, feed the rest.
-                        let clean_end = prev + (c - 1 - prev) * (c % 4) / 3;
-                        fed.feed(&data[prev..clean_end]);
-                        assert!(!fed.boundary(), "{kind:?}: stretch was not clean");
-                        assert!(skipped.skip_clean(&data[prev..clean_end]));
-                        assert_eq!(fed.current_len(), skipped.current_len());
-                        let a = fed.feed_bytewise(&data[clean_end..c]);
-                        let b = skipped.feed_bytewise(&data[clean_end..c]);
-                        assert_eq!(
-                            a, b,
-                            "{kind:?} bits={bits} w={window} ref={reference} at {c}"
-                        );
-                        assert_eq!(fed.current_len(), skipped.current_len());
-                        fed.cut();
-                        skipped.cut();
-                        prev = c;
-                    }
-                    assert!(skipped.scanned_bytes() < fed.scanned_bytes());
-                }
+            let mut cfg = ChunkerConfig::with_leaf_bits(bits);
+            cfg.window = window;
+            let data = pseudo_random(80_000, bits as u64 * 7 + window as u64);
+            let cuts = split_positions_reference(&data, &cfg);
+            let (mut fed, mut skipped) = (LeafChunker::new(&cfg), LeafChunker::new(&cfg));
+            let mut prev = 0usize;
+            for &c in &cuts {
+                // No hit in a chunk before its last byte. Skip a varying
+                // share of that stretch, feed the rest.
+                let clean_end = prev + (c - 1 - prev) * (c % 4) / 3;
+                fed.feed(&data[prev..clean_end]);
+                assert!(!fed.boundary(), "stretch was not clean");
+                assert!(skipped.skip_clean(&data[prev..clean_end]));
+                assert_eq!(fed.current_len(), skipped.current_len());
+                let a = fed.feed_bytewise(&data[clean_end..c]);
+                let b = skipped.feed_bytewise(&data[clean_end..c]);
+                assert_eq!(a, b, "bits={bits} w={window} at {c}");
+                assert_eq!(fed.current_len(), skipped.current_len());
+                fed.cut();
+                skipped.cut();
+                prev = c;
             }
+            assert!(skipped.scanned_bytes() < fed.scanned_bytes());
         }
     }
 
@@ -827,13 +802,12 @@ mod tests {
         let cfg = ChunkerConfig::with_leaf_bits(6);
         let max = cfg.max_leaf_size();
         let data = vec![0xAAu8; max];
-        for mut chunker in [LeafChunker::new(&cfg), LeafChunker::new_reference(&cfg)] {
-            chunker.feed(&data[..10]);
-            assert!(!chunker.skip_clean(&data[..max - 10]), "cap reached");
-            assert_eq!(chunker.current_len(), 10, "a refusal consumes nothing");
-            assert!(chunker.skip_clean(&data[..max - 11]));
-            assert_eq!(chunker.feed_bytewise(&data[..5]), Some(1), "forced cut");
-        }
+        let mut chunker = LeafChunker::new(&cfg);
+        chunker.feed(&data[..10]);
+        assert!(!chunker.skip_clean(&data[..max - 10]), "cap reached");
+        assert_eq!(chunker.current_len(), 10, "a refusal consumes nothing");
+        assert!(chunker.skip_clean(&data[..max - 11]));
+        assert_eq!(chunker.feed_bytewise(&data[..5]), Some(1), "forced cut");
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //! start contribute nothing), which fills its ring. A position `p < k`
 //! has fewer than `k` bytes behind it, so the scanner there is not
 //! primed and its hits are dropped — the priming rule of
-//! [`RollingHash::primed`](crate::RollingHash::primed). Lanes step
+//! [`CyclicPoly::primed`](crate::CyclicPoly::primed). Lanes step
 //! eight bytes per data gather, so they cover a multiple of 128 bytes;
 //! the caller scans the rest with the scalar scanner. The crate README's
 //! "Lanes" section has the bound that keeps every gather inside the
 //! input.
 
 use crate::chunker::ChunkerConfig;
-use crate::rolling::{RollingKind, BYTE_TABLE};
+use crate::rolling::BYTE_TABLE;
 
 /// Lanes the kernel runs at once.
 pub const LANES: usize = 16;
@@ -49,18 +49,17 @@ pub fn available() -> bool {
     }
 }
 
-/// True when the kernel can scan under `cfg`: the CPU has it, the rolling
-/// hash is the cyclic polynomial, and the window fits the ring.
+/// True when the kernel can scan under `cfg`: the CPU has it and the
+/// window fits the ring.
 fn runs(cfg: &ChunkerConfig) -> bool {
-    cfg.rolling == RollingKind::CyclicPoly && cfg.window <= MAX_WINDOW && available()
+    cfg.window <= MAX_WINDOW && available()
 }
 
 /// True when [`split_positions`](crate::split_positions) hands a run of
-/// `len` bytes under `cfg` to the kernel: the kernel runs, the
-/// `naive-baseline` feature is off, and `len` is at least
-/// [`LANE_SCAN_MIN`](crate::chunker::LANE_SCAN_MIN).
+/// `len` bytes under `cfg` to the kernel: the kernel runs and `len` is at
+/// least [`LANE_SCAN_MIN`](crate::chunker::LANE_SCAN_MIN).
 pub fn scans(cfg: &ChunkerConfig, len: usize) -> bool {
-    !cfg!(feature = "naive-baseline") && len >= crate::chunker::LANE_SCAN_MIN && runs(cfg)
+    len >= crate::chunker::LANE_SCAN_MIN && runs(cfg)
 }
 
 /// Every pattern hit of `data` under `cfg`, the kernel covering all it

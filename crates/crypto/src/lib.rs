@@ -10,24 +10,25 @@
 //! * [`Digest`] — the 32-byte content identifier type used across the
 //!   workspace.
 //! * [`rolling`] — the cyclic-polynomial rolling hash from the paper
-//!   (Cohen, "Recursive hashing functions for n-grams"), plus Rabin–Karp and
-//!   moving-sum alternatives behind the same [`rolling::RollingHash`] trait
-//!   so the choice can be ablated.
+//!   (Cohen, "Recursive hashing functions for n-grams"), the only leaf
+//!   pattern hash: it is part of the content → cid mapping.
 //! * [`chunker`] — the pattern-detection parameters (`q`, `r`, window size,
 //!   forced-split factor α) of §4.3.2–4.3.3 packaged as a reusable
-//!   configuration, and a streaming boundary detector.
+//!   configuration, a streaming boundary detector, and the per-byte
+//!   reference oracle [`split_positions_reference`].
 //! * [`lanes`] — the sixteen-lane AVX-512 kernel that finds a blob's
 //!   pattern hits, bit-identical to the scalar scanner.
 //! * [`fx`] — a fast non-cryptographic hasher for in-memory tables (the
 //!   FxHash algorithm), used where HashDoS resistance is irrelevant.
 //! * [`metrics`] — per-thread counters of bytes scanned and hashed.
-//! * [`blake2`] — BLAKE2b (RFC 7693), the paper's suggested faster
-//!   alternative to SHA-256, for the CryptoHash-cost ablation.
+//!
+//! The oracles the equivalence tests compare against are compiled in
+//! every build and never on a production path: [`split_positions_reference`]
+//! for the chunker and [`Sha256Naive`] / [`sha256_naive`] /
+//! [`hash_parts_naive`] for SHA-256.
 
-pub mod blake2;
 pub mod chunker;
 pub mod digest;
-pub mod fixed;
 pub mod fx;
 pub mod lanes;
 pub mod metrics;
@@ -36,14 +37,12 @@ pub(crate) mod pool;
 pub mod rolling;
 pub mod sha256;
 
-pub use blake2::{blake2b_256, blake2b_256_parts, Blake2b, Blake2b256};
 pub use chunker::{
     pattern_hits, split_positions, split_positions_reference, ChunkerConfig, LeafChunker,
 };
 pub use digest::Digest;
-pub use fixed::{dedup_fixed, dedup_pattern, fixed_split_positions, DedupStats};
 pub use parallel::{hash_tagged_batch, hash_tagged_parts_batch};
-pub use rolling::{CyclicPoly, MovingSum, RabinKarp, RollingHash, RollingKind, RollingScanner};
+pub use rolling::CyclicPoly;
 pub use sha256::{sha256, sha256_naive, Sha256, Sha256Naive};
 
 /// Convenience: hash `bytes` with the engine's default hash function

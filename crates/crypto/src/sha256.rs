@@ -16,8 +16,8 @@
 //!   round macro permutes its arguments instead). The portable fallback
 //!   for [`Sha256`].
 //! * `compress_naive` — the original straight-line loop, retained as
-//!   the reference implementation ([`Sha256Naive`]); the `naive-baseline`
-//!   feature swaps it back into [`Sha256`] for whole-system A/B runs.
+//!   the reference implementation ([`Sha256Naive`]) that the equivalence
+//!   tests hold [`Sha256`] to.
 //!
 //! `update` feeds whole 64-byte blocks straight from the caller's slice —
 //! the internal buffer is touched only for partial blocks, so
@@ -313,16 +313,11 @@ pub struct Sha256Core<const NAIVE: bool> {
     total_len: u64,
 }
 
-/// The production hasher (optimized compression, unless the
-/// `naive-baseline` feature routes it to the reference).
-#[cfg(not(feature = "naive-baseline"))]
+/// The production hasher (optimized compression).
 pub type Sha256 = Sha256Core<false>;
-/// The production hasher, routed to the reference compression by the
-/// `naive-baseline` feature.
-#[cfg(feature = "naive-baseline")]
-pub type Sha256 = Sha256Core<true>;
 
-/// The retained reference hasher (original compression function).
+/// The retained reference hasher (original compression function), the
+/// equivalence oracle for [`Sha256`].
 pub type Sha256Naive = Sha256Core<true>;
 
 impl<const NAIVE: bool> Default for Sha256Core<NAIVE> {

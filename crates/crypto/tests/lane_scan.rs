@@ -3,7 +3,7 @@
 //! placed from them (a cut walk can hide a wrong hit behind a forced cut).
 //!
 //! Three hit paths are held to the per-byte reference scanner
-//! (`RollingKind::build` + `roll`):
+//! (`CyclicPoly::roll`):
 //!
 //! * `lanes::pattern_hits` — the kernel over every input size it can
 //!   cover; on a CPU without `avx512f` this check prints that it was
@@ -12,12 +12,13 @@
 //! * `pattern_hits` — the production choice between them.
 //!
 //! Inputs: every length 0..=4096, lengths around the kernel's size
-//! threshold and every residue of the lane step, windows 1/47/48/49/64/65
-//! and `leaf_bits` 1/4/12/16, random, all-zero, period-48 and wiki text,
+//! threshold and every residue of the lane step, windows
+//! 1/4/16/47/48/49/64/65 and one past the kernel's bound (which the
+//! kernel must refuse) and `leaf_bits` 1/4/12/16, random, all-zero, period-48 and wiki text,
 //! and hits planted on each lane's first and last byte.
 
 use forkbase_crypto::chunker::{scalar_pattern_hits, LANE_SCAN_MIN};
-use forkbase_crypto::{lanes, pattern_hits, ChunkerConfig, CyclicPoly, RollingHash, RollingKind};
+use forkbase_crypto::{lanes, pattern_hits, ChunkerConfig, CyclicPoly};
 use std::sync::Once;
 
 fn random(len: usize, seed: u64) -> Vec<u8> {
@@ -80,7 +81,7 @@ fn cfg(window: usize, leaf_bits: u32) -> ChunkerConfig {
 /// hash matches the mask.
 fn reference_hits(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
     let mask = cfg.leaf_mask();
-    let mut h = cfg.rolling.build(cfg.window);
+    let mut h = CyclicPoly::new(cfg.window);
     let mut hits = Vec::new();
     for (i, &b) in data.iter().enumerate() {
         let v = h.roll(b);
@@ -109,10 +110,13 @@ fn check(data: &[u8], cfg: &ChunkerConfig, what: &str) {
     let want = reference_hits(data, cfg);
     assert_eq!(scalar_pattern_hits(data, cfg), want, "scalar: {what}");
     assert_eq!(pattern_hits(data, cfg), want, "production: {what}");
-    let cyclic = cfg.rolling == RollingKind::CyclicPoly && cfg.window <= lanes::MAX_WINDOW;
+    let fits = cfg.window <= lanes::MAX_WINDOW;
     match lanes::pattern_hits(data, cfg) {
-        Some(got) => assert_eq!(got, want, "lanes: {what}"),
-        None => assert!(!(kernel_runs() && cyclic), "kernel refused: {what}"),
+        Some(got) => {
+            assert!(fits, "kernel took a window past its ring: {what}");
+            assert_eq!(got, want, "lanes: {what}");
+        }
+        None => assert!(!(kernel_runs() && fits), "kernel refused: {what}"),
     }
 }
 
@@ -138,7 +142,7 @@ fn lengths_around_the_threshold_and_every_lane_step_residue() {
 
 #[test]
 fn windows_and_leaf_bits() {
-    for window in [1usize, 47, 48, 49, 64, 65] {
+    for window in [1usize, 4, 16, 47, 48, 49, 64, 65, lanes::MAX_WINDOW + 1] {
         for leaf_bits in [1u32, 4, 12, 16] {
             for len in [window, 4 * 128 + 5, LANE_SCAN_MIN + 77, 70_000] {
                 for (kind, data) in inputs(len, window as u64 * 31 + leaf_bits as u64) {
@@ -147,19 +151,6 @@ fn windows_and_leaf_bits() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn only_the_cyclic_polynomial_takes_the_kernel() {
-    let data = random(10_000, 3);
-    for rolling in [RollingKind::RabinKarp, RollingKind::MovingSum] {
-        let cfg = ChunkerConfig {
-            rolling,
-            ..cfg(48, 4)
-        };
-        assert!(lanes::pattern_hits(&data, &cfg).is_none());
-        check(&data, &cfg, &format!("{rolling:?}"));
     }
 }
 

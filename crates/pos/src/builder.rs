@@ -634,7 +634,8 @@ pub(crate) fn build_index_levels(
 
 /// The open group of a level regroup and the nodes it has closed.
 struct Grouper<'a> {
-    cfg: &'a ChunkerConfig,
+    /// The P′ mask, taken once per regroup.
+    index_mask: u64,
     ty: TreeType,
     level: u64,
     max_fanout: usize,
@@ -646,7 +647,7 @@ struct Grouper<'a> {
 impl Grouper<'_> {
     /// Add the next child; close the group at the P′ pattern or the cap.
     fn push(&mut self, e: IndexEntry) {
-        let cut = self.cfg.index_boundary(&e.cid);
+        let cut = e.cid.prefix_u64() & self.index_mask == 0;
         self.group.push(e);
         if cut || self.group.len() >= self.max_fanout {
             self.close();
@@ -684,7 +685,7 @@ fn regroup(
 ) -> Option<Vec<Patch>> {
     let floor = level - 1;
     let mut g = Grouper {
-        cfg,
+        index_mask: cfg.index_mask(),
         ty,
         level,
         max_fanout: cfg.max_index_fanout(),

@@ -24,8 +24,6 @@
 //! default-config 200 000-entry map fetches — in the store, and split into
 //! leaves and index nodes by the tree layer's counters — and feeds the
 //! diff and the merge a truncated leaf.
-//!
-//! CI runs this file in the default and the `naive-baseline` leg.
 
 use bytes::Bytes;
 use forkbase_chunk::{MemStore, PutOutcome, StoreStats};
@@ -77,7 +75,6 @@ fn cfg_of((leaf_bits, index_bits, factor): CfgDraw) -> ChunkerConfig {
         leaf_bits,
         index_bits,
         max_factor: [1, 2, 8][factor as usize],
-        ..ChunkerConfig::default()
     }
 }
 

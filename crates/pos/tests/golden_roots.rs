@@ -6,7 +6,7 @@
 //! that loud.
 
 use forkbase_chunk::MemStore;
-use forkbase_crypto::{ChunkerConfig, RollingKind};
+use forkbase_crypto::ChunkerConfig;
 use forkbase_pos::tree::{Blob, List, Map, Set};
 
 fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
@@ -23,45 +23,28 @@ fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
 
 #[test]
 fn golden_blob_roots() {
-    for (bits, kind, seed, len, expect) in [
+    for (bits, seed, len, expect) in [
         (
             12u32,
-            RollingKind::CyclicPoly,
             1u64,
             300_000usize,
             "854984d9858e092db45655d95b768e282d0f0fc536a4c60afc3e8a4fef640b94",
         ),
         (
             8,
-            RollingKind::CyclicPoly,
             2,
             100_000,
             "c93e57fdb75359b7d3722bda073caefe054c53ef87f839c7d358d46ddeb9238c",
         ),
-        (
-            10,
-            RollingKind::RabinKarp,
-            3,
-            150_000,
-            "2a3233cd8f326e712c7668f9240c46171f4ecdad1edc4a0d2016c64800dd5494",
-        ),
-        (
-            9,
-            RollingKind::MovingSum,
-            4,
-            120_000,
-            "fcd4feffe2911019ae296e9c015a91fa63e1296aa1cae7b28a87d6c6646e2d93",
-        ),
     ] {
         let store = MemStore::new();
-        let mut cfg = ChunkerConfig::with_leaf_bits(bits);
-        cfg.rolling = kind;
+        let cfg = ChunkerConfig::with_leaf_bits(bits);
         let data = pseudo_random(len, seed);
         let blob = Blob::build(&store, &cfg, &data);
         assert_eq!(
             blob.root().to_hex(),
             expect,
-            "blob root drifted: bits={bits} kind={kind:?}"
+            "blob root drifted: bits={bits}"
         );
     }
 }

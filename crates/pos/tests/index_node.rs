@@ -11,8 +11,6 @@
 //! and Blob trees, cut at every byte and with every byte flipped, then
 //! random bytes, each parsed on its own and entered through a cursor from
 //! a parent that names it. The old decode, kept below, is the oracle.
-//!
-//! CI runs this file in the default and the `naive-baseline` leg.
 
 use bytes::Bytes;
 use forkbase_chunk::codec::{get_bytes, get_varint};

@@ -15,8 +15,6 @@
 //!
 //! The second half counts chunk fetches on a default-config 200 000-entry
 //! map: a point edit must cost a root-to-leaf path, not the tree.
-//!
-//! CI runs this file in the default and the `naive-baseline` leg.
 
 use bytes::Bytes;
 use forkbase_chunk::MemStore;
@@ -51,7 +49,6 @@ fn cfg_of((index_bits, factor, leaf_bits): CfgDraw) -> ChunkerConfig {
         leaf_bits,
         index_bits,
         max_factor: [1, 2, 8][factor as usize],
-        ..ChunkerConfig::default()
     }
 }
 

@@ -5,8 +5,8 @@
 //! element, and scans a known-clean stretch after all when the forced
 //! `α·2^q` cut would land in it. If any of that is off by one element or
 //! one byte, a boundary is missed and the spliced root differs from the
-//! root of a from-scratch build over the same content. So: every rolling
-//! hash, leaf sizes 2^6–2^12, caps α ∈ {1, 2, 8}, all four tree types,
+//! root of a from-scratch build over the same content. So: windows of 1
+//! to 64 bytes, leaf sizes 2^6–2^12, caps α ∈ {1, 2, 8}, all four tree types,
 //! and edit schedules aimed at the edges — the first and last element of
 //! a leaf, within `window` bytes of a leaf boundary, deletes of the
 //! element a leaf was cut on, length-changing puts, pure appends, and
@@ -14,13 +14,11 @@
 //!
 //! Edits are drawn as small integer tuples and decoded against the leaf
 //! layout of the tree they are applied to (the layout is not known when
-//! the inputs are generated). CI runs this file in the default and the
-//! `naive-baseline` leg: the `Reference` detector has its own
-//! `skip_clean` arm.
+//! the inputs are generated).
 
 use bytes::Bytes;
 use forkbase_chunk::MemStore;
-use forkbase_crypto::{ChunkerConfig, Digest, RollingKind};
+use forkbase_crypto::{ChunkerConfig, Digest};
 use forkbase_pos::builder::{build_blob, build_items};
 use forkbase_pos::scan::scan_tree;
 use forkbase_pos::types::TreeType;
@@ -28,13 +26,13 @@ use forkbase_pos::{splice_blob, splice_list, update_sorted, Edit, Item};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// `(rolling, leaf_bits, max_factor index, window index)`.
-type CfgDraw = (u8, u32, u8, u8);
+/// `(leaf_bits, max_factor index, window index)`.
+type CfgDraw = (u32, u8, u8);
 /// `(leaf, where in the leaf, what to do, a size, content seed)`.
 type EditDraw = (u8, u8, u8, u16, u64);
 
 fn cfg_strategy() -> impl Strategy<Value = CfgDraw> {
-    (0u8..3, 6u32..13, 0u8..3, 0u8..3)
+    (6u32..13, 0u8..3, 0u8..6)
 }
 
 fn edits_strategy() -> impl Strategy<Value = Vec<Vec<EditDraw>>> {
@@ -42,17 +40,12 @@ fn edits_strategy() -> impl Strategy<Value = Vec<Vec<EditDraw>>> {
     prop::collection::vec(prop::collection::vec(edit, 1..6), 1..4)
 }
 
-fn cfg_of((rolling, leaf_bits, factor, window): CfgDraw) -> ChunkerConfig {
+fn cfg_of((leaf_bits, factor, window): CfgDraw) -> ChunkerConfig {
     ChunkerConfig {
-        window: [4, 16, 48][window as usize],
+        window: [1, 4, 16, 47, 48, 64][window as usize],
         leaf_bits,
         index_bits: 3,
         max_factor: [1, 2, 8][factor as usize],
-        rolling: [
-            RollingKind::CyclicPoly,
-            RollingKind::RabinKarp,
-            RollingKind::MovingSum,
-        ][rolling as usize],
     }
 }
 

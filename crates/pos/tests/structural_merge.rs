@@ -21,8 +21,6 @@
 //! default-config 200 000-entry map, off the tree layer's per-thread
 //! counters ([`forkbase_pos::metrics`]): merging two disjoint clusters
 //! fetches and puts no leaf.
-//!
-//! CI runs this file in the default and the `naive-baseline` leg.
 
 use bytes::Bytes;
 use forkbase_chunk::MemStore;
@@ -223,7 +221,6 @@ fn cfg_of((leaf_bits, index_bits, factor, window): CfgDraw) -> ChunkerConfig {
         leaf_bits,
         index_bits,
         max_factor: [1, 2, 8][factor as usize],
-        ..ChunkerConfig::default()
     }
 }
 

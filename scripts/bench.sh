@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Run the chunking/crypto micro benches through both pipelines (optimized
-# and --features naive-baseline) and assemble two result files:
+# Run the micro benches and assemble one result file per area:
 #
 # * BENCH_chunking.json — raw criterion results (ops/s, MB/s per bench)
-#   plus derived speedups for the per-phase breakdown (rolling scan,
-#   SHA-256, end-to-end chunking and POS-Tree build).
+#   plus derived speedups of each optimized phase over its in-process
+#   reference oracle (rolling scan, SHA-256, end-to-end chunking).
 # * BENCH_map_batch.json — the batched write path: per-edit cost of
 #   pos_map_100k/put_batch_{10,1k,100k} vs the sequential put_one loop,
 #   with derived per-edit speedups.
@@ -121,12 +120,11 @@ net_out="${7:-BENCH_net.json}"
 serve_out="${8:-BENCH_serve.json}"
 hot_out="${9:-BENCH_hot.json}"
 opt_json="$(mktemp)"
-naive_json="$(mktemp)"
-trap 'rm -f "$opt_json" "$naive_json"' EXIT
+trap 'rm -f "$opt_json"' EXIT
 
 export CRITERION_SAMPLE_MS="${CRITERION_SAMPLE_MS:-300}"
 
-echo "== optimized pipeline: crypto_micro + pos_micro + pos_build + store + read + write_scaling + net + serve + hot" >&2
+echo "== micro benches: crypto_micro + pos_micro + pos_build + store + read + write_scaling + net + serve + hot" >&2
 CRITERION_JSON="$opt_json" cargo bench -q -p fb-bench --bench crypto_micro
 CRITERION_JSON="$opt_json" cargo bench -q -p fb-bench --bench pos_micro
 CRITERION_JSON="$opt_json" cargo bench -q -p fb-bench --bench pos_build
@@ -136,10 +134,6 @@ CRITERION_JSON="$opt_json" cargo bench -q -p fb-bench --bench write_scaling
 CRITERION_JSON="$opt_json" cargo bench -q -p fb-bench --bench net
 CRITERION_JSON="$opt_json" cargo bench -q -p fb-bench --bench serve
 CRITERION_JSON="$opt_json" cargo bench -q -p fb-bench --bench hot
-
-echo "== naive-baseline pipeline: pos_micro (end-to-end A/B)" >&2
-CRITERION_JSON="$naive_json" cargo bench -q -p fb-bench --bench pos_micro \
-    --features forkbase-crypto/naive-baseline
 
 # Median ns/iter for one bench name in one results file.
 median() {
@@ -164,8 +158,6 @@ split_naive=$(median "$opt_json" "chunker_split/naive_dyn")
 split_block=$(median "$opt_json" "chunker_split/block")
 sha_naive=$(median "$opt_json" "sha256_compress/naive")
 sha_opt=$(median "$opt_json" "sha256_compress/optimized")
-build_naive=$(median "$naive_json" "pos_build_blob_1MB/CyclicPoly")
-build_opt=$(median "$opt_json" "pos_build_blob_1MB/CyclicPoly")
 
 {
     echo '{'
@@ -177,14 +169,10 @@ build_opt=$(median "$opt_json" "pos_build_blob_1MB/CyclicPoly")
     echo '  "derived_speedups": {'
     echo "    \"rolling_scan_cyclic_poly\": $(ratio "$scan_naive" "$scan_block"),"
     echo "    \"chunker_split_end_to_end\": $(ratio "$split_naive" "$split_block"),"
-    echo "    \"sha256_compress\": $(ratio "$sha_naive" "$sha_opt"),"
-    echo "    \"pos_build_blob_1mb_cyclic_poly\": $(ratio "$build_naive" "$build_opt")"
+    echo "    \"sha256_compress\": $(ratio "$sha_naive" "$sha_opt")"
     echo '  },'
     echo '  "optimized": ['
     array_body "$opt_json" | sed 's/^/    /'
-    echo '  ],'
-    echo '  "naive_baseline": ['
-    array_body "$naive_json" | sed 's/^/    /'
     echo '  ]'
     echo '}'
 } > "$out"

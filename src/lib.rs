@@ -12,7 +12,7 @@
 //! | [`core`] | `forkbase-core` | the engine: [`ForkBase`], FObjects, branches, M1–M17 |
 //! | [`pos`] | `forkbase-pos` | the POS-Tree: Blob/List/Map/Set, diff, merge |
 //! | [`chunk`] | `forkbase-chunk` | chunk model and storage backends |
-//! | [`crypto`] | `forkbase-crypto` | SHA-256, rolling hashes, chunking config |
+//! | [`crypto`] | `forkbase-crypto` | SHA-256, the rolling hash, chunking config |
 //! | [`cluster`] | `forkbase-cluster` | distributed-service simulation |
 //! | [`ledger`] | `ledgerlite` | blockchain platform (3 state backends) |
 //! | [`chain`] | `chainstore` | block-store scenario: append/follow/prune on the version DAG |
