@@ -81,7 +81,7 @@
 
 use crate::entry::{encode_index_payload, IndexEntry};
 use crate::leaf::{encode_item, Item, RawItem};
-use crate::metrics;
+use crate::metrics::{self, ItemClock};
 use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use bytes::Bytes;
@@ -140,6 +140,8 @@ pub struct LeafBuilder<'s> {
     unhashed: usize,
     /// Set by `finish`: what is cut from now on stays on this thread.
     finishing: bool,
+    /// The build's phases ([`metrics`]), scan from here on.
+    clock: ItemClock,
 }
 
 impl<'s> LeafBuilder<'s> {
@@ -161,6 +163,7 @@ impl<'s> LeafBuilder<'s> {
             handed: 0,
             unhashed: 0,
             finishing: false,
+            clock: ItemClock::start(),
         }
     }
 
@@ -450,23 +453,26 @@ impl<'s> LeafBuilder<'s> {
     /// list.
     pub fn finish(self) -> Vec<IndexEntry> {
         let store = self.store;
-        let (entries, fresh) = self.finish_unstored();
+        let (entries, fresh, clock) = self.finish_unstored();
         metrics::stored(&fresh);
         store.put_many(fresh);
+        clock.record();
         entries
     }
 
     /// Flush the pending leaf (if any), hash every leaf not handed to the
     /// pool yet, and return the leaf entry list together with the leaf
     /// chunks, **not yet stored**: `build_index_levels` appends the index
-    /// chunks and hands the store the whole tree as one batch. The
+    /// chunks and hands the store the whole tree as one batch; the caller
+    /// then [records](ItemClock::record) the returned clock. The
     /// remaining cids are computed as one batch straight over the payload
     /// ropes ([`Chunk::new_batch_ropes`], parallel on multi-core hosts)
     /// while the pool finishes the batches it was handed (module docs);
     /// single-span leaves are never re-materialized.
-    pub(crate) fn finish_unstored(mut self) -> (Vec<IndexEntry>, Vec<Chunk>) {
+    pub(crate) fn finish_unstored(mut self) -> (Vec<IndexEntry>, Vec<Chunk>, ItemClock) {
         // The last cut's leaves stay here: this thread has nothing else
         // left to do.
+        self.clock.lap(0);
         self.finishing = true;
         if self.pending_len > 0 {
             self.cut();
@@ -488,7 +494,8 @@ impl<'s> LeafBuilder<'s> {
                 key: p.key,
             })
             .collect();
-        (entries, chunks)
+        self.clock.lap(1);
+        (entries, chunks, self.clock)
     }
 
     /// The ropes not handed to the pool yet, out of their entries.
@@ -817,8 +824,10 @@ pub fn build_items(
     let src = Bytes::from(buf);
     let mut lb = LeafBuilder::new(store, cfg, ty);
     lb.append_encoded_run(&src, &raw);
-    let (entries, fresh) = lb.finish_unstored();
-    build_scratch(store, cfg, ty, entries, fresh)
+    let (entries, fresh, clock) = lb.finish_unstored();
+    let root = build_scratch(store, cfg, ty, entries, fresh);
+    clock.record();
+    root
 }
 
 /// The retained element-at-a-time build path: one chunker feed per

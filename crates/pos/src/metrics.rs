@@ -8,10 +8,13 @@
 //! helper and `Blob`'s batched leaf reads), stores where the builder hands
 //! chunks to `put` / `put_many` — whether or not the store already held
 //! them. A from-scratch Blob build also times its three phases: the
-//! boundary scan, the leaf hashes and the index levels with the store.
+//! boundary scan, the leaf hashes and the index levels with the store;
+//! every other build and splice (all that a `LeafBuilder` cuts) times the
+//! same three.
 
 use forkbase_chunk::Chunk;
 use std::cell::Cell;
+use std::time::Instant;
 
 /// What the calling thread's tree operations have done so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,6 +39,19 @@ pub struct PosMetrics {
     pub blob_hash_ns: u64,
     /// Nanoseconds Blob builds spent on index levels and store puts.
     pub blob_store_ns: u64,
+    /// Nanoseconds element builds and splices spent placing leaf
+    /// boundaries: the boundary scan, and for a splice also its seeks and
+    /// leaf fetches.
+    pub item_scan_ns: u64,
+    /// Nanoseconds element builds and splices spent hashing their leaves
+    /// (joining the batches handed to the hash pool included).
+    pub item_hash_ns: u64,
+    /// Nanoseconds element builds and splices spent on index levels and
+    /// store puts.
+    pub item_store_ns: u64,
+    /// Leaves a splice fetched in front of its first edited leaf to warm
+    /// the rolling window.
+    pub seed_fetches: u64,
 }
 
 impl PosMetrics {
@@ -51,6 +67,10 @@ impl PosMetrics {
             blob_scan_ns: self.blob_scan_ns - before.blob_scan_ns,
             blob_hash_ns: self.blob_hash_ns - before.blob_hash_ns,
             blob_store_ns: self.blob_store_ns - before.blob_store_ns,
+            item_scan_ns: self.item_scan_ns - before.item_scan_ns,
+            item_hash_ns: self.item_hash_ns - before.item_hash_ns,
+            item_store_ns: self.item_store_ns - before.item_store_ns,
+            seed_fetches: self.seed_fetches - before.seed_fetches,
         }
     }
 }
@@ -105,4 +125,43 @@ pub(crate) fn blob_phases([scan, hash, store]: [u64; 3]) {
         m.blob_hash_ns += hash;
         m.blob_store_ns += store;
     });
+}
+
+/// One leaf fetched to warm a splice's rolling window.
+pub(crate) fn seed_fetched() {
+    bump(|m| m.seed_fetches += 1);
+}
+
+/// The phases of one element build or splice, lapped as it goes:
+/// scan from the builder's start, then leaf hash, then index+store.
+pub(crate) struct ItemClock {
+    lap: Instant,
+    ns: [u64; 3],
+}
+
+impl ItemClock {
+    pub(crate) fn start() -> ItemClock {
+        ItemClock {
+            lap: Instant::now(),
+            ns: [0; 3],
+        }
+    }
+
+    /// Close `phase` (0 scan, 1 leaf hash, 2 index+store) now.
+    pub(crate) fn lap(&mut self, phase: usize) {
+        let now = Instant::now();
+        self.ns[phase] += (now - self.lap).as_nanos() as u64;
+        self.lap = now;
+    }
+
+    /// Close the index+store phase and count all three.
+    pub(crate) fn record(mut self) {
+        self.lap(2);
+        let [scan, hash, store] = self.ns;
+        bump(|m| {
+            m.item_scan_ns += scan;
+            m.item_hash_ns += hash;
+            m.item_store_ns += store;
+        });
+    }
 }

@@ -74,6 +74,7 @@
 use crate::builder::{build_index_levels, LeafBuilder, Patch};
 use crate::error::{TreeError, TreeResult};
 use crate::leaf::{raw_items_of, Item, RawItem};
+use crate::metrics;
 use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use bytes::Bytes;
@@ -131,6 +132,7 @@ fn seed_before(cur: &mut TreeCursor, window: usize, lb: &mut LeafBuilder) -> Opt
     let mut got = 0usize;
     while got < window && cur.prev_leaf()? {
         let chunk = cur.chunk()?;
+        metrics::seed_fetched();
         let keep = chunk.len().min(window - got);
         tails.push(chunk.payload().slice(chunk.len() - keep..));
         got += keep;
@@ -166,7 +168,7 @@ fn finish_splice(
     cur: TreeCursor,
     regions: Regions,
 ) -> Option<Digest> {
-    let (entries, fresh) = lb.finish_unstored();
+    let (entries, fresh, clock) = lb.finish_unstored();
     let last = regions.len() - 1;
     let mut entries = entries.into_iter();
     let mut taken = 0usize;
@@ -182,7 +184,9 @@ fn finish_splice(
             }
         })
         .collect();
-    build_index_levels(store, cfg, ty, Some(cur), patches, fresh)
+    let root = build_index_levels(store, cfg, ty, Some(cur), patches, fresh);
+    clock.record();
+    root
 }
 
 /// Apply a batch of keyed edits to a sorted tree in one multi-range
