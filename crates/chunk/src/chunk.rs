@@ -85,16 +85,6 @@ impl Chunk {
         Chunk { ty, payload, cid }
     }
 
-    /// Create many chunks of one type at once, computing their independent
-    /// cids in parallel when the batch is large enough to amortize the
-    /// fan-out (see [`forkbase_crypto::hash_tagged_batch`]). Identical to
-    /// mapping [`Chunk::new`] over `payloads`, in order.
-    pub fn new_batch(ty: ChunkType, payloads: Vec<Bytes>) -> Vec<Chunk> {
-        // One construction path: a contiguous payload is a one-span rope
-        // (which `new_batch_ropes` passes through without copying).
-        Self::new_batch_ropes(ty, payloads.into_iter().map(|p| vec![p]).collect())
-    }
-
     /// Create many chunks of any types at once — what a batch decoded off
     /// the wire is — with their cids computed by one
     /// [`forkbase_crypto::hash_tagged_batch`] call. Identical to mapping
@@ -258,21 +248,6 @@ mod tests {
         assert_ne!(a.cid(), c.cid());
         let a2 = Chunk::new(ChunkType::Blob, &b"hello"[..]);
         assert_eq!(a.cid(), a2.cid());
-    }
-
-    #[test]
-    fn new_batch_matches_new() {
-        let payloads: Vec<Bytes> = (0..50)
-            .map(|i| Bytes::from(vec![i as u8; 100 + i * 37]))
-            .collect();
-        let batch = Chunk::new_batch(ChunkType::Map, payloads.clone());
-        assert_eq!(batch.len(), payloads.len());
-        for (chunk, payload) in batch.iter().zip(&payloads) {
-            let solo = Chunk::new(ChunkType::Map, payload.clone());
-            assert_eq!(chunk.cid(), solo.cid());
-            assert_eq!(chunk.payload(), payload);
-            assert!(chunk.verify());
-        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! first — with the sixteen-lane kernel of [`crate::lanes`] where the CPU
 //! has `avx512f`, else with the block scanner of [`CyclicPoly`] — and then
 //! places the cuts in one walk. Splices and element-at-a-time builds feed
-//! a [`LeafChunker`], which scans whole slices per call.
+//! a [`LeafChunker`], which scans whole slices per call; a run of whole
+//! fresh elements of at least [`LANE_SCAN_MIN`] bytes goes through
+//! [`LeafChunker::feed_elements`], the same hits-then-walk with the cuts
+//! moved to element ends.
 //!
 //! # Reference oracle
 //!
@@ -205,13 +208,87 @@ impl LeafChunker {
     /// reports the exact forced-cut position).
     #[inline]
     pub fn skip_clean(&mut self, bytes: &[u8]) -> bool {
-        if self.cur_len + bytes.len() >= self.max_len {
+        if !self.skips(bytes.len()) {
             return false;
         }
         let tail = &bytes[bytes.len().saturating_sub(self.window)..];
         self.hash.feed_detect(tail, self.q_mask);
         self.cur_len += bytes.len();
         true
+    }
+
+    /// True when [`skip_clean`](Self::skip_clean) would take `len` bytes
+    /// now: the size cap does not fall inside them.
+    pub fn skips(&self, len: usize) -> bool {
+        self.cur_len + len < self.max_len
+    }
+
+    /// Append the bytes the rolling window holds to `out`, oldest first:
+    /// the last `window` bytes fed since the last [`reset`](Self::reset),
+    /// or all of them if fewer — the context a run given to
+    /// [`feed_elements`](Self::feed_elements) must follow.
+    pub fn context(&self, out: &mut Vec<u8>) {
+        self.hash.window_bytes(out);
+    }
+
+    /// Feed a run of whole elements at once: bit-identical to one
+    /// [`feed`](Self::feed) per element with a [`cut`](Self::cut) wherever
+    /// [`boundary`](Self::boundary) says, and returns the indices of the
+    /// elements a chunk ends on.
+    ///
+    /// `data[..from]` must be [`context`](Self::context) and the run is
+    /// `data[from..]`; `elems` are its elements in order, `end` gives each
+    /// one's end in `data`, and the last one ends at `data.len()`. The
+    /// run is scanned once for every hit ([`split_positions`]' hit scan,
+    /// sixteen lanes where they run, warmed up on the context and
+    /// primed as the stream is). One walk then places the cuts: from the
+    /// previous cut, the first hit or the `α·2^q` cap, whichever comes
+    /// first, moved to the end of the element holding it. The chunker
+    /// resumes from the run's tail: its window re-warmed with the last
+    /// `window` bytes of the run, its chunk holding what follows the last
+    /// cut. Call it between elements, never with a chunk that is due a
+    /// cut.
+    pub fn feed_elements<T>(
+        &mut self,
+        data: &[u8],
+        from: usize,
+        elems: &[T],
+        end: impl Fn(&T) -> usize,
+    ) -> Vec<usize> {
+        debug_assert!(!self.boundary(), "feed_elements at an uncut boundary");
+        debug_assert!({
+            let mut ctx = Vec::new();
+            self.context(&mut ctx);
+            ctx == data[..from]
+        });
+        let mut cuts = Vec::new();
+        let Some(last) = elems.last() else {
+            return cuts;
+        };
+        debug_assert_eq!(end(last), data.len());
+        let mut hits = hits_after(data, from, self.window, self.q_mask)
+            .into_iter()
+            .peekable();
+        let (mut i, mut prev) = (0usize, from);
+        let mut cap = from + (self.max_len - self.cur_len);
+        loop {
+            while hits.next_if(|&h| h <= prev).is_some() {}
+            let due = hits.peek().map_or(cap, |&h| h.min(cap));
+            let j = i + elems[i..].partition_point(|e| end(e) < due);
+            let Some(e) = elems.get(j) else { break };
+            cuts.push(j);
+            prev = end(e);
+            cap = prev + self.max_len;
+            i = j + 1;
+        }
+        self.cur_len = if cuts.is_empty() {
+            self.cur_len + data.len() - from
+        } else {
+            data.len() - prev
+        };
+        let tail = &data[data.len().saturating_sub(self.window).max(from)..];
+        self.hash.feed_detect(tail, self.q_mask);
+        cuts
     }
 
     /// Feed a byte-granular stream (every byte is an element, Blob
@@ -277,8 +354,9 @@ impl LeafChunker {
         self.cur_len
     }
 
-    /// Bytes run through pattern detection ([`feed`](Self::feed) and
-    /// [`feed_bytewise`](Self::feed_bytewise)) since construction.
+    /// Bytes run through the scalar scanner ([`feed`](Self::feed) and
+    /// [`feed_bytewise`](Self::feed_bytewise)) since construction;
+    /// [`feed_elements`](Self::feed_elements) counts its bytes as [`split_positions`] does.
     pub fn scanned_bytes(&self) -> usize {
         self.scanned
     }
@@ -354,22 +432,39 @@ const PARALLEL_SCAN_MIN: usize = 512 * 1024;
 /// also split into one segment per worker-pool lane, each scanned the same
 /// way after warming up on the `window` bytes before it.
 pub fn pattern_hits(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
-    let mask = cfg.leaf_mask();
+    hits_after(data, 0, cfg.window, cfg.leaf_mask())
+}
+
+/// The hits of a run that follows bytes already fed: every `p` in
+/// `from + 1 ..= data.len()` where the pattern fires on byte `p − 1`, with
+/// `data[..from]` the bytes fed before the run — all of them since the
+/// scanner started, or at least its last `window`. A hit is never
+/// reported inside those bytes. [`LeafChunker::feed_elements`] places its
+/// cuts from these.
+pub fn pattern_hits_after(data: &[u8], from: usize, cfg: &ChunkerConfig) -> Vec<usize> {
+    hits_after(data, from, cfg.window, cfg.leaf_mask())
+}
+
+/// The hits of `data[from..]` — every `p` in `from + 1 ..= data.len()` —
+/// with `data[..from]` as the bytes fed before it: [`pattern_hits`]' scan,
+/// each segment warmed up on the `window` bytes before it.
+fn hits_after(data: &[u8], from: usize, window: usize, mask: u64) -> Vec<usize> {
+    let len = data.len() - from;
     // Size gate first: a below-threshold input must not be the thing that
     // materializes the worker pool.
-    if data.len() < PARALLEL_SCAN_MIN || crate::pool::parallelism() <= 1 {
+    if len < PARALLEL_SCAN_MIN || crate::pool::parallelism() <= 1 {
         let mut hits = Vec::new();
-        segment_hits(data, 0..data.len(), cfg, mask, &mut hits);
+        segment_hits(data, from..data.len(), window, mask, &mut hits);
         return hits;
     }
-    let seg = data.len().div_ceil(crate::pool::parallelism());
-    let mut hit_lists: Vec<Vec<usize>> = vec![Vec::new(); data.len().div_ceil(seg)];
+    let seg = len.div_ceil(crate::pool::parallelism());
+    let mut hit_lists: Vec<Vec<usize>> = vec![Vec::new(); len.div_ceil(seg)];
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = hit_lists
         .iter_mut()
         .enumerate()
         .map(|(i, hits)| {
-            let range = i * seg..((i + 1) * seg).min(data.len());
-            Box::new(move || segment_hits(data, range, cfg, mask, hits))
+            let range = from + i * seg..(from + (i + 1) * seg).min(data.len());
+            Box::new(move || segment_hits(data, range, window, mask, hits))
                 as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
@@ -379,18 +474,12 @@ pub fn pattern_hits(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
 
 /// The hits of `data[range]`: the lane kernel over as much of it as it
 /// covers, the scalar scanner over the rest.
-fn segment_hits(
-    data: &[u8],
-    range: Range<usize>,
-    cfg: &ChunkerConfig,
-    mask: u64,
-    hits: &mut Vec<usize>,
-) {
+fn segment_hits(data: &[u8], range: Range<usize>, window: usize, mask: u64, hits: &mut Vec<usize>) {
     let mut from = range.start;
-    if crate::lanes::scans(cfg, range.len()) {
-        from = crate::lanes::scan(data, range.clone(), cfg.window, mask, hits);
+    if crate::lanes::takes(window, range.len()) {
+        from = crate::lanes::scan(data, range.clone(), window, mask, hits);
     }
-    scalar_hits_into(data, from..range.end, cfg, mask, hits);
+    scalar_hits_into(data, from..range.end, window, mask, hits);
 }
 
 /// [`pattern_hits`] through the scalar scanner alone, whatever the CPU —
@@ -398,7 +487,7 @@ fn segment_hits(
 pub fn scalar_pattern_hits(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
     let mask = cfg.leaf_mask();
     let mut hits = Vec::new();
-    scalar_hits_into(data, 0..data.len(), cfg, mask, &mut hits);
+    scalar_hits_into(data, 0..data.len(), cfg.window, mask, &mut hits);
     hits
 }
 
@@ -408,18 +497,15 @@ pub fn scalar_pattern_hits(data: &[u8], cfg: &ChunkerConfig) -> Vec<usize> {
 pub(crate) fn scalar_hits_into(
     data: &[u8],
     range: Range<usize>,
-    cfg: &ChunkerConfig,
+    window: usize,
     mask: u64,
     hits: &mut Vec<usize>,
 ) {
     if range.is_empty() {
         return;
     }
-    let mut scanner = CyclicPoly::new(cfg.window);
-    scanner.feed_detect(
-        &data[range.start.saturating_sub(cfg.window)..range.start],
-        mask,
-    );
+    let mut scanner = CyclicPoly::new(window);
+    scanner.feed_detect(&data[range.start.saturating_sub(window)..range.start], mask);
     let mut pos = range.start;
     while let Some(n) = scanner.scan_boundary(&data[pos..range.end], mask) {
         pos += n;

@@ -49,17 +49,22 @@ pub fn available() -> bool {
     }
 }
 
-/// True when the kernel can scan under `cfg`: the CPU has it and the
-/// window fits the ring.
-fn runs(cfg: &ChunkerConfig) -> bool {
-    cfg.window <= MAX_WINDOW && available()
+/// True when the kernel can scan with a `window`-byte window: the CPU
+/// has it and the window fits the ring.
+fn runs(window: usize) -> bool {
+    window <= MAX_WINDOW && available()
 }
 
 /// True when [`split_positions`](crate::split_positions) hands a run of
 /// `len` bytes under `cfg` to the kernel: the kernel runs and `len` is at
 /// least [`LANE_SCAN_MIN`](crate::chunker::LANE_SCAN_MIN).
 pub fn scans(cfg: &ChunkerConfig, len: usize) -> bool {
-    len >= crate::chunker::LANE_SCAN_MIN && runs(cfg)
+    takes(cfg.window, len)
+}
+
+/// [`scans`] for a bare window size.
+pub(crate) fn takes(window: usize, len: usize) -> bool {
+    len >= crate::chunker::LANE_SCAN_MIN && runs(window)
 }
 
 /// Every pattern hit of `data` under `cfg`, the kernel covering all it
@@ -70,12 +75,12 @@ pub fn scans(cfg: &ChunkerConfig, len: usize) -> bool {
 /// exists so the kernel can be tested at every length.
 pub fn pattern_hits(data: &[u8], cfg: &ChunkerConfig) -> Option<Vec<usize>> {
     let mask = cfg.leaf_mask();
-    if !runs(cfg) {
+    if !runs(cfg.window) {
         return None;
     }
     let mut hits = Vec::new();
     let done = scan(data, 0..data.len(), cfg.window, mask, &mut hits);
-    crate::chunker::scalar_hits_into(data, done..data.len(), cfg, mask, &mut hits);
+    crate::chunker::scalar_hits_into(data, done..data.len(), cfg.window, mask, &mut hits);
     Some(hits)
 }
 

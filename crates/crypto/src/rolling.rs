@@ -124,6 +124,17 @@ impl CyclicPoly {
         self.consumed >= self.window
     }
 
+    /// Append the bytes the window holds to `out`, oldest first: the last
+    /// `window` bytes consumed, or every byte consumed if fewer.
+    pub fn window_bytes(&self, out: &mut Vec<u8>) {
+        if self.primed() {
+            out.extend_from_slice(&self.buf[self.pos..]);
+            out.extend_from_slice(&self.buf[..self.pos]);
+        } else {
+            out.extend_from_slice(&self.buf[..self.consumed]);
+        }
+    }
+
     /// Consume bytes from `data` until the first position where the hash
     /// is primed and `hash & mask == 0`. Returns `Some(n)` — `n` bytes
     /// consumed, the pattern firing on the `n`-th — or `None` with the
@@ -295,6 +306,28 @@ mod tests {
     fn cyclic_poly_depends_only_on_window() {
         for window in [1, 4, 7, 16, 47, 48, 64] {
             window_only_property(window);
+        }
+    }
+
+    #[test]
+    fn window_bytes_are_the_last_bytes_consumed() {
+        for window in [1usize, 5, 48] {
+            let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+            for len in [0, 1, window - 1, window, window + 1, 3 * window + 2, 200] {
+                // Rolled byte by byte and fed as one slice (the steady-state
+                // commit rewrites the ring): same bytes either way.
+                let (mut rolled, mut fed) = (CyclicPoly::new(window), CyclicPoly::new(window));
+                data[..len].iter().for_each(|&b| {
+                    rolled.roll(b);
+                });
+                fed.feed_detect(&data[..len], 0);
+                let want = &data[len.saturating_sub(window)..len];
+                for h in [&rolled, &fed] {
+                    let mut got = Vec::new();
+                    h.window_bytes(&mut got);
+                    assert_eq!(got, want, "window {window} len {len}");
+                }
+            }
         }
     }
 

@@ -11,12 +11,14 @@
 //!
 //! A pending leaf is a **rope**: a list of `Bytes` spans. Content adopted
 //! from an existing buffer — an encoded input run during a from-scratch
-//! build ([`append_encoded_run`](LeafBuilder::append_encoded_run)), an old
-//! leaf's untouched region during a splice
+//! build ([`append_encoded_run`](LeafBuilder::append_encoded_run)), a
+//! splice's fresh elements, queued into a buffer of their own until
+//! something else is fed, an old leaf's untouched region during a splice
 //! ([`append_old_run`](LeafBuilder::append_old_run),
 //! [`append_old_blob`](LeafBuilder::append_old_blob)) — enters the
-//! rope as a zero-copy slice of that buffer. Only freshly encoded
-//! elements pass through a small stitch buffer. The ropes are handed to
+//! rope as a zero-copy slice of that buffer. Only elements fed one at a
+//! time ([`append_item`](LeafBuilder::append_item)) and Blob inserts pass
+//! through a small stitch buffer. The ropes are handed to
 //! [`Chunk::new_batch_ropes`], which hashes straight over the spans, so a
 //! leaf whose content is one borrowed run is never copied at all.
 //!
@@ -87,6 +89,7 @@ use crate::types::TreeType;
 use bytes::Bytes;
 use forkbase_chunk::codec::varint_len;
 use forkbase_chunk::{Chunk, ChunkStore};
+use forkbase_crypto::chunker::LANE_SCAN_MIN;
 use forkbase_crypto::parallel::{self, Task, ASYNC_BATCH_BYTES};
 use forkbase_crypto::{ChunkerConfig, Digest, LeafChunker};
 use std::ops::Range;
@@ -128,6 +131,11 @@ pub struct LeafBuilder<'s> {
     /// Open segment receiving freshly encoded elements; frozen into
     /// `spans` when a borrowed span arrives or the leaf cuts.
     stitch: Vec<u8>,
+    /// Fresh elements [queued](Self::queue_item) and not fed yet, behind
+    /// the bytes the rolling window held when the first was queued.
+    queue: Vec<u8>,
+    /// The queued elements, as spans of `queue`.
+    queued: Vec<RawItem>,
     /// Total encoded bytes pending (spans + stitch).
     pending_len: usize,
     count: u64,
@@ -155,6 +163,8 @@ impl<'s> LeafBuilder<'s> {
             since_edit: usize::MAX,
             spans: Vec::new(),
             stitch: Vec::new(),
+            queue: Vec::new(),
+            queued: Vec::new(),
             pending_len: 0,
             count: 0,
             last_key: LastKey::None,
@@ -169,12 +179,14 @@ impl<'s> LeafBuilder<'s> {
 
     /// True when no partial leaf is pending, i.e. the last fed byte ended a
     /// chunk (or nothing has been fed).
-    pub fn aligned(&self) -> bool {
+    pub fn aligned(&mut self) -> bool {
+        self.flush_queue();
         self.pending_len == 0
     }
 
     /// Encoded bytes in the pending (uncut) leaf.
-    pub fn pending_bytes(&self) -> usize {
+    pub fn pending_bytes(&mut self) -> usize {
+        self.flush_queue();
         self.pending_len
     }
 
@@ -185,7 +197,19 @@ impl<'s> LeafBuilder<'s> {
     /// leaves that follow where they are. Only meaningful right after an
     /// old leaf has been re-fed to its end.
     pub fn realigned(&self) -> bool {
-        self.aligned() && self.since_edit >= self.window
+        // Nothing is queued a window past the last fresh byte.
+        self.since_edit >= self.window && self.pending_len == 0
+    }
+
+    /// True when `prefix` untouched old bytes, re-fed at the start of a
+    /// region (the start of an old leaf, between chunks) before anything
+    /// is scanned, determine the rolling window by themselves: there are
+    /// at least `window` of them and [`LeafChunker::skip_clean`] takes
+    /// them whole. Its re-warm then overwrites whatever a
+    /// [`seed`](Self::seed) would have put there, so a splice need not
+    /// fetch the bytes in front of the region.
+    pub(crate) fn warms_itself(&self, prefix: usize) -> bool {
+        prefix >= self.window && self.chunker.skips(prefix)
     }
 
     /// Record that old bytes were dropped at the current position: the
@@ -196,7 +220,8 @@ impl<'s> LeafBuilder<'s> {
 
     /// Bytes this builder has run through pattern detection — the
     /// per-edit cost the skip rule bounds (test accessor).
-    pub fn scanned_bytes(&self) -> usize {
+    pub fn scanned_bytes(&mut self) -> usize {
+        self.flush_queue();
         self.chunker.scanned_bytes()
     }
 
@@ -225,27 +250,61 @@ impl<'s> LeafBuilder<'s> {
     /// [`aligned`](Self::aligned); pass the last `window` bytes (or fewer
     /// if the object is shorter) of the preceding encoded content.
     pub fn seed(&mut self, bytes: &[u8]) {
-        debug_assert!(self.aligned(), "seed only between chunks");
+        self.flush_queue();
+        debug_assert!(self.pending_len == 0, "seed only between chunks");
         self.chunker.reset();
         self.chunker.feed(bytes);
         self.chunker.cut();
     }
 
     /// Leaves cut so far.
-    pub(crate) fn leaves(&self) -> usize {
+    pub(crate) fn leaves(&mut self) -> usize {
+        self.flush_queue();
         self.entries.len()
     }
 
     /// Batches of cut leaves handed to the hash pool so far (test
     /// accessor; always 0 on a host with one hardware thread).
-    pub fn batches_handed(&self) -> usize {
+    pub fn batches_handed(&mut self) -> usize {
+        self.flush_queue();
         self.hashing.len()
+    }
+
+    /// Queue one fresh element (List/Set/Map trees), in the order
+    /// [`append_item`](Self::append_item) requires. Queued elements are
+    /// fed as one run ([`append_encoded_run`](Self::append_encoded_run))
+    /// when anything else is appended or read off the builder, so a
+    /// splice's consecutive puts and inserts are scanned together —
+    /// across old leaf boundaries too, since dropped old elements feed
+    /// nothing.
+    pub(crate) fn queue_item(&mut self, item: &Item) {
+        debug_assert!(self.ty != TreeType::Blob, "use append_blob for Blob trees");
+        if self.queued.is_empty() {
+            self.queue.clear();
+            self.chunker.context(&mut self.queue);
+        }
+        let raw = encode_raw(self.ty, item, &mut self.queue);
+        self.queued.push(raw);
+        self.since_edit = 0;
+    }
+
+    /// Feed the queued elements, if any.
+    fn flush_queue(&mut self) {
+        if self.queued.is_empty() {
+            return;
+        }
+        let src = Bytes::from(std::mem::take(&mut self.queue));
+        let items = std::mem::take(&mut self.queued);
+        self.append_encoded_run(&src, &items);
+        self.queued = items;
+        self.queued.clear();
     }
 
     /// Append one element (List/Set/Map trees). For sorted types the caller
     /// must append in non-decreasing key order.
     pub fn append_item(&mut self, item: &Item) {
         debug_assert!(self.ty != TreeType::Blob, "use append_blob for Blob trees");
+        self.flush_queue();
         let start = self.stitch.len();
         encode_item(self.ty, item, &mut self.stitch);
         self.chunker.feed(&self.stitch[start..]);
@@ -269,23 +328,47 @@ impl<'s> LeafBuilder<'s> {
 
     /// Append a run of **fresh** elements that are already encoded for
     /// this tree type (the pre-encoded input buffer of a from-scratch
-    /// build), adopted as zero-copy slices of `src`. `items` are the run's
-    /// elements in order, as spans into `src` (contiguous — each span
-    /// starts where the previous one ended).
+    /// build, or the queue), adopted as zero-copy slices of `src`. `items`
+    /// are the run's elements in order, as spans into `src` (contiguous —
+    /// each span starts where the previous one ended, the last ending at
+    /// `src.len()`), and the bytes in front of the first must be what the
+    /// rolling window holds ([`LeafChunker::context`]: nothing, for a new
+    /// builder).
     ///
     /// Bit-identical to decoding every element and calling
-    /// [`append_item`](Self::append_item), but the whole run goes through the slice-level
-    /// boundary scanner ([`LeafChunker::feed_bytewise`]) instead of one
-    /// `feed` per element: a pattern hit inside element `j` is mapped to
-    /// `j`'s end (elements never span chunks) and the scan resumes after
-    /// the cut. For the ~22-byte elements of a metadata map this is ~5×
-    /// less chunker overhead — the difference between paying per *byte*
-    /// and paying per *element*. Every byte is scanned: nothing is known
-    /// about fresh content. Bytes re-fed from an old leaf go through
+    /// [`append_item`](Self::append_item), but the run is scanned as a
+    /// whole instead of one `feed` per element: a pattern hit inside
+    /// element `j` is mapped to `j`'s end (elements never span chunks).
+    /// A run of at least [`LANE_SCAN_MIN`] bytes is scanned once, in the
+    /// sixteen lanes where they run, and cut in one walk
+    /// ([`LeafChunker::feed_elements`]); a shorter one goes through the
+    /// slice-level scanner ([`LeafChunker::feed_bytewise`]), resuming
+    /// after each cut. For the ~22-byte elements of a metadata map this
+    /// is ~5× less chunker overhead than a feed per element — the
+    /// difference between paying per *byte* and paying per *element*.
+    /// Every byte is scanned: nothing is known about fresh content. Bytes
+    /// re-fed from an old leaf go through
     /// [`append_old_run`](Self::append_old_run), which pays per byte an
     /// *edit can reach* instead.
     pub fn append_encoded_run(&mut self, src: &Bytes, items: &[RawItem]) {
-        self.feed_run(src, items, &(0..0));
+        let (Some(first), Some(last)) = (items.first(), items.last()) else {
+            return;
+        };
+        self.flush_queue();
+        if last.span.1 - first.span.0 < LANE_SCAN_MIN {
+            self.feed_run(src, items, &(0..0));
+        } else {
+            let cuts = self
+                .chunker
+                .feed_elements(src, first.span.0, items, |r| r.span.1);
+            let mut i = 0usize;
+            for j in cuts {
+                self.adopt(src, &items[i..=j]);
+                self.close_leaf();
+                i = j + 1;
+            }
+            self.adopt(src, &items[i..]);
+        }
         self.since_edit = 0;
     }
 
@@ -306,6 +389,7 @@ impl<'s> LeafBuilder<'s> {
         let (Some(first), Some(last)) = (items.first(), items.last()) else {
             return;
         };
+        self.flush_queue();
         // (b): only a run that reaches the leaf's end carries the element
         // the leaf was cut on.
         let clean_to = if last.span.1 == leaf.len() {
@@ -341,16 +425,24 @@ impl<'s> LeafBuilder<'s> {
                 // No boundary in the rest of the run: adopt it whole.
                 None => items.len() - 1,
             };
-            let item = &items[j];
-            self.push_span(src.slice(start..item.span.1));
-            self.count += (j - i + 1) as u64;
-            if self.ty.is_sorted() {
-                self.last_key = LastKey::Frozen(src.slice(item.key.0..item.key.1));
-            }
+            self.adopt(src, &items[i..=j]);
             if hit.is_some() {
                 self.cut();
             }
             i = j + 1;
+        }
+    }
+
+    /// Adopt `run`, contiguous elements of `src` the chunker has been
+    /// fed, into the pending leaf as one zero-copy span.
+    fn adopt(&mut self, src: &Bytes, run: &[RawItem]) {
+        let (Some(first), Some(last)) = (run.first(), run.last()) else {
+            return;
+        };
+        self.push_span(src.slice(first.span.0..last.span.1));
+        self.count += run.len() as u64;
+        if self.ty.is_sorted() {
+            self.last_key = LastKey::Frozen(src.slice(last.key.0..last.key.1));
         }
     }
 
@@ -404,6 +496,7 @@ impl<'s> LeafBuilder<'s> {
     /// buffer.
     pub fn append_blob(&mut self, data: &[u8]) {
         debug_assert!(self.ty == TreeType::Blob);
+        self.flush_queue();
         let mut off = 0usize;
         while off < data.len() {
             let hit = self.chunker.feed_bytewise(&data[off..]);
@@ -428,6 +521,7 @@ impl<'s> LeafBuilder<'s> {
     /// falls in between.
     pub fn append_old_blob(&mut self, leaf: &Bytes, range: Range<usize>) {
         debug_assert!(self.ty == TreeType::Blob);
+        self.flush_queue();
         let clean_to = if range.end == leaf.len() {
             range.end.saturating_sub(1)
         } else {
@@ -472,6 +566,7 @@ impl<'s> LeafBuilder<'s> {
     pub(crate) fn finish_unstored(mut self) -> (Vec<IndexEntry>, Vec<Chunk>, ItemClock) {
         // The last cut's leaves stay here: this thread has nothing else
         // left to do.
+        self.flush_queue();
         self.clock.lap(0);
         self.finishing = true;
         if self.pending_len > 0 {
@@ -509,7 +604,14 @@ impl<'s> LeafBuilder<'s> {
         ropes
     }
 
+    /// End the pending leaf here and start a new chunk.
     fn cut(&mut self) {
+        self.close_leaf();
+        self.chunker.cut();
+    }
+
+    /// End the pending leaf here, leaving the chunker as it is.
+    fn close_leaf(&mut self) {
         self.freeze_stitch();
         let rope = std::mem::take(&mut self.spans);
         let key = match std::mem::replace(&mut self.last_key, LastKey::None) {
@@ -526,7 +628,6 @@ impl<'s> LeafBuilder<'s> {
         self.unhashed += self.pending_len;
         self.count = 0;
         self.pending_len = 0;
-        self.chunker.cut();
         // Size first: a small build must not be what starts the pool.
         if self.unhashed >= ASYNC_BATCH_BYTES && !self.finishing && parallel::lanes() > 1 {
             let ropes = self.take_ropes();
@@ -802,24 +903,7 @@ pub fn build_items(
             debug_assert!(prev_key <= item.key, "sorted build fed out of order");
             prev_key = item.key.clone();
         }
-        let start = buf.len();
-        encode_item(ty, &item, &mut buf);
-        let koff = start + varint_len(item.key.len() as u64);
-        let end = buf.len();
-        raw.push(RawItem {
-            span: (start, end),
-            key: if ty.is_sorted() {
-                (koff, koff + item.key.len())
-            } else {
-                (0, 0)
-            },
-            // A Map entry's value is its last bytes.
-            value: if ty == TreeType::Map {
-                (end - item.value.len(), end)
-            } else {
-                (0, 0)
-            },
-        });
+        raw.push(encode_raw(ty, &item, &mut buf));
     }
     let src = Bytes::from(buf);
     let mut lb = LeafBuilder::new(store, cfg, ty);
@@ -828,6 +912,28 @@ pub fn build_items(
     let root = build_scratch(store, cfg, ty, entries, fresh);
     clock.record();
     root
+}
+
+/// Encode `item` onto `buf` and return where its bytes and key landed.
+fn encode_raw(ty: TreeType, item: &Item, buf: &mut Vec<u8>) -> RawItem {
+    let start = buf.len();
+    encode_item(ty, item, buf);
+    let koff = start + varint_len(item.key.len() as u64);
+    let end = buf.len();
+    RawItem {
+        span: (start, end),
+        key: if ty.is_sorted() {
+            (koff, koff + item.key.len())
+        } else {
+            (0, 0)
+        },
+        // A Map entry's value is its last bytes.
+        value: if ty == TreeType::Map {
+            (end - item.value.len(), end)
+        } else {
+            (0, 0)
+        },
+    }
 }
 
 /// The retained element-at-a-time build path: one chunker feed per

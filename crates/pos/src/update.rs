@@ -8,11 +8,21 @@
 //! The splice algorithm:
 //! 1. Walk a [`TreeCursor`] from the root to the leaf holding the first
 //!    affected position: one index chunk per level, nothing else.
-//! 2. Warm the rolling window with the bytes preceding the rebuild point
-//!    (the tail of the previous leaf, [`TreeCursor::prev_leaf`]) so
-//!    boundary decisions match a from-scratch build.
+//! 2. If the leaf warms the rolling window by itself, go on: when the
+//!    old bytes in front of the first edit (or in front of the leaf's
+//!    last element, which is always scanned) number at least `window`
+//!    and the `α·2^q` cap does not fall inside them, step 3 re-feeds them
+//!    unscanned, and [`LeafChunker::skip_clean`](forkbase_crypto::LeafChunker::skip_clean)
+//!    re-warms the window with their last `window` bytes — whatever was
+//!    in it before. Otherwise warm the window with the bytes preceding
+//!    the rebuild point (the tail of the previous leaf,
+//!    [`TreeCursor::prev_leaf`]) so boundary decisions match a
+//!    from-scratch build. Only an edit within a window of its leaf's
+//!    start pays that fetch.
 //! 3. Re-chunk through the affected region, applying the edits. Fresh
-//!    elements are scanned; untouched old elements are re-fed through
+//!    elements are queued and scanned as one run each
+//!    (`LeafBuilder::queue_item`; a run of 1 KiB or more in sixteen
+//!    lanes); untouched old elements are re-fed through
 //!    [`LeafBuilder::append_old_run`] / [`LeafBuilder::append_old_blob`],
 //!    which scan only the bytes an edit can reach. A pattern hit at byte
 //!    `p` is a function of the `window` bytes ending at `p` and nothing
@@ -123,6 +133,32 @@ pub(crate) fn sort_last_wins<T>(v: &mut Vec<T>, key: impl Fn(&T) -> &[u8]) {
     });
 }
 
+/// Warm the builder's rolling window for a region that starts at the
+/// cursor's leaf, whose first `prefix` bytes the builder re-feeds before
+/// it scans anything. When they warm the window by themselves
+/// ([`LeafBuilder::warms_itself`]) nothing is fetched; otherwise the
+/// tail of the leaves in front is ([`seed_before`]).
+fn seed_unless_warm(
+    cur: &mut TreeCursor,
+    window: usize,
+    lb: &mut LeafBuilder,
+    prefix: usize,
+) -> Option<()> {
+    if lb.warms_itself(prefix) {
+        return Some(());
+    }
+    seed_before(cur, window, lb)
+}
+
+/// The bytes of an old leaf of elements `items` that a region re-feeds
+/// before it scans anything, when its first `untouched` elements come
+/// before the first edit: up to that edit, or up to the leaf's last
+/// element, which is scanned whatever happens (the skip rule's (b)).
+fn clean_prefix(items: &[RawItem], untouched: usize) -> usize {
+    let last = items.len().saturating_sub(1);
+    items.get(untouched.min(last)).map_or(0, |r| r.span.0)
+}
+
 /// Feed the last `window` bytes preceding the cursor's leaf into the
 /// builder's rolling window; the cursor comes back to where it was.
 fn seed_before(cur: &mut TreeCursor, window: usize, lb: &mut LeafBuilder) -> Option<()> {
@@ -146,12 +182,12 @@ fn seed_before(cur: &mut TreeCursor, window: usize, lb: &mut LeafBuilder) -> Opt
 /// an element range) and the builder's leaf count when it closed.
 type Regions = Vec<(Range<u64>, usize)>;
 
-/// Append the puts among `edits` as fresh elements (deletes of keys the
+/// Queue the puts among `edits` as fresh elements (deletes of keys the
 /// tree does not hold are no-ops).
 fn append_puts(lb: &mut LeafBuilder, edits: &[Edit]) {
     for e in edits {
         if let Edit::Put(item) = e {
-            lb.append_item(item);
+            lb.queue_item(item);
         }
     }
 }
@@ -233,7 +269,7 @@ fn update_sorted_inner(
         // where the chunk stream realigns short of the next edit's leaf.
         seek_leaf(&mut cur, edit.key())?;
         let start = cur.pos();
-        seed_before(&mut cur, cfg.window, &mut lb)?;
+        let mut first_leaf = true;
         let end = loop {
             // Merge-apply edits through one leaf. The old payload is
             // walked as raw byte spans: untouched elements are compared
@@ -245,6 +281,11 @@ fn update_sorted_inner(
             let payload = chunk.payload();
             raw_items_of(ty, payload, &mut raw_items)?;
             let key_of = |r: &RawItem| &payload[r.key.0..r.key.1];
+            if std::mem::take(&mut first_leaf) {
+                let untouched = raw_items.partition_point(|r| key_of(r) < edit.key());
+                let prefix = clean_prefix(&raw_items, untouched);
+                seed_unless_warm(&mut cur, cfg.window, &mut lb, prefix)?;
+            }
             let mut i = 0usize;
             while i < raw_items.len() {
                 let item_key = key_of(&raw_items[i]);
@@ -255,7 +296,7 @@ fn update_sorted_inner(
                 while edit_i < edits.len() && edits[edit_i].key() <= item_key {
                     dropped = edits[edit_i].key() == item_key;
                     match &edits[edit_i] {
-                        Edit::Put(e) => lb.append_item(e),
+                        Edit::Put(e) => lb.queue_item(e),
                         Edit::Del(_) if dropped => lb.mark_removed(),
                         Edit::Del(_) => {} // key not present
                     }
@@ -351,7 +392,6 @@ fn splice_blob_inner(
         // pattern, so appended bytes merge into it.
         cur.seek_pos(start.min(total - 1), 0)?;
         old.start = cur.pos();
-        seed_before(&mut cur, cfg.window, &mut lb)?;
         let mut inserted = false;
         while let Some(count) = cur.entry().map(|e| e.count) {
             if inserted && to_remove >= count {
@@ -371,6 +411,9 @@ fn splice_blob_inner(
             let mut j = 0usize;
             if !inserted {
                 j = (start - cur.pos()) as usize;
+                // A pure append scans the leaf's last byte.
+                let prefix = j.min(payload.len() - 1);
+                seed_unless_warm(&mut cur, cfg.window, &mut lb, prefix)?;
                 lb.append_old_blob(payload, 0..j);
                 lb.append_blob(insert);
                 inserted = true;
@@ -427,10 +470,10 @@ fn splice_list_inner(
         // Appends re-chunk the final (pattern-less) leaf.
         cur.seek_pos(start.min(total - 1), 0)?;
         old.start = cur.pos();
-        seed_before(&mut cur, cfg.window, &mut lb)?;
         // Scratch for the current leaf's element spans, reused across
         // leaves.
         let mut raw_items: Vec<RawItem> = Vec::new();
+        let mut first_leaf = true;
         while let Some(count) = cur.entry().map(|e| e.count) {
             if inserted && to_remove >= count {
                 to_remove -= count;
@@ -449,13 +492,17 @@ fn splice_list_inner(
             let chunk = cur.chunk()?;
             let payload = chunk.payload();
             raw_items_of(TreeType::List, payload, &mut raw_items)?;
+            if std::mem::take(&mut first_leaf) {
+                let prefix = clean_prefix(&raw_items, (start - cur.pos()) as usize);
+                seed_unless_warm(&mut cur, cfg.window, &mut lb, prefix)?;
+            }
             let n = raw_items.len();
             let mut pos = cur.pos();
             let mut i = 0usize;
             while i < n {
                 if !inserted && pos == start {
                     for ins in insert {
-                        lb.append_item(ins);
+                        lb.queue_item(ins);
                     }
                     inserted = true;
                 }
@@ -488,7 +535,7 @@ fn splice_list_inner(
     }
     if !inserted {
         for ins in insert {
-            lb.append_item(ins);
+            lb.queue_item(ins);
         }
     }
 

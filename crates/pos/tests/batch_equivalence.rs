@@ -7,11 +7,17 @@
 //! comparison to be meaningful, which is exactly what replaying edits in
 //! buffer order does: a later edit on the same key overwrites the earlier
 //! one's effect.
+//!
+//! `fresh_runs_equal_itemwise_build` holds splices with long runs of
+//! fresh elements — scanned in one pass, in sixteen lanes where the CPU
+//! has them — to the element-at-a-time build of the same content.
 
+use bytes::Bytes;
 use forkbase_chunk::MemStore;
 use forkbase_crypto::ChunkerConfig;
+use forkbase_pos::builder::{build_items, build_items_itemwise};
 use forkbase_pos::tree::{Map, Set};
-use forkbase_pos::WriteBatch;
+use forkbase_pos::{metrics, update_sorted, Edit, Item, TreeType, WriteBatch};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -175,4 +181,121 @@ proptest! {
         let rebuilt = Map::build(&store, &cfg, model.iter().map(|(k, v)| (k.clone(), v.clone())));
         prop_assert_eq!(batched.root(), rebuilt.root());
     }
+}
+
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    fn bytes(&mut self, len: usize) -> Bytes {
+        (0..len).map(|_| self.below(256) as u8).collect()
+    }
+}
+
+/// Map and Set splices of clusters of up to 60 fresh elements of up to
+/// ~160 bytes each — so at least a fifth of the cases feed a run of
+/// 1 KiB or more (counted by the lane kernel's bytes where it runs) —
+/// aimed anywhere in a leaf, its first `window` bytes included (counted
+/// by the seed fetches they cost), under caps of one, two and eight
+/// expected leaves. Each result must equal the element-at-a-time build
+/// (`build_items_itemwise`: one `append_item` per element, none of the
+/// run walk) and the run-scanning build of the same content.
+#[test]
+fn fresh_runs_equal_itemwise_build() {
+    let mut rng = Rng(7);
+    let (cases, mut long_runs, mut seeded) = (160, 0, 0);
+    let lanes_run = forkbase_crypto::lanes::available();
+    for case in 0..cases {
+        let ty = [TreeType::Map, TreeType::Set][case % 2];
+        let cfg = ChunkerConfig {
+            window: [16, 47, 48, 64][rng.below(4)],
+            leaf_bits: 6 + rng.below(4) as u32,
+            index_bits: 3,
+            max_factor: [1, 2, 8][rng.below(3)],
+        };
+        let item = |rng: &mut Rng, key: String| {
+            let len = 1 + rng.below(120);
+            match ty {
+                TreeType::Map => Item::map(key, rng.bytes(len)),
+                _ => Item::set(format!("{key}~{}", "s".repeat(len))),
+            }
+        };
+        let store = MemStore::new();
+        let n = 100 + rng.below(600);
+        let mut model: BTreeMap<Bytes, Item> = BTreeMap::new();
+        for i in 0..n {
+            let it = item(&mut rng, format!("k{:06}", i * 4));
+            model.insert(it.key.clone(), it);
+        }
+        let root = build_items(&store, &cfg, ty, model.values().cloned());
+
+        // One or two clusters: replace, insert behind, or drop each key.
+        let mut edits = Vec::new();
+        for _ in 0..1 + rng.below(2) {
+            let at = rng.below(n);
+            for i in at..(at + 1 + rng.below(60)).min(n) {
+                let old = model.keys().nth(i).expect("in range").clone();
+                // An insert leaves the old key in place, so it ends the run
+                // of fresh elements; a delete does not.
+                match rng.below(16) {
+                    0 => edits.push(Edit::Del(old)),
+                    1 => {
+                        let key = format!("k{:06}+", i * 4);
+                        edits.push(Edit::Put(item(&mut rng, key)));
+                    }
+                    _ if ty == TreeType::Set => edits.push(Edit::Put(Item::set(old))),
+                    _ => {
+                        let len = 1 + rng.below(150);
+                        edits.push(Edit::Put(Item::map(old, rng.bytes(len))));
+                    }
+                }
+            }
+        }
+        for e in normalize(&edits) {
+            match e {
+                Edit::Put(it) => model.insert(it.key.clone(), it.clone()),
+                Edit::Del(k) => model.remove(k),
+            };
+        }
+
+        let (crypto, pos) = (forkbase_crypto::metrics::snapshot(), metrics::snapshot());
+        let spliced = update_sorted(&store, &cfg, ty, root, edits).expect("splice");
+        let crypto = forkbase_crypto::metrics::snapshot().since(crypto);
+        seeded += usize::from(metrics::snapshot().since(pos).seed_fetches > 0);
+        long_runs += usize::from(crypto.lane_scan_bytes > 0);
+
+        let itemwise = build_items_itemwise(&store, &cfg, ty, model.values().cloned());
+        assert_eq!(spliced, itemwise, "case {case}: splice vs itemwise build");
+        assert_eq!(
+            spliced,
+            build_items(&store, &cfg, ty, model.values().cloned())
+        );
+    }
+    println!("{long_runs} of {cases} splices scanned a run in lanes, {seeded} fetched a seed");
+    if lanes_run {
+        assert!(
+            long_runs * 5 >= cases,
+            "{long_runs} of {cases} cases scanned a long run"
+        );
+    }
+    assert!(
+        seeded * 10 >= cases && seeded < cases,
+        "{seeded} of {cases} cases fetched a seed"
+    );
+}
+
+/// `edits` in key order, last wins.
+fn normalize(edits: &[Edit]) -> Vec<&Edit> {
+    let mut by_key: BTreeMap<&[u8], &Edit> = BTreeMap::new();
+    for e in edits {
+        by_key.insert(e.key(), e);
+    }
+    by_key.into_values().collect()
 }

@@ -6,7 +6,8 @@
 //! cid, hence same chunks) to the retained element-at-a-time path
 //! (`build_items_itemwise`/`build_blob_itemwise`) for all four chunkable
 //! types, across chunker configurations small enough to force multi-leaf,
-//! multi-level trees.
+//! multi-level trees. `list_fresh_runs_equal_itemwise_build` holds List
+//! splices that insert long runs of fresh elements to the same oracle.
 
 use bytes::Bytes;
 use forkbase_chunk::MemStore;
@@ -16,6 +17,7 @@ use forkbase_pos::builder::{
 };
 use forkbase_pos::leaf::Item;
 use forkbase_pos::types::TreeType;
+use forkbase_pos::{metrics, splice_list};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -118,4 +120,77 @@ proptest! {
         let itemwise = build_items_itemwise(&store, &cfg, TreeType::Map, items);
         prop_assert_eq!(run_scan, itemwise);
     }
+}
+
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    fn element(&mut self) -> Item {
+        let len = self.below(120);
+        Item::list((0..len).map(|_| self.below(256) as u8).collect::<Bytes>())
+    }
+}
+
+/// List splices that insert up to 60 fresh elements of up to 120 bytes
+/// and remove up to 8 — so at least a fifth of them feed a run of 1 KiB
+/// or more (counted by the lane kernel's bytes where it runs) — at any
+/// position, a leaf's first `window` bytes included (counted by the seed
+/// fetches they cost), and appends, under caps of one, two and eight
+/// expected leaves. Each result must equal the element-at-a-time build
+/// (`build_items_itemwise`: one `append_item` per element, none of the
+/// run walk) and the run-scanning build of the same content.
+#[test]
+fn list_fresh_runs_equal_itemwise_build() {
+    let mut rng = Rng(11);
+    let (cases, mut long_runs, mut seeded) = (160, 0, 0);
+    let lanes_run = forkbase_crypto::lanes::available();
+    for case in 0..cases {
+        let cfg = ChunkerConfig {
+            window: [16, 47, 48, 64][rng.below(4)],
+            leaf_bits: 6 + rng.below(4) as u32,
+            index_bits: 3,
+            max_factor: [1, 2, 8][rng.below(3)],
+        };
+        let store = MemStore::new();
+        let mut model: Vec<Item> = (0..100 + rng.below(600)).map(|_| rng.element()).collect();
+        let root = build_items(&store, &cfg, TreeType::List, model.clone());
+        let at = if rng.below(8) == 0 {
+            model.len()
+        } else {
+            rng.below(model.len())
+        };
+        let remove = rng.below(9).min(model.len() - at);
+        let insert: Vec<Item> = (0..rng.below(61)).map(|_| rng.element()).collect();
+        model.splice(at..at + remove, insert.iter().cloned());
+
+        let (crypto, pos) = (forkbase_crypto::metrics::snapshot(), metrics::snapshot());
+        let spliced =
+            splice_list(&store, &cfg, root, at as u64, remove as u64, &insert).expect("splice");
+        let crypto = forkbase_crypto::metrics::snapshot().since(crypto);
+        seeded += usize::from(metrics::snapshot().since(pos).seed_fetches > 0);
+        long_runs += usize::from(crypto.lane_scan_bytes > 0);
+
+        let itemwise = build_items_itemwise(&store, &cfg, TreeType::List, model.clone());
+        assert_eq!(spliced, itemwise, "case {case}: splice vs itemwise build");
+        assert_eq!(spliced, build_items(&store, &cfg, TreeType::List, model));
+    }
+    println!("{long_runs} of {cases} splices scanned a run in lanes, {seeded} fetched a seed");
+    if lanes_run {
+        assert!(
+            long_runs * 5 >= cases,
+            "{long_runs} of {cases} cases scanned a long run"
+        );
+    }
+    assert!(
+        seeded * 10 >= cases && seeded < cases,
+        "{seeded} of {cases} cases fetched a seed"
+    );
 }

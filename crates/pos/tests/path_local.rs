@@ -20,6 +20,7 @@ use bytes::Bytes;
 use forkbase_chunk::MemStore;
 use forkbase_crypto::{ChunkerConfig, Digest};
 use forkbase_pos::builder::{build_blob, build_items};
+use forkbase_pos::metrics;
 use forkbase_pos::scan::scan_tree;
 use forkbase_pos::types::TreeType;
 use forkbase_pos::{
@@ -351,51 +352,98 @@ fn big_map(store: &MemStore, cfg: &ChunkerConfig, n: usize) -> Map {
     )
 }
 
-/// `(diff gets, update gets, height)` of a point edit in the middle of an
-/// `n`-entry map.
-fn point_edit_gets(n: usize) -> (u64, u64, u64) {
+/// What a point edit in the middle of an `n`-entry map fetched.
+struct PointEdit {
+    diff_gets: u64,
+    update_gets: u64,
+    /// Leaves the update fetched in front of the edited one to warm the
+    /// rolling window.
+    seed_fetches: u64,
+    height: u64,
+}
+
+/// A point edit of a middle leaf's first element (`first`, which lies in
+/// the leaf's first `window` bytes) or of its second (~100 bytes in).
+fn point_edit(n: usize, first: bool) -> PointEdit {
     let store = MemStore::new();
     let cfg = ChunkerConfig::default();
     let map = big_map(&store, &cfg, n);
-    let key = format!("pk{:08}", n / 2);
+    // Keys are `pk` and the index: the leaf after a leaf ending on key
+    // `i` starts with key `i + 1`.
+    let leaves = scan_tree(&store, map.root(), TreeType::Map)
+        .expect("scan")
+        .leaf_entries;
+    let before_last = &leaves[leaves.len() / 2 - 1].key;
+    let i: usize = std::str::from_utf8(&before_last[2..])
+        .unwrap()
+        .parse()
+        .unwrap();
+    let key = format!("pk{:08}", i + if first { 1 } else { 2 });
 
-    let before = store.stats().gets;
+    let (before, counted) = (store.stats().gets, metrics::snapshot());
     let edited = map.put(&store, &cfg, key.clone(), "edited").expect("put");
-    let update = store.stats().gets - before;
+    let update_gets = store.stats().gets - before;
+    let seed_fetches = metrics::snapshot().since(counted).seed_fetches;
 
     let before = store.stats().gets;
     let diff = sorted_diff(&store, TreeType::Map, map.root(), edited.root()).expect("diff");
     let diff_gets = store.stats().gets - before;
     assert_eq!(diff.len(), 1);
     assert_eq!(diff[0].key.as_ref(), key.as_bytes());
-    (diff_gets, update, height(&store, map.root(), TreeType::Map))
+    PointEdit {
+        diff_gets,
+        update_gets,
+        seed_fetches,
+        height: height(&store, map.root(), TreeType::Map),
+    }
 }
 
 #[test]
 fn point_edits_cost_a_path_not_the_tree() {
-    let sizes = [500, 20_000, 200_000].map(point_edit_gets);
-    // Two root-to-leaf paths for the diff; one path and the leaf in front
-    // (its tail warms the rolling window) for the update.
-    let (diff, update, _) = sizes[2];
-    assert!(diff <= 12, "diff fetched {diff} chunks");
-    assert!(update <= 12, "update fetched {update} chunks");
-    // Ten times the entries cost the extra levels and nothing else: one
-    // chunk per level for the update, one per level and side for the
-    // diff.
-    for pair in sizes.windows(2) {
-        let ((d0, u0, h0), (d1, u1, h1)) = (pair[0], pair[1]);
+    let sizes = [500, 20_000, 200_000].map(|n| point_edit(n, false));
+    // Two root-to-leaf paths for the diff. For the update, one path and
+    // nothing else: the edited leaf's own bytes in front of the edit warm
+    // the rolling window, so the leaf in front is not fetched.
+    let big = &sizes[2];
+    assert!(big.diff_gets <= 12, "diff fetched {} chunks", big.diff_gets);
+    for edit in &sizes {
+        assert_eq!(edit.seed_fetches, 0, "a mid-leaf edit fetches no seed");
         assert!(
-            d1 <= d0 + 2 * (h1 - h0),
-            "diff {d0} -> {d1}, height {h0} -> {h1}"
+            edit.update_gets <= edit.height + 1,
+            "update fetched {} chunks, height {}",
+            edit.update_gets,
+            edit.height
         );
+    }
+    // Ten times the entries cost the extra levels and nothing else: one
+    // chunk per level and side for the diff.
+    for pair in sizes.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
         assert!(
-            u1 <= u0 + (h1 - h0),
-            "update {u0} -> {u1}, height {h0} -> {h1}"
+            b.diff_gets <= a.diff_gets + 2 * (b.height - a.height),
+            "diff {} -> {}, height {} -> {}",
+            a.diff_gets,
+            b.diff_gets,
+            a.height,
+            b.height
         );
     }
     assert!(
-        sizes[2].2 > sizes[0].2,
+        sizes[2].height > sizes[0].height,
         "the sizes span more than one height"
+    );
+    // An edit within a window of its leaf's start needs the bytes in
+    // front of it: one more leaf, and no more.
+    let first = point_edit(200_000, true);
+    assert_eq!(
+        first.seed_fetches, 1,
+        "an edit at a leaf's start fetches one seed"
+    );
+    assert!(
+        first.update_gets <= first.height + 2,
+        "update fetched {} chunks, height {}",
+        first.update_gets,
+        first.height
     );
 }
 

@@ -28,13 +28,13 @@
 //! `LeafBuilder` cuts, whose scan phase also holds a splice's seeks and
 //! leaf fetches.
 
+use fb_workload::{EditKind, PageEditGen};
 use forkbase::chunk::MemStore;
 use forkbase::cluster::{Cluster, Partitioning};
 use forkbase::crypto::metrics as crypto_metrics;
 use forkbase::pos::metrics::{self as pos_metrics, PosMetrics};
 use forkbase::pos::{Blob, Map};
 use forkbase::ChunkerConfig;
-use fb_workload::{EditKind, PageEditGen};
 use std::time::Instant;
 
 struct Phases {
@@ -198,7 +198,9 @@ fn map_batch_phases() {
                     (r.pk, Some(row))
                 })
                 .collect();
-            let len = batch.iter().map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len()));
+            let len = batch
+                .iter()
+                .map(|(k, v)| k.len() + v.as_ref().map_or(0, |v| v.len()));
             phases.record(len.sum(), || {
                 map = map.update(&store, &cfg, batch).expect("update");
             });
