@@ -274,8 +274,12 @@ impl LeafChunker {
         loop {
             while hits.next_if(|&h| h <= prev).is_some() {}
             let due = hits.peek().map_or(cap, |&h| h.min(cap));
-            let j = i + elems[i..].partition_point(|e| end(e) < due);
-            let Some(e) = elems.get(j) else { break };
+            // A step, not a binary search: the cut is a leaf's worth of
+            // elements on, and the walk passes each element once.
+            let Some(j) = elems[i..].iter().position(|e| end(e) >= due) else {
+                break;
+            };
+            let (j, e) = (i + j, &elems[i + j]);
             cuts.push(j);
             prev = end(e);
             cap = prev + self.max_len;
@@ -476,7 +480,7 @@ fn hits_after(data: &[u8], from: usize, window: usize, mask: u64) -> Vec<usize> 
 /// covers, the scalar scanner over the rest.
 fn segment_hits(data: &[u8], range: Range<usize>, window: usize, mask: u64, hits: &mut Vec<usize>) {
     let mut from = range.start;
-    if crate::lanes::takes(window, range.len()) {
+    if crate::lanes::scans(window, range.len()) {
         from = crate::lanes::scan(data, range.clone(), window, mask, hits);
     }
     scalar_hits_into(data, from..range.end, window, mask, hits);

@@ -56,14 +56,10 @@ fn runs(window: usize) -> bool {
 }
 
 /// True when [`split_positions`](crate::split_positions) hands a run of
-/// `len` bytes under `cfg` to the kernel: the kernel runs and `len` is at
-/// least [`LANE_SCAN_MIN`](crate::chunker::LANE_SCAN_MIN).
-pub fn scans(cfg: &ChunkerConfig, len: usize) -> bool {
-    takes(cfg.window, len)
-}
-
-/// [`scans`] for a bare window size.
-pub(crate) fn takes(window: usize, len: usize) -> bool {
+/// `len` bytes, scanned with a `window`-byte window, to the kernel: the
+/// kernel runs and `len` is at least
+/// [`LANE_SCAN_MIN`](crate::chunker::LANE_SCAN_MIN).
+pub fn scans(window: usize, len: usize) -> bool {
     len >= crate::chunker::LANE_SCAN_MIN && runs(window)
 }
 

@@ -16,8 +16,9 @@
 //!   forced-split factor α) of §4.3.2–4.3.3 packaged as a reusable
 //!   configuration, a streaming boundary detector, and the per-byte
 //!   reference oracle [`split_positions_reference`].
-//! * [`lanes`] — the sixteen-lane AVX-512 kernel that finds a blob's
-//!   pattern hits, bit-identical to the scalar scanner.
+//! * [`lanes`] — the sixteen-lane AVX-512 kernel that finds the pattern
+//!   hits of a blob or of a run of fresh tree elements, bit-identical to
+//!   the scalar scanner.
 //! * [`fx`] — a fast non-cryptographic hasher for in-memory tables (the
 //!   FxHash algorithm), used where HashDoS resistance is irrelevant.
 //! * [`metrics`] — per-thread counters of bytes scanned and hashed.

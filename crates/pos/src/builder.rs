@@ -83,7 +83,7 @@
 
 use crate::entry::{encode_index_payload, IndexEntry};
 use crate::leaf::{encode_item, Item, RawItem};
-use crate::metrics::{self, ItemClock};
+use crate::metrics::{self, PhaseClock};
 use crate::scan::TreeCursor;
 use crate::types::TreeType;
 use bytes::Bytes;
@@ -93,7 +93,7 @@ use forkbase_crypto::chunker::LANE_SCAN_MIN;
 use forkbase_crypto::parallel::{self, Task, ASYNC_BATCH_BYTES};
 use forkbase_crypto::{ChunkerConfig, Digest, LeafChunker};
 use std::ops::Range;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// A leaf the builder has cut: leaf cids are independent of each other,
 /// so they are computed in batches (on the hash pool, or in
@@ -149,7 +149,7 @@ pub struct LeafBuilder<'s> {
     /// Set by `finish`: what is cut from now on stays on this thread.
     finishing: bool,
     /// The build's phases ([`metrics`]), scan from here on.
-    clock: ItemClock,
+    clock: PhaseClock,
 }
 
 impl<'s> LeafBuilder<'s> {
@@ -173,15 +173,8 @@ impl<'s> LeafBuilder<'s> {
             handed: 0,
             unhashed: 0,
             finishing: false,
-            clock: ItemClock::start(),
+            clock: PhaseClock::items(),
         }
-    }
-
-    /// True when no partial leaf is pending, i.e. the last fed byte ended a
-    /// chunk (or nothing has been fed).
-    pub fn aligned(&mut self) -> bool {
-        self.flush_queue();
-        self.pending_len == 0
     }
 
     /// Encoded bytes in the pending (uncut) leaf.
@@ -197,7 +190,8 @@ impl<'s> LeafBuilder<'s> {
     /// leaves that follow where they are. Only meaningful right after an
     /// old leaf has been re-fed to its end.
     pub fn realigned(&self) -> bool {
-        // Nothing is queued a window past the last fresh byte.
+        // Nothing is queued a window past the last fresh byte, so the
+        // pending length is exact.
         self.since_edit >= self.window && self.pending_len == 0
     }
 
@@ -216,13 +210,6 @@ impl<'s> LeafBuilder<'s> {
     /// old bytes that follow no longer see the window they used to.
     pub fn mark_removed(&mut self) {
         self.since_edit = 0;
-    }
-
-    /// Bytes this builder has run through pattern detection — the
-    /// per-edit cost the skip rule bounds (test accessor).
-    pub fn scanned_bytes(&mut self) -> usize {
-        self.flush_queue();
-        self.chunker.scanned_bytes()
     }
 
     /// Freeze the open stitch segment into a rope span, resolving a
@@ -246,8 +233,8 @@ impl<'s> LeafBuilder<'s> {
     }
 
     /// Warm the rolling window with the `bytes` that immediately precede
-    /// the position the builder will continue from. Must be called while
-    /// [`aligned`](Self::aligned); pass the last `window` bytes (or fewer
+    /// the position the builder will continue from. Must be called
+    /// between chunks (no leaf pending); pass the last `window` bytes (or fewer
     /// if the object is shorter) of the preceding encoded content.
     pub fn seed(&mut self, bytes: &[u8]) {
         self.flush_queue();
@@ -283,7 +270,7 @@ impl<'s> LeafBuilder<'s> {
             self.queue.clear();
             self.chunker.context(&mut self.queue);
         }
-        let raw = encode_raw(self.ty, item, &mut self.queue);
+        let raw = encode_raw(self.ty, item, &mut self.queue, 0);
         self.queued.push(raw);
         self.since_edit = 0;
     }
@@ -558,12 +545,12 @@ impl<'s> LeafBuilder<'s> {
     /// pool yet, and return the leaf entry list together with the leaf
     /// chunks, **not yet stored**: `build_index_levels` appends the index
     /// chunks and hands the store the whole tree as one batch; the caller
-    /// then [records](ItemClock::record) the returned clock. The
+    /// then [records](PhaseClock::record) the returned clock. The
     /// remaining cids are computed as one batch straight over the payload
     /// ropes ([`Chunk::new_batch_ropes`], parallel on multi-core hosts)
     /// while the pool finishes the batches it was handed (module docs);
     /// single-span leaves are never re-materialized.
-    pub(crate) fn finish_unstored(mut self) -> (Vec<IndexEntry>, Vec<Chunk>, ItemClock) {
+    pub(crate) fn finish_unstored(mut self) -> (Vec<IndexEntry>, Vec<Chunk>, PhaseClock) {
         // The last cut's leaves stay here: this thread has nothing else
         // left to do.
         self.flush_queue();
@@ -873,10 +860,10 @@ fn emit_index(
 /// The whole input is pre-encoded into one contiguous buffer (for sorted
 /// types the caller supplies elements in key order, exactly as
 /// [`LeafBuilder::append_item`] requires), then the buffer is run through
-/// the slice-level boundary scanner as a **single encoded run**
+/// the boundary scan as a **single encoded run**
 /// ([`LeafBuilder::append_encoded_run`]): boundary detection pays per
-/// byte instead of per element, and every leaf payload is a zero-copy
-/// slice of the encode buffer. Bit-identical to the retained
+/// byte instead of per element, in sixteen lanes where they run, and
+/// every leaf payload is a zero-copy slice of the encode buffer. Bit-identical to the retained
 /// element-at-a-time path ([`build_items_itemwise`]) — the
 /// `build_equivalence` proptests pin that down.
 pub fn build_items(
@@ -893,19 +880,25 @@ pub fn build_items(
         }
         return build_blob_bytes(store, cfg, Bytes::from(buf));
     }
-    let mut buf = Vec::new();
-    let mut raw: Vec<RawItem> = Vec::new();
-    #[cfg(debug_assertions)]
-    let mut prev_key = Bytes::new();
-    for item in items {
-        #[cfg(debug_assertions)]
-        if ty.is_sorted() {
-            debug_assert!(prev_key <= item.key, "sorted build fed out of order");
-            prev_key = item.key.clone();
-        }
-        raw.push(encode_raw(ty, &item, &mut buf));
+    let items: Vec<Item> = items.into_iter().collect();
+    debug_assert!(
+        !ty.is_sorted() || items.is_sorted_by(|a, b| a.key <= b.key),
+        "sorted build fed out of order"
+    );
+    // Encoded straight into the allocation every leaf slices: a `Vec`
+    // grown to the input's size would be copied whole into a new one.
+    let len = items.iter().map(|i| i.encoded_len(ty)).sum();
+    let mut src: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let out = Arc::get_mut(&mut src).expect("a new allocation");
+    let (mut raw, mut one, mut at) = (Vec::with_capacity(items.len()), Vec::new(), 0);
+    for item in &items {
+        one.clear();
+        raw.push(encode_raw(ty, item, &mut one, at));
+        out[at..at + one.len()].copy_from_slice(&one);
+        at += one.len();
     }
-    let src = Bytes::from(buf);
+    drop(items);
+    let src = Bytes::from(src);
     let mut lb = LeafBuilder::new(store, cfg, ty);
     lb.append_encoded_run(&src, &raw);
     let (entries, fresh, clock) = lb.finish_unstored();
@@ -914,12 +907,13 @@ pub fn build_items(
     root
 }
 
-/// Encode `item` onto `buf` and return where its bytes and key landed.
-fn encode_raw(ty: TreeType, item: &Item, buf: &mut Vec<u8>) -> RawItem {
-    let start = buf.len();
+/// Encode `item` onto `buf` and return where its bytes and key landed,
+/// counting from `base` at the start of `buf`.
+fn encode_raw(ty: TreeType, item: &Item, buf: &mut Vec<u8>, base: usize) -> RawItem {
+    let start = base + buf.len();
     encode_item(ty, item, buf);
     let koff = start + varint_len(item.key.len() as u64);
-    let end = buf.len();
+    let end = base + buf.len();
     RawItem {
         span: (start, end),
         key: if ty.is_sorted() {
@@ -981,9 +975,9 @@ pub fn build_blob(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: &[u8]) -> D
 /// leave a few retained leaves pinning the whole input buffer until a GC
 /// compaction, which unshares payloads ([`Chunk::unshared`]).
 pub fn build_blob_bytes(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: Bytes) -> Digest {
-    let t0 = Instant::now();
+    let mut clock = PhaseClock::blob();
     let cuts = forkbase_crypto::split_positions(&data, cfg);
-    let t1 = Instant::now();
+    clock.lap(0);
     let ropes: Vec<Vec<Bytes>> = {
         let mut prev = 0usize;
         cuts.iter()
@@ -1009,10 +1003,9 @@ pub fn build_blob_bytes(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: Bytes
             }
         })
         .collect();
-    let t2 = Instant::now();
+    clock.lap(1);
     let root = build_scratch(store, cfg, TreeType::Blob, entries, chunks);
-    let ns = |a: Instant, b: Instant| (b - a).as_nanos() as u64;
-    metrics::blob_phases([ns(t0, t1), ns(t1, t2), ns(t2, Instant::now())]);
+    clock.record();
     root
 }
 
@@ -1063,7 +1056,7 @@ mod tests {
         // 64 KiB is a whole number of lane steps: where the kernel scans,
         // it scans every byte and the scalar scanner none.
         let len = data.len() as u64;
-        let lanes = forkbase_crypto::lanes::scans(&cfg, data.len());
+        let lanes = forkbase_crypto::lanes::scans(cfg.window, data.len());
         assert_eq!(crypto.lane_scan_bytes, if lanes { len } else { 0 });
         assert_eq!(crypto.scalar_scan_bytes, if lanes { 0 } else { len });
         // Every leaf once, then the index node over them.

@@ -118,32 +118,47 @@ pub(crate) fn stored(chunks: &[Chunk]) {
     bump(|m| (m.index_puts, m.leaf_puts) = (m.index_puts + index, m.leaf_puts + leaf));
 }
 
-/// One Blob build's phases, `[scan, hash, store]` in nanoseconds.
-pub(crate) fn blob_phases([scan, hash, store]: [u64; 3]) {
-    bump(|m| {
-        m.blob_scan_ns += scan;
-        m.blob_hash_ns += hash;
-        m.blob_store_ns += store;
-    });
-}
-
 /// One leaf fetched to warm a splice's rolling window.
 pub(crate) fn seed_fetched() {
     bump(|m| m.seed_fetches += 1);
 }
 
-/// The phases of one element build or splice, lapped as it goes:
-/// scan from the builder's start, then leaf hash, then index+store.
-pub(crate) struct ItemClock {
+/// The phases of one build or splice — boundary scan, leaf hash, index
+/// levels + store — lapped as it goes, for one set of timers.
+pub(crate) struct PhaseClock {
     lap: Instant,
     ns: [u64; 3],
+    timers: fn(&mut PosMetrics) -> [&mut u64; 3],
 }
 
-impl ItemClock {
-    pub(crate) fn start() -> ItemClock {
-        ItemClock {
+impl PhaseClock {
+    /// A from-scratch Blob build's clock.
+    pub(crate) fn blob() -> PhaseClock {
+        PhaseClock::start(|m| {
+            [
+                &mut m.blob_scan_ns,
+                &mut m.blob_hash_ns,
+                &mut m.blob_store_ns,
+            ]
+        })
+    }
+
+    /// The clock of a build or splice through a `LeafBuilder`.
+    pub(crate) fn items() -> PhaseClock {
+        PhaseClock::start(|m| {
+            [
+                &mut m.item_scan_ns,
+                &mut m.item_hash_ns,
+                &mut m.item_store_ns,
+            ]
+        })
+    }
+
+    fn start(timers: fn(&mut PosMetrics) -> [&mut u64; 3]) -> PhaseClock {
+        PhaseClock {
             lap: Instant::now(),
             ns: [0; 3],
+            timers,
         }
     }
 
@@ -157,11 +172,10 @@ impl ItemClock {
     /// Close the index+store phase and count all three.
     pub(crate) fn record(mut self) {
         self.lap(2);
-        let [scan, hash, store] = self.ns;
         bump(|m| {
-            m.item_scan_ns += scan;
-            m.item_hash_ns += hash;
-            m.item_store_ns += store;
+            for (timer, ns) in (self.timers)(m).into_iter().zip(self.ns) {
+                *timer += ns;
+            }
         });
     }
 }
