@@ -173,7 +173,7 @@ impl<'s> LeafBuilder<'s> {
             handed: 0,
             unhashed: 0,
             finishing: false,
-            clock: PhaseClock::items(),
+            clock: PhaseClock::start(),
         }
     }
 
@@ -537,7 +537,7 @@ impl<'s> LeafBuilder<'s> {
         let (entries, fresh, clock) = self.finish_unstored();
         metrics::stored(&fresh);
         store.put_many(fresh);
-        clock.record();
+        metrics::item_phases(clock.stop());
         entries
     }
 
@@ -545,7 +545,7 @@ impl<'s> LeafBuilder<'s> {
     /// pool yet, and return the leaf entry list together with the leaf
     /// chunks, **not yet stored**: `build_index_levels` appends the index
     /// chunks and hands the store the whole tree as one batch; the caller
-    /// then [records](PhaseClock::record) the returned clock. The
+    /// then [stops](PhaseClock::stop) the returned clock. The
     /// remaining cids are computed as one batch straight over the payload
     /// ropes ([`Chunk::new_batch_ropes`], parallel on multi-core hosts)
     /// while the pool finishes the batches it was handed (module docs);
@@ -903,7 +903,7 @@ pub fn build_items(
     lb.append_encoded_run(&src, &raw);
     let (entries, fresh, clock) = lb.finish_unstored();
     let root = build_scratch(store, cfg, ty, entries, fresh);
-    clock.record();
+    metrics::item_phases(clock.stop());
     root
 }
 
@@ -975,7 +975,7 @@ pub fn build_blob(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: &[u8]) -> D
 /// leave a few retained leaves pinning the whole input buffer until a GC
 /// compaction, which unshares payloads ([`Chunk::unshared`]).
 pub fn build_blob_bytes(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: Bytes) -> Digest {
-    let mut clock = PhaseClock::blob();
+    let mut clock = PhaseClock::start();
     let cuts = forkbase_crypto::split_positions(&data, cfg);
     clock.lap(0);
     let ropes: Vec<Vec<Bytes>> = {
@@ -1005,7 +1005,7 @@ pub fn build_blob_bytes(store: &dyn ChunkStore, cfg: &ChunkerConfig, data: Bytes
         .collect();
     clock.lap(1);
     let root = build_scratch(store, cfg, TreeType::Blob, entries, chunks);
-    clock.record();
+    metrics::blob_phases(clock.stop());
     root
 }
 

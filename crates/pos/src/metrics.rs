@@ -124,41 +124,17 @@ pub(crate) fn seed_fetched() {
 }
 
 /// The phases of one build or splice — boundary scan, leaf hash, index
-/// levels + store — lapped as it goes, for one set of timers.
+/// levels + store — lapped as it goes.
 pub(crate) struct PhaseClock {
     lap: Instant,
     ns: [u64; 3],
-    timers: fn(&mut PosMetrics) -> [&mut u64; 3],
 }
 
 impl PhaseClock {
-    /// A from-scratch Blob build's clock.
-    pub(crate) fn blob() -> PhaseClock {
-        PhaseClock::start(|m| {
-            [
-                &mut m.blob_scan_ns,
-                &mut m.blob_hash_ns,
-                &mut m.blob_store_ns,
-            ]
-        })
-    }
-
-    /// The clock of a build or splice through a `LeafBuilder`.
-    pub(crate) fn items() -> PhaseClock {
-        PhaseClock::start(|m| {
-            [
-                &mut m.item_scan_ns,
-                &mut m.item_hash_ns,
-                &mut m.item_store_ns,
-            ]
-        })
-    }
-
-    fn start(timers: fn(&mut PosMetrics) -> [&mut u64; 3]) -> PhaseClock {
+    pub(crate) fn start() -> PhaseClock {
         PhaseClock {
             lap: Instant::now(),
             ns: [0; 3],
-            timers,
         }
     }
 
@@ -169,13 +145,27 @@ impl PhaseClock {
         self.lap = now;
     }
 
-    /// Close the index+store phase and count all three.
-    pub(crate) fn record(mut self) {
+    /// Close the index+store phase: `[scan, hash, store]` in nanoseconds.
+    pub(crate) fn stop(mut self) -> [u64; 3] {
         self.lap(2);
-        bump(|m| {
-            for (timer, ns) in (self.timers)(m).into_iter().zip(self.ns) {
-                *timer += ns;
-            }
-        });
+        self.ns
     }
+}
+
+/// One Blob build's phases ([`PhaseClock::stop`]).
+pub(crate) fn blob_phases([scan, hash, store]: [u64; 3]) {
+    bump(|m| {
+        m.blob_scan_ns += scan;
+        m.blob_hash_ns += hash;
+        m.blob_store_ns += store;
+    });
+}
+
+/// One build's or splice's phases through a `LeafBuilder`.
+pub(crate) fn item_phases([scan, hash, store]: [u64; 3]) {
+    bump(|m| {
+        m.item_scan_ns += scan;
+        m.item_hash_ns += hash;
+        m.item_store_ns += store;
+    });
 }

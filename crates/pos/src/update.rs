@@ -221,7 +221,7 @@ fn finish_splice(
         })
         .collect();
     let root = build_index_levels(store, cfg, ty, Some(cur), patches, fresh);
-    clock.record();
+    metrics::item_phases(clock.stop());
     root
 }
 
