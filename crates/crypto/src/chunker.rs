@@ -360,7 +360,8 @@ impl LeafChunker {
 
     /// Bytes run through the scalar scanner ([`feed`](Self::feed) and
     /// [`feed_bytewise`](Self::feed_bytewise)) since construction;
-    /// [`feed_elements`](Self::feed_elements) counts its bytes as [`split_positions`] does.
+    /// [`feed_elements`](Self::feed_elements) counts its bytes as
+    /// [`split_positions`] does.
     pub fn scanned_bytes(&self) -> usize {
         self.scanned
     }

@@ -10,10 +10,9 @@
 //! # Copy-free leaf assembly
 //!
 //! A pending leaf is a **rope**: a list of `Bytes` spans. Content adopted
-//! from an existing buffer — an encoded input run during a from-scratch
-//! build ([`append_encoded_run`](LeafBuilder::append_encoded_run)), a
-//! splice's fresh elements, queued into a buffer of their own until
-//! something else is fed, an old leaf's untouched region during a splice
+//! from an existing buffer — fresh elements, encoded into a queue of
+//! their own and fed as one run (a build from scratch, a splice's puts
+//! and inserts), an old leaf's untouched region during a splice
 //! ([`append_old_run`](LeafBuilder::append_old_run),
 //! [`append_old_blob`](LeafBuilder::append_old_blob)) — enters the
 //! rope as a zero-copy slice of that buffer. Only elements fed one at a
@@ -93,7 +92,6 @@ use forkbase_crypto::chunker::LANE_SCAN_MIN;
 use forkbase_crypto::parallel::{self, Task, ASYNC_BATCH_BYTES};
 use forkbase_crypto::{ChunkerConfig, Digest, LeafChunker};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// A leaf the builder has cut: leaf cids are independent of each other,
 /// so they are computed in batches (on the hash pool, or in
@@ -259,30 +257,59 @@ impl<'s> LeafBuilder<'s> {
 
     /// Queue one fresh element (List/Set/Map trees), in the order
     /// [`append_item`](Self::append_item) requires. Queued elements are
-    /// fed as one run ([`append_encoded_run`](Self::append_encoded_run))
-    /// when anything else is appended or read off the builder, so a
-    /// splice's consecutive puts and inserts are scanned together —
-    /// across old leaf boundaries too, since dropped old elements feed
-    /// nothing.
+    /// fed as one run when anything else is appended or read off the
+    /// builder, so a splice's consecutive puts and inserts are scanned
+    /// together — across old leaf boundaries too, since dropped old
+    /// elements feed nothing.
     pub(crate) fn queue_item(&mut self, item: &Item) {
         debug_assert!(self.ty != TreeType::Blob, "use append_blob for Blob trees");
         if self.queued.is_empty() {
             self.queue.clear();
             self.chunker.context(&mut self.queue);
         }
-        let raw = encode_raw(self.ty, item, &mut self.queue, 0);
+        let raw = encode_raw(self.ty, item, &mut self.queue);
         self.queued.push(raw);
         self.since_edit = 0;
     }
 
-    /// Feed the queued elements, if any.
+    /// Feed the queued elements, if any, as one run adopted into the
+    /// ropes as zero-copy slices of the queue.
+    ///
+    /// Bit-identical to calling [`append_item`](Self::append_item) per
+    /// element, but the run is scanned as a whole instead of one `feed`
+    /// per element: a pattern hit inside element `j` is mapped to `j`'s
+    /// end (elements never span chunks). A run of at least
+    /// [`LANE_SCAN_MIN`] bytes is scanned once, in the sixteen lanes
+    /// where they run, behind the bytes the queue starts with — what the
+    /// rolling window held — and cut in one walk
+    /// ([`LeafChunker::feed_elements`]). A shorter one goes through the
+    /// slice-level scanner ([`LeafChunker::feed_bytewise`]), resuming
+    /// after each cut. For the ~22-byte elements of a metadata map this
+    /// is ~5× less chunker overhead than a feed per element — the
+    /// difference between paying per *byte* and paying per *element*.
+    /// Every byte is scanned: nothing is known about fresh content. Bytes
+    /// re-fed from an old leaf go through
+    /// [`append_old_run`](Self::append_old_run), which pays per byte an
+    /// *edit can reach* instead.
     fn flush_queue(&mut self) {
-        if self.queued.is_empty() {
+        let (Some(first), Some(last)) = (self.queued.first(), self.queued.last()) else {
             return;
-        }
+        };
+        let (from, len) = (first.span.0, last.span.1 - first.span.0);
         let src = Bytes::from(std::mem::take(&mut self.queue));
         let items = std::mem::take(&mut self.queued);
-        self.append_encoded_run(&src, &items);
+        if len < LANE_SCAN_MIN {
+            self.feed_run(&src, &items, &(0..0));
+        } else {
+            let cuts = self.chunker.feed_elements(&src, from, &items, |r| r.span.1);
+            let mut i = 0usize;
+            for j in cuts {
+                self.adopt(&src, &items[i..=j]);
+                self.close_leaf();
+                i = j + 1;
+            }
+            self.adopt(&src, &items[i..]);
+        }
         self.queued = items;
         self.queued.clear();
     }
@@ -313,59 +340,13 @@ impl<'s> LeafBuilder<'s> {
         }
     }
 
-    /// Append a run of **fresh** elements that are already encoded for
-    /// this tree type (the pre-encoded input buffer of a from-scratch
-    /// build, or the queue), adopted as zero-copy slices of `src`. `items`
-    /// are the run's elements in order, as spans into `src` (contiguous —
-    /// each span starts where the previous one ended, the last ending at
-    /// `src.len()`), and the bytes in front of the first must be what the
-    /// rolling window holds ([`LeafChunker::context`]: nothing, for a new
-    /// builder).
-    ///
-    /// Bit-identical to decoding every element and calling
-    /// [`append_item`](Self::append_item), but the run is scanned as a
-    /// whole instead of one `feed` per element: a pattern hit inside
-    /// element `j` is mapped to `j`'s end (elements never span chunks).
-    /// A run of at least [`LANE_SCAN_MIN`] bytes is scanned once, in the
-    /// sixteen lanes where they run, and cut in one walk
-    /// ([`LeafChunker::feed_elements`]); a shorter one goes through the
-    /// slice-level scanner ([`LeafChunker::feed_bytewise`]), resuming
-    /// after each cut. For the ~22-byte elements of a metadata map this
-    /// is ~5× less chunker overhead than a feed per element — the
-    /// difference between paying per *byte* and paying per *element*.
-    /// Every byte is scanned: nothing is known about fresh content. Bytes
-    /// re-fed from an old leaf go through
-    /// [`append_old_run`](Self::append_old_run), which pays per byte an
-    /// *edit can reach* instead.
-    pub fn append_encoded_run(&mut self, src: &Bytes, items: &[RawItem]) {
-        let (Some(first), Some(last)) = (items.first(), items.last()) else {
-            return;
-        };
-        self.flush_queue();
-        if last.span.1 - first.span.0 < LANE_SCAN_MIN {
-            self.feed_run(src, items, &(0..0));
-        } else {
-            let cuts = self
-                .chunker
-                .feed_elements(src, first.span.0, items, |r| r.span.1);
-            let mut i = 0usize;
-            for j in cuts {
-                self.adopt(src, &items[i..=j]);
-                self.close_leaf();
-                i = j + 1;
-            }
-            self.adopt(src, &items[i..]);
-        }
-        self.since_edit = 0;
-    }
-
     /// Re-feed a run of untouched elements of an **old leaf** during a
     /// splice. `leaf` must be that leaf's whole payload and `items` a
     /// contiguous run of its elements; the bytes are adopted as zero-copy
     /// slices of `leaf`.
     ///
-    /// Bit-identical to [`append_encoded_run`](Self::append_encoded_run),
-    /// but only two stretches of the run are scanned (the module docs
+    /// Bit-identical to fresh elements fed the same bytes, but only two
+    /// stretches of the run are scanned (the module docs
     /// give the argument): (a) what lies within `window` bytes of the
     /// last fresh or removed byte and (b) the leaf's last element, if the
     /// run reaches it. The rest goes through
@@ -857,15 +838,16 @@ fn emit_index(
 
 /// Build a complete tree from an element stream.
 ///
-/// The whole input is pre-encoded into one contiguous buffer (for sorted
-/// types the caller supplies elements in key order, exactly as
-/// [`LeafBuilder::append_item`] requires), then the buffer is run through
-/// the boundary scan as a **single encoded run**
-/// ([`LeafBuilder::append_encoded_run`]): boundary detection pays per
-/// byte instead of per element, in sixteen lanes where they run, and
-/// every leaf payload is a zero-copy slice of the encode buffer. Bit-identical to the retained
-/// element-at-a-time path ([`build_items_itemwise`]) — the
-/// `build_equivalence` proptests pin that down.
+/// Elements are encoded into the builder's queue (for sorted types the
+/// caller supplies them in key order, exactly as
+/// [`LeafBuilder::append_item`] requires) and fed as one run per hash
+/// batch's worth ([`ASYNC_BATCH_BYTES`]): the boundary scan pays per byte
+/// instead of per element, in sixteen lanes where they run, every leaf
+/// payload is a zero-copy slice of the queue, and the pool hashes the
+/// leaves cut so far while the next stretch is encoded and scanned.
+/// Bit-identical to the retained element-at-a-time path
+/// ([`build_items_itemwise`]) — the `build_equivalence` proptests pin
+/// that down.
 pub fn build_items(
     store: &dyn ChunkStore,
     cfg: &ChunkerConfig,
@@ -880,40 +862,32 @@ pub fn build_items(
         }
         return build_blob_bytes(store, cfg, Bytes::from(buf));
     }
-    let items: Vec<Item> = items.into_iter().collect();
-    debug_assert!(
-        !ty.is_sorted() || items.is_sorted_by(|a, b| a.key <= b.key),
-        "sorted build fed out of order"
-    );
-    // Encoded straight into the allocation every leaf slices: a `Vec`
-    // grown to the input's size would be copied whole into a new one.
-    let len = items.iter().map(|i| i.encoded_len(ty)).sum();
-    let mut src: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
-    let out = Arc::get_mut(&mut src).expect("a new allocation");
-    let (mut raw, mut one, mut at) = (Vec::with_capacity(items.len()), Vec::new(), 0);
-    for item in &items {
-        one.clear();
-        raw.push(encode_raw(ty, item, &mut one, at));
-        out[at..at + one.len()].copy_from_slice(&one);
-        at += one.len();
-    }
-    drop(items);
-    let src = Bytes::from(src);
     let mut lb = LeafBuilder::new(store, cfg, ty);
-    lb.append_encoded_run(&src, &raw);
+    #[cfg(debug_assertions)]
+    let mut prev_key = Bytes::new();
+    for item in items {
+        #[cfg(debug_assertions)]
+        if ty.is_sorted() {
+            debug_assert!(prev_key <= item.key, "sorted build fed out of order");
+            prev_key = item.key.clone();
+        }
+        lb.queue_item(&item);
+        if lb.queue.len() >= ASYNC_BATCH_BYTES {
+            lb.flush_queue();
+        }
+    }
     let (entries, fresh, clock) = lb.finish_unstored();
     let root = build_scratch(store, cfg, ty, entries, fresh);
     metrics::item_phases(clock.stop());
     root
 }
 
-/// Encode `item` onto `buf` and return where its bytes and key landed,
-/// counting from `base` at the start of `buf`.
-fn encode_raw(ty: TreeType, item: &Item, buf: &mut Vec<u8>, base: usize) -> RawItem {
-    let start = base + buf.len();
+/// Encode `item` onto `buf` and return where its bytes and key landed.
+fn encode_raw(ty: TreeType, item: &Item, buf: &mut Vec<u8>) -> RawItem {
+    let start = buf.len();
     encode_item(ty, item, buf);
     let koff = start + varint_len(item.key.len() as u64);
-    let end = base + buf.len();
+    let end = buf.len();
     RawItem {
         span: (start, end),
         key: if ty.is_sorted() {

@@ -40,8 +40,8 @@ pub struct PosMetrics {
     /// Nanoseconds Blob builds spent on index levels and store puts.
     pub blob_store_ns: u64,
     /// Nanoseconds element builds and splices spent placing leaf
-    /// boundaries: the boundary scan, and for a splice also its seeks and
-    /// leaf fetches.
+    /// boundaries: the boundary scan, and also a build's encoding of its
+    /// elements and a splice's seeks and leaf fetches.
     pub item_scan_ns: u64,
     /// Nanoseconds element builds and splices spent hashing their leaves
     /// (joining the batches handed to the hash pool included).
