@@ -477,14 +477,22 @@ fn hits_after(data: &[u8], from: usize, window: usize, mask: u64) -> Vec<usize> 
     hit_lists.concat()
 }
 
-/// The hits of `data[range]`: the lane kernel over as much of it as it
-/// covers, the scalar scanner over the rest.
+/// The hits of `data[range]`: the lane kernel where it takes the range,
+/// else the scalar scanner.
 fn segment_hits(data: &[u8], range: Range<usize>, window: usize, mask: u64, hits: &mut Vec<usize>) {
-    let mut from = range.start;
-    if crate::lanes::scans(window, range.len()) {
-        from = crate::lanes::scan(data, range.clone(), window, mask, hits);
+    if !crate::lanes::scans(window, range.len()) {
+        return scalar_hits_into(data, range, window, mask, hits);
     }
-    scalar_hits_into(data, from..range.end, window, mask, hits);
+    let done = crate::lanes::scan(data, range.clone(), window, mask, hits);
+    if done < range.end {
+        // The tail under one lane step: one more step over the range's
+        // last `LANES · STEP` bytes, keeping the hits past the first scan.
+        let step = crate::lanes::LANES * crate::lanes::STEP;
+        let first = hits.len();
+        crate::lanes::scan(data, range.end - step..range.end, window, mask, hits);
+        let seen = hits[first..].partition_point(|&h| h <= done);
+        hits.drain(first..first + seen);
+    }
 }
 
 /// [`pattern_hits`] through the scalar scanner alone, whatever the CPU —

@@ -22,7 +22,8 @@
 //! primed and its hits are dropped — the priming rule of
 //! [`CyclicPoly::primed`](crate::CyclicPoly::primed). Lanes step
 //! eight bytes per data gather, so they cover a multiple of 128 bytes;
-//! the caller scans the rest with the scalar scanner. The crate README's
+//! the caller scans the rest, with one more step over the last 128 bytes
+//! or with the scalar scanner. The crate README's
 //! "Lanes" section has the bound that keeps every gather inside the
 //! input.
 

@@ -15,7 +15,9 @@ use std::cell::Cell;
 /// What the calling thread's hashing and scanning have done so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CryptoMetrics {
-    /// Bytes scanned for pattern hits by the sixteen-lane kernel.
+    /// Bytes scanned for pattern hits by the sixteen-lane kernel. A
+    /// run's tail under one lane step is scanned with the run's last step
+    /// again, so a run can count up to 127 bytes more than it holds.
     pub lane_scan_bytes: u64,
     /// Bytes scanned for pattern hits by the scalar scanner: a
     /// [`LeafChunker`](crate::LeafChunker)'s
