@@ -433,6 +433,18 @@ struct LogInner {
     fsyncs: AtomicU64,
     /// Rounds led by a caller ([`LogStore::caller_rounds`]).
     caller_rounds: AtomicU64,
+    /// Record bytes written by rounds a caller led and by the writer
+    /// thread's ([`LogStore::caller_bytes_written`],
+    /// [`LogStore::writer_bytes_written`]).
+    caller_bytes: AtomicU64,
+    writer_bytes: AtomicU64,
+    /// Nanoseconds rounds a caller led spent in `write` and in
+    /// `fdatasync` ([`LogStore::caller_write_ns`],
+    /// [`LogStore::caller_fsync_ns`]).
+    caller_write_ns: AtomicU64,
+    caller_fsync_ns: AtomicU64,
+    /// Writeback starts issued ([`LogStore::writeback_starts`]).
+    writeback_starts: AtomicU64,
     /// Positioned segment reads ([`LogStore::read_count`]).
     reads: AtomicU64,
     poisoned: AtomicBool,
@@ -484,6 +496,11 @@ impl LogInner {
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         fsync_dir(&self.dir);
     }
+}
+
+/// Nanoseconds since `t`.
+fn ns_since(t: Instant) -> u64 {
+    t.elapsed().as_nanos() as u64
 }
 
 fn fx64(bytes: &[u8]) -> u64 {
@@ -586,6 +603,34 @@ impl LogStore {
     /// rounds are the writer thread's.
     pub fn caller_rounds(&self) -> u64 {
         self.inner.caller_rounds.load(Ordering::Relaxed)
+    }
+
+    /// Record bytes written to segment files by rounds a caller led — the
+    /// bytes a `sync` or `sync_root` waits to `write` itself.
+    pub fn caller_bytes_written(&self) -> u64 {
+        self.inner.caller_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Record bytes written to segment files by the writer thread's rounds.
+    pub fn writer_bytes_written(&self) -> u64 {
+        self.inner.writer_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Nanoseconds rounds a caller led spent in `write`.
+    pub fn caller_write_ns(&self) -> u64 {
+        self.inner.caller_write_ns.load(Ordering::Relaxed)
+    }
+
+    /// Nanoseconds rounds a caller led spent in `fdatasync`, of segment
+    /// files and the directory.
+    pub fn caller_fsync_ns(&self) -> u64 {
+        self.inner.caller_fsync_ns.load(Ordering::Relaxed)
+    }
+
+    /// How many times a round that wrote without an fsync started the
+    /// writeback of what it wrote.
+    pub fn writeback_starts(&self) -> u64 {
+        self.inner.writeback_starts.load(Ordering::Relaxed)
     }
 
     /// How many positioned reads this handle has issued against segment
@@ -806,6 +851,11 @@ impl LogInner {
             stats,
             fsyncs: AtomicU64::new(0),
             caller_rounds: AtomicU64::new(0),
+            caller_bytes: AtomicU64::new(0),
+            writer_bytes: AtomicU64::new(0),
+            caller_write_ns: AtomicU64::new(0),
+            caller_fsync_ns: AtomicU64::new(0),
+            writeback_starts: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             reopen,
@@ -855,7 +905,7 @@ impl LogInner {
                 continue;
             }
             if !state.writing && self.backlog_due(&state) {
-                state = self.drain_as_leader(state, Lead::Policy).0;
+                state = self.drain_as_leader(state, Lead::Policy, false).0;
             }
             if !state.stop && state.bytes_since_snapshot >= self.cfg.snapshot_bytes {
                 state = self.periodic_snapshot(state);
@@ -1067,7 +1117,7 @@ impl LogInner {
         lead: Lead,
     ) -> (MutexGuard<'a, CommitState>, io::Result<()>) {
         self.caller_rounds.fetch_add(1, Ordering::Relaxed);
-        self.drain_as_leader(state, lead)
+        self.drain_as_leader(state, lead, true)
     }
 
     /// What a put owes once its records, the last of them `my_seq`, are
@@ -1111,12 +1161,14 @@ impl LogInner {
     /// release the commit lock, write (rotating segment files as needed)
     /// and optionally fsync, then re-lock and publish. Waiters blocked in
     /// `put(Always)` are woken once their sequence is synced, putters held
-    /// at the queue bound once the queue is taken. Returns the
-    /// re-acquired guard and the I/O verdict.
+    /// at the queue bound once the queue is taken. `caller` says whose
+    /// thread this is, for the round counters. Returns the re-acquired
+    /// guard and the I/O verdict.
     fn drain_as_leader<'a>(
         &'a self,
         mut state: MutexGuard<'a, CommitState>,
         lead: Lead,
+        caller: bool,
     ) -> (MutexGuard<'a, CommitState>, io::Result<()>) {
         state.writing = true;
         let mut verdict = Ok(());
@@ -1163,6 +1215,8 @@ impl LogInner {
             let mut created_segment = false;
             let held = (lead == Lead::Quiesce).then_some(state);
 
+            let (mut write_ns, mut fsync_ns) = (0, 0);
+
             // ---- commit lock released (unless quiescing): the I/O ------
             let io: io::Result<Option<(u32, u64)>> = (|| {
                 for run in &runs {
@@ -1173,22 +1227,28 @@ impl LogInner {
                         // cannot tell a segment that lost its tail from
                         // one that was left early — would accept a root
                         // record whose predecessors are gone.
+                        let t = Instant::now();
                         self.fsync(&file)?;
+                        fsync_ns += ns_since(t);
                         file = open_rw(&segment_path(&self.dir, run.seg))?;
                         file_seg = run.seg;
                         written_off = 0;
                         created_segment = true;
                     }
+                    let t = Instant::now();
                     file.write_all(&run.bytes)?;
+                    write_ns += ns_since(t);
                     written_off += run.bytes.len() as u64;
                 }
                 if do_sync {
+                    let t = Instant::now();
                     self.fsync(&file)?;
                     // Data is durable; now persist the dirents of any
                     // segment files created since the last dir fsync.
                     if created_segment || dir_dirty_before {
                         self.fsync_dir();
                     }
+                    fsync_ns += ns_since(t);
                     Ok(Some((file_seg, written_off)))
                 } else {
                     Ok(None)
@@ -1211,6 +1271,14 @@ impl LogInner {
             state = held.unwrap_or_else(|| self.commit.lock().expect("commit lock"));
             match io {
                 Ok(synced_to) => {
+                    let bytes: u64 = runs.iter().map(|r| r.bytes.len() as u64).sum();
+                    if caller {
+                        self.caller_bytes.fetch_add(bytes, Ordering::Relaxed);
+                        self.caller_write_ns.fetch_add(write_ns, Ordering::Relaxed);
+                        self.caller_fsync_ns.fetch_add(fsync_ns, Ordering::Relaxed);
+                    } else {
+                        self.writer_bytes.fetch_add(bytes, Ordering::Relaxed);
+                    }
                     state.file = Some(file);
                     state.file_seg = file_seg;
                     state.written_off = written_off;

@@ -20,6 +20,11 @@
 //!   100-record batches to the imported map.
 //! * `page_splice_phases` applies `wiki_edit`'s 64–256-byte edits to
 //!   64 KiB pages.
+//! * `ledger_block_phases` commits `ledger_blocks`' blocks of 64 state
+//!   updates on a 50,000-account durable `ChainStore` and adds the log's
+//!   side of each block: the checkpoint round's `write` and `fdatasync`,
+//!   the bytes the log's writer thread wrote ahead of it and the bytes
+//!   the checkpoint wrote itself (`LogStore`'s round counters).
 //!
 //! Each prints, per operation, the median of every phase in µs, the scan
 //! rate, the bytes each scanner and SHA-256 saw, and the leaves fetched
@@ -28,9 +33,12 @@
 //! `LeafBuilder` cuts, whose scan phase also holds a splice's seeks and
 //! leaf fetches.
 
+use bytes::Bytes;
 use fb_workload::{EditKind, PageEditGen};
+use forkbase::chain::{ChainConfig, ChainStore};
 use forkbase::chunk::MemStore;
 use forkbase::cluster::{Cluster, Partitioning};
+use forkbase::core::HotTierConfig;
 use forkbase::crypto::metrics as crypto_metrics;
 use forkbase::pos::metrics::{self as pos_metrics, PosMetrics};
 use forkbase::pos::{Blob, Map};
@@ -243,4 +251,144 @@ fn page_splice_phases() {
         });
     }
     phases.print("64 KiB page splice");
+}
+
+/// Median, minimum and maximum of `v`.
+fn spread(v: &mut [u64]) -> (u64, u64, u64) {
+    v.sort_unstable();
+    (v[v.len() / 2], v[0], v[v.len() - 1])
+}
+
+#[test]
+#[ignore = "measurement; run with --ignored --nocapture"]
+fn ledger_block_phases() {
+    const ACCOUNTS: u64 = 50_000;
+    const BLOCKS: u64 = 600;
+    let dir = std::env::temp_dir().join(format!("forkbase-ledger-phases-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    // `ledger_blocks`' engine: default log and cache, the hot tier on
+    // with its publish timer slowed so that only `flush_state` publishes.
+    let chain = ChainStore::open_with(
+        &dir,
+        ChainConfig {
+            hot: HotTierConfig {
+                publish_interval: std::time::Duration::from_secs(1),
+                ..HotTierConfig::on()
+            },
+            ..ChainConfig::default()
+        },
+    )
+    .expect("open");
+    let account = |a: u64| Bytes::from(format!("acct{a:08}"));
+    // 100 bytes: the account and version, then pseudo-random hex digits.
+    let value = |a: u64, version: u64| {
+        let mut v = format!("{a:08}:{version:010}:");
+        let mut x = a << 32 | version;
+        while v.len() < 100 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            v.push_str(&format!("{:016x}", x));
+        }
+        v.truncate(100);
+        Bytes::from(v)
+    };
+    let preload = (0..ACCOUNTS).map(|a| (account(a), Some(value(a, 0))));
+    chain.state_put_many(preload).expect("preload");
+    chain.flush_state().expect("flush");
+    let mut tip = chain
+        .append_block(None, b"genesis", "slot-0")
+        .expect("genesis");
+    let log = chain.db().durable_store().expect("durable").clone();
+
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    // Per block: [scan, hash, index+store, write, fdatasync, total] ns,
+    // then [leaves, ahead, checkpoint, fsyncs, writeback starts].
+    let (mut times, mut counts) = (vec![Vec::new(); 6], vec![Vec::new(); 5]);
+    for number in 1..=BLOCKS {
+        let updates: Vec<(Bytes, Option<Bytes>)> = (0..64)
+            .map(|_| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let a = (rng >> 33) % ACCOUNTS;
+                (account(a), Some(value(a, number)))
+            })
+            .collect();
+        let body = vec![number as u8; 4096];
+        let pos = pos_metrics::snapshot();
+        let before = [
+            log.caller_write_ns(),
+            log.caller_fsync_ns(),
+            log.writer_bytes_written(),
+            log.caller_bytes_written(),
+            log.fsync_count(),
+            log.writeback_starts(),
+        ];
+        let start = Instant::now();
+        chain.state_put_many(updates).expect("updates");
+        chain.flush_state().expect("flush");
+        tip = chain
+            .append_block(Some(tip), &body, format!("slot-{number}"))
+            .expect("append");
+        let total = start.elapsed().as_nanos() as u64;
+        let pos = pos_metrics::snapshot().since(pos);
+        let after = [
+            log.caller_write_ns(),
+            log.caller_fsync_ns(),
+            log.writer_bytes_written(),
+            log.caller_bytes_written(),
+            log.fsync_count(),
+            log.writeback_starts(),
+        ];
+        let d: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        let row = [
+            pos.item_scan_ns,
+            pos.item_hash_ns,
+            pos.item_store_ns,
+            d[0],
+            d[1],
+            total,
+        ];
+        for (col, v) in times.iter_mut().zip(row) {
+            col.push(v);
+        }
+        for (col, v) in counts
+            .iter_mut()
+            .zip([pos.leaf_puts, d[2], d[3], d[4], d[5]])
+        {
+            col.push(v);
+        }
+    }
+    assert!(!log.poisoned());
+    let us: Vec<f64> = times.iter_mut().map(|v| spread(v).0 as f64 / 1e3).collect();
+    let [leaves, ahead, checkpoint, fsyncs, starts] =
+        [0, 1, 2, 3, 4].map(|i| spread(&mut counts[i]));
+    println!(
+        "ledger block: {BLOCKS} blocks, median µs: splice scan {:.1}, leaf hash {:.1}, \
+         index+store {:.1}, checkpoint write {:.1}, fdatasync {:.1}, block total {:.1}",
+        us[0], us[1], us[2], us[3], us[4], us[5]
+    );
+    println!(
+        "ledger block, per block as median (min–max): leaves put {} ({}–{}), \
+         bytes written ahead {} ({}–{}), bytes written at the checkpoint {} ({}–{}), \
+         fsyncs {} ({}–{}), writeback starts {} ({}–{})",
+        leaves.0,
+        leaves.1,
+        leaves.2,
+        ahead.0,
+        ahead.1,
+        ahead.2,
+        checkpoint.0,
+        checkpoint.1,
+        checkpoint.2,
+        fsyncs.0,
+        fsyncs.1,
+        fsyncs.2,
+        starts.0,
+        starts.1,
+        starts.2
+    );
+    drop(chain);
+    std::fs::remove_dir_all(&dir).ok();
 }
