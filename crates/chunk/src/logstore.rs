@@ -62,19 +62,41 @@
 //!   [`sync`](LogStore::sync), [`sync_root`](LogStore::sync_root), close
 //!   and compaction — lead inline. When several arrive together one
 //!   becomes the **leader**, the rest wait for its fsync: N threads share
-//!   one.
+//!   one. A `sync` (and `sync_root`) leads only until everything queued
+//!   when it came in is fsynced — one round — not until producers pause;
+//!   what they queue meanwhile is the writer thread's. Compaction and an
+//!   explicit snapshot drain everything: they hold the commit lock through
+//!   their round.
 //! * Everything else is the **writer thread**'s (`logstore-writer`, one
 //!   per store, joined on close). A `put` under
 //!   [`Batch`](Durability::Batch) or [`Os`](Durability::Os) encodes its
 //!   record into the queue and returns; when that made the backlog *due*
 //!   — `max_records` or `interval` reached under `Batch`, 1 MiB queued
-//!   in either mode — it signals the writer, which leads the round. The
-//!   writer sleeps on a condvar of the commit mutex, so a signal cannot
-//!   fall between its check and its wait; under `Batch` it also wakes
-//!   every half interval, so an idle store's unsynced window is bounded by
-//!   wall-clock. A putter that finds 8 MiB queued (a disk slower than its
-//!   producers) waits for the writer's next round: queue memory is
-//!   bounded.
+//!   in either mode, or one `put_many` of at least 256 KiB — it signals
+//!   the writer, which leads the round. The writer sleeps on a condvar of
+//!   the commit mutex, so a signal cannot fall between its check and its
+//!   wait; under `Batch` it also wakes every half interval, so an idle
+//!   store's unsynced window is bounded by wall-clock. A putter that finds
+//!   8 MiB queued (a disk slower than its producers) waits for the
+//!   writer's next round: queue memory is bounded.
+//!
+//! # Write-behind
+//!
+//! A round that owes no fsync (the writer thread's, unless a `Batch`
+//! window is due) ends by starting the writeback of the bytes it wrote:
+//! `sync_file_range(SYNC_FILE_RANGE_WRITE)` on Linux, nothing elsewhere.
+//! The pages then travel to the disk while producers go on, and the next
+//! forced round's fsync waits only for what is still dirty — its own
+//! tail. This is what the 256 KiB `put_many` trigger is for: a block
+//! commit hands its leaves over before it builds the index levels above
+//! them, the writer writes them and starts their writeback meanwhile, and
+//! the checkpoint's round writes and fsyncs only the index nodes, meta
+//! chunks, checkpoint and root record. Starting writeback is not an
+//! fsync. It promises nothing about durability — no metadata, no device
+//! cache flush, no wait — and changes nothing about what a crash may
+//! lose or what a reopen recovers: a root record still counts only once
+//! the fsync of its own round returns, and recovery still stops at the
+//! first record that fails.
 //!
 //! [`Durability`] picks the policy:
 //!
@@ -148,6 +170,12 @@ const QUEUE_HIGH_WATER: usize = 1 << 20;
 /// next round (bounds queue memory under a disk slower than its
 /// producers).
 const QUEUE_BOUND: usize = 8 * QUEUE_HIGH_WATER;
+/// A `put_many` that queues at least this many record bytes wakes the
+/// writer thread to write them ahead of the next forced round — a block's
+/// leaves while its caller still builds the index levels over them (the
+/// tree layer hands leaves of builds this large to the store on their
+/// own, at the same threshold).
+const WRITE_AHEAD_BYTES: usize = forkbase_crypto::parallel::PARALLEL_THRESHOLD_BYTES;
 /// Longest run of adjacent records a batched read fetches with one
 /// `pread` (bounds its scratch buffer).
 const RUN_MAX_BYTES: u64 = 1 << 20;
@@ -269,7 +297,8 @@ enum Lead {
     /// Rounds while the durability policy says one is due: the writer
     /// thread, an `Always` putter.
     Policy,
-    /// Write and fsync everything outstanding.
+    /// Write and fsync everything queued so far: one round, ending the
+    /// lead however much producers queue during it.
     Sync,
     /// As `Sync`, with the commit lock held through the I/O: nothing can
     /// be queued behind the round, so it ends with the log quiescent.
@@ -407,6 +436,9 @@ struct CommitState {
     /// The writer thread has been signalled and has not looked yet —
     /// spares every further put the `notify`.
     writer_woken: bool,
+    /// A `put_many` of at least [`WRITE_AHEAD_BYTES`] is queued and no
+    /// round has taken it yet: the writer thread writes it ahead.
+    write_ahead: bool,
     /// Close asked the writer thread to exit.
     stop: bool,
 }
@@ -482,6 +514,33 @@ fn fsync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_data();
     }
+}
+
+/// Start writeback of `len` bytes of `file` at `off` and return at once
+/// (Linux `sync_file_range(SYNC_FILE_RANGE_WRITE)`): the pages go to the
+/// disk while the caller goes on, and a later fsync of the file waits
+/// only for what is still dirty. Not an fsync: it promises nothing about
+/// durability — no metadata, no device cache flush, no wait. Returns
+/// whether the writeback was started; elsewhere it never is.
+#[cfg(target_os = "linux")]
+fn start_writeback(file: &File, off: u64, len: u64) -> bool {
+    use std::os::fd::AsRawFd;
+    const SYNC_FILE_RANGE_WRITE: u32 = 2;
+    extern "C" {
+        fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
+    }
+    let (Ok(off), Ok(len)) = (i64::try_from(off), i64::try_from(len)) else {
+        return false;
+    };
+    // SAFETY: the call reads no memory of ours; `file` keeps the
+    // descriptor open for its duration, and the kernel checks the
+    // range and flags.
+    unsafe { sync_file_range(file.as_raw_fd(), off, len, SYNC_FILE_RANGE_WRITE) == 0 }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn start_writeback(_file: &File, _off: u64, _len: u64) -> bool {
+    false
 }
 
 impl LogInner {
@@ -566,8 +625,10 @@ impl LogStore {
         state.seq_enqueued - state.seq_synced.max(state.seq_failed)
     }
 
-    /// Drain the commit queue and fsync: after this, every acknowledged
-    /// `put` is on disk regardless of durability mode.
+    /// Drain the commit queue and fsync: after this, every `put`
+    /// acknowledged before the call is on disk regardless of durability
+    /// mode. Puts that race the call are left to the writer thread, so it
+    /// returns however fast producers are.
     pub fn sync(&self) -> io::Result<()> {
         self.inner.sync()
     }
@@ -843,6 +904,7 @@ impl LogInner {
                 snapshotting: false,
                 quiescers: 0,
                 writer_woken: false,
+                write_ahead: false,
                 stop: false,
             }),
             commit_cv: Condvar::new(),
@@ -944,9 +1006,11 @@ impl LogInner {
     /// [`sync`](Self::sync) for a caller that already holds the commit
     /// lock — everything it queued under that hold is covered — leading
     /// as `lead` (`Sync` or `Quiesce`). Returns the guard it ends with
-    /// and the verdict; on `Ok` nothing is queued, nothing unsynced and no
-    /// round in flight — for good, until the guard is dropped, when
-    /// `lead` is `Quiesce`, which also waits out a periodic snapshot.
+    /// and the verdict. On `Ok` under `Sync`, everything queued when the
+    /// call came in is fsynced: it leads rounds only until then, not
+    /// until producers pause. Under `Quiesce` nothing is queued, nothing
+    /// unsynced and no round in flight — for good, until the guard is
+    /// dropped — and no periodic snapshot is being written.
     fn sync_locked<'a>(
         &'a self,
         mut state: MutexGuard<'a, CommitState>,
@@ -954,17 +1018,23 @@ impl LogInner {
     ) -> (MutexGuard<'a, CommitState>, io::Result<()>) {
         // Rounds that failed with nobody waiting on them count too.
         let failed_before = state.failed_reported;
+        let upto = state.seq_enqueued;
         loop {
-            let blocked = state.writing
-                || match lead {
-                    Lead::Quiesce => state.snapshotting,
-                    _ => state.quiescers > 0,
-                };
+            // A round someone else led may have covered a `Sync`, even
+            // with a later one in flight.
+            let covered = lead == Lead::Sync && state.seq_synced >= upto;
+            let blocked = !covered
+                && (state.writing
+                    || match lead {
+                        Lead::Quiesce => state.snapshotting,
+                        _ => state.quiescers > 0,
+                    });
             if blocked {
                 state = self.commit_cv.wait(state).expect("commit lock");
                 continue;
             }
-            let result = if state.queue.is_empty() && state.unsynced_records == 0 {
+            let drained = state.queue.is_empty() && state.unsynced_records == 0;
+            let result = if covered || drained {
                 // Nothing left may also mean a round failed and dropped
                 // what was queued.
                 if state.seq_failed == failed_before {
@@ -972,7 +1042,7 @@ impl LogInner {
                 }
                 Err(io::Error::other("a commit round failed before this sync"))
             } else {
-                let (s, result) = self.lead(state, lead);
+                let (s, result) = self.drain_as_leader(state, lead, true);
                 state = s;
                 result
             };
@@ -1104,20 +1174,10 @@ impl LogInner {
     }
 
     /// Is the backlog the writer thread's to drain now: a `Batch` window
-    /// is full or old, or the queue holds enough to hand to the OS.
+    /// is full or old, the queue holds enough to hand to the OS, or a
+    /// large `put_many` is to be written ahead.
     fn backlog_due(&self, state: &CommitState) -> bool {
-        self.wants_sync(state, false) || state.queue_bytes >= QUEUE_HIGH_WATER
-    }
-
-    /// [`drain_as_leader`](Self::drain_as_leader) on a caller's thread,
-    /// counted in [`LogStore::caller_rounds`].
-    fn lead<'a>(
-        &'a self,
-        state: MutexGuard<'a, CommitState>,
-        lead: Lead,
-    ) -> (MutexGuard<'a, CommitState>, io::Result<()>) {
-        self.caller_rounds.fetch_add(1, Ordering::Relaxed);
-        self.drain_as_leader(state, lead, true)
+        self.wants_sync(state, false) || state.queue_bytes >= QUEUE_HIGH_WATER || state.write_ahead
     }
 
     /// What a put owes once its records, the last of them `my_seq`, are
@@ -1137,7 +1197,7 @@ impl LogInner {
                     state = self.commit_cv.wait(state).expect("commit lock");
                     continue;
                 }
-                let (s, result) = self.lead(state, Lead::Policy);
+                let (s, result) = self.drain_as_leader(state, Lead::Policy, true);
                 state = s;
                 if result.is_err() {
                     break; // poisoned flag + io_errors already recorded
@@ -1162,8 +1222,8 @@ impl LogInner {
     /// and optionally fsync, then re-lock and publish. Waiters blocked in
     /// `put(Always)` are woken once their sequence is synced, putters held
     /// at the queue bound once the queue is taken. `caller` says whose
-    /// thread this is, for the round counters. Returns the re-acquired
-    /// guard and the I/O verdict.
+    /// thread this is, for the round counters ([`LogStore::caller_rounds`]
+    /// and the rest). Returns the re-acquired guard and the I/O verdict.
     fn drain_as_leader<'a>(
         &'a self,
         mut state: MutexGuard<'a, CommitState>,
@@ -1177,7 +1237,7 @@ impl LogInner {
             // non-empty: a writer thread that chased every record its
             // producers add meanwhile would never stop.
             let do_sync = self.wants_sync(&state, lead != Lead::Policy);
-            if !do_sync && state.queue_bytes < QUEUE_HIGH_WATER {
+            if !do_sync && !self.backlog_due(&state) {
                 break;
             }
             // Whoever waits to quiesce the log takes it from here.
@@ -1203,7 +1263,11 @@ impl LogInner {
             let runs = std::mem::take(&mut state.queue);
             state.queue_bytes = 0;
             state.queue_records = 0;
+            state.write_ahead = false;
             let seq_hi = state.seq_enqueued;
+            if caller {
+                self.caller_rounds.fetch_add(1, Ordering::Relaxed);
+            }
             let mut file = state.file.take().expect("writer file present");
             let mut file_seg = state.file_seg;
             let mut written_off = state.written_off;
@@ -1251,6 +1315,13 @@ impl LogInner {
                     fsync_ns += ns_since(t);
                     Ok(Some((file_seg, written_off)))
                 } else {
+                    // Start the writeback of what this round wrote to the
+                    // file it ends in (a segment it left is fsynced), so
+                    // the fsync that later covers it waits for the tail.
+                    let from = if file_seg == start_seg { start_off } else { 0 };
+                    if written_off > from && start_writeback(&file, from, written_off - from) {
+                        self.writeback_starts.fetch_add(1, Ordering::Relaxed);
+                    }
                     Ok(None)
                 }
             })();
@@ -1305,6 +1376,12 @@ impl LogInner {
                         state.dir_dirty = dir_dirty_before || created_segment;
                     }
                     self.commit_cv.notify_all();
+                    // A sync is owed everything queued when it came in —
+                    // this round took it all — and no more: what producers
+                    // queued meanwhile is the writer thread's.
+                    if lead == Lead::Sync {
+                        break;
+                    }
                 }
                 Err(e) => {
                     self.rollback_failed_round(&mut state, runs, seq_hi, start_seg, start_off);
@@ -1318,6 +1395,10 @@ impl LogInner {
         if verdict.is_err() {
             self.poisoned.store(true, Ordering::Relaxed);
             self.stats.record_io_error();
+        } else if caller && self.durability != Durability::Always && self.backlog_due(&state) {
+            // Puts that arrived while this caller's round was in flight
+            // did not signal the writer thread; it takes them from here.
+            self.wake_writer(&mut state);
         }
         (state, verdict)
     }
@@ -1768,7 +1849,9 @@ impl LogInner {
     /// acquisition — each new chunk's record encoded once, straight from
     /// its payload into the run buffer the leader writes from — and
     /// acknowledged by **one** group-commit round: under `Always` the
-    /// batch pays a single fsync instead of one per chunk. Outcomes match
+    /// batch pays a single fsync instead of one per chunk. Under `Batch`
+    /// and `Os` a batch of at least [`WRITE_AHEAD_BYTES`] wakes the writer
+    /// thread to write it and start its writeback. Outcomes match
     /// mapping [`put`](Self::put), including within-batch duplicate cids
     /// (later occurrences deduplicate).
     fn put_many(&self, chunks: Vec<Chunk>) -> Vec<PutOutcome> {
@@ -1811,7 +1894,8 @@ impl LogInner {
                     pending.insert(chunk.cid(), chunk.clone());
                 }
             }
-            let mut remaining: usize = fresh.iter().map(|(_, c)| REC_OVERHEAD + c.len()).sum();
+            let queued: usize = fresh.iter().map(|(_, c)| REC_OVERHEAD + c.len()).sum();
+            let mut remaining = queued;
             let locs: Vec<Loc> = fresh
                 .iter()
                 .map(|(_, chunk)| {
@@ -1834,6 +1918,9 @@ impl LogInner {
                     self.stats.record_store(chunk.len() as u64);
                     out[i] = PutOutcome::Stored;
                 }
+            }
+            if queued >= WRITE_AHEAD_BYTES && self.durability != Durability::Always {
+                state.write_ahead = true;
             }
             let my_seq = state.seq_enqueued;
             self.settle_put(state, my_seq);

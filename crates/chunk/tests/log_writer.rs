@@ -12,6 +12,15 @@
 //! 3. **A snapshot written off the commit lock is never ahead of the
 //!    data** — crash images taken at random instants reopen to an index
 //!    whose every entry reads back, with only the tail replayed.
+//! 4. **Write-behind** — under `Batch` a `put_many` of 256 KiB or more is
+//!    the writer thread's to write, with no fsync and its writeback
+//!    started, and the `sync_root` behind it writes only the tail; under
+//!    `Always` nothing changes. A crash after that write and before the
+//!    root record reopens to the previous root, whatever part of the
+//!    written-ahead bytes reached the disk.
+//! 5. **A sync does not chase producers** — it returns once what was
+//!    queued when it came in is fsynced, with a producer putting in a
+//!    tight loop.
 
 use forkbase_chunk::{Chunk, ChunkStore, ChunkType, Durability, LogConfig, LogStore, PutOutcome};
 use forkbase_crypto::fx::FxHashSet;
@@ -494,4 +503,249 @@ fn a_snapshot_written_off_the_lock_is_never_ahead_of_the_data() {
         from_snapshot > IMAGES / 2,
         "only {from_snapshot} of {IMAGES} images held a periodic snapshot"
     );
+}
+
+/// Record framing: magic, length, type tag, trailing cid.
+const FRAME: u64 = 4 + 4 + 1 + 32;
+
+/// Record bytes `chunks` take in the log.
+fn record_bytes(chunks: &[Chunk]) -> u64 {
+    chunks.iter().map(|c| FRAME + c.len() as u64).sum()
+}
+
+/// Record bytes `sync_root(root)` appends for a chunk the store does not
+/// hold: the chunk, then the root record naming its cid.
+fn root_bytes(root: &Chunk) -> u64 {
+    FRAME + root.len() as u64 + FRAME + 32
+}
+
+/// A block's leaves: 64 chunks of 8 KiB, over the 256 KiB that make a
+/// `put_many` the writer thread's to write ahead.
+fn block_leaves(who: u32) -> Vec<Chunk> {
+    let leaves: Vec<Chunk> = (0..64).map(|i| chunk_of(who, i, 8 << 10)).collect();
+    assert!(record_bytes(&leaves) >= 256 << 10);
+    leaves
+}
+
+#[test]
+fn a_large_put_many_is_written_ahead_and_the_checkpoint_writes_the_tail() {
+    let quiet = Durability::Batch {
+        max_records: usize::MAX,
+        interval: HOUR,
+    };
+    let dir = temp_dir("ahead");
+    let store = LogStore::open_with(&dir, cfg(64 << 20), quiet).expect("open");
+    // Under 256 KiB: queued for the forced round, which writes it all.
+    let small: Vec<Chunk> = (0..8).map(|i| chunk_of(5, i, 4 << 10)).collect();
+    store.put_many(small.clone());
+    let root = Chunk::new(ChunkType::Checkpoint, &b"root 1"[..]);
+    let fsyncs = store.fsync_count();
+    store.sync_root(root.clone()).expect("sync_root");
+    assert_eq!(store.fsync_count() - fsyncs, 1);
+    assert_eq!(store.writer_bytes_written(), 0, "nothing written ahead");
+    assert_eq!(
+        store.caller_bytes_written(),
+        record_bytes(&small) + root_bytes(&root)
+    );
+
+    let leaves = block_leaves(6);
+    let (fsyncs, caller_bytes) = (store.fsync_count(), store.caller_bytes_written());
+    store.put_many(leaves.clone());
+    assert!(
+        wait_until(Duration::from_secs(5), || store.writer_bytes_written()
+            == record_bytes(&leaves)),
+        "the writer thread never wrote the leaves ({} bytes)",
+        store.writer_bytes_written()
+    );
+    assert_eq!(store.fsync_count(), fsyncs, "written, not fsynced");
+    assert_eq!(store.pending_unsynced(), 64);
+    assert_eq!(store.caller_rounds(), 1, "only the first sync_root's");
+    assert_eq!(
+        store.writeback_starts(),
+        cfg!(target_os = "linux") as u64,
+        "its writeback started where the platform can"
+    );
+
+    // The index above the leaves and the checkpoint: the forced round
+    // writes only these, and one fsync covers the leaves too.
+    let index: Vec<Chunk> = (0..3).map(|i| chunk_of(7, i, 2000)).collect();
+    store.put_many(index.clone());
+    let root = Chunk::new(ChunkType::Checkpoint, &b"root 2"[..]);
+    store.sync_root(root.clone()).expect("sync_root");
+    assert_eq!(store.fsync_count() - fsyncs, 1, "one fsync for the block");
+    assert_eq!(
+        store.caller_bytes_written() - caller_bytes,
+        record_bytes(&index) + root_bytes(&root),
+        "the checkpoint wrote the tail only"
+    );
+    assert_eq!(store.writer_bytes_written(), record_bytes(&leaves));
+    assert_eq!(store.pending_unsynced(), 0);
+    assert_eq!(store.caller_rounds(), 2);
+
+    std::mem::forget(store); // crash: no close-time snapshot
+    let store = LogStore::open_with(&dir, cfg(64 << 20), quiet).expect("reopen");
+    assert_eq!(store.root(), Some(root.cid()));
+    for chunk in small.iter().chain(&leaves).chain(&index) {
+        assert_eq!(store.get(&chunk.cid()).as_ref(), Some(chunk));
+    }
+    drop(store);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn under_always_a_large_put_many_is_its_callers_fsynced_round() {
+    let dir = temp_dir("ahead-always");
+    let store = LogStore::open_with(&dir, cfg(64 << 20), Durability::Always).expect("open");
+    let leaves = block_leaves(11);
+    let fsyncs = store.fsync_count();
+    store.put_many(leaves.clone());
+    assert_eq!(store.fsync_count() - fsyncs, 1);
+    assert_eq!(store.pending_unsynced(), 0);
+    assert_eq!(store.caller_rounds(), 1);
+    assert_eq!(store.caller_bytes_written(), record_bytes(&leaves));
+    assert_eq!(store.writer_bytes_written(), 0);
+    assert_eq!(store.writeback_starts(), 0);
+    drop(store);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Root A is durable; then a block's leaves are written ahead and a crash
+/// image is taken before the block's root record. On a real crash the
+/// disk may hold any part of the written-ahead bytes: the image is
+/// reopened cut at offsets across them and with a byte flipped among
+/// them. Each reopens to root A with every chunk it covers, and with each
+/// leaf either absent or intact — all of them up to the cut.
+#[test]
+fn a_crash_between_the_write_ahead_round_and_the_root_keeps_the_previous_root() {
+    let quiet = Durability::Batch {
+        max_records: usize::MAX,
+        interval: HOUR,
+    };
+    let dir = temp_dir("ahead-crash");
+    let store = LogStore::open_with(&dir, cfg(64 << 20), quiet).expect("open");
+    let covered: Vec<Chunk> = (0..20).map(|i| chunk_of(8, i, 3000)).collect();
+    store.put_many(covered.clone());
+    let root_a = Chunk::new(ChunkType::Checkpoint, &b"root A"[..]);
+    store.sync_root(root_a.clone()).expect("sync_root");
+    let synced = record_bytes(&covered) + root_bytes(&root_a);
+
+    let leaves = block_leaves(9);
+    store.put_many(leaves.clone());
+    assert!(wait_until(Duration::from_secs(5), || store
+        .writer_bytes_written()
+        == record_bytes(&leaves)));
+    let image = temp_dir("ahead-crash-image");
+    crash_image(&dir, &image);
+    // The block goes on after the crash instant: its index, its root.
+    store.put_many((0..3).map(|i| chunk_of(10, i, 2000)).collect());
+    store
+        .sync_root(Chunk::new(ChunkType::Checkpoint, &b"root B"[..]))
+        .expect("sync_root");
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let seg = "seg-000000.log";
+    let full = std::fs::metadata(image.join(seg)).expect("segment").len();
+    assert_eq!(full, synced + record_bytes(&leaves), "leaves, no root B");
+    let leaf_ends: Vec<u64> = leaves
+        .iter()
+        .scan(synced, |end, c| {
+            *end += FRAME + c.len() as u64;
+            Some(*end)
+        })
+        .collect();
+    let cuts = (synced..=full)
+        .step_by(4093)
+        .chain([synced + 1, full - 1, full]);
+    let damages = cuts
+        .map(|cut| (cut, None))
+        .chain([(full, Some(synced + 20_000)), (full, Some(full - 100))]);
+    for (cut, flip) in damages {
+        let scratch = temp_dir("ahead-crash-cut");
+        std::fs::create_dir_all(&scratch).expect("mkdir");
+        let mut bytes = std::fs::read(image.join(seg)).expect("read");
+        bytes.truncate(cut as usize);
+        if let Some(at) = flip {
+            bytes[at as usize] ^= 0x01;
+        }
+        std::fs::write(scratch.join(seg), bytes).expect("write");
+        let what = format!("cut at {cut} of {full}, flip at {flip:?}");
+        let store = LogStore::open_with(&scratch, cfg(64 << 20), quiet).expect("reopen");
+        assert_eq!(store.root(), Some(root_a.cid()), "{what}");
+        for chunk in covered.iter().chain([&root_a]) {
+            assert_eq!(store.get(&chunk.cid()).as_ref(), Some(chunk), "{what}");
+        }
+        let intact = flip.unwrap_or(cut);
+        for (leaf, end) in leaves.iter().zip(&leaf_ends) {
+            let got = store.get(&leaf.cid());
+            assert!(got.is_none() || got.as_ref() == Some(leaf), "{what}");
+            if *end <= intact {
+                assert!(got.is_some(), "{what}: a leaf before the damage");
+            }
+        }
+        assert!(!store.poisoned(), "{what}");
+        drop(store);
+        std::fs::remove_dir_all(scratch).ok();
+    }
+    std::fs::remove_dir_all(image).ok();
+}
+
+/// A producer puts in a tight loop, so the queue never empties; `sync`
+/// must still return after a round or two of its own. One that drained
+/// until the queue was empty would lead a round per refill — each one
+/// fsync, hundreds of them while the producer outruns the disk — and
+/// return only when the producer gives up, after 10 s or 200,000 puts.
+/// The writer thread's rounds while the sync waits are a few fsyncs more.
+/// Everything acknowledged before the call survives a crash right after.
+#[test]
+fn sync_returns_while_a_producer_keeps_putting() {
+    let dir = temp_dir("no-chase");
+    let store =
+        Arc::new(LogStore::open_with(&dir, cfg(64 << 20), Durability::default()).expect("open"));
+    let (stop, done) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let acked = Arc::new(AtomicU64::new(0));
+    let producer = {
+        let (store, stop, done, acked) = (store.clone(), stop.clone(), done.clone(), acked.clone());
+        std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut i = 0;
+            while !stop.load(Ordering::SeqCst) && i < 200_000 && Instant::now() < deadline {
+                store.put(chunk_of(12, i, 256));
+                i += 1;
+                acked.store(i as u64, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::SeqCst);
+        })
+    };
+    assert!(wait_until(Duration::from_secs(10), || acked
+        .load(Ordering::SeqCst)
+        >= 2000));
+    let (rounds, fsyncs) = (store.caller_rounds(), store.fsync_count());
+    let before = acked.load(Ordering::SeqCst) as u32;
+    store.sync().expect("sync");
+    let producing = !done.load(Ordering::SeqCst);
+    let led = store.caller_rounds() - rounds;
+    let fsyncs = store.fsync_count() - fsyncs;
+    stop.store(true, Ordering::SeqCst);
+    producer.join().expect("producer");
+    assert!(
+        producing,
+        "sync returned only once the producer had stopped"
+    );
+    assert!(led <= 2, "sync led {led} rounds");
+    assert!(fsyncs <= 8, "{fsyncs} fsyncs while sync ran");
+    assert!(!store.poisoned());
+
+    let store = Arc::into_inner(store).expect("producer joined");
+    std::mem::forget(store); // crash right after the sync
+    let store = LogStore::open_with(&dir, cfg(64 << 20), Durability::default()).expect("reopen");
+    for i in 0..before {
+        let chunk = chunk_of(12, i, 256);
+        assert_eq!(store.get(&chunk.cid()), Some(chunk), "put {i} of {before}");
+    }
+    drop(store);
+    std::fs::remove_dir_all(dir).ok();
 }

@@ -89,7 +89,7 @@ use bytes::Bytes;
 use forkbase_chunk::codec::varint_len;
 use forkbase_chunk::{Chunk, ChunkStore};
 use forkbase_crypto::chunker::LANE_SCAN_MIN;
-use forkbase_crypto::parallel::{self, Task, ASYNC_BATCH_BYTES};
+use forkbase_crypto::parallel::{self, Task, ASYNC_BATCH_BYTES, PARALLEL_THRESHOLD_BYTES};
 use forkbase_crypto::{ChunkerConfig, Digest, LeafChunker};
 use std::ops::Range;
 
@@ -524,8 +524,8 @@ impl<'s> LeafBuilder<'s> {
 
     /// Flush the pending leaf (if any), hash every leaf not handed to the
     /// pool yet, and return the leaf entry list together with the leaf
-    /// chunks, **not yet stored**: `build_index_levels` appends the index
-    /// chunks and hands the store the whole tree as one batch; the caller
+    /// chunks, **not yet stored**: `build_index_levels` hands them to the
+    /// store with the index chunks; the caller
     /// then [stops](PhaseClock::stop) the returned clock. The
     /// remaining cids are computed as one batch straight over the payload
     /// ropes ([`Chunk::new_batch_ropes`], parallel on multi-core hosts)
@@ -650,11 +650,14 @@ pub(crate) struct Patch {
 /// paths to the patches. `None` when a chunk of the old tree is missing
 /// or corrupt.
 ///
-/// `fresh` holds the leaf chunks of the patches, not in the store yet;
-/// the new index chunks are appended and the store gets everything as
-/// **one** [`ChunkStore::put_many`] — one commit-lock acquisition on a
-/// `LogStore`, one request per owning node on a cluster, however many
-/// leaves and levels the build produced.
+/// `fresh` holds the leaf chunks of the patches, not in the store yet.
+/// When they total at least [`PARALLEL_THRESHOLD_BYTES`] they go to the
+/// store in a [`ChunkStore::put_many`] of their own before any index
+/// level is built, so a `LogStore` can write them while the levels are
+/// grouped and hashed; the index chunks follow in a second one. A smaller
+/// build hands its leaves and index chunks over as one batch: one
+/// commit-lock acquisition on a `LogStore`, one request per owning node
+/// on a cluster.
 pub(crate) fn build_index_levels(
     store: &dyn ChunkStore,
     cfg: &ChunkerConfig,
@@ -664,6 +667,10 @@ pub(crate) fn build_index_levels(
     mut fresh: Vec<Chunk>,
 ) -> Option<Digest> {
     debug_assert!(!patches.is_empty());
+    if fresh.iter().map(Chunk::len).sum::<usize>() >= PARALLEL_THRESHOLD_BYTES {
+        metrics::stored(&fresh);
+        store.put_many(std::mem::take(&mut fresh));
+    }
     // `patches` describe level `level`; build upwards until a level has
     // one entry — the root, exactly where a from-scratch build stops.
     let mut level = 0u64;
@@ -1036,6 +1043,92 @@ mod tests {
         // Every leaf once, then the index node over them.
         assert!(crypto.sha256_bytes > data.len() as u64, "{crypto:?}");
         assert!(pos.blob_scan_ns > 0 && pos.blob_hash_ns > 0 && pos.blob_store_ns > 0);
+    }
+
+    /// A `MemStore` that records, per `put_many`, how many leaf and
+    /// index chunks the batch held.
+    #[derive(Default)]
+    struct Batches {
+        inner: MemStore,
+        seen: std::sync::Mutex<Vec<(usize, usize)>>,
+    }
+
+    impl Batches {
+        fn take(&self) -> Vec<(usize, usize)> {
+            std::mem::take(&mut self.seen.lock().expect("batches"))
+        }
+    }
+
+    impl ChunkStore for Batches {
+        fn get(&self, cid: &Digest) -> Option<Chunk> {
+            self.inner.get(cid)
+        }
+
+        fn put(&self, chunk: Chunk) -> forkbase_chunk::PutOutcome {
+            self.inner.put(chunk)
+        }
+
+        fn put_many(&self, chunks: Vec<Chunk>) -> Vec<forkbase_chunk::PutOutcome> {
+            let index = chunks.iter().filter(|c| c.ty().is_index()).count();
+            let mut seen = self.seen.lock().expect("batches");
+            seen.push((chunks.len() - index, index));
+            self.inner.put_many(chunks)
+        }
+
+        fn contains(&self, cid: &Digest) -> bool {
+            self.inner.contains(cid)
+        }
+
+        fn stats(&self) -> forkbase_chunk::StoreStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_large_build_stores_its_leaves_before_its_index() {
+        let store = Batches::default();
+        let cfg = ChunkerConfig::default();
+        let small = pseudo_random(PARALLEL_THRESHOLD_BYTES - 8192, 11);
+        build_blob(&store, &cfg, &small);
+        let batches = store.take();
+        assert_eq!(batches.len(), 1, "under the threshold: {batches:?}");
+        assert!(batches[0].0 > 1 && batches[0].1 > 0, "{batches:?}");
+
+        let large = pseudo_random(2 * PARALLEL_THRESHOLD_BYTES, 12);
+        build_blob(&store, &cfg, &large);
+        let batches = store.take();
+        assert_eq!(batches.len(), 2, "leaves, then index: {batches:?}");
+        assert!(batches[0].0 > 1 && batches[0].1 == 0, "{batches:?}");
+        assert!(batches[1].0 == 0 && batches[1].1 > 0, "{batches:?}");
+    }
+
+    #[test]
+    fn a_splice_stores_its_leaves_before_its_index_only_when_they_are_large() {
+        let store = Batches::default();
+        let cfg = ChunkerConfig::default();
+        let key = |i: u32| format!("acct{i:08}");
+        let map = crate::Map::build(
+            &store,
+            &cfg,
+            (0..50_000u32).map(|i| (key(i), Bytes::from(vec![i as u8; 100]))),
+        );
+        store.take();
+        // Four scattered edits: four leaves, far under the threshold.
+        let edits = |n: u32, v: u8| {
+            (0..n)
+                .map(|t| (key(t * 49_999 / n), Some(Bytes::from(vec![v; 100]))))
+                .collect::<Vec<_>>()
+        };
+        let map = map.update(&store, &cfg, edits(4, 1)).expect("update");
+        let batches = store.take();
+        assert_eq!(batches.len(), 1, "{batches:?}");
+        assert!(batches[0].0 >= 4 && batches[0].1 > 0, "{batches:?}");
+        // A block's worth: 64 scattered leaves, well over it.
+        map.update(&store, &cfg, edits(64, 2)).expect("update");
+        let batches = store.take();
+        assert_eq!(batches.len(), 2, "{batches:?}");
+        assert!(batches[0].0 >= 64 && batches[0].1 == 0, "{batches:?}");
+        assert!(batches[1].0 == 0 && batches[1].1 > 0, "{batches:?}");
     }
 
     #[test]

@@ -194,8 +194,8 @@ fn append_puts(lb: &mut LeafBuilder, edits: &[Edit]) {
 
 /// Hash the splice's fresh leaves, patch them over the old tree under
 /// `cur` — one [`Patch`] per region, the last one taking the leaf the
-/// builder still had pending — and hand the store everything new as one
-/// batch.
+/// builder still had pending — and hand the store everything new
+/// (`build_index_levels` says in how many batches).
 fn finish_splice(
     lb: LeafBuilder,
     store: &dyn ChunkStore,
