@@ -525,9 +525,9 @@ impl<'s> LeafBuilder<'s> {
     /// Flush the pending leaf (if any), hash every leaf not handed to the
     /// pool yet, and return the leaf entry list together with the leaf
     /// chunks, **not yet stored**: `build_index_levels` hands them to the
-    /// store with the index chunks; the caller
-    /// then [stops](PhaseClock::stop) the returned clock. The
-    /// remaining cids are computed as one batch straight over the payload
+    /// store with the index chunks; the caller then
+    /// [stops](PhaseClock::stop) the returned clock. The remaining cids
+    /// are computed as one batch straight over the payload
     /// ropes ([`Chunk::new_batch_ropes`], parallel on multi-core hosts)
     /// while the pool finishes the batches it was handed (module docs);
     /// single-span leaves are never re-materialized.
