@@ -7,7 +7,7 @@
 //!   synchronous `commit_map_batch` (encode + hash + store round trip).
 //!   This is the cached-tree path the repo has benched since PR 5, now
 //!   at the engine surface.
-//! * `hot` — tier on: reads are flat-HAMT hits, updates land in the
+//! * `hot` — tier on: reads are flat hash-map hits, updates land in the
 //!   tier and drain through the background publisher's group commits.
 //!
 //! Both variants run over a durable `LogStore` in a temp dir with the

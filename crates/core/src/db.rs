@@ -869,14 +869,6 @@ impl ForkBase {
     pub fn hot_stats(&self) -> Option<HotTierStats> {
         self.hot.as_ref().map(|h| h.stats())
     }
-
-    /// An O(1) snapshot of `key`'s hot-tier state (subkey → value,
-    /// `None` = tombstone), or `None` when the tier is off or the key
-    /// has no hot entries. The snapshot is immutable and fully isolated
-    /// from later writes.
-    pub fn hot_snapshot(&self, key: impl Into<Bytes>) -> Option<forkbase_pos::Hamt<Option<Bytes>>> {
-        self.hot.as_ref().and_then(|h| h.snapshot(&key.into()))
-    }
 }
 
 #[cfg(test)]

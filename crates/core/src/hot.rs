@@ -5,11 +5,9 @@
 //! structure to an asynchronously maintained authentication sidecar.
 //! This module is that split for ForkBase:
 //!
-//! * **Hot state** — per engine key, a persistent
-//!   [`Hamt`] from subkey to latest value
-//!   (`None` = tombstone). Point reads and writes are pure in-memory
-//!   hash operations: no chunk fetch, no tree traversal, no hashing of
-//!   content. `Clone` of a key's trie is an O(1) isolated snapshot.
+//! * **Hot state** — per engine key, a hash map from subkey to latest
+//!   value (`None` = tombstone). Point reads and writes are one table
+//!   probe: no chunk fetch, no tree traversal, no hashing of content.
 //! * **Pending queue** — every hot write is also enqueued (bounded, with
 //!   backpressure once the queue holds `8 × publish_batch` edits).
 //! * **Publisher** — a background thread group-publishes the queue into
@@ -35,7 +33,6 @@ use crate::db::Engine;
 use crate::error::{FbError, Result};
 use bytes::Bytes;
 use forkbase_crypto::fx::FxHashMap;
-use forkbase_pos::Hamt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -102,7 +99,7 @@ pub struct HotTierStats {
     pub pending: u64,
 }
 
-type HotMap = Hamt<Option<Bytes>>;
+type HotMap = FxHashMap<Bytes, Option<Bytes>>;
 
 /// Pending (unpublished) edits, guarded by one mutex with two condvars:
 /// `work` wakes the publisher, `room` wakes writers blocked on
@@ -125,7 +122,7 @@ struct Pending {
 struct Shared {
     engine: Arc<Engine>,
     cfg: HotTierConfig,
-    /// key → its latest-state trie. Slots are never removed by readers;
+    /// key → its latest-state map. Slots are never removed by readers;
     /// tree writes invalidate by removing the whole slot.
     state: RwLock<FxHashMap<Bytes, Arc<RwLock<HotMap>>>>,
     pending: Mutex<Pending>,
@@ -295,21 +292,15 @@ impl HotTier {
         self.shared.engine.map_get_latest(key, subkey)
     }
 
-    /// Apply a batch of edits to the flat index and enqueue them for
-    /// publication. Visible to [`get`](Self::get) immediately; blocks
-    /// only when the pending queue is at capacity.
+    /// Enqueue a batch of edits for publication and apply it to the flat
+    /// index. Visible to [`get`](Self::get) once this returns `Ok`;
+    /// blocks only when the pending queue is at capacity. A write the
+    /// queue refuses (poisoned tier) never reaches the flat index.
     pub(crate) fn put_many(&self, key: &Bytes, entries: Vec<(Bytes, Option<Bytes>)>) -> Result<()> {
         if entries.is_empty() {
             return Ok(());
         }
         let n = entries.len();
-        {
-            let slot = self.shared.slot(key);
-            let mut map = slot.write().expect("slot lock");
-            for (sk, v) in &entries {
-                map.insert(sk.clone(), v.clone());
-            }
-        }
         let cap = self.shared.queue_cap();
         let mut p = self.shared.pending.lock().expect("pending lock");
         if let Some(msg) = &p.poisoned {
@@ -320,6 +311,13 @@ impl HotTier {
             p = self.shared.room.wait(p).expect("pending lock");
             if let Some(msg) = &p.poisoned {
                 return Err(Shared::poison_err(msg));
+            }
+        }
+        {
+            let slot = self.shared.slot(key);
+            let mut map = slot.write().expect("slot lock");
+            for (sk, v) in &entries {
+                map.insert(sk.clone(), v.clone());
             }
         }
         p.edits.entry(key.clone()).or_default().extend(entries);
@@ -408,19 +406,6 @@ impl HotTier {
             publish_rounds: self.shared.publish_rounds.load(Ordering::Relaxed),
             pending,
         }
-    }
-
-    /// O(1) snapshot of one key's flat state.
-    pub(crate) fn snapshot(&self, key: &Bytes) -> Option<HotMap> {
-        let slot = self
-            .shared
-            .state
-            .read()
-            .expect("state lock")
-            .get(key)
-            .cloned()?;
-        let snap = slot.read().expect("slot lock").clone();
-        Some(snap)
     }
 }
 
@@ -735,16 +720,26 @@ mod tests {
         }
     }
 
+    /// A write the tier refuses must not be served. A String head makes
+    /// the publisher's map edits fail and poison the tier, so a later
+    /// `hot_put` to the key returns `Err`; reading its subkey must then
+    /// fail as it does with the tier off, not return the refused value.
     #[test]
-    fn snapshot_is_isolated_from_later_writes() {
-        let db = hot_db(1024, 1000);
-        db.hot_put("k", "a", "1").unwrap();
-        let snap = db.hot_snapshot("k").unwrap();
-        db.hot_put("k", "a", "2").unwrap();
-        db.hot_put("k", "b", "3").unwrap();
-        assert_eq!(snap.get(b"a"), Some(&Some(b("1"))));
-        assert_eq!(snap.get(b"b"), None);
-        assert_eq!(db.hot_get("k", b"a").unwrap(), Some(b("2")));
+    fn a_hot_write_that_fails_is_never_read() {
+        for enabled in [false, true] {
+            let db = ForkBase::in_memory_hot(HotTierConfig {
+                enabled,
+                publish_batch: 1 << 20,
+                publish_interval: Duration::from_secs(3600),
+            });
+            db.put("k", None, Value::String("s".into())).unwrap();
+            if enabled {
+                db.hot_put("k", "a", "1").unwrap();
+                assert!(db.flush_hot().is_err());
+            }
+            assert!(db.hot_put("k", "b", "2").is_err(), "enabled: {enabled}");
+            assert!(db.hot_get("k", b"b").is_err(), "enabled: {enabled}");
+        }
     }
 
     #[test]

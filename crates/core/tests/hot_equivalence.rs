@@ -2,7 +2,7 @@
 //! must be observationally identical to the synchronous tree-only path.
 //!
 //! Two `ForkBase` handles run the same randomized op schedule — one with
-//! the tier on (writes land in the flat HAMT and are published
+//! the tier on (writes land in the flat hash map and are published
 //! asynchronously), one with it off (every hot op degrades to a
 //! synchronous `commit_map_batch`/map read). The schedule mixes hot
 //! writes with everything else the handle can do to a state key: tree

@@ -48,7 +48,6 @@ pub mod builder;
 pub mod diff;
 pub mod entry;
 pub mod error;
-pub mod hamt;
 pub mod iter;
 pub mod leaf;
 pub mod merge;
@@ -62,7 +61,6 @@ pub use batch::WriteBatch;
 pub use diff::{blob_diff_summary, sorted_diff, DiffEntry, RangeDiff};
 pub use entry::{EntryRef, IndexEntry, IndexNode};
 pub use error::{TreeError, TreeResult};
-pub use hamt::Hamt;
 pub use iter::ItemIter;
 pub use leaf::Item;
 pub use merge::{
