@@ -295,7 +295,9 @@ impl HotTier {
     /// Enqueue a batch of edits for publication and apply it to the flat
     /// index. Visible to [`get`](Self::get) once this returns `Ok`;
     /// blocks only when the pending queue is at capacity. A write the
-    /// queue refuses (poisoned tier) never reaches the flat index.
+    /// queue refuses (poisoned tier) never reaches the flat index. Both
+    /// are written under the pending lock, so concurrent writers of one
+    /// subkey land in the flat index and the queue in the same order.
     pub(crate) fn put_many(&self, key: &Bytes, entries: Vec<(Bytes, Option<Bytes>)>) -> Result<()> {
         if entries.is_empty() {
             return Ok(());
