@@ -13,12 +13,22 @@ use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// Branch heads of a single key.
+///
+/// Beside the two tables it keeps one hint: the uid and depth of the
+/// last version this process published for the key, so that a value
+/// committed on top of it needs no read of its parent (§4.5.1: a uid
+/// hashes the depth, so the pair is a content-addressed fact). The hint
+/// lives in memory only: it is never persisted and is not part of a
+/// [`BranchSnapshot`](crate::checkpoint::BranchSnapshot), so a table
+/// loaded from a checkpoint starts without one.
 #[derive(Clone, Debug, Default)]
 pub struct BranchTable {
     /// TB-table: branch name → head uid.
     tagged: FxHashMap<String, Digest>,
     /// UB-table: heads of untagged branches (derivation-graph leaves).
     untagged: FxHashSet<Digest>,
+    /// (uid, depth) of the last version published here.
+    published: Option<(Digest, u64)>,
 }
 
 impl BranchTable {
@@ -97,6 +107,20 @@ impl BranchTable {
             self.untagged.remove(base);
         }
         self.untagged.insert(uid);
+    }
+
+    /// Remember `uid` at `depth` as the last version published here.
+    pub fn note_published(&mut self, uid: Digest, depth: u64) {
+        self.published = Some((uid, depth));
+    }
+
+    /// The depth of `parent` if it is the last version published here
+    /// and still a head of the table, tagged or untagged. A head is never
+    /// collected, so a commit onto it may skip reading it back.
+    pub fn published_depth(&self, parent: Digest) -> Option<u64> {
+        let (uid, depth) = self.published?;
+        let is_head = || self.untagged.contains(&uid) || self.tagged.values().any(|h| *h == uid);
+        (uid == parent && is_head()).then_some(depth)
     }
 
     /// True when the key has no conflicting untagged heads (§3.3.2: M10

@@ -12,18 +12,26 @@
 //!    parent (branch exists, guard holds, parent belongs to the key),
 //!    resolve the payload (a value as is, edits spliced onto the parent
 //!    map, a three-way merge with the reference) and build the meta
-//!    chunk. The whole batch is encoded before the first head moves, so
-//!    a commit that cannot succeed fails the batch untouched.
+//!    chunk. A value needs only its parent's uid and depth. The depth
+//!    comes from the batch for a parent made earlier in it, and from the
+//!    key's branch table for the version this process published there
+//!    last ([`BranchTable::published_depth`](crate::branch::BranchTable::published_depth)):
+//!    such a commit reads nothing, the uid having settled the key and
+//!    the depth. Any other parent is read off the store and checked.
+//!    The whole batch is encoded before the first head moves, so a
+//!    commit that cannot succeed fails the batch untouched.
 //! 3. **store** — one [`ChunkStore::put_many`](forkbase_chunk::ChunkStore::put_many)
 //!    for the batch's meta chunks: one group-commit round on a durable
 //!    store, however many commits.
 //! 4. **publish** — per chain, under its key's slot lock: untagged
 //!    commits are recorded in the UB-table; a tagged chain advances its
-//!    branch only if the head still is the one staged. A chain that lost
-//!    that race goes round again from step 2 with the observed head as
-//!    its parent, and the payload decides what that means: a guarded
-//!    commit fails, a value is re-linked, map edits are merged onto the
-//!    new head, a merge is redone against it.
+//!    branch only if the head still is the one staged. The table then
+//!    remembers the chain's last uid and depth. A chain that lost that
+//!    race goes round again from step 2 with the observed head as its
+//!    parent (and that head's depth, if the table knows it), and the
+//!    payload decides what that means: a guarded commit fails, a value
+//!    is re-linked, map edits are merged onto the new head, a merge is
+//!    redone against it.
 //!
 //! Heads of different keys are published independently — a reader racing
 //! a batch may see some keys advanced and others not yet; per key the
@@ -131,6 +139,9 @@ struct Plan {
     /// …the stored version it derives from: the head staged, the base
     /// named, or after a lost race the head observed.
     head: Option<Digest>,
+    /// `head`'s depth where the branch table knew it
+    /// ([`BranchTable::published_depth`](crate::branch::BranchTable::published_depth)).
+    head_depth: Option<u64>,
     /// The next commit of the same chain.
     next: Option<usize>,
     uid: Digest,
@@ -183,7 +194,7 @@ impl Engine {
         // has nothing to chain to and never touches the map.
         let mut tips: FxHashMap<(&[u8], &str), usize> = FxHashMap::default();
         for (i, commit) in commits.iter().enumerate() {
-            let (mut slot, mut prev, mut head) = (None, None, None);
+            let (mut slot, mut prev, mut head, mut head_depth) = (None, None, None, None);
             match commit.target {
                 Target::Branch(branch) => {
                     if commits.len() > 1 {
@@ -191,10 +202,20 @@ impl Engine {
                     }
                     if prev.is_none() {
                         slot = self.branches.get(&commit.key);
-                        head = slot.as_ref().and_then(|slot| slot.read().head(branch));
+                        if let Some(slot) = &slot {
+                            let table = slot.read();
+                            head = table.head(branch);
+                            head_depth = head.and_then(|uid| table.published_depth(uid));
+                        }
                     }
                 }
-                Target::Untagged { base } => head = base,
+                Target::Untagged { base } => {
+                    head = base;
+                    if let Some(base) = base {
+                        slot = self.branches.get(&commit.key);
+                        head_depth = slot.as_ref().and_then(|s| s.read().published_depth(base));
+                    }
+                }
                 Target::Chained => {
                     prev = i.checked_sub(1).filter(|&j| {
                         !matches!(commits[j].target, Target::Branch(_))
@@ -212,6 +233,7 @@ impl Engine {
                 slot,
                 prev,
                 head,
+                head_depth,
                 next: None,
                 uid: Digest::ZERO,
                 depth: 0,
@@ -239,6 +261,7 @@ impl Engine {
             Some(j) => (Some(plans[j].uid), Some(plans[j].depth)),
             None => (plans[i].head, None),
         };
+        let known_depth = batch_depth.or(plans[i].head_depth);
         // Only the default branch can start here, and only unguarded; a
         // merge without a parent words it as `head` does, below.
         let is_merge = matches!(commit.payload, Payload::Merge { .. });
@@ -253,20 +276,22 @@ impl Engine {
             }
         }
 
-        // A value needs only its parent's uid and depth. Edits and
-        // merges read the parent version off the store, so one made
-        // earlier in this batch has to reach the store first.
+        // A value needs only its parent's uid and depth, and the depth is
+        // known for a parent made earlier in this batch or published last
+        // by this process. Edits and merges read the parent version off
+        // the store, so one made earlier in this batch has to reach the
+        // store first.
         let reads_parent = !matches!(commit.payload, Payload::Value(_));
         if reads_parent && batch_depth.is_some() {
             self.store.put_many(std::mem::take(chunks));
         }
         let parent_obj = match parent {
-            Some(uid) if reads_parent || batch_depth.is_none() => {
+            Some(uid) if reads_parent || known_depth.is_none() => {
                 Some(self.version(&commit.key, uid)?)
             }
             _ => None,
         };
-        let parent_depth = batch_depth.or(parent_obj.as_ref().map(|obj| obj.depth));
+        let parent_depth = known_depth.or(parent_obj.as_ref().map(|obj| obj.depth));
         let mut depth = parent_depth.map_or(0, |depth| depth + 1);
         let mut bases: Vec<Digest> = parent.into_iter().collect();
 
@@ -340,6 +365,7 @@ impl Engine {
             let observed = table.head(branch);
             if observed != plans[first].head {
                 plans[first].head = observed;
+                plans[first].head_depth = observed.and_then(|uid| table.published_depth(uid));
                 return false;
             }
         }
@@ -356,6 +382,7 @@ impl Engine {
         if let Target::Branch(branch) = commit.target {
             table.set_head(branch, plans[tip].uid);
         }
+        table.note_published(plans[tip].uid, plans[tip].depth);
         true
     }
 

@@ -14,8 +14,8 @@
 //!
 //! CI runs this with `RUST_TEST_THREADS=8` so the writer threads really
 //! overlap on multi-core runners, once per `FB_HOT_TIER` leg: with `1`
-//! the merge races run behind the hot tier, so the pipeline's hot sync
-//! is in the race too.
+//! the merge races and the two-branch put race run behind the hot tier,
+//! so the pipeline's hot sync is in the race too.
 
 use bytes::Bytes;
 use forkbase_core::{
@@ -29,6 +29,14 @@ use std::thread;
 
 const WRITERS: usize = 8;
 const ROUNDS: usize = 25;
+
+/// The hot tier of this CI leg: on for `FB_HOT_TIER=1`.
+fn hot_tier() -> HotTierConfig {
+    match std::env::var("FB_HOT_TIER").as_deref() {
+        Ok("1") => HotTierConfig::on(),
+        _ => HotTierConfig::disabled(),
+    }
+}
 
 /// Disjoint-key writers: every thread owns its own key, so no CAS ever
 /// fails and the final heads must be bit-identical to a sequential run
@@ -111,6 +119,53 @@ fn overlapping_writers_lose_no_updates() {
         "depth counts every commit: zero lost updates"
     );
     assert_eq!(db.list_untagged_branches("hot").expect("list").len(), 1);
+}
+
+/// Writers racing on one key across two branches: a commit stages the
+/// head with the depth its branch table remembers, and one that loses
+/// the CAS re-encodes from the head it observed, which another thread
+/// published and which may be the other branch's. Every branch head's
+/// depth must still count every version on it, and its whole history
+/// must verify.
+#[test]
+fn racing_puts_re_encode_from_the_observed_head() {
+    let db = Arc::new(ForkBase::in_memory_hot(hot_tier()));
+    db.put("race", None, Value::Int(-1)).expect("genesis");
+    db.fork("race", "master", "dev").expect("fork");
+    let start = Arc::new(Barrier::new(WRITERS));
+    let handles: Vec<_> = (0..WRITERS)
+        .map(|t| {
+            let (db, start) = (Arc::clone(&db), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS {
+                    let branch = if i % 2 == 0 { "master" } else { "dev" };
+                    let value = Value::Int((t * ROUNDS + i) as i64);
+                    db.put("race", Some(branch), value).expect("put");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("writer ok");
+    }
+    let on_master = WRITERS * ROUNDS.div_ceil(2);
+    let on_dev = WRITERS * (ROUNDS / 2);
+    for (branch, puts) in [("master", on_master), ("dev", on_dev)] {
+        let head = db.get("race", Some(branch)).expect("get");
+        // The genesis version plus every put: depth is versions - 1.
+        assert_eq!(
+            head.depth as usize, puts,
+            "{branch} lost or skipped a depth"
+        );
+        let uid = db.head("race", Some(branch)).expect("head");
+        let evidence = verify_history(db.store(), uid).expect("history verifies");
+        assert_eq!(
+            evidence.verified_versions,
+            puts + 1,
+            "{branch}: one version per put"
+        );
+    }
 }
 
 /// Racing `commit_map_batch` calls over disjoint subkey sets: the
@@ -210,11 +265,7 @@ fn one_edit(subkey: String) -> WriteBatch {
 /// between would leave that commit acknowledged and unreachable. Returns
 /// the engine for checks on what the writes stored.
 fn race_merges_against(write: impl Fn(&ForkBase, usize) -> Digest + Sync) -> ForkBase {
-    let hot = match std::env::var("FB_HOT_TIER").as_deref() {
-        Ok("1") => HotTierConfig::on(),
-        _ => HotTierConfig::disabled(),
-    };
-    let db = ForkBase::in_memory_hot(hot);
+    let db = ForkBase::in_memory_hot(hot_tier());
     db.put("k", None, Value::Map(db.new_map([("genesis", "0")])))
         .expect("put");
     db.fork("k", "master", "dev").expect("fork");
