@@ -66,7 +66,9 @@
 
 use bytes::Bytes;
 use forkbase_chunk::{CacheConfig, Durability};
-use forkbase_core::{gc, FbError, ForkBase, GcReport, HotTierConfig, Result, Value};
+use forkbase_core::{
+    gc, Commit, FbError, ForkBase, GcReport, HotTierConfig, Payload, Result, Target, Value,
+};
 use forkbase_crypto::{ChunkerConfig, Digest};
 use std::path::Path;
 
@@ -126,8 +128,7 @@ pub struct PruneReport {
     /// Tips retired from the UB-table.
     pub tips_retired: usize,
     /// The compaction report when the instance is durable (`None` for
-    /// in-memory instances, whose unreachable chunks are reclaimed by a
-    /// caller-driven [`gc::compact_into`] instead).
+    /// in-memory instances, which only retire tips).
     pub gc: Option<GcReport>,
 }
 
@@ -191,26 +192,39 @@ impl ChainStore {
         meta: impl Into<Bytes>,
     ) -> Result<BlockId> {
         let blob = self.db.new_blob(body);
-        self.db
-            .put_conflict_with_context(BLOCKS_KEY, parent, Value::Blob(blob), meta)
+        self.db.commit(Commit {
+            context: meta.into(),
+            ..Commit::untagged(BLOCKS_KEY, parent, Payload::Value(Value::Blob(blob)))
+        })
     }
 
     /// Append a run of blocks as one parent-linked chain — block *i+1*'s
     /// parent is block *i*, the first links to `parent`. The whole
-    /// batch's meta chunks land with a single group-commit round
-    /// ([`ForkBase::append_chain`]),
-    /// so bulk sync pays one fsync wait per batch instead of per block.
-    /// Returns ids in block order.
+    /// batch is one [`ForkBase::commit_all`] (a [`Target::Untagged`]
+    /// commit, then [`Target::Chained`] ones), so its meta chunks land
+    /// with a single group-commit round and bulk sync pays one fsync
+    /// wait per batch instead of per block. Only the last block
+    /// surfaces as a new tip. Returns ids in block order.
     pub fn append_batch(
         &self,
         parent: Option<BlockId>,
         blocks: impl IntoIterator<Item = (Vec<u8>, Bytes)>,
     ) -> Result<Vec<BlockId>> {
-        let items: Vec<(Value, Bytes)> = blocks
+        let key = Bytes::from(BLOCKS_KEY);
+        let mut target = Target::Untagged { base: parent };
+        let commits: Vec<Commit<'_>> = blocks
             .into_iter()
-            .map(|(body, meta)| (Value::Blob(self.db.new_blob_bytes(body)), meta))
+            .map(|(body, meta)| Commit {
+                target: std::mem::replace(&mut target, Target::Chained),
+                context: meta,
+                ..Commit::untagged(
+                    key.clone(),
+                    None,
+                    Payload::Value(Value::Blob(self.db.new_blob_bytes(body))),
+                )
+            })
             .collect();
-        self.db.append_chain(BLOCKS_KEY, parent, items)
+        self.db.commit_all(&commits)
     }
 
     // ---- Read ------------------------------------------------------------
@@ -374,8 +388,7 @@ impl ChainStore {
     /// (checkpoint → live walk → segment rewrite): quiesce concurrent
     /// writers first, exactly as for
     /// [`gc::compact_in_place`]. In-memory instances only retire tips
-    /// (`gc: None`); reclaim by copying into a fresh store with
-    /// [`gc::compact_into`] if needed.
+    /// (`gc: None`).
     pub fn prune_side_chains(&self, retain: &[BlockId]) -> Result<PruneReport> {
         let doomed: Vec<BlockId> = self
             .tips()
@@ -564,6 +577,61 @@ mod tests {
                 Some(Bytes::from("100"))
             );
         }
+    }
+
+    /// `state_put_many` + `flush_state` on a durable instance, then drop
+    /// and reopen: every value reads back. With the tier on the reopened
+    /// tier is cold, so each read falls through to the committed map.
+    fn state_survives_reopen(hot: HotTierConfig) {
+        let dir = std::env::temp_dir().join(format!(
+            "chainstore-state-{}-{}-{}",
+            hot.enabled,
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .subsec_nanos()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = ChainConfig {
+            hot,
+            ..ChainConfig::default()
+        };
+        let mut expect: Vec<(Bytes, Option<Bytes>)> = (0..64)
+            .map(|i| {
+                let value = Bytes::from((i * 10).to_string());
+                (Bytes::from(format!("balance/{i:03}")), Some(value))
+            })
+            .collect();
+        {
+            let chain = ChainStore::open_with(&dir, cfg.clone()).expect("open");
+            chain.state_put_many(expect.clone()).expect("put");
+            expect[7].1 = Some(Bytes::from("spent"));
+            expect[9].1 = None;
+            chain
+                .state_put_many([expect[7].clone(), expect[9].clone()])
+                .expect("overwrite and delete");
+            chain.flush_state().expect("flush");
+        }
+        let chain = ChainStore::open_with(&dir, cfg).expect("reopen");
+        for (subkey, value) in &expect {
+            assert_eq!(&chain.state_get(subkey).expect("get"), value, "{subkey:?}");
+        }
+        if let Some(stats) = chain.db().hot_stats() {
+            assert_eq!((stats.hits, stats.misses), (0, expect.len() as u64));
+        }
+        drop(chain);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn flushed_state_survives_reopen_with_the_tier_on() {
+        state_survives_reopen(HotTierConfig::on());
+    }
+
+    #[test]
+    fn flushed_state_survives_reopen_with_the_tier_off() {
+        state_survives_reopen(HotTierConfig::disabled());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! | Group | Methods |
 //! |-------|---------|
 //! | Get   | [`get`](ForkBase::get) (M1), [`get_version`](ForkBase::get_version) (M2) |
-//! | Put   | [`put`](ForkBase::put) (M3), [`put_guarded`](ForkBase::put_guarded), [`put_conflict`](ForkBase::put_conflict) (M4) |
+//! | Put   | [`put`](ForkBase::put) (M3), [`put_conflict`](ForkBase::put_conflict) (M4), [`commit`](ForkBase::commit)`(Commit { guard, .. })` (guarded put, §4.5.1) |
 //! | Merge | [`merge_branches`](ForkBase::merge_branches) (M5), [`merge_with_version`](ForkBase::merge_with_version) (M6), [`merge_versions`](ForkBase::merge_versions) (M7) |
 //! | View  | [`list_keys`](ForkBase::list_keys) (M8), [`list_tagged_branches`](ForkBase::list_tagged_branches) (M9), [`list_untagged_branches`](ForkBase::list_untagged_branches) (M10) |
 //! | Fork  | [`fork`](ForkBase::fork) (M11), [`fork_version`](ForkBase::fork_version) (M12), [`rename_branch`](ForkBase::rename_branch) (M13), [`remove_branch`](ForkBase::remove_branch) (M14) |
@@ -442,21 +442,6 @@ impl ForkBase {
         self.commit(Commit::branch(key, branch, Payload::MapEdits(batch)))
     }
 
-    /// Guarded put (§4.5.1): succeeds only if the branch head still equals
-    /// `guard`, protecting against lost updates.
-    pub fn put_guarded(
-        &self,
-        key: impl Into<Bytes>,
-        branch: Option<&str>,
-        value: Value,
-        guard: Digest,
-    ) -> Result<Digest> {
-        self.commit(Commit {
-            guard: Some(guard),
-            ..Commit::branch(key, branch, Payload::Value(value))
-        })
-    }
-
     /// M4: fork-on-conflict put — derive a new untagged version from
     /// `base` (or start a fresh untagged lineage with `None`). Concurrent
     /// puts against the same base create conflicting heads, visible via
@@ -468,70 +453,6 @@ impl ForkBase {
         value: Value,
     ) -> Result<Digest> {
         self.commit(Commit::untagged(key, base, Payload::Value(value)))
-    }
-
-    /// M4 with application metadata stored in the FObject `context`
-    /// field. Because the uid commits to the context (alongside value,
-    /// bases and depth), context carried here is tamper-evident — a
-    /// block store keeps its header fields (timestamps, proposer ids)
-    /// in it and gets content-addressed headers for free.
-    pub fn put_conflict_with_context(
-        &self,
-        key: impl Into<Bytes>,
-        base: Option<Digest>,
-        value: Value,
-        context: impl Into<Bytes>,
-    ) -> Result<Digest> {
-        self.commit(Commit {
-            context: context.into(),
-            ..Commit::untagged(key, base, Payload::Value(value))
-        })
-    }
-
-    /// Batched M4: one fork-on-conflict put per `(key, base, value)`
-    /// entry, as one [`commit_all`](Self::commit_all). Every base is
-    /// checked before anything is written. Returns the new uids in entry
-    /// order.
-    pub fn put_conflict_many<I, K>(&self, entries: I) -> Result<Vec<Digest>>
-    where
-        I: IntoIterator<Item = (K, Option<Digest>, Value)>,
-        K: Into<Bytes>,
-    {
-        let commits: Vec<Commit<'_>> = entries
-            .into_iter()
-            .map(|(key, base, value)| Commit::untagged(key, base, Payload::Value(value)))
-            .collect();
-        self.commit_all(&commits)
-    }
-
-    /// Batched **linked** M4: append `items` as one untagged chain —
-    /// each version's base is the previous item's uid (the first links
-    /// to `base`, or starts a fresh lineage with `None`), as a loop of
-    /// [`put_conflict_with_context`](Self::put_conflict_with_context)
-    /// would build it, but in one [`commit_all`](Self::commit_all): the
-    /// UB-table records the whole chain under one slot-lock hold, so
-    /// only the final uid surfaces as a new head. Returns the uids in
-    /// item order.
-    pub fn append_chain<I>(
-        &self,
-        key: impl Into<Bytes>,
-        base: Option<Digest>,
-        items: I,
-    ) -> Result<Vec<Digest>>
-    where
-        I: IntoIterator<Item = (Value, Bytes)>,
-    {
-        let key = key.into();
-        let mut target = Target::Untagged { base };
-        let commits: Vec<Commit<'_>> = items
-            .into_iter()
-            .map(|(value, context)| Commit {
-                target: std::mem::replace(&mut target, Target::Chained),
-                context,
-                ..Commit::untagged(key.clone(), None, Payload::Value(value))
-            })
-            .collect();
-        self.commit_all(&commits)
     }
 
     // ---- Merge (M5–M7) ----------------------------------------------------
@@ -856,10 +777,12 @@ impl ForkBase {
     /// the result. When this returns, every `hot_put` that happened
     /// before the call is committed (crash-recoverable on durable
     /// instances); per-key uids are readable via [`head`](Self::head).
-    /// A no-op with the tier off (writes were synchronous).
+    /// With the tier off the writes were synchronous, and only the
+    /// checkpoint is left to take.
     pub fn flush_hot(&self) -> Result<()> {
         match &self.hot {
             Some(hot) => hot.flush(),
+            None if self.core.durable.is_some() => self.core.commit_checkpoint().map(|_| ()),
             None => Ok(()),
         }
     }
@@ -999,9 +922,13 @@ mod tests {
         let v0 = db.put("k", None, Value::Int(0)).expect("put");
         // Someone else writes first.
         let v1 = db.put("k", None, Value::Int(1)).expect("put");
-        let err = db
-            .put_guarded("k", None, Value::Int(99), v0)
-            .expect_err("stale guard");
+        let guarded = |value, guard| {
+            db.commit(Commit {
+                guard: Some(guard),
+                ..Commit::branch("k", None, Payload::Value(value))
+            })
+        };
+        let err = guarded(Value::Int(99), v0).expect_err("stale guard");
         assert_eq!(
             err,
             FbError::GuardFailed {
@@ -1010,8 +937,7 @@ mod tests {
             }
         );
         // With the current head it succeeds.
-        db.put_guarded("k", None, Value::Int(2), v1)
-            .expect("guarded put");
+        guarded(Value::Int(2), v1).expect("guarded put");
         assert_eq!(db.get_value("k", None).expect("get"), Value::Int(2));
     }
 

@@ -1,33 +1,34 @@
-//! Garbage collection by copy-compaction.
+//! Garbage collection: mark what is live, repack the log around it.
 //!
 //! Chunks are immutable and content-addressed, so ForkBase never deletes
-//! in place; like git's repack, space is reclaimed by copying the *live*
-//! chunks into a fresh store and discarding the old one. A chunk is live
-//! when it is reachable from any branch head (tagged or untagged) of any
-//! key: meta chunks via the `bases` hash chain — removing a branch never
-//! truncates the history of versions still reachable elsewhere — and, for
-//! chunkable values, every node of the version's POS-Tree.
+//! one in place; like git's repack, a durable instance reclaims space by
+//! rewriting its *live* chunks into fresh log segments and dropping the
+//! old ones ([`compact_in_place`]). A chunk is live when it is reachable
+//! from any branch head (tagged or untagged) of any key: meta chunks via
+//! the `bases` hash chain — removing a branch never truncates the
+//! history of versions still reachable elsewhere — and, for chunkable
+//! values, every node of the version's POS-Tree.
 //!
 //! Garbage arises from removed branches whose exclusive versions nothing
 //! else references (M14 keeps the versions in the store, so until a
 //! compaction they cost space), from superseded checkpoint chunks, and
 //! from objects built but never committed (e.g. abandoned client edits).
 //!
+//! [`live_set`] is the mark on its own, for any store:
+//!
 //! ```
 //! use forkbase_core::{gc, ForkBase, Value};
-//! use forkbase_chunk::MemStore;
-//! use std::sync::Arc;
 //!
 //! let db = ForkBase::in_memory();
 //! db.put("k", None, Value::String("v".into())).unwrap();
-//! let target = Arc::new(MemStore::new());
-//! let report = gc::compact_into(&db, target.as_ref()).unwrap();
-//! assert_eq!(report.dropped_chunks, 0, "everything is reachable");
+//! let (live, versions) = gc::live_set(&db).unwrap();
+//! assert_eq!(versions, 1);
+//! let stored = db.store().stats().stored_chunks;
+//! assert_eq!(live.len() as u64, stored, "everything is reachable");
 //! ```
 
 use crate::error::{FbError, Result};
 use crate::fobject::FObject;
-use forkbase_chunk::ChunkStore;
 use forkbase_crypto::fx::FxHashSet;
 use forkbase_crypto::Digest;
 use forkbase_pos::IndexNode;
@@ -37,15 +38,15 @@ use crate::db::ForkBase;
 /// What a compaction pass found and did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Distinct reachable versions (meta chunks) copied.
+    /// Distinct reachable versions (meta chunks) kept.
     pub live_versions: usize,
-    /// Total chunks copied into the target store.
+    /// Chunks kept.
     pub live_chunks: u64,
-    /// Bytes copied into the target store.
+    /// Bytes kept.
     pub live_bytes: u64,
-    /// Chunks left behind in the source store.
+    /// Chunks reclaimed.
     pub dropped_chunks: u64,
-    /// Bytes left behind in the source store.
+    /// Bytes reclaimed.
     pub dropped_bytes: u64,
 }
 
@@ -106,11 +107,9 @@ pub fn live_set(db: &ForkBase) -> Result<(FxHashSet<Digest>, usize)> {
 ///
 /// **Quiesce writers first.** The live set is computed from the branch
 /// heads *before* the rewrite; a put that commits between the walk and
-/// the segment swap would store chunks the compaction then deletes —
-/// unlike [`compact_into`], which only copies and can never destroy
-/// data. Run this like any offline repack: no concurrent writers (a
-/// read racing the swap can at worst observe a spurious, counted read
-/// error).
+/// the segment swap would store chunks the compaction then deletes. Run
+/// this like any offline repack: no concurrent writers (a read racing
+/// the swap can at worst observe a spurious, counted read error).
 ///
 /// Errors with [`FbError::Io`] when `db` was not opened durably
 /// ([`ForkBase::open`]/[`ForkBase::open_with`]).
@@ -144,40 +143,34 @@ pub fn compact_in_place(db: &ForkBase) -> Result<GcReport> {
     })
 }
 
-/// Copy every live chunk of `db` into `target` and report what was kept
-/// and what was left behind. The source store is not modified; adopt the
-/// compacted store by reopening with [`ForkBase::restore`] after writing
-/// a fresh checkpoint into it.
-pub fn compact_into(db: &ForkBase, target: &dyn ChunkStore) -> Result<GcReport> {
-    let (live, live_versions) = live_set(db)?;
-    let mut report = GcReport {
-        live_versions,
-        ..Default::default()
-    };
-    for cid in &live {
-        let chunk = db.store().get(cid).ok_or(FbError::VersionNotFound(*cid))?;
-        report.live_chunks += 1;
-        report.live_bytes += chunk.len() as u64;
-        // Unshare payloads: a leaf built zero-copy is a slice of a larger
-        // buffer (whole-blob input, old-version leaves), and carrying
-        // that slice into the compacted store would pin the entire
-        // backing allocation — the opposite of what compaction is for.
-        target.put(chunk.unshared());
-    }
-    let src = db.store().stats();
-    report.dropped_chunks = src.stored_chunks.saturating_sub(report.live_chunks);
-    report.dropped_bytes = src.stored_bytes.saturating_sub(report.live_bytes);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::db::DEFAULT_BRANCH;
     use crate::value::Value;
     use crate::verify::verify_history;
-    use forkbase_chunk::{Chunk, ChunkType, MemStore};
+    use forkbase_chunk::{Chunk, ChunkStore, ChunkType, MemStore};
     use std::sync::Arc;
+
+    /// What a repack around [`live_set`] would keep and drop: the live
+    /// versions, a store holding the live chunks and nothing else, and
+    /// dropped = stored − live.
+    fn mark(db: &ForkBase) -> (GcReport, Arc<MemStore>) {
+        let (live, live_versions) = live_set(db).expect("mark");
+        let kept = Arc::new(MemStore::new());
+        for cid in &live {
+            kept.put(db.store().get(cid).expect("a live chunk is stored"));
+        }
+        let (all, live) = (db.store().stats(), kept.stats());
+        let report = GcReport {
+            live_versions,
+            live_chunks: live.stored_chunks,
+            live_bytes: live.stored_bytes,
+            dropped_chunks: all.stored_chunks - live.stored_chunks,
+            dropped_bytes: all.stored_bytes - live.stored_bytes,
+        };
+        (report, kept)
+    }
 
     fn blob_bytes(n: usize, seed: u64) -> Vec<u8> {
         let mut state = seed;
@@ -200,12 +193,10 @@ mod tests {
         db.put("k2", None, Value::Blob(db.new_blob(&blob_bytes(50_000, 1))))
             .expect("put");
 
-        let target = MemStore::new();
-        let report = compact_into(&db, &target).expect("gc");
+        let (report, _) = mark(&db);
         assert_eq!(report.live_versions, 11, "10 versions of k + 1 of k2");
         assert_eq!(report.dropped_chunks, 0);
         assert_eq!(report.dropped_bytes, 0);
-        assert_eq!(target.stats().stored_chunks, report.live_chunks);
     }
 
     #[test]
@@ -220,17 +211,16 @@ mod tests {
             .expect("put");
         db.remove_branch("k", "scratch").expect("remove");
 
-        let target = MemStore::new();
-        let report = compact_into(&db, &target).expect("gc");
+        let (report, target) = mark(&db);
         // The scratch blob (many chunks) is unreachable now.
         assert!(
             report.dropped_bytes > 50_000,
             "scratch branch data must be dropped, dropped {}B",
             report.dropped_bytes
         );
-        // master's version survives and still verifies on the new store.
+        // master's version verifies from the live chunks alone.
         let head = db.head("k", None).expect("head");
-        verify_history(&target, head).expect("live history intact");
+        verify_history(target.as_ref(), head).expect("live history intact");
     }
 
     #[test]
@@ -242,13 +232,12 @@ mod tests {
         db.remove_branch("k", DEFAULT_BRANCH)
             .expect("remove master");
 
-        let target = MemStore::new();
-        compact_into(&db, &target).expect("gc");
+        let (_, target) = mark(&db);
         // v0 is branch b's ancestor: reachable through bases even though
         // the branch that created it is gone.
         assert!(target.contains(&v0), "shared ancestor kept");
         let b_head = db.head("k", Some("b")).expect("head");
-        verify_history(&target, b_head).expect("full chain intact");
+        verify_history(target.as_ref(), b_head).expect("full chain intact");
     }
 
     #[test]
@@ -260,8 +249,7 @@ mod tests {
             .put(Chunk::new(ChunkType::Blob, blob_bytes(5000, 3)));
         db.new_blob(&blob_bytes(20_000, 4)); // built, never committed
 
-        let target = MemStore::new();
-        let report = compact_into(&db, &target).expect("gc");
+        let (report, _) = mark(&db);
         assert!(report.dropped_chunks >= 2);
         assert!(report.dropped_bytes >= 25_000 - 100);
     }
@@ -273,8 +261,7 @@ mod tests {
         db.put_conflict("k", Some(base), Value::Int(1)).expect("w1");
         db.put_conflict("k", Some(base), Value::Int(2)).expect("w2");
 
-        let target = MemStore::new();
-        let report = compact_into(&db, &target).expect("gc");
+        let (report, _) = mark(&db);
         assert_eq!(report.live_versions, 3, "base + both conflict heads");
         assert_eq!(report.dropped_chunks, 0);
     }
@@ -396,9 +383,8 @@ mod tests {
             .expect("put");
         db.remove_branch("doc", "draft").expect("remove");
 
-        // Compact, then re-checkpoint into the compacted store and reopen.
-        let target = Arc::new(MemStore::new());
-        compact_into(&db, target.as_ref()).expect("gc");
+        // Keep the live chunks only, checkpoint into that store, reopen.
+        let (_, target) = mark(&db);
         let db2 = ForkBase::restore(target.clone(), db.cfg().clone(), {
             // The checkpoint must live in the *target* store.
             let chunk = db.snapshot_branches().to_chunk();

@@ -65,7 +65,7 @@ pub use commit::{Commit, Payload, Target};
 pub use db::{ForkBase, DEFAULT_BRANCH};
 pub use error::{FbError, Result};
 pub use fobject::FObject;
-pub use gc::{compact_into, GcReport};
+pub use gc::GcReport;
 pub use history::TrackedVersion;
 pub use hot::{HotTierConfig, HotTierStats};
 pub use value::{Value, ValueType};

@@ -14,12 +14,33 @@
 use bytes::Bytes;
 use forkbase_chunk::{CacheConfig, Durability};
 use forkbase_core::{
-    ChunkStore, ChunkerConfig, Digest, FbError, ForkBase, HotTierConfig, MemStore, Value,
+    ChunkStore, ChunkerConfig, Commit, Digest, FbError, ForkBase, HotTierConfig, MemStore, Payload,
+    Target, Value,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// `items` appended to `key` as one untagged chain onto `base`, in one
+/// `commit_all`: an untagged commit, then chained ones.
+fn append(
+    db: &ForkBase,
+    key: String,
+    base: Option<Digest>,
+    items: impl IntoIterator<Item = (Value, Bytes)>,
+) -> Result<Vec<Digest>, FbError> {
+    let mut target = Target::Untagged { base };
+    let commits: Vec<Commit<'_>> = items
+        .into_iter()
+        .map(|(value, context)| Commit {
+            target: std::mem::replace(&mut target, Target::Chained),
+            context,
+            ..Commit::untagged(key.clone(), None, Payload::Value(value))
+        })
+        .collect();
+    db.commit_all(&commits)
+}
 
 fn mem() -> (Arc<MemStore>, ForkBase) {
     let store = Arc::new(MemStore::new());
@@ -75,7 +96,7 @@ fn a_value_put_on_a_warm_key_reads_nothing() {
     assert_eq!(n, 0, "untagged put onto the published version");
     let items = (0..3).map(|i| (Value::Int(i), Bytes::from("ctx")));
     let (chain, n) = gets(&db, || {
-        db.append_chain("k", Some(tip), items).expect("append")
+        append(&db, "k".into(), Some(tip), items).expect("append")
     });
     assert_eq!(n, 0, "chain appended onto the published tip");
     let last = *chain.last().expect("three uids");
@@ -227,7 +248,7 @@ fn apply(
             .map(|uid| vec![uid]),
         Op::Chain(k, n) => {
             let items = (0..n as i64).map(|i| (Value::Int(value + i), Bytes::from("c")));
-            db.append_chain(key(k), back(k, 0, seen), items)
+            append(db, key(k), back(k, 0, seen), items)
         }
     };
     let k = match *op {

@@ -6,7 +6,7 @@
 //! self-deadlocks on the branch-table lock (a regression test for a real
 //! bug: `put` once re-acquired the non-reentrant lock inside `commit`).
 
-use forkbase_core::{ForkBase, Resolver, Value};
+use forkbase_core::{Commit, ForkBase, Payload, Resolver, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -74,10 +74,11 @@ fn concurrent_guarded_puts_exactly_one_winner() {
                 let db = Arc::clone(&db);
                 let wins = Arc::clone(&wins);
                 thread::spawn(move || {
-                    if db
-                        .put_guarded("k", None, Value::Int(t as i64 + 1), base)
-                        .is_ok()
-                    {
+                    let put = Commit {
+                        guard: Some(base),
+                        ..Commit::branch("k", None, Payload::Value(Value::Int(t as i64 + 1)))
+                    };
+                    if db.commit(put).is_ok() {
                         wins.fetch_add(1, Ordering::SeqCst);
                     }
                 })

@@ -8,9 +8,8 @@
 //! lost updates, and `commit_map_batch`'s merge-on-conflict keeps every
 //! subkey from every racing batch, and a merge into a branch keeps every
 //! commit that reached the branch while it was being built. The property
-//! tests pin the batched entry points (`put_many`, `put_conflict_many`,
-//! `commit_all` over every target and payload) to the same commits issued
-//! one at a time.
+//! tests pin the batched entry points (`put_many`, `commit_all` over
+//! every target and payload) to the same commits issued one at a time.
 //!
 //! CI runs this with `RUST_TEST_THREADS=8` so the writer threads really
 //! overlap on multi-core runners, once per `FB_HOT_TIER` leg: with `1`
@@ -516,19 +515,20 @@ proptest! {
         }
     }
 
-    /// `put_conflict_many` is equivalent to sequential `put_conflict`
-    /// calls: same uids and the same set of untagged heads per key.
+    /// A batch of untagged commits on one base is equivalent to
+    /// sequential `put_conflict` calls: same uids and the same set of
+    /// untagged heads per key.
     #[test]
-    fn put_conflict_many_matches_sequential(
+    fn untagged_batch_matches_sequential(
         values in prop::collection::vec("[a-z]{1,8}", 1..12)
     ) {
         let batched = ForkBase::in_memory();
         let base_b = batched.put_conflict("k", None, Value::Int(0)).expect("genesis");
-        let uids_batch = batched
-            .put_conflict_many(values.iter().map(|v| {
-                ("k", Some(base_b), Value::String(v.clone()))
-            }))
-            .expect("put_conflict_many");
+        let commits: Vec<Commit<'_>> = values
+            .iter()
+            .map(|v| Commit::untagged("k", Some(base_b), Payload::Value(Value::String(v.clone()))))
+            .collect();
+        let uids_batch = batched.commit_all(&commits).expect("untagged batch");
 
         let seq = ForkBase::in_memory();
         let base_s = seq.put_conflict("k", None, Value::Int(0)).expect("genesis");

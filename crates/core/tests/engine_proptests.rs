@@ -1,9 +1,17 @@
 //! Property tests on the engine: branch semantics, uid stability, and
 //! the key-value model equivalence on the default branch.
 
-use forkbase_core::{FbError, ForkBase, Value};
+use forkbase_core::{Commit, Digest, FbError, ForkBase, Payload, Target, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// A guarded put (§4.5.1) of `value` to key `k`'s `branch`.
+fn guarded(branch: Option<&str>, value: Value, guard: Digest) -> Commit<'_> {
+    Commit {
+        guard: Some(guard),
+        ..Commit::branch("k", branch, Payload::Value(value))
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -89,8 +97,8 @@ proptest! {
     fn guarded_put_serializes(v1 in "[a-z]{1,6}", v2 in "[A-Z]{1,6}") {
         let db = ForkBase::in_memory();
         let head = db.put("k", None, Value::String("init".into())).expect("put");
-        let r1 = db.put_guarded("k", None, Value::String(v1), head);
-        let r2 = db.put_guarded("k", None, Value::String(v2), head);
+        let r1 = db.commit(guarded(None, Value::String(v1), head));
+        let r2 = db.commit(guarded(None, Value::String(v2), head));
         prop_assert!(r1.is_ok());
         let guard_failed = matches!(r2, Err(FbError::GuardFailed { .. }));
         prop_assert!(guard_failed);
@@ -105,28 +113,22 @@ proptest! {
         let stale = db.put("other", None, Value::Int(0)).expect("put");
         let value = || Value::String(v.clone());
         prop_assert_eq!(
-            db.put_guarded("k", None, value(), stale),
+            db.commit(guarded(None, value(), stale)),
             Err(FbError::BranchNotFound("master".into()))
         );
         let head = db.put("k", None, value()).expect("put");
         prop_assert_eq!(
-            db.put_guarded("k", Some("dev"), value(), head),
+            db.commit(guarded(Some("dev"), value(), head)),
             Err(FbError::BranchNotFound("dev".into()))
         );
         prop_assert_eq!(
-            db.put_guarded("k", None, value(), stale),
+            db.commit(guarded(None, value(), stale)),
             Err(FbError::GuardFailed { expected: stale, actual: head })
         );
         // Two puts guarded on one head in one batch: the second meets
         // the first, not the head, and the batch moves nothing.
-        let guarded = |s: &str| {
-            let value = forkbase_core::Payload::Value(Value::String(s.into()));
-            forkbase_core::Commit {
-                guard: Some(head),
-                ..forkbase_core::Commit::branch("k", None, value)
-            }
-        };
-        let result = db.commit_all(&[guarded("a"), guarded("b")]);
+        let on_head = |s: &str| guarded(None, Value::String(s.into()), head);
+        let result = db.commit_all(&[on_head("a"), on_head("b")]);
         let met_first = matches!(
             result,
             Err(FbError::GuardFailed { expected, actual }) if expected == head && actual != head
@@ -135,10 +137,10 @@ proptest! {
         prop_assert_eq!(db.head("k", None), Ok(head), "a failed guard moves nothing");
     }
 
-    /// `append_chain` is a loop of `put_conflict_with_context`, each on
+    /// A `Target::Chained` run is a loop of untagged commits, each on
     /// the uid before it: the same uids, the same single new head.
     #[test]
-    fn append_chain_matches_linked_put_conflicts(
+    fn chained_commits_match_linked_untagged_commits(
         fresh in any::<bool>(),
         items in prop::collection::vec(("[a-z]{0,6}", "[a-z]{0,6}"), 0..8),
     ) {
@@ -149,18 +151,22 @@ proptest! {
             base = Some(chained.put_conflict("k", None, Value::Int(0)).expect("genesis"));
             prop_assert_eq!(looped.put_conflict("k", None, Value::Int(0)), Ok(base.expect("set")));
         }
-        let uids = chained
-            .append_chain(
-                "k",
-                base,
-                items.iter().map(|(v, c)| (Value::String(v.clone()), c.clone().into())),
-            )
-            .expect("append_chain");
+        let untagged = |base, (v, c): &(String, String)| Commit {
+            context: c.clone().into(),
+            ..Commit::untagged("k", base, Payload::Value(Value::String(v.clone())))
+        };
+        let mut target = Target::Untagged { base };
+        let commits: Vec<Commit<'_>> = items
+            .iter()
+            .map(|item| Commit {
+                target: std::mem::replace(&mut target, Target::Chained),
+                ..untagged(None, item)
+            })
+            .collect();
+        let uids = chained.commit_all(&commits).expect("chained commits");
         let mut parent = base;
-        for ((v, c), uid) in items.iter().zip(&uids) {
-            let linked = looped
-                .put_conflict_with_context("k", parent, Value::String(v.clone()), c.clone())
-                .expect("put_conflict");
+        for (item, uid) in items.iter().zip(&uids) {
+            let linked = looped.commit(untagged(parent, item)).expect("untagged commit");
             prop_assert_eq!(linked, *uid);
             parent = Some(linked);
         }

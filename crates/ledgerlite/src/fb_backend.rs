@@ -20,7 +20,7 @@
 use crate::backend::StateBackend;
 use crate::types::Block;
 use bytes::Bytes;
-use forkbase_core::{FbError, ForkBase, Value, WriteBatch};
+use forkbase_core::{Commit, FbError, ForkBase, Payload, Value, WriteBatch};
 use forkbase_crypto::fx::FxHashMap;
 use forkbase_crypto::Digest;
 use std::collections::BTreeMap;
@@ -148,7 +148,7 @@ impl StateBackend for ForkBaseBackend {
         // batched FoC round: every blob is encoded up front and the
         // store sees a single `put_many` instead of per-value commits.
         let mut pending: Vec<(String, Bytes)> = Vec::with_capacity(staged.len());
-        let entries: Vec<(Bytes, Option<Digest>, Value)> = staged
+        let commits: Vec<Commit<'_>> = staged
             .into_iter()
             .map(|((contract, key), value)| {
                 let vk = value_key(&contract, &key);
@@ -158,10 +158,10 @@ impl StateBackend for ForkBaseBackend {
                     .copied();
                 let blob = self.db.new_blob_bytes(value);
                 pending.push((contract, key));
-                (vk, base, Value::Blob(blob))
+                Commit::untagged(vk, base, Payload::Value(Value::Blob(blob)))
             })
             .collect();
-        let uids = self.db.put_conflict_many(entries).expect("value commits");
+        let uids = self.db.commit_all(&commits).expect("value commits");
         for ((contract, key), uid) in pending.into_iter().zip(uids) {
             self.latest_value
                 .insert((contract.clone(), key.clone()), uid);

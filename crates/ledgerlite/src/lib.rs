@@ -19,7 +19,6 @@
 
 pub mod backend;
 pub mod fb_backend;
-pub mod hot_backend;
 pub mod kv_backend;
 pub mod merkle;
 pub mod node;
@@ -27,7 +26,6 @@ pub mod types;
 
 pub use backend::{KvAdapter, StateBackend};
 pub use fb_backend::ForkBaseBackend;
-pub use hot_backend::{verify_hot_state, HotStateBackend};
 pub use kv_backend::{ForkBaseKvAdapter, KvBackend};
 pub use merkle::{BucketTree, MerkleTree, MerkleTrie};
 pub use node::{LedgerNode, OpTimings};

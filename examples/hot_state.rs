@@ -4,15 +4,13 @@
 //!    latest-state point access from a flat hash-map index while
 //!    a background publisher drains edits into the versioned POS-Tree,
 //! 2. show the tier and the tree agreeing: `flush_hot` publishes
-//!    everything, and the committed Map answers the same reads,
-//! 3. run an Ethereum-ish account-state ledger on `HotStateBackend` —
-//!    per-block mutations at hot speed, one state-root publication per
-//!    block boundary — and verify the chain plus the tamper-evident
-//!    state history.
+//!    everything, and the committed Map answers the same reads.
+//!
+//! A ledger's account state on the tier — per-block writes, one publish
+//! per block, a durable reopen — is part 4 of `examples/chainstore.rs`.
 //!
 //! Run with: `cargo run --example hot_state`
 
-use forkbase::ledger::{verify_hot_state, HotStateBackend, LedgerNode, StateBackend, Transaction};
 use forkbase::{ForkBase, HotTierConfig};
 
 fn main() {
@@ -43,35 +41,4 @@ fn main() {
         "hot tier: {} writes, {} published over {} publish rounds, {} hits",
         stats.writes, stats.published, stats.publish_rounds, stats.hits
     );
-
-    // ---- 3. a hot-backed ledger -----------------------------------------
-    let mut node = LedgerNode::new(HotStateBackend::in_memory(), 25);
-    for block in 0..20u32 {
-        for t in 0..25u32 {
-            let acct = format!("acct/{:03}", (block * 7 + t * 13) % 100);
-            node.submit(Transaction::put(
-                "bank",
-                acct,
-                format!("block {block} txn {t}"),
-            ));
-        }
-    }
-    node.flush();
-    println!(
-        "ledger: height {} | {} txns | chain verifies: {}",
-        node.height(),
-        node.txns_committed(),
-        node.verify_chain()
-    );
-    assert!(node.verify_chain(), "hash chain intact");
-
-    // Every block boundary published a state root; the whole version
-    // chain of the state Map is recomputable and tamper-evident.
-    let verified = verify_hot_state(node.backend_mut()).expect("verify");
-    println!("state history: {verified} versions verified tamper-evident");
-
-    // The analytical queries of §6.2.3 work over the published state.
-    let history = node.backend_mut().state_scan("bank", b"acct/001");
-    println!("acct/001 has {} distinct historical values", history.len());
-    assert!(!history.is_empty(), "acct/001 was written");
 }

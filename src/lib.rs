@@ -14,7 +14,7 @@
 //! | [`chunk`] | `forkbase-chunk` | chunk model and storage backends |
 //! | [`crypto`] | `forkbase-crypto` | SHA-256, the rolling hash, chunking config |
 //! | [`cluster`] | `forkbase-cluster` | distributed-service simulation |
-//! | [`ledger`] | `ledgerlite` | blockchain platform (3 state backends) |
+//! | [`ledger`] | `ledgerlite` | blockchain platform (2 state backends) |
 //! | [`chain`] | `chainstore` | block-store scenario: append/follow/prune on the version DAG |
 //! | [`wiki`] | `wikilite` | multi-versioned wiki engine |
 //! | [`collab`] | `fb-collab` | collaborative analytics on relational data |

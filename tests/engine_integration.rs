@@ -95,34 +95,38 @@ fn full_restart_with_checkpoint() {
 
 #[test]
 fn gc_reclaims_only_unreachable_data() {
-    use forkbase::chunk::MemStore;
     use forkbase::core::gc;
 
-    let db = ForkBase::in_memory();
+    let path = temp_path("gc");
     let keep: Vec<u8> = (0..150_000u32).flat_map(|i| i.to_le_bytes()).collect();
     let scrap: Vec<u8> = (0..150_000u32)
         .flat_map(|i| (i ^ 0xDEAD_BEEF).to_le_bytes())
         .collect();
-    db.put("data", None, Value::Blob(db.new_blob(&keep)))
-        .expect("put");
-    db.fork("data", DEFAULT_BRANCH, "experiment").expect("fork");
-    db.put("data", Some("experiment"), Value::Blob(db.new_blob(&scrap)))
-        .expect("put");
-    db.remove_branch("data", "experiment").expect("remove");
+    let head = {
+        let db = ForkBase::open(&path).expect("open");
+        db.put("data", None, Value::Blob(db.new_blob(&keep)))
+            .expect("put");
+        db.fork("data", DEFAULT_BRANCH, "experiment").expect("fork");
+        db.put("data", Some("experiment"), Value::Blob(db.new_blob(&scrap)))
+            .expect("put");
+        db.remove_branch("data", "experiment").expect("remove");
 
-    let target = Arc::new(MemStore::new());
-    let report = gc::compact_into(&db, target.as_ref()).expect("gc");
-    assert!(
-        report.dropped_bytes > 400_000,
-        "experiment data reclaimed ({}B dropped)",
-        report.dropped_bytes
-    );
-    // The kept branch round-trips from the compacted store.
-    let head = db.head("data", None).expect("head");
-    let obj = forkbase::core::FObject::load(target.as_ref(), head).expect("load");
-    let blob = obj.value(target.as_ref()).expect("v").as_blob().expect("b");
-    assert_eq!(blob.read_all(target.as_ref()).expect("read"), keep);
-    verify_history(target.as_ref(), head).expect("verifies");
+        let report = gc::compact_in_place(&db).expect("gc");
+        assert!(
+            report.dropped_bytes > 400_000,
+            "experiment data reclaimed ({}B dropped)",
+            report.dropped_bytes
+        );
+        db.head("data", None).expect("head")
+    };
+    // The kept branch round-trips from the compacted segments.
+    let db = ForkBase::open(&path).expect("reopen");
+    assert_eq!(db.head("data", None).expect("head"), head);
+    let blob = db.get_value("data", None).expect("v").as_blob().expect("b");
+    assert_eq!(blob.read_all(db.store()).expect("read"), keep);
+    verify_history(db.store(), head).expect("verifies");
+    drop(db);
+    std::fs::remove_dir_all(path).ok();
 }
 
 #[test]
