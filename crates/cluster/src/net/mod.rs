@@ -10,11 +10,12 @@
 //! * [`proto`] — request/response messages (get / get_many / put /
 //!   put_many / stats), every payload led by a client-chosen request id
 //!   so a caller knows its own answer from a stray one;
-//! * [`server`] / [`client`] — a blocking thread-per-connection
-//!   [`ChunkServer`] on the servlet side, and a [`TcpChunkClient`] on
-//!   the caller side that keeps a few sockets per peer and uses each
-//!   for one request at a time: write the frame, read the reply, on the
-//!   calling thread.
+//! * [`server`] / [`client`] — a [`ChunkServer`] on the servlet side,
+//!   the workspace's one thread-per-connection server
+//!   ([`forkbase_crypto::serve`]) with the frame loop as its handler,
+//!   and a [`TcpChunkClient`] on the caller side that keeps a few
+//!   sockets per peer and uses each for one request at a time: write the
+//!   frame, read the reply, on the calling thread.
 //!
 //! The in-process transport
 //! ([`StoreService`](crate::service::StoreService)) remains the test
@@ -32,8 +33,9 @@ pub mod proto;
 pub mod server;
 
 pub use client::{TcpChunkClient, TcpConfig};
+pub use forkbase_crypto::serve::WireCounters;
 pub use frame::{Frame, FrameDecoder, FrameError};
-pub use server::{ChunkServer, WireCounters};
+pub use server::ChunkServer;
 
 #[cfg(test)]
 mod tests {

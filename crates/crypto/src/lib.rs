@@ -23,6 +23,12 @@
 //!   FxHash algorithm), used where HashDoS resistance is irrelevant.
 //! * [`metrics`] — per-thread counters of bytes scanned and hashed.
 //!
+//! It is also the lowest crate of the workspace, so it holds the plumbing
+//! that several crates share: the hashing worker pool behind
+//! [`parallel`], the [`fx`] hasher, and [`serve`] — the one
+//! thread-per-connection TCP server loop that the cluster's chunk
+//! service and `redislite`'s RESP2 front both run.
+//!
 //! The oracles the equivalence tests compare against are compiled in
 //! every build and never on a production path: [`split_positions_reference`]
 //! for the chunker and [`Sha256Naive`] / [`sha256_naive`] /
@@ -36,6 +42,7 @@ pub mod metrics;
 pub mod parallel;
 pub(crate) mod pool;
 pub mod rolling;
+pub mod serve;
 pub mod sha256;
 
 pub use chunker::{

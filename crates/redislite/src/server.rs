@@ -1,135 +1,78 @@
-//! The RESP2 TCP server: a blocking thread-per-connection listener over
-//! a shared [`RedisLite`].
+//! The RESP2 TCP server: the workspace's one thread-per-connection
+//! [`Server`] over a shared [`RedisLite`].
 //!
-//! Each accepted connection gets one handler thread that decodes
-//! commands, dispatches them through [`RedisLite::execute`] /
-//! [`RedisLite::pipeline`] — the same single entry point the in-process
-//! API uses — and writes the replies back. Replies for one socket read
-//! are buffered and flushed together, so a pipelined batch of N commands
-//! pays one `pipeline()` dispatch (one lock hold, one batched AOF
-//! append) and one response write, not N of each.
+//! Each connection's handler thread decodes commands, dispatches them
+//! through [`RedisLite::execute`] / [`RedisLite::pipeline`] — the same
+//! single entry point the in-process API uses — and writes the replies
+//! back. Replies for one socket read are buffered and flushed together,
+//! so a pipelined batch of N commands pays one `pipeline()` dispatch (one
+//! lock hold, one batched AOF append) and one response write, not N of
+//! each.
 //!
 //! A bad *command* (unknown name, wrong arity, non-integer index) gets a
 //! `-ERR` reply and the connection lives on; a bad *protocol* message
 //! (malformed framing) gets a final `-ERR Protocol error` reply and the
 //! connection is dropped, because the stream offset can no longer be
-//! trusted — exactly Redis's split of the two failure modes.
+//! trusted — exactly Redis's split of the two failure modes. Both kinds
+//! of command count as requests in [`Server::counters`].
 
 use crate::resp::{self, RespDecoder};
 use crate::{Cmd, RedisLite, Reply};
-use std::collections::HashMap;
+use forkbase_crypto::serve::{Handler, Server};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared server state: the stop latch and the live connections that
-/// must be torn down on shutdown. Keyed by connection id so each handler
-/// removes its own entry when the connection closes — the shutdown
-/// handle is a dup'd fd, and keeping it past the connection's life would
-/// leak one fd per client ever accepted.
-struct Shared {
-    db: Arc<RedisLite>,
-    stop: AtomicBool,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    accepted: AtomicU64,
-}
+/// A running RESP2 endpoint: `RespServer::bind(addr, db)` serves an
+/// `Arc<RedisLite>` until stopped or dropped.
+pub type RespServer = Server<RedisLite>;
 
-/// A running RESP2 endpoint. Dropping (or [`stop`]ping) it closes the
-/// listener and every open connection; in-flight requests on a dying
-/// connection surface as I/O errors at the client.
-///
-/// [`stop`]: RespServer::stop
-pub struct RespServer {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
-}
+impl Handler for RedisLite {
+    const NAME: &'static str = "redislite";
 
-impl RespServer {
-    /// Bind `addr` (use port 0 for an ephemeral port) and serve `db`
-    /// until [`stop`](Self::stop)/drop.
-    pub fn bind(addr: &str, db: Arc<RedisLite>) -> std::io::Result<RespServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            db,
-            stop: AtomicBool::new(false),
-            conns: Mutex::new(HashMap::new()),
-            accepted: AtomicU64::new(0),
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("redislite-server-{}", addr.port()))
-            .spawn(move || accept_loop(listener, accept_shared))?;
-        Ok(RespServer {
-            addr,
-            shared,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The bound address (the real port when bound with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Connections accepted over the server's lifetime.
-    pub fn conn_count(&self) -> u64 {
-        self.shared.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Stop accepting, close every open connection, and join the accept
-    /// loop. Idempotent.
-    pub fn stop(&mut self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the blocking accept with a throwaway connection; the loop
-        // re-checks the latch first thing.
-        let _ = TcpStream::connect(self.addr);
-        for (_, conn) in self.shared.conns.lock().expect("conns lock").drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+    /// One connection's serve loop: read → decode every complete command
+    /// → dispatch as one batch → flush every reply in one write. Returns
+    /// (dropping the connection) on EOF, I/O failure, or the first
+    /// protocol error — after corruption the stream offset is untrusted.
+    fn serve(&self, mut stream: TcpStream, requests: &AtomicU64) -> std::io::Result<()> {
+        let mut decoder = RespDecoder::new();
+        let mut rbuf = vec![0u8; 64 * 1024];
+        let mut wbuf = Vec::new();
+        loop {
+            let n = stream.read(&mut rbuf)?;
+            if n == 0 {
+                return Ok(()); // clean EOF
+            }
+            decoder.feed(&rbuf[..n]);
+            // Drain everything this read completed before dispatching, so
+            // a pipelined burst becomes one batch.
+            let mut batch: Vec<Result<Cmd, String>> = Vec::new();
+            let proto_err = loop {
+                match decoder.next_command() {
+                    Ok(Some(argv)) => batch.push(resp::parse_command(&argv)),
+                    Ok(None) => break None,
+                    Err(e) => break Some(e),
+                }
+            };
+            requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            wbuf.clear();
+            dispatch(self, batch, &mut wbuf);
+            if let Some(e) = proto_err {
+                // Answer what decoded cleanly, then the fatal error, then
+                // hang up — the Redis protocol-error contract.
+                resp::encode_reply(&Reply::Err(format!("ERR {e}")), &mut wbuf);
+                stream.write_all(&wbuf)?;
+                let _ = stream.shutdown(Shutdown::Both);
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    e.to_string(),
+                ));
+            }
+            if !wbuf.is_empty() {
+                stream.write_all(&wbuf)?;
+            }
         }
     }
-}
-
-impl Drop for RespServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut next_id = 0u64;
-    for stream in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let _ = stream.set_nodelay(true);
-        shared.accepted.fetch_add(1, Ordering::Relaxed);
-        let id = next_id;
-        next_id += 1;
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("conns lock").insert(id, clone);
-        }
-        let conn_shared = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("redislite-conn".into())
-            .spawn(move || {
-                let _ = serve_conn(stream, &conn_shared.db);
-                // The connection is done: drop its shutdown handle too,
-                // closing the dup'd fd.
-                conn_shared.conns.lock().expect("conns lock").remove(&id);
-            });
-    }
-    // Handler threads exit on their own when their stream is shut down
-    // (stop()) or the peer disconnects.
 }
 
 /// Dispatch one decoded batch and encode its replies in order. Parse
@@ -137,10 +80,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// as one `pipeline()` call when the batch holds more than one, so
 /// pipelined writes ride the batched-AOF fast path.
 fn dispatch(db: &RedisLite, batch: Vec<Result<Cmd, String>>, out: &mut Vec<u8>) {
-    let mut cmds: Vec<Cmd> = batch
-        .iter()
-        .filter_map(|i| i.as_ref().ok())
-        .cloned()
+    let mut cmds = Vec::with_capacity(batch.len());
+    let errors: Vec<Option<String>> = batch
+        .into_iter()
+        .map(|item| item.map(|cmd| cmds.push(cmd)).err())
         .collect();
     let mut replies = match cmds.len() {
         0 => Vec::new(),
@@ -148,53 +91,62 @@ fn dispatch(db: &RedisLite, batch: Vec<Result<Cmd, String>>, out: &mut Vec<u8>) 
         _ => db.pipeline(cmds),
     }
     .into_iter();
-    for item in batch {
-        match item {
-            Ok(_) => resp::encode_reply(&replies.next().expect("a reply per command"), out),
-            Err(msg) => resp::encode_reply(&Reply::Err(msg), out),
-        }
+    for error in errors {
+        let reply = error.map_or_else(|| replies.next().expect("a reply per command"), Reply::Err);
+        resp::encode_reply(&reply, out);
     }
 }
 
-/// One connection's serve loop: read → decode every complete command →
-/// dispatch as one batch → flush every reply in one write. Returns
-/// (dropping the connection) on EOF, I/O failure, or the first protocol
-/// error — after corruption the stream offset is untrusted.
-fn serve_conn(mut stream: TcpStream, db: &RedisLite) -> std::io::Result<()> {
-    let mut decoder = RespDecoder::new();
-    let mut rbuf = vec![0u8; 64 * 1024];
-    let mut wbuf = Vec::new();
-    loop {
-        let n = stream.read(&mut rbuf)?;
-        if n == 0 {
-            return Ok(()); // clean EOF
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use std::sync::Arc;
+
+    #[test]
+    fn counters_count_every_decoded_command() {
+        let db = Arc::new(RedisLite::new());
+        let mut server = RespServer::bind("127.0.0.1:0", Arc::clone(&db)).expect("bind");
+        const N: usize = 16;
+        let mut out = Vec::new();
+        for i in 0..N {
+            let argv: Vec<Bytes> = if i == N / 2 {
+                vec![Bytes::from_static(b"NOSUCHCMD")]
+            } else {
+                vec![
+                    Bytes::from_static(b"SET"),
+                    Bytes::from(format!("k{i}")),
+                    Bytes::from_static(b"v"),
+                ]
+            };
+            resp::encode_command(&argv, &mut out);
         }
-        decoder.feed(&rbuf[..n]);
-        // Drain everything this read completed before dispatching, so a
-        // pipelined burst becomes one batch.
-        let mut batch: Vec<Result<Cmd, String>> = Vec::new();
-        let proto_err = loop {
-            match decoder.next_command() {
-                Ok(Some(argv)) => batch.push(resp::parse_command(&argv)),
-                Ok(None) => break None,
-                Err(e) => break Some(e),
+        // One write: the server sees the whole pipeline in one or a few
+        // reads, and answers every command in order.
+        let mut sock = TcpStream::connect(server.addr()).expect("connect");
+        sock.write_all(&out).expect("write");
+        let mut decoder = RespDecoder::new();
+        let mut replies = Vec::new();
+        let mut rbuf = [0u8; 4096];
+        while replies.len() < N {
+            match decoder.next_value().expect("well-formed reply") {
+                Some(value) => replies.push(resp::reply_from_value(value).expect("reply")),
+                None => {
+                    let n = sock.read(&mut rbuf).expect("read");
+                    assert!(n > 0, "server hung up after {} replies", replies.len());
+                    decoder.feed(&rbuf[..n]);
+                }
             }
-        };
-        wbuf.clear();
-        dispatch(db, batch, &mut wbuf);
-        if let Some(e) = proto_err {
-            // Answer what decoded cleanly, then the fatal error, then
-            // hang up — the Redis protocol-error contract.
-            resp::encode_reply(&Reply::Err(format!("ERR {e}")), &mut wbuf);
-            stream.write_all(&wbuf)?;
-            let _ = stream.shutdown(Shutdown::Both);
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                e.to_string(),
-            ));
         }
-        if !wbuf.is_empty() {
-            stream.write_all(&wbuf)?;
+        for (i, reply) in replies.iter().enumerate() {
+            assert_eq!(
+                matches!(reply, Reply::Err(_)),
+                i == N / 2,
+                "reply {i}: {reply:?}"
+            );
         }
+        let seen = server.counters();
+        assert_eq!((seen.connections, seen.requests), (1, N as u64));
+        server.stop();
     }
 }
