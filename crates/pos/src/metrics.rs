@@ -10,7 +10,8 @@
 //! them. A from-scratch Blob build also times its three phases: the
 //! boundary scan, the leaf hashes and the index levels with the store;
 //! every other build and splice (all that a `LeafBuilder` cuts) times the
-//! same three.
+//! same three. `Map`, `Set` and `List` builds also time how long they take
+//! to collect their input into items, the caller's iterator included.
 
 use forkbase_chunk::Chunk;
 use std::cell::Cell;
@@ -49,6 +50,10 @@ pub struct PosMetrics {
     /// Nanoseconds element builds and splices spent on index levels and
     /// store puts.
     pub item_store_ns: u64,
+    /// Nanoseconds `Map`, `Set` and `List` builds spent collecting their
+    /// input into items and putting them in key order: everything the
+    /// caller's iterator does per element, and the sort check.
+    pub item_collect_ns: u64,
     /// Leaves a splice fetched in front of its first edited leaf to warm
     /// the rolling window.
     pub seed_fetches: u64,
@@ -70,6 +75,7 @@ impl PosMetrics {
             item_scan_ns: self.item_scan_ns - before.item_scan_ns,
             item_hash_ns: self.item_hash_ns - before.item_hash_ns,
             item_store_ns: self.item_store_ns - before.item_store_ns,
+            item_collect_ns: self.item_collect_ns - before.item_collect_ns,
             seed_fetches: self.seed_fetches - before.seed_fetches,
         }
     }
@@ -121,6 +127,11 @@ pub(crate) fn stored(chunks: &[Chunk]) {
 /// One leaf fetched to warm a splice's rolling window.
 pub(crate) fn seed_fetched() {
     bump(|m| m.seed_fetches += 1);
+}
+
+/// One element build's input collected in `ns` nanoseconds.
+pub(crate) fn collected(ns: u64) {
+    bump(|m| m.item_collect_ns += ns);
 }
 
 /// The phases of one build or splice — boundary scan, leaf hash, index

@@ -16,6 +16,11 @@
 //!   round trips.
 //! * `map_import_phases` builds the 200,000-record dataset of
 //!   `collab_fork_merge` as one map (row layout), three times.
+//! * `dataset_import_phases` imports the same 200,000 records through
+//!   `Dataset::import`, row and column layout, five times each, and
+//!   prints what collecting the items took apart from the builder's
+//!   phases; the remainder is the import's own per-record work outside
+//!   the builds, and its commit.
 //! * `map_batch_phases` applies that load's contiguous 200- and
 //!   100-record batches to the imported map.
 //! * `page_splice_phases` applies `wiki_edit`'s 64–256-byte edits to
@@ -38,11 +43,12 @@ use fb_workload::{EditKind, PageEditGen};
 use forkbase::chain::{ChainConfig, ChainStore};
 use forkbase::chunk::MemStore;
 use forkbase::cluster::{Cluster, Partitioning};
+use forkbase::collab::{Dataset, Layout};
 use forkbase::core::HotTierConfig;
 use forkbase::crypto::metrics as crypto_metrics;
 use forkbase::pos::metrics::{self as pos_metrics, PosMetrics};
 use forkbase::pos::{Blob, Map};
-use forkbase::ChunkerConfig;
+use forkbase::{ChunkerConfig, ForkBase};
 use std::time::Instant;
 
 struct Phases {
@@ -185,6 +191,51 @@ fn map_import_phases() {
         });
     }
     phases.print("200k-record map import");
+}
+
+#[test]
+#[ignore = "measurement; run with --ignored --nocapture"]
+fn dataset_import_phases() {
+    let records = fb_workload::DatasetGen::new(1).records(200_000);
+    for layout in [Layout::Row, Layout::Column] {
+        // Per import: [whole, collect, scan, hash, store, remainder] ns.
+        let mut cols = vec![Vec::new(); 6];
+        for _ in 0..5 {
+            let db = ForkBase::in_memory();
+            let pos = pos_metrics::snapshot();
+            let start = Instant::now();
+            Dataset::import(&db, "sales", layout, &records).expect("import");
+            let whole = start.elapsed().as_nanos() as u64;
+            let m = pos_metrics::snapshot().since(pos);
+            let phases = [
+                m.item_collect_ns,
+                m.item_scan_ns,
+                m.item_hash_ns,
+                m.item_store_ns,
+            ];
+            let remainder = whole.saturating_sub(phases.iter().sum());
+            for (col, v) in cols
+                .iter_mut()
+                .zip([whole].iter().chain(&phases).chain([&remainder]))
+            {
+                col.push(*v);
+            }
+        }
+        let (whole, min, max) = spread(&mut cols[0]);
+        let ms: Vec<f64> = cols.iter_mut().map(|v| spread(v).0 as f64 / 1e6).collect();
+        println!(
+            "200k-record {layout:?} import: 5 imports, median ms: whole {:.1} ({:.1}–{:.1}), \
+             collect {:.1}, scan {:.1}, leaf hash {:.1}, index+store {:.1}, remainder {:.1}",
+            whole as f64 / 1e6,
+            min as f64 / 1e6,
+            max as f64 / 1e6,
+            ms[1],
+            ms[2],
+            ms[3],
+            ms[4],
+            ms[5],
+        );
+    }
 }
 
 #[test]
