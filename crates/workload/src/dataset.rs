@@ -186,6 +186,42 @@ mod tests {
         assert_eq!(back, recs);
     }
 
+    /// The CSV line as `format!` writes it: the reference the encoders
+    /// are held to.
+    fn csv_reference(r: &Record) -> String {
+        format!("{},{},{},{},{}", r.pk, r.qty, r.price, r.descr, r.region)
+    }
+
+    /// Negative and extreme integers, empty and non-ASCII text.
+    fn edge_records() -> Vec<Record> {
+        let rec = |qty, price, descr: &str, region: &str| Record {
+            pk: DatasetGen::pk(7),
+            qty,
+            price,
+            descr: descr.into(),
+            region: region.into(),
+        };
+        vec![
+            rec(-1, -99_999, "negative", "west"),
+            rec(i64::MIN, i64::MAX, "extremes", "north"),
+            rec(i64::MAX, i64::MIN, "", ""),
+            rec(0, 0, "", "east"),
+            rec(12, 345, "crème brûlée – 東京 ✓", "région-ü"),
+        ]
+    }
+
+    #[test]
+    fn csv_matches_the_format_reference() {
+        let mut recs = DatasetGen::new(4).records(1000);
+        recs.extend(edge_records());
+        for r in &recs {
+            let reference = csv_reference(r);
+            assert_eq!(r.to_csv(), reference);
+            assert_eq!(&r.encode()[..], reference.as_bytes());
+            assert_eq!(Record::from_csv(&reference).as_ref(), Some(r));
+        }
+    }
+
     #[test]
     fn pks_are_sorted() {
         let pks: Vec<String> = (0..1000).map(DatasetGen::pk).collect();
