@@ -18,8 +18,10 @@
 use bytes::Bytes;
 use fb_workload::Record;
 use forkbase_core::{FbError, ForkBase, Result, Value};
+use forkbase_crypto::parallel::ASYNC_BATCH_BYTES;
 use forkbase_crypto::Digest;
 use forkbase_pos::{sorted_diff, List, Map, TreeType};
+use std::io::Write;
 
 /// Physical layout of a dataset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,14 +35,82 @@ pub enum Layout {
 /// The five columns of the benchmark schema, in order.
 pub const COLUMNS: [&str; 5] = ["pk", "qty", "price", "descr", "region"];
 
-fn column_values(rec: &Record) -> [String; 5] {
-    [
-        rec.pk.clone(),
-        rec.qty.to_string(),
-        rec.price.to_string(),
-        rec.descr.clone(),
-        rec.region.clone(),
-    ]
+/// Append `rec`'s value of column `c` (an index into [`COLUMNS`]) to `out`.
+fn column_into(rec: &Record, c: usize, out: &mut Vec<u8>) {
+    // `Write` for a `Vec` cannot fail.
+    let _ = match c {
+        0 => out.write_all(rec.pk.as_bytes()),
+        1 => write!(out, "{}", rec.qty),
+        2 => write!(out, "{}", rec.price),
+        3 => out.write_all(rec.descr.as_bytes()),
+        _ => out.write_all(rec.region.as_bytes()),
+    };
+}
+
+/// Values written back to back into one buffer, handed out as slices of
+/// a few large `Bytes` instead of one allocation each. Each time the
+/// buffer passes [`ASYNC_BATCH_BYTES`] it is frozen into one `Bytes` —
+/// one copy, while its bytes are still in cache — and cleared, keeping
+/// its capacity for the next batch.
+#[derive(Default)]
+struct Values {
+    buf: Vec<u8>,
+    /// Where each value written since the last freeze ends in `buf`.
+    ends: Vec<usize>,
+    frozen: Vec<Bytes>,
+}
+
+impl Values {
+    /// Write one value with `write`, which appends its bytes.
+    fn push(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        write(&mut self.buf);
+        self.ends.push(self.buf.len());
+        if self.buf.len() >= ASYNC_BATCH_BYTES {
+            self.freeze();
+        }
+    }
+
+    /// Hand out the values written since the last freeze.
+    fn freeze(&mut self) {
+        let batch = Bytes::copy_from_slice(&self.buf);
+        let mut start = 0;
+        for end in self.ends.drain(..) {
+            self.frozen.push(batch.slice(start..end));
+            start = end;
+        }
+        self.buf.clear();
+    }
+
+    /// Every value pushed since the last take, in order.
+    fn take(&mut self) -> Vec<Bytes> {
+        self.freeze();
+        std::mem::take(&mut self.frozen)
+    }
+
+    /// `(pk, row)` of each record, as Row-layout map entries.
+    fn rows<'r>(
+        &mut self,
+        records: impl IntoIterator<Item = &'r Record>,
+    ) -> impl Iterator<Item = (Bytes, Bytes)> {
+        for rec in records {
+            self.push(|b| b.extend_from_slice(rec.pk.as_bytes()));
+            self.push(|b| rec.encode_into(b));
+        }
+        let mut values = self.take().into_iter();
+        std::iter::from_fn(move || Some((values.next()?, values.next()?)))
+    }
+
+    /// Column `c` of each record.
+    fn column<'r>(
+        &mut self,
+        records: impl IntoIterator<Item = &'r Record>,
+        c: usize,
+    ) -> Vec<Bytes> {
+        for rec in records {
+            self.push(|b| column_into(rec, c, b));
+        }
+        self.take()
+    }
 }
 
 /// A named, versioned dataset inside a ForkBase instance.
@@ -70,23 +140,13 @@ impl Dataset {
     }
 
     fn build_value(&self, db: &ForkBase, records: &[Record]) -> Value {
+        let mut values = Values::default();
         match self.layout {
-            Layout::Row => {
-                let map = db.new_map(
-                    records
-                        .iter()
-                        .map(|r| (Bytes::from(r.pk.clone()), r.encode())),
-                );
-                Value::Map(map)
-            }
+            Layout::Row => Value::Map(db.new_map(values.rows(records))),
             Layout::Column => {
                 let mut cols: Vec<(Bytes, Bytes)> = Vec::with_capacity(COLUMNS.len());
                 for (c, name) in COLUMNS.iter().enumerate() {
-                    let list = db.new_list(
-                        records
-                            .iter()
-                            .map(|r| Bytes::from(column_values(r)[c].clone())),
-                    );
+                    let list = db.new_list(values.column(records, c));
                     cols.push((
                         Bytes::from(name.to_string()),
                         Bytes::copy_from_slice(list.root().as_bytes()),
@@ -123,11 +183,11 @@ impl Dataset {
     /// returns the new version uid.
     pub fn update(&self, db: &ForkBase, mods: &[(usize, Record)]) -> Result<Digest> {
         let map = self.head_map(db)?;
+        let mut values = Values::default();
+        let records = mods.iter().map(|(_, rec)| rec);
         let value = match self.layout {
             Layout::Row => {
-                let edits = mods
-                    .iter()
-                    .map(|(_, rec)| (Bytes::from(rec.pk.clone()), Some(rec.encode())));
+                let edits = values.rows(records).map(|(pk, row)| (pk, Some(row)));
                 let map = map.update(db.store(), db.cfg(), edits)?;
                 Value::Map(map)
             }
@@ -135,14 +195,8 @@ impl Dataset {
                 let mut col_edits: Vec<(Bytes, Option<Bytes>)> = Vec::new();
                 for (c, name) in COLUMNS.iter().enumerate() {
                     let mut list = self.column_list(db, &map, name)?;
-                    for (idx, rec) in mods {
-                        list = list.splice(
-                            db.store(),
-                            db.cfg(),
-                            *idx as u64,
-                            1,
-                            [Bytes::from(column_values(rec)[c].clone())],
-                        )?;
+                    for ((idx, _), value) in mods.iter().zip(values.column(records.clone(), c)) {
+                        list = list.splice(db.store(), db.cfg(), *idx as u64, 1, [value])?;
                     }
                     col_edits.push((
                         Bytes::from(name.to_string()),

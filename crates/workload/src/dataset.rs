@@ -8,6 +8,7 @@
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::Write;
 
 /// One generated record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,12 +26,28 @@ pub struct Record {
 }
 
 impl Record {
+    /// Append the CSV line (no trailing newline) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.pk.as_bytes());
+        // `Write` for a `Vec` cannot fail.
+        let _ = write!(out, ",{},{},", self.qty, self.price);
+        out.extend_from_slice(self.descr.as_bytes());
+        out.push(b',');
+        out.extend_from_slice(self.region.as_bytes());
+    }
+
+    /// The CSV line's bytes, in a buffer sized for them.
+    fn csv_bytes(&self) -> Vec<u8> {
+        // Four commas and two integers of at most 20 characters each.
+        let len = self.pk.len() + self.descr.len() + self.region.len() + 44;
+        let mut out = Vec::with_capacity(len);
+        self.encode_into(&mut out);
+        out
+    }
+
     /// CSV line (no trailing newline).
     pub fn to_csv(&self) -> String {
-        format!(
-            "{},{},{},{},{}",
-            self.pk, self.qty, self.price, self.descr, self.region
-        )
+        String::from_utf8(self.csv_bytes()).expect("the fields are UTF-8")
     }
 
     /// Parse a CSV line produced by [`to_csv`](Self::to_csv).
@@ -47,7 +64,7 @@ impl Record {
 
     /// Row encoding used by the storage layers: the CSV body as bytes.
     pub fn encode(&self) -> Bytes {
-        Bytes::from(self.to_csv())
+        Bytes::copy_from_slice(&self.csv_bytes())
     }
 }
 
@@ -103,12 +120,12 @@ impl DatasetGen {
 
     /// Whole dataset as a CSV string with a header line.
     pub fn to_csv(records: &[Record]) -> String {
-        let mut out = String::from("pk,qty,price,descr,region\n");
+        let mut out = b"pk,qty,price,descr,region\n".to_vec();
         for r in records {
-            out.push_str(&r.to_csv());
-            out.push('\n');
+            r.encode_into(&mut out);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("the fields are UTF-8")
     }
 
     /// Parse a CSV produced by [`to_csv`](Self::to_csv).
@@ -219,6 +236,9 @@ mod tests {
             assert_eq!(r.to_csv(), reference);
             assert_eq!(&r.encode()[..], reference.as_bytes());
             assert_eq!(Record::from_csv(&reference).as_ref(), Some(r));
+            let mut out = b"prefix,".to_vec();
+            r.encode_into(&mut out);
+            assert_eq!(out, [b"prefix,", reference.as_bytes()].concat());
         }
     }
 
