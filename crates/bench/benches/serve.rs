@@ -9,22 +9,62 @@
 //! path minus the socket — so the delta is the pure serving tax: RESP
 //! framing, syscalls, and per-connection threads.
 //!
-//! Results append to `$CRITERION_JSON` with `p50_ns`/`p95_ns`/`p99_ns`
-//! per-op latency fields so `scripts/bench.sh` can assemble
-//! `BENCH_serve.json` with tail latencies included.
+//! Each cell takes [`SAMPLES`] samples. A sample runs its closed loops
+//! for `CRITERION_SAMPLE_MS` (default 300) of wall time, replaying each
+//! loop's pre-generated schedule as often as that takes, so a cell is
+//! timed over whole scheduling quanta rather than a few hundred
+//! microseconds of thread start-up. The cell reports its median sample
+//! and the spread of all of them.
+//!
+//! Results append to `$CRITERION_JSON`: the median sample's per-op cost,
+//! ops/s and `p50_ns`/`p95_ns`/`p99_ns`/`max_ns` latencies, then
+//! `samples` and the lowest and highest ops/s, so `scripts/bench.sh` can
+//! assemble `BENCH_serve.json` with tail latencies included.
 
 use bytes::Bytes;
 use fb_bench::*;
-use fb_workload::{run_closed_loop_with, Op, YcsbConfig, YcsbGen};
+use fb_workload::{run_closed_loop_for, DriverReport, Op, YcsbConfig, YcsbGen};
 use redislite::{Cmd, RedisLite, RespClient, RespServer};
 use std::io::Write;
 use std::sync::Arc;
+use std::time::Duration;
 
 const N_KEYS: usize = 10_000;
 const VALUE_SIZE: usize = 100;
 const ZIPF: f64 = 0.99;
 const CONNS: [usize; 3] = [64, 256, 512];
 const WORKLOADS: [(&str, f64); 3] = [("a", 0.5), ("b", 0.95), ("c", 1.0)];
+/// Samples per cell.
+const SAMPLES: usize = 3;
+
+/// One sample's wall time.
+fn sample_budget() -> Duration {
+    let ms = std::env::var("CRITERION_SAMPLE_MS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(300);
+    Duration::from_millis(ms)
+}
+
+/// A cell's samples, sorted by throughput.
+struct Cell(Vec<DriverReport>);
+
+impl Cell {
+    fn sample(mut run: impl FnMut() -> DriverReport) -> Cell {
+        let mut samples: Vec<DriverReport> = (0..SAMPLES).map(|_| run()).collect();
+        samples.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
+        Cell(samples)
+    }
+
+    fn median(&self) -> &DriverReport {
+        &self.0[self.0.len() / 2]
+    }
+
+    /// Highest over lowest throughput.
+    fn spread(&self) -> f64 {
+        self.0[self.0.len() - 1].ops_per_sec / self.0[0].ops_per_sec
+    }
+}
 
 /// Pre-generate one closed loop's command schedule so RNG cost stays
 /// out of the measured window. Seeds differ per worker, so connections
@@ -60,7 +100,8 @@ fn preload(db: &RedisLite) {
     }
 }
 
-fn emit(id: &str, r: &fb_workload::DriverReport) {
+fn emit(id: &str, cell: &Cell) {
+    let r = cell.median();
     if let Ok(path) = std::env::var("CRITERION_JSON") {
         if let Ok(mut file) = std::fs::OpenOptions::new()
             .create(true)
@@ -72,7 +113,8 @@ fn emit(id: &str, r: &fb_workload::DriverReport) {
                 concat!(
                     "{{\"bench\":\"{}\",\"median_ns_per_iter\":{:.1},",
                     "\"ops_per_sec\":{:.1},\"unit\":\"elements\",\"units_per_iter\":1,",
-                    "\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}"
+                    "\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{},",
+                    "\"samples\":{},\"min_ops_per_sec\":{:.1},\"max_ops_per_sec\":{:.1}}}"
                 ),
                 id,
                 r.ns_per_op(),
@@ -81,17 +123,22 @@ fn emit(id: &str, r: &fb_workload::DriverReport) {
                 r.p95_ns,
                 r.p99_ns,
                 r.max_ns,
+                cell.0.len(),
+                cell.0[0].ops_per_sec,
+                cell.0[cell.0.len() - 1].ops_per_sec,
             );
         }
     }
 }
 
-fn report_row(wl: &str, conns: usize, transport: &str, r: &fb_workload::DriverReport) {
+fn report_row(wl: &str, conns: usize, transport: &str, cell: &Cell) {
+    let r = cell.median();
     row(&[
         format!("ycsb-{}", wl.to_uppercase()),
         conns.to_string(),
         transport.to_string(),
         format!("{:.0}", r.ops_per_sec),
+        format!("×{:.2}", cell.spread()),
         format!("{}", r.p50_ns / 1000),
         format!("{}", r.p99_ns / 1000),
         format!("{}", r.max_ns / 1000),
@@ -103,12 +150,15 @@ fn main() {
         "resp serve",
         "YCSB-A/B/C closed loops over loopback RESP vs in-process dispatch",
     );
-    let ops_per_conn = scaled(128);
+    // Each loop replays a schedule of this many commands.
+    let schedule_len = scaled(128);
+    let budget = sample_budget();
     header(&[
         "workload",
         "conns",
         "transport",
         "ops/s",
+        "spread",
         "p50 us",
         "p99 us",
         "max us",
@@ -124,39 +174,48 @@ fn main() {
         // sweep so the two 64-way cells are directly comparable.
         let inproc_workers = 64;
         let schedules: Vec<Vec<Cmd>> = (0..inproc_workers)
-            .map(|t| schedule(read_ratio, t, ops_per_conn))
+            .map(|t| schedule(read_ratio, t, schedule_len))
             .collect();
-        let r = run_closed_loop_with(
-            inproc_workers,
-            ops_per_conn,
-            |_| (),
-            |(), t, i| {
-                db.execute(schedules[t][i].clone());
-            },
+        let cell = Cell::sample(|| {
+            run_closed_loop_for(
+                inproc_workers,
+                budget,
+                |_| (),
+                |(), t, i| {
+                    db.execute(schedules[t][i % schedule_len].clone());
+                },
+            )
+        });
+        report_row(wl, inproc_workers, "inproc", &cell);
+        emit(
+            &format!("resp_serve/{wl}_inproc_conns{inproc_workers}"),
+            &cell,
         );
-        report_row(wl, inproc_workers, "inproc", &r);
-        emit(&format!("resp_serve/{wl}_inproc_conns{inproc_workers}"), &r);
 
         for conns in CONNS {
             let schedules: Vec<Vec<Cmd>> = (0..conns)
-                .map(|t| schedule(read_ratio, t, ops_per_conn))
+                .map(|t| schedule(read_ratio, t, schedule_len))
                 .collect();
-            let r = run_closed_loop_with(
-                conns,
-                ops_per_conn,
-                |_| {
-                    let mut client = RespClient::connect(addr).expect("dial");
-                    // One round trip warms the connection (and the
-                    // server's handler thread) before the barrier.
-                    client.execute(&Cmd::Ping).expect("ping");
-                    client
-                },
-                |client, t, i| {
-                    client.execute(&schedules[t][i]).expect("wire op");
-                },
-            );
-            report_row(wl, conns, "tcp", &r);
-            emit(&format!("resp_serve/{wl}_conns{conns}"), &r);
+            let cell = Cell::sample(|| {
+                run_closed_loop_for(
+                    conns,
+                    budget,
+                    |_| {
+                        let mut client = RespClient::connect(addr).expect("dial");
+                        // One round trip warms the connection (and the
+                        // server's handler thread) before the barrier.
+                        client.execute(&Cmd::Ping).expect("ping");
+                        client
+                    },
+                    |client, t, i| {
+                        client
+                            .execute(&schedules[t][i % schedule_len])
+                            .expect("wire op");
+                    },
+                )
+            });
+            report_row(wl, conns, "tcp", &cell);
+            emit(&format!("resp_serve/{wl}_conns{conns}"), &cell);
         }
         drop(server);
     }

@@ -13,10 +13,11 @@
 //! in-process calls and real wire protocols. Client construction
 //! (dialing, handshakes) happens before a start barrier and is excluded
 //! from the measured window. [`run_closed_loop`] is the clientless
-//! shorthand the in-process benches use.
+//! shorthand the in-process benches use. [`run_closed_loop_for`] runs
+//! each loop for a time budget instead of a fixed number of operations.
 
 use std::sync::Barrier;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Aggregate result of one closed-loop run.
 #[derive(Clone, Copy, Debug)]
@@ -81,6 +82,42 @@ where
     B: Fn(usize) -> C + Sync,
     F: Fn(&mut C, usize, usize) + Sync,
 {
+    let more = |done: usize, _: Instant| done < ops_per_worker;
+    closed_loop(workers, ops_per_worker, more, build, op)
+}
+
+/// [`run_closed_loop_with`], but each loop issues operations until
+/// `budget` has passed since the start barrier, however many that is.
+/// `i` counts up without bound; a caller replaying a schedule wraps it.
+pub fn run_closed_loop_for<C, B, F>(
+    workers: usize,
+    budget: Duration,
+    build: B,
+    op: F,
+) -> DriverReport
+where
+    C: Send,
+    B: Fn(usize) -> C + Sync,
+    F: Fn(&mut C, usize, usize) + Sync,
+{
+    let more = |_: usize, start: Instant| start.elapsed() < budget;
+    closed_loop(workers, 0, more, build, op)
+}
+
+/// The closed loops: each worker issues operations while `more(issued,
+/// its start)` holds, recording latencies into a buffer of `capacity`.
+fn closed_loop<C, B, F>(
+    workers: usize,
+    capacity: usize,
+    more: impl Fn(usize, Instant) -> bool + Sync,
+    build: B,
+    op: F,
+) -> DriverReport
+where
+    C: Send,
+    B: Fn(usize) -> C + Sync,
+    F: Fn(&mut C, usize, usize) + Sync,
+{
     assert!(workers > 0, "at least one driver worker");
     let barrier = Barrier::new(workers + 1);
     let mut lats: Vec<u64> = Vec::new();
@@ -88,14 +125,15 @@ where
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|t| {
-                let (op, build, barrier) = (&op, &build, &barrier);
+                let (op, build, barrier, more) = (&op, &build, &barrier, &more);
                 s.spawn(move || {
                     let mut client = build(t);
                     barrier.wait();
-                    let mut lats = Vec::with_capacity(ops_per_worker);
-                    for i in 0..ops_per_worker {
+                    let mut lats = Vec::with_capacity(capacity);
+                    let start = Instant::now();
+                    while more(lats.len(), start) {
                         let t0 = Instant::now();
-                        op(&mut client, t, i);
+                        op(&mut client, t, lats.len());
                         lats.push(t0.elapsed().as_nanos() as u64);
                     }
                     lats
@@ -227,6 +265,24 @@ mod tests {
         );
         assert_eq!(built.load(Ordering::Relaxed), 3, "one build per worker");
         assert_eq!(report.total_ops, 30);
+    }
+
+    #[test]
+    fn a_time_budget_bounds_the_run() {
+        let report = run_closed_loop_for(
+            2,
+            Duration::from_millis(20),
+            |_| 0usize,
+            |next, _, i| {
+                assert_eq!(*next, i, "indices count up from 0 per worker");
+                *next += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            },
+        );
+        assert!(report.total_ops >= 2, "each loop runs at least once");
+        // An operation sleeps at least 1 ms, so a loop fits at most 20 in
+        // its budget and starts no more once the budget is spent.
+        assert!(report.total_ops <= 2 * 21, "stops once the budget is spent");
     }
 
     #[test]

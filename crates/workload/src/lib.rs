@@ -14,7 +14,9 @@ pub mod ycsb;
 pub mod zipf;
 
 pub use dataset::{DatasetGen, Record};
-pub use driver::{per_worker_slices, run_closed_loop, run_closed_loop_with, DriverReport};
+pub use driver::{
+    per_worker_slices, run_closed_loop, run_closed_loop_for, run_closed_loop_with, DriverReport,
+};
 pub use text::{EditKind, PageEditGen};
 pub use ycsb::{Op, YcsbConfig, YcsbGen};
 pub use zipf::Zipf;
