@@ -29,7 +29,10 @@
 //!   updates on a 50,000-account durable `ChainStore` and adds the log's
 //!   side of each block: the checkpoint round's `write` and `fdatasync`,
 //!   the bytes the log's writer thread wrote ahead of it and the bytes
-//!   the checkpoint wrote itself (`LogStore`'s round counters).
+//!   the checkpoint wrote itself (`LogStore`'s round counters). It also
+//!   times the block's three calls (`state_put_many`, `flush_state`,
+//!   `append_block`), counts the bytes the store accepted per block, and
+//!   prints the hot tier's publish rounds and edits per round.
 //!
 //! Each prints, per operation, the median of every phase in µs, the scan
 //! rate, the bytes each scanner and SHA-256 saw, and the leaves fetched
@@ -353,9 +356,11 @@ fn ledger_block_phases() {
     let log = chain.db().durable_store().expect("durable").clone();
 
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-    // Per block: [scan, hash, index+store, write, fdatasync, total] ns,
-    // then [leaves, ahead, checkpoint, fsyncs, writeback starts].
-    let (mut times, mut counts) = (vec![Vec::new(); 6], vec![Vec::new(); 5]);
+    // Per block: [scan, hash, index+store, write, fdatasync, total,
+    // state_put_many, flush_state, append_block] ns, then [leaves, ahead,
+    // checkpoint, fsyncs, writeback starts, bytes stored].
+    let (mut times, mut counts) = (vec![Vec::new(); 9], vec![Vec::new(); 6]);
+    let hot_before = chain.db().hot_stats().expect("tier on");
     for number in 1..=BLOCKS {
         let updates: Vec<(Bytes, Option<Bytes>)> = (0..64)
             .map(|_| {
@@ -376,13 +381,20 @@ fn ledger_block_phases() {
             log.fsync_count(),
             log.writeback_starts(),
         ];
+        let stored = chain.db().store().stored_bytes();
         let start = Instant::now();
         chain.state_put_many(updates).expect("updates");
+        let put_done = Instant::now();
         chain.flush_state().expect("flush");
+        let flush_done = Instant::now();
         tip = chain
             .append_block(Some(tip), &body, format!("slot-{number}"))
             .expect("append");
-        let total = start.elapsed().as_nanos() as u64;
+        let end = Instant::now();
+        let total = (end - start).as_nanos() as u64;
+        let calls = [put_done - start, flush_done - put_done, end - flush_done]
+            .map(|d| d.as_nanos() as u64);
+        let stored = chain.db().store().stored_bytes() - stored;
         let pos = pos_metrics::snapshot().since(pos);
         let after = [
             log.caller_write_ns(),
@@ -400,25 +412,42 @@ fn ledger_block_phases() {
             d[0],
             d[1],
             total,
+            calls[0],
+            calls[1],
+            calls[2],
         ];
         for (col, v) in times.iter_mut().zip(row) {
             col.push(v);
         }
         for (col, v) in counts
             .iter_mut()
-            .zip([pos.leaf_puts, d[2], d[3], d[4], d[5]])
+            .zip([pos.leaf_puts, d[2], d[3], d[4], d[5], stored])
         {
             col.push(v);
         }
     }
     assert!(!log.poisoned());
+    let hot = chain.db().hot_stats().expect("tier on");
     let us: Vec<f64> = times.iter_mut().map(|v| spread(v).0 as f64 / 1e3).collect();
-    let [leaves, ahead, checkpoint, fsyncs, starts] =
-        [0, 1, 2, 3, 4].map(|i| spread(&mut counts[i]));
+    let [leaves, ahead, checkpoint, fsyncs, starts, stored] =
+        [0, 1, 2, 3, 4, 5].map(|i| spread(&mut counts[i]));
     println!(
         "ledger block: {BLOCKS} blocks, median µs: splice scan {:.1}, leaf hash {:.1}, \
          index+store {:.1}, checkpoint write {:.1}, fdatasync {:.1}, block total {:.1}",
         us[0], us[1], us[2], us[3], us[4], us[5]
+    );
+    println!(
+        "ledger block calls, median µs: state_put_many {:.1}, flush_state {:.1}, \
+         append_block {:.1}; bytes stored per block {} ({}–{})",
+        us[6], us[7], us[8], stored.0, stored.1, stored.2
+    );
+    let (rounds, edits) = (
+        hot.publish_rounds - hot_before.publish_rounds,
+        hot.published - hot_before.published,
+    );
+    println!(
+        "ledger block publisher: {rounds} rounds, {edits} edits, {:.1} edits per round",
+        edits as f64 / rounds.max(1) as f64
     );
     println!(
         "ledger block, per block as median (min–max): leaves put {} ({}–{}), \
