@@ -36,7 +36,13 @@
 //!   surface keeps latest chain state (account balances, UTXO sets,
 //!   `"tip"` pointers) in the flat hot-state index at hash-map speed
 //!   when [`ChainConfig::hot`] is enabled, falling back to synchronous
-//!   POS-Tree map commits when it is not.
+//!   POS-Tree map commits when it is not;
+//! * **a block's state is durable when [`flush_state`](ChainStore::flush_state)
+//!   returns; the tree catches up in the background**: on a durable
+//!   instance with the tier on, the block's state writes are journaled
+//!   (one small Blob and one checkpoint, one fsync) and the hot tier's
+//!   publisher folds them into the state map off the block's path.
+//!   [`checkpoint`](ChainStore::checkpoint) publishes everything.
 //!
 //! Durable instances ([`ChainStore::open`]) get the full PR-4/5 stack:
 //! group-commit log segments, auto-restore from the log's last root
@@ -432,12 +438,16 @@ impl ChainStore {
         self.db.hot_put_many(STATE_KEY, entries)
     }
 
-    /// Publish pending hot-state edits into the committed tree (and
-    /// checkpoint on durable instances). The commit barrier to call at
-    /// block boundaries before trusting [`checkpoint`](Self::checkpoint)
-    /// to cover state written through the hot tier.
+    /// The block boundary's durability barrier: after `flush_state`
+    /// returns, the block's state is durable; the tree catches up in the
+    /// background; [`checkpoint`](Self::checkpoint) publishes
+    /// everything. With the tier on, a durable instance journals the
+    /// state written since the last call and commits one checkpoint
+    /// listing it ([`ForkBase::persist_hot`]); a reopen publishes what
+    /// the tree did not hold yet. In memory, or with the tier off, it
+    /// publishes (and checkpoints when durable).
     pub fn flush_state(&self) -> Result<()> {
-        self.db.flush_hot()
+        self.db.persist_hot()
     }
 }
 

@@ -29,6 +29,10 @@ pub struct BranchTable {
     untagged: FxHashSet<Digest>,
     /// (uid, depth) of the last version published here.
     published: Option<(Digest, u64)>,
+    /// Every hot-tier edit of this key numbered below this is in the
+    /// default branch's head (see [`crate::hot`]). Moved with the head,
+    /// under the same lock, so a checkpoint reads the two consistently.
+    hot_mark: u64,
 }
 
 impl BranchTable {
@@ -112,6 +116,19 @@ impl BranchTable {
     /// Remember `uid` at `depth` as the last version published here.
     pub fn note_published(&mut self, uid: Digest, depth: u64) {
         self.published = Some((uid, depth));
+    }
+
+    /// Record that hot-tier edits numbered below `mark` are now in the
+    /// default branch's head. Marks only rise: a round that lost a race
+    /// to a later one has nothing to take back.
+    pub fn note_hot_mark(&mut self, mark: u64) {
+        self.hot_mark = self.hot_mark.max(mark);
+    }
+
+    /// The hot-tier edit number below which this key's edits are in the
+    /// head; 0 when the tier has published none here.
+    pub fn hot_mark(&self) -> u64 {
+        self.hot_mark
     }
 
     /// The depth of `parent` if it is the last version published here

@@ -13,6 +13,14 @@
 //! Checkpoints are deterministic: the same branch state always encodes to
 //! the same bytes, hence the same cid — taking a checkpoint twice costs
 //! one deduplicated chunk.
+//!
+//! A checkpoint taken while the hot tier holds persisted edits that no
+//! publish round has put in the tree yet ([`crate::hot`]) ends in one
+//! more section: the roots of those journal Blobs, in order, and each
+//! key's hot mark (the edit number below which its edits are in its
+//! head). Reopening replays the journals' edits at or above their key's
+//! mark. A checkpoint without journals has no such section, and its
+//! bytes are what they were before the section existed.
 
 use crate::error::{FbError, Result};
 use bytes::Bytes;
@@ -29,6 +37,12 @@ pub type BranchEntry = (Bytes, Vec<(String, Digest)>, Vec<Digest>);
 pub struct BranchSnapshot {
     /// Per key; keys sorted, so encoding is canonical.
     pub entries: Vec<BranchEntry>,
+    /// Roots of the hot tier's journal Blobs still to replay, oldest
+    /// first. Empty outside a checkpoint chunk's trailing section.
+    pub journal: Vec<Digest>,
+    /// Per key with a nonzero hot mark, sorted: replay skips the key's
+    /// journaled edits numbered below it. Written only with `journal`.
+    pub marks: Vec<(Bytes, u64)>,
 }
 
 impl BranchSnapshot {
@@ -62,6 +76,17 @@ impl BranchSnapshot {
             put_varint(&mut out, untagged.len() as u64);
             for head in untagged {
                 out.extend_from_slice(head.as_bytes());
+            }
+        }
+        if !self.journal.is_empty() {
+            put_varint(&mut out, self.journal.len() as u64);
+            for root in &self.journal {
+                out.extend_from_slice(root.as_bytes());
+            }
+            put_varint(&mut out, self.marks.len() as u64);
+            for (key, mark) in &self.marks {
+                put_bytes(&mut out, key);
+                put_varint(&mut out, *mark);
             }
         }
         Chunk::new(ChunkType::Checkpoint, out)
@@ -110,7 +135,32 @@ impl BranchSnapshot {
             }
             entries.push((key, tagged, untagged));
         }
-        Ok(BranchSnapshot { entries })
+        let (mut journal, mut marks) = (Vec::new(), Vec::new());
+        if pos < payload.len() {
+            let n_journal = get_varint(payload, &mut pos).ok_or_else(corrupt)? as usize;
+            if n_journal == 0 || n_journal > payload.len() {
+                return Err(corrupt());
+            }
+            for _ in 0..n_journal {
+                journal.push(read_digest(payload, &mut pos)?);
+            }
+            let n_marks = get_varint(payload, &mut pos).ok_or_else(corrupt)? as usize;
+            if n_marks > payload.len() {
+                return Err(corrupt());
+            }
+            for _ in 0..n_marks {
+                let key = Bytes::copy_from_slice(get_bytes(payload, &mut pos).ok_or_else(corrupt)?);
+                marks.push((key, get_varint(payload, &mut pos).ok_or_else(corrupt)?));
+            }
+            if pos != payload.len() {
+                return Err(corrupt());
+            }
+        }
+        Ok(BranchSnapshot {
+            entries,
+            journal,
+            marks,
+        })
     }
 }
 
@@ -133,6 +183,15 @@ mod tests {
                 (Bytes::from("beta"), vec![], vec![hash_bytes(b"u3")]),
                 (Bytes::from("empty-key"), vec![], vec![]),
             ],
+            ..BranchSnapshot::default()
+        }
+    }
+
+    fn with_journal() -> BranchSnapshot {
+        BranchSnapshot {
+            journal: vec![hash_bytes(b"j1"), hash_bytes(b"j2")],
+            marks: vec![(Bytes::from("alpha"), 300), (Bytes::from("beta"), 7)],
+            ..sample()
         }
     }
 
@@ -143,6 +202,37 @@ mod tests {
         assert_eq!(chunk.ty(), ChunkType::Checkpoint);
         let back = BranchSnapshot::decode(chunk.payload()).expect("decode");
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn journal_section_round_trips() {
+        let snap = with_journal();
+        let back = BranchSnapshot::decode(snap.to_chunk().payload()).expect("decode");
+        assert_eq!(back, snap);
+        assert_ne!(snap.to_chunk().cid(), sample().to_chunk().cid());
+    }
+
+    /// `sample()`'s checkpoint as the encoding before journals existed
+    /// wrote it: it still decodes, and a checkpoint without a journal
+    /// still encodes to exactly these bytes.
+    #[test]
+    fn a_checkpoint_from_before_journals_decodes() {
+        const PAYLOAD: &str = "0305616c706861020766656174757265252f10c83610ebca1a059c0bae8255eba2\
+            f95be4d1d7bcfa89d7248a82d9f111066d617374657262c66a7a5dd70c3146618063c344e531e6d4b59e\
+            379808443ce962b3abd63c5a02bb82030dbc2bcaba32a90bf2e207a84a856fc5f033b77c480836ab6f77\
+            f40f196ca202c88e549dff68c09bfafbfc60b2fac074debc1e6777e9ba4b6c703ed114046265746100010\
+            11e39efe22590f4a339ad19cd180f4d855e32feba602d1ec8e154780838c99c09656d7074792d6b65790000";
+        let old: Vec<u8> = (0..PAYLOAD.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PAYLOAD[i..i + 2], 16).expect("hex"))
+            .collect();
+        assert_eq!(BranchSnapshot::decode(&old).expect("decode"), sample());
+        let chunk = sample().to_chunk();
+        assert_eq!(chunk.payload().as_ref(), old.as_slice());
+        assert_eq!(
+            chunk.cid().to_hex(),
+            "b3d377fe95e542de311da158f6351e0448e72c72876d941b52973d0c4009f12c"
+        );
     }
 
     #[test]
@@ -170,6 +260,16 @@ mod tests {
             assert!(
                 BranchSnapshot::decode(&payload[..cut]).is_err(),
                 "truncated at {cut}"
+            );
+        }
+        // Inside the journal section every cut is corrupt.
+        let plain = sample().to_chunk().payload().len();
+        let chunk = with_journal().to_chunk();
+        let payload = chunk.payload();
+        for cut in plain + 1..payload.len() {
+            assert!(
+                BranchSnapshot::decode(&payload[..cut]).is_err(),
+                "journal truncated at {cut}"
             );
         }
     }

@@ -159,6 +159,17 @@ impl Engine {
     /// back in commit order. An error leaves chains already published
     /// in place, as the same commits issued one at a time would.
     pub(crate) fn commit_all(&self, commits: &[Commit<'_>]) -> Result<Vec<Digest>> {
+        self.commit_all_marked(commits, &[])
+    }
+
+    /// [`commit_all`](Self::commit_all) for the hot tier's publish
+    /// rounds: `marks[i]` is noted in commit `i`'s branch table as its
+    /// head moves ([`BranchTable::note_hot_mark`](crate::branch::BranchTable::note_hot_mark)).
+    pub(crate) fn commit_all_marked(
+        &self,
+        commits: &[Commit<'_>],
+        marks: &[u64],
+    ) -> Result<Vec<Digest>> {
         let mut plans = self.stage(commits)?;
         loop {
             let mut chunks = Vec::with_capacity(commits.len());
@@ -177,7 +188,8 @@ impl Engine {
             let mut settled = true;
             for first in 0..commits.len() {
                 if !plans[first].published && plans[first].prev.is_none() {
-                    settled &= self.publish(commits, first, &mut plans);
+                    let mark = marks.get(first).copied();
+                    settled &= self.publish(commits, first, mark, &mut plans);
                 }
             }
             if settled {
@@ -354,7 +366,13 @@ impl Engine {
     /// slot lock — the one place a commit moves a head. `false`: the
     /// branch head is no longer the one staged; nothing was published
     /// and the chain's parent is now the head observed.
-    fn publish(&self, commits: &[Commit<'_>], first: usize, plans: &mut [Plan]) -> bool {
+    fn publish(
+        &self,
+        commits: &[Commit<'_>],
+        first: usize,
+        mark: Option<u64>,
+        plans: &mut [Plan],
+    ) -> bool {
         let commit = &commits[first];
         let slot = plans[first]
             .slot
@@ -383,6 +401,9 @@ impl Engine {
             table.set_head(branch, plans[tip].uid);
         }
         table.note_published(plans[tip].uid, plans[tip].depth);
+        if let Some(mark) = mark {
+            table.note_hot_mark(mark);
+        }
         true
     }
 

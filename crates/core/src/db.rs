@@ -21,7 +21,7 @@ use crate::commit::{Commit, Payload, Target};
 use crate::error::{FbError, Result};
 use crate::fobject::FObject;
 use crate::history;
-use crate::hot::{HotTier, HotTierConfig, HotTierStats};
+use crate::hot::{self, HotTier, HotTierConfig, HotTierStats};
 use crate::value::Value;
 use bytes::Bytes;
 use forkbase_chunk::{
@@ -89,18 +89,27 @@ impl Engine {
     /// Every key's branch table as a canonical snapshot. Each slot is
     /// read consistently; under concurrent writers the snapshot as a
     /// whole is some interleaving of their per-key publishes (the same
-    /// guarantee readers get).
-    fn snapshot_branches(&self) -> BranchSnapshot {
-        let mut entries: Vec<_> = Vec::new();
+    /// guarantee readers get). With a `journal` to list, each key's hot
+    /// mark is read with its heads.
+    fn snapshot_branches(&self, journal: Vec<Digest>) -> BranchSnapshot {
+        let (mut entries, mut marks) = (Vec::new(), Vec::new());
         self.branches.for_each(|key, table| {
             entries.push((key.clone(), table.tagged_branches(), table.untagged_heads()));
+            if !journal.is_empty() && table.hot_mark() > 0 {
+                marks.push((key.clone(), table.hot_mark()));
+            }
         });
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        BranchSnapshot { entries }
+        marks.sort();
+        BranchSnapshot {
+            entries,
+            journal,
+            marks,
+        }
     }
 
-    fn checkpoint(&self) -> Digest {
-        let chunk = self.snapshot_branches().to_chunk();
+    fn checkpoint(&self, journal: Vec<Digest>) -> Digest {
+        let chunk = self.snapshot_branches(journal).to_chunk();
         let cid = chunk.cid();
         self.store.put(chunk);
         cid
@@ -109,14 +118,19 @@ impl Engine {
     /// Checkpoint the branch tables and make that the recovery point:
     /// the checkpoint chunk and a root record naming it are appended to
     /// the chunk log behind everything written so far and fsynced with it
-    /// ([`LogStore::sync_root`]) — one `write`, one fsync.
-    pub(crate) fn commit_checkpoint(&self) -> Result<Digest> {
+    /// ([`LogStore::sync_root`]) — one `write`, one fsync. `journal`
+    /// names the hot tier's journal Blobs to list; it is called before
+    /// the tables are read, so its list can only be too long.
+    pub(crate) fn commit_checkpoint(
+        &self,
+        journal: impl FnOnce() -> Vec<Digest>,
+    ) -> Result<Digest> {
         let log = self
             .durable
             .as_ref()
             .ok_or_else(|| FbError::Io("not a durable instance (use ForkBase::open)".into()))?;
         let _serialized = self.ckpt_lock.lock().expect("checkpoint lock");
-        let chunk = self.snapshot_branches().to_chunk();
+        let chunk = self.snapshot_branches(journal()).to_chunk();
         let cid = chunk.cid();
         log.sync_root(chunk)?;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -124,8 +138,12 @@ impl Engine {
     }
 }
 
-/// The branch tables a checkpoint chunk holds.
-fn load_branches(store: &dyn ChunkStore, checkpoint: Digest) -> Result<ShardedBranchMap> {
+/// The branch tables a checkpoint chunk holds, and the checkpoint itself
+/// (for its journal list).
+fn load_branches(
+    store: &dyn ChunkStore,
+    checkpoint: Digest,
+) -> Result<(ShardedBranchMap, BranchSnapshot)> {
     let chunk = store
         .get(&checkpoint)
         .ok_or(FbError::VersionNotFound(checkpoint))?;
@@ -136,7 +154,8 @@ fn load_branches(store: &dyn ChunkStore, checkpoint: Digest) -> Result<ShardedBr
         )));
     }
     let branches = ShardedBranchMap::new();
-    for (key, tagged, untagged) in BranchSnapshot::decode(chunk.payload())?.entries {
+    let mut snap = BranchSnapshot::decode(chunk.payload())?;
+    for (key, tagged, untagged) in std::mem::take(&mut snap.entries) {
         let slot = branches.slot(&key);
         let mut table = slot.write();
         for (name, head) in tagged {
@@ -146,7 +165,7 @@ fn load_branches(store: &dyn ChunkStore, checkpoint: Digest) -> Result<ShardedBr
             table.record_version(head, &[]);
         }
     }
-    Ok(branches)
+    Ok((branches, snap))
 }
 
 /// An embedded ForkBase instance: one servlet plus one chunk storage
@@ -200,7 +219,9 @@ impl ForkBase {
     /// ([`CacheConfig::default`] — on), and the hot tier off. If the
     /// log holds a root record (written by
     /// [`commit_checkpoint`](Self::commit_checkpoint)), all branch
-    /// heads are restored from the checkpoint the last intact one names.
+    /// heads are restored from the checkpoint the last intact one names,
+    /// and the hot-tier journal it lists is published into the tree
+    /// ([`persist_hot`](Self::persist_hot)).
     pub fn open(path: impl AsRef<Path>) -> Result<ForkBase> {
         Self::open_with(
             path,
@@ -231,11 +252,13 @@ impl ForkBase {
             Some(cache) => cache.clone(),
             None => log.clone(),
         };
-        let branches = match log.root() {
+        let (branches, snap) = match log.root() {
             Some(checkpoint) => load_branches(store.as_ref(), checkpoint)?,
-            None => ShardedBranchMap::new(),
+            None => Default::default(),
         };
-        Ok(Self::assemble(store, cfg, branches, Some(log), cache, hot))
+        let db = Self::assemble(store, cfg, branches, Some(log), cache, hot);
+        hot::replay_journal(&db.core, &snap.journal, &snap.marks)?;
+        Ok(db)
     }
 
     /// Reopen an instance from a store plus the cid of a checkpoint
@@ -247,9 +270,11 @@ impl ForkBase {
         cfg: ChunkerConfig,
         checkpoint: Digest,
     ) -> Result<ForkBase> {
-        let branches = load_branches(store.as_ref(), checkpoint)?;
+        let (branches, snap) = load_branches(store.as_ref(), checkpoint)?;
         let hot = HotTierConfig::default();
-        Ok(Self::assemble(store, cfg, branches, None, None, hot))
+        let db = Self::assemble(store, cfg, branches, None, None, hot);
+        hot::replay_journal(&db.core, &snap.journal, &snap.marks)?;
+        Ok(db)
     }
 
     fn assemble(
@@ -692,14 +717,15 @@ impl ForkBase {
     /// same guarantee readers get).
     pub fn snapshot_branches(&self) -> BranchSnapshot {
         self.all_tables();
-        self.core.snapshot_branches()
+        self.core.snapshot_branches(Vec::new())
     }
 
     /// Persist the branch tables as a checkpoint chunk and return its cid
     /// — the one piece of state to keep outside the store (cf. git refs).
     pub fn checkpoint(&self) -> Digest {
+        let journal = self.journal();
         self.all_tables();
-        self.core.checkpoint()
+        self.core.checkpoint(journal)
     }
 
     /// Checkpoint the branch tables into the store **and** make it the
@@ -709,7 +735,15 @@ impl ForkBase {
     /// head. Requires a durable instance.
     pub fn commit_checkpoint(&self) -> Result<Digest> {
         self.tables(None)?;
-        self.core.commit_checkpoint()
+        self.core.commit_checkpoint(|| self.journal())
+    }
+
+    /// The hot tier's journal Blobs a checkpoint taken now must list.
+    fn journal(&self) -> Vec<Digest> {
+        self.hot
+            .as_ref()
+            .map(HotTier::journal_roots)
+            .unwrap_or_default()
     }
 
     // ---- Hot-tier surface --------------------------------------------------
@@ -782,8 +816,33 @@ impl ForkBase {
     pub fn flush_hot(&self) -> Result<()> {
         match &self.hot {
             Some(hot) => hot.flush(),
-            None if self.core.durable.is_some() => self.core.commit_checkpoint().map(|_| ()),
+            None if self.core.durable.is_some() => {
+                self.core.commit_checkpoint(Vec::new).map(|_| ())
+            }
             None => Ok(()),
+        }
+    }
+
+    /// The hot tier's durability barrier without the publish. When this
+    /// returns, every `hot_*` write that happened before the call
+    /// survives a crash, as after [`flush_hot`](Self::flush_hot); the
+    /// tree catches up in the background. On a durable instance with the
+    /// tier on, the edits accepted since the last persist are encoded
+    /// once into a journal Blob and one checkpoint lists it — one
+    /// `write`, one fsync, no tree work — and a reopen publishes what the
+    /// tree did not hold yet. A persist with at least `8 ×
+    /// publish_batch` new edits publishes them instead, as `flush_hot`
+    /// does. In memory, or with the tier off (where `hot_put` is already
+    /// a tree commit), this is `flush_hot`.
+    ///
+    /// Barriers that read or checkpoint the tree — [`flush_hot`](Self::flush_hot),
+    /// [`checkpoint`](Self::checkpoint),
+    /// [`commit_checkpoint`](Self::commit_checkpoint) — still publish
+    /// everything first.
+    pub fn persist_hot(&self) -> Result<()> {
+        match &self.hot {
+            Some(hot) => hot.persist(),
+            None => self.flush_hot(),
         }
     }
 

@@ -27,11 +27,13 @@
 //! assert_eq!(live.len() as u64, stored, "everything is reachable");
 //! ```
 
+use crate::checkpoint::BranchSnapshot;
 use crate::error::{FbError, Result};
 use crate::fobject::FObject;
+use forkbase_chunk::ChunkStore;
 use forkbase_crypto::fx::FxHashSet;
 use forkbase_crypto::Digest;
-use forkbase_pos::IndexNode;
+use forkbase_pos::{IndexNode, TreeType};
 
 use crate::db::ForkBase;
 
@@ -58,6 +60,9 @@ pub struct GcReport {
 /// Only meta chunks, tree roots and index nodes are fetched: a leaf is
 /// named by its parent's entry, so the mark only checks that the store
 /// holds it.
+///
+/// The hot-tier journal Blobs the recovery point lists are live too: a
+/// reopen replays them.
 pub fn live_set(db: &ForkBase) -> Result<(FxHashSet<Digest>, usize)> {
     let store = db.store();
     let snap = db.snapshot_branches();
@@ -72,30 +77,46 @@ pub fn live_set(db: &ForkBase) -> Result<(FxHashSet<Digest>, usize)> {
         let obj = FObject::load(store, uid)?;
         versions += 1;
         stack.extend(obj.bases.iter().copied());
-        let Some((ty, root)) = obj.value(store)?.tree_root() else {
-            continue;
-        };
-        let mut tree = vec![root];
-        while let Some(cid) = tree.pop() {
-            if !live.insert(cid) {
-                continue;
-            }
-            let chunk = store.get(&cid).ok_or(FbError::VersionNotFound(cid))?;
-            if !chunk.ty().is_index() {
-                continue;
-            }
-            let node = IndexNode::parse(chunk.payload().clone(), ty.is_sorted())
-                .ok_or_else(|| FbError::Corrupt("bad index chunk".into()))?;
-            for e in node.entries() {
-                if node.level() > 1 {
-                    tree.push(*e.cid);
-                } else if live.insert(*e.cid) && !store.contains(e.cid) {
-                    return Err(FbError::VersionNotFound(*e.cid));
-                }
-            }
+        if let Some((ty, root)) = obj.value(store)?.tree_root() {
+            mark_tree(store, ty, root, &mut live)?;
+        }
+    }
+    if let Some(root) = db.durable_store().and_then(|log| log.root()) {
+        let chunk = store.get(&root).ok_or(FbError::VersionNotFound(root))?;
+        for blob in BranchSnapshot::decode(chunk.payload())?.journal {
+            mark_tree(store, TreeType::Blob, blob, &mut live)?;
         }
     }
     Ok((live, versions))
+}
+
+/// Add every chunk of the `ty` tree at `root` to `live`.
+fn mark_tree(
+    store: &dyn ChunkStore,
+    ty: TreeType,
+    root: Digest,
+    live: &mut FxHashSet<Digest>,
+) -> Result<()> {
+    let mut tree = vec![root];
+    while let Some(cid) = tree.pop() {
+        if !live.insert(cid) {
+            continue;
+        }
+        let chunk = store.get(&cid).ok_or(FbError::VersionNotFound(cid))?;
+        if !chunk.ty().is_index() {
+            continue;
+        }
+        let node = IndexNode::parse(chunk.payload().clone(), ty.is_sorted())
+            .ok_or_else(|| FbError::Corrupt("bad index chunk".into()))?;
+        for e in node.entries() {
+            if node.level() > 1 {
+                tree.push(*e.cid);
+            } else if live.insert(*e.cid) && !store.contains(e.cid) {
+                return Err(FbError::VersionNotFound(*e.cid));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Compact a durable instance **in place**: rewrite every live chunk
@@ -103,7 +124,9 @@ pub fn live_set(db: &ForkBase) -> Result<(FxHashSet<Digest>, usize)> {
 /// the old segment files, reclaiming the space of unreachable versions
 /// without copying to a second store or reopening. The instance stays
 /// fully usable afterwards; a fresh checkpoint is committed first so the
-/// recovery point (and its chunk) survive the compaction.
+/// recovery point (and its chunk) survive the compaction. That
+/// checkpoint publishes every pending hot-tier edit first, so it lists
+/// no journal Blob; [`live_set`] would keep any it listed.
 ///
 /// **Quiesce writers first.** The live set is computed from the branch
 /// heads *before* the rewrite; a put that commits between the walk and

@@ -17,6 +17,24 @@
 //!   ([`crate::commit`]). It then advances the durable recovery point
 //!   so a crash loses at most the edits still queued — the *publish
 //!   window*.
+//! * **Persisted journal** — on a durable instance,
+//!   [`ForkBase::persist_hot`](crate::ForkBase::persist_hot) closes the
+//!   window without publishing: the edits accepted since the last
+//!   persist are encoded once into a journal Blob, and a checkpoint
+//!   listing every journal Blob the tree does not yet hold is committed
+//!   (one `write`, one fsync). The tree work stays with the publisher,
+//!   where consecutive persists share their rewritten leaves. A reopen
+//!   replays the listed journals into the tree.
+//!
+//! Every accepted edit is numbered. A key's branch table keeps a *hot
+//! mark* that moves with its head: the key's edits numbered below it are
+//! in the head. A checkpoint lists each journal Blob holding an edit
+//! still queued or in a round in flight — captured before the branch
+//! tables, so a list can only be too long — together with each key's
+//! mark, read under the same lock as its head. Replay skips the edits
+//! below their key's mark: those are exactly the edits the checkpoint's
+//! heads already hold, so a direct tree write after them (which first
+//! publishes them, moving the mark) is never overwritten by a replay.
 //!
 //! The POS-Tree stays the versioned, tamper-evident substrate: every
 //! publish round is ordinary map commits with hash-chained `FObject`
@@ -32,11 +50,15 @@ use crate::commit::{Commit, Payload};
 use crate::db::Engine;
 use crate::error::{FbError, Result};
 use bytes::Bytes;
+use forkbase_chunk::codec::{get_bytes, get_varint, put_bytes, put_varint};
 use forkbase_crypto::fx::FxHashMap;
+use forkbase_crypto::Digest;
+use forkbase_pos::{Blob, WriteBatch};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Hot-tier configuration for [`ForkBase::open_with`](crate::ForkBase::open_with).
 #[derive(Debug, Clone)]
@@ -97,26 +119,88 @@ pub struct HotTierStats {
     pub publish_rounds: u64,
     /// Edits currently pending (enqueued, not yet published).
     pub pending: u64,
+    /// Wall time spent in publish rounds so far, in ns.
+    pub publish_ns: u64,
+    /// Edits written into journal Blobs by `persist_hot`.
+    pub journaled: u64,
+    /// Encoded bytes of those journal Blobs.
+    pub journal_bytes: u64,
 }
 
 type HotMap = FxHashMap<Bytes, Option<Bytes>>;
 
+/// One key's queued edits; `first` and `last` are the numbers of the
+/// first and the last of them.
+struct Queued {
+    first: u64,
+    last: u64,
+    edits: Vec<(Bytes, Option<Bytes>)>,
+}
+
+/// What a publish round took: per key, its queued edits.
+type Round = FxHashMap<Bytes, Queued>;
+
+/// An accepted edit as a journal holds it: key, subkey, value.
+type JournalEdit = (Bytes, Bytes, Option<Bytes>);
+
+/// The durable side of the tier: what the next persist writes, and the
+/// journal Blobs the tree does not hold yet.
+#[derive(Default)]
+struct Journal {
+    /// Accepted edits the tree may not hold yet, with their numbers,
+    /// oldest first — on durable instances, and only while the next
+    /// persist would journal them rather than publish.
+    edits: VecDeque<(u64, JournalEdit)>,
+    /// Edits numbered below this were persisted (journaled, or published
+    /// instead).
+    persisted: u64,
+    /// Journal Blobs, oldest first: root, and the number past its last
+    /// edit.
+    blobs: Vec<(Digest, u64)>,
+}
 /// Pending (unpublished) edits, guarded by one mutex with two condvars:
 /// `work` wakes the publisher, `room` wakes writers blocked on
 /// backpressure and drain/flush callers waiting out an in-flight round.
 struct Pending {
-    edits: FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>>,
+    edits: FxHashMap<Bytes, Queued>,
     total: usize,
+    /// The number the next accepted edit gets.
+    next: u64,
     /// Keys currently being published (their edits are out of `edits`
     /// but not yet in the tree), refcounted: the publisher and a
     /// concurrent `flush` can each have a round in flight for the same
     /// key. Drains must wait the count down to zero, or a subsequent
     /// tree access could observe a head about to move.
     inflight: FxHashMap<Bytes, u32>,
+    /// `first` of every key's batch that a round in flight holds.
+    inflight_first: Vec<u64>,
+    journal: Journal,
     /// First publish error, if any. A poisoned tier fails all further
     /// hot writes/flushes — the flat index may be ahead of a tree that
     /// can no longer accept it.
     poisoned: Option<String>,
+}
+
+impl Pending {
+    /// Every edit numbered below this is in the tree: none of them is
+    /// queued or in a round still in flight.
+    fn floor(&self) -> u64 {
+        let queued = self.edits.values().map(|q| q.first);
+        queued
+            .chain(self.inflight_first.iter().copied())
+            .fold(self.next, u64::min)
+    }
+
+    /// Forget the journal edits the tree holds, and the journal Blobs
+    /// all of whose edits it holds.
+    fn trim_journal(&mut self) {
+        let floor = self.floor();
+        let j = &mut self.journal;
+        while j.edits.front().is_some_and(|e| e.0 < floor) {
+            j.edits.pop_front();
+        }
+        j.blobs.retain(|&(_, end)| end > floor);
+    }
 }
 
 struct Shared {
@@ -129,11 +213,16 @@ struct Shared {
     work: Condvar,
     room: Condvar,
     stop: AtomicBool,
+    /// Serializes persists, so journal Blobs are listed in edit order.
+    persist_lock: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
     published: AtomicU64,
     publish_rounds: AtomicU64,
+    publish_ns: AtomicU64,
+    journaled: AtomicU64,
+    journal_bytes: AtomicU64,
 }
 
 impl Shared {
@@ -159,12 +248,16 @@ impl Shared {
     }
 
     /// Take the whole queue, marking every taken key in-flight. Caller
-    /// must clear `inflight` (and notify `room`) when done.
-    fn take_all(p: &mut Pending) -> FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>> {
+    /// must clear `inflight` (and notify `room`) when done, and take only
+    /// while no round is in flight: two rounds holding one key race to
+    /// its head, and the one taken first, publishing last, would put its
+    /// older edits over the newer ones.
+    fn take_all(p: &mut Pending) -> Round {
         let work = std::mem::take(&mut p.edits);
         p.total = 0;
-        for key in work.keys() {
+        for (key, queued) in &work {
             *p.inflight.entry(key.clone()).or_insert(0) += 1;
+            p.inflight_first.push(queued.first);
         }
         work
     }
@@ -178,19 +271,20 @@ impl Shared {
     /// taken before the marks clear (a crash loses at most the edits
     /// still queued); `flush` passes `false` and checkpoints once
     /// itself, after its last round.
-    fn publish_work(
-        &self,
-        work: FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>>,
-        checkpoint: bool,
-    ) -> Result<()> {
-        let edits: usize = work.values().map(Vec::len).sum();
+    fn publish_work(&self, work: Round, checkpoint: bool) -> Result<()> {
+        let start = Instant::now();
+        let edits: usize = work.values().map(|q| q.edits.len()).sum();
+        let (mut marks, mut firsts) = (Vec::new(), Vec::new());
         let commits: Vec<Commit<'_>> = work
             .into_iter()
-            .map(|(key, edits)| {
-                Commit::branch(key, None, Payload::MapEdits(edits.into_iter().collect()))
+            .map(|(key, queued)| {
+                marks.push(queued.last + 1);
+                firsts.push(queued.first);
+                let batch = queued.edits.into_iter().collect();
+                Commit::branch(key, None, Payload::MapEdits(batch))
             })
             .collect();
-        let mut result = self.engine.commit_all(&commits).map(|_| ());
+        let mut result = self.engine.commit_all_marked(&commits, &marks).map(|_| ());
         if result.is_ok() {
             self.published.fetch_add(edits as u64, Ordering::Relaxed);
             if checkpoint {
@@ -202,11 +296,21 @@ impl Shared {
             release_inflight(&mut p, &commit.key);
         }
         match &result {
+            // A failed round's edits never leave the floor: the journal
+            // Blobs that hold them stay listed.
             Err(e) => {
                 p.poisoned.get_or_insert_with(|| e.to_string());
             }
             Ok(()) => {
+                for first in firsts {
+                    let at = p.inflight_first.iter().position(|&f| f == first);
+                    p.inflight_first
+                        .swap_remove(at.expect("a round's batch is in flight"));
+                }
+                p.trim_journal();
                 self.publish_rounds.fetch_add(1, Ordering::Relaxed);
+                let ns = start.elapsed().as_nanos() as u64;
+                self.publish_ns.fetch_add(ns, Ordering::Relaxed);
             }
         }
         drop(p);
@@ -218,12 +322,21 @@ impl Shared {
     /// crash. `commit_checkpoint` appends the checkpoint and its root
     /// record to the log and fsyncs it (forcing out any
     /// `Durability::Batch`-deferred records with them); on in-memory
-    /// instances this is a no-op.
+    /// instances this is a no-op. The checkpoint lists the journal
+    /// Blobs the tree does not hold yet.
     fn checkpoint_if_durable(&self) -> Result<()> {
         if self.engine.durable.is_some() {
-            self.engine.commit_checkpoint()?;
+            self.engine.commit_checkpoint(|| self.journal_roots())?;
         }
         Ok(())
+    }
+
+    /// The roots of the journal Blobs holding an edit the tree may not
+    /// hold yet, oldest first — what a checkpoint taken now must list.
+    fn journal_roots(&self) -> Vec<Digest> {
+        let mut p = self.pending.lock().expect("pending lock");
+        p.trim_journal();
+        p.journal.blobs.iter().map(|&(root, _)| root).collect()
     }
 }
 
@@ -249,17 +362,24 @@ impl HotTier {
             pending: Mutex::new(Pending {
                 edits: FxHashMap::default(),
                 total: 0,
+                next: 0,
                 inflight: FxHashMap::default(),
+                inflight_first: Vec::new(),
+                journal: Journal::default(),
                 poisoned: None,
             }),
             work: Condvar::new(),
             room: Condvar::new(),
             stop: AtomicBool::new(false),
+            persist_lock: Mutex::new(()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             published: AtomicU64::new(0),
             publish_rounds: AtomicU64::new(0),
+            publish_ns: AtomicU64::new(0),
+            journaled: AtomicU64::new(0),
+            journal_bytes: AtomicU64::new(0),
         });
         let bg = Arc::clone(&shared);
         let publisher = std::thread::Builder::new()
@@ -322,7 +442,23 @@ impl HotTier {
                 map.insert(sk.clone(), v.clone());
             }
         }
-        p.edits.entry(key.clone()).or_default().extend(entries);
+        let first = p.next;
+        p.next += n as u64;
+        // A persist with a full queue of new edits publishes them; those
+        // it would publish need no journal copy.
+        let unpersisted = p.next - p.journal.persisted;
+        if self.shared.engine.durable.is_some() && unpersisted < cap as u64 {
+            let journal = (first..).zip(entries.iter());
+            let journal = journal.map(|(n, (sk, v))| (n, (key.clone(), sk.clone(), v.clone())));
+            p.journal.edits.extend(journal);
+        }
+        let queued = p.edits.entry(key.clone()).or_insert_with(|| Queued {
+            first,
+            last: first,
+            edits: Vec::new(),
+        });
+        queued.last = first + n as u64 - 1;
+        queued.edits.extend(entries);
         p.total += n;
         self.shared.writes.fetch_add(n as u64, Ordering::Relaxed);
         let trigger = p.total >= self.shared.cfg.publish_batch;
@@ -348,14 +484,15 @@ impl HotTier {
             }
             p = self.shared.room.wait(p).expect("pending lock");
         }
-        let Some(edits) = p.edits.remove(key) else {
+        let Some(queued) = p.edits.remove(key) else {
             return Ok(());
         };
-        p.total -= edits.len();
+        p.total -= queued.edits.len();
         p.inflight.insert(key.clone(), 1);
+        p.inflight_first.push(queued.first);
         drop(p);
         self.shared.room.notify_all();
-        let work = FxHashMap::from_iter([(key.clone(), edits)]);
+        let work = FxHashMap::from_iter([(key.clone(), queued)]);
         self.shared.publish_work(work, true)
     }
 
@@ -374,6 +511,62 @@ impl HotTier {
         self.shared.checkpoint_if_durable()
     }
 
+    /// Make every edit accepted before the call durable without
+    /// publishing it (see the module docs): journal the edits accepted
+    /// since the last persist into one Blob and commit a checkpoint that
+    /// lists it. A persist with at least a full queue (`8 ×
+    /// publish_batch`) of new edits publishes them instead, as
+    /// [`flush`](Self::flush) does; so does every persist of an
+    /// in-memory instance.
+    pub(crate) fn persist(&self) -> Result<()> {
+        let shared = &self.shared;
+        if shared.engine.durable.is_none() {
+            return self.flush();
+        }
+        let _one = shared.persist_lock.lock().expect("persist lock");
+        let fresh = {
+            let mut p = shared.pending.lock().expect("pending lock");
+            if let Some(msg) = &p.poisoned {
+                return Err(Shared::poison_err(msg));
+            }
+            p.trim_journal();
+            let next = p.next;
+            let persisted = std::mem::replace(&mut p.journal.persisted, next);
+            let many = next - persisted >= shared.queue_cap() as u64;
+            let skip = p.journal.edits.partition_point(|e| e.0 < persisted);
+            (!many).then(|| p.journal.edits.range(skip..).cloned().collect::<Vec<_>>())
+        };
+        let Some(edits) = fresh else {
+            return self.flush();
+        };
+        if let Some(&(first, _)) = edits.first() {
+            let bytes = encode_journal(&edits);
+            let engine = &shared.engine;
+            let root = Blob::build(engine.store.as_ref(), &engine.cfg, &bytes).root();
+            let end = first + edits.len() as u64;
+            shared
+                .pending
+                .lock()
+                .expect("pending lock")
+                .journal
+                .blobs
+                .push((root, end));
+            shared
+                .journaled
+                .fetch_add(edits.len() as u64, Ordering::Relaxed);
+            shared
+                .journal_bytes
+                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        }
+        shared.checkpoint_if_durable()
+    }
+
+    /// What a checkpoint taken now must list: see
+    /// [`Shared::journal_roots`].
+    pub(crate) fn journal_roots(&self) -> Vec<Digest> {
+        self.shared.journal_roots()
+    }
+
     /// [`flush`](Self::flush) without the checkpoint, for a caller that
     /// is about to take one itself.
     pub(crate) fn publish_all(&self) -> Result<()> {
@@ -383,13 +576,13 @@ impl HotTier {
                 if let Some(msg) = &p.poisoned {
                     return Err(Shared::poison_err(msg));
                 }
-                if p.edits.is_empty() {
-                    if p.inflight.is_empty() {
-                        return Ok(());
-                    }
+                if !p.inflight.is_empty() {
                     let q = self.shared.room.wait(p).expect("pending lock");
                     drop(q);
                     continue;
+                }
+                if p.edits.is_empty() {
+                    return Ok(());
                 }
                 Shared::take_all(&mut p)
             };
@@ -407,6 +600,9 @@ impl HotTier {
             published: self.shared.published.load(Ordering::Relaxed),
             publish_rounds: self.shared.publish_rounds.load(Ordering::Relaxed),
             pending,
+            publish_ns: self.shared.publish_ns.load(Ordering::Relaxed),
+            journaled: self.shared.journaled.load(Ordering::Relaxed),
+            journal_bytes: self.shared.journal_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -445,6 +641,87 @@ fn release_inflight(p: &mut Pending, key: &Bytes) {
     }
 }
 
+/// A journal Blob's bytes: the number of its first edit (the others
+/// follow on), then runs of one key's consecutive edits — `[key][count]`,
+/// and per edit `[subkey][0]` for a delete or `[subkey][1][value]`.
+fn encode_journal(edits: &[(u64, JournalEdit)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + edits.len() * 120);
+    put_varint(&mut out, edits.first().map_or(0, |e| e.0));
+    for run in edits.chunk_by(|a, b| a.1 .0 == b.1 .0) {
+        put_bytes(&mut out, &run[0].1 .0);
+        put_varint(&mut out, run.len() as u64);
+        for (_, (_, subkey, value)) in run {
+            put_bytes(&mut out, subkey);
+            match value {
+                None => out.push(0),
+                Some(v) => {
+                    out.push(1);
+                    put_bytes(&mut out, v);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The first edit's number and the edits of a journal Blob's bytes.
+fn decode_journal(bytes: &[u8]) -> Option<(u64, Vec<JournalEdit>)> {
+    let mut pos = 0;
+    let first = get_varint(bytes, &mut pos)?;
+    let mut edits = Vec::new();
+    while pos < bytes.len() {
+        let key = Bytes::copy_from_slice(get_bytes(bytes, &mut pos)?);
+        for _ in 0..get_varint(bytes, &mut pos)? {
+            let subkey = Bytes::copy_from_slice(get_bytes(bytes, &mut pos)?);
+            let tag = *bytes.get(pos)?;
+            pos += 1;
+            let value = match tag {
+                0 => None,
+                1 => Some(Bytes::copy_from_slice(get_bytes(bytes, &mut pos)?)),
+                _ => return None,
+            };
+            edits.push((key.clone(), subkey, value));
+        }
+    }
+    Some((first, edits))
+}
+
+/// Publish the edits of the journal Blobs `journal` lists, oldest
+/// first, skipping each key's edits numbered below its entry in `marks`
+/// (the checkpoint's heads hold those) — one map-edits commit per key.
+/// Reopen and restore call this before anything else touches the tree.
+pub(crate) fn replay_journal(
+    engine: &Engine,
+    journal: &[Digest],
+    marks: &[(Bytes, u64)],
+) -> Result<()> {
+    let store = engine.store.as_ref();
+    let mut per_key: FxHashMap<Bytes, WriteBatch> = FxHashMap::default();
+    for &root in journal {
+        let bytes = Blob::from_root(root)
+            .read_all(store)
+            .ok_or(FbError::VersionNotFound(root))?;
+        let (first, edits) = decode_journal(&bytes)
+            .ok_or_else(|| FbError::Corrupt(format!("bad journal {}", root.short_hex())))?;
+        for (n, (key, subkey, value)) in (first..).zip(edits) {
+            let mark = marks.iter().find(|(k, _)| *k == key).map_or(0, |m| m.1);
+            if n < mark {
+                continue;
+            }
+            let batch = per_key.entry(key).or_default();
+            match value {
+                Some(value) => batch.put(subkey, value),
+                None => batch.delete(subkey),
+            };
+        }
+    }
+    let commits: Vec<Commit<'_>> = per_key
+        .into_iter()
+        .map(|(key, batch)| Commit::branch(key, None, Payload::MapEdits(batch)))
+        .collect();
+    engine.commit_all(&commits).map(|_| ())
+}
+
 fn publisher_loop(shared: Arc<Shared>) {
     let mut p = shared.pending.lock().expect("pending lock");
     while !shared.stop.load(Ordering::Acquire) {
@@ -456,6 +733,10 @@ fn publisher_loop(shared: Arc<Shared>) {
             p = q;
         }
         if p.total == 0 {
+            continue;
+        }
+        if !p.inflight.is_empty() {
+            p = shared.room.wait(p).expect("pending lock");
             continue;
         }
         let work = Shared::take_all(&mut p);
@@ -620,6 +901,23 @@ mod tests {
         assert_eq!(map.len(db.store()), 64);
     }
 
+    /// A flush's round and the publisher's never hold one key at once:
+    /// the round taken first, publishing last, would put the older value
+    /// over the newer one, and the flush would return with the tree
+    /// behind the writes it covers.
+    #[test]
+    fn a_flush_never_leaves_the_tree_behind_a_keys_writes() {
+        let db = hot_db(1, 0);
+        for i in 0..2_000u32 {
+            db.hot_put("k", "a", format!("{}", 2 * i)).unwrap();
+            db.hot_put("k", "a", format!("{}", 2 * i + 1)).unwrap();
+            db.flush_hot().unwrap();
+            let map = db.get_value("k", None).unwrap().as_map().unwrap();
+            let want = b(&format!("{}", 2 * i + 1));
+            assert_eq!(map.get(db.store(), b"a"), Some(want), "round {i}");
+        }
+    }
+
     #[test]
     fn backpressure_bounds_the_queue() {
         let db = hot_db(2, 1);
@@ -756,6 +1054,180 @@ mod tests {
         assert_eq!(db.hot_get("k", b"a").unwrap(), Some(b("v")));
         db.hot_delete("k", "a").unwrap();
         assert_eq!(db.hot_get("k", b"a").unwrap(), None);
+    }
+
+    /// A durable instance whose publisher never runs on its own.
+    fn durable(dir: &std::path::Path, enabled: bool) -> ForkBase {
+        ForkBase::open_with(
+            dir,
+            forkbase_crypto::ChunkerConfig::default(),
+            forkbase_chunk::Durability::Always,
+            forkbase_chunk::CacheConfig::default(),
+            HotTierConfig {
+                enabled,
+                publish_batch: 64,
+                publish_interval: Duration::from_secs(3600),
+            },
+        )
+        .unwrap()
+    }
+
+    /// The journal list of the recovery point.
+    fn listed(db: &ForkBase) -> Vec<Digest> {
+        let root = db.durable_store().unwrap().root().unwrap();
+        let chunk = db.store().get(&root).unwrap();
+        crate::BranchSnapshot::decode(chunk.payload())
+            .unwrap()
+            .journal
+    }
+
+    fn edits(tag: &str, range: std::ops::Range<u32>) -> Vec<(Bytes, Option<Bytes>)> {
+        range
+            .map(|i| (b(&format!("sk{i:03}")), Some(b(&format!("{tag}{i}")))))
+            .collect()
+    }
+
+    fn read(db: &ForkBase, key: &str, i: u32) -> Option<Bytes> {
+        db.hot_get(key, format!("sk{i:03}").as_bytes()).unwrap()
+    }
+
+    /// A persist is one checkpoint and no tree work; a crash after it
+    /// loses nothing it covered, and a clean close leaves no journal.
+    #[test]
+    fn persisted_edits_survive_a_crash_without_a_publish() {
+        let dir = tempdir();
+        let db = durable(&dir, true);
+        db.hot_put_many("k", edits("a", 0..40)).unwrap();
+        let before = db.checkpoints_committed();
+        db.persist_hot().unwrap();
+        db.hot_put_many("k", [(b("sk005"), None)]).unwrap();
+        db.persist_hot().unwrap();
+        let stats = db.hot_stats().unwrap();
+        assert_eq!((stats.published, stats.journaled), (0, 41));
+        assert_eq!(db.checkpoints_committed() - before, 2);
+        assert_eq!(listed(&db).len(), 2);
+        db.hot_put_many("k", edits("lost", 0..3)).unwrap(); // never persisted
+        std::mem::forget(db); // crash: no drain, no clean close
+
+        let db = durable(&dir, true);
+        assert_eq!(read(&db, "k", 5), None);
+        for i in (0..40).filter(|&i| i != 5) {
+            let want = [b(&format!("a{i}")), b(&format!("lost{i}"))];
+            assert!(want.contains(&read(&db, "k", i).unwrap()), "sk{i}");
+        }
+        for i in 3..40 {
+            assert_eq!(read(&db, "k", i), (i != 5).then(|| b(&format!("a{i}"))));
+        }
+        drop(db);
+        let db = durable(&dir, false);
+        assert!(
+            listed(&db).is_empty(),
+            "a clean close publishes the journal"
+        );
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A round that put part of a journal in the tree before the crash,
+    /// and a direct tree write after it: replay skips what the heads
+    /// hold, so it neither repeats the round nor undoes the write — and
+    /// replaying twice gives the same state.
+    #[test]
+    fn replay_skips_what_the_heads_hold() {
+        let dir = tempdir();
+        let db = durable(&dir, true);
+        db.hot_put_many("k", edits("a", 0..4)).unwrap();
+        db.hot_put_many("other", edits("o", 0..4)).unwrap();
+        db.persist_hot().unwrap();
+        // A tree read of "k" publishes its edits alone; "other" stays
+        // queued, so the journal stays listed.
+        db.get_value("k", None).unwrap();
+        assert_eq!(listed(&db).len(), 1);
+        let mut batch = forkbase_pos::WriteBatch::new();
+        batch.put("sk001", "tree");
+        db.commit_map_batch("k", None, batch).unwrap();
+        db.hot_put_many("k", edits("b", 2..3)).unwrap();
+        db.persist_hot().unwrap();
+        assert_eq!(listed(&db).len(), 2);
+        std::mem::forget(db);
+
+        for _ in 0..2 {
+            // Tier off: replay publishes at open, and no checkpoint
+            // follows, so the next open replays the same list again.
+            let db = durable(&dir, false);
+            assert_eq!(listed(&db).len(), 2);
+            assert_eq!(read(&db, "k", 0), Some(b("a0")));
+            assert_eq!(read(&db, "k", 1), Some(b("tree")));
+            assert_eq!(read(&db, "k", 2), Some(b("b2")));
+            for i in 0..4 {
+                assert_eq!(read(&db, "other", i), Some(b(&format!("o{i}"))));
+            }
+            let head = db.head("k", None).unwrap();
+            crate::verify_history(db.store(), head).unwrap();
+            std::mem::forget(db);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compaction_keeps_every_persisted_edit() {
+        let dir = tempdir();
+        let db = durable(&dir, true);
+        db.hot_put_many("k", edits("a", 0..30)).unwrap();
+        db.persist_hot().unwrap();
+        db.hot_put_many("k", edits("b", 10..20)).unwrap();
+        db.persist_hot().unwrap();
+        assert_eq!(listed(&db).len(), 2);
+        crate::gc::compact_in_place(&db).unwrap();
+        assert!(listed(&db).is_empty(), "compaction publishes first");
+        std::mem::forget(db);
+        let db = durable(&dir, true);
+        for i in 0..30 {
+            let tag = if (10..20).contains(&i) { "b" } else { "a" };
+            assert_eq!(read(&db, "k", i), Some(b(&format!("{tag}{i}"))));
+        }
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A full queue of new edits is published, not journaled; in memory
+    /// and with the tier off a persist is `flush_hot`.
+    #[test]
+    fn a_large_or_undurable_persist_publishes() {
+        let dir = tempdir();
+        let db = durable(&dir, true);
+        db.hot_put_many("k", edits("a", 0..8 * 64)).unwrap();
+        db.persist_hot().unwrap();
+        let stats = db.hot_stats().unwrap();
+        assert_eq!((stats.published, stats.journaled), (8 * 64, 0));
+        assert!(listed(&db).is_empty());
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let db = hot_db(1 << 20, 3_600_000);
+        db.hot_put("k", "a", "1").unwrap();
+        db.persist_hot().unwrap();
+        assert_eq!(db.hot_stats().unwrap().published, 1);
+        let db = ForkBase::in_memory();
+        db.hot_put("k", "a", "1").unwrap();
+        db.persist_hot().unwrap();
+        assert_eq!(db.hot_get("k", b"a").unwrap(), Some(b("1")));
+    }
+
+    #[test]
+    fn journal_bytes_round_trip() {
+        let edits: Vec<JournalEdit> = vec![
+            (b("k"), b("a"), Some(b("1"))),
+            (b("k"), b("b"), None),
+            (b("other"), b("a"), Some(Bytes::new())),
+            (b("k"), b("a"), Some(b("2"))),
+        ];
+        let numbered: Vec<_> = (41..).zip(edits.iter().cloned()).collect();
+        let bytes = encode_journal(&numbered);
+        assert_eq!(decode_journal(&bytes), Some((41, edits)));
+        for cut in 1..bytes.len() {
+            assert_ne!(decode_journal(&bytes[..cut]).map(|j| j.1.len()), Some(4));
+        }
     }
 
     fn tempdir() -> std::path::PathBuf {

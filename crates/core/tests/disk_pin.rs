@@ -140,7 +140,7 @@ fn tier_on_flushes_write_pinned_bytes() {
             let updates: Vec<_> = (0..64)
                 .map(|_| {
                     let a = rng.next() % 2_000;
-                    let value = (a % 9 != 0).then(|| Bytes::from(rng.bytes(100)));
+                    let value = (!a.is_multiple_of(9)).then(|| Bytes::from(rng.bytes(100)));
                     (account(a), value)
                 })
                 .collect();

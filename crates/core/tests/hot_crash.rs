@@ -10,6 +10,13 @@
 //!   written (a background publish round may have landed before the
 //!   abort, but nothing is ever torn or reordered).
 //!
+//! The persist leg does the same with `persist_hot` as the barrier: the
+//! child persists after each of its blocks with the publisher held off,
+//! so every block's state is durable only as a journal Blob. The parent
+//! checks that every persisted edit is there after the replay, that the
+//! window loses at most its own edits, and that the state key's history
+//! verifies.
+//!
 //! The `FB_HOT_TIER` env var (CI persistence-job matrix) picks the leg:
 //! `1`/unset runs the tier on with an aggressive publish schedule, `0`
 //! runs the tier off, where `hot_put` is a synchronous tree commit and
@@ -17,7 +24,8 @@
 //! window is then *fully* lost on reopen, which the test pins too.
 
 use bytes::Bytes;
-use forkbase_core::{ForkBase, HotTierConfig};
+use forkbase_core::{verify_history, ForkBase, HotTierConfig};
+use std::collections::BTreeMap;
 use std::process::Command;
 use std::time::Duration;
 
@@ -32,13 +40,17 @@ fn hot_on() -> bool {
 }
 
 fn open(dir: &std::path::Path) -> ForkBase {
+    // Small rounds so background publishing genuinely races the abort —
+    // the window assertions must hold either way.
+    open_with(dir, 8, Duration::from_millis(1))
+}
+
+fn open_with(dir: &std::path::Path, publish_batch: usize, interval: Duration) -> ForkBase {
     let hot = if hot_on() {
-        // Small rounds so background publishing genuinely races the
-        // abort — the window assertions must hold either way.
         HotTierConfig {
             enabled: true,
-            publish_batch: 8,
-            publish_interval: Duration::from_millis(1),
+            publish_batch,
+            publish_interval: interval,
         }
     } else {
         HotTierConfig::disabled()
@@ -87,10 +99,56 @@ fn child_writer() {
     std::process::abort();
 }
 
+/// Blocks the persist leg's child persists before its window.
+const BLOCKS: usize = 8;
+
+/// The persist leg's publisher: never runs on its own.
+fn open_held(dir: &std::path::Path) -> ForkBase {
+    open_with(dir, 1 << 20, Duration::from_secs(3600))
+}
+
+/// Block `n`'s state writes: 12 accounts, some written before, and one
+/// delete.
+fn block(n: usize) -> Vec<(Bytes, Option<Bytes>)> {
+    (0..12)
+        .map(|t| {
+            let i = (n * 5 + t * 3) % 40;
+            (subkey(i), (t != 4).then(|| value(n * 100 + t)))
+        })
+        .collect()
+}
+
+/// What the persisted blocks leave in the state.
+fn persisted_state() -> BTreeMap<Bytes, Option<Bytes>> {
+    (0..BLOCKS).flat_map(block).collect()
+}
+
+/// Child mode of the persist leg: only active when
+/// `FORKBASE_HOT_PERSIST_DIR` is set.
 #[test]
-fn kill_loses_at_most_the_publish_window() {
+fn child_persister() {
+    let Some(dir) = std::env::var_os("FORKBASE_HOT_PERSIST_DIR") else {
+        return;
+    };
+    let db = open_held(std::path::Path::new(&dir));
+    for n in 0..BLOCKS {
+        db.hot_put_many(STATE_KEY, block(n)).expect("hot put");
+        db.persist_hot().expect("persist");
+    }
+    if let Some(stats) = db.hot_stats() {
+        assert_eq!(stats.published, 0, "the publisher was held off");
+    }
+    for i in FLUSHED..FLUSHED + WINDOW {
+        db.hot_put(STATE_KEY, subkey(i), value(i)).expect("hot put");
+    }
+    std::process::abort();
+}
+
+/// Run `child` in a fresh directory and return the directory once it
+/// has died by `abort()`.
+fn crash_child(child: &str, env: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
-        "forkbase-hot-kill-{}-{}",
+        "forkbase-hot-kill-{child}-{}-{}",
         std::process::id(),
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -101,14 +159,54 @@ fn kill_loses_at_most_the_publish_window() {
 
     let exe = std::env::current_exe().expect("own binary");
     let status = Command::new(exe)
-        .args(["child_writer", "--exact", "--nocapture", "--test-threads=1"])
-        .env("FORKBASE_HOT_KILL_DIR", &dir)
+        .args([child, "--exact", "--nocapture", "--test-threads=1"])
+        .env(env, &dir)
         .status()
         .expect("spawn child");
     assert!(
         !status.success(),
         "the child must die by abort, not exit cleanly"
     );
+    dir
+}
+
+/// The window's subkeys each read as written or not at all; returns how
+/// many are gone.
+fn window_lost(db: &ForkBase) -> usize {
+    let mut lost = 0;
+    for i in FLUSHED..FLUSHED + WINDOW {
+        match db.hot_get(STATE_KEY, &subkey(i)).expect("read") {
+            Some(v) => assert_eq!(v, value(i), "window subkey {i} must not be torn"),
+            None => lost += 1,
+        }
+    }
+    assert!(
+        lost <= WINDOW,
+        "loss bounded by the pending window: lost {lost} of {WINDOW}"
+    );
+    lost
+}
+
+#[test]
+fn kill_after_persist_loses_at_most_the_window() {
+    let dir = crash_child("child_persister", "FORKBASE_HOT_PERSIST_DIR");
+    let db = open_held(&dir);
+    for (subkey, value) in persisted_state() {
+        let got = db.hot_get(STATE_KEY, &subkey).expect("read");
+        assert_eq!(got, value, "persisted {subkey:?} must survive the crash");
+    }
+    // Held off, the publisher wrote none of the window: it is lost
+    // whole, with the tier on as with it off.
+    assert_eq!(window_lost(&db), WINDOW);
+    let head = db.head(STATE_KEY, None).expect("state head");
+    verify_history(db.store(), head).expect("the replayed state verifies");
+    drop(db);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn kill_loses_at_most_the_publish_window() {
+    let dir = crash_child("child_writer", "FORKBASE_HOT_KILL_DIR");
 
     let db = open(&dir);
 
@@ -123,17 +221,7 @@ fn kill_loses_at_most_the_publish_window() {
 
     // The window: bounded, prefix-free loss. Each subkey either made it
     // into a published round (exact value) or is gone — never torn.
-    let mut lost = 0;
-    for i in FLUSHED..FLUSHED + WINDOW {
-        match db.hot_get(STATE_KEY, &subkey(i)).expect("read") {
-            Some(v) => assert_eq!(v, value(i), "window subkey {i} must not be torn"),
-            None => lost += 1,
-        }
-    }
-    assert!(
-        lost <= WINDOW,
-        "loss bounded by the pending window: lost {lost} of {WINDOW}"
-    );
+    let lost = window_lost(&db);
     if !hot_on() {
         // Tier off: reopen restores the last checkpoint, taken before
         // the window opened — the whole window is lost, exactly.

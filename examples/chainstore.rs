@@ -102,7 +102,7 @@ fn main() {
         chain.state_put("tip", main_tip.to_hex()).expect("state");
         chain.state_put("balance/alice", "1000").expect("state");
         chain.state_put("balance/bob", "250").expect("state");
-        chain.flush_state().expect("publish hot state");
+        chain.flush_state().expect("persist hot state");
 
         // ---- 5. checkpoint, then "crash" ---------------------------------
         chain.checkpoint().expect("checkpoint");

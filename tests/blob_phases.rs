@@ -321,7 +321,8 @@ fn ledger_block_phases() {
     let dir = std::env::temp_dir().join(format!("forkbase-ledger-phases-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     // `ledger_blocks`' engine: default log and cache, the hot tier on
-    // with its publish timer slowed so that only `flush_state` publishes.
+    // with its publish timer slowed to 1 s. `flush_state` journals each
+    // block's state; the publisher publishes every `publish_batch` edits.
     let chain = ChainStore::open_with(
         &dir,
         ChainConfig {
@@ -429,6 +430,9 @@ fn ledger_block_phases() {
     assert!(!log.poisoned());
     let hot = chain.db().hot_stats().expect("tier on");
     let us: Vec<f64> = times.iter_mut().map(|v| spread(v).0 as f64 / 1e3).collect();
+    // A checkpoint that writes more than a block's own bytes carries a
+    // publish round's leaves to the disk.
+    let carried = counts[2].iter().filter(|&&b| b > 256 << 10).count();
     let [leaves, ahead, checkpoint, fsyncs, starts, stored] =
         [0, 1, 2, 3, 4, 5].map(|i| spread(&mut counts[i]));
     println!(
@@ -441,13 +445,18 @@ fn ledger_block_phases() {
          append_block {:.1}; bytes stored per block {} ({}–{})",
         us[6], us[7], us[8], stored.0, stored.1, stored.2
     );
-    let (rounds, edits) = (
+    let (rounds, edits, ns) = (
         hot.publish_rounds - hot_before.publish_rounds,
         hot.published - hot_before.published,
+        hot.publish_ns - hot_before.publish_ns,
     );
     println!(
-        "ledger block publisher: {rounds} rounds, {edits} edits, {:.1} edits per round",
-        edits as f64 / rounds.max(1) as f64
+        "ledger block publisher: {rounds} rounds, {edits} edits, {:.1} edits and {:.0} µs per round; \
+         journaled {} edits in {} bytes; {carried} blocks' checkpoints wrote over 256 KiB",
+        edits as f64 / rounds.max(1) as f64,
+        ns as f64 / 1e3 / rounds.max(1) as f64,
+        hot.journaled - hot_before.journaled,
+        hot.journal_bytes - hot_before.journal_bytes
     );
     println!(
         "ledger block, per block as median (min–max): leaves put {} ({}–{}), \
