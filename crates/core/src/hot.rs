@@ -158,6 +158,7 @@ struct Journal {
     /// edit.
     blobs: Vec<(Digest, u64)>,
 }
+
 /// Pending (unpublished) edits, guarded by one mutex with two condvars:
 /// `work` wakes the publisher, `room` wakes writers blocked on
 /// backpressure and drain/flush callers waiting out an in-flight round.
@@ -167,13 +168,11 @@ struct Pending {
     /// The number the next accepted edit gets.
     next: u64,
     /// Keys currently being published (their edits are out of `edits`
-    /// but not yet in the tree), refcounted: the publisher and a
-    /// concurrent `flush` can each have a round in flight for the same
-    /// key. Drains must wait the count down to zero, or a subsequent
-    /// tree access could observe a head about to move.
-    inflight: FxHashMap<Bytes, u32>,
-    /// `first` of every key's batch that a round in flight holds.
-    inflight_first: Vec<u64>,
+    /// but not yet in the tree), each with the number of the first edit
+    /// its round took. At most one round holds a key. Drains wait for
+    /// the key to leave, or a subsequent tree access could observe a
+    /// head about to move.
+    inflight: FxHashMap<Bytes, u64>,
     journal: Journal,
     /// First publish error, if any. A poisoned tier fails all further
     /// hot writes/flushes — the flat index may be ahead of a tree that
@@ -187,7 +186,7 @@ impl Pending {
     fn floor(&self) -> u64 {
         let queued = self.edits.values().map(|q| q.first);
         queued
-            .chain(self.inflight_first.iter().copied())
+            .chain(self.inflight.values().copied())
             .fold(self.next, u64::min)
     }
 
@@ -256,8 +255,7 @@ impl Shared {
         let work = std::mem::take(&mut p.edits);
         p.total = 0;
         for (key, queued) in &work {
-            *p.inflight.entry(key.clone()).or_insert(0) += 1;
-            p.inflight_first.push(queued.first);
+            p.inflight.insert(key.clone(), queued.first);
         }
         work
     }
@@ -274,12 +272,11 @@ impl Shared {
     fn publish_work(&self, work: Round, checkpoint: bool) -> Result<()> {
         let start = Instant::now();
         let edits: usize = work.values().map(|q| q.edits.len()).sum();
-        let (mut marks, mut firsts) = (Vec::new(), Vec::new());
+        let mut marks = Vec::with_capacity(work.len());
         let commits: Vec<Commit<'_>> = work
             .into_iter()
             .map(|(key, queued)| {
                 marks.push(queued.last + 1);
-                firsts.push(queued.first);
                 let batch = queued.edits.into_iter().collect();
                 Commit::branch(key, None, Payload::MapEdits(batch))
             })
@@ -293,20 +290,13 @@ impl Shared {
         }
         let mut p = self.pending.lock().expect("pending lock");
         for commit in &commits {
-            release_inflight(&mut p, &commit.key);
+            p.inflight.remove(&commit.key);
         }
         match &result {
-            // A failed round's edits never leave the floor: the journal
-            // Blobs that hold them stay listed.
             Err(e) => {
                 p.poisoned.get_or_insert_with(|| e.to_string());
             }
             Ok(()) => {
-                for first in firsts {
-                    let at = p.inflight_first.iter().position(|&f| f == first);
-                    p.inflight_first
-                        .swap_remove(at.expect("a round's batch is in flight"));
-                }
                 p.trim_journal();
                 self.publish_rounds.fetch_add(1, Ordering::Relaxed);
                 let ns = start.elapsed().as_nanos() as u64;
@@ -364,7 +354,6 @@ impl HotTier {
                 total: 0,
                 next: 0,
                 inflight: FxHashMap::default(),
-                inflight_first: Vec::new(),
                 journal: Journal::default(),
                 poisoned: None,
             }),
@@ -488,8 +477,7 @@ impl HotTier {
             return Ok(());
         };
         p.total -= queued.edits.len();
-        p.inflight.insert(key.clone(), 1);
-        p.inflight_first.push(queued.first);
+        p.inflight.insert(key.clone(), queued.first);
         drop(p);
         self.shared.room.notify_all();
         let work = FxHashMap::from_iter([(key.clone(), queued)]);
@@ -543,20 +531,12 @@ impl HotTier {
             let bytes = encode_journal(&edits);
             let engine = &shared.engine;
             let root = Blob::build(engine.store.as_ref(), &engine.cfg, &bytes).root();
-            let end = first + edits.len() as u64;
-            shared
-                .pending
-                .lock()
-                .expect("pending lock")
-                .journal
-                .blobs
-                .push((root, end));
-            shared
-                .journaled
-                .fetch_add(edits.len() as u64, Ordering::Relaxed);
-            shared
-                .journal_bytes
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            let (n, size) = (edits.len() as u64, bytes.len() as u64);
+            let mut p = shared.pending.lock().expect("pending lock");
+            p.journal.blobs.push((root, first + n));
+            drop(p);
+            shared.journaled.fetch_add(n, Ordering::Relaxed);
+            shared.journal_bytes.fetch_add(size, Ordering::Relaxed);
         }
         shared.checkpoint_if_durable()
     }
@@ -627,17 +607,6 @@ impl Drop for HotTier {
         // Errors are unreportable from Drop — they stay recorded in
         // `poisoned` for post-mortems.
         let _ = self.flush();
-    }
-}
-
-/// Drop one in-flight reference for `key`, removing the mark when the
-/// last concurrent round for it completes.
-fn release_inflight(p: &mut Pending, key: &Bytes) {
-    if let Some(n) = p.inflight.get_mut(key) {
-        *n -= 1;
-        if *n == 0 {
-            p.inflight.remove(key);
-        }
     }
 }
 
