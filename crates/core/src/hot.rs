@@ -16,7 +16,8 @@
 //!   whole round as one pass of the commit pipeline
 //!   ([`crate::commit`]). It then advances the durable recovery point
 //!   so a crash loses at most the edits still queued — the *publish
-//!   window*.
+//!   window*. A round takes the queue only while no other round is in
+//!   flight, so a key's edits reach the tree in the order they came.
 //! * **Persisted journal** — on a durable instance,
 //!   [`ForkBase::persist_hot`](crate::ForkBase::persist_hot) closes the
 //!   window without publishing: the edits accepted since the last
@@ -659,6 +660,8 @@ fn decode_journal(bytes: &[u8]) -> Option<(u64, Vec<JournalEdit>)> {
 /// first, skipping each key's edits numbered below its entry in `marks`
 /// (the checkpoint's heads hold those) — one map-edits commit per key.
 /// Reopen and restore call this before anything else touches the tree.
+/// A key whose head is not a Map is skipped: its edits failed to
+/// publish live too (poisoning the tier), and no tree ever held them.
 pub(crate) fn replay_journal(
     engine: &Engine,
     journal: &[Digest],
@@ -684,11 +687,13 @@ pub(crate) fn replay_journal(
             };
         }
     }
-    let commits: Vec<Commit<'_>> = per_key
-        .into_iter()
-        .map(|(key, batch)| Commit::branch(key, None, Payload::MapEdits(batch)))
-        .collect();
-    engine.commit_all(&commits).map(|_| ())
+    for (key, batch) in per_key {
+        match engine.commit_all(&[Commit::branch(key, None, Payload::MapEdits(batch))]) {
+            Ok(_) | Err(FbError::TypeMismatch { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn publisher_loop(shared: Arc<Shared>) {
@@ -1135,6 +1140,26 @@ mod tests {
             crate::verify_history(db.store(), head).unwrap();
             std::mem::forget(db);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An edit the tier accepted for a key whose head is no Map can be
+    /// persisted before the publisher fails on it. Reopening must not
+    /// fail on it: the key reads as it does with the tier off, and the
+    /// other keys' persisted edits are there.
+    #[test]
+    fn a_persisted_edit_that_cannot_publish_does_not_block_reopen() {
+        let dir = tempdir();
+        let db = durable(&dir, true);
+        db.put("s", None, Value::String("text".into())).unwrap();
+        db.hot_put("s", "a", "1").unwrap();
+        db.hot_put_many("k", edits("a", 0..3)).unwrap();
+        db.persist_hot().unwrap();
+        std::mem::forget(db);
+        let db = durable(&dir, true);
+        assert!(db.hot_get("s", b"a").is_err());
+        assert_eq!(read(&db, "k", 2), Some(b("a2")));
+        drop(db);
         std::fs::remove_dir_all(&dir).ok();
     }
 
