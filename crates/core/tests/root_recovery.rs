@@ -232,13 +232,14 @@ fn a_journal_listing_root_survives_every_cut_of_its_window() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `ledger_blocks`' block loop with `persist_hot` as its barrier: one
-/// checkpoint and one fsync per block, and the tree is not touched.
-#[test]
-fn a_persisted_block_commit_is_one_fsync() {
-    let dir = temp_dir("persist-fsync");
+/// Five blocks of `ledger_blocks`' loop — 64 state writes, the barrier
+/// (`persist_hot`, or `flush_hot`), a 4 KiB block — each of which must
+/// be one checkpoint and one fsync. Nothing but the barrier itself may
+/// sync: no size or time window on the log, no publish timer on the hot
+/// tier.
+fn one_fsync_per_block(dir: &Path, persist: bool) -> ForkBase {
     let db = ForkBase::open_with(
-        &dir,
+        dir,
         ChunkerConfig::default(),
         Durability::Batch {
             max_records: usize::MAX,
@@ -259,7 +260,6 @@ fn a_persisted_block_commit_is_one_fsync() {
     let mut tip = db
         .put_conflict("blocks", None, Value::String("genesis".into()))
         .expect("genesis");
-    let rounds = db.hot_stats().expect("tier on").publish_rounds;
 
     let log = db.durable_store().expect("durable").clone();
     for block in 1..=5u32 {
@@ -272,7 +272,16 @@ fn a_persisted_block_commit_is_one_fsync() {
             )
         });
         db.hot_put_many("state", updates).expect("state writes");
-        db.persist_hot().expect("persist");
+        if persist {
+            db.persist_hot().expect("persist");
+        } else {
+            db.flush_hot().expect("flush");
+            assert_eq!(
+                log.root(),
+                Some(db.checkpoint()),
+                "the root is that checkpoint"
+            );
+        }
         tip = db
             .put_conflict(
                 "blocks",
@@ -289,74 +298,24 @@ fn a_persisted_block_commit_is_one_fsync() {
             "block {block}: one checkpoint, one fsync"
         );
     }
-    let stats = db.hot_stats().expect("tier on");
-    assert_eq!(stats.publish_rounds, rounds, "no publish round ran");
-    assert_eq!(stats.journaled, 5 * 64);
-    drop(db);
-    std::fs::remove_dir_all(&dir).ok();
+    db
 }
 
 #[test]
 fn a_block_commit_is_one_fsync() {
     let dir = temp_dir("fsync");
-    // Nothing but the commit barrier itself may sync: no size or time
-    // window on the log, no publish timer on the hot tier.
-    let db = ForkBase::open_with(
-        &dir,
-        ChunkerConfig::default(),
-        Durability::Batch {
-            max_records: usize::MAX,
-            interval: Duration::from_secs(3600),
-        },
-        CacheConfig::default(),
-        HotTierConfig {
-            enabled: true,
-            publish_batch: 1 << 20,
-            publish_interval: Duration::from_secs(3600),
-        },
-    )
-    .expect("open");
-    let account = |i: u32| format!("account-{i:06}");
-    let preload = (0..20_000u32).map(|i| (account(i).into(), Some(vec![1u8; 100].into())));
-    db.hot_put_many("state", preload).expect("preload");
-    db.flush_hot().expect("flush");
-    let mut tip = db
-        .put_conflict("blocks", None, Value::String("genesis".into()))
-        .expect("genesis");
+    drop(one_fsync_per_block(&dir, false));
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    let log = db.durable_store().expect("durable").clone();
-    for block in 1..=5u32 {
-        let before = (log.fsync_count(), db.checkpoints_committed());
-        let updates = (0..64u32).map(|t| {
-            let value = vec![block as u8; 100];
-            (
-                account((block * 7919 + t * 311) % 20_000).into(),
-                Some(value.into()),
-            )
-        });
-        db.hot_put_many("state", updates).expect("state writes");
-        db.flush_hot().expect("flush");
-        assert_eq!(
-            log.root(),
-            Some(db.checkpoint()),
-            "the root is that checkpoint"
-        );
-        tip = db
-            .put_conflict(
-                "blocks",
-                Some(tip),
-                Value::Blob(db.new_blob(&[block as u8; 4096])),
-            )
-            .expect("append block");
-        assert_eq!(
-            (
-                log.fsync_count() - before.0,
-                db.checkpoints_committed() - before.1
-            ),
-            (1, 1),
-            "block {block}: one checkpoint, one fsync"
-        );
-    }
+/// With `persist_hot` as the barrier the blocks' state is journaled and
+/// no publish round runs: the preload's is the only one.
+#[test]
+fn a_persisted_block_commit_is_one_fsync() {
+    let dir = temp_dir("persist-fsync");
+    let db = one_fsync_per_block(&dir, true);
+    let stats = db.hot_stats().expect("tier on");
+    assert_eq!((stats.publish_rounds, stats.journaled), (1, 5 * 64));
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
