@@ -26,7 +26,8 @@
 use bytes::Bytes;
 use forkbase_core::{verify_history, ForkBase, HotTierConfig};
 use std::collections::BTreeMap;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Subkeys flushed (or checkpointed) before the crash window opens.
@@ -144,9 +145,14 @@ fn child_persister() {
     std::process::abort();
 }
 
+/// Held by each crash test for its whole run. A child that aborts
+/// leaves its "test … " line open on the shared stdout, and the line
+/// must close with its own parent's verdict, not the other test's.
+static ONE_CRASH_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 /// Run `child` in a fresh directory and return the directory once it
-/// has died by `abort()`.
-fn crash_child(child: &str, env: &str) -> std::path::PathBuf {
+/// has died by `abort()`. A `quiet` child's stdout is discarded.
+fn crash_child(child: &str, env: &str, quiet: bool) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "forkbase-hot-kill-{child}-{}-{}",
         std::process::id(),
@@ -158,11 +164,14 @@ fn crash_child(child: &str, env: &str) -> std::path::PathBuf {
     std::fs::remove_dir_all(&dir).ok();
 
     let exe = std::env::current_exe().expect("own binary");
-    let status = Command::new(exe)
+    let mut command = Command::new(exe);
+    command
         .args([child, "--exact", "--nocapture", "--test-threads=1"])
-        .env(env, &dir)
-        .status()
-        .expect("spawn child");
+        .env(env, &dir);
+    if quiet {
+        command.stdout(Stdio::null());
+    }
+    let status = command.status().expect("spawn child");
     assert!(
         !status.success(),
         "the child must die by abort, not exit cleanly"
@@ -189,7 +198,10 @@ fn window_lost(db: &ForkBase) -> usize {
 
 #[test]
 fn kill_after_persist_loses_at_most_the_window() {
-    let dir = crash_child("child_persister", "FORKBASE_HOT_PERSIST_DIR");
+    let _alone = ONE_CRASH_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let dir = crash_child("child_persister", "FORKBASE_HOT_PERSIST_DIR", true);
     let db = open_held(&dir);
     for (subkey, value) in persisted_state() {
         let got = db.hot_get(STATE_KEY, &subkey).expect("read");
@@ -206,7 +218,10 @@ fn kill_after_persist_loses_at_most_the_window() {
 
 #[test]
 fn kill_loses_at_most_the_publish_window() {
-    let dir = crash_child("child_writer", "FORKBASE_HOT_KILL_DIR");
+    let _alone = ONE_CRASH_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let dir = crash_child("child_writer", "FORKBASE_HOT_KILL_DIR", false);
 
     let db = open(&dir);
 
