@@ -41,8 +41,11 @@
 //!   returns; the tree catches up in the background**: on a durable
 //!   instance with the tier on, the block's state writes are journaled
 //!   (one small Blob and one checkpoint, one fsync) and the hot tier's
-//!   publisher folds them into the state map off the block's path.
-//!   [`checkpoint`](ChainStore::checkpoint) publishes everything.
+//!   publisher builds the state map's new leaves off the block's path,
+//!   in rounds the blocks cut: the block that seals a round commits the
+//!   one built before it, so one block sequence stores the same bytes
+//!   every run. [`checkpoint`](ChainStore::checkpoint) publishes
+//!   everything.
 //!
 //! Durable instances ([`ChainStore::open`]) get the full PR-4/5 stack:
 //! group-commit log segments, auto-restore from the log's last root

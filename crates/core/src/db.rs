@@ -723,8 +723,8 @@ impl ForkBase {
     /// Persist the branch tables as a checkpoint chunk and return its cid
     /// — the one piece of state to keep outside the store (cf. git refs).
     pub fn checkpoint(&self) -> Digest {
-        let journal = self.journal();
         self.all_tables();
+        let journal = self.journal();
         self.core.checkpoint(journal)
     }
 
@@ -830,10 +830,14 @@ impl ForkBase {
     /// tier on, the edits accepted since the last persist are encoded
     /// once into a journal Blob and one checkpoint lists it — one
     /// `write`, one fsync, no tree work — and a reopen publishes what the
-    /// tree did not hold yet. A persist with at least `8 ×
-    /// publish_batch` new edits publishes them instead, as `flush_hot`
-    /// does. In memory, or with the tier off (where `hot_put` is already
-    /// a tree commit), this is `flush_hot`.
+    /// tree did not hold yet. The tree work goes in rounds the persists
+    /// cut: once `4 × publish_batch` edits wait, a persist seals them,
+    /// the publisher builds their trees in the background, and the
+    /// persist that seals the next round stores and commits them (see
+    /// [`crate::hot`]) — so the same calls store the same bytes. A
+    /// persist with at least `publish_batch` new edits publishes them
+    /// instead, as `flush_hot` does. In memory, or with the tier off
+    /// (where `hot_put` is already a tree commit), this is `flush_hot`.
     ///
     /// Barriers that read or checkpoint the tree — [`flush_hot`](Self::flush_hot),
     /// [`checkpoint`](Self::checkpoint),
