@@ -1385,6 +1385,59 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// A direct tree write can move a key's head after a staged round was
+    /// built on it (a drain on one thread, a sealing persist on another,
+    /// then the write): the round's guarded commit fails, and its edits
+    /// are spliced onto the moved head instead of poisoning the tier.
+    #[test]
+    fn a_staged_round_splices_onto_a_head_moved_under_it() {
+        let dir = std::env::temp_dir().join(format!(
+            "forkbase-db-staged-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .subsec_nanos()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let hot = HotTierConfig {
+            enabled: true,
+            publish_batch: 8, // a persist with 32 queued edits seals them
+            publish_interval: std::time::Duration::from_secs(3600),
+        };
+        let db = ForkBase::open_with(
+            &dir,
+            ChunkerConfig::default(),
+            forkbase_chunk::Durability::Always,
+            CacheConfig::default(),
+            hot,
+        )
+        .expect("open");
+        let sk = |i: u32| Bytes::from(format!("sk{i:02}"));
+        db.hot_put("k", sk(99), "base").expect("hot put");
+        db.flush_hot().expect("a head to build on");
+        for block in 0..8u32 {
+            let edits = (block * 4..block * 4 + 4).map(|i| (sk(i), Some(Bytes::from("hot"))));
+            db.hot_put_many("k", edits).expect("hot put");
+            db.persist_hot().expect("persist");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(200)); // let the publisher build
+        let mut direct = WriteBatch::new();
+        direct.put(sk(40), "tree");
+        let edits = Payload::MapEdits(direct);
+        db.core
+            .commit_all(&[Commit::branch("k", None, edits)])
+            .expect("direct write");
+        db.flush_hot()
+            .expect("the round splices onto the moved head");
+        let map = db.get_value("k", None).expect("get").as_map().expect("map");
+        assert_eq!(map.len(db.store()), 34);
+        assert_eq!(map.get(db.store(), b"sk40"), Some(Bytes::from("tree")));
+        assert_eq!(map.get(db.store(), b"sk31"), Some(Bytes::from("hot")));
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
     #[test]
     fn batched_updates_retain_final_version_only() {
         // §3.5: "when multiple updates of the same object are batched,

@@ -159,7 +159,7 @@ type JournalEdit = (Bytes, Bytes, Option<Bytes>);
 /// key, the head they were built on and the new map root; the chunks in
 /// the order they were made; and how long building took, in ns.
 struct Built {
-    roots: FxHashMap<Bytes, (Option<Digest>, Digest)>,
+    roots: FxHashMap<Bytes, (Digest, Digest)>,
     chunks: Vec<Chunk>,
     ns: u64,
 }
@@ -337,9 +337,10 @@ impl Shared {
     /// Publish a taken batch — one commit per key, all in one pass of
     /// the commit pipeline — and clear its in-flight marks. An error
     /// poisons the tier and is returned. A key whose tree `built` holds
-    /// commits that map, guarded by the head it was built on (nothing
-    /// else moves a key's head while the key is in flight); any other
-    /// key commits its edits as map edits.
+    /// commits that map, guarded by the head it was built on; any other
+    /// key, and every key once a guard fails (a direct tree write moved
+    /// a head after the round was built), commits its edits as map
+    /// edits, which splice onto the head as it stands.
     ///
     /// `checkpoint` says who owns the recovery point: the background
     /// publisher and per-key drains pass `true` and end in a checkpoint,
@@ -349,35 +350,38 @@ impl Shared {
     fn publish_work(&self, work: Round, checkpoint: bool, built: Option<Built>) -> Result<()> {
         let start = Instant::now();
         let edits: usize = work.values().map(|q| q.edits.len()).sum();
-        let (mut roots, build_ns) = match built {
+        let (roots, build_ns) = match built {
             Some(built) => {
                 self.engine.store.put_many(built.chunks);
                 (built.roots, built.ns)
             }
             None => (FxHashMap::default(), 0),
         };
-        let mut marks = Vec::with_capacity(work.len());
-        let commits: Vec<Commit<'_>> = work
-            .into_iter()
-            .map(|(key, queued)| {
-                marks.push(queued.last + 1);
-                match roots.remove(&key) {
-                    Some((head, root)) => Commit {
-                        guard: head,
-                        ..Commit::branch(
-                            key,
-                            None,
-                            Payload::Value(Value::Map(Map::from_root(root))),
-                        )
-                    },
-                    None => {
-                        let batch = queued.edits.into_iter().collect();
-                        Commit::branch(key, None, Payload::MapEdits(batch))
-                    }
+        let marks: Vec<u64> = work.values().map(|queued| queued.last + 1).collect();
+        let commits = |roots: &FxHashMap<Bytes, (Digest, Digest)>| -> Vec<Commit<'_>> {
+            let commit = |(key, queued): (&Bytes, &Queued)| match roots.get(key) {
+                Some(&(head, root)) => Commit {
+                    guard: Some(head),
+                    ..Commit::branch(
+                        key.clone(),
+                        None,
+                        Payload::Value(Value::Map(Map::from_root(root))),
+                    )
+                },
+                None => {
+                    let batch = queued.edits.iter().cloned().collect();
+                    Commit::branch(key.clone(), None, Payload::MapEdits(batch))
                 }
-            })
-            .collect();
-        let mut result = self.engine.commit_all_marked(&commits, &marks).map(|_| ());
+            };
+            work.iter().map(commit).collect()
+        };
+        let mut result = self.engine.commit_all_marked(&commits(&roots), &marks);
+        if let (Err(FbError::GuardFailed { .. }), false) = (&result, roots.is_empty()) {
+            result = self
+                .engine
+                .commit_all_marked(&commits(&FxHashMap::default()), &marks);
+        }
+        let mut result = result.map(|_| ());
         if result.is_ok() {
             self.published.fetch_add(edits as u64, Ordering::Relaxed);
             if checkpoint {
@@ -385,8 +389,8 @@ impl Shared {
             }
         }
         let mut p = self.pending.lock().expect("pending lock");
-        for commit in &commits {
-            p.inflight.remove(&commit.key);
+        for key in work.keys() {
+            p.inflight.remove(key);
         }
         match &result {
             Err(e) => {
@@ -428,7 +432,8 @@ impl Shared {
     /// A staged round's trees, each key's edits spliced onto its
     /// default-branch head exactly as a map-edits commit would, into an
     /// [`Overlay`]: the store gains nothing until the round is
-    /// committed.
+    /// committed. A key without a head is left to commit as map edits:
+    /// no guard can say that it still has none.
     fn build(&self, work: &Round) -> Result<Built> {
         let start = Instant::now();
         let engine = &self.engine;
@@ -436,11 +441,10 @@ impl Shared {
         let mut roots = FxHashMap::default();
         for (key, queued) in work {
             let slot = engine.branches.get(key);
-            let head = slot.and_then(|s| s.read().head(DEFAULT_BRANCH));
-            let base = match head {
-                Some(uid) => engine.version(key, uid)?.value(&overlay)?.as_map()?,
-                None => Map::build(&overlay, &engine.cfg, std::iter::empty::<(Bytes, Bytes)>()),
+            let Some(head) = slot.and_then(|s| s.read().head(DEFAULT_BRANCH)) else {
+                continue;
             };
+            let base = engine.version(key, head)?.value(&overlay)?.as_map()?;
             let edits: WriteBatch = queued.edits.iter().cloned().collect();
             let map = base.apply(&overlay, &engine.cfg, edits)?;
             roots.insert(key.clone(), (head, map.root()));

@@ -322,7 +322,8 @@ fn ledger_block_phases() {
     std::fs::remove_dir_all(&dir).ok();
     // `ledger_blocks`' engine: default log and cache, the hot tier on
     // with its publish timer slowed to 1 s. `flush_state` journals each
-    // block's state; the publisher publishes every `publish_batch` edits.
+    // block's state; every 32nd block (`4 × publish_batch` edits) seals a
+    // round, which the publisher builds and the next seal commits.
     let chain = ChainStore::open_with(
         &dir,
         ChainConfig {
@@ -361,6 +362,8 @@ fn ledger_block_phases() {
     // state_put_many, flush_state, append_block] ns, then [leaves, ahead,
     // checkpoint, fsyncs, writeback starts, bytes stored].
     let (mut times, mut counts) = (vec![Vec::new(); 9], vec![Vec::new(); 6]);
+    // `flush_state` of the blocks that committed a round, ns.
+    let mut committing = Vec::new();
     let hot_before = chain.db().hot_stats().expect("tier on");
     for number in 1..=BLOCKS {
         let updates: Vec<(Bytes, Option<Bytes>)> = (0..64)
@@ -383,6 +386,7 @@ fn ledger_block_phases() {
             log.writeback_starts(),
         ];
         let stored = chain.db().store().stored_bytes();
+        let rounds = chain.db().hot_stats().expect("tier on").publish_rounds;
         let start = Instant::now();
         chain.state_put_many(updates).expect("updates");
         let put_done = Instant::now();
@@ -396,6 +400,9 @@ fn ledger_block_phases() {
         let calls = [put_done - start, flush_done - put_done, end - flush_done]
             .map(|d| d.as_nanos() as u64);
         let stored = chain.db().store().stored_bytes() - stored;
+        if chain.db().hot_stats().expect("tier on").publish_rounds > rounds {
+            committing.push(calls[1]);
+        }
         let pos = pos_metrics::snapshot().since(pos);
         let after = [
             log.caller_write_ns(),
@@ -460,6 +467,16 @@ fn ledger_block_phases() {
         hot.journaled - hot_before.journaled,
         hot.journal_bytes - hot_before.journal_bytes
     );
+    if !committing.is_empty() {
+        let (mid, lo, hi) = spread(&mut committing);
+        println!(
+            "ledger block: {} blocks committed a round; their flush_state median {:.1} µs ({:.1}–{:.1})",
+            committing.len(),
+            mid as f64 / 1e3,
+            lo as f64 / 1e3,
+            hi as f64 / 1e3
+        );
+    }
     println!(
         "ledger block, per block as median (min–max): leaves put {} ({}–{}), \
          bytes written ahead {} ({}–{}), bytes written at the checkpoint {} ({}–{}), \
