@@ -79,12 +79,14 @@ pub struct HotTierConfig {
     /// trades a bounded publish window of crash loss for hash-map-speed
     /// point access, and that trade must be opted into.
     pub enabled: bool,
-    /// Pending-edit count that triggers an immediate publish round. The
-    /// queue accepts up to 8× this before writers block (backpressure).
+    /// Count of pending edits no persist has covered that triggers an
+    /// immediate publish round. The queue accepts up to 8× this before
+    /// writers block (backpressure); a persist seals a staged round at
+    /// 4× this.
     pub publish_batch: usize,
-    /// Maximum time a pending edit waits before a publish round picks it
-    /// up, batch full or not. This bounds the crash-loss window on
-    /// durable instances.
+    /// Maximum time an edit no persist has covered waits before a
+    /// publish round picks it up, batch full or not. This bounds the
+    /// crash-loss window on durable instances.
     pub publish_interval: Duration,
 }
 
