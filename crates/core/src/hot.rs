@@ -960,8 +960,10 @@ fn publisher_loop(shared: Arc<Shared>) {
             (p.unpersisted, p.window_since) = (0, None);
             continue;
         }
-        // A staged round no persist has come to commit holds up writers
-        // waiting for room: commit it here.
+        // Rounds reach the tree in order: a staged round still waiting
+        // for the persist that would commit it goes first. (Only a
+        // window trigger gets here with one; without this, writers
+        // waiting for room would wait for a persist that cannot come.)
         let (work, built) = match p.take_staged() {
             Some(staged) => staged,
             None if !p.inflight.is_empty() => {
