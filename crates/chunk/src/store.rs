@@ -89,61 +89,6 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Size of the fixed wire encoding ([`to_wire`](Self::to_wire)).
-    pub const WIRE_LEN: usize = 11 * 8;
-
-    /// Fixed-size wire encoding: every counter as a little-endian u64,
-    /// in declaration order. This is what the cluster's `stats` opcode
-    /// carries, so a node's health (io_errors, cache counters) is
-    /// observable across a network transport.
-    pub fn to_wire(&self) -> [u8; Self::WIRE_LEN] {
-        let fields = [
-            self.stored_chunks,
-            self.stored_bytes,
-            self.puts,
-            self.dedup_hits,
-            self.dedup_bytes,
-            self.gets,
-            self.get_hits,
-            self.io_errors,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-        ];
-        let mut out = [0u8; Self::WIRE_LEN];
-        for (slot, v) in out.chunks_exact_mut(8).zip(fields) {
-            slot.copy_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decode the [`to_wire`](Self::to_wire) encoding. `None` unless
-    /// `bytes` is exactly [`WIRE_LEN`](Self::WIRE_LEN) long.
-    pub fn from_wire(bytes: &[u8]) -> Option<StoreStats> {
-        if bytes.len() != Self::WIRE_LEN {
-            return None;
-        }
-        let mut fields = [0u64; 11];
-        for (f, slot) in fields.iter_mut().zip(bytes.chunks_exact(8)) {
-            *f = u64::from_le_bytes(slot.try_into().expect("8-byte chunk"));
-        }
-        let [stored_chunks, stored_bytes, puts, dedup_hits, dedup_bytes, gets, get_hits, io_errors, cache_hits, cache_misses, cache_evictions] =
-            fields;
-        Some(StoreStats {
-            stored_chunks,
-            stored_bytes,
-            puts,
-            dedup_hits,
-            dedup_bytes,
-            gets,
-            get_hits,
-            io_errors,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-        })
-    }
-
     /// Add `other`'s counters into `self` (aggregation across
     /// partitions, replicas, or cluster nodes).
     pub fn merge(&mut self, other: &StoreStats) {
@@ -242,32 +187,5 @@ impl<S: ChunkStore + ?Sized> ChunkStore for Arc<S> {
 
     fn stats(&self) -> StoreStats {
         (**self).stats()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_wire_round_trip() {
-        let stats = StoreStats {
-            stored_chunks: 1,
-            stored_bytes: u64::MAX,
-            puts: 3,
-            dedup_hits: 4,
-            dedup_bytes: 5,
-            gets: 6,
-            get_hits: 7,
-            io_errors: 8,
-            cache_hits: 9,
-            cache_misses: 10,
-            cache_evictions: 11,
-        };
-        let wire = stats.to_wire();
-        assert_eq!(wire.len(), StoreStats::WIRE_LEN);
-        assert_eq!(StoreStats::from_wire(&wire), Some(stats));
-        assert_eq!(StoreStats::from_wire(&wire[1..]), None);
-        assert_eq!(StoreStats::from_wire(&[]), None);
     }
 }

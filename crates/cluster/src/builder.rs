@@ -1,16 +1,16 @@
 //! [`ClusterBuilder`] — the one way to assemble a [`Cluster`].
 //!
 //! Every deployment axis is a builder knob: node count or explicit
-//! per-node stores, partitioning policy, chunker configuration,
-//! remote-cache sizing, and — the axis that makes the cluster real —
-//! the [`Transport`] servlets use to reach each other's chunk storage.
+//! per-node stores, partitioning policy, and — the axis that makes the
+//! cluster real — the [`Transport`] servlets use to reach each other's
+//! chunk storage.
 
 use crate::dispatch::Cluster;
 use crate::master::{Master, Partitioning};
 use crate::net::{ChunkServer, TcpChunkClient, TcpConfig};
 use crate::service::{ChunkService, StoreService};
 use crate::servlet::Servlet;
-use forkbase_chunk::{CacheConfig, ChunkStore, MemStore};
+use forkbase_chunk::{ChunkStore, MemStore};
 use forkbase_core::{FbError, Result};
 use forkbase_crypto::ChunkerConfig;
 use std::net::TcpListener;
@@ -44,9 +44,7 @@ pub enum Transport {
 pub struct ClusterBuilder {
     nodes: usize,
     partitioning: Partitioning,
-    cfg: ChunkerConfig,
     stores: Option<Vec<Arc<dyn ChunkStore>>>,
-    cache: CacheConfig,
     transport: Transport,
 }
 
@@ -54,13 +52,11 @@ impl ClusterBuilder {
     /// A builder for `nodes` servlets with two-layer partitioning,
     /// default chunking, per-node [`MemStore`]s, the default
     /// remote-chunk cache, and the in-process transport.
-    pub fn new(nodes: usize) -> ClusterBuilder {
+    pub(crate) fn new(nodes: usize) -> ClusterBuilder {
         ClusterBuilder {
             nodes,
             partitioning: Partitioning::TwoLayer,
-            cfg: ChunkerConfig::default(),
             stores: None,
-            cache: CacheConfig::default(),
             transport: Transport::InProcess,
         }
     }
@@ -72,12 +68,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Content-defined chunking configuration for every servlet.
-    pub fn chunker(mut self, cfg: ChunkerConfig) -> ClusterBuilder {
-        self.cfg = cfg;
-        self
-    }
-
     /// Caller-provided per-node chunk stores — one per servlet, so this
     /// also fixes the node count. This is how a cluster runs on disk:
     /// hand it one [`LogStore`](forkbase_chunk::LogStore) per node (or
@@ -85,13 +75,6 @@ impl ClusterBuilder {
     pub fn stores(mut self, stores: Vec<Arc<dyn ChunkStore>>) -> ClusterBuilder {
         self.nodes = stores.len();
         self.stores = Some(stores);
-        self
-    }
-
-    /// Per-servlet remote-chunk cache sizing ([`CacheConfig::disabled`]
-    /// for uncached pool reads).
-    pub fn cache(mut self, cache: CacheConfig) -> ClusterBuilder {
-        self.cache = cache;
         self
     }
 
@@ -119,7 +102,7 @@ impl ClusterBuilder {
                 .collect(),
         };
         let n = stores.len();
-        let master = Master::new(n, self.partitioning);
+        let master = Master::new(n);
 
         match self.transport {
             Transport::InProcess => {
@@ -131,13 +114,12 @@ impl ClusterBuilder {
                     .collect();
                 let servlets: Vec<Arc<Servlet>> = (0..n)
                     .map(|id| {
-                        Arc::new(Servlet::with_cache(
+                        Arc::new(Servlet::new(
                             id,
                             self.partitioning,
                             stores[id].clone(),
                             pool.clone(),
-                            self.cfg.clone(),
-                            self.cache,
+                            ChunkerConfig::default(),
                         ))
                     })
                     .collect();
@@ -180,13 +162,12 @@ impl ClusterBuilder {
                                 }
                             })
                             .collect();
-                        Arc::new(Servlet::with_cache(
+                        Arc::new(Servlet::new(
                             id,
                             self.partitioning,
                             stores[id].clone(),
                             pool,
-                            self.cfg.clone(),
-                            self.cache,
+                            ChunkerConfig::default(),
                         ))
                     })
                     .collect();
@@ -199,7 +180,7 @@ impl ClusterBuilder {
                     })
                     .collect::<Result<_>>()?;
                 // Stats endpoints cross the wire too: node_stats() is
-                // served by the same stats opcode peers use.
+                // served by the same STATS command peers use.
                 let endpoints: Vec<Arc<dyn ChunkService>> = addrs
                     .iter()
                     .map(|&addr| Arc::new(TcpChunkClient::new(addr, tcp)) as Arc<dyn ChunkService>)

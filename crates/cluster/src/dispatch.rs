@@ -7,10 +7,9 @@ use crate::service::ChunkService;
 use crate::servlet::Servlet;
 use bytes::Bytes;
 use forkbase_chunk::StoreStats;
-use forkbase_core::{FObject, Result, Value};
+use forkbase_core::{Result, Value};
 use forkbase_crypto::Digest;
 use forkbase_pos::builder;
-use forkbase_pos::TreeType;
 use std::sync::Arc;
 
 /// A ForkBase cluster: master + dispatcher + N servlets, assembled by
@@ -61,35 +60,17 @@ impl Cluster {
     }
 
     /// The servlet a key routes to (layer 1).
-    pub fn servlet_for(&self, key: &[u8]) -> &Arc<Servlet> {
+    pub(crate) fn servlet_for(&self, key: &[u8]) -> &Arc<Servlet> {
         &self.servlets[self.master.servlet_of(key)]
-    }
-
-    /// All servlets (for benchmark drivers that spawn one client per
-    /// servlet).
-    pub fn servlets(&self) -> &[Arc<Servlet>] {
-        &self.servlets
     }
 
     /// Per-node merged stats — local storage counters plus each
     /// servlet's remote-cache hits/misses and observed transport
-    /// errors. Over TCP this is a stats request to every node (the same
-    /// opcode peers use), so a dead node surfaces as `Err` rather than
+    /// errors. Over TCP this is a `STATS` request to every node (the
+    /// command peers use), so a dead node surfaces as `Err` rather than
     /// a row of zeros.
     pub fn node_stats(&self) -> Result<Vec<StoreStats>> {
         self.endpoints.iter().map(|e| e.stats()).collect()
-    }
-
-    /// Dispatch a Put to the key's home servlet.
-    pub fn put(&self, key: impl Into<Bytes>, value: Value) -> Result<Digest> {
-        let key = key.into();
-        self.servlet_for(&key).db().put(key, None, value)
-    }
-
-    /// Dispatch a Get to the key's home servlet.
-    pub fn get(&self, key: impl Into<Bytes>) -> Result<FObject> {
-        let key = key.into();
-        self.servlet_for(&key).db().get(key, None)
     }
 
     /// Store a blob value for `key` (chunks placed per the partitioning
@@ -149,43 +130,12 @@ impl Cluster {
             max / mean
         }
     }
-
-    /// Build and commit a Map object at its home servlet (helper for
-    /// tests and benches).
-    pub fn put_map<I, K, V>(&self, key: impl Into<Bytes>, pairs: I) -> Result<Digest>
-    where
-        I: IntoIterator<Item = (K, V)>,
-        K: Into<Bytes>,
-        V: Into<Bytes>,
-    {
-        let key = key.into();
-        let servlet = self.servlet_for(&key);
-        let map = servlet.db().new_map(pairs);
-        servlet.db().put(key, None, Value::Map(map))
-    }
-
-    /// Total distinct chunks across the cluster (dedup works cluster-wide
-    /// under 2LP because identical chunks route to the same node).
-    pub fn total_chunks(&self) -> u64 {
-        self.servlets.iter().map(|s| s.local_chunks()).sum()
-    }
-
-    /// The empty-tree sentinel used by tests.
-    pub fn empty_blob_root(&self) -> Digest {
-        builder::build_items(
-            self.servlets[0].db().store(),
-            self.servlets[0].db().cfg(),
-            TreeType::Blob,
-            std::iter::empty(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::master::Partitioning;
-    use forkbase_crypto::ChunkerConfig;
 
     fn payload(i: usize, len: usize) -> Vec<u8> {
         let mut state = i as u64 + 1;
@@ -353,10 +303,14 @@ mod tests {
         let data = payload(1, 50_000);
         // The same content written under keys homed at different
         // servlets deduplicates because chunks route by cid.
+        let total_chunks = || -> u64 {
+            let stats = cluster.node_stats().expect("stats");
+            stats.iter().map(|s| s.stored_chunks).sum()
+        };
         cluster.put_blob("key-a", &data).expect("put");
-        let after_first = cluster.total_chunks();
+        let after_first = total_chunks();
         cluster.put_blob("key-b", &data).expect("put");
-        let added = cluster.total_chunks() - after_first;
+        let added = total_chunks() - after_first;
         // Only meta chunks (and possibly nothing else) are new.
         assert!(added <= 2, "cross-key dedup: {added} new chunks");
     }
@@ -377,11 +331,7 @@ mod tests {
 
     #[test]
     fn tcp_cluster_round_trips_blobs() {
-        let cluster = Cluster::builder(3)
-            .chunker(ChunkerConfig::default())
-            .tcp()
-            .build()
-            .expect("tcp cluster");
+        let cluster = Cluster::builder(3).tcp().build().expect("tcp cluster");
         assert!(cluster.is_networked());
         for i in 0..10 {
             let key = format!("wire-{i}");

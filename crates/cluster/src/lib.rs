@@ -24,10 +24,12 @@
 //! * **in-process** ([`StoreService`]) — direct handles to the peer
 //!   stores; zero-cost routing for single-machine runs and tests;
 //! * **TCP** ([`net`]) — every node serves a [`ChunkServer`] speaking
-//!   length-prefixed, checksummed binary frames, and peers reach it
-//!   through [`TcpChunkClient`]s that keep a few sockets each and use a
-//!   socket for one request at a time, written and read back on the
-//!   caller's thread. A killed node surfaces as
+//!   the chunk service's commands in RESP2 (the workspace's one wire
+//!   codec, [`forkbase_crypto::resp`]), and peers reach it through
+//!   [`TcpChunkClient`]s that keep a few sockets each and use a socket
+//!   for one request at a time, written and read back on the caller's
+//!   thread. A put carries its cid and the server refuses a chunk that
+//!   does not hash to it. A killed node surfaces as
 //!   [`FbError::Io`](forkbase_core::FbError::Io) (counted in that
 //!   servlet's `io_errors`), never a hang; a restarted node is picked up
 //!   by lazy re-dial.

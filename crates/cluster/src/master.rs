@@ -15,27 +15,13 @@ pub enum Partitioning {
 #[derive(Clone, Debug)]
 pub struct Master {
     n_servlets: usize,
-    partitioning: Partitioning,
 }
 
 impl Master {
-    /// A master for `n_servlets` nodes under `partitioning`.
-    pub fn new(n_servlets: usize, partitioning: Partitioning) -> Master {
+    /// A master for `n_servlets` nodes.
+    pub(crate) fn new(n_servlets: usize) -> Master {
         assert!(n_servlets >= 1, "need at least one servlet");
-        Master {
-            n_servlets,
-            partitioning,
-        }
-    }
-
-    /// Number of servlets.
-    pub fn n_servlets(&self) -> usize {
-        self.n_servlets
-    }
-
-    /// Active partitioning policy.
-    pub fn partitioning(&self) -> Partitioning {
-        self.partitioning
+        Master { n_servlets }
     }
 
     /// The home servlet of a request key (layer 1: key-hash routing).
@@ -50,7 +36,7 @@ mod tests {
 
     #[test]
     fn routing_is_stable_and_in_range() {
-        let m = Master::new(7, Partitioning::TwoLayer);
+        let m = Master::new(7);
         for i in 0..100 {
             let key = format!("key-{i}");
             let s = m.servlet_of(key.as_bytes());
@@ -61,7 +47,7 @@ mod tests {
 
     #[test]
     fn keys_spread_across_servlets() {
-        let m = Master::new(8, Partitioning::TwoLayer);
+        let m = Master::new(8);
         let mut counts = [0usize; 8];
         for i in 0..8000 {
             counts[m.servlet_of(format!("key-{i}").as_bytes())] += 1;

@@ -3,34 +3,35 @@
 //!
 //! A request checks a socket out of the pool — the most recently used
 //! idle one, a freshly dialled one while fewer than
-//! [`TcpConfig::connections`] exist, otherwise whichever is put back
-//! first — writes its frame, reads frames on the calling thread until
-//! its own request id answers, and puts the socket back. That is one
-//! `write`, the peer's work and one `read`: no reader thread, no
-//! hand-off between threads, and as many requests in flight as there
-//! are sockets (the server answers a connection's requests one after
-//! another anyway). A `get_many` or `put_many` batch is one frame each
-//! way however many chunks it carries, up to
-//! [`FRAME_BUDGET`]; a larger one goes as
+//! [`TcpConfig::connections`] exist, otherwise the next one put back —
+//! writes its RESP command, reads the one reply on the calling thread,
+//! and puts the socket back. That is one `write`, the peer's work and
+//! one `read`: no reader thread, no hand-off between threads, and as
+//! many requests in flight as there are sockets (the server answers a
+//! connection's requests one after another anyway). Callers that find
+//! every socket taken wait in line: sockets go to them in the order
+//! they came, and a caller arriving later never takes one first. A
+//! `get_many` or `put_many` batch is one request each way however many
+//! chunks it carries, up to a budget of 4 MiB; a larger one goes as
 //! several round trips on the same socket.
 //!
-//! A socket that saw any error, a timeout or a frame that is not the
-//! answer to the request in hand is closed, never pooled: a killed peer
-//! surfaces as [`FbError::Io`] on the request that met it, a reply that
-//! comes after its caller gave up has no socket left to be read from,
-//! and the next request dials afresh — which is also how a restarted
-//! peer is picked up.
+//! A socket that saw any error, a timeout, an error reply or a reply of
+//! the wrong shape is closed, never pooled: a killed peer surfaces as
+//! [`FbError::Io`] on the request that met it, a reply that comes after
+//! its caller gave up has no socket left to be read from, and the next
+//! request dials afresh — which is also how a restarted peer is picked
+//! up.
 
-use super::frame::{self, FrameDecoder, FRAME_BUDGET};
-use super::proto::{self, Request, Response};
+use super::proto::{self, Request};
 use crate::service::{ChunkService, Completion};
 use forkbase_chunk::{Chunk, PutOutcome, StoreStats};
 use forkbase_core::{FbError, Result};
+use forkbase_crypto::resp::{RespDecoder, RespValue};
 use forkbase_crypto::Digest;
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Tuning for the TCP transport.
@@ -58,14 +59,18 @@ impl Default for TcpConfig {
     }
 }
 
-/// Most cids one `get_many` request frame carries.
-const CIDS_PER_FRAME: usize = FRAME_BUDGET / Digest::LEN;
+/// Most chunk bytes one `CPUTMANY` request carries (a request takes at
+/// least one chunk), and, as cids, one `CGETMANY` request.
+pub const BATCH_BUDGET: usize = 4 << 20;
+
+/// Most cids one `CGETMANY` request carries.
+const CIDS_PER_REQUEST: usize = BATCH_BUDGET / Digest::LEN;
 
 /// One established connection and the buffers that live with it.
 struct Conn {
     stream: TcpStream,
-    decoder: FrameDecoder,
-    /// The request frame being written; kept for its capacity.
+    decoder: RespDecoder,
+    /// The request being written; kept for its capacity.
     out: Vec<u8>,
 }
 
@@ -77,17 +82,32 @@ struct Pool {
     /// Connections that exist or are being dialled: `idle` plus the
     /// checked-out ones.
     open: usize,
+    /// Callers waiting for a socket, first come first; each sleeps on
+    /// its own condvar until it is first in line and a socket is free.
+    waiting: VecDeque<Arc<Condvar>>,
 }
 
-/// Encode `req` into `buf` as one frame and hand it to `dst` whole.
-fn write_request(
-    dst: &mut impl Write,
-    buf: &mut Vec<u8>,
-    req_id: u64,
-    req: &Request,
-) -> Result<()> {
-    frame::recycle(buf);
-    proto::encode_request(req_id, req, buf)?;
+impl Pool {
+    /// A socket is idle, or another may be dialled.
+    fn has_room(&self, limit: usize) -> bool {
+        !self.idle.is_empty() || self.open < limit
+    }
+
+    /// A socket came back or went away: tell the caller first in line.
+    fn wake_first(&self) {
+        if let Some(first) = self.waiting.front() {
+            first.notify_one();
+        }
+    }
+}
+
+/// Encode `req` into `buf` and hand it to `dst` whole. The buffer lives
+/// as long as its connection: it keeps what an ordinary request needs
+/// and gives back what a rare huge batch grew it to.
+fn write_request(dst: &mut impl Write, buf: &mut Vec<u8>, req: &Request) -> Result<()> {
+    buf.clear();
+    buf.shrink_to(64 << 10);
+    req.encode(buf)?;
     dst.write_all(buf)
         .map_err(|e| FbError::Io(format!("write request: {e}")))
 }
@@ -97,19 +117,14 @@ pub struct TcpChunkClient {
     addr: SocketAddr,
     cfg: TcpConfig,
     pool: Mutex<Pool>,
-    /// Signalled whenever a socket is put back or closed.
-    freed: Condvar,
-    next_req_id: AtomicU64,
 }
 
-/// A checked-out connection with (after [`send`](Flight::send)) a
-/// request in flight on it. Dropping it closes the socket; only
+/// A checked-out connection. Dropping it closes the socket; only
 /// [`land`](Flight::land) puts it back in the pool — so every early
 /// return on an error path closes.
 struct Flight<'a> {
     client: &'a TcpChunkClient,
     conn: Option<Conn>,
-    req_id: u64,
 }
 
 impl Flight<'_> {
@@ -117,42 +132,38 @@ impl Flight<'_> {
         self.conn.as_mut().expect("present until land or drop")
     }
 
-    /// Write `req` under a fresh request id.
     fn send(&mut self, req: &Request) -> Result<()> {
-        self.req_id = self.client.next_req_id.fetch_add(1, Ordering::Relaxed);
-        let req_id = self.req_id;
         let Conn { stream, out, .. } = self.conn();
-        write_request(stream, out, req_id, req)
+        write_request(stream, out, req)
     }
 
-    /// Read the next frame, which must answer the request in flight.
-    fn recv(&mut self) -> Result<Response> {
-        let (addr, req_id) = (self.client.addr, self.req_id);
+    /// Read the reply to the request in flight and `decode` it.
+    fn recv<T>(&mut self, decode: impl FnOnce(RespValue) -> Result<T>) -> Result<T> {
+        let addr = self.client.addr;
         let fail = |what: &dyn std::fmt::Display| FbError::Io(format!("node {addr}: {what}"));
         let Conn {
             stream, decoder, ..
         } = self.conn();
-        let frame = loop {
-            if let Some(frame) = decoder.next_frame().map_err(|e| fail(&e))? {
-                break frame;
+        let reply = loop {
+            if let Some(value) = decoder.next_value().map_err(|e| fail(&e))? {
+                break value;
             }
             if decoder.read_from(stream).map_err(|e| fail(&e))? == 0 {
                 return Err(fail(&"connection lost"));
             }
         };
-        match proto::decode_response(frame.opcode, &frame.payload) {
-            Some((id, Response::Err(msg))) if id == req_id => Err(fail(&msg)),
-            Some((id, resp)) if id == req_id => Ok(resp),
-            Some((id, _)) => Err(fail(&format_args!("answered request {id}, not {req_id}"))),
-            None => Err(fail(&"malformed reply")),
-        }
+        decode(reply).map_err(|e| match e {
+            FbError::Io(what) => fail(&what),
+            other => other,
+        })
     }
 
     /// The exchange is over and the stream is in step: pool the socket.
     fn land(mut self) {
         let conn = self.conn.take().expect("present until land or drop");
-        self.client.lock_pool().idle.push(conn);
-        self.client.freed.notify_one();
+        let mut pool = self.client.lock_pool();
+        pool.idle.push(conn);
+        pool.wake_first();
     }
 }
 
@@ -172,14 +183,13 @@ impl TcpChunkClient {
             addr,
             cfg,
             pool: Mutex::new(Pool::default()),
-            freed: Condvar::new(),
-            next_req_id: AtomicU64::new(1),
         }
     }
 
-    /// The peer address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+    /// Callers waiting for a socket.
+    #[cfg(test)]
+    pub(crate) fn waiting(&self) -> usize {
+        self.lock_pool().waiting.len()
     }
 
     fn lock_pool(&self) -> std::sync::MutexGuard<'_, Pool> {
@@ -192,8 +202,9 @@ impl TcpChunkClient {
 
     /// One connection fewer exists (closed, or never established).
     fn forget_one(&self) {
-        self.lock_pool().open -= 1;
-        self.freed.notify_one();
+        let mut pool = self.lock_pool();
+        pool.open -= 1;
+        pool.wake_first();
     }
 
     fn dial(&self) -> Result<Conn> {
@@ -209,28 +220,38 @@ impl TcpChunkClient {
             .map_err(|e| fail("set timeouts for", e))?;
         Ok(Conn {
             stream,
-            decoder: FrameDecoder::new(),
+            decoder: RespDecoder::new(),
             out: Vec::new(),
         })
     }
 
     /// Take a connection for exclusive use: the most recently used idle
-    /// one, else a new one while under the limit, else wait for one.
+    /// one, else a new one while under the limit. A caller that finds
+    /// neither, or finds others already waiting, joins the end of the
+    /// line.
     fn check_out(&self) -> Result<Flight<'_>> {
+        let limit = self.cfg.connections.max(1);
         let mut pool = self.lock_pool();
-        let conn = loop {
-            if let Some(conn) = pool.idle.pop() {
-                break Some(conn);
+        if !pool.waiting.is_empty() || !pool.has_room(limit) {
+            let turn = Arc::new(Condvar::new());
+            pool.waiting.push_back(Arc::clone(&turn));
+            while !(pool.has_room(limit)
+                && pool.waiting.front().is_some_and(|f| Arc::ptr_eq(f, &turn)))
+            {
+                pool = turn
+                    .wait(pool)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
-            if pool.open < self.cfg.connections.max(1) {
-                pool.open += 1;
-                break None;
-            }
-            pool = self
-                .freed
-                .wait(pool)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        };
+            pool.waiting.pop_front();
+        }
+        let conn = pool.idle.pop();
+        if conn.is_none() {
+            pool.open += 1;
+        }
+        // Two sockets may have come back while the first in line slept.
+        if pool.has_room(limit) {
+            pool.wake_first();
+        }
         drop(pool);
         let conn = match conn {
             Some(conn) => conn,
@@ -239,7 +260,6 @@ impl TcpChunkClient {
         Ok(Flight {
             client: self,
             conn: Some(conn),
-            req_id: 0,
         })
     }
 
@@ -250,44 +270,25 @@ impl TcpChunkClient {
         Ok(flight)
     }
 
-    /// One round trip.
-    fn call(&self, req: &Request) -> Result<Response> {
+    /// One round trip; `decode` reads the reply.
+    fn call<T>(&self, req: &Request, decode: impl FnOnce(RespValue) -> Result<T>) -> Result<T> {
         let mut flight = self.start(req)?;
-        let resp = flight.recv()?;
+        let answer = flight.recv(decode)?;
         flight.land();
-        Ok(resp)
-    }
-
-    fn unexpected(&self) -> FbError {
-        FbError::Io(format!("node {}: response type mismatch", self.addr))
-    }
-
-    /// A fetched chunk must hash to the cid it was requested under —
-    /// the wire inherits the store's tamper evidence.
-    fn verify(&self, chunk: Chunk, cid: &Digest) -> Result<Chunk> {
-        if chunk.cid() == *cid {
-            Ok(chunk)
-        } else {
-            Err(FbError::Corrupt(format!(
-                "node {} returned chunk {} for requested cid {}",
-                self.addr,
-                chunk.cid().short_hex(),
-                cid.short_hex()
-            )))
-        }
+        Ok(answer)
     }
 }
 
-/// Cut `chunks` into runs of at most [`FRAME_BUDGET`] encoded bytes (a
-/// run takes at least one chunk), one `put_many` frame each.
+/// Cut `chunks` into runs of at most [`BATCH_BUDGET`] bytes (a run
+/// takes at least one chunk), one `CPUTMANY` request each.
 fn put_frames(chunks: Vec<Chunk>) -> Vec<Vec<Chunk>> {
     let mut frames: Vec<Vec<Chunk>> = Vec::new();
     // Bytes in the last run; "full" before there is one, so the first
     // chunk opens it.
-    let mut bytes = FRAME_BUDGET;
+    let mut bytes = BATCH_BUDGET;
     for chunk in chunks {
         let len = proto::sized_chunk_len(&chunk);
-        if bytes + len > FRAME_BUDGET {
+        if bytes + len > BATCH_BUDGET {
             frames.push(Vec::new());
             bytes = 0;
         }
@@ -299,10 +300,10 @@ fn put_frames(chunks: Vec<Chunk>) -> Vec<Vec<Chunk>> {
 
 impl ChunkService for TcpChunkClient {
     fn get(&self, cid: &Digest) -> Result<Option<Chunk>> {
-        match self.call(&Request::Get(*cid))? {
-            Response::Get(found) => found.map(|c| self.verify(c, cid)).transpose(),
-            _ => Err(self.unexpected()),
-        }
+        let mut found = self.call(&Request::Get(*cid), |reply| {
+            proto::decode_found(std::slice::from_ref(cid), RespValue::Array(vec![reply]))
+        })?;
+        Ok(found.pop().flatten())
     }
 
     fn get_many(&self, cids: &[Digest]) -> Result<Vec<Option<Chunk>>> {
@@ -310,22 +311,21 @@ impl ChunkService for TcpChunkClient {
     }
 
     fn put(&self, chunk: Chunk) -> Result<PutOutcome> {
-        match self.call(&Request::Put(chunk))? {
-            Response::Put(outcome) => Ok(outcome),
-            _ => Err(self.unexpected()),
-        }
+        let outcomes = self.call(&Request::Put(chunk), |reply| {
+            proto::decode_outcomes(1, RespValue::Array(vec![reply]))
+        })?;
+        Ok(outcomes[0])
     }
 
     fn put_many(&self, chunks: Vec<Chunk>) -> Result<Vec<PutOutcome>> {
         self.start_put_many(chunks).wait()
     }
 
-    /// The first request frame goes out now. The completion reads its
-    /// reply — as many frames as the server cut it into — and, for a
-    /// batch of more cids than one frame carries, plays the remaining
-    /// frames one round trip at a time.
+    /// The first request goes out now. The completion reads its reply
+    /// and, for a batch of more cids than one request carries, plays
+    /// the remaining requests one round trip at a time.
     fn start_get_many<'a>(&'a self, cids: &'a [Digest]) -> Completion<'a, Vec<Option<Chunk>>> {
-        let mut runs = cids.chunks(CIDS_PER_FRAME);
+        let mut runs = cids.chunks(CIDS_PER_REQUEST);
         let Some(mut run) = runs.next() else {
             return Completion::ready(Ok(Vec::new()));
         };
@@ -333,23 +333,10 @@ impl ChunkService for TcpChunkClient {
         Completion::deferred(move || {
             let mut flight = started?;
             let mut found = Vec::with_capacity(cids.len());
-            let mut run_end = run.len();
             loop {
-                while found.len() < run_end {
-                    let Response::GetMany(part) = flight.recv()? else {
-                        return Err(self.unexpected());
-                    };
-                    if part.is_empty() || found.len() + part.len() > run_end {
-                        return Err(self.unexpected());
-                    }
-                    for chunk in part {
-                        let cid = &cids[found.len()];
-                        found.push(chunk.map(|c| self.verify(c, cid)).transpose()?);
-                    }
-                }
+                found.extend(flight.recv(|reply| proto::decode_found(run, reply))?);
                 let Some(next) = runs.next() else { break };
                 run = next;
-                run_end += run.len();
                 flight.send(&Request::GetMany(run.to_vec()))?;
             }
             flight.land();
@@ -357,9 +344,9 @@ impl ChunkService for TcpChunkClient {
         })
     }
 
-    /// The first frame goes out now; the completion reads its reply and
-    /// plays the frames of a batch over the budget one round trip at a
-    /// time.
+    /// The first request goes out now; the completion reads its reply
+    /// and plays the requests of a batch over the budget one round trip
+    /// at a time.
     fn start_put_many(&self, chunks: Vec<Chunk>) -> Completion<'_, Vec<PutOutcome>> {
         let total = chunks.len();
         let mut frames = put_frames(chunks).into_iter();
@@ -372,10 +359,7 @@ impl ChunkService for TcpChunkClient {
             let mut flight = started?;
             let mut outcomes = Vec::with_capacity(total);
             loop {
-                match flight.recv()? {
-                    Response::PutMany(part) if part.len() == asked => outcomes.extend(part),
-                    _ => return Err(self.unexpected()),
-                }
+                outcomes.extend(flight.recv(|reply| proto::decode_outcomes(asked, reply))?);
                 let Some(next) = frames.next() else { break };
                 asked = next.len();
                 flight.send(&Request::PutMany(next))?;
@@ -386,10 +370,7 @@ impl ChunkService for TcpChunkClient {
     }
 
     fn stats(&self) -> Result<StoreStats> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            _ => Err(self.unexpected()),
-        }
+        self.call(&Request::Stats, proto::decode_stats)
     }
 }
 
@@ -423,37 +404,31 @@ mod tests {
             .collect();
         let req = Request::PutMany(chunks);
         let (mut dst, mut buf) = (CountingWriter::default(), Vec::new());
-        write_request(&mut dst, &mut buf, 41, &req).expect("writes");
-        assert_eq!(dst.writes, 1, "header, body and checksum leave together");
+        write_request(&mut dst, &mut buf, &req).expect("writes");
+        assert_eq!(dst.writes, 1, "the whole command leaves at once");
 
-        let mut dec = FrameDecoder::new();
-        let mut wire = &dst.bytes[..];
-        while !wire.is_empty() {
-            dec.read_from(&mut wire).expect("slice read");
-        }
-        let frame = dec.next_frame().expect("valid").expect("complete");
-        assert_eq!(
-            proto::decode_request(frame.opcode, &frame.payload),
-            Some((41, req))
-        );
-        assert_eq!(dec.buffered(), 0, "and it is exactly one frame");
+        let mut dec = RespDecoder::new();
+        dec.feed(&dst.bytes);
+        let argv = dec.next_command().expect("valid").expect("complete");
+        assert_eq!(Request::decode(&argv).expect("decodes"), req);
+        assert_eq!(dec.buffered(), 0, "and it is exactly one message");
     }
 
     #[test]
     fn put_frames_respect_the_budget_and_keep_order() {
         assert!(put_frames(Vec::new()).is_empty());
         let chunks: Vec<Chunk> = (0..40u8)
-            .map(|i| Chunk::new(ChunkType::Blob, vec![i; FRAME_BUDGET / 10]))
+            .map(|i| Chunk::new(ChunkType::Blob, vec![i; BATCH_BUDGET / 10]))
             .collect();
         let frames = put_frames(chunks.clone());
         assert!(frames.len() >= 4);
         for frame in &frames {
             let bytes: usize = frame.iter().map(proto::sized_chunk_len).sum();
-            assert!(!frame.is_empty() && bytes <= FRAME_BUDGET);
+            assert!(!frame.is_empty() && bytes <= BATCH_BUDGET);
         }
         assert_eq!(frames.concat(), chunks);
         // A chunk over the budget still travels, alone.
-        let big = Chunk::new(ChunkType::Blob, vec![1u8; FRAME_BUDGET + 1]);
+        let big = Chunk::new(ChunkType::Blob, vec![1u8; BATCH_BUDGET + 1]);
         let small = Chunk::new(ChunkType::Blob, vec![2u8; 10]);
         let frames = put_frames(vec![small.clone(), big.clone(), small.clone()]);
         assert_eq!(frames, vec![vec![small.clone()], vec![big], vec![small]]);

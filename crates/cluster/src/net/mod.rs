@@ -1,21 +1,20 @@
-//! The cluster's network transport: the [`ChunkService`] API over TCP.
+//! The cluster's network transport: the [`ChunkService`] API over TCP,
+//! spoken in RESP2 — the workspace's one wire codec
+//! ([`forkbase_crypto::resp`]).
 //!
-//! Three layers, each testable on its own:
+//! Two layers, each testable on its own:
 //!
-//! * [`frame`] — length-prefixed binary frames
-//!   (`[magic][len][opcode][payload][checksum]`), written in place into
-//!   the buffer that is sent, with an incremental, torn-read-safe
-//!   [`FrameDecoder`] that reads the socket into the buffer a frame is
-//!   handed out from;
-//! * [`proto`] — request/response messages (get / get_many / put /
-//!   put_many / stats), every payload led by a client-chosen request id
-//!   so a caller knows its own answer from a stray one;
+//! * [`proto`] — the chunk service's commands (`CGET`, `CGETMANY`,
+//!   `CPUT`, `CPUTMANY`, `STATS`) as RESP arrays of bulks, their
+//!   replies, and the integrity rule that makes a put tamper-evident: a
+//!   put carries the cid its writer computed, and the server refuses a
+//!   chunk that does not hash to it;
 //! * [`server`] / [`client`] — a [`ChunkServer`] on the servlet side,
 //!   the workspace's one thread-per-connection server
-//!   ([`forkbase_crypto::serve`]) with the frame loop as its handler,
-//!   and a [`TcpChunkClient`] on the caller side that keeps a few
-//!   sockets per peer and uses each for one request at a time: write the
-//!   frame, read the reply, on the calling thread.
+//!   ([`forkbase_crypto::serve`]) running the one RESP loop over this
+//!   command set, and a [`TcpChunkClient`] on the caller side that keeps
+//!   a few sockets per peer and uses each for one request at a time:
+//!   write the command, read the reply, on the calling thread.
 //!
 //! The in-process transport
 //! ([`StoreService`](crate::service::StoreService)) remains the test
@@ -23,18 +22,14 @@
 //! two to identical behavior on identical request schedules.
 //!
 //! [`ChunkService`]: crate::service::ChunkService
-//! [`FrameDecoder`]: frame::FrameDecoder
 //! [`ChunkServer`]: server::ChunkServer
 //! [`TcpChunkClient`]: client::TcpChunkClient
 
 pub mod client;
-pub mod frame;
 pub mod proto;
 pub mod server;
 
 pub use client::{TcpChunkClient, TcpConfig};
-pub use forkbase_crypto::serve::WireCounters;
-pub use frame::{Frame, FrameDecoder, FrameError};
 pub use server::ChunkServer;
 
 #[cfg(test)]
@@ -112,6 +107,83 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// A node that records the payload of every put it is asked for and
+    /// holds each put until its gate opens.
+    struct Gated {
+        inner: StoreService,
+        open: std::sync::Mutex<bool>,
+        puts: std::sync::Mutex<Vec<Vec<u8>>>,
+        changed: std::sync::Condvar,
+    }
+
+    impl ChunkService for Gated {
+        fn get(&self, cid: &forkbase_crypto::Digest) -> forkbase_core::Result<Option<Chunk>> {
+            self.inner.get(cid)
+        }
+        fn put(&self, chunk: Chunk) -> forkbase_core::Result<PutOutcome> {
+            self.puts.lock().unwrap().push(chunk.payload().to_vec());
+            self.changed.notify_all();
+            let open = self.open.lock().unwrap();
+            drop(self.changed.wait_while(open, |open| !*open).unwrap());
+            self.inner.put(chunk)
+        }
+        fn stats(&self) -> forkbase_core::Result<forkbase_chunk::StoreStats> {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn waiting_callers_get_the_socket_in_arrival_order() {
+        let node = Arc::new(Gated {
+            inner: StoreService::new(Arc::new(MemStore::new())),
+            open: std::sync::Mutex::new(false),
+            puts: std::sync::Mutex::new(Vec::new()),
+            changed: std::sync::Condvar::new(),
+        });
+        let server = ChunkServer::bind("127.0.0.1:0", node.clone()).expect("bind");
+        let client = TcpChunkClient::new(
+            server.addr(),
+            TcpConfig {
+                connections: 1,
+                ..TcpConfig::default()
+            },
+        );
+        let chunk = |name: &str| Chunk::new(ChunkType::Blob, name.as_bytes().to_vec());
+        let put = |chunk: Chunk| client.put(chunk).expect("put");
+        let (held, late) = (chunk("held"), chunk("late"));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Once the node holds this thread's put, three callers
+                // queue behind it, one at a time, so their order of
+                // arrival is known; then the put is let through.
+                let puts = node.puts.lock().unwrap();
+                drop(node.changed.wait_while(puts, |p| p.is_empty()).unwrap());
+                for (queued, name) in ["first", "second", "third"].into_iter().enumerate() {
+                    s.spawn(move || put(chunk(name)));
+                    while client.waiting() == queued {
+                        std::thread::yield_now();
+                    }
+                }
+                *node.open.lock().unwrap() = true;
+                node.changed.notify_all();
+            });
+            // When the held put returns, its socket is idle and the
+            // first in line is only being woken: a caller arriving now
+            // — this thread again — still takes its place behind the
+            // three.
+            put(held);
+            put(late);
+        });
+        let order: Vec<String> = node
+            .puts
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|p| String::from_utf8_lossy(p).into_owned())
+            .collect();
+        assert_eq!(order, ["held", "first", "second", "third", "late"]);
     }
 
     #[test]

@@ -1,407 +1,366 @@
-//! Request/response messages carried by the frame layer.
+//! The chunk service's commands on RESP.
 //!
-//! Every payload begins with a little-endian `u64` request id. The
-//! client allocates ids and the server echoes them verbatim, so a caller
-//! can tell its own answer from anything else that turns up on the
-//! socket (a reply its previous owner stopped waiting for, say).
-//! Response opcodes are the request opcode with the high bit set, plus
-//! [`OP_ERR`] for server-side failures.
+//! | request                  | reply                                       |
+//! |--------------------------|---------------------------------------------|
+//! | `CGET cid`               | the chunk as a bulk, or nil                 |
+//! | `CGETMANY cid…`          | an array of bulk / nil, one per cid         |
+//! | `CPUT cid chunk`         | `:1` stored, `:0` deduplicated              |
+//! | `CPUTMANY (cid chunk)…`  | an array of those integers, one per chunk   |
+//! | `STATS`                  | an array of integers: [`StoreStats`]' fields in declaration order |
 //!
-//! A message is encoded once, straight into the buffer that is written
-//! to the socket: the frame header is reserved, the body appended behind
-//! it — chunk payloads copied from their [`Bytes`] exactly once — and
-//! the checksum taken over the body where it lies. Decoding goes the
-//! other way without a copy: a chunk's payload is a slice of the frame
-//! it arrived in.
+//! Every request is an array of bulk strings; a failure is answered
+//! `-ERR message`. A chunk travels as one bulk in its canonical form
+//! (`[type: u8][payload…]`), written from its [`Bytes`] once, and a
+//! decoded chunk's payload is a slice of the message it arrived in.
 //!
-//! Chunks travel in their canonical on-wire form (`[type: u8][payload…]`)
-//! and are re-hashed on decode — a whole batch as one
-//! [`hash_tagged_batch`](forkbase_crypto::hash_tagged_batch) call — so a
-//! fetched chunk is verified against the requested cid end to end: the
-//! wire inherits the storage layer's tamper evidence (§4.4) rather than
-//! trusting the frame checksum alone.
+//! Both directions are tamper-evident without a checksum of their own,
+//! and without hashing anything twice:
 //!
-//! One request is one frame; the sender keeps it within
-//! [`FRAME_BUDGET`]. A `get_many` reply cannot be sized by the asker, so
-//! the server splits it: each frame answers the next run of cids, and
-//! the client reads frames until every cid is answered.
+//! * **puts** carry the cid the writer computed. The server hashes every
+//!   received chunk anyway — a whole batch as one
+//!   [`hash_tagged_batch`](forkbase_crypto::hash_tagged_batch) call — and
+//!   refuses, with an error reply, a request holding a chunk whose hash
+//!   is not the cid it came with. A bit flipped in flight never stores a
+//!   chunk under a cid its writer did not ask for; the writer sees the
+//!   refusal and keeps the chunk in its own store.
+//! * **gets** are re-hashed by the client and checked against the cids
+//!   it asked for, so a fetched chunk is verified end to end (§4.4).
 
-use super::frame::{self, FRAME_BUDGET};
+use crate::service::ChunkService;
 use bytes::Bytes;
 use forkbase_chunk::{Chunk, ChunkType, PutOutcome, StoreStats};
 use forkbase_core::{FbError, Result};
+use forkbase_crypto::resp::{put_bulk, put_header, put_nil, RespValue, MAX_BULK_LEN};
 use forkbase_crypto::Digest;
 
-/// Fetch one chunk.
-pub const OP_GET: u8 = 0x01;
-/// Fetch a batch of chunks.
-pub const OP_GET_MANY: u8 = 0x02;
-/// Store one chunk.
-pub const OP_PUT: u8 = 0x03;
-/// Store a batch of chunks.
-pub const OP_PUT_MANY: u8 = 0x04;
-/// Node statistics snapshot.
-pub const OP_STATS: u8 = 0x05;
-/// Response bit: `request opcode | OP_RESP` answers that request.
-pub const OP_RESP: u8 = 0x80;
-/// Server-side failure response (payload: request id + UTF-8 message).
-pub const OP_ERR: u8 = 0xFF;
-
-/// A decoded request.
+/// A chunk-service request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Fetch one chunk by cid.
+    /// `CGET`: fetch one chunk by cid.
     Get(Digest),
-    /// Fetch many chunks; the response answers positionally.
+    /// `CGETMANY`: fetch many chunks; the reply answers positionally.
     GetMany(Vec<Digest>),
-    /// Store one chunk.
+    /// `CPUT`: store one chunk.
     Put(Chunk),
-    /// Store many chunks; the response answers positionally.
+    /// `CPUTMANY`: store many chunks; the reply answers positionally.
     PutMany(Vec<Chunk>),
-    /// Snapshot the node's [`StoreStats`].
+    /// `STATS`: snapshot the node's [`StoreStats`].
     Stats,
 }
 
-/// A decoded response.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// Answer to [`Request::Get`].
-    Get(Option<Chunk>),
-    /// Answer to [`Request::GetMany`].
-    GetMany(Vec<Option<Chunk>>),
-    /// Answer to [`Request::Put`].
-    Put(PutOutcome),
-    /// Answer to [`Request::PutMany`].
-    PutMany(Vec<PutOutcome>),
-    /// Answer to [`Request::Stats`].
-    Stats(StoreStats),
-    /// The server failed to execute the request.
-    Err(String),
+fn bad(what: impl std::fmt::Display) -> FbError {
+    FbError::Io(format!("malformed chunk-service message: {what}"))
 }
 
-fn put_u32(out: &mut Vec<u8>, v: usize) -> Result<()> {
-    let v = u32::try_from(v).map_err(|_| FbError::Io(format!("count {v} does not fit a frame")))?;
-    out.extend_from_slice(&v.to_le_bytes());
-    Ok(())
+/// Bytes a chunk adds to a `CPUTMANY` request, give or take its two
+/// length headers — what a sender adds up against its budget.
+pub(crate) fn sized_chunk_len(chunk: &Chunk) -> usize {
+    Digest::LEN + 1 + chunk.len()
 }
 
-/// `[type][payload]`, the chunk's bytes copied out of their `Bytes` once.
-fn put_chunk(out: &mut Vec<u8>, chunk: &Chunk) {
+/// A chunk as one bulk, `[type][payload]`, its bytes copied out of their
+/// `Bytes` once. A chunk over [`MAX_BULK_LEN`] is an error, not a
+/// message the peer would refuse.
+fn put_chunk(out: &mut Vec<u8>, chunk: &Chunk) -> Result<()> {
+    let len = 1 + chunk.len();
+    if len > MAX_BULK_LEN {
+        return Err(FbError::Io(format!(
+            "a chunk of {len} bytes exceeds the wire's {MAX_BULK_LEN}-byte bulk"
+        )));
+    }
+    put_header(out, b'$', len as i64);
     out.push(chunk.ty() as u8);
     out.extend_from_slice(chunk.payload());
-}
-
-/// A chunk inside a batch: its encoded length, then the chunk.
-fn put_sized_chunk(out: &mut Vec<u8>, chunk: &Chunk) -> Result<()> {
-    put_u32(out, 1 + chunk.len())?;
-    put_chunk(out, chunk);
+    out.extend_from_slice(b"\r\n");
     Ok(())
 }
 
-/// Bytes a chunk takes inside a batch — what a sender adds up
-/// against [`FRAME_BUDGET`].
-pub fn sized_chunk_len(chunk: &Chunk) -> usize {
-    4 + 1 + chunk.len()
+/// A bulk as a chunk's type and payload — not yet a [`Chunk`]: its cid
+/// is still to be computed.
+fn chunk_parts(bulk: &Bytes) -> Result<(ChunkType, Bytes)> {
+    let ty = bulk
+        .first()
+        .and_then(|&b| ChunkType::from_u8(b))
+        .ok_or_else(|| bad("a chunk bulk without a chunk type"))?;
+    Ok((ty, bulk.slice(1..)))
 }
 
-/// Sequential reader over a payload.
-struct Cursor<'a> {
-    buf: &'a Bytes,
-    pos: usize,
+fn digest(bulk: &Bytes) -> Result<Digest> {
+    Digest::from_slice(bulk).ok_or_else(|| bad(format_args!("a {}-byte cid", bulk.len())))
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a Bytes) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
+/// `(cid, chunk)` pairs as chunks, hashed as one batch, each checked
+/// against the cid it came with.
+fn checked_chunks(pairs: &[Bytes]) -> Result<Vec<Chunk>> {
+    let parts = pairs
+        .chunks_exact(2)
+        .map(|pair| chunk_parts(&pair[1]))
+        .collect::<Result<Vec<_>>>()?;
+    let chunks = Chunk::new_batch_mixed(parts);
+    for (chunk, pair) in chunks.iter().zip(pairs.chunks_exact(2)) {
+        if chunk.cid().as_bytes()[..] != pair[0][..] {
+            return Err(FbError::Corrupt(format!(
+                "refused a put: the chunk hashes to {}, not to the cid it was sent under",
+                chunk.cid().short_hex()
+            )));
+        }
     }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(*self.take(4)?.first_chunk()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(*self.take(8)?.first_chunk()?))
-    }
-
-    fn digest(&mut self) -> Option<Digest> {
-        Digest::from_slice(self.take(Digest::LEN)?)
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let slice = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        slice
-    }
-
-    /// The `len` bytes of an encoded chunk: its type, and its payload as
-    /// a slice of the frame. Not yet a [`Chunk`] — the cid is still to
-    /// be computed.
-    fn chunk_parts(&mut self, len: usize) -> Option<(ChunkType, Bytes)> {
-        let ty = ChunkType::from_u8(self.u8()?)?;
-        let start = self.pos;
-        self.take(len.checked_sub(1)?)?;
-        Some((ty, self.buf.slice(start..self.pos)))
-    }
-
-    /// A chunk that fills the rest of the payload.
-    fn chunk(&mut self) -> Option<Chunk> {
-        let (ty, payload) = self.chunk_parts(self.buf.len() - self.pos)?;
-        Some(Chunk::new(ty, payload))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+    Ok(chunks)
 }
 
-fn outcome_byte(outcome: PutOutcome) -> u8 {
+fn outcome_int(outcome: PutOutcome) -> i64 {
     match outcome {
-        PutOutcome::Stored => 0,
-        PutOutcome::Deduplicated => 1,
+        PutOutcome::Stored => 1,
+        PutOutcome::Deduplicated => 0,
     }
 }
 
-fn outcome_from(byte: u8) -> Option<PutOutcome> {
-    match byte {
-        0 => Some(PutOutcome::Stored),
-        1 => Some(PutOutcome::Deduplicated),
-        _ => None,
-    }
+/// [`StoreStats`]' fields in declaration order.
+fn stats_fields(stats: &StoreStats) -> [u64; 11] {
+    let StoreStats {
+        stored_chunks,
+        stored_bytes,
+        puts,
+        dedup_hits,
+        dedup_bytes,
+        gets,
+        get_hits,
+        io_errors,
+        cache_hits,
+        cache_misses,
+        cache_evictions,
+    } = *stats;
+    [
+        stored_chunks,
+        stored_bytes,
+        puts,
+        dedup_hits,
+        dedup_bytes,
+        gets,
+        get_hits,
+        io_errors,
+        cache_hits,
+        cache_misses,
+        cache_evictions,
+    ]
 }
 
 impl Request {
-    fn opcode(&self) -> u8 {
+    /// Append the request to `out` as one RESP array of bulks.
+    pub fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
         match self {
-            Request::Get(_) => OP_GET,
-            Request::GetMany(_) => OP_GET_MANY,
-            Request::Put(_) => OP_PUT,
-            Request::PutMany(_) => OP_PUT_MANY,
-            Request::Stats => OP_STATS,
+            Request::Get(cid) => {
+                put_header(out, b'*', 2);
+                put_bulk(out, b"CGET");
+                put_bulk(out, cid.as_bytes());
+            }
+            Request::GetMany(cids) => {
+                put_header(out, b'*', 1 + cids.len() as i64);
+                put_bulk(out, b"CGETMANY");
+                for cid in cids {
+                    put_bulk(out, cid.as_bytes());
+                }
+            }
+            Request::Put(chunk) => {
+                put_header(out, b'*', 3);
+                put_bulk(out, b"CPUT");
+                put_bulk(out, chunk.cid().as_bytes());
+                put_chunk(out, chunk)?;
+            }
+            Request::PutMany(chunks) => {
+                put_header(out, b'*', 1 + 2 * chunks.len() as i64);
+                put_bulk(out, b"CPUTMANY");
+                for chunk in chunks {
+                    put_bulk(out, chunk.cid().as_bytes());
+                    put_chunk(out, chunk)?;
+                }
+            }
+            Request::Stats => {
+                put_header(out, b'*', 1);
+                put_bulk(out, b"STATS");
+            }
         }
+        Ok(())
     }
-}
 
-impl Response {
-    fn opcode(&self) -> u8 {
+    /// Decode a request's argv. Refuses unknown commands, wrong arity
+    /// (an empty batch included: no client sends one), malformed cids
+    /// and chunks, and a put holding a chunk that does not hash to the
+    /// cid sent with it.
+    pub fn decode(argv: &[Bytes]) -> Result<Request> {
+        let (name, args) = argv.split_first().ok_or_else(|| bad("an empty command"))?;
+        Ok(match (&name[..], args) {
+            (b"CGET", [cid]) => Request::Get(digest(cid)?),
+            (b"CGETMANY", [_, ..]) => {
+                Request::GetMany(args.iter().map(digest).collect::<Result<_>>()?)
+            }
+            (b"CPUT", [_, _]) => Request::Put(checked_chunks(args)?.swap_remove(0)),
+            (b"CPUTMANY", [_, _, ..]) if args.len() % 2 == 0 => {
+                Request::PutMany(checked_chunks(args)?)
+            }
+            (b"STATS", []) => Request::Stats,
+            _ => {
+                return Err(bad(format_args!(
+                    "unknown command '{}' or wrong number of arguments ({})",
+                    String::from_utf8_lossy(name),
+                    args.len()
+                )))
+            }
+        })
+    }
+
+    /// Execute the request against `service` and append its reply to
+    /// `out`. On `Err` nothing is to be sent of what was appended; the
+    /// caller answers with the error instead.
+    pub fn answer(self, service: &dyn ChunkService, out: &mut Vec<u8>) -> Result<()> {
         match self {
-            Response::Get(_) => OP_GET | OP_RESP,
-            Response::GetMany(_) => OP_GET_MANY | OP_RESP,
-            Response::Put(_) => OP_PUT | OP_RESP,
-            Response::PutMany(_) => OP_PUT_MANY | OP_RESP,
-            Response::Stats(_) => OP_STATS | OP_RESP,
-            Response::Err(_) => OP_ERR,
-        }
-    }
-}
-
-/// Start a frame for `opcode` answering or asking `req_id`.
-fn begin(out: &mut Vec<u8>, opcode: u8, req_id: u64) -> usize {
-    let start = frame::begin(out, opcode);
-    out.extend_from_slice(&req_id.to_le_bytes());
-    start
-}
-
-/// Append a request to `out` as one complete frame.
-pub fn encode_request(req_id: u64, req: &Request, out: &mut Vec<u8>) -> Result<()> {
-    let start = begin(out, req.opcode(), req_id);
-    match req {
-        Request::Get(cid) => out.extend_from_slice(cid.as_bytes()),
-        Request::GetMany(cids) => {
-            put_u32(out, cids.len())?;
-            for cid in cids {
-                out.extend_from_slice(cid.as_bytes());
-            }
-        }
-        Request::Put(chunk) => put_chunk(out, chunk),
-        Request::PutMany(chunks) => {
-            put_u32(out, chunks.len())?;
-            for chunk in chunks {
-                put_sized_chunk(out, chunk)?;
-            }
-        }
-        Request::Stats => {}
-    }
-    frame::finish(out, start)
-}
-
-/// Decode a request frame body. `None` on any malformed payload — the
-/// server drops the connection rather than guess.
-pub fn decode_request(opcode: u8, payload: &Bytes) -> Option<(u64, Request)> {
-    let mut c = Cursor::new(payload);
-    let req_id = c.u64()?;
-    let req = match opcode {
-        OP_GET => Request::Get(c.digest()?),
-        OP_GET_MANY => {
-            let n = c.u32()? as usize;
-            let mut cids = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                cids.push(c.digest()?);
-            }
-            Request::GetMany(cids)
-        }
-        OP_PUT => Request::Put(c.chunk()?),
-        OP_PUT_MANY => {
-            let n = c.u32()? as usize;
-            let mut parts = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let len = c.u32()? as usize;
-                parts.push(c.chunk_parts(len)?);
-            }
-            Request::PutMany(Chunk::new_batch_mixed(parts))
-        }
-        OP_STATS => Request::Stats,
-        _ => return None,
-    };
-    c.done().then_some((req_id, req))
-}
-
-/// Append a response to `out`: one complete frame, except that a
-/// [`Response::GetMany`] over [`FRAME_BUDGET`] becomes several, each
-/// answering the next run of slots.
-pub fn encode_response(req_id: u64, resp: &Response, out: &mut Vec<u8>) -> Result<()> {
-    let mut start = begin(out, resp.opcode(), req_id);
-    match resp {
-        Response::Get(None) => out.push(0),
-        Response::Get(Some(chunk)) => {
-            out.push(1);
-            put_chunk(out, chunk);
-        }
-        Response::GetMany(slots) => {
-            let mut slots = &slots[..];
-            loop {
-                let count_at = out.len();
-                out.extend_from_slice(&[0; 4]);
-                let mut n = 0u32;
-                while let Some((slot, tail)) = slots.split_first() {
-                    let len = 1 + slot.as_ref().map_or(0, sized_chunk_len);
-                    if n > 0 && out.len() - count_at + len > FRAME_BUDGET {
-                        break;
-                    }
+            Request::Get(cid) => match service.get(&cid)? {
+                Some(chunk) => put_chunk(out, &chunk)?,
+                None => put_nil(out),
+            },
+            Request::GetMany(cids) => {
+                let found = service.get_many(&cids)?;
+                put_header(out, b'*', found.len() as i64);
+                for slot in &found {
                     match slot {
-                        Some(chunk) => {
-                            out.push(1);
-                            put_sized_chunk(out, chunk)?;
-                        }
-                        None => out.push(0),
+                        Some(chunk) => put_chunk(out, chunk)?,
+                        None => put_nil(out),
                     }
-                    n += 1;
-                    slots = tail;
                 }
-                out[count_at..count_at + 4].copy_from_slice(&n.to_le_bytes());
-                if slots.is_empty() {
-                    break;
+            }
+            Request::Put(chunk) => put_header(out, b':', outcome_int(service.put(chunk)?)),
+            Request::PutMany(chunks) => {
+                let outcomes = service.put_many(chunks)?;
+                put_header(out, b'*', outcomes.len() as i64);
+                for outcome in outcomes {
+                    put_header(out, b':', outcome_int(outcome));
                 }
-                frame::finish(out, start)?;
-                start = begin(out, resp.opcode(), req_id);
+            }
+            Request::Stats => {
+                let fields = stats_fields(&service.stats()?);
+                put_header(out, b'*', fields.len() as i64);
+                for field in fields {
+                    put_header(out, b':', field as i64);
+                }
             }
         }
-        Response::Put(outcome) => out.push(outcome_byte(*outcome)),
-        Response::PutMany(outcomes) => {
-            put_u32(out, outcomes.len())?;
-            out.extend(outcomes.iter().map(|o| outcome_byte(*o)));
-        }
-        Response::Stats(stats) => out.extend_from_slice(&stats.to_wire()),
-        Response::Err(msg) => out.extend_from_slice(msg.as_bytes()),
+        Ok(())
     }
-    frame::finish(out, start)
 }
 
-/// Decode a response frame body. `None` on any malformed payload.
-pub fn decode_response(opcode: u8, payload: &Bytes) -> Option<(u64, Response)> {
-    let mut c = Cursor::new(payload);
-    let req_id = c.u64()?;
-    let resp = match opcode {
-        o if o == OP_GET | OP_RESP => Response::Get(match c.u8()? {
-            0 => None,
-            1 => Some(c.chunk()?),
-            _ => return None,
-        }),
-        o if o == OP_GET_MANY | OP_RESP => {
-            let n = c.u32()? as usize;
-            let mut present = Vec::with_capacity(n.min(1 << 16));
-            let mut parts = Vec::new();
-            for _ in 0..n {
-                present.push(match c.u8()? {
-                    0 => false,
-                    1 => {
-                        let len = c.u32()? as usize;
-                        parts.push(c.chunk_parts(len)?);
-                        true
-                    }
-                    _ => return None,
-                });
-            }
-            let mut chunks = Chunk::new_batch_mixed(parts).into_iter();
-            Response::GetMany(
-                present
-                    .into_iter()
-                    .map(|here| here.then(|| chunks.next()).flatten())
-                    .collect(),
-            )
+/// The elements of an array reply of `n` elements; a single reply
+/// (`CGET`'s, `CPUT`'s) is read as an array of one.
+fn elements(value: RespValue, n: usize) -> Result<Vec<RespValue>> {
+    match value {
+        RespValue::Error(msg) => Err(FbError::Io(format!(
+            "refused: {}",
+            String::from_utf8_lossy(&msg)
+        ))),
+        RespValue::Array(items) if items.len() == n => Ok(items),
+        other => Err(bad(format_args!("{other:?} where {n} answers were due"))),
+    }
+}
+
+/// The reply to `CGETMANY cids` (or, wrapped in an array of one, to
+/// `CGET`): each slot a chunk verified against its cid, or absent.
+pub fn decode_found(cids: &[Digest], value: RespValue) -> Result<Vec<Option<Chunk>>> {
+    let slots = elements(value, cids.len())?;
+    let mut parts = Vec::with_capacity(slots.len());
+    for slot in &slots {
+        match slot {
+            RespValue::Bulk(bulk) => parts.push(chunk_parts(bulk)?),
+            RespValue::Nil => {}
+            other => return Err(bad(format_args!("{other:?} where a chunk was due"))),
         }
-        o if o == OP_PUT | OP_RESP => Response::Put(outcome_from(c.u8()?)?),
-        o if o == OP_PUT_MANY | OP_RESP => {
-            let n = c.u32()? as usize;
-            let mut outcomes = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                outcomes.push(outcome_from(c.u8()?)?);
+    }
+    let mut chunks = Chunk::new_batch_mixed(parts).into_iter();
+    let mut found = Vec::with_capacity(cids.len());
+    for (slot, cid) in slots.iter().zip(cids) {
+        let chunk = match slot {
+            RespValue::Nil => None,
+            _ => chunks.next(),
+        };
+        if let Some(chunk) = &chunk {
+            if chunk.cid() != *cid {
+                return Err(FbError::Corrupt(format!(
+                    "returned chunk {} for requested cid {}",
+                    chunk.cid().short_hex(),
+                    cid.short_hex()
+                )));
             }
-            Response::PutMany(outcomes)
         }
-        o if o == OP_STATS | OP_RESP => Response::Stats(StoreStats::from_wire(c.rest())?),
-        OP_ERR => Response::Err(String::from_utf8_lossy(c.rest()).into_owned()),
-        _ => return None,
-    };
-    c.done().then_some((req_id, resp))
+        found.push(chunk);
+    }
+    Ok(found)
+}
+
+/// The reply to a `CPUTMANY` of `n` chunks (or, wrapped in an array of
+/// one, to `CPUT`).
+pub fn decode_outcomes(n: usize, value: RespValue) -> Result<Vec<PutOutcome>> {
+    elements(value, n)?
+        .into_iter()
+        .map(|item| match item {
+            RespValue::Int(1) => Ok(PutOutcome::Stored),
+            RespValue::Int(0) => Ok(PutOutcome::Deduplicated),
+            other => Err(bad(format_args!("{other:?} where a put outcome was due"))),
+        })
+        .collect()
+}
+
+/// The reply to `STATS`.
+pub fn decode_stats(value: RespValue) -> Result<StoreStats> {
+    let mut fields = [0u64; 11];
+    for (field, item) in fields.iter_mut().zip(elements(value, 11)?) {
+        match item {
+            RespValue::Int(n) => *field = n as u64,
+            other => return Err(bad(format_args!("{other:?} where a counter was due"))),
+        }
+    }
+    let [stored_chunks, stored_bytes, puts, dedup_hits, dedup_bytes, gets, get_hits, io_errors, cache_hits, cache_misses, cache_evictions] =
+        fields;
+    Ok(StoreStats {
+        stored_chunks,
+        stored_bytes,
+        puts,
+        dedup_hits,
+        dedup_bytes,
+        gets,
+        get_hits,
+        io_errors,
+        cache_hits,
+        cache_misses,
+        cache_evictions,
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::frame::{Frame, FrameDecoder};
     use super::*;
+    use crate::service::StoreService;
+    use forkbase_chunk::{ChunkStore, MemStore};
+    use forkbase_crypto::resp::RespDecoder;
+    use std::sync::Arc;
 
-    fn frames_of(mut bytes: &[u8]) -> Vec<Frame> {
-        let mut dec = FrameDecoder::new();
-        let mut frames = Vec::new();
-        loop {
-            while let Some(frame) = dec.next_frame().expect("valid") {
-                frames.push(frame);
-            }
-            if bytes.is_empty() {
-                assert_eq!(dec.buffered(), 0, "no partial frame left over");
-                return frames;
-            }
-            dec.read_from(&mut bytes).expect("slice read");
-        }
+    fn decode_command(wire: &[u8]) -> Vec<Bytes> {
+        let mut dec = RespDecoder::new();
+        dec.feed(wire);
+        let argv = dec.next_command().expect("valid").expect("complete");
+        assert_eq!(dec.buffered(), 0, "exactly one message");
+        argv
     }
 
-    fn round_trip_request(req: Request) -> (u64, Request) {
-        let mut bytes = Vec::new();
-        encode_request(77, &req, &mut bytes).expect("encodes");
-        let [frame] = &frames_of(&bytes)[..] else {
-            panic!("a request is one frame");
-        };
-        decode_request(frame.opcode, &frame.payload).expect("decodes")
+    fn decode_value(wire: &[u8]) -> RespValue {
+        let mut dec = RespDecoder::new();
+        dec.feed(wire);
+        let value = dec.next_value().expect("valid").expect("complete");
+        assert_eq!(dec.buffered(), 0, "exactly one message");
+        value
     }
 
-    fn round_trip_response(resp: Response) -> (u64, Response) {
-        let mut bytes = Vec::new();
-        encode_response(98, &resp, &mut bytes).expect("encodes");
-        let [frame] = &frames_of(&bytes)[..] else {
-            panic!("a small response is one frame");
-        };
-        decode_response(frame.opcode, &frame.payload).expect("decodes")
+    fn round_trip_request(req: &Request) -> Request {
+        let mut wire = Vec::new();
+        req.encode(&mut wire).expect("encodes");
+        Request::decode(&decode_command(&wire)).expect("decodes")
     }
 
     #[test]
@@ -412,97 +371,99 @@ mod tests {
         for req in [
             Request::Get(a.cid()),
             Request::GetMany(vec![a.cid(), b.cid()]),
-            Request::GetMany(vec![]),
             Request::Put(a.clone()),
             Request::Put(empty.clone()),
             Request::PutMany(vec![a.clone(), empty, b.clone()]),
-            Request::PutMany(vec![]),
             Request::Stats,
         ] {
-            let (id, back) = round_trip_request(req.clone());
-            assert_eq!(id, 77);
-            assert_eq!(back, req);
+            assert_eq!(round_trip_request(&req), req);
         }
     }
 
     #[test]
     fn responses_round_trip() {
+        let store = Arc::new(MemStore::new());
+        let service = StoreService::new(store.clone() as Arc<dyn ChunkStore>);
         let a = Chunk::new(ChunkType::Blob, &b"aaa"[..]);
-        let stats = StoreStats {
+        let absent = Chunk::new(ChunkType::Map, &b"absent"[..]).cid();
+        let answer = |req: Request| {
+            let mut wire = Vec::new();
+            req.answer(&service, &mut wire).expect("answers");
+            decode_value(&wire)
+        };
+
+        let one = |value| RespValue::Array(vec![value]);
+        let put = answer(Request::Put(a.clone()));
+        assert_eq!(decode_outcomes(1, one(put)).unwrap(), [PutOutcome::Stored]);
+        let again = answer(Request::PutMany(vec![a.clone(), a.clone()]));
+        assert_eq!(
+            decode_outcomes(2, again).unwrap(),
+            [PutOutcome::Deduplicated; 2]
+        );
+        let got = answer(Request::Get(a.cid()));
+        assert_eq!(
+            decode_found(&[a.cid()], one(got)).unwrap(),
+            [Some(a.clone())]
+        );
+        let cids = [a.cid(), absent, a.cid()];
+        let many = answer(Request::GetMany(cids.to_vec()));
+        assert_eq!(
+            decode_found(&cids, many).unwrap(),
+            [Some(a.clone()), None, Some(a.clone())]
+        );
+        let stats = answer(Request::Stats);
+        assert_eq!(decode_stats(stats).unwrap(), store.stats());
+        // Every field crosses in its own place, and a u64 past i64::MAX
+        // crosses bit-exact.
+        let mut wire = Vec::new();
+        let odd = StoreStats {
             stored_chunks: 3,
+            stored_bytes: u64::MAX,
             io_errors: 9,
-            cache_hits: 12,
+            cache_evictions: 12,
             ..StoreStats::default()
         };
-        for resp in [
-            Response::Get(Some(a.clone())),
-            Response::Get(None),
-            Response::GetMany(vec![Some(a.clone()), None, Some(a.clone())]),
-            Response::GetMany(vec![]),
-            Response::Put(PutOutcome::Stored),
-            Response::Put(PutOutcome::Deduplicated),
-            Response::PutMany(vec![PutOutcome::Stored, PutOutcome::Deduplicated]),
-            Response::Stats(stats),
-            Response::Err("node on fire".into()),
-        ] {
-            let (id, back) = round_trip_response(resp.clone());
-            assert_eq!(id, 98);
-            assert_eq!(back, resp);
+        let fields = stats_fields(&odd);
+        put_header(&mut wire, b'*', 11);
+        for field in fields {
+            put_header(&mut wire, b':', field as i64);
         }
+        assert_eq!(decode_stats(decode_value(&wire)).unwrap(), odd);
     }
 
     #[test]
     fn a_decoded_chunk_is_a_slice_of_its_frame() {
         let a = Chunk::new(ChunkType::Blob, vec![7u8; 1000]);
-        let mut bytes = Vec::new();
-        encode_request(1, &Request::PutMany(vec![a.clone(), a.clone()]), &mut bytes).unwrap();
-        let frame = frames_of(&bytes).pop().unwrap();
-        let (_, Request::PutMany(chunks)) = decode_request(frame.opcode, &frame.payload).unwrap()
-        else {
+        let mut wire = Vec::new();
+        Request::PutMany(vec![a.clone(), a.clone()])
+            .encode(&mut wire)
+            .unwrap();
+        let argv = decode_command(&wire);
+        let Request::PutMany(chunks) = Request::decode(&argv).unwrap() else {
             panic!("a put_many");
         };
-        let frame_range = frame.payload.as_ptr_range();
+        // The argv are slices of one copy of the message, in order.
+        let message = argv[0].as_ptr()..argv[4].as_ptr_range().end;
         for chunk in &chunks {
             assert_eq!(*chunk, a);
-            assert!(frame_range.contains(&chunk.payload().as_ptr()));
+            assert!(message.contains(&chunk.payload().as_ptr()));
         }
-    }
-
-    #[test]
-    fn a_get_many_reply_over_the_budget_is_several_frames() {
-        // Over three budgets of chunks, with absent slots mixed in.
-        let slots: Vec<Option<Chunk>> = (0..4 * FRAME_BUDGET / (256 << 10))
-            .map(|i| (i % 5 != 4).then(|| Chunk::new(ChunkType::Blob, vec![i as u8; 256 << 10])))
-            .collect();
-        let mut bytes = Vec::new();
-        encode_response(5, &Response::GetMany(slots.clone()), &mut bytes).unwrap();
-        let frames = frames_of(&bytes);
-        assert!(frames.len() >= 3, "{} frames", frames.len());
-        let mut back = Vec::new();
-        for frame in &frames {
-            assert!(frame.payload.len() <= FRAME_BUDGET + 16);
-            match decode_response(frame.opcode, &frame.payload) {
-                Some((5, Response::GetMany(run))) => {
-                    assert!(!run.is_empty());
-                    back.extend(run);
-                }
-                other => panic!("not a get_many run: {other:?}"),
-            }
-        }
-        assert_eq!(back, slots);
     }
 
     #[test]
     fn a_chunk_no_frame_can_carry_is_an_error_not_a_panic() {
-        let huge = Chunk::new(ChunkType::Blob, vec![0u8; frame::MAX_BODY_LEN]);
+        let huge = Chunk::new(ChunkType::Blob, vec![0u8; MAX_BULK_LEN]);
         let mut out = Vec::new();
         assert!(matches!(
-            encode_request(1, &Request::Put(huge.clone()), &mut out),
+            Request::Put(huge.clone()).encode(&mut out),
             Err(FbError::Io(_))
         ));
+        let store = Arc::new(MemStore::new());
+        store.put(huge.clone());
+        let service = StoreService::new(store as Arc<dyn ChunkStore>);
         out.clear();
         assert!(matches!(
-            encode_response(1, &Response::GetMany(vec![Some(huge)]), &mut out),
+            Request::GetMany(vec![huge.cid()]).answer(&service, &mut out),
             Err(FbError::Io(_))
         ));
     }
@@ -510,17 +471,28 @@ mod tests {
     #[test]
     fn truncated_and_trailing_payloads_rejected() {
         let a = Chunk::new(ChunkType::Blob, &b"aaa"[..]);
-        let mut bytes = Vec::new();
-        encode_request(5, &Request::Get(a.cid()), &mut bytes).unwrap();
-        let frame = frames_of(&bytes).pop().unwrap();
-        // Truncated: drop the last payload byte.
-        let short = frame.payload.slice(..frame.payload.len() - 1);
-        assert_eq!(decode_request(frame.opcode, &short), None);
-        // Trailing garbage after a well-formed body.
-        let mut long = frame.payload.to_vec();
-        long.push(0);
-        assert_eq!(decode_request(frame.opcode, &Bytes::from(long)), None);
-        // Unknown opcode.
-        assert_eq!(decode_request(0x7E, &frame.payload), None);
+        let cid = Bytes::copy_from_slice(a.cid().as_bytes());
+        let chunk = Bytes::from([&[ChunkType::Blob as u8][..], b"aaa"].concat());
+        let word = |w: &'static str| Bytes::from(w);
+        for argv in [
+            vec![word("CGET"), cid.slice(..31)],
+            vec![word("CGET"), cid.clone(), cid.clone()],
+            vec![word("CPUT"), cid.clone()],
+            vec![word("CPUT"), cid.clone(), chunk.slice(..3)],
+            vec![word("CPUT"), cid.clone(), Bytes::new()],
+            vec![word("CPUT"), cid.clone(), Bytes::from(vec![0xEE, 1, 2])],
+            vec![word("CPUTMANY"), cid.clone(), chunk.clone(), cid.clone()],
+            vec![word("CPUTMANY")],
+            vec![word("CGETMANY")],
+            vec![word("STATS"), cid.clone()],
+            vec![word("cget"), cid.clone()],
+            vec![word("NOSUCH")],
+        ] {
+            assert!(Request::decode(&argv).is_err(), "{argv:?}");
+        }
+        assert_eq!(
+            Request::decode(&[word("CPUT"), cid, chunk]).unwrap(),
+            Request::Put(a)
+        );
     }
 }

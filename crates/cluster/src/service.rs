@@ -14,7 +14,7 @@
 //!   implements the
 //!   trait itself so a whole node can be plugged in as a peer;
 //! * **TCP** — [`TcpChunkClient`](crate::net::TcpChunkClient) speaks the
-//!   same trait over length-prefixed binary frames to a
+//!   same trait as RESP commands to a
 //!   [`ChunkServer`](crate::net::ChunkServer) on the peer.
 //!
 //! Unlike [`ChunkStore`], every method is fallible: a network transport
@@ -40,12 +40,12 @@ pub struct Completion<'a, T>(Box<dyn FnOnce() -> Result<T> + 'a>);
 
 impl<'a, T: 'a> Completion<'a, T> {
     /// A request that has already been answered.
-    pub fn ready(answer: Result<T>) -> Completion<'a, T> {
+    pub(crate) fn ready(answer: Result<T>) -> Completion<'a, T> {
         Completion(Box::new(move || answer))
     }
 
     /// A request in flight; `collect` blocks for its answer.
-    pub fn deferred(collect: impl FnOnce() -> Result<T> + 'a) -> Completion<'a, T> {
+    pub(crate) fn deferred(collect: impl FnOnce() -> Result<T> + 'a) -> Completion<'a, T> {
         Completion(Box::new(collect))
     }
 
@@ -141,11 +141,6 @@ impl StoreService {
     /// Serve `store` in-process.
     pub fn new(store: Arc<dyn ChunkStore>) -> StoreService {
         StoreService { store }
-    }
-
-    /// The backing store.
-    pub fn store(&self) -> &Arc<dyn ChunkStore> {
-        &self.store
     }
 }
 

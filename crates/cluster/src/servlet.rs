@@ -4,7 +4,7 @@
 use crate::master::Partitioning;
 use crate::service::ChunkService;
 use crate::store2l::TwoLayerStore;
-use forkbase_chunk::{CacheConfig, Chunk, ChunkStore, PutOutcome, StoreStats};
+use forkbase_chunk::{Chunk, ChunkStore, PutOutcome, StoreStats};
 use forkbase_core::ForkBase;
 use forkbase_crypto::{ChunkerConfig, Digest};
 use std::sync::Arc;
@@ -24,10 +24,9 @@ use std::sync::Arc;
 /// store counters plus this servlet's remote-cache hits/misses and any
 /// transport errors it has observed.
 pub struct Servlet {
-    id: usize,
     db: ForkBase,
     local: Arc<dyn ChunkStore>,
-    /// Typed handle to the two-layer view (remote-cache stats); `None`
+    /// Typed handle to the two-layer view (its merged stats); `None`
     /// under one-layer partitioning.
     view2l: Option<Arc<TwoLayerStore>>,
 }
@@ -44,66 +43,31 @@ impl Servlet {
         pool: Vec<Arc<dyn ChunkService>>,
         cfg: ChunkerConfig,
     ) -> Servlet {
-        Self::with_cache(id, partitioning, local, pool, cfg, CacheConfig::default())
-    }
-
-    /// [`new`](Self::new) with explicit remote-cache sizing
-    /// ([`CacheConfig::disabled`] for uncached pool reads).
-    pub fn with_cache(
-        id: usize,
-        partitioning: Partitioning,
-        local: Arc<dyn ChunkStore>,
-        pool: Vec<Arc<dyn ChunkService>>,
-        cfg: ChunkerConfig,
-        cache: CacheConfig,
-    ) -> Servlet {
         let mut view2l = None;
         let store: Arc<dyn ChunkStore> = match partitioning {
             Partitioning::OneLayer => local.clone(),
             Partitioning::TwoLayer => {
-                let view = Arc::new(TwoLayerStore::with_cache(local.clone(), pool, id, cache));
+                let view = Arc::new(TwoLayerStore::new(local.clone(), pool, id));
                 view2l = Some(view.clone());
                 view
             }
         };
         Servlet {
-            id,
             db: ForkBase::with_store(store, cfg),
             local,
             view2l,
         }
     }
 
-    /// (hits, misses) of this servlet's remote-chunk cache, when running
-    /// two-layer partitioning with the cache enabled.
-    pub fn remote_cache_stats(&self) -> Option<(u64, u64)> {
-        self.view2l.as_ref().and_then(|v| v.remote_cache_stats())
-    }
-
-    /// Servlet id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// The engine instance this servlet executes requests on.
-    pub fn db(&self) -> &ForkBase {
+    pub(crate) fn db(&self) -> &ForkBase {
         &self.db
-    }
-
-    /// This node's co-located storage.
-    pub fn local_store(&self) -> &Arc<dyn ChunkStore> {
-        &self.local
     }
 
     /// Bytes held on this node's local storage (per-node storage
     /// distribution, Fig. 15).
-    pub fn local_bytes(&self) -> u64 {
+    pub(crate) fn local_bytes(&self) -> u64 {
         self.local.stats().stored_bytes
-    }
-
-    /// Chunks held on this node's local storage.
-    pub fn local_chunks(&self) -> u64 {
-        self.local.stats().stored_chunks
     }
 }
 

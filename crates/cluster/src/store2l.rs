@@ -55,7 +55,7 @@ impl TwoLayerStore {
 
     /// A view with explicit remote-cache sizing
     /// ([`CacheConfig::disabled`] turns caching off).
-    pub fn with_cache(
+    pub(crate) fn with_cache(
         local: Arc<dyn ChunkStore>,
         pool: Vec<Arc<dyn ChunkService>>,
         local_idx: usize,
@@ -92,11 +92,6 @@ impl TwoLayerStore {
                 cache.insert(chunk.clone());
             }
         }
-    }
-
-    /// (hits, misses) of the remote-chunk cache, if enabled.
-    pub fn remote_cache_stats(&self) -> Option<(u64, u64)> {
-        self.remote_cache.as_ref().map(|c| c.hit_miss())
     }
 
     /// Drop every cached remote chunk (the nodes are unaffected).
@@ -404,8 +399,6 @@ mod tests {
             gets_before + 1,
             "only the first read crossed to the remote node"
         );
-        let (hits, _misses) = store.remote_cache_stats().expect("cache on");
-        assert_eq!(hits, 2);
         // The cache tier shows up in the servlet-view stats — without
         // inflating the request counters (each of the 3 view gets was
         // already counted once by the local-store probe).
@@ -424,8 +417,11 @@ mod tests {
             .expect("locally-routed chunk");
         store.put(chunk.clone());
         assert_eq!(store.get(&chunk.cid()), Some(chunk));
-        let (hits, _) = store.remote_cache_stats().expect("cache on");
-        assert_eq!(hits, 0, "local reads bypass the remote cache");
+        assert_eq!(
+            store.stats().cache_hits,
+            0,
+            "local reads bypass the remote cache"
+        );
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! layer up:
 //!
 //! * **framing** — a TCP read boundary can fall on *any* byte, so the
-//!   decoder is swept across every split and truncation offset, and a
-//!   single flipped byte anywhere in a frame must never decode into a
-//!   frame;
+//!   RESP decoder is swept across every split and truncation offset of
+//!   chunk-service requests and replies, and every single-bit flip of a
+//!   put request and of a get reply must end in a protocol error, an
+//!   error reply or the identical chunks — never a chunk stored or
+//!   returned under a cid it does not hash to;
 //! * **transport equivalence** — the in-process and TCP transports are
 //!   the same cluster observed through different wires: an identical
 //!   request schedule must produce identical digests, identical blob
@@ -16,123 +18,232 @@
 //!   restarted on the same address is picked up by the same client
 //!   without reconstruction.
 
+use bytes::Bytes;
 use forkbase_chunk::{Chunk, ChunkStore, ChunkType, MemStore, StoreStats};
-use forkbase_cluster::net::frame::{encode, FrameDecoder};
+use forkbase_cluster::net::proto::{self, Request};
 use forkbase_cluster::net::{ChunkServer, TcpChunkClient, TcpConfig};
 use forkbase_cluster::service::{ChunkService, StoreService};
 use forkbase_cluster::{Cluster, Partitioning, Transport};
 use forkbase_core::FbError;
+use forkbase_crypto::resp::{Commands, RespDecoder, RespValue};
+use forkbase_crypto::Digest;
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn sample_frames() -> Vec<(u8, Vec<u8>)> {
+fn sample_chunks() -> Vec<Chunk> {
     vec![
-        (0x01, b"first payload".to_vec()),
-        (0x02, Vec::new()),
-        (0x7f, (0u8..=255).collect()),
+        Chunk::new(ChunkType::Blob, &b"first payload"[..]),
+        Chunk::new(ChunkType::Map, Bytes::new()),
+        Chunk::new(ChunkType::Blob, (0u8..=255).collect::<Vec<u8>>()),
     ]
 }
 
-fn stream_of(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
-    frames
-        .iter()
-        .flat_map(|(op, p)| encode(*op, p).expect("encodes"))
-        .collect()
+/// Every kind of request, back to back, as one client would send them.
+fn sample_requests() -> Vec<Request> {
+    let chunks = sample_chunks();
+    let cids: Vec<Digest> = chunks.iter().map(|c| c.cid()).collect();
+    vec![
+        Request::Get(cids[0]),
+        Request::PutMany(chunks.clone()),
+        Request::Stats,
+        Request::Put(chunks[2].clone()),
+        Request::GetMany(cids),
+    ]
+}
+
+fn request_stream(requests: &[Request]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for req in requests {
+        req.encode(&mut wire).expect("encodes");
+    }
+    wire
+}
+
+/// The replies a node holding the sample chunks gives to the sample
+/// requests, back to back, with one fetch of a chunk nobody holds.
+fn reply_stream() -> (Vec<u8>, usize) {
+    let store = Arc::new(MemStore::new());
+    let service = StoreService::new(store as Arc<dyn ChunkStore>);
+    let mut requests = sample_requests();
+    requests.push(Request::Get(
+        Chunk::new(ChunkType::Blob, &b"absent"[..]).cid(),
+    ));
+    let mut wire = Vec::new();
+    for req in &requests {
+        req.clone().answer(&service, &mut wire).expect("answers");
+    }
+    (wire, requests.len())
 }
 
 /// Hand `bytes` to the decoder the way a socket would: as the source of
 /// its reads, until they are all taken.
-fn feed(decoder: &mut FrameDecoder, mut bytes: &[u8]) {
+fn feed(decoder: &mut RespDecoder, mut bytes: &[u8]) {
     while !bytes.is_empty() {
         decoder.read_from(&mut bytes).expect("slice read");
     }
 }
 
-fn drain(decoder: &mut FrameDecoder) -> Vec<(u8, Vec<u8>)> {
+/// Decoded requests, as the server decodes them.
+fn drain_requests(decoder: &mut RespDecoder) -> Vec<Request> {
     let mut out = Vec::new();
-    while let Some(frame) = decoder.next_frame().expect("valid stream") {
-        out.push((frame.opcode, frame.payload.to_vec()));
+    while let Some(argv) = decoder.next_command().expect("valid stream") {
+        out.push(Request::decode(&argv).expect("valid request"));
+    }
+    out
+}
+
+fn drain_replies(decoder: &mut RespDecoder) -> Vec<RespValue> {
+    let mut out = Vec::new();
+    while let Some(value) = decoder.next_value().expect("valid stream") {
+        out.push(value);
     }
     out
 }
 
 #[test]
 fn frames_survive_a_split_at_every_byte_offset() {
-    let frames = sample_frames();
-    let stream = stream_of(&frames);
+    let requests = sample_requests();
+    let stream = request_stream(&requests);
+    let (replies, n_replies) = reply_stream();
     for split in 0..=stream.len() {
-        let mut decoder = FrameDecoder::new();
-        let mut got = Vec::new();
+        let mut decoder = RespDecoder::new();
         feed(&mut decoder, &stream[..split]);
-        got.extend(drain(&mut decoder));
+        let mut got = drain_requests(&mut decoder);
         feed(&mut decoder, &stream[split..]);
-        got.extend(drain(&mut decoder));
-        assert_eq!(got, frames, "split at byte {split}");
+        got.extend(drain_requests(&mut decoder));
+        assert_eq!(got, requests, "split at byte {split}");
+    }
+    let mut whole = RespDecoder::new();
+    feed(&mut whole, &replies);
+    let expected = drain_replies(&mut whole);
+    assert_eq!(expected.len(), n_replies);
+    for split in 0..=replies.len() {
+        let mut decoder = RespDecoder::new();
+        feed(&mut decoder, &replies[..split]);
+        let mut got = drain_replies(&mut decoder);
+        feed(&mut decoder, &replies[split..]);
+        got.extend(drain_replies(&mut decoder));
+        assert_eq!(got, expected, "split at byte {split}");
     }
 }
 
 #[test]
 fn frames_survive_byte_at_a_time_delivery() {
-    let frames = sample_frames();
-    let stream = stream_of(&frames);
-    let mut decoder = FrameDecoder::new();
+    let requests = sample_requests();
+    let stream = request_stream(&requests);
+    let mut decoder = RespDecoder::new();
     let mut got = Vec::new();
     for byte in &stream {
         feed(&mut decoder, std::slice::from_ref(byte));
-        got.extend(drain(&mut decoder));
+        got.extend(drain_requests(&mut decoder));
     }
-    assert_eq!(got, frames);
+    assert_eq!(got, requests);
+
+    let (replies, n_replies) = reply_stream();
+    let mut decoder = RespDecoder::new();
+    let mut got = Vec::new();
+    for byte in &replies {
+        feed(&mut decoder, std::slice::from_ref(byte));
+        got.extend(drain_replies(&mut decoder));
+    }
+    assert_eq!(got.len(), n_replies);
 }
 
 #[test]
 fn truncation_at_every_offset_reads_as_incomplete_then_completes() {
-    let frames = sample_frames();
-    let stream = stream_of(&frames);
+    let requests = sample_requests();
+    let stream = request_stream(&requests);
     for cut in 0..stream.len() {
-        let mut decoder = FrameDecoder::new();
+        let mut decoder = RespDecoder::new();
         feed(&mut decoder, &stream[..cut]);
-        let complete = drain(&mut decoder);
-        assert!(
-            complete.len() <= frames.len(),
-            "cut at {cut} produced too many frames"
-        );
-        // Whatever decoded is a strict prefix of the real frames —
-        // never an invented or reordered frame.
-        assert_eq!(complete[..], frames[..complete.len()], "cut at {cut}");
+        let complete = drain_requests(&mut decoder);
+        // Whatever decoded is a strict prefix of the real requests —
+        // never an invented or reordered one.
+        assert!(complete.len() < requests.len(), "cut at {cut}");
+        assert_eq!(complete[..], requests[..complete.len()], "cut at {cut}");
         // The rest of the bytes finish the job.
         feed(&mut decoder, &stream[cut..]);
         let mut all = complete;
-        all.extend(drain(&mut decoder));
-        assert_eq!(all, frames, "resumed after cut at {cut}");
+        all.extend(drain_requests(&mut decoder));
+        assert_eq!(all, requests, "resumed after cut at {cut}");
     }
 }
 
+/// What the server makes of `bytes`: each decoded command run as the
+/// server runs it, against a fresh node. Returns the node and each
+/// request that decoded, with whether it was answered with an error
+/// reply; a protocol error or a message still incomplete (a length
+/// flipped upwards, which a real connection ends at its timeout) ends
+/// the stream.
+fn serve_bytes(bytes: &[u8]) -> (Arc<MemStore>, Vec<(Request, bool)>) {
+    let store = Arc::new(MemStore::new());
+    let service: Arc<dyn ChunkService> =
+        Arc::new(StoreService::new(store.clone() as Arc<dyn ChunkStore>));
+    let mut decoder = RespDecoder::new();
+    decoder.feed(bytes);
+    let mut served = Vec::new();
+    while let Ok(Some(argv)) = decoder.next_command() {
+        let mut out = Vec::new();
+        service.run(vec![argv.clone()], &mut out);
+        match Request::decode(&argv) {
+            Ok(req) => served.push((req, out[0] == b'-')),
+            Err(_) => assert_eq!(out[0], b'-', "an undecodable request is answered -ERR"),
+        }
+    }
+    (store, served)
+}
+
 #[test]
-fn single_byte_corruption_never_yields_a_frame() {
-    let (opcode, payload) = (0x03u8, b"checksummed payload".to_vec());
-    let pristine = encode(opcode, &payload).expect("encodes");
-    for offset in 0..pristine.len() {
-        for flip in [0x01u8, 0x80] {
-            let mut corrupt = pristine.clone();
-            corrupt[offset] ^= flip;
-            let mut decoder = FrameDecoder::new();
-            feed(&mut decoder, &corrupt);
-            match decoder.next_frame() {
-                // Detected: bad magic, bad length, or bad checksum.
-                Err(_) => {}
-                // A corrupted length field can claim a longer frame —
-                // that reads as incomplete, which a real connection
-                // resolves by the checksum failing once more bytes
-                // arrive (or the peer timing out), never by a frame.
-                Ok(None) => {}
-                Ok(Some(frame)) => panic!(
-                    "byte {offset} ^ {flip:#04x} decoded as a frame \
-                     (opcode {:#04x}, {} bytes)",
-                    frame.opcode,
-                    frame.payload.len()
-                ),
+fn a_flipped_bit_never_stores_or_returns_a_chunk_under_a_wrong_cid() {
+    let chunks = sample_chunks();
+    let cids: Vec<Digest> = chunks.iter().map(|c| c.cid()).collect();
+
+    // A CPUTMANY request, every bit flipped in turn, served as a server
+    // serves it.
+    let pristine = request_stream(&[Request::PutMany(chunks.clone())]);
+    for bit in 0..pristine.len() * 8 {
+        let mut bent = pristine.clone();
+        bent[bit / 8] ^= 1 << (bit % 8);
+        let (store, served) = serve_bytes(&bent);
+        for (req, errored) in &served {
+            // Decoded and answered: only ever identical chunks. (A count
+            // flipped downwards stores the batch's first chunks; the
+            // writer, short of answers, closes the socket and keeps the
+            // whole batch itself.)
+            let identical = match req {
+                Request::PutMany(got) => got.iter().all(|c| chunks.contains(c)),
+                _ => false,
+            };
+            assert!(*errored || identical, "bit {bit}: served {req:?}");
+        }
+        // The node holds nothing but the identical chunks.
+        let held = chunks.iter().filter(|c| store.contains(&c.cid())).count() as u64;
+        assert_eq!(store.stats().stored_chunks, held, "bit {bit}");
+    }
+
+    // A CGETMANY reply with an absent slot, every bit flipped in turn,
+    // read as the client reads it.
+    let mut asked = cids.clone();
+    asked.insert(1, Chunk::new(ChunkType::Blob, &b"absent"[..]).cid());
+    let store = Arc::new(MemStore::new());
+    store.put_many(chunks.clone());
+    let service = StoreService::new(store as Arc<dyn ChunkStore>);
+    let mut reply = Vec::new();
+    Request::GetMany(asked.clone())
+        .answer(&service, &mut reply)
+        .expect("answers");
+    let mut want: Vec<Option<Chunk>> = chunks.iter().cloned().map(Some).collect();
+    want.insert(1, None);
+    for bit in 0..reply.len() * 8 {
+        let mut bent = reply.clone();
+        bent[bit / 8] ^= 1 << (bit % 8);
+        let mut decoder = RespDecoder::new();
+        decoder.feed(&bent);
+        if let Ok(Some(value)) = decoder.next_value() {
+            if let Ok(found) = proto::decode_found(&asked, value) {
+                assert_eq!(found, want, "bit {bit}");
             }
         }
     }

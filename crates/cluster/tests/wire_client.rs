@@ -2,38 +2,42 @@
 //!
 //! * **a wedged, late or confused peer** — a scripted peer that accepts
 //!   and never answers, answers after its caller gave up, or answers
-//!   under somebody else's request id: the request ends in
-//!   `FbError::Io` within `response_timeout`, the socket is closed
-//!   rather than pooled, and the next request gets its own answer on a
-//!   fresh connection;
-//! * **bounded frames** — a batch of over three frame budgets
-//!   round-trips in both directions as several frames, counted at the
-//!   server (requests) and off a raw socket (reply frames);
+//!   with a reply of the wrong shape: the request ends in `FbError::Io`
+//!   within `response_timeout`, the socket is closed rather than
+//!   pooled, and the next request gets its own answer on a fresh
+//!   connection;
+//! * **bounded requests** — a put batch of over three budgets travels
+//!   as several requests, counted at the server, and its get_many as
+//!   one;
+//! * **a put changed in flight** — the server refuses it and the writer
+//!   keeps the chunk in its own store;
 //! * **scatter, then gather** — a batch spanning three remote nodes has
 //!   all three requests in flight at once: the backends only answer once
 //!   every one of them holds a request;
 //! * **one `put_many`, one group commit** — a durable node behind a
 //!   `ChunkServer` pays a wire `put_many` with one fsync, and ends with
 //!   the stats of the same batch put in process;
-//! * **counted** — one blob put on two nodes is exactly one request
-//!   frame to the remote one;
+//! * **counted** — one blob put on two nodes is exactly one request to
+//!   the remote one;
 //! * **bytes off a socket never panic** — arbitrary bytes and every
-//!   single-byte mutation of valid frames, at every split offset,
-//!   through `FrameDecoder`, `decode_request` and `decode_response`.
+//!   single-byte mutation of valid messages, at every split offset,
+//!   through `RespDecoder`, `Request::decode` and the reply decoders,
+//!   and no chunk comes out under a cid it does not hash to.
 
 use bytes::Bytes;
 use forkbase_chunk::{
     Chunk, ChunkStore, ChunkType, Durability, LogConfig, LogStore, MemStore, PutOutcome, StoreStats,
 };
-use forkbase_cluster::net::frame::{self, Frame, FrameDecoder, FRAME_BUDGET, MAGIC};
-use forkbase_cluster::net::proto::{self, Request, Response};
+use forkbase_cluster::net::client::BATCH_BUDGET;
+use forkbase_cluster::net::proto::{self, Request};
 use forkbase_cluster::net::{ChunkServer, TcpChunkClient, TcpConfig};
 use forkbase_cluster::service::{ChunkService, StoreService};
 use forkbase_cluster::{Partitioning, Servlet, TwoLayerStore};
 use forkbase_core::{FbError, ForkBase, Value};
+use forkbase_crypto::resp::{self, RespDecoder, RespValue};
 use forkbase_crypto::{ChunkerConfig, Digest};
 use proptest::prelude::*;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -64,15 +68,15 @@ enum Script {
     Silence,
     /// Answer after a pause.
     After(Duration),
-    /// Answer at once, under a request id that is off by this much.
-    Misnumbered(u64),
+    /// Answer at once with a reply of the wrong shape: an integer.
+    WrongShape,
     /// Answer at once and correctly.
     Promptly,
 }
 
 /// A peer that speaks the wire over a real socket but answers by script.
 /// Its answers are the truth of a `MemStore`; only their timing and
-/// numbering are scripted.
+/// shape are scripted.
 struct ScriptedPeer {
     addr: SocketAddr,
     accepted: Arc<AtomicU64>,
@@ -141,27 +145,25 @@ fn serve_by_script(
     requests: &AtomicU64,
     script: &dyn Fn(u64) -> Script,
 ) -> std::io::Result<()> {
-    let mut decoder = FrameDecoder::new();
+    let mut decoder = RespDecoder::new();
     loop {
-        while let Some(frame) = decoder.next_frame().expect("the client sends valid frames") {
-            let (req_id, req) =
-                proto::decode_request(frame.opcode, &frame.payload).expect("valid request");
-            let resp = match req {
-                Request::Get(cid) => Response::Get(backend.get(&cid).expect("mem")),
-                Request::Put(chunk) => Response::Put(backend.put(chunk).expect("mem")),
-                other => panic!("unscripted request {other:?}"),
-            };
-            let answer_id = match script(requests.fetch_add(1, Ordering::SeqCst)) {
-                Script::Silence => continue,
-                Script::After(pause) => {
-                    std::thread::sleep(pause);
-                    req_id
-                }
-                Script::Misnumbered(by) => req_id + by,
-                Script::Promptly => req_id,
-            };
+        while let Some(argv) = decoder.next_command().expect("the client sends valid RESP") {
+            let req = Request::decode(&argv).expect("valid request");
+            assert!(
+                matches!(req, Request::Get(_) | Request::Put(_)),
+                "unscripted {req:?}"
+            );
             let mut out = Vec::new();
-            proto::encode_response(answer_id, &resp, &mut out).expect("encodes");
+            req.answer(backend, &mut out).expect("mem");
+            match script(requests.fetch_add(1, Ordering::SeqCst)) {
+                Script::Silence => continue,
+                Script::After(pause) => std::thread::sleep(pause),
+                Script::WrongShape => {
+                    out.clear();
+                    resp::put_header(&mut out, b':', 7);
+                }
+                Script::Promptly => {}
+            }
             stream.write_all(&out)?;
         }
         if decoder.read_from(&mut stream)? == 0 {
@@ -229,16 +231,16 @@ fn a_reply_that_comes_too_late_is_never_somebody_elses_answer() {
 }
 
 #[test]
-fn an_answer_under_a_foreign_request_id_closes_the_socket() {
+fn a_reply_of_the_wrong_shape_closes_the_socket() {
     let peer = ScriptedPeer::start(2, |n| match n {
-        0 => Script::Misnumbered(7),
+        0 => Script::WrongShape,
         _ => Script::Promptly,
     });
     let client = impatient(peer.addr, Duration::from_secs(5));
     let chunk = blob(3, 64);
     match client.put(chunk.clone()) {
-        Err(FbError::Io(msg)) => assert!(msg.contains("answered request"), "{msg}"),
-        other => panic!("expected Io for a foreign req_id, got {other:?}"),
+        Err(FbError::Io(msg)) => assert!(msg.contains("Int(7)"), "{msg}"),
+        other => panic!("expected Io for a reply of the wrong shape, got {other:?}"),
     }
     peer.wait_closed(1);
     // The peer did store it; the fresh connection reads it back.
@@ -249,60 +251,106 @@ fn an_answer_under_a_foreign_request_id_closes_the_socket() {
 }
 
 // ---------------------------------------------------------------------
-// Bounded frames
+// Bounded requests
 // ---------------------------------------------------------------------
 
 #[test]
-fn a_batch_of_three_budgets_travels_as_several_frames_each_way() {
+fn a_put_batch_over_the_budget_travels_as_several_requests() {
     let (store, backend) = mem_service();
     let server = ChunkServer::bind("127.0.0.1:0", backend).expect("bind");
     let client = TcpChunkClient::new(server.addr(), TcpConfig::default());
 
     let each = 192 << 10;
-    let chunks: Vec<Chunk> = (0..(3 * FRAME_BUDGET / each + 4) as u32)
+    let chunks: Vec<Chunk> = (0..(3 * BATCH_BUDGET / each + 4) as u32)
         .map(|i| blob(i, each))
         .collect();
     let total: usize = chunks.iter().map(|c| c.len()).sum();
-    assert!(total > 3 * FRAME_BUDGET);
+    assert!(total > 3 * BATCH_BUDGET);
 
-    // Client to server: the client cuts the batch into request frames.
+    // The client cuts the batch into requests.
     let outcomes = client.put_many(chunks.clone()).expect("put_many");
     assert_eq!(outcomes, vec![PutOutcome::Stored; chunks.len()]);
-    let put_frames = server.counters().requests;
-    assert!(put_frames >= 3, "{put_frames} request frames");
+    let puts = server.counters().requests;
+    assert!(puts >= 4, "{puts} requests");
     assert_eq!(store.stats().stored_chunks, chunks.len() as u64);
 
-    // Server to client: one request, and the server cuts the reply.
+    // The whole batch comes back as the one reply to one request.
     let mut cids: Vec<Digest> = chunks.iter().map(|c| c.cid()).collect();
     cids.insert(5, blob(u32::MAX, 9).cid());
     let found = client.get_many(&cids).expect("get_many");
-    assert_eq!(server.counters().requests, put_frames + 1);
+    assert_eq!(server.counters().requests, puts + 1);
     assert_eq!(found.len(), cids.len());
     assert_eq!(found[5], None);
     let fetched: Vec<Chunk> = found.into_iter().flatten().collect();
     assert_eq!(fetched, chunks);
+}
 
-    // The reply frames, counted off a raw socket.
-    let mut raw = TcpStream::connect(server.addr()).expect("connect");
-    let mut request = Vec::new();
-    proto::encode_request(9, &Request::GetMany(cids.clone()), &mut request).expect("encodes");
-    raw.write_all(&request).expect("send");
-    let mut decoder = FrameDecoder::new();
-    let (mut frames, mut answered) = (0, 0);
-    while answered < cids.len() {
-        let Some(frame) = decoder.next_frame().expect("valid") else {
-            assert_ne!(decoder.read_from(&mut raw).expect("read"), 0, "early EOF");
-            continue;
-        };
-        assert!(frame.payload.len() <= FRAME_BUDGET + 16);
-        match proto::decode_response(frame.opcode, &frame.payload) {
-            Some((9, Response::GetMany(run))) => answered += run.len(),
-            other => panic!("not a run of the reply: {other:?}"),
+// ---------------------------------------------------------------------
+// A put changed in flight
+// ---------------------------------------------------------------------
+
+/// Relays one connection to `to`, flipping one bit of the client's
+/// bytes at offset `at` on the way.
+fn flipping_relay(to: std::net::SocketAddr, at: usize) -> (std::net::SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let relay = std::thread::spawn(move || {
+        let (mut client, _) = listener.accept().expect("accept");
+        let mut server = TcpStream::connect(to).expect("connect");
+        let mut back = server.try_clone().expect("clone");
+        let mut reply_to = client.try_clone().expect("clone");
+        let replies = std::thread::spawn(move || {
+            let _ = std::io::copy(&mut back, &mut reply_to);
+        });
+        let (mut seen, mut buf) = (0, [0u8; 4096]);
+        while let Ok(n @ 1..) = client.read(&mut buf) {
+            if (seen..seen + n).contains(&at) {
+                buf[at - seen] ^= 0x10;
+            }
+            seen += n;
+            if server.write_all(&buf[..n]).is_err() {
+                break;
+            }
         }
-        frames += 1;
-    }
-    assert_eq!(answered, cids.len());
-    assert!(frames >= 3, "{frames} reply frames");
+        let _ = server.shutdown(std::net::Shutdown::Both);
+        let _ = replies.join();
+    });
+    (addr, relay)
+}
+
+#[test]
+fn a_put_changed_in_flight_is_refused_and_kept_by_its_writer() {
+    let stores: Vec<Arc<dyn ChunkStore>> = (0..2)
+        .map(|_| Arc::new(MemStore::new()) as Arc<dyn ChunkStore>)
+        .collect();
+    let remote = Arc::new(StoreService::new(stores[1].clone()));
+    let server = ChunkServer::bind("127.0.0.1:0", remote).expect("bind");
+    let chunk = (0u32..)
+        .map(|i| blob(i, 600))
+        .find(|c| c.cid().prefix_u64() % 2 == 1)
+        .expect("a chunk owned by node 1");
+    // The flipped byte lies in the chunk's payload, 100 bytes before
+    // the request's end.
+    let mut request = Vec::new();
+    Request::Put(chunk.clone())
+        .encode(&mut request)
+        .expect("encodes");
+    let (relay_addr, relay) = flipping_relay(server.addr(), request.len() - 100);
+    let pool: Vec<Arc<dyn ChunkService>> = vec![
+        Arc::new(StoreService::new(stores[0].clone())),
+        Arc::new(TcpChunkClient::new(relay_addr, TcpConfig::default())),
+    ];
+    let view = TwoLayerStore::new(stores[0].clone(), pool, 0);
+
+    assert_eq!(view.put(chunk.clone()), PutOutcome::Stored);
+    assert_eq!(server.counters().requests, 1, "the put reached the node");
+    assert_eq!(stores[1].stats().stored_chunks, 0, "and was refused there");
+    assert!(stores[0].contains(&chunk.cid()), "the writer kept it");
+    assert_eq!(view.transport_errors(), 1);
+    view.clear_remote_cache();
+    assert_eq!(view.get(&chunk.cid()), Some(chunk));
+    drop(view);
+    relay.join().expect("relay");
 }
 
 // ---------------------------------------------------------------------
@@ -497,7 +545,7 @@ fn one_blob_put_is_one_request_frame_to_the_remote_node() {
     assert_eq!(
         server.counters().requests,
         1,
-        "the whole remote share in one frame"
+        "the whole remote share in one request"
     );
     assert_eq!(server.counters().connections, 1);
 }
@@ -506,96 +554,101 @@ fn one_blob_put_is_one_request_frame_to_the_remote_node() {
 // Bytes off a socket never panic
 // ---------------------------------------------------------------------
 
-/// Every kind of message, as the frames it is sent in.
-fn valid_frames() -> Vec<Vec<u8>> {
+/// Every kind of message: requests, then the replies a node gives.
+fn valid_messages() -> Vec<Vec<u8>> {
     let (a, b) = (blob(1, 90), Chunk::new(ChunkType::Map, &b"bb"[..]));
-    let mut frames = Vec::new();
-    for req in [
+    let requests = [
         Request::Get(a.cid()),
         Request::GetMany(vec![a.cid(), b.cid()]),
         Request::Put(a.clone()),
         Request::PutMany(vec![a.clone(), b.clone()]),
         Request::Stats,
+    ];
+    let mut messages = Vec::new();
+    for req in &requests {
+        let mut out = Vec::new();
+        req.encode(&mut out).expect("encodes");
+        messages.push(out);
+    }
+    let (_, node) = mem_service();
+    node.put(a.clone()).expect("mem");
+    for req in [
+        Request::Get(a.cid()),
+        Request::GetMany(vec![a.cid(), blob(9, 9).cid(), a.cid()]),
+        Request::Put(b.clone()),
+        Request::PutMany(vec![a.clone(), b.clone()]),
+        Request::Stats,
     ] {
         let mut out = Vec::new();
-        proto::encode_request(11, &req, &mut out).expect("encodes");
-        frames.push(out);
+        req.answer(&*node, &mut out).expect("answers");
+        messages.push(out);
     }
-    for resp in [
-        Response::Get(Some(a.clone())),
-        Response::GetMany(vec![Some(a.clone()), None, Some(b.clone())]),
-        Response::Put(PutOutcome::Stored),
-        Response::PutMany(vec![PutOutcome::Stored, PutOutcome::Deduplicated]),
-        Response::Stats(StoreStats::default()),
-        Response::Err("no".into()),
-    ] {
-        let mut out = Vec::new();
-        proto::encode_response(12, &resp, &mut out).expect("encodes");
-        frames.push(out);
-    }
-    frames
+    let mut refusal = Vec::new();
+    resp::put_error(&mut refusal, "ERR no");
+    messages.push(refusal);
+    messages
 }
 
-/// The frames a decoder yields for `stream` delivered in two reads'
-/// worth, split at `split`; a framing error ends the stream, as it ends
-/// a connection.
-fn frames_through(stream: &[u8], split: usize) -> Vec<Frame> {
-    let mut decoder = FrameDecoder::new();
-    let mut frames = Vec::new();
-    for mut part in [&stream[..split], &stream[split..]] {
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => frames.push(frame),
-                Ok(None) if part.is_empty() => break,
-                Ok(None) => {
-                    decoder.read_from(&mut part).expect("slice read");
+/// Push one decoded message through every decoder the wire has. No
+/// chunk may come out under a cid it does not hash to: a put's chunks
+/// carry the cids they were sent with, a fetched chunk the cid asked.
+fn decode_every_way(argv: Option<Vec<Bytes>>, value: Option<RespValue>) {
+    if let Some(argv) = argv {
+        match Request::decode(&argv) {
+            Ok(Request::Put(chunk)) => assert_eq!(argv[1][..], chunk.cid().as_bytes()[..]),
+            Ok(Request::PutMany(chunks)) => {
+                for (chunk, cid) in chunks.iter().zip(argv[1..].iter().step_by(2)) {
+                    assert_eq!(cid[..], chunk.cid().as_bytes()[..]);
                 }
-                Err(_) => return frames,
             }
+            _ => {}
         }
     }
-    frames
+    let Some(value) = value else { return };
+    let asked: Vec<Digest> = [blob(1, 90).cid(), blob(9, 9).cid(), blob(1, 90).cid()].into();
+    for n in 1..=asked.len() {
+        if let Ok(found) = proto::decode_found(&asked[..n], value.clone()) {
+            for (slot, cid) in found.iter().zip(&asked) {
+                assert!(slot.as_ref().is_none_or(|c| c.cid() == *cid));
+            }
+        }
+        let _ = proto::decode_outcomes(n, value.clone());
+    }
+    let _ = proto::decode_found(&asked[..1], RespValue::Array(vec![value.clone()]));
+    let _ = proto::decode_stats(value);
 }
 
-/// Push a body through both message decoders. Whatever chunk comes out
-/// must carry the cid of its own bytes.
-fn decode_both_ways(opcode: u8, payload: &Bytes) {
-    let honest = |chunk: &Chunk| assert!(chunk.verify(), "a chunk under a cid not its own");
-    match proto::decode_request(opcode, payload) {
-        Some((_, Request::Put(chunk))) => honest(&chunk),
-        Some((_, Request::PutMany(chunks))) => chunks.iter().for_each(honest),
-        _ => {}
+/// Everything a decoder yields for `stream` delivered in two reads'
+/// worth, split at `split`, read as requests and as replies; a protocol
+/// error ends the stream, as it ends a connection.
+fn decode_through(stream: &[u8], split: usize) -> usize {
+    let mut yielded = 0;
+    let (mut commands, mut values) = (RespDecoder::new(), RespDecoder::new());
+    for part in [&stream[..split], &stream[split..]] {
+        commands.feed(part);
+        values.feed(part);
+        while let Ok(Some(argv)) = commands.next_command() {
+            decode_every_way(Some(argv), None);
+            yielded += 1;
+        }
+        while let Ok(Some(value)) = values.next_value() {
+            decode_every_way(None, Some(value));
+            yielded += 1;
+        }
     }
-    match proto::decode_response(opcode, payload) {
-        Some((_, Response::Get(Some(chunk)))) => honest(&chunk),
-        Some((_, Response::GetMany(slots))) => slots.iter().flatten().for_each(honest),
-        _ => {}
-    }
+    yielded
 }
 
-const OPCODES: [u8; 12] = [
-    proto::OP_GET,
-    proto::OP_GET_MANY,
-    proto::OP_PUT,
-    proto::OP_PUT_MANY,
-    proto::OP_STATS,
-    proto::OP_GET | proto::OP_RESP,
-    proto::OP_GET_MANY | proto::OP_RESP,
-    proto::OP_PUT | proto::OP_RESP,
-    proto::OP_PUT_MANY | proto::OP_RESP,
-    proto::OP_STATS | proto::OP_RESP,
-    proto::OP_ERR,
-    0x7E,
-];
-
-/// Garbage, garbage behind a good magic word, and garbage behind a good
-/// frame.
+/// Garbage, garbage behind a good header, and garbage behind a good
+/// message.
 fn hostile_stream() -> impl Strategy<Value = Vec<u8>> {
     let garbage = || prop::collection::vec(any::<u8>(), 0..300);
+    let messages = valid_messages().len();
     prop_oneof![
         2 => garbage(),
-        2 => garbage().prop_map(|g| [&MAGIC.to_le_bytes()[..], &g].concat()),
-        1 => (0usize..11, garbage()).prop_map(|(which, g)| [&valid_frames()[which][..], &g].concat()),
+        2 => garbage().prop_map(|g| [&b"*3\r\n$8\r\nCPUTMANY\r\n$32\r\n"[..], &g].concat()),
+        1 => (0..messages, garbage())
+            .prop_map(|(which, g)| [&valid_messages()[which][..], &g].concat()),
     ]
 }
 
@@ -605,37 +658,21 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic_a_decoder(stream in hostile_stream()) {
         for split in 0..=stream.len() {
-            for frame in frames_through(&stream, split) {
-                decode_both_ways(frame.opcode, &frame.payload);
-            }
-        }
-        // And straight into the message decoders, past the checksum.
-        let body = Bytes::from(stream);
-        for opcode in OPCODES {
-            decode_both_ways(opcode, &body);
+            decode_through(&stream, split);
         }
     }
 
     #[test]
-    fn a_mutated_frame_never_yields_a_frame(
+    fn a_mutated_message_never_yields_a_chunk_under_a_wrong_cid(
         which in 0usize..11,
         at in any::<usize>(),
         xor in 1u8..=255,
     ) {
-        let pristine = &valid_frames()[which];
-        let mut bent = pristine.clone();
+        let mut bent = valid_messages()[which].clone();
         let at = at % bent.len();
         bent[at] ^= xor;
         for split in 0..=bent.len() {
-            let frames = frames_through(&bent, split);
-            prop_assert!(frames.is_empty(), "byte {at} ^ {xor:#04x}, split {split}: {frames:?}");
-        }
-        // The same damage met past the checksum: the body is refused or
-        // decodes to chunks that are what their cids say.
-        let body_at = frame::HEADER_LEN;
-        if (body_at + 1..bent.len() - 4).contains(&at) {
-            let payload = Bytes::from(bent[body_at + 1..bent.len() - 4].to_vec());
-            decode_both_ways(bent[body_at], &payload);
+            decode_through(&bent, split);
         }
     }
 }

@@ -25,9 +25,11 @@
 //!
 //! It is also the lowest crate of the workspace, so it holds the plumbing
 //! that several crates share: the hashing worker pool behind
-//! [`parallel`], the [`fx`] hasher, and [`serve`] — the one
-//! thread-per-connection TCP server loop that the cluster's chunk
-//! service and `redislite`'s RESP2 front both run.
+//! [`parallel`], the [`fx`] hasher, [`resp`] — RESP2, the one wire
+//! codec, with its incremental decoder and the per-connection loop —
+//! and [`serve`], the one thread-per-connection TCP server that runs
+//! that loop for the cluster's chunk service and `redislite`'s Redis
+//! front alike.
 //!
 //! The oracles the equivalence tests compare against are compiled in
 //! every build and never on a production path: [`split_positions_reference`]
@@ -41,6 +43,7 @@ pub mod lanes;
 pub mod metrics;
 pub mod parallel;
 pub(crate) mod pool;
+pub mod resp;
 pub mod rolling;
 pub mod serve;
 pub mod sha256;

@@ -1,8 +1,9 @@
 //! The workspace's one TCP server: a blocking thread-per-connection
-//! accept loop over any wire protocol's [`Handler`].
+//! accept loop over any RESP [`Commands`] set.
 //!
-//! The cluster's chunk service and the RESP2 front of `redislite` both
-//! serve through [`Server`]; each brings only its per-connection loop.
+//! The cluster's chunk service and the Redis front of `redislite` both
+//! serve through [`Server`]; each brings only its command set, and every
+//! connection runs the one RESP read → decode → run → write loop.
 //! Every accepted connection gets one handler thread, matching the
 //! `LogStore` writer-thread precedent of plain background threads over
 //! an async runtime. The server keeps a shutdown handle (a dup'd fd) per
@@ -10,23 +11,13 @@
 //! each handler drops its own handle when its connection ends, so fds do
 //! not pile up per client ever accepted.
 
+use crate::resp::{self, Commands};
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-/// A wire protocol's side of a connection.
-pub trait Handler: Send + Sync + 'static {
-    /// Thread-name prefix of the accept loop and connection threads.
-    const NAME: &'static str;
-
-    /// Serve one connection until the peer hangs up, I/O fails or the
-    /// stream turns out malformed, adding each decoded request to
-    /// `requests`.
-    fn serve(&self, stream: TcpStream, requests: &AtomicU64) -> io::Result<()>;
-}
 
 /// What a [`Server`] has seen on its wire so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -51,13 +42,13 @@ struct Shared<H: ?Sized> {
 /// surface as I/O errors at the client.
 ///
 /// [`stop`]: Server::stop
-pub struct Server<H: Handler + ?Sized> {
+pub struct Server<H: Commands + ?Sized> {
     addr: SocketAddr,
     shared: Arc<Shared<H>>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
-impl<H: Handler + ?Sized> Server<H> {
+impl<H: Commands + ?Sized> Server<H> {
     /// Bind `addr` (use port 0 for an ephemeral port) and serve
     /// `handler` until [`stop`](Self::stop)/drop.
     pub fn bind(addr: &str, handler: Arc<H>) -> io::Result<Self> {
@@ -116,13 +107,13 @@ impl<H: Handler + ?Sized> Server<H> {
     }
 }
 
-impl<H: Handler + ?Sized> Drop for Server<H> {
+impl<H: Commands + ?Sized> Drop for Server<H> {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-fn accept_loop<H: Handler + ?Sized>(listener: TcpListener, shared: Arc<Shared<H>>) {
+fn accept_loop<H: Commands + ?Sized>(listener: TcpListener, shared: Arc<Shared<H>>) {
     let mut next_id = 0u64;
     for stream in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
@@ -151,7 +142,8 @@ fn accept_loop<H: Handler + ?Sized>(listener: TcpListener, shared: Arc<Shared<H>
         let spawned = std::thread::Builder::new()
             .name(format!("{}-conn", H::NAME))
             .spawn(move || {
-                let _ = conn_shared.handler.serve(stream, &conn_shared.requests);
+                let _ =
+                    resp::serve_connection(&*conn_shared.handler, stream, &conn_shared.requests);
                 conn_shared.conns.lock().expect("conns lock").remove(&id);
             });
         if spawned.is_err() {
@@ -169,17 +161,14 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    /// Holds every connection open until the peer or `stop()` ends it.
+    /// Answers nothing: every connection stays open until the peer or
+    /// `stop()` ends it.
     struct Hold;
 
-    impl Handler for Hold {
+    impl Commands for Hold {
         const NAME: &'static str = "hold";
 
-        fn serve(&self, mut stream: TcpStream, requests: &AtomicU64) -> io::Result<()> {
-            requests.fetch_add(1, Ordering::Relaxed);
-            while stream.read(&mut [0u8; 64])? > 0 {}
-            Ok(())
-        }
+        fn run(&self, _: Vec<Vec<bytes::Bytes>>, _: &mut Vec<u8>) {}
     }
 
     #[test]

@@ -10,14 +10,13 @@
 
 use crate::resp::{self, RespDecoder};
 use crate::{Cmd, Reply};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A blocking RESP2 connection.
 pub struct RespClient {
     stream: TcpStream,
     decoder: RespDecoder,
-    rbuf: Vec<u8>,
 }
 
 impl RespClient {
@@ -28,7 +27,6 @@ impl RespClient {
         Ok(RespClient {
             stream,
             decoder: RespDecoder::new(),
-            rbuf: vec![0u8; 64 * 1024],
         })
     }
 
@@ -68,14 +66,12 @@ impl RespClient {
                     ))
                 }
             }
-            let n = self.stream.read(&mut self.rbuf)?;
-            if n == 0 {
+            if self.decoder.read_from(&mut self.stream)? == 0 {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed the connection mid-reply",
                 ));
             }
-            self.decoder.feed(&self.rbuf[..n]);
         }
     }
 }

@@ -19,8 +19,8 @@
 //! # One command surface
 //!
 //! Every operation is a [`Cmd`] executed by [`RedisLite::execute`], which
-//! returns a [`Reply`]. The typed methods (`set`/`get`/`rpush`/…) are
-//! thin wrappers, [`pipeline`](RedisLite::pipeline) is an execute loop
+//! returns a [`Reply`]. The typed reads and `rpush` the baselines call
+//! (`get`/`rpush`/`lindex`/…) are thin wrappers, [`pipeline`](RedisLite::pipeline) is an execute loop
 //! under one lock hold with one batched AOF append, AOF replay re-enters
 //! through the same dispatch, and the RESP server exposes it verbatim —
 //! wire semantics and in-process semantics are one code path.
@@ -117,14 +117,6 @@ impl Cmd {
                 | Cmd::DbSize
         )
     }
-
-    /// Operations this command counts as (MSET = one per pair).
-    fn weight(&self) -> u64 {
-        match self {
-            Cmd::MSet(pairs) => pairs.len() as u64,
-            _ => 1,
-        }
-    }
 }
 
 /// Reply to one command.
@@ -166,14 +158,10 @@ pub enum AofFsync {
 pub struct RedisLite {
     map: RwLock<FxHashMap<Bytes, RObject>>,
     mem_bytes: AtomicU64,
-    ops: AtomicU64,
     /// Append-only persistence log (durable mode only).
     aof: Option<Mutex<BufWriter<File>>>,
     /// When appends reach disk (durable mode only).
     aof_fsync: AofFsync,
-    /// AOF appends that failed (writes are not failable at the Redis API
-    /// surface, so errors surface here instead of being swallowed).
-    aof_errors: AtomicU64,
     /// Latched on the first failed append: a partial record may sit at
     /// the log tail, so appending past it would write records that
     /// replay can never reach. Once set, appends stop and
@@ -340,28 +328,20 @@ impl RedisLite {
         Ok(())
     }
 
-    /// AOF appends that failed with an I/O error (0 when healthy or
-    /// in-memory). Non-zero means the in-memory state is ahead of what a
-    /// reopen will recover.
-    pub fn aof_error_count(&self) -> u64 {
-        self.aof_errors.load(Ordering::Relaxed)
-    }
-
     /// Append a pre-encoded run of `records` AOF records in one lock
     /// hold and one `write_all` (plus one flush+fsync under
     /// [`AofFsync::Always`]). Called with the map lock held so the log
     /// order matches the apply order; batched entry points pay the log
     /// lock and write syscall once for the whole batch. After a failed
     /// append the log is poisoned: a partial record may sit at the tail,
-    /// so later records would be unreachable at replay — stop appending
-    /// and count instead.
+    /// so later records would be unreachable at replay — stop appending;
+    /// [`sync`](Self::sync) reports it.
     fn log_batch(&self, buf: &[u8], records: u64) {
         let Some(aof) = &self.aof else { return };
         if records == 0 {
             return;
         }
         if self.aof_poisoned.load(Ordering::Relaxed) {
-            self.aof_errors.fetch_add(records, Ordering::Relaxed);
             return;
         }
         let mut w = aof.lock();
@@ -374,8 +354,7 @@ impl RedisLite {
         });
         if let Err(e) = wrote {
             // A torn tail makes every record of the batch unreachable at
-            // replay — count them all and poison.
-            self.aof_errors.fetch_add(records, Ordering::Relaxed);
+            // replay: poison.
             if !self.aof_poisoned.swap(true, Ordering::Relaxed) {
                 eprintln!("redislite: AOF batch append failed (log poisoned): {e}");
             }
@@ -558,7 +537,6 @@ impl RedisLite {
     /// the shared lock; writes take the exclusive lock, apply, and land
     /// their AOF record in the same lock hold.
     pub fn execute(&self, cmd: Cmd) -> Reply {
-        self.ops.fetch_add(cmd.weight(), Ordering::Relaxed);
         if cmd.is_read() {
             Self::read_locked(&self.map.read(), &cmd)
         } else {
@@ -577,8 +555,6 @@ impl RedisLite {
     /// in order — the Redis pipelining model the paper's baselines rely
     /// on for write-heavy workloads.
     pub fn pipeline(&self, cmds: Vec<Cmd>) -> Vec<Reply> {
-        let weight: u64 = cmds.iter().map(Cmd::weight).sum();
-        self.ops.fetch_add(weight, Ordering::Relaxed);
         let mut buf = Vec::new();
         let mut records = 0u64;
         let mut map = self.map.write();
@@ -588,26 +564,6 @@ impl RedisLite {
             .collect();
         self.log_batch(&buf, records);
         replies
-    }
-
-    /// SET: store a string value.
-    pub fn set(&self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
-        self.execute(Cmd::Set(key.into(), value.into()));
-    }
-
-    /// MSET: store many string values atomically — readers see either
-    /// none or all of the batch, and per-op lock traffic is paid once.
-    pub fn mset<I, K, V>(&self, pairs: I)
-    where
-        I: IntoIterator<Item = (K, V)>,
-        K: Into<Bytes>,
-        V: Into<Bytes>,
-    {
-        let pairs = pairs
-            .into_iter()
-            .map(|(k, v)| (k.into(), v.into()))
-            .collect();
-        self.execute(Cmd::MSet(pairs));
     }
 
     /// GET: read a string value. `None` if missing or of another type.
@@ -643,15 +599,6 @@ impl RedisLite {
         }
     }
 
-    /// LSET: replace the element at `idx` (negative = from the tail).
-    /// `false` when the key holds no list or the index is out of range.
-    pub fn lset(&self, key: &[u8], idx: i64, elem: impl Into<Bytes>) -> bool {
-        matches!(
-            self.execute(Cmd::Lset(Bytes::copy_from_slice(key), idx, elem.into())),
-            Reply::Ok
-        )
-    }
-
     /// LRANGE: elements in `[start, stop]` (inclusive; negatives count
     /// from the tail, out-of-range bounds clamp, like Redis).
     pub fn lrange(&self, key: &[u8], start: i64, stop: i64) -> Vec<Bytes> {
@@ -661,34 +608,47 @@ impl RedisLite {
         }
     }
 
-    /// DEL: remove a key; returns whether it existed.
-    pub fn del(&self, key: &[u8]) -> bool {
-        matches!(
-            self.execute(Cmd::Del(Bytes::copy_from_slice(key))),
-            Reply::Len(1)
-        )
-    }
-
-    /// Number of keys.
-    pub fn dbsize(&self) -> usize {
-        self.map.read().len()
-    }
-
     /// Total payload bytes held — the storage-consumption metric of
     /// Fig. 13(b).
     pub fn memory_bytes(&self) -> u64 {
         self.mem_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Operations served.
-    pub fn op_count(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The typed calls these tests make, as the commands they are.
+    trait Typed {
+        fn set(&self, key: &str, value: impl Into<Bytes>);
+        fn mset(&self, pairs: &[(&str, &str)]);
+        fn lset(&self, key: &str, idx: i64, elem: &str) -> bool;
+        fn del(&self, key: &str) -> bool;
+        fn dbsize(&self) -> Reply;
+    }
+
+    impl Typed for RedisLite {
+        fn set(&self, key: &str, value: impl Into<Bytes>) {
+            self.execute(Cmd::Set(Bytes::from(key), value.into()));
+        }
+        fn mset(&self, pairs: &[(&str, &str)]) {
+            let pairs = pairs
+                .iter()
+                .map(|&(k, v)| (Bytes::from(k), Bytes::from(v)))
+                .collect();
+            self.execute(Cmd::MSet(pairs));
+        }
+        fn lset(&self, key: &str, idx: i64, elem: &str) -> bool {
+            self.execute(Cmd::Lset(Bytes::from(key), idx, Bytes::from(elem))) == Reply::Ok
+        }
+        fn del(&self, key: &str) -> bool {
+            self.execute(Cmd::Del(Bytes::from(key))) == Reply::Len(1)
+        }
+        fn dbsize(&self) -> Reply {
+            self.execute(Cmd::DbSize)
+        }
+    }
 
     fn temp_aof(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -708,18 +668,17 @@ mod tests {
             let db = RedisLite::open_durable(&path).expect("open");
             db.set("s", "v1");
             db.set("gone", "x");
-            db.del(b"gone");
+            db.del("gone");
             for i in 0..3 {
                 db.rpush("page", format!("rev {i}"));
             }
-            db.lset(b"page", 1, "rev 1 edited");
-            db.lset(b"page", -1, "rev 2 edited");
+            db.lset("page", 1, "rev 1 edited");
+            db.lset("page", -1, "rev 2 edited");
             db.pipeline(vec![
                 Cmd::Set(Bytes::from("p"), Bytes::from("pipelined")),
                 Cmd::Rpush(Bytes::from("page"), Bytes::from("rev 3")),
             ]);
-            db.sync().expect("sync");
-            assert_eq!(db.aof_error_count(), 0);
+            db.sync().expect("sync: no append failed");
         }
         let db = RedisLite::open_durable(&path).expect("reopen");
         assert_eq!(db.get(b"s"), Some(Bytes::from("v1")));
@@ -753,7 +712,7 @@ mod tests {
         db.sync().expect("sync");
         drop(db);
         let db = RedisLite::open_durable(&path).expect("reopen");
-        assert_eq!(db.dbsize(), 2);
+        assert_eq!(db.dbsize(), Reply::Len(2));
         std::fs::remove_file(path).ok();
     }
 
@@ -833,7 +792,7 @@ mod tests {
         assert_eq!(db.memory_bytes(), 2500);
         db.set("s", vec![0u8; 100]);
         assert_eq!(db.memory_bytes(), 2100, "overwrite reclaims");
-        db.del(b"page");
+        db.del("page");
         assert_eq!(db.memory_bytes(), 100);
     }
 
@@ -842,12 +801,12 @@ mod tests {
         let db = RedisLite::new();
         db.rpush("l", "aaa");
         db.rpush("l", "bbb");
-        assert!(db.lset(b"l", 0, "XXXXX"));
+        assert!(db.lset("l", 0, "XXXXX"));
         assert_eq!(db.lindex(b"l", 0), Some(Bytes::from("XXXXX")));
-        assert!(db.lset(b"l", -1, "YY"), "negative index from the tail");
+        assert!(db.lset("l", -1, "YY"), "negative index from the tail");
         assert_eq!(db.lindex(b"l", 1), Some(Bytes::from("YY")));
-        assert!(!db.lset(b"l", 9, "nope"));
-        assert!(!db.lset(b"l", -3, "nope"));
+        assert!(!db.lset("l", 9, "nope"));
+        assert!(!db.lset("l", -3, "nope"));
         assert_eq!(db.memory_bytes(), 7);
         // The Cmd form distinguishes the two failure modes.
         assert_eq!(
@@ -864,10 +823,10 @@ mod tests {
     fn mset_matches_sequential_sets() {
         let db = RedisLite::new();
         db.set("a", "old");
-        db.mset([("a", "1"), ("b", "2"), ("c", "3")]);
+        db.mset(&[("a", "1"), ("b", "2"), ("c", "3")]);
         assert_eq!(db.get(b"a"), Some(Bytes::from("1")));
         assert_eq!(db.get(b"c"), Some(Bytes::from("3")));
-        assert_eq!(db.dbsize(), 3);
+        assert_eq!(db.dbsize(), Reply::Len(3));
         assert_eq!(db.memory_bytes(), 3, "overwrite accounted like SET");
     }
 
@@ -916,9 +875,9 @@ mod tests {
     #[test]
     fn del_missing_returns_false() {
         let db = RedisLite::new();
-        assert!(!db.del(b"ghost"));
+        assert!(!db.del("ghost"));
         db.set("real", "x");
-        assert!(db.del(b"real"));
-        assert_eq!(db.dbsize(), 0);
+        assert!(db.del("real"));
+        assert_eq!(db.dbsize(), Reply::Len(0));
     }
 }

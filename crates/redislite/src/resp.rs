@@ -1,333 +1,34 @@
-//! RESP2 protocol codec: the wire format Redis clients speak.
+//! The Redis command set on RESP2: the mapping between the wire and the
+//! store's command algebra.
 //!
-//! Requests arrive as multi-bulk arrays (`*2\r\n$3\r\nGET\r\n$1\r\nk\r\n`)
-//! or inline commands (`GET k\r\n`, the netcat-friendly form); replies
-//! are simple strings (`+OK`), errors (`-ERR …`), integers (`:3`), bulk
-//! strings (`$5\r\nhello`, `$-1` for nil), and arrays of bulks.
-//!
-//! Decoding is incremental and torn-read safe in the style of the
-//! cluster's `FrameDecoder`: [`RespDecoder`] is fed whatever the socket
-//! produced — any split, down to one byte at a time — and yields a value
-//! or command only once every byte of it has arrived. A partial message
-//! is never misparsed, and malformed input surfaces as a [`RespError`]
-//! (connection-fatal, mirroring Redis's protocol-error handling) rather
-//! than a panic or a wrong decode. Length headers are bounded
-//! ([`MAX_BULK_LEN`]/[`MAX_ARRAY_LEN`]) so corrupt input cannot make the
-//! decoder buffer gigabytes.
-//!
-//! The mapping between the wire and the store's command algebra lives
-//! here too: [`cmd_to_argv`]/[`parse_command`] round-trip a [`Cmd`]
-//! through its argv form, and [`encode_reply`]/[`reply_from_value`]
-//! round-trip a [`Reply`] — so the RESP server and the in-process API
-//! are provably the same semantics.
+//! The codec — [`RespValue`], [`RespDecoder`], [`encode_command`] — is
+//! the workspace's one RESP codec, [`forkbase_crypto::resp`],
+//! re-exported here so this crate's callers keep their paths. What lives here is the Redis side of it:
+//! [`cmd_to_argv`]/[`parse_command`] round-trip a [`Cmd`] through its
+//! argv form, and `encode_reply`/[`reply_from_value`] round-trip a
+//! [`Reply`] — so the RESP server and the in-process API are provably
+//! the same semantics.
 
 use crate::{Cmd, Reply};
 use bytes::Bytes;
-
-/// Upper bound on one bulk string (Redis's `proto-max-bulk-len` idea).
-pub const MAX_BULK_LEN: usize = 64 << 20;
-/// Upper bound on one request/reply array.
-pub const MAX_ARRAY_LEN: usize = 1 << 20;
-/// Upper bound on one line (inline command or length header).
-pub const MAX_LINE_LEN: usize = 64 << 10;
-/// Reply arrays in the served subset never nest deeper than this.
-const MAX_DEPTH: usize = 4;
-
-/// One decoded RESP2 value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RespValue {
-    /// `+…` simple string.
-    Simple(Bytes),
-    /// `-…` error string.
-    Error(Bytes),
-    /// `:n` integer.
-    Int(i64),
-    /// `$n` bulk string.
-    Bulk(Bytes),
-    /// `$-1` / `*-1` nil.
-    Nil,
-    /// `*n` array.
-    Array(Vec<RespValue>),
-}
-
-/// Protocol-level decode failure. Fatal for the connection that produced
-/// it: after a malformed message the stream offset can no longer be
-/// trusted, so the server answers `-ERR Protocol error` and drops the
-/// socket, exactly like Redis.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RespError(pub String);
-
-impl std::fmt::Display for RespError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Protocol error: {}", self.0)
-    }
-}
-
-impl std::error::Error for RespError {}
-
-/// Locate the newline-terminated line at the start of `buf`: returns the
-/// line (without its terminator) and the bytes consumed. Accepts `\r\n`
-/// and bare `\n` (Redis's inline parser does too).
-fn take_line(buf: &[u8]) -> Result<Option<(&[u8], usize)>, RespError> {
-    let limit = buf.len().min(MAX_LINE_LEN + 2);
-    for i in 0..limit {
-        if buf[i] == b'\n' {
-            let line = if i > 0 && buf[i - 1] == b'\r' {
-                &buf[..i - 1]
-            } else {
-                &buf[..i]
-            };
-            return Ok(Some((line, i + 1)));
-        }
-    }
-    if buf.len() > MAX_LINE_LEN {
-        return Err(RespError(format!(
-            "line exceeds {MAX_LINE_LEN} bytes without a terminator"
-        )));
-    }
-    Ok(None)
-}
-
-/// Strict decimal i64 (optional leading `-`), as in RESP length headers.
-fn parse_int(line: &[u8]) -> Result<i64, RespError> {
-    std::str::from_utf8(line)
-        .ok()
-        .and_then(|s| s.parse::<i64>().ok())
-        .ok_or_else(|| {
-            RespError(format!(
-                "invalid integer {:?}",
-                String::from_utf8_lossy(line)
-            ))
-        })
-}
-
-/// Try to parse one complete value at the head of `buf`; `Ok(None)` =
-/// more bytes needed, `Ok(Some((value, consumed)))` otherwise. `depth`
-/// bounds array nesting.
-fn parse_value(buf: &[u8], depth: usize) -> Result<Option<(RespValue, usize)>, RespError> {
-    let Some(&tag) = buf.first() else {
-        return Ok(None);
-    };
-    match tag {
-        b'+' | b'-' | b':' => {
-            let Some((line, used)) = take_line(&buf[1..])? else {
-                return Ok(None);
-            };
-            let value = match tag {
-                b'+' => RespValue::Simple(Bytes::copy_from_slice(line)),
-                b'-' => RespValue::Error(Bytes::copy_from_slice(line)),
-                _ => RespValue::Int(parse_int(line)?),
-            };
-            Ok(Some((value, 1 + used)))
-        }
-        b'$' => {
-            let Some((line, used)) = take_line(&buf[1..])? else {
-                return Ok(None);
-            };
-            let n = parse_int(line)?;
-            if n == -1 {
-                return Ok(Some((RespValue::Nil, 1 + used)));
-            }
-            if n < 0 || n as usize > MAX_BULK_LEN {
-                return Err(RespError(format!("invalid bulk length {n}")));
-            }
-            let (n, start) = (n as usize, 1 + used);
-            if buf.len() < start + n + 2 {
-                return Ok(None);
-            }
-            if &buf[start + n..start + n + 2] != b"\r\n" {
-                return Err(RespError("bulk string not CRLF-terminated".into()));
-            }
-            let bulk = RespValue::Bulk(Bytes::copy_from_slice(&buf[start..start + n]));
-            Ok(Some((bulk, start + n + 2)))
-        }
-        b'*' => {
-            if depth == 0 {
-                return Err(RespError("array nested too deeply".into()));
-            }
-            let Some((line, used)) = take_line(&buf[1..])? else {
-                return Ok(None);
-            };
-            let n = parse_int(line)?;
-            if n == -1 {
-                return Ok(Some((RespValue::Nil, 1 + used)));
-            }
-            if n < 0 || n as usize > MAX_ARRAY_LEN {
-                return Err(RespError(format!("invalid array length {n}")));
-            }
-            let mut items = Vec::with_capacity((n as usize).min(1024));
-            let mut at = 1 + used;
-            for _ in 0..n {
-                match parse_value(&buf[at..], depth - 1)? {
-                    Some((value, used)) => {
-                        items.push(value);
-                        at += used;
-                    }
-                    None => return Ok(None),
-                }
-            }
-            Ok(Some((RespValue::Array(items), at)))
-        }
-        other => Err(RespError(format!("unexpected type byte {other:#04x}"))),
-    }
-}
-
-/// Incremental RESP2 decoder over an arbitrarily-split byte stream.
-///
-/// Feed it socket reads with [`feed`](Self::feed); drain complete
-/// messages with [`next_value`](Self::next_value) (reply side) or
-/// [`next_command`](Self::next_command) (request side, which also
-/// accepts inline commands). Bytes of an incomplete message stay
-/// buffered until the rest arrives — both drains return `Ok(None)` in
-/// the meantime and never consume a partial message.
-#[derive(Default)]
-pub struct RespDecoder {
-    buf: Vec<u8>,
-    /// Read offset into `buf`; consumed bytes are reclaimed lazily.
-    pos: usize,
-}
-
-impl RespDecoder {
-    /// A decoder with an empty buffer.
-    pub fn new() -> RespDecoder {
-        RespDecoder::default()
-    }
-
-    /// Append freshly-received bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        // Reclaim the consumed prefix before growing, so a long-lived
-        // connection's buffer stays proportional to one message.
-        if self.pos > 0 && (self.pos >= self.buf.len() || self.pos > 64 * 1024) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes currently buffered but not yet decoded.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Decode the next complete value (reply side), if buffered.
-    pub fn next_value(&mut self) -> Result<Option<RespValue>, RespError> {
-        match parse_value(&self.buf[self.pos..], MAX_DEPTH)? {
-            Some((value, used)) => {
-                self.pos += used;
-                Ok(Some(value))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Decode the next complete command (request side) into its argv.
-    ///
-    /// Multi-bulk requests must be arrays of bulk strings (as Redis
-    /// requires); anything else that starts with `*` is a protocol
-    /// error. Any other first byte starts an inline command: one
-    /// whitespace-separated line. Empty lines and empty arrays are
-    /// skipped, not surfaced.
-    pub fn next_command(&mut self) -> Result<Option<Vec<Bytes>>, RespError> {
-        loop {
-            let avail = &self.buf[self.pos..];
-            let Some(&tag) = avail.first() else {
-                return Ok(None);
-            };
-            if tag == b'*' {
-                // depth 1: the command array itself may not nest.
-                match parse_value(avail, 1)? {
-                    Some((RespValue::Array(items), used)) => {
-                        let mut argv = Vec::with_capacity(items.len());
-                        for item in items {
-                            match item {
-                                RespValue::Bulk(b) => argv.push(b),
-                                _ => {
-                                    return Err(RespError(
-                                        "command array may hold only bulk strings".into(),
-                                    ))
-                                }
-                            }
-                        }
-                        self.pos += used;
-                        if argv.is_empty() {
-                            continue; // `*0\r\n`: ignored like Redis
-                        }
-                        return Ok(Some(argv));
-                    }
-                    Some((RespValue::Nil, used)) => {
-                        self.pos += used; // `*-1\r\n`: nothing to run
-                        continue;
-                    }
-                    Some(_) => unreachable!("'*' parses to Array or Nil"),
-                    None => return Ok(None),
-                }
-            }
-            // Inline command: one whitespace-separated line.
-            let Some((line, used)) = take_line(avail)? else {
-                return Ok(None);
-            };
-            let argv: Vec<Bytes> = line
-                .split(|&b| b == b' ' || b == b'\t')
-                .filter(|token| !token.is_empty())
-                .map(Bytes::copy_from_slice)
-                .collect();
-            self.pos += used;
-            if argv.is_empty() {
-                continue; // bare newline keep-alive
-            }
-            return Ok(Some(argv));
-        }
-    }
-}
-
-fn put_bulk(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.push(b'$');
-    out.extend_from_slice(bytes.len().to_string().as_bytes());
-    out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(bytes);
-    out.extend_from_slice(b"\r\n");
-}
-
-/// Encode an argv as a multi-bulk request (what clients send).
-pub fn encode_command(argv: &[Bytes], out: &mut Vec<u8>) {
-    out.push(b'*');
-    out.extend_from_slice(argv.len().to_string().as_bytes());
-    out.extend_from_slice(b"\r\n");
-    for arg in argv {
-        put_bulk(out, arg);
-    }
-}
+pub use forkbase_crypto::resp::{encode_command, RespDecoder, RespError, RespValue};
+use forkbase_crypto::resp::{put_bulk, put_error, put_header, put_nil};
 
 /// Encode a [`Reply`] in RESP2 (what the server sends back).
-pub fn encode_reply(reply: &Reply, out: &mut Vec<u8>) {
+pub(crate) fn encode_reply(reply: &Reply, out: &mut Vec<u8>) {
     match reply {
         Reply::Ok => out.extend_from_slice(b"+OK\r\n"),
         Reply::Pong => out.extend_from_slice(b"+PONG\r\n"),
-        Reply::Nil => out.extend_from_slice(b"$-1\r\n"),
+        Reply::Nil => put_nil(out),
         Reply::Value(v) => put_bulk(out, v),
-        Reply::Len(n) => {
-            out.push(b':');
-            out.extend_from_slice(n.to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
+        Reply::Len(n) => put_header(out, b':', *n as i64),
         Reply::Multi(items) => {
-            out.push(b'*');
-            out.extend_from_slice(items.len().to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
+            put_header(out, b'*', items.len() as i64);
             for item in items {
                 put_bulk(out, item);
             }
         }
-        Reply::Err(msg) => {
-            out.push(b'-');
-            // An embedded newline would split the error into two bogus
-            // messages; error text is ours, but sanitize anyway.
-            out.extend(
-                msg.bytes()
-                    .map(|b| if b == b'\r' || b == b'\n' { b' ' } else { b }),
-            );
-            out.extend_from_slice(b"\r\n");
-        }
+        Reply::Err(msg) => put_error(out, msg),
     }
 }
 
@@ -484,42 +185,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn multibulk_command_round_trip() {
-        let cmd = Cmd::Set(Bytes::from("key"), Bytes::from("value"));
-        let mut wire = Vec::new();
-        encode_command(&cmd_to_argv(&cmd), &mut wire);
-        assert_eq!(
-            &wire[..],
-            b"*3\r\n$3\r\nSET\r\n$3\r\nkey\r\n$5\r\nvalue\r\n"
-        );
-        let mut dec = RespDecoder::new();
-        dec.feed(&wire);
-        let argv = dec.next_command().expect("valid").expect("complete");
-        assert_eq!(parse_command(&argv), Ok(cmd));
-        assert_eq!(dec.next_command().expect("valid"), None);
-        assert_eq!(dec.buffered(), 0);
-    }
-
-    #[test]
-    fn inline_command_parses() {
-        let mut dec = RespDecoder::new();
-        dec.feed(b"  SET  k   v \r\nPING\nGET k\r\n");
-        assert_eq!(
-            parse_command(&dec.next_command().unwrap().unwrap()),
-            Ok(Cmd::Set(Bytes::from("k"), Bytes::from("v")))
-        );
-        assert_eq!(
-            parse_command(&dec.next_command().unwrap().unwrap()),
-            Ok(Cmd::Ping)
-        );
-        assert_eq!(
-            parse_command(&dec.next_command().unwrap().unwrap()),
-            Ok(Cmd::Get(Bytes::from("k")))
-        );
-        assert_eq!(dec.next_command().unwrap(), None);
-    }
-
-    #[test]
     fn command_names_are_case_insensitive() {
         assert_eq!(
             parse_command(&[Bytes::from("get"), Bytes::from("k")]),
@@ -578,38 +243,5 @@ mod tests {
             let value = dec.next_value().expect("valid").expect("complete");
             assert_eq!(reply_from_value(value), Ok(reply));
         }
-    }
-
-    #[test]
-    fn torn_bulk_never_yields_until_complete() {
-        let mut wire = Vec::new();
-        encode_command(
-            &cmd_to_argv(&Cmd::Set(Bytes::from("k"), Bytes::from("v"))),
-            &mut wire,
-        );
-        let mut dec = RespDecoder::new();
-        for &b in &wire[..wire.len() - 1] {
-            dec.feed(&[b]);
-            assert_eq!(dec.next_command().expect("no error yet"), None);
-        }
-        dec.feed(&wire[wire.len() - 1..]);
-        assert!(dec.next_command().expect("valid").is_some());
-    }
-
-    #[test]
-    fn oversize_lengths_rejected() {
-        let mut dec = RespDecoder::new();
-        dec.feed(b"$999999999999\r\n");
-        assert!(dec.next_value().is_err());
-        let mut dec = RespDecoder::new();
-        dec.feed(b"*-7\r\n");
-        assert!(dec.next_value().is_err());
-    }
-
-    #[test]
-    fn nested_command_array_is_a_protocol_error() {
-        let mut dec = RespDecoder::new();
-        dec.feed(b"*1\r\n*1\r\n$1\r\nx\r\n");
-        assert!(dec.next_command().is_err());
     }
 }

@@ -1,10 +1,12 @@
 //! The RESP2 TCP server: the workspace's one thread-per-connection
 //! [`Server`] over a shared [`RedisLite`].
 //!
-//! Each connection's handler thread decodes commands, dispatches them
+//! Every connection runs the workspace's one RESP loop
+//! ([`forkbase_crypto::resp`]): it decodes every command a socket read
+//! completed and hands them here as one batch, which is dispatched
 //! through [`RedisLite::execute`] / [`RedisLite::pipeline`] — the same
-//! single entry point the in-process API uses — and writes the replies
-//! back. Replies for one socket read are buffered and flushed together,
+//! single entry point the in-process API uses. Replies for one socket
+//! read are buffered and flushed together,
 //! so a pipelined batch of N commands pays one `pipeline()` dispatch (one
 //! lock hold, one batched AOF append) and one response write, not N of
 //! each.
@@ -16,62 +18,22 @@
 //! trusted — exactly Redis's split of the two failure modes. Both kinds
 //! of command count as requests in [`Server::counters`].
 
-use crate::resp::{self, RespDecoder};
+use crate::resp;
 use crate::{Cmd, RedisLite, Reply};
-use forkbase_crypto::serve::{Handler, Server};
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use bytes::Bytes;
+use forkbase_crypto::resp::Commands;
+use forkbase_crypto::serve::Server;
 
 /// A running RESP2 endpoint: `RespServer::bind(addr, db)` serves an
 /// `Arc<RedisLite>` until stopped or dropped.
 pub type RespServer = Server<RedisLite>;
 
-impl Handler for RedisLite {
+impl Commands for RedisLite {
     const NAME: &'static str = "redislite";
 
-    /// One connection's serve loop: read → decode every complete command
-    /// → dispatch as one batch → flush every reply in one write. Returns
-    /// (dropping the connection) on EOF, I/O failure, or the first
-    /// protocol error — after corruption the stream offset is untrusted.
-    fn serve(&self, mut stream: TcpStream, requests: &AtomicU64) -> std::io::Result<()> {
-        let mut decoder = RespDecoder::new();
-        let mut rbuf = vec![0u8; 64 * 1024];
-        let mut wbuf = Vec::new();
-        loop {
-            let n = stream.read(&mut rbuf)?;
-            if n == 0 {
-                return Ok(()); // clean EOF
-            }
-            decoder.feed(&rbuf[..n]);
-            // Drain everything this read completed before dispatching, so
-            // a pipelined burst becomes one batch.
-            let mut batch: Vec<Result<Cmd, String>> = Vec::new();
-            let proto_err = loop {
-                match decoder.next_command() {
-                    Ok(Some(argv)) => batch.push(resp::parse_command(&argv)),
-                    Ok(None) => break None,
-                    Err(e) => break Some(e),
-                }
-            };
-            requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            wbuf.clear();
-            dispatch(self, batch, &mut wbuf);
-            if let Some(e) = proto_err {
-                // Answer what decoded cleanly, then the fatal error, then
-                // hang up — the Redis protocol-error contract.
-                resp::encode_reply(&Reply::Err(format!("ERR {e}")), &mut wbuf);
-                stream.write_all(&wbuf)?;
-                let _ = stream.shutdown(Shutdown::Both);
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    e.to_string(),
-                ));
-            }
-            if !wbuf.is_empty() {
-                stream.write_all(&wbuf)?;
-            }
-        }
+    fn run(&self, batch: Vec<Vec<Bytes>>, out: &mut Vec<u8>) {
+        let batch = batch.iter().map(|argv| resp::parse_command(argv)).collect();
+        dispatch(self, batch, out);
     }
 }
 
@@ -100,7 +62,9 @@ fn dispatch(db: &RedisLite, batch: Vec<Result<Cmd, String>>, out: &mut Vec<u8>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use crate::resp::RespDecoder;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
     use std::sync::Arc;
 
     #[test]

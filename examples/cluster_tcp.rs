@@ -1,6 +1,7 @@
 //! A ForkBase cluster whose nodes talk over real loopback TCP (§4.1 /
 //! §4.6): three servlets, two-layer partitioning, every cross-node
-//! chunk crossing a length-prefixed, checksummed wire frame.
+//! chunk crossing the wire as a RESP command (`CPUTMANY`, `CGETMANY`, …)
+//! whose chunks are checked against their cids at the far end.
 //!
 //! Run with `cargo run --example cluster_tcp`.
 
@@ -45,9 +46,9 @@ fn main() {
     );
 
     // --- Per-node observability over the same wire -----------------------
-    // node_stats() uses the stats opcode peers use, so a degraded node
+    // node_stats() sends the STATS command peers use, so a degraded node
     // would surface here as Err / a nonzero io_errors count.
-    println!("\nper-node stats (over the stats opcode):");
+    println!("\nper-node stats (over the STATS command):");
     for (id, stats) in cluster.node_stats().expect("stats").iter().enumerate() {
         println!(
             "  node {id}: {} chunks, {} KB, {} gets, {} io_errors, cache {}h/{}m",
