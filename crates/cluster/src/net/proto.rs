@@ -338,7 +338,7 @@ mod tests {
     use super::*;
     use crate::service::StoreService;
     use forkbase_chunk::{ChunkStore, MemStore};
-    use forkbase_crypto::resp::RespDecoder;
+    use forkbase_crypto::resp::{Commands, RespDecoder};
     use std::sync::Arc;
 
     fn decode_command(wire: &[u8]) -> Vec<Bytes> {
@@ -466,6 +466,61 @@ mod tests {
             Request::GetMany(vec![huge.cid()]).answer(&service, &mut out),
             Err(FbError::Io(_))
         ));
+    }
+
+    #[test]
+    fn a_batch_holding_an_oversize_chunk_is_an_encode_error() {
+        let small = Chunk::new(ChunkType::Blob, &b"small"[..]);
+        let huge = Chunk::new(ChunkType::Blob, vec![0u8; MAX_BULK_LEN]);
+        for batch in [
+            vec![huge.clone(), small.clone()],
+            vec![small.clone(), huge.clone()],
+        ] {
+            let mut out = Vec::new();
+            assert!(matches!(
+                Request::PutMany(batch).encode(&mut out),
+                Err(FbError::Io(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn an_oversize_length_header_is_refused_before_its_body() {
+        let a = Chunk::new(ChunkType::Blob, &b"aaa"[..]);
+        let headers = |chunk_len: usize| {
+            let mut wire = Vec::new();
+            put_header(&mut wire, b'*', 3);
+            put_bulk(&mut wire, b"CPUT");
+            put_bulk(&mut wire, a.cid().as_bytes());
+            put_header(&mut wire, b'$', chunk_len as i64);
+            wire
+        };
+        // The largest bulk the wire carries waits for its body ...
+        let mut dec = RespDecoder::new();
+        dec.feed(&headers(MAX_BULK_LEN));
+        assert!(matches!(dec.next_command(), Ok(None)));
+        // ... one byte more is refused from its header alone.
+        let mut dec = RespDecoder::new();
+        dec.feed(&headers(MAX_BULK_LEN + 1));
+        assert!(dec.next_command().is_err());
+    }
+
+    #[test]
+    fn a_flipped_chunk_byte_is_refused_not_stored() {
+        let a = Chunk::new(ChunkType::Blob, &b"sensitive payload"[..]);
+        let mut wire = Vec::new();
+        Request::Put(a.clone()).encode(&mut wire).unwrap();
+        let at = wire.len() - 2 - 5;
+        wire[at] ^= 0x01;
+        let argv = decode_command(&wire);
+        assert!(matches!(Request::decode(&argv), Err(FbError::Corrupt(_))));
+
+        let store = Arc::new(MemStore::new());
+        let service = StoreService::new(store.clone() as Arc<dyn ChunkStore>);
+        let mut out = Vec::new();
+        (&service as &dyn ChunkService).run(vec![argv], &mut out);
+        assert_eq!(out[0], b'-', "answered -ERR");
+        assert_eq!(store.stats().stored_chunks, 0);
     }
 
     #[test]
