@@ -139,6 +139,12 @@ pub struct HotTierStats {
     pub journaled: u64,
     /// Encoded bytes of those journal Blobs.
     pub journal_bytes: u64,
+    /// Hash-pool jobs that pool workers ran for the publisher thread
+    /// (its builds of staged rounds and its own rounds), and the bytes
+    /// they scanned and hashed. Read after each of its rounds and builds.
+    pub pool_jobs: u64,
+    /// See [`pool_jobs`](Self::pool_jobs).
+    pub pool_bytes: u64,
 }
 
 type HotMap = FxHashMap<Bytes, Option<Bytes>>;
@@ -279,6 +285,8 @@ struct Shared {
     publish_ns: AtomicU64,
     journaled: AtomicU64,
     journal_bytes: AtomicU64,
+    pool_jobs: AtomicU64,
+    pool_bytes: AtomicU64,
 }
 
 impl Shared {
@@ -421,6 +429,14 @@ impl Shared {
             self.engine.commit_checkpoint(|| self.journal_roots())?;
         }
         Ok(())
+    }
+
+    /// Publish the pool jobs the publisher thread has run so far: it runs
+    /// nothing else, so its thread's counters are its rounds' and builds'.
+    fn count_pool_work(&self) {
+        let ran = forkbase_crypto::metrics::snapshot();
+        self.pool_jobs.store(ran.pool_jobs, Ordering::Relaxed);
+        self.pool_bytes.store(ran.pool_bytes, Ordering::Relaxed);
     }
 
     /// The roots of the journal Blobs holding an edit the tree may not
@@ -568,6 +584,8 @@ impl HotTier {
             publish_ns: AtomicU64::new(0),
             journaled: AtomicU64::new(0),
             journal_bytes: AtomicU64::new(0),
+            pool_jobs: AtomicU64::new(0),
+            pool_bytes: AtomicU64::new(0),
         });
         let bg = Arc::clone(&shared);
         let publisher = std::thread::Builder::new()
@@ -822,6 +840,8 @@ impl HotTier {
             publish_ns: self.shared.publish_ns.load(Ordering::Relaxed),
             journaled: self.shared.journaled.load(Ordering::Relaxed),
             journal_bytes: self.shared.journal_bytes.load(Ordering::Relaxed),
+            pool_jobs: self.shared.pool_jobs.load(Ordering::Relaxed),
+            pool_bytes: self.shared.pool_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -943,6 +963,7 @@ fn publisher_loop(shared: Arc<Shared>) {
             };
             drop(p);
             let built = shared.build(&work);
+            shared.count_pool_work();
             p = shared.pending.lock().expect("pending lock");
             p.staged = Staged::Built(work, built);
             shared.room.notify_all();
@@ -978,6 +999,7 @@ fn publisher_loop(shared: Arc<Shared>) {
         // loop keeps running so drains/flushes can observe the poison
         // instead of hanging on inflight marks.
         let _ = shared.publish_work(work, true, built);
+        shared.count_pool_work();
         p = shared.pending.lock().expect("pending lock");
     }
     // What is still queued or staged is for `Drop` to publish, once it

@@ -7,8 +7,11 @@
 //! exactly what that operation did on the calling thread, however many
 //! other threads are at work. Work a caller hands to the worker pool (a
 //! hash batch or a scan above the thread-lane threshold) is counted on the
-//! worker that did it. Every counter is bumped once per call, never per
-//! byte or block.
+//! worker that did it; the caller counts the jobs it handed over that a
+//! worker ran, and the bytes those jobs hashed and scanned
+//! ([`pool_jobs`](CryptoMetrics::pool_jobs),
+//! [`pool_bytes`](CryptoMetrics::pool_bytes)). Every counter is bumped
+//! once per call or job, never per byte or block.
 
 use std::cell::Cell;
 
@@ -27,6 +30,13 @@ pub struct CryptoMetrics {
     pub scalar_scan_bytes: u64,
     /// Bytes hashed by [`Sha256`](crate::Sha256), counted at `finalize`.
     pub sha256_bytes: u64,
+    /// Jobs this thread handed to the worker pool that a pool worker ran
+    /// — counted once the thread has them back (a detached job at its
+    /// [`join`](crate::parallel::Task::join), and not at all if the
+    /// joiner ran it itself).
+    pub pool_jobs: u64,
+    /// Bytes those jobs scanned and hashed on the workers.
+    pub pool_bytes: u64,
 }
 
 impl CryptoMetrics {
@@ -36,7 +46,14 @@ impl CryptoMetrics {
             lane_scan_bytes: self.lane_scan_bytes - before.lane_scan_bytes,
             scalar_scan_bytes: self.scalar_scan_bytes - before.scalar_scan_bytes,
             sha256_bytes: self.sha256_bytes - before.sha256_bytes,
+            pool_jobs: self.pool_jobs - before.pool_jobs,
+            pool_bytes: self.pool_bytes - before.pool_bytes,
         }
+    }
+
+    /// Bytes scanned and hashed, by either scanner and SHA-256.
+    pub(crate) fn work_bytes(&self) -> u64 {
+        self.lane_scan_bytes + self.scalar_scan_bytes + self.sha256_bytes
     }
 }
 
@@ -72,4 +89,13 @@ pub(crate) fn scalar_scanned(bytes: usize) {
 /// One SHA-256 message of `bytes` bytes hashed.
 pub(crate) fn hashed(bytes: u64) {
     bump(|m| m.sha256_bytes += bytes);
+}
+
+/// `jobs` handed to the pool came back, having done `bytes` of work on
+/// the workers.
+pub(crate) fn pool_ran(jobs: u64, bytes: u64) {
+    bump(|m| {
+        m.pool_jobs += jobs;
+        m.pool_bytes += bytes;
+    });
 }

@@ -37,6 +37,8 @@
 //! yet: the producer pays for a slow start with its own time at the end,
 //! never with a wait.
 
+use crate::metrics;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -55,6 +57,8 @@ struct Latch {
     cv: Condvar,
     /// First caught panic payload, re-raised on the submitting thread.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// Bytes the batch's jobs scanned and hashed on the workers.
+    bytes: AtomicU64,
 }
 
 impl Latch {
@@ -63,10 +67,12 @@ impl Latch {
             done: Mutex::new(0),
             cv: Condvar::new(),
             panic: Mutex::new(None),
+            bytes: AtomicU64::new(0),
         }
     }
 
-    fn signal(&self, task_panic: Option<Box<dyn std::any::Any + Send>>) {
+    fn signal(&self, task_panic: Option<Box<dyn std::any::Any + Send>>, bytes: u64) {
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
         if let Some(payload) = task_panic {
             let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
             slot.get_or_insert(payload);
@@ -136,6 +142,14 @@ pub fn parallelism() -> usize {
     pool().map(|p| p.workers + 1).unwrap_or(1)
 }
 
+/// Run `job` on a worker, catching its panic: its outcome, and the bytes
+/// it scanned and hashed there.
+fn run_counted<T>(job: impl FnOnce() -> T) -> (std::thread::Result<T>, u64) {
+    let before = metrics::snapshot();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+    (outcome, metrics::snapshot().since(before).work_bytes())
+}
+
 /// Blocks until every job enqueued so far has signalled the latch, even
 /// if `run_scoped` unwinds before reaching its normal wait. The `'env`
 /// borrows inside submitted jobs are only safe while the caller's frame
@@ -190,8 +204,8 @@ pub(crate) fn run_scoped<'env>(mut tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) 
             // execution, the same guarantee `std::thread::scope`
             // provides structurally.
             let wrapper: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(t));
-                latch_ref.signal(outcome.err());
+                let (outcome, bytes) = run_counted(t);
+                latch_ref.signal(outcome.err(), bytes);
             });
             let job: Job = unsafe { std::mem::transmute(wrapper) };
             sender.send(job).expect("hash pool alive");
@@ -201,6 +215,7 @@ pub(crate) fn run_scoped<'env>(mut tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) 
     // The caller contributes its own share while the pool works.
     let first_outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(first));
     latch.wait(guard.submitted);
+    metrics::pool_ran(guard.submitted as u64, latch.bytes.load(Ordering::Relaxed));
     // Re-raise with the original payload (like std::thread::scope's join):
     // the caller's own share first, then the first worker panic.
     if let Err(payload) = first_outcome {
@@ -219,7 +234,8 @@ type Offered<T> = Arc<Mutex<Option<Box<dyn FnOnce() -> T + Send>>>>;
 /// first runs it: a worker, or [`join`](Task::join).
 pub struct Task<T> {
     job: Offered<T>,
-    result: Receiver<std::thread::Result<T>>,
+    /// A worker's outcome, and the bytes the job scanned and hashed.
+    result: Receiver<(std::thread::Result<T>, u64)>,
 }
 
 impl<T> Task<T> {
@@ -232,7 +248,9 @@ impl<T> Task<T> {
         if let Some(job) = unstarted {
             return job();
         }
-        match self.result.recv().expect("a worker took the job") {
+        let (outcome, bytes) = self.result.recv().expect("a worker took the job");
+        metrics::pool_ran(1, bytes);
+        match outcome {
             Ok(value) => value,
             Err(payload) => std::panic::resume_unwind(payload),
         }
@@ -254,8 +272,7 @@ where
         let run = move || {
             let taken = offered.lock().unwrap_or_else(|e| e.into_inner()).take();
             if let Some(job) = taken {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                let _ = done.send(outcome); // the task may have been dropped
+                let _ = done.send(run_counted(job)); // the task may have been dropped
             }
         };
         let sender = pool.sender.lock().unwrap_or_else(|e| e.into_inner());

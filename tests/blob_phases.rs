@@ -32,7 +32,11 @@
 //!   the checkpoint wrote itself (`LogStore`'s round counters). It also
 //!   times the block's three calls (`state_put_many`, `flush_state`,
 //!   `append_block`), counts the bytes the store accepted per block, and
-//!   prints the hot tier's publish rounds and edits per round.
+//!   prints the hot tier's publish rounds, edits per round and the
+//!   hash-pool jobs its publisher ran. It reads the block loop's time on
+//!   a CPU and waiting on a runqueue per block
+//!   (`/proc/thread-self/schedstat`), for every block and for the blocks
+//!   that commit a round.
 //!
 //! Each prints, per operation, the median of every phase in µs, the scan
 //! rate, the bytes each scanner and SHA-256 saw, and the leaves fetched
@@ -307,6 +311,32 @@ fn page_splice_phases() {
     phases.print("64 KiB page splice");
 }
 
+/// The calling thread's time on a CPU and waiting on a runqueue so far,
+/// in ns; `None` where the kernel does not expose them.
+fn schedstat() -> Option<[u64; 2]> {
+    let line = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    let mut fields = line.split_whitespace().map(str::parse::<u64>);
+    Some([fields.next()?.ok()?, fields.next()?.ok()?])
+}
+
+/// `v`'s p50/p80/p90/p95 (nearest rank) and sum, in µs and ms; "n/a"
+/// when it is empty.
+fn percentiles(v: &mut [u64]) -> String {
+    if v.is_empty() {
+        return "n/a".into();
+    }
+    v.sort_unstable();
+    let at = |p: usize| v[(v.len() * p).div_ceil(100).max(1) - 1] as f64 / 1e3;
+    let sum = v.iter().sum::<u64>() as f64 / 1e6;
+    format!(
+        "{:.0}/{:.0}/{:.0}/{:.0} µs (sum {sum:.1} ms)",
+        at(50),
+        at(80),
+        at(90),
+        at(95)
+    )
+}
+
 /// Median, minimum and maximum of `v`.
 fn spread(v: &mut [u64]) -> (u64, u64, u64) {
     v.sort_unstable();
@@ -364,6 +394,9 @@ fn ledger_block_phases() {
     let (mut times, mut counts) = (vec![Vec::new(); 9], vec![Vec::new(); 6]);
     // `flush_state` of the blocks that committed a round, ns.
     let mut committing = Vec::new();
+    // The block loop's [on-CPU, runqueue wait] per block, ns: every
+    // block, and the blocks that committed a round.
+    let (mut sched, mut sched_committing) = ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
     let hot_before = chain.db().hot_stats().expect("tier on");
     for number in 1..=BLOCKS {
         let updates: Vec<(Bytes, Option<Bytes>)> = (0..64)
@@ -387,6 +420,7 @@ fn ledger_block_phases() {
         ];
         let stored = chain.db().store().stored_bytes();
         let rounds = chain.db().hot_stats().expect("tier on").publish_rounds;
+        let sched_before = schedstat();
         let start = Instant::now();
         chain.state_put_many(updates).expect("updates");
         let put_done = Instant::now();
@@ -396,12 +430,22 @@ fn ledger_block_phases() {
             .append_block(Some(tip), &body, format!("slot-{number}"))
             .expect("append");
         let end = Instant::now();
+        let sched_after = schedstat();
         let total = (end - start).as_nanos() as u64;
         let calls = [put_done - start, flush_done - put_done, end - flush_done]
             .map(|d| d.as_nanos() as u64);
         let stored = chain.db().store().stored_bytes() - stored;
-        if chain.db().hot_stats().expect("tier on").publish_rounds > rounds {
+        let committed = chain.db().hot_stats().expect("tier on").publish_rounds > rounds;
+        if committed {
             committing.push(calls[1]);
+        }
+        if let (Some(before), Some(after)) = (sched_before, sched_after) {
+            for i in 0..2 {
+                sched[i].push(after[i] - before[i]);
+                if committed {
+                    sched_committing[i].push(after[i] - before[i]);
+                }
+            }
         }
         let pos = pos_metrics::snapshot().since(pos);
         let after = [
@@ -466,6 +510,29 @@ fn ledger_block_phases() {
         ns as f64 / 1e3 / rounds.max(1) as f64,
         hot.journaled - hot_before.journaled,
         hot.journal_bytes - hot_before.journal_bytes
+    );
+    let pool = (
+        hot.pool_jobs - hot_before.pool_jobs,
+        hot.pool_bytes - hot_before.pool_bytes,
+    );
+    println!(
+        "ledger block publisher: pool workers ran {} jobs and {} bytes for it, {:.1} jobs and {:.0} bytes per round",
+        pool.0,
+        pool.1,
+        pool.0 as f64 / rounds.max(1) as f64,
+        pool.1 as f64 / rounds.max(1) as f64
+    );
+    let [on_cpu, wait] = &mut sched;
+    println!(
+        "ledger block loop, p50/p80/p90/p95 per block: on-CPU {}, runqueue wait {}",
+        percentiles(on_cpu),
+        percentiles(wait)
+    );
+    let [on_cpu, wait] = &mut sched_committing;
+    println!(
+        "ledger block loop, blocks that committed a round: on-CPU {}, runqueue wait {}",
+        percentiles(on_cpu),
+        percentiles(wait)
     );
     if !committing.is_empty() {
         let (mid, lo, hi) = spread(&mut committing);
