@@ -746,6 +746,12 @@ impl ForkBase {
             .unwrap_or_default()
     }
 
+    /// The hot tier itself, for its own tests.
+    #[cfg(test)]
+    pub(crate) fn hot_tier(&self) -> Option<&HotTier> {
+        self.hot.as_ref()
+    }
+
     // ---- Hot-tier surface --------------------------------------------------
 
     /// Whether this handle fronts the engine with a hot tier.

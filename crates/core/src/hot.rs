@@ -954,7 +954,16 @@ pub(crate) fn replay_journal(
     Ok(())
 }
 
+/// The publisher thread: builds staged rounds and runs its own rounds,
+/// as background work — no caller waits on it, so it keeps to the hash
+/// pool's background budget
+/// ([`forkbase_crypto::parallel::background`]) and leaves the callers'
+/// core to them.
 fn publisher_loop(shared: Arc<Shared>) {
+    forkbase_crypto::parallel::background(|| publish_until_stopped(&shared));
+}
+
+fn publish_until_stopped(shared: &Shared) {
     let mut p = shared.pending.lock().expect("pending lock");
     while !shared.stop.load(Ordering::Acquire) {
         if let Staged::Sealed(_) = p.staged {
@@ -1522,6 +1531,86 @@ mod tests {
         for dir in [fast, slow] {
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// The publisher builds a staged round inside the hash pool's
+    /// background budget: on a 2-lane host no pool worker runs a job for
+    /// it, where the same build on a caller's thread fans out. Both make
+    /// the same trees of the same chunks, in the same order, and the
+    /// next seal stores and commits them.
+    #[test]
+    fn the_publishers_staged_build_keeps_to_its_own_core() {
+        let dir = tempdir();
+        let db = durable(&dir, true);
+        let value = |i: u32, tag: &str| {
+            let mut v = format!("{tag}{i}:");
+            let mut x = u64::from(i) << 8 | tag.len() as u64;
+            while v.len() < 100 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                v.push_str(&format!("{x:016x}"));
+            }
+            v.truncate(100);
+            b(&v)
+        };
+        // 20,000 entries of 100 B: a round of 256 edits spread over them
+        // rewrites about 1 MB of leaves, past both of the pool's
+        // thresholds.
+        let map = db.new_map((0..20_000u32).map(|i| (format!("sk{i:05}"), value(i, "v"))));
+        db.put("k", None, Value::Map(map)).unwrap();
+        let block = |n: u32| -> Vec<(Bytes, Option<Bytes>)> {
+            (0..32u32)
+                .map(|j| (n * 32 + j) * 7919 % 20_000)
+                .map(|i| (b(&format!("sk{i:05}")), Some(value(i, &format!("b{n}-")))))
+                .collect()
+        };
+        // Eight blocks of 32 edits: the eighth persist seals the round.
+        for n in 0..8 {
+            db.hot_put_many("k", block(n)).unwrap();
+            db.persist_hot().unwrap();
+        }
+        let shared = &db.hot_tier().unwrap().shared;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let (work, built) = loop {
+            let mut p = shared.pending.lock().unwrap();
+            if let Staged::Built(..) = p.staged {
+                let Staged::Built(work, built) = std::mem::take(&mut p.staged) else {
+                    unreachable!("matched above")
+                };
+                break (work, built.unwrap());
+            }
+            drop(p);
+            assert!(Instant::now() < deadline, "the publisher never built the round");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+
+        let before = forkbase_crypto::metrics::snapshot();
+        let control = shared.build(&work).unwrap();
+        let caller = forkbase_crypto::metrics::snapshot().since(before);
+        assert_eq!(built.roots, control.roots);
+        let cids = |b: &Built| b.chunks.iter().map(Chunk::cid).collect::<Vec<_>>();
+        assert_eq!(cids(&built), cids(&control));
+        let lanes = forkbase_crypto::parallel::lanes();
+        if lanes > 1 {
+            assert!(caller.pool_jobs > 0, "a caller's build fans out: {caller:?}");
+        }
+        let stats = db.hot_stats().unwrap();
+        if lanes <= 2 {
+            assert_eq!((stats.pool_jobs, stats.pool_bytes), (0, 0));
+        }
+        shared.pending.lock().unwrap().staged = Staged::Built(work, Ok(built));
+
+        for n in 8..16 {
+            db.hot_put_many("k", block(n)).unwrap();
+            db.persist_hot().unwrap();
+        }
+        assert_eq!(db.hot_stats().unwrap().publish_rounds, 1);
+        assert!(control.chunks.iter().all(|c| db.store().contains(&c.cid())));
+        let head = db.head("k", None).unwrap();
+        crate::verify_history(db.store(), head).unwrap();
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// As many new edits as the publisher would take on its own are

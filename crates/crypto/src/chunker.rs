@@ -457,12 +457,17 @@ fn hits_after(data: &[u8], from: usize, window: usize, mask: u64) -> Vec<usize> 
     let len = data.len() - from;
     // Size gate first: a below-threshold input must not be the thing that
     // materializes the worker pool.
-    if len < PARALLEL_SCAN_MIN || crate::pool::parallelism() <= 1 {
+    let lanes = if len < PARALLEL_SCAN_MIN {
+        1
+    } else {
+        crate::parallel::lanes()
+    };
+    if lanes <= 1 {
         let mut hits = Vec::new();
         segment_hits(data, from..data.len(), window, mask, &mut hits);
         return hits;
     }
-    let seg = len.div_ceil(crate::pool::parallelism());
+    let seg = len.div_ceil(lanes);
     let mut hit_lists: Vec<Vec<usize>> = vec![Vec::new(); len.div_ceil(seg)];
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = hit_lists
         .iter_mut()

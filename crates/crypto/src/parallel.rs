@@ -20,11 +20,59 @@
 //!
 //! Splitting is by *bytes*, not by input count: a batch of one 4 MB leaf
 //! and a thousand 100 B leaves still balances across workers.
+//!
+//! # The core budget
+//!
+//! How far a batch fans out depends on who waits for it. A caller's
+//! batch uses every lane: the pool's workers and the caller's own
+//! thread. Work on an engine-owned thread that no caller waits on runs
+//! inside [`background`], and fans out over one pool worker fewer — at
+//! most `lanes() − 2` of them, where `lanes()` is what a caller gets:
+//! one core stays with the callers and one is the background thread's
+//! own. On a 2-core host a background thread therefore scans and hashes
+//! on its own thread, and its batches never wake a worker onto the core
+//! a caller is running on. Today that thread is the hot tier's
+//! publisher. [`lanes`] reads the budget; every fan-out of this crate
+//! (the hash batches, [`spawn`] and the parallel boundary scan) and
+//! every producer that asks it before handing work over keep to it.
 
 use crate::digest::Digest;
 use crate::pool;
-pub use crate::pool::{parallelism as lanes, spawn, Task};
+pub use crate::pool::{spawn, Task};
 use crate::Sha256;
+use std::cell::Cell;
+
+thread_local! {
+    /// Whether the calling thread is inside [`background`].
+    static BACKGROUND: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Lanes a batch submitted from the calling thread may use: the pool's
+/// workers plus the thread itself, one worker fewer inside
+/// [`background`] (see the module docs), and never fewer than the thread
+/// alone. 1 on a host that reports a single hardware thread.
+pub fn lanes() -> usize {
+    let all = pool::parallelism();
+    if BACKGROUND.with(Cell::get) {
+        (all - 1).max(1)
+    } else {
+        all
+    }
+}
+
+/// Run `f` as work no caller waits on, under the background budget of
+/// [`lanes`]. The calling thread's budget is restored when `f` returns
+/// or unwinds.
+pub fn background<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BACKGROUND.with(|b| b.set(self.0));
+        }
+    }
+    let _restore = Restore(BACKGROUND.with(|b| b.replace(true)));
+    f()
+}
 
 // Both thresholds below come from one measurement, `pool`'s ignored test
 // `measure_worker_wake_latency` on the 2-core reference host (three runs,
@@ -91,7 +139,7 @@ where
     if total < PARALLEL_THRESHOLD_BYTES || inputs.len() <= 1 {
         return inputs.iter().map(hash_one).collect();
     }
-    let lanes = pool::parallelism().min(MAX_LANES).min(inputs.len());
+    let lanes = lanes().min(MAX_LANES).min(inputs.len());
     if lanes <= 1 {
         return inputs.iter().map(hash_one).collect();
     }
@@ -230,6 +278,55 @@ mod tests {
         for ((tag, _), (digest, payload)) in inputs.iter().zip(got.iter().zip(&payloads)) {
             assert_eq!(*digest, hash_parts(&[&[*tag], payload]));
         }
+    }
+
+    /// Inside `background` a batch over the threshold, a detached job and
+    /// a boundary scan over the scan threshold fan out over one pool
+    /// worker fewer — on a 2-lane host over none — and return what they
+    /// return outside; the budget comes back when the scope ends, by
+    /// return or by unwind.
+    #[test]
+    fn a_background_batch_keeps_to_its_budget() {
+        let payloads: Vec<Vec<u8>> = (0..40).map(|i| pseudo_random(20_000, 300 + i)).collect();
+        let inputs: Vec<(u8, &[u8])> = payloads.iter().map(|p| (4u8, p.as_slice())).collect();
+        assert!(payloads.iter().map(Vec::len).sum::<usize>() > PARALLEL_THRESHOLD_BYTES);
+        let scanned = pseudo_random(1 << 20, 7);
+        let cfg = crate::ChunkerConfig::default();
+        let all = lanes();
+        let before = crate::metrics::snapshot();
+        let want = hash_tagged_batch(&inputs);
+        let cuts = crate::pattern_hits(&scanned, &cfg);
+        let caller = crate::metrics::snapshot().since(before);
+
+        let (got, scoped, ran) = background(|| {
+            let before = crate::metrics::snapshot();
+            let got = hash_tagged_batch(&inputs);
+            let detached = spawn(|| crate::hash_bytes(b"detached")).join();
+            assert_eq!(detached, crate::hash_bytes(b"detached"));
+            assert_eq!(crate::pattern_hits(&scanned, &cfg), cuts);
+            (got, lanes(), crate::metrics::snapshot().since(before))
+        });
+        assert_eq!(got, want);
+        assert_eq!(scoped, (all - 1).max(1));
+        if all > 1 {
+            assert!(caller.pool_jobs > 0 && caller.pool_bytes > 0, "{caller:?}");
+        }
+        // The batch's and the scan's shares past the thread's own, and
+        // the detached job.
+        assert!(ran.pool_jobs <= 2 * (scoped as u64 - 1) + 1, "{ran:?}");
+        if all <= 2 {
+            assert_eq!((ran.pool_jobs, ran.pool_bytes), (0, 0));
+        }
+        assert_eq!(lanes(), all, "restored on return");
+
+        let unwound = std::panic::catch_unwind(|| {
+            background(|| {
+                assert_eq!(lanes(), scoped);
+                panic!("boom");
+            })
+        });
+        assert!(unwound.is_err());
+        assert_eq!(lanes(), all, "restored on unwind");
     }
 
     #[test]

@@ -259,7 +259,8 @@ impl<T> Task<T> {
 
 /// Offer `job` to the pool workers while the caller carries on; see the
 /// module docs. A [`Task`] dropped unjoined lets the job run unseen. With
-/// no pool (single hardware thread) the job simply runs at `join`.
+/// no worker in the caller's budget ([`lanes`](crate::parallel::lanes)
+/// is 1) the job simply runs at `join`.
 pub fn spawn<T, F>(job: F) -> Task<T>
 where
     T: Send + 'static,
@@ -267,7 +268,7 @@ where
 {
     let job: Offered<T> = Arc::new(Mutex::new(Some(Box::new(job))));
     let (done, result) = channel();
-    if let Some(pool) = pool() {
+    if let Some(pool) = pool().filter(|_| crate::parallel::lanes() > 1) {
         let offered = Arc::clone(&job);
         let run = move || {
             let taken = offered.lock().unwrap_or_else(|e| e.into_inner()).take();
