@@ -86,6 +86,11 @@ pub struct StoreStats {
     pub cache_misses: u64,
     /// Entries the cache tier evicted to stay under its byte budget.
     pub cache_evictions: u64,
+    /// Puts a peer refused because a chunk did not hash to the cid it
+    /// was sent under — a corrupting link, where `io_errors` counts a
+    /// peer that could not be reached. Zero for stores that send no
+    /// chunk over a wire.
+    pub refused_puts: u64,
 }
 
 impl StoreStats {
@@ -103,6 +108,7 @@ impl StoreStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_evictions += other.cache_evictions;
+        self.refused_puts += other.refused_puts;
     }
 }
 

@@ -29,7 +29,8 @@
 //!   [`TcpChunkClient`]s that keep a few sockets each and use a socket
 //!   for one request at a time, written and read back on the caller's
 //!   thread. A put carries its cid and the server refuses a chunk that
-//!   does not hash to it. A killed node surfaces as
+//!   does not hash to it, as [`FbError::Corrupt`](forkbase_core::FbError::Corrupt)
+//!   (counted in `refused_puts`). A killed node surfaces as
 //!   [`FbError::Io`](forkbase_core::FbError::Io) (counted in that
 //!   servlet's `io_errors`), never a hang; a restarted node is picked up
 //!   by lazy re-dial.

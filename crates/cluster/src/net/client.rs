@@ -301,7 +301,7 @@ fn put_frames(chunks: Vec<Chunk>) -> Vec<Vec<Chunk>> {
 impl ChunkService for TcpChunkClient {
     fn get(&self, cid: &Digest) -> Result<Option<Chunk>> {
         let mut found = self.call(&Request::Get(*cid), |reply| {
-            proto::decode_found(std::slice::from_ref(cid), RespValue::Array(vec![reply]))
+            proto::decode_found(std::slice::from_ref(cid), proto::single(reply))
         })?;
         Ok(found.pop().flatten())
     }
@@ -312,7 +312,7 @@ impl ChunkService for TcpChunkClient {
 
     fn put(&self, chunk: Chunk) -> Result<PutOutcome> {
         let outcomes = self.call(&Request::Put(chunk), |reply| {
-            proto::decode_outcomes(1, RespValue::Array(vec![reply]))
+            proto::decode_outcomes(1, proto::single(reply))
         })?;
         Ok(outcomes[0])
     }

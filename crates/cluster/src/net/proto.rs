@@ -8,8 +8,8 @@
 //! | `CPUTMANY (cid chunk)…`  | an array of those integers, one per chunk   |
 //! | `STATS`                  | an array of integers: [`StoreStats`]' fields in declaration order |
 //!
-//! Every request is an array of bulk strings; a failure is answered
-//! `-ERR message`. A chunk travels as one bulk in its canonical form
+//! Every request is an array of bulk strings; a refused put is answered
+//! `-CORRUPT message` and any other failure `-ERR message`. A chunk travels as one bulk in its canonical form
 //! (`[type: u8][payload…]`), written from its [`Bytes`] once, and a
 //! decoded chunk's payload is a slice of the message it arrived in.
 //!
@@ -19,10 +19,11 @@
 //! * **puts** carry the cid the writer computed. The server hashes every
 //!   received chunk anyway — a whole batch as one
 //!   [`hash_tagged_batch`](forkbase_crypto::hash_tagged_batch) call — and
-//!   refuses, with an error reply, a request holding a chunk whose hash
-//!   is not the cid it came with. A bit flipped in flight never stores a
-//!   chunk under a cid its writer did not ask for; the writer sees the
-//!   refusal and keeps the chunk in its own store.
+//!   refuses, with a `-CORRUPT` reply, a request holding a chunk whose
+//!   hash is not the cid it came with. A bit flipped in flight never
+//!   stores a chunk under a cid its writer did not ask for; the writer
+//!   hears the refusal as [`FbError::Corrupt`], not as a lost peer, and
+//!   keeps the chunk in its own store.
 //! * **gets** are re-hashed by the client and checked against the cids
 //!   it asked for, so a fetched chunk is verified end to end (§4.4).
 
@@ -47,6 +48,9 @@ pub enum Request {
     /// `STATS`: snapshot the node's [`StoreStats`].
     Stats,
 }
+
+/// The error code of a refused put's reply.
+pub(crate) const REFUSED: &str = "CORRUPT";
 
 fn bad(what: impl std::fmt::Display) -> FbError {
     FbError::Io(format!("malformed chunk-service message: {what}"))
@@ -115,8 +119,11 @@ fn outcome_int(outcome: PutOutcome) -> i64 {
     }
 }
 
+/// How many counters a `STATS` reply carries.
+const STATS_FIELDS: usize = 12;
+
 /// [`StoreStats`]' fields in declaration order.
-fn stats_fields(stats: &StoreStats) -> [u64; 11] {
+fn stats_fields(stats: &StoreStats) -> [u64; STATS_FIELDS] {
     let StoreStats {
         stored_chunks,
         stored_bytes,
@@ -129,6 +136,7 @@ fn stats_fields(stats: &StoreStats) -> [u64; 11] {
         cache_hits,
         cache_misses,
         cache_evictions,
+        refused_puts,
     } = *stats;
     [
         stored_chunks,
@@ -142,6 +150,7 @@ fn stats_fields(stats: &StoreStats) -> [u64; 11] {
         cache_hits,
         cache_misses,
         cache_evictions,
+        refused_puts,
     ]
 }
 
@@ -248,14 +257,27 @@ impl Request {
     }
 }
 
-/// The elements of an array reply of `n` elements; a single reply
-/// (`CGET`'s, `CPUT`'s) is read as an array of one.
+/// A single reply (`CGET`'s, `CPUT`'s) as an array of one, so that it
+/// decodes as a batch's does; an error reply stays what it is.
+pub fn single(reply: RespValue) -> RespValue {
+    match reply {
+        RespValue::Error(_) => reply,
+        other => RespValue::Array(vec![other]),
+    }
+}
+
+/// The elements of an array reply of `n` elements. An error reply is
+/// [`FbError::Corrupt`] when it refuses a chunk and [`FbError::Io`]
+/// otherwise.
 fn elements(value: RespValue, n: usize) -> Result<Vec<RespValue>> {
     match value {
-        RespValue::Error(msg) => Err(FbError::Io(format!(
-            "refused: {}",
-            String::from_utf8_lossy(&msg)
-        ))),
+        RespValue::Error(msg) => {
+            let msg = String::from_utf8_lossy(&msg);
+            match msg.strip_prefix(REFUSED).and_then(|m| m.strip_prefix(' ')) {
+                Some(what) => Err(FbError::Corrupt(format!("refused: {what}"))),
+                None => Err(FbError::Io(format!("refused: {msg}"))),
+            }
+        }
         RespValue::Array(items) if items.len() == n => Ok(items),
         other => Err(bad(format_args!("{other:?} where {n} answers were due"))),
     }
@@ -309,14 +331,14 @@ pub fn decode_outcomes(n: usize, value: RespValue) -> Result<Vec<PutOutcome>> {
 
 /// The reply to `STATS`.
 pub fn decode_stats(value: RespValue) -> Result<StoreStats> {
-    let mut fields = [0u64; 11];
-    for (field, item) in fields.iter_mut().zip(elements(value, 11)?) {
+    let mut fields = [0u64; STATS_FIELDS];
+    for (field, item) in fields.iter_mut().zip(elements(value, STATS_FIELDS)?) {
         match item {
             RespValue::Int(n) => *field = n as u64,
             other => return Err(bad(format_args!("{other:?} where a counter was due"))),
         }
     }
-    let [stored_chunks, stored_bytes, puts, dedup_hits, dedup_bytes, gets, get_hits, io_errors, cache_hits, cache_misses, cache_evictions] =
+    let [stored_chunks, stored_bytes, puts, dedup_hits, dedup_bytes, gets, get_hits, io_errors, cache_hits, cache_misses, cache_evictions, refused_puts] =
         fields;
     Ok(StoreStats {
         stored_chunks,
@@ -330,6 +352,7 @@ pub fn decode_stats(value: RespValue) -> Result<StoreStats> {
         cache_hits,
         cache_misses,
         cache_evictions,
+        refused_puts,
     })
 }
 
@@ -421,10 +444,11 @@ mod tests {
             stored_bytes: u64::MAX,
             io_errors: 9,
             cache_evictions: 12,
+            refused_puts: 5,
             ..StoreStats::default()
         };
         let fields = stats_fields(&odd);
-        put_header(&mut wire, b'*', 11);
+        put_header(&mut wire, b'*', fields.len() as i64);
         for field in fields {
             put_header(&mut wire, b':', field as i64);
         }
@@ -519,7 +543,11 @@ mod tests {
         let service = StoreService::new(store.clone() as Arc<dyn ChunkStore>);
         let mut out = Vec::new();
         (&service as &dyn ChunkService).run(vec![argv], &mut out);
-        assert_eq!(out[0], b'-', "answered -ERR");
+        assert!(out.starts_with(b"-CORRUPT "), "answered -CORRUPT");
+        assert!(matches!(
+            decode_outcomes(1, single(decode_value(&out))),
+            Err(FbError::Corrupt(_))
+        ));
         assert_eq!(store.stats().stored_chunks, 0);
     }
 

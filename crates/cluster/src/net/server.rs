@@ -7,9 +7,10 @@
 //! concurrency comes from connections (the client keeps a few per peer
 //! and uses each for one request at a time).
 
-use super::proto::Request;
+use super::proto::{Request, REFUSED};
 use crate::service::ChunkService;
 use bytes::Bytes;
+use forkbase_core::FbError;
 use forkbase_crypto::resp::{self, Commands};
 use forkbase_crypto::serve::Server;
 
@@ -20,16 +21,24 @@ pub type ChunkServer = Server<dyn ChunkService>;
 impl Commands for dyn ChunkService {
     const NAME: &'static str = "fb-chunk";
 
-    /// Answer each request in turn. A request that does not decode, is
-    /// refused (a put under a cid its chunk does not hash to) or fails
-    /// in the backend is answered `-ERR`, as is a reply the wire cannot
-    /// carry — the caller hears why instead of waiting for its timeout.
+    /// Answer each request in turn. A put under a cid its chunk does
+    /// not hash to is refused with `-CORRUPT`; a request that does not
+    /// decode or fails in the backend is answered `-ERR`, as is a reply
+    /// the wire cannot carry — the caller hears why instead of waiting
+    /// for its timeout.
     fn run(&self, batch: Vec<Vec<Bytes>>, out: &mut Vec<u8>) {
         for argv in batch {
             let at = out.len();
-            if let Err(e) = Request::decode(&argv).and_then(|req| req.answer(self, out)) {
-                out.truncate(at);
-                resp::put_error(out, &format!("ERR {e}"));
+            match Request::decode(&argv).and_then(|req| req.answer(self, out)) {
+                Ok(()) => {}
+                Err(FbError::Corrupt(what)) => {
+                    out.truncate(at);
+                    resp::put_error(out, &format!("{REFUSED} {what}"));
+                }
+                Err(e) => {
+                    out.truncate(at);
+                    resp::put_error(out, &format!("ERR {e}"));
+                }
             }
         }
     }

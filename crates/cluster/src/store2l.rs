@@ -12,9 +12,15 @@
 //! failure is counted in this view's `StoreStats::io_errors` (mirroring
 //! the durable [`LogStore`](forkbase_chunk::LogStore)'s read-failure
 //! contract) so [`Cluster::node_stats`](crate::Cluster::node_stats) makes
-//! a degraded peer visible.
+//! a degraded peer visible. A put the owning node *refuses* — the chunk
+//! it received does not hash to the cid it was sent under, so the link
+//! corrupted it — is [`FbError::Corrupt`] and counted apart, in
+//! `StoreStats::refused_puts`: a corrupting link and a dead peer look
+//! different there. The writer keeps a refused chunk, as it keeps one
+//! an unreachable node could not take.
 
 use crate::service::ChunkService;
+use forkbase_core::FbError;
 use forkbase_chunk::{
     CacheConfig, Chunk, ChunkCache, ChunkStore, ChunkType, PutOutcome, StoreStats,
 };
@@ -40,6 +46,9 @@ pub struct TwoLayerStore {
     /// Transport/service failures observed by this view. Folded into
     /// `stats().io_errors`.
     io_errors: AtomicU64,
+    /// Puts an owning node refused as corrupt. Folded into
+    /// `stats().refused_puts`.
+    refused: AtomicU64,
 }
 
 impl TwoLayerStore {
@@ -69,6 +78,7 @@ impl TwoLayerStore {
             local_idx,
             remote_cache: cache.enabled.then(|| ChunkCache::new(&cache)),
             io_errors: AtomicU64::new(0),
+            refused: AtomicU64::new(0),
         }
     }
 
@@ -82,6 +92,14 @@ impl TwoLayerStore {
 
     fn record_io_error(&self) {
         self.io_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count a put that failed: refused as corrupt, or not answered.
+    fn record_put_error(&self, e: &FbError) {
+        match e {
+            FbError::Corrupt(_) => self.refused.fetch_add(1, Ordering::Relaxed),
+            _ => self.io_errors.fetch_add(1, Ordering::Relaxed),
+        };
     }
 
     /// Keep a chunk that lives on (or was just sent to) `node` in the
@@ -106,6 +124,13 @@ impl TwoLayerStore {
     /// (also folded into `stats().io_errors`).
     pub fn transport_errors(&self) -> u64 {
         self.io_errors.load(Ordering::Relaxed)
+    }
+
+    /// Puts (or per-node shares of a batch) an owning node refused as
+    /// corrupt, which fell back to the local store (also folded into
+    /// `stats().refused_puts`).
+    pub fn refused_puts(&self) -> u64 {
+        self.refused.load(Ordering::Relaxed)
     }
 
     /// The non-empty per-node shares of a batch, this servlet's own node
@@ -214,15 +239,16 @@ impl ChunkStore for TwoLayerStore {
                 self.cache_if_remote(node, &chunk);
                 outcome
             }
-            Err(_) => {
-                // The owning node is unreachable. Acking Stored with the
-                // chunk held only in the evictable cache would turn a
-                // transient blip into silent data loss — so the chunk
-                // falls back into the local store (content-addressed:
-                // any node may hold it) where it stays durable and
-                // readable through the local-first get path, and the
-                // failure is latched in io_errors.
-                self.record_io_error();
+            Err(e) => {
+                // The owning node is unreachable or refused the chunk.
+                // Acking Stored with the chunk held only in the evictable
+                // cache would turn a transient blip into silent data
+                // loss — so the chunk falls back into the local store
+                // (content-addressed: any node may hold it) where it
+                // stays durable and readable through the local-first get
+                // path, and the failure is latched in io_errors or
+                // refused.
+                self.record_put_error(&e);
                 self.local.put(chunk)
             }
         }
@@ -271,8 +297,12 @@ impl ChunkStore for TwoLayerStore {
                         self.cache_if_remote(*node, &chunks[i]);
                     }
                 }
-                _ => {
+                Ok(_) => {
                     self.record_io_error();
+                    fallen.extend(slots);
+                }
+                Err(e) => {
+                    self.record_put_error(&e);
                     fallen.extend(slots);
                 }
             }
@@ -312,6 +342,7 @@ impl ChunkStore for TwoLayerStore {
             stats.cache_evictions += cache.evictions();
         }
         stats.io_errors += self.io_errors.load(Ordering::Relaxed);
+        stats.refused_puts += self.refused.load(Ordering::Relaxed);
         stats
     }
 }

@@ -346,7 +346,10 @@ fn a_put_changed_in_flight_is_refused_and_kept_by_its_writer() {
     assert_eq!(server.counters().requests, 1, "the put reached the node");
     assert_eq!(stores[1].stats().stored_chunks, 0, "and was refused there");
     assert!(stores[0].contains(&chunk.cid()), "the writer kept it");
-    assert_eq!(view.transport_errors(), 1);
+    assert_eq!(view.transport_errors(), 0, "a refusal is no lost peer");
+    assert_eq!(view.refused_puts(), 1);
+    assert_eq!(view.stats().refused_puts, 1);
+    assert_eq!(view.stats().io_errors, 0);
     view.clear_remote_cache();
     assert_eq!(view.get(&chunk.cid()), Some(chunk));
     drop(view);
