@@ -75,13 +75,19 @@ pub fn background<T>(f: impl FnOnce() -> T) -> T {
 }
 
 // Both thresholds below come from one measurement, `pool`'s ignored test
-// `measure_worker_wake_latency` on the 2-core reference host (three runs,
-// recorded in EXPERIMENTS.md "Block commit (PR 18)"): a parked worker
-// starts a job 45 / 49 / 56 µs (medians; 66 µs inside a block commit,
-// where the caches are not the test's) after it was sent, and one core
-// hashes 1.44–1.48 GB/s — so **one wake costs what hashing 65–82 KB
-// costs**, call it 70 KB. The hand-off itself, a channel send, is a few
-// microseconds; the wait for the worker to get going is the price.
+// `measure_worker_wake_latency` on the 2-core reference host. When they
+// were set (three runs, EXPERIMENTS.md "Block commit") a parked
+// worker started a job 45 / 49 / 56 µs (medians; 66 µs inside a block
+// commit, where the caches are not the test's) after it was sent, and
+// one core hashed 1.44–1.48 GB/s — so **one wake cost what hashing
+// 65–82 KB costs**, call it 70 KB. The hand-off itself, a channel send,
+// is a few microseconds; the wait for the worker to get going is the
+// price. Three runs on the same host later (EXPERIMENTS.md "Core
+// budget") read 32 / 37 / 43 µs after 2 ms parked at 1.36–1.46 GB/s,
+// 46–62 KB hashed, and showed the wake growing with idle time: 6–8 µs
+// within 50 µs of the worker's last job, 14–22 µs after 0.2–1 ms, 36–43
+// µs after 5 ms. The thresholds stay where the parked case put them: a
+// batch that opens a burst meets a parked worker.
 
 /// Minimum total payload bytes before a batch is split across the worker
 /// pool. Split in two, a batch of `T` bytes is done when the worker is:

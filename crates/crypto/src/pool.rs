@@ -6,15 +6,21 @@
 //! hashes one mid-size batch per tree, so the spawn cost never amortized.
 //! This module keeps a fixed set of workers parked on a channel for the
 //! lifetime of the process: a batch costs one channel send and one
-//! wakeup per worker. The wakeup is not free — a parked worker starts a
-//! job some 50–70 µs after the send — and the thresholds in `parallel.rs`
-//! are derived from that measurement.
+//! wakeup per worker. The wakeup is not free, and it grows with how long
+//! the pool has been idle: on the 2-core reference host a worker starts
+//! a job 6–8 µs after the send within 50 µs of its last job, 14–22 µs
+//! after 0.2–1 ms idle, and 32–43 µs once parked for 2–5 ms (medians of
+//! three runs of the ignored test `measure_worker_wake_latency`). The
+//! thresholds in `parallel.rs` are derived from the parked case.
 //!
 //! The pool is started on first use and sized to
 //! `available_parallelism - 1` (capped) — the submitting thread always
 //! executes one share of the batch itself, so all cores are busy without
 //! a handoff for the caller's share. Machines reporting a single hardware
-//! thread never start the pool and run everything serially.
+//! thread never start the pool and run everything serially. How many of
+//! the workers one batch may use is the submitting thread's budget,
+//! [`lanes`](crate::parallel::lanes): a thread inside
+//! [`background`](crate::parallel::background) uses one fewer.
 //!
 //! # Scoped execution
 //!
@@ -32,10 +38,9 @@
 //! [`spawn`] offers one job that owns everything it touches (`'static`)
 //! to the workers and returns at once with a [`Task`]. A producer uses it
 //! to get work hashed *while it produces more*. A parked worker takes
-//! tens of microseconds to start (see the thresholds in `parallel.rs`),
-//! so [`Task::join`] runs the job itself when no worker has got to it
-//! yet: the producer pays for a slow start with its own time at the end,
-//! never with a wait.
+//! tens of microseconds to start (see above), so [`Task::join`] runs the
+//! job itself when no worker has got to it yet: the producer pays for a
+//! slow start with its own time at the end, never with a wait.
 
 use crate::metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,10 +140,11 @@ fn pool() -> Option<&'static Pool> {
     .as_ref()
 }
 
-/// Number of shares a batch should be split into to use every available
-/// lane: the pool workers plus the submitting thread. Returns 1 when the
-/// pool is disabled (single-core hosts).
-pub fn parallelism() -> usize {
+/// Every lane there is: the pool workers plus the submitting thread.
+/// Returns 1 when the pool is disabled (single-core hosts). A batch asks
+/// [`lanes`](crate::parallel::lanes), which keeps to the submitting
+/// thread's budget.
+pub(crate) fn parallelism() -> usize {
     pool().map(|p| p.workers + 1).unwrap_or(1)
 }
 
@@ -305,23 +311,31 @@ mod tests {
     }
 
     /// Prints the two numbers the thresholds in `parallel.rs` are derived
-    /// from: how long a parked worker takes to start a job, and how many
+    /// from: how long a parked worker takes to start a job — after 2 ms
+    /// idle, and against how long the pool had been idle — and how many
     /// bytes SHA-256 hashes in that time.
     /// `cargo test --release -p forkbase-crypto --lib -- --ignored --nocapture wake`
     #[test]
     #[ignore = "a measurement, not a check"]
     fn measure_worker_wake_latency() {
         use std::time::{Duration, Instant};
-        let mut wakes: Vec<Duration> = (0..200)
-            .map(|_| {
-                std::thread::sleep(Duration::from_millis(2)); // let it park
-                let sent = Instant::now();
-                let started = spawn(Instant::now);
-                std::thread::sleep(Duration::from_millis(1)); // let it start
-                started.join().duration_since(sent)
-            })
-            .collect();
-        wakes.sort();
+        // The wake of a job sent `idle` after the pool's last one ended,
+        // p25/p50/p75 over `n` sends.
+        let wakes = |idle: Duration, n: usize| {
+            let mut wakes: Vec<Duration> = (0..n)
+                .map(|_| {
+                    std::thread::sleep(idle);
+                    let (tx, started) = channel();
+                    let sent = Instant::now();
+                    // Never joined: a join would run the job itself.
+                    let _task = spawn(move || tx.send(Instant::now()));
+                    started.recv().expect("a worker ran it").duration_since(sent)
+                })
+                .collect();
+            wakes.sort();
+            [n / 4, n / 2, n * 3 / 4].map(|i| wakes[i])
+        };
+        let parked = wakes(Duration::from_millis(2), 200);
         let buf = vec![0xA5u8; 1 << 20];
         let mut rates: Vec<f64> = (0..50)
             .map(|_| {
@@ -331,16 +345,20 @@ mod tests {
             })
             .collect();
         rates.sort_by(f64::total_cmp);
-        let (wake, rate) = (wakes[wakes.len() / 2], rates[rates.len() / 2]);
+        let (wake, rate) = (parked[1], rates[rates.len() / 2]);
         println!(
             "lanes {}: worker wake p25/p50/p75 = {:?}/{:?}/{:?}; SHA-256 {:.0} MB/s; one wake = {:.0} KB hashed",
             parallelism(),
-            wakes[wakes.len() / 4],
+            parked[0],
             wake,
-            wakes[wakes.len() * 3 / 4],
+            parked[2],
             rate / 1e6,
             wake.as_secs_f64() * rate / 1e3,
         );
+        for idle_us in [20, 50, 200, 1_000, 5_000] {
+            let [p25, p50, p75] = wakes(Duration::from_micros(idle_us), 100);
+            println!("worker wake after {idle_us} µs idle: p25/p50/p75 = {p25:?}/{p50:?}/{p75:?}");
+        }
     }
 
     #[test]
