@@ -20,10 +20,10 @@
 //! an unreachable node could not take.
 
 use crate::service::ChunkService;
-use forkbase_core::FbError;
 use forkbase_chunk::{
     CacheConfig, Chunk, ChunkCache, ChunkStore, ChunkType, PutOutcome, StoreStats,
 };
+use forkbase_core::FbError;
 use forkbase_crypto::Digest;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,10 +94,11 @@ impl TwoLayerStore {
         self.io_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count a put that failed: refused as corrupt, or not answered.
-    fn record_put_error(&self, e: &FbError) {
+    /// Count a put that failed: refused as corrupt, or not answered
+    /// (`None`: answered out of shape).
+    fn record_put_error(&self, e: Option<&FbError>) {
         match e {
-            FbError::Corrupt(_) => self.refused.fetch_add(1, Ordering::Relaxed),
+            Some(FbError::Corrupt(_)) => self.refused.fetch_add(1, Ordering::Relaxed),
             _ => self.io_errors.fetch_add(1, Ordering::Relaxed),
         };
     }
@@ -248,7 +249,7 @@ impl ChunkStore for TwoLayerStore {
                 // stays durable and readable through the local-first get
                 // path, and the failure is latched in io_errors or
                 // refused.
-                self.record_put_error(&e);
+                self.record_put_error(Some(&e));
                 self.local.put(chunk)
             }
         }
@@ -297,12 +298,8 @@ impl ChunkStore for TwoLayerStore {
                         self.cache_if_remote(*node, &chunks[i]);
                     }
                 }
-                Ok(_) => {
-                    self.record_io_error();
-                    fallen.extend(slots);
-                }
-                Err(e) => {
-                    self.record_put_error(&e);
+                other => {
+                    self.record_put_error(other.as_ref().err());
                     fallen.extend(slots);
                 }
             }

@@ -746,12 +746,6 @@ impl ForkBase {
             .unwrap_or_default()
     }
 
-    /// The hot tier itself, for its own tests.
-    #[cfg(test)]
-    pub(crate) fn hot_tier(&self) -> Option<&HotTier> {
-        self.hot.as_ref()
-    }
-
     // ---- Hot-tier surface --------------------------------------------------
 
     /// Whether this handle fronts the engine with a hot tier.
@@ -860,6 +854,14 @@ impl ForkBase {
     /// `None` with the tier off.
     pub fn hot_stats(&self) -> Option<HotTierStats> {
         self.hot.as_ref().map(|h| h.stats())
+    }
+}
+
+#[cfg(test)]
+impl ForkBase {
+    /// The hot tier itself, for its own tests.
+    pub(crate) fn hot_tier(&self) -> Option<&HotTier> {
+        self.hot.as_ref()
     }
 }
 

@@ -1585,7 +1585,10 @@ mod tests {
                 break (work, built.unwrap());
             }
             drop(p);
-            assert!(Instant::now() < deadline, "the publisher never built the round");
+            assert!(
+                Instant::now() < deadline,
+                "the publisher never built the round"
+            );
             std::thread::sleep(Duration::from_millis(1));
         };
 
@@ -1597,7 +1600,10 @@ mod tests {
         assert_eq!(cids(&built), cids(&control));
         let lanes = forkbase_crypto::parallel::lanes();
         if lanes > 1 {
-            assert!(caller.pool_jobs > 0, "a caller's build fans out: {caller:?}");
+            assert!(
+                caller.pool_jobs > 0,
+                "a caller's build fans out: {caller:?}"
+            );
         }
         let stats = db.hot_stats().unwrap();
         if lanes <= 2 {

@@ -32,9 +32,9 @@
 //! own. On a 2-core host a background thread therefore scans and hashes
 //! on its own thread, and its batches never wake a worker onto the core
 //! a caller is running on. Today that thread is the hot tier's
-//! publisher. [`lanes`] reads the budget; every fan-out of this crate
-//! (the hash batches, [`spawn`] and the parallel boundary scan) and
-//! every producer that asks it before handing work over keep to it.
+//! publisher. [`lanes`] reads the budget: the hash batches and the
+//! parallel boundary scan split by it, and a producer asks it before it
+//! [`spawn`]s.
 
 use crate::digest::Digest;
 use crate::pool;
@@ -286,11 +286,10 @@ mod tests {
         }
     }
 
-    /// Inside `background` a batch over the threshold, a detached job and
-    /// a boundary scan over the scan threshold fan out over one pool
-    /// worker fewer — on a 2-lane host over none — and return what they
-    /// return outside; the budget comes back when the scope ends, by
-    /// return or by unwind.
+    /// Inside `background` a batch over the threshold and a boundary scan
+    /// over the scan threshold fan out over one pool worker fewer — on a
+    /// 2-lane host over none — and return what they return outside; the
+    /// budget comes back when the scope ends, by return or by unwind.
     #[test]
     fn a_background_batch_keeps_to_its_budget() {
         let payloads: Vec<Vec<u8>> = (0..40).map(|i| pseudo_random(20_000, 300 + i)).collect();
@@ -307,8 +306,6 @@ mod tests {
         let (got, scoped, ran) = background(|| {
             let before = crate::metrics::snapshot();
             let got = hash_tagged_batch(&inputs);
-            let detached = spawn(|| crate::hash_bytes(b"detached")).join();
-            assert_eq!(detached, crate::hash_bytes(b"detached"));
             assert_eq!(crate::pattern_hits(&scanned, &cfg), cuts);
             (got, lanes(), crate::metrics::snapshot().since(before))
         });
@@ -317,9 +314,8 @@ mod tests {
         if all > 1 {
             assert!(caller.pool_jobs > 0 && caller.pool_bytes > 0, "{caller:?}");
         }
-        // The batch's and the scan's shares past the thread's own, and
-        // the detached job.
-        assert!(ran.pool_jobs <= 2 * (scoped as u64 - 1) + 1, "{ran:?}");
+        // The batch's and the scan's shares past the thread's own.
+        assert!(ran.pool_jobs <= 2 * (scoped as u64 - 1), "{ran:?}");
         if all <= 2 {
             assert_eq!((ran.pool_jobs, ran.pool_bytes), (0, 0));
         }

@@ -265,8 +265,8 @@ impl<T> Task<T> {
 
 /// Offer `job` to the pool workers while the caller carries on; see the
 /// module docs. A [`Task`] dropped unjoined lets the job run unseen. With
-/// no worker in the caller's budget ([`lanes`](crate::parallel::lanes)
-/// is 1) the job simply runs at `join`.
+/// no pool (single hardware thread) the job simply runs at `join`. A
+/// producer asks [`lanes`](crate::parallel::lanes) before it spawns.
 pub fn spawn<T, F>(job: F) -> Task<T>
 where
     T: Send + 'static,
@@ -274,7 +274,7 @@ where
 {
     let job: Offered<T> = Arc::new(Mutex::new(Some(Box::new(job))));
     let (done, result) = channel();
-    if let Some(pool) = pool().filter(|_| crate::parallel::lanes() > 1) {
+    if let Some(pool) = pool() {
         let offered = Arc::clone(&job);
         let run = move || {
             let taken = offered.lock().unwrap_or_else(|e| e.into_inner()).take();
@@ -329,7 +329,10 @@ mod tests {
                     let sent = Instant::now();
                     // Never joined: a join would run the job itself.
                     let _task = spawn(move || tx.send(Instant::now()));
-                    started.recv().expect("a worker ran it").duration_since(sent)
+                    started
+                        .recv()
+                        .expect("a worker ran it")
+                        .duration_since(sent)
                 })
                 .collect();
             wakes.sort();
