@@ -9,9 +9,10 @@
 //! | `STATS`                  | an array of integers: [`StoreStats`]' fields in declaration order |
 //!
 //! Every request is an array of bulk strings; a refused put is answered
-//! `-CORRUPT message` and any other failure `-ERR message`. A chunk travels as one bulk in its canonical form
-//! (`[type: u8][payload…]`), written from its [`Bytes`] once, and a
-//! decoded chunk's payload is a slice of the message it arrived in.
+//! `-CORRUPT message` and any other failure `-ERR message`. A chunk
+//! travels as one bulk in its canonical form (`[type: u8][payload…]`),
+//! written from its [`Bytes`] once, and a decoded chunk's payload is a
+//! slice of the message it arrived in.
 //!
 //! Both directions are tamper-evident without a checksum of their own,
 //! and without hashing anything twice:

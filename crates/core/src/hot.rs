@@ -32,13 +32,13 @@
 //!   overlay, off the caller's path, where consecutive blocks share their
 //!   rewritten leaves; the persist that seals the next round stores and
 //!   commits them (any barrier that needs the round first does so
-//!   itself). The publisher hashes and scans under the hash pool's
-//!   background budget
+//!   itself). Which edits a round holds, and when its chunks reach the
+//!   store, therefore follow the caller's calls and never the
+//!   publisher's timing: the same calls store the same bytes. The
+//!   publisher hashes and scans under the hash pool's background budget
 //!   ([`background`](forkbase_crypto::parallel::background)): on a
 //!   2-core host it works on its own thread and never wakes a pool
-//!   worker onto the callers' core. Which edits a round holds, and when its chunks reach the
-//!   store, therefore follow the caller's calls and never the
-//!   publisher's timing: the same calls store the same bytes.
+//!   worker onto the callers' core.
 //!
 //! Every accepted edit is numbered. A key's branch table keeps a *hot
 //! mark* that moves with its head: the key's edits numbered below it are
