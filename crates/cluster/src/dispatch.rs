@@ -65,8 +65,8 @@ impl Cluster {
     }
 
     /// Per-node merged stats — local storage counters plus each
-    /// servlet's remote-cache hits/misses and observed transport
-    /// errors. Over TCP this is a `STATS` request to every node (the
+    /// servlet's remote-cache hits/misses, observed transport errors and
+    /// puts its peers refused as corrupt. Over TCP this is a `STATS` request to every node (the
     /// command peers use), so a dead node surfaces as `Err` rather than
     /// a row of zeros.
     pub fn node_stats(&self) -> Result<Vec<StoreStats>> {

@@ -92,7 +92,8 @@ impl ChunkService for Servlet {
     }
 
     /// The node's merged view: local storage counters, plus the
-    /// remote-cache tier and transport errors when running two-layer.
+    /// remote-cache tier, transport errors and refused puts when running
+    /// two-layer.
     fn stats(&self) -> forkbase_core::Result<StoreStats> {
         Ok(match &self.view2l {
             Some(view) => view.stats(),
