@@ -8,7 +8,9 @@
 //!   This is the cached-tree path the repo has benched since PR 5, now
 //!   at the engine surface.
 //! * `hot` — tier on: reads are flat hash-map hits, updates land in the
-//!   tier and drain through the background publisher's group commits.
+//!   tier and reach the tree in group commits: a writer that finds the
+//!   queue full seals it as a round built on a thread of its own, and
+//!   the next seal (or the flush between samples) commits it.
 //!
 //! Both variants run over a durable `LogStore` in a temp dir with the
 //! default cache, preloaded with the same working set, serving the same

@@ -40,12 +40,12 @@
 //! * **a block's state is durable when [`flush_state`](ChainStore::flush_state)
 //!   returns; the tree catches up in the background**: on a durable
 //!   instance with the tier on, the block's state writes are journaled
-//!   (one small Blob and one checkpoint, one fsync) and the hot tier's
-//!   publisher builds the state map's new leaves off the block's path,
-//!   in rounds the blocks cut: the block that seals a round commits the
-//!   one built before it, so one block sequence stores the same bytes
-//!   every run. [`checkpoint`](ChainStore::checkpoint) publishes
-//!   everything.
+//!   (one small Blob and one checkpoint, one fsync) and the hot tier
+//!   builds the state map's new leaves off the block's path, on a thread
+//!   per round, in rounds the blocks cut: the block that seals a round
+//!   commits the one built before it, so one block sequence stores the
+//!   same bytes every run. [`checkpoint`](ChainStore::checkpoint)
+//!   publishes everything.
 //!
 //! Durable instances ([`ChainStore::open`]) get the full PR-4/5 stack:
 //! group-commit log segments, auto-restore from the log's last root
@@ -102,8 +102,10 @@ pub struct ChainConfig {
     pub cache: CacheConfig,
     /// Hot-state tier for the [`state_get`](ChainStore::state_get) /
     /// [`state_put`](ChainStore::state_put) surface. Disabled by
-    /// default; enable for hash-map-speed tip state with a bounded
-    /// publish window.
+    /// default; enable for hash-map-speed tip state. A crash then loses
+    /// the state writes since the last
+    /// [`flush_state`](ChainStore::flush_state) or
+    /// [`checkpoint`](ChainStore::checkpoint).
     pub hot: HotTierConfig,
 }
 
@@ -427,7 +429,7 @@ impl ChainStore {
     }
 
     /// Write one chain-state entry. With the hot tier on this is a flat
-    /// index write drained to the tree by the background publisher;
+    /// index write that reaches the tree in a round a later call cuts;
     /// with the tier off it is a synchronous one-edit map commit.
     pub fn state_put(&self, subkey: impl Into<Bytes>, value: impl Into<Bytes>) -> Result<()> {
         self.db.hot_put(STATE_KEY, subkey, value)

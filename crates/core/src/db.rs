@@ -36,11 +36,11 @@ use std::sync::{Arc, Mutex};
 /// The branch written when no branch is given (§3.1).
 pub const DEFAULT_BRANCH: &str = "master";
 
-/// What a handle and its hot-tier publisher share: the chunk store, the
-/// branch tables, and the commit pipeline over them
+/// What a handle and its hot tier share: the chunk store, the branch
+/// tables, and the commit pipeline over them
 /// ([`commit_all`](Engine::commit_all), in [`crate::commit`]). Nothing
-/// here knows the hot tier — the publisher commits through it without
-/// meeting itself.
+/// here knows the hot tier — its rounds commit through it without
+/// meeting the tier itself.
 pub(crate) struct Engine {
     pub(crate) store: Arc<dyn ChunkStore>,
     pub(crate) cfg: ChunkerConfig,
@@ -52,7 +52,7 @@ pub(crate) struct Engine {
     /// The read-tier chunk cache when one was configured at open.
     cache: Option<Arc<ShardedCache>>,
     /// Serializes [`commit_checkpoint`](Self::commit_checkpoint): the
-    /// hot-tier publisher checkpoints after publish rounds while flushes
+    /// hot tier checkpoints after its drains and persists while flushes
     /// and callers checkpoint too, and the root records must enter the
     /// log in the order the branch tables were captured (an older capture
     /// landing last would be the one a reopen restores).
@@ -174,7 +174,7 @@ fn load_branches(
 /// hot-state tier (see [`crate::hot`]).
 ///
 /// With the tier on, `hot_*` writes to a key's **default branch** sit in
-/// the flat index until the publisher commits them. Every other method
+/// the flat index until a round commits them. Every other method
 /// sees them committed: a write to the default branch first publishes
 /// the key's pending edits and drops its flat entries (the write makes
 /// them stale), and a read of a key's branch table first publishes them
@@ -294,14 +294,14 @@ impl ForkBase {
             ckpt_lock: Mutex::new(()),
             checkpoints: AtomicU64::new(0),
         });
-        let hot = HotTier::spawn(Arc::clone(&core), hot);
+        let hot = HotTier::new(Arc::clone(&core), hot);
         ForkBase { core, hot }
     }
 
     /// How many times [`commit_checkpoint`](Self::commit_checkpoint) has
-    /// moved this instance's recovery point (the hot tier's publisher
-    /// included). Each one costs a checkpoint chunk and a log fsync, so
-    /// this is the number to watch when a commit barrier seems slow.
+    /// moved this instance's recovery point (the hot tier's included).
+    /// Each one costs a checkpoint chunk and a log fsync, so this is the
+    /// number to watch when a commit barrier seems slow.
     pub fn checkpoints_committed(&self) -> u64 {
         self.core.checkpoints.load(Ordering::Relaxed)
     }
@@ -767,9 +767,12 @@ impl ForkBase {
 
     /// Write `subkey = value` into `key`'s latest state. With the tier
     /// on, the write lands in the flat index immediately (visible to
-    /// [`hot_get`](Self::hot_get) before any tree work) and is drained
-    /// into the POS-Tree by the background publisher. With the tier off
-    /// it is a synchronous one-edit [`commit_map_batch`](Self::commit_map_batch).
+    /// [`hot_get`](Self::hot_get) before any tree work) and reaches the
+    /// POS-Tree in the next round a call cuts (see [`crate::hot`]): a
+    /// barrier such as [`flush_hot`](Self::flush_hot), or a seal by
+    /// [`persist_hot`](Self::persist_hot) or by a writer that finds the
+    /// queue full. With the tier off it is a synchronous one-edit
+    /// [`commit_map_batch`](Self::commit_map_batch).
     pub fn hot_put(
         &self,
         key: impl Into<Bytes>,
@@ -811,6 +814,8 @@ impl ForkBase {
     /// the result. When this returns, every `hot_put` that happened
     /// before the call is committed (crash-recoverable on durable
     /// instances); per-key uids are readable via [`head`](Self::head).
+    /// On a durable instance with the tier on, a crash loses exactly the
+    /// edits accepted since the last `flush_hot` or `persist_hot`.
     /// With the tier off the writes were synchronous, and only the
     /// checkpoint is left to take.
     pub fn flush_hot(&self) -> Result<()> {
@@ -831,10 +836,10 @@ impl ForkBase {
     /// once into a journal Blob and one checkpoint lists it — one
     /// `write`, one fsync, no tree work — and a reopen publishes what the
     /// tree did not hold yet. The tree work goes in rounds the persists
-    /// cut: once `4 × publish_batch` edits wait, a persist seals them,
-    /// the publisher builds their trees in the background, and the
-    /// persist that seals the next round stores and commits them (see
-    /// [`crate::hot`]) — so the same calls store the same bytes. A
+    /// cut: once `4 × publish_batch` edits wait, a persist seals them, a
+    /// thread of the round's own builds their trees in the background,
+    /// and the persist that seals the next round stores and commits them
+    /// (see [`crate::hot`]) — so the same calls store the same bytes. A
     /// persist with at least `publish_batch` new edits publishes them
     /// instead, as `flush_hot` does. In memory, or with the tier off
     /// (where `hot_put` is already a tree commit), this is `flush_hot`.
@@ -1411,7 +1416,7 @@ mod tests {
         let hot = HotTierConfig {
             enabled: true,
             publish_batch: 8, // a persist with 32 queued edits seals them
-            publish_interval: std::time::Duration::from_secs(3600),
+            ..HotTierConfig::on()
         };
         let db = ForkBase::open_with(
             &dir,
@@ -1429,7 +1434,7 @@ mod tests {
             db.hot_put_many("k", edits).expect("hot put");
             db.persist_hot().expect("persist");
         }
-        std::thread::sleep(std::time::Duration::from_millis(200)); // let the publisher build
+        std::thread::sleep(std::time::Duration::from_millis(200)); // let the round's build end
         let mut direct = WriteBatch::new();
         direct.put(sk(40), "tree");
         let edits = Payload::MapEdits(direct);

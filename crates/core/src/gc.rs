@@ -146,7 +146,7 @@ pub fn compact_in_place(db: &ForkBase) -> Result<GcReport> {
     // it first and pin it explicitly: `compact_retain` carries the root
     // record over only with its chunk. Going through the handle also
     // publishes any pending hot-tier edits first — compaction must not
-    // race the publisher over chunks it is about to retire.
+    // race a hot-tier round over chunks it is about to retire.
     let checkpoint = db.commit_checkpoint()?;
     let (mut live, live_versions) = live_set(db)?;
     live.insert(checkpoint);

@@ -8,34 +8,38 @@
 //! * **Hot state** — per engine key, a hash map from subkey to latest
 //!   value (`None` = tombstone). Point reads and writes are one table
 //!   probe: no chunk fetch, no tree traversal, no hashing of content.
-//! * **Pending queue** — every hot write is also enqueued (bounded, with
-//!   backpressure once the queue holds `8 × publish_batch` edits).
-//! * **Publisher** — a background thread group-publishes the queue into
-//!   the POS-Tree once `publish_batch` edits wait that no persist has
-//!   covered, or the oldest of them has waited `publish_interval`: one
-//!   map-edits [`Commit`] per key, the whole round as one pass of the
-//!   commit pipeline ([`crate::commit`]). It then advances the durable
-//!   recovery point so a crash loses at most the edits still queued —
-//!   the *publish window*. A round takes the queue only while no other
-//!   round is in flight, so a key's edits reach the tree in the order
-//!   they came.
+//! * **Pending queue** — every hot write is also enqueued. The queue
+//!   holds up to `8 × publish_batch` edits; a writer that finds it full
+//!   seals a round itself (see staged rounds) instead of waiting.
+//! * **Publish rounds** — the barriers publish the queue into the
+//!   POS-Tree: [`ForkBase::flush_hot`](crate::ForkBase::flush_hot), the
+//!   drain before a tree access to a key, a checkpoint and a clean
+//!   close. A round is one map-edits [`Commit`] per key, the whole round
+//!   as one pass of the commit pipeline ([`crate::commit`]). A round
+//!   takes the queue only while no other round is in flight, so a key's
+//!   edits reach the tree in the order they came. No clock and no count
+//!   cuts a round: on a durable instance, a crash loses exactly the
+//!   edits accepted since the last barrier or persist.
 //! * **Persisted journal** — on a durable instance,
-//!   [`ForkBase::persist_hot`](crate::ForkBase::persist_hot) closes the
-//!   window without publishing: the edits accepted since the last
-//!   persist are encoded once into a journal Blob, and a checkpoint
-//!   listing every journal Blob the tree does not yet hold is committed
-//!   (one `write`, one fsync). A reopen replays the listed journals into
-//!   the tree.
-//! * **Staged rounds** — persisted edits reach the tree in rounds the
-//!   persists cut: once half the queue is waiting, a persist *seals* it.
-//!   The publisher builds the sealed round's trees into a private
-//!   overlay, off the caller's path, where consecutive blocks share their
-//!   rewritten leaves; the persist that seals the next round stores and
-//!   commits them (any barrier that needs the round first does so
-//!   itself). Which edits a round holds, and when its chunks reach the
-//!   store, therefore follow the caller's calls and never the
-//!   publisher's timing: the same calls store the same bytes. The
-//!   publisher hashes and scans under the hash pool's background budget
+//!   [`ForkBase::persist_hot`](crate::ForkBase::persist_hot) makes the
+//!   accepted edits durable without publishing them: the edits accepted
+//!   since the last persist are encoded once into a journal Blob, and a
+//!   checkpoint listing every journal Blob the tree does not yet hold is
+//!   committed (one `write`, one fsync). A reopen replays the listed
+//!   journals into the tree.
+//! * **Staged rounds** — queued edits reach the tree in rounds the calls
+//!   cut: once half the queue is waiting, a persist *seals* it, and so
+//!   does a writer that finds the queue full. The seal starts a thread of
+//!   the round's own (`fb-hot-build`) that builds the round's trees into
+//!   a private overlay, off the caller's path, where consecutive blocks
+//!   share their rewritten leaves; the next seal joins that thread,
+//!   stores the chunks and commits the trees (any barrier that needs the
+//!   round first does so itself). A round whose build fails, or whose
+//!   thread could not be started, commits as map edits. Which edits a
+//!   round holds, and when its chunks reach the store, therefore follow
+//!   the caller's calls and never the build's timing: the same calls
+//!   store the same bytes. The build hashes and scans under the hash
+//!   pool's background budget
 //!   ([`background`](forkbase_crypto::parallel::background)): on a
 //!   2-core host it works on its own thread and never wakes a pool
 //!   worker onto the callers' core.
@@ -57,8 +61,8 @@
 //! [`ForkBase`](crate::ForkBase) keeps the two in step at exactly two
 //! points — before a commit writes a key's default branch (`drain_key`
 //! and `invalidate`) and before a branch table is read (`drain_key`, or
-//! `publish_all`) — and the publisher commits through the `Engine`
-//! underneath the handle, so it never meets that coordination itself.
+//! `publish_all`) — and rounds commit through the `Engine` underneath
+//! the handle, so they never meet that coordination themselves.
 
 use crate::commit::{Commit, Payload};
 use crate::db::{Engine, DEFAULT_BRANCH};
@@ -71,7 +75,7 @@ use forkbase_crypto::fx::FxHashMap;
 use forkbase_crypto::Digest;
 use forkbase_pos::{Blob, Map, WriteBatch};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,29 +83,30 @@ use std::time::{Duration, Instant};
 /// Hot-tier configuration for [`ForkBase::open_with`](crate::ForkBase::open_with).
 #[derive(Debug, Clone)]
 pub struct HotTierConfig {
-    /// Front the engine with the hot tier. Off by default — the tier
-    /// trades a bounded publish window of crash loss for hash-map-speed
-    /// point access, and that trade must be opted into.
+    /// Front the engine with the hot tier. Off by default — on a durable
+    /// instance the tier trades the edits accepted since the last
+    /// `persist_hot` or `flush_hot`, which a crash loses, for
+    /// hash-map-speed point access, and that trade must be opted into.
     pub enabled: bool,
-    /// Count of pending edits no persist has covered that triggers an
-    /// immediate publish round. The queue accepts up to 8× this before
-    /// writers block (backpressure); a persist seals a staged round at
-    /// 4× this.
+    /// The tier's one size. The queue holds up to 8× this many edits
+    /// before a writer seals a round itself; a persist seals a round once
+    /// 4× this many wait; and a persist of this many new edits or more
+    /// publishes them instead of journaling them.
     pub publish_batch: usize,
-    /// Maximum time an edit no persist has covered waits before a
-    /// publish round picks it up, batch full or not. This bounds the
-    /// crash-loss window on durable instances.
+    /// Read by nothing: calls cut every round, never a clock.
+    #[deprecated(note = "calls cut every hot-tier round; this field does nothing")]
+    #[doc(hidden)]
     pub publish_interval: Duration,
 }
 
 impl HotTierConfig {
-    /// The tier enabled with default batching (512-edit rounds, 20 ms
-    /// interval).
+    /// The tier enabled with 512-edit batches.
+    #[allow(deprecated)]
     pub fn on() -> Self {
         HotTierConfig {
             enabled: true,
             publish_batch: 512,
-            publish_interval: Duration::from_millis(20),
+            publish_interval: Duration::ZERO,
         }
     }
 
@@ -143,9 +148,9 @@ pub struct HotTierStats {
     pub journaled: u64,
     /// Encoded bytes of those journal Blobs.
     pub journal_bytes: u64,
-    /// Hash-pool jobs that pool workers ran for the publisher thread
-    /// (its builds of staged rounds and its own rounds), and the bytes
-    /// they scanned and hashed. Read after each of its rounds and builds.
+    /// Hash-pool jobs that pool workers ran for the builds of staged
+    /// rounds, and the bytes they scanned and hashed. Each build adds its
+    /// own when it ends.
     pub pool_jobs: u64,
     /// See [`pool_jobs`](Self::pool_jobs).
     pub pool_bytes: u64,
@@ -177,17 +182,22 @@ struct Built {
 }
 
 /// The round the last seal took (see the module docs), on its way to
-/// the tree. Its keys are in flight throughout.
-#[derive(Default)]
-enum Staged {
-    #[default]
-    None,
-    /// Sealed; the publisher has not picked it up.
-    Sealed(Round),
-    /// The publisher is building its trees.
-    Building,
-    /// Built: the round, and its trees or why they could not be built.
-    Built(Round, Result<Built>),
+/// the tree, and the thread building its trees — `None` if none could
+/// be started. Its keys are in flight until it is committed.
+struct Staged {
+    round: Arc<Round>,
+    build: Option<JoinHandle<Result<Built>>>,
+}
+
+impl Staged {
+    /// The round, with its trees once its build has ended. A build that
+    /// failed (or panicked, or never ran) leaves none: committing the
+    /// round's edits as map edits meets its error again and poisons the
+    /// tier, as any round would.
+    fn join(self) -> (Arc<Round>, Option<Built>) {
+        let built = self.build.and_then(|build| build.join().ok());
+        (self.round, built.and_then(Result::ok))
+    }
 }
 
 /// The durable side of the tier: what the next persist writes, and the
@@ -205,9 +215,9 @@ struct Journal {
     blobs: Vec<(Digest, u64)>,
 }
 
-/// Pending (unpublished) edits, guarded by one mutex with two condvars:
-/// `work` wakes the publisher, `room` wakes writers blocked on
-/// backpressure and drain/flush callers waiting out an in-flight round.
+/// Pending (unpublished) edits, guarded by one mutex; its condvar
+/// `landed` wakes the callers that wait out a round in flight.
+#[derive(Default)]
 struct Pending {
     edits: FxHashMap<Bytes, Queued>,
     total: usize,
@@ -219,12 +229,7 @@ struct Pending {
     /// the key to leave, or a subsequent tree access could observe a
     /// head about to move.
     inflight: FxHashMap<Bytes, u64>,
-    /// Queued edits no persist has covered and no round has taken —
-    /// what the publisher's own triggers count — and when the oldest of
-    /// them came.
-    unpersisted: usize,
-    window_since: Option<Instant>,
-    staged: Staged,
+    staged: Option<Staged>,
     journal: Journal,
     /// First publish error, if any. A poisoned tier fails all further
     /// hot writes/flushes — the flat index may be ahead of a tree that
@@ -233,21 +238,6 @@ struct Pending {
 }
 
 impl Pending {
-    /// The staged round, with its trees once built; `None` while there
-    /// is none or the publisher is building it. A build error is
-    /// dropped: committing the round's edits as map edits meets it
-    /// again and poisons the tier, as a publish round would.
-    fn take_staged(&mut self) -> Option<(Round, Option<Built>)> {
-        match std::mem::take(&mut self.staged) {
-            Staged::Sealed(work) => Some((work, None)),
-            Staged::Built(work, built) => Some((work, built.ok())),
-            other => {
-                self.staged = other;
-                None
-            }
-        }
-    }
-
     /// Every edit numbered below this is in the tree: none of them is
     /// queued or in a round still in flight.
     fn floor(&self) -> u64 {
@@ -276,9 +266,7 @@ struct Shared {
     /// tree writes invalidate by removing the whole slot.
     state: RwLock<FxHashMap<Bytes, Arc<RwLock<HotMap>>>>,
     pending: Mutex<Pending>,
-    work: Condvar,
-    room: Condvar,
-    stop: AtomicBool,
+    landed: Condvar,
     /// Serializes persists, so journal Blobs are listed in edit order.
     persist_lock: Mutex<()>,
     hits: AtomicU64,
@@ -299,22 +287,10 @@ impl Shared {
     }
 
     /// Queued edits at which a persist seals a round: half the queue, so
-    /// the round filling up stays clear of backpressure (which would let
-    /// the publisher's timing cut the round instead).
+    /// the round filling up stays clear of a full queue (which would let
+    /// a writer cut the round instead).
     fn seal_at(&self) -> usize {
         (self.queue_cap() / 2).max(1)
-    }
-
-    /// How long until the publisher takes the queue on its own: at once
-    /// when `publish_batch` unpersisted edits wait or writers wait for
-    /// room, when the oldest unpersisted edit has waited
-    /// `publish_interval` otherwise, and `None` while none waits.
-    fn due_in(&self, p: &Pending) -> Option<Duration> {
-        if p.unpersisted >= self.cfg.publish_batch || p.total >= self.queue_cap() {
-            return Some(Duration::ZERO);
-        }
-        let since = p.window_since?;
-        Some(self.cfg.publish_interval.saturating_sub(since.elapsed()))
     }
 
     fn slot(&self, key: &Bytes) -> Arc<RwLock<HotMap>> {
@@ -335,17 +311,67 @@ impl Shared {
     }
 
     /// Take the whole queue, marking every taken key in-flight. Caller
-    /// must clear `inflight` (and notify `room`) when done, and take only
+    /// must publish the round (which clears `inflight`), and take only
     /// while no round is in flight: two rounds holding one key race to
     /// its head, and the one taken first, publishing last, would put its
     /// older edits over the newer ones.
     fn take_all(p: &mut Pending) -> Round {
         let work = std::mem::take(&mut p.edits);
-        (p.total, p.unpersisted, p.window_since) = (0, 0, None);
+        p.total = 0;
         for (key, queued) in &work {
             p.inflight.insert(key.clone(), queued.first);
         }
         work
+    }
+
+    /// Once the queue holds `at` edits, commit the round staged before
+    /// (joining its build) and stage the queue as the next one, with its
+    /// trees building on a thread of their own.
+    fn seal(self: &Arc<Self>, at: usize) -> Result<()> {
+        let mut p = self.pending.lock().expect("pending lock");
+        loop {
+            if let Some(msg) = &p.poisoned {
+                return Err(Shared::poison_err(msg));
+            }
+            if p.total < at {
+                return Ok(());
+            }
+            if let Some(staged) = p.staged.take() {
+                drop(p);
+                self.commit_staged(staged)?;
+                p = self.pending.lock().expect("pending lock");
+            } else if !p.inflight.is_empty() {
+                p = self.landed.wait(p).expect("pending lock");
+            } else {
+                let round = Arc::new(Shared::take_all(&mut p));
+                let build = self.spawn_build(&round);
+                p.staged = Some(Staged { round, build });
+                return Ok(());
+            }
+        }
+    }
+
+    /// Start building `round`'s trees on a thread of its own, under the
+    /// hash pool's background budget: no caller waits on the build until
+    /// the round is committed. `None` if no thread could be started.
+    fn spawn_build(self: &Arc<Self>, round: &Arc<Round>) -> Option<JoinHandle<Result<Built>>> {
+        let (shared, round) = (Arc::clone(self), Arc::clone(round));
+        let build = move || {
+            forkbase_crypto::parallel::background(|| {
+                let built = shared.build(&round);
+                shared.count_pool_work();
+                built
+            })
+        };
+        let thread = std::thread::Builder::new().name("fb-hot-build".into());
+        thread.spawn(build).ok()
+    }
+
+    /// Commit a staged round, with the trees its build made if it made
+    /// them.
+    fn commit_staged(&self, staged: Staged) -> Result<()> {
+        let (round, built) = staged.join();
+        self.publish_work(&round, false, built)
     }
 
     /// Publish a taken batch — one commit per key, all in one pass of
@@ -356,12 +382,11 @@ impl Shared {
     /// a head after the round was built), commits its edits as map
     /// edits, which splice onto the head as it stands.
     ///
-    /// `checkpoint` says who owns the recovery point: the background
-    /// publisher and per-key drains pass `true` and end in a checkpoint,
-    /// taken before the marks clear (a crash loses at most the edits
-    /// still queued); `flush` and persists pass `false` and checkpoint
-    /// once themselves, after their last round.
-    fn publish_work(&self, work: Round, checkpoint: bool, built: Option<Built>) -> Result<()> {
+    /// `checkpoint` says who owns the recovery point: per-key drains pass
+    /// `true` and end in a checkpoint, taken before the marks clear;
+    /// `flush`, persists and seals pass `false` and checkpoint once
+    /// themselves, after their last round, if at all.
+    fn publish_work(&self, work: &Round, checkpoint: bool, built: Option<Built>) -> Result<()> {
         let start = Instant::now();
         let edits: usize = work.values().map(|q| q.edits.len()).sum();
         let (roots, build_ns) = match built {
@@ -418,7 +443,7 @@ impl Shared {
             }
         }
         drop(p);
-        self.room.notify_all();
+        self.landed.notify_all();
         result
     }
 
@@ -435,12 +460,12 @@ impl Shared {
         Ok(())
     }
 
-    /// Publish the pool jobs the publisher thread has run so far: it runs
-    /// nothing else, so its thread's counters are its rounds' and builds'.
+    /// Add the pool jobs the calling build thread has run: it runs
+    /// nothing else, so its thread's counters are its build's.
     fn count_pool_work(&self) {
         let ran = forkbase_crypto::metrics::snapshot();
-        self.pool_jobs.store(ran.pool_jobs, Ordering::Relaxed);
-        self.pool_bytes.store(ran.pool_bytes, Ordering::Relaxed);
+        self.pool_jobs.fetch_add(ran.pool_jobs, Ordering::Relaxed);
+        self.pool_bytes.fetch_add(ran.pool_bytes, Ordering::Relaxed);
     }
 
     /// The roots of the journal Blobs holding an edit the tree may not
@@ -546,18 +571,16 @@ impl ChunkStore for Overlay<'_> {
     }
 }
 
-/// The running hot tier owned by a [`ForkBase`](crate::ForkBase) handle:
-/// shared state plus the publisher thread. Dropping it stops the
-/// publisher and drains every pending edit into the tree (clean close
+/// The running hot tier owned by a [`ForkBase`](crate::ForkBase) handle.
+/// Dropping it publishes every pending edit into the tree (clean close
 /// loses nothing).
 pub(crate) struct HotTier {
     shared: Arc<Shared>,
-    publisher: Option<JoinHandle<()>>,
 }
 
 impl HotTier {
-    /// Spawn the tier over a shared engine. `None` when disabled.
-    pub(crate) fn spawn(engine: Arc<Engine>, cfg: HotTierConfig) -> Option<HotTier> {
+    /// The tier over a shared engine. `None` when disabled.
+    pub(crate) fn new(engine: Arc<Engine>, cfg: HotTierConfig) -> Option<HotTier> {
         if !cfg.enabled {
             return None;
         }
@@ -565,20 +588,8 @@ impl HotTier {
             engine,
             cfg,
             state: RwLock::new(FxHashMap::default()),
-            pending: Mutex::new(Pending {
-                edits: FxHashMap::default(),
-                total: 0,
-                next: 0,
-                inflight: FxHashMap::default(),
-                unpersisted: 0,
-                window_since: None,
-                staged: Staged::None,
-                journal: Journal::default(),
-                poisoned: None,
-            }),
-            work: Condvar::new(),
-            room: Condvar::new(),
-            stop: AtomicBool::new(false),
+            pending: Mutex::new(Pending::default()),
+            landed: Condvar::new(),
             persist_lock: Mutex::new(()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -591,15 +602,7 @@ impl HotTier {
             pool_jobs: AtomicU64::new(0),
             pool_bytes: AtomicU64::new(0),
         });
-        let bg = Arc::clone(&shared);
-        let publisher = std::thread::Builder::new()
-            .name("fb-hot-publish".into())
-            .spawn(move || publisher_loop(bg))
-            .expect("spawn hot publisher");
-        Some(HotTier {
-            shared,
-            publisher: Some(publisher),
-        })
+        Some(HotTier { shared })
     }
 
     /// Point read: flat index first (hit even on tombstones), committed
@@ -623,11 +626,12 @@ impl HotTier {
     }
 
     /// Enqueue a batch of edits for publication and apply it to the flat
-    /// index. Visible to [`get`](Self::get) once this returns `Ok`;
-    /// blocks only when the pending queue is at capacity. A write the
-    /// queue refuses (poisoned tier) never reaches the flat index. Both
-    /// are written under the pending lock, so concurrent writers of one
-    /// subkey land in the flat index and the queue in the same order.
+    /// index. Visible to [`get`](Self::get) once this returns `Ok`. A
+    /// writer that finds the queue full first seals it as a round (see
+    /// the module docs). A write the queue refuses (poisoned tier) never
+    /// reaches the flat index. Both are written under the pending lock,
+    /// so concurrent writers of one subkey land in the flat index and
+    /// the queue in the same order.
     pub(crate) fn put_many(&self, key: &Bytes, entries: Vec<(Bytes, Option<Bytes>)>) -> Result<()> {
         if entries.is_empty() {
             return Ok(());
@@ -635,15 +639,16 @@ impl HotTier {
         let n = entries.len();
         let cap = self.shared.queue_cap();
         let mut p = self.shared.pending.lock().expect("pending lock");
-        if let Some(msg) = &p.poisoned {
-            return Err(Shared::poison_err(msg));
-        }
-        while p.total >= cap && !self.shared.stop.load(Ordering::Acquire) {
-            self.shared.work.notify_one();
-            p = self.shared.room.wait(p).expect("pending lock");
+        loop {
             if let Some(msg) = &p.poisoned {
                 return Err(Shared::poison_err(msg));
             }
+            if p.total < cap {
+                break;
+            }
+            drop(p);
+            self.shared.seal(cap)?;
+            p = self.shared.pending.lock().expect("pending lock");
         }
         {
             let slot = self.shared.slot(key);
@@ -667,16 +672,7 @@ impl HotTier {
         queued.last = first + n as u64 - 1;
         queued.edits.extend(entries);
         p.total += n;
-        if p.unpersisted == 0 {
-            p.window_since = Some(Instant::now());
-        }
-        p.unpersisted += n;
         self.shared.writes.fetch_add(n as u64, Ordering::Relaxed);
-        let trigger = p.unpersisted >= self.shared.cfg.publish_batch;
-        drop(p);
-        if trigger {
-            self.shared.work.notify_one();
-        }
         Ok(())
     }
 
@@ -693,13 +689,13 @@ impl HotTier {
             if !p.inflight.contains_key(key) {
                 break;
             }
-            if let Some((work, built)) = p.take_staged() {
+            if let Some(staged) = p.staged.take() {
                 drop(p);
-                self.shared.publish_work(work, false, built)?;
+                self.shared.commit_staged(staged)?;
                 p = self.shared.pending.lock().expect("pending lock");
                 continue;
             }
-            p = self.shared.room.wait(p).expect("pending lock");
+            p = self.shared.landed.wait(p).expect("pending lock");
         }
         let Some(queued) = p.edits.remove(key) else {
             return Ok(());
@@ -707,9 +703,8 @@ impl HotTier {
         p.total -= queued.edits.len();
         p.inflight.insert(key.clone(), queued.first);
         drop(p);
-        self.shared.room.notify_all();
         let work = FxHashMap::from_iter([(key.clone(), queued)]);
-        self.shared.publish_work(work, true, None)
+        self.shared.publish_work(&work, true, None)
     }
 
     /// Remove `key`'s flat-index state (called after a direct tree write
@@ -732,9 +727,9 @@ impl HotTier {
     /// since the last persist into one Blob, seal a round once half the
     /// queue waits, and commit one checkpoint that lists every journal
     /// Blob the tree may not hold yet. A persist with at least
-    /// `publish_batch` new edits — as many as the publisher would take
-    /// on its own — publishes them instead, as [`flush`](Self::flush)
-    /// does; so does every persist of an in-memory instance.
+    /// `publish_batch` new edits publishes them instead, as
+    /// [`flush`](Self::flush) does; so does every persist of an
+    /// in-memory instance.
     pub(crate) fn persist(&self) -> Result<()> {
         let shared = &self.shared;
         if shared.engine.durable.is_none() {
@@ -752,7 +747,6 @@ impl HotTier {
                 drop(p);
                 return self.flush();
             }
-            (p.unpersisted, p.window_since) = (0, None);
             p.trim_journal();
             let skip = p.journal.edits.partition_point(|e| e.0 < persisted);
             p.journal.edits.range(skip..).cloned().collect::<Vec<_>>()
@@ -768,36 +762,8 @@ impl HotTier {
             shared.journaled.fetch_add(n, Ordering::Relaxed);
             shared.journal_bytes.fetch_add(size, Ordering::Relaxed);
         }
-        self.seal()?;
+        shared.seal(shared.seal_at())?;
         shared.checkpoint_if_durable()
-    }
-
-    /// Once the queue holds [`Shared::seal_at`] edits, commit the round
-    /// staged before (waiting out its build) and stage the queue as the
-    /// next one, for the publisher to build.
-    fn seal(&self) -> Result<()> {
-        let shared = &self.shared;
-        let mut p = shared.pending.lock().expect("pending lock");
-        loop {
-            if let Some(msg) = &p.poisoned {
-                return Err(Shared::poison_err(msg));
-            }
-            if p.total < shared.seal_at() {
-                return Ok(());
-            }
-            if let Some((work, built)) = p.take_staged() {
-                drop(p);
-                shared.publish_work(work, false, built)?;
-                p = shared.pending.lock().expect("pending lock");
-            } else if !p.inflight.is_empty() {
-                p = shared.room.wait(p).expect("pending lock");
-            } else {
-                p.staged = Staged::Sealed(Shared::take_all(&mut p));
-                drop(p);
-                shared.work.notify_one();
-                return Ok(());
-            }
-        }
     }
 
     /// What a checkpoint taken now must list: see
@@ -809,26 +775,24 @@ impl HotTier {
     /// [`flush`](Self::flush) without the checkpoint, for a caller that
     /// is about to take one itself.
     pub(crate) fn publish_all(&self) -> Result<()> {
+        let shared = &self.shared;
         loop {
-            let (work, built) = {
-                let mut p = self.shared.pending.lock().expect("pending lock");
-                if let Some(msg) = &p.poisoned {
-                    return Err(Shared::poison_err(msg));
-                }
-                if let Some(staged) = p.take_staged() {
-                    staged
-                } else if !p.inflight.is_empty() {
-                    let q = self.shared.room.wait(p).expect("pending lock");
-                    drop(q);
-                    continue;
-                } else if p.edits.is_empty() {
-                    return Ok(());
-                } else {
-                    (Shared::take_all(&mut p), None)
-                }
-            };
-            self.shared.room.notify_all();
-            self.shared.publish_work(work, false, built)?;
+            let mut p = shared.pending.lock().expect("pending lock");
+            if let Some(msg) = &p.poisoned {
+                return Err(Shared::poison_err(msg));
+            }
+            if let Some(staged) = p.staged.take() {
+                drop(p);
+                shared.commit_staged(staged)?;
+            } else if !p.inflight.is_empty() {
+                drop(shared.landed.wait(p).expect("pending lock"));
+            } else if p.edits.is_empty() {
+                return Ok(());
+            } else {
+                let work = Shared::take_all(&mut p);
+                drop(p);
+                shared.publish_work(&work, false, None)?;
+            }
         }
     }
 
@@ -852,24 +816,20 @@ impl HotTier {
 
 impl Drop for HotTier {
     fn drop(&mut self) {
-        // Set `stop` under the pending lock: the publisher checks it with
-        // the lock held and only lets go of the lock inside `wait`, so it
-        // either sees the flag or is already waiting when the notify
-        // lands. Stored outside the lock, the flag could slip in between
-        // its check and its wait, and it would sleep a whole interval.
-        // (A poisoned lock still excludes; Drop must not panic on it.)
-        let guard = self.shared.pending.lock();
-        self.shared.stop.store(true, Ordering::Release);
-        drop(guard);
-        self.shared.work.notify_all();
-        self.shared.room.notify_all();
-        if let Some(handle) = self.publisher.take() {
-            let _ = handle.join();
-        }
-        // Clean close loses nothing: publish what is still queued.
-        // Errors are unreportable from Drop — they stay recorded in
-        // `poisoned` for post-mortems.
+        // Clean close loses nothing: publish what is still queued or
+        // staged. Errors are unreportable from Drop — they stay recorded
+        // in `poisoned` for post-mortems. A poisoned tier commits no
+        // staged round, but the round's build still ends with the handle.
         let _ = self.flush();
+        let staged = self
+            .shared
+            .pending
+            .lock()
+            .ok()
+            .and_then(|mut p| p.staged.take());
+        if let Some(staged) = staged {
+            staged.join();
+        }
     }
 }
 
@@ -958,78 +918,16 @@ pub(crate) fn replay_journal(
     Ok(())
 }
 
-/// The publisher thread: builds staged rounds and runs its own rounds,
-/// as background work — no caller waits on it, so it keeps to the hash
-/// pool's background budget
-/// ([`forkbase_crypto::parallel::background`]) and leaves the callers'
-/// core to them.
-fn publisher_loop(shared: Arc<Shared>) {
-    forkbase_crypto::parallel::background(|| publish_until_stopped(&shared));
-}
-
-fn publish_until_stopped(shared: &Shared) {
-    let mut p = shared.pending.lock().expect("pending lock");
-    while !shared.stop.load(Ordering::Acquire) {
-        if let Staged::Sealed(_) = p.staged {
-            let Staged::Sealed(work) = std::mem::replace(&mut p.staged, Staged::Building) else {
-                unreachable!("matched above")
-            };
-            drop(p);
-            let built = shared.build(&work);
-            shared.count_pool_work();
-            p = shared.pending.lock().expect("pending lock");
-            p.staged = Staged::Built(work, built);
-            shared.room.notify_all();
-            continue;
-        }
-        match shared.due_in(&p) {
-            Some(wait) if wait.is_zero() => {}
-            wait => {
-                let wait = wait.unwrap_or(shared.cfg.publish_interval);
-                p = shared.work.wait_timeout(p, wait).expect("pending lock").0;
-                continue;
-            }
-        }
-        if p.total == 0 {
-            (p.unpersisted, p.window_since) = (0, None);
-            continue;
-        }
-        // Rounds reach the tree in order: a staged round still waiting
-        // for the persist that would commit it goes first. (Only a
-        // window trigger gets here with one; without this, writers
-        // waiting for room would wait for a persist that cannot come.)
-        let (work, built) = match p.take_staged() {
-            Some(staged) => staged,
-            None if !p.inflight.is_empty() => {
-                p = shared.room.wait(p).expect("pending lock");
-                continue;
-            }
-            None => (Shared::take_all(&mut p), None),
-        };
-        drop(p);
-        shared.room.notify_all();
-        // Publish errors poison the tier (inside publish_work); the
-        // loop keeps running so drains/flushes can observe the poison
-        // instead of hanging on inflight marks.
-        let _ = shared.publish_work(work, true, built);
-        shared.count_pool_work();
-        p = shared.pending.lock().expect("pending lock");
-    }
-    // What is still queued or staged is for `Drop` to publish, once it
-    // has joined this thread.
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::db::ForkBase;
     use crate::value::Value;
 
-    fn hot_db(publish_batch: usize, interval_ms: u64) -> ForkBase {
+    fn hot_db(publish_batch: usize) -> ForkBase {
         ForkBase::in_memory_hot(HotTierConfig {
-            enabled: true,
             publish_batch,
-            publish_interval: Duration::from_millis(interval_ms),
+            ..HotTierConfig::on()
         })
     }
 
@@ -1039,7 +937,7 @@ mod tests {
 
     #[test]
     fn hot_writes_visible_immediately_and_after_flush() {
-        let db = hot_db(1024, 1000); // big batch, long interval: we flush
+        let db = hot_db(1024); // a big queue: we flush
         db.hot_put("acct", "alice", "100").unwrap();
         db.hot_put("acct", "bob", "50").unwrap();
         assert_eq!(db.hot_get("acct", b"alice").unwrap(), Some(b("100")));
@@ -1056,7 +954,7 @@ mod tests {
 
     #[test]
     fn tombstones_shadow_committed_values() {
-        let db = hot_db(1024, 1000);
+        let db = hot_db(1024);
         db.hot_put("k", "a", "v1").unwrap();
         db.flush_hot().unwrap();
         db.hot_delete("k", "a").unwrap();
@@ -1076,7 +974,7 @@ mod tests {
 
     #[test]
     fn tree_read_observes_earlier_hot_puts() {
-        let db = hot_db(1 << 20, 10_000); // publisher effectively idle
+        let db = hot_db(1 << 20); // no seal
         db.hot_put("k", "x", "1").unwrap();
         // get() must drain the pending edit first (read-your-writes).
         let map = db.get_value("k", None).unwrap().as_map().unwrap();
@@ -1085,7 +983,7 @@ mod tests {
 
     #[test]
     fn tree_write_invalidates_hot_state() {
-        let db = hot_db(1024, 1000);
+        let db = hot_db(1024);
         db.hot_put("k", "a", "hot").unwrap();
         db.flush_hot().unwrap();
         assert_eq!(db.hot_get("k", b"a").unwrap(), Some(b("hot")));
@@ -1106,7 +1004,7 @@ mod tests {
             HotTierConfig {
                 enabled: true,
                 publish_batch: 1 << 20,
-                publish_interval: Duration::from_secs(3600),
+                ..HotTierConfig::on()
             },
         );
         db.hot_put("k", "a", "1").unwrap();
@@ -1132,7 +1030,7 @@ mod tests {
     #[test]
     fn renaming_or_removing_the_default_branch_drops_hot_state() {
         for remove in [false, true] {
-            let db = hot_db(1 << 20, 3_600_000);
+            let db = hot_db(1 << 20);
             db.hot_put("k", "a", "1").unwrap();
             if remove {
                 db.fork("k", "master", "kept").unwrap();
@@ -1146,50 +1044,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn background_publisher_drains_without_flush() {
-        let db = hot_db(4, 5);
-        for i in 0..64 {
-            db.hot_put("k", format!("sk{i}"), "v").unwrap();
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            let s = db.hot_stats().unwrap();
-            if s.published == 64 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "publisher stalled: {s:?}"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let map = db.get_value("k", None).unwrap().as_map().unwrap();
-        assert_eq!(map.len(db.store()), 64);
-    }
-
-    /// A flush's round and the publisher's never hold one key at once:
+    /// A flush's round and a staged round never hold one key at once:
     /// the round taken first, publishing last, would put the older value
     /// over the newer one, and the flush would return with the tree
-    /// behind the writes it covers.
+    /// behind the writes it covers. Nine writes fill the 8-edit queue,
+    /// so the ninth seals a round before the flush takes its own.
     #[test]
     fn a_flush_never_leaves_the_tree_behind_a_keys_writes() {
-        let db = hot_db(1, 0);
-        for i in 0..2_000u32 {
-            db.hot_put("k", "a", format!("{}", 2 * i)).unwrap();
-            db.hot_put("k", "a", format!("{}", 2 * i + 1)).unwrap();
+        let db = hot_db(1);
+        for i in 0..500u32 {
+            for j in 0..9 {
+                db.hot_put("k", "a", format!("{}", 9 * i + j)).unwrap();
+            }
             db.flush_hot().unwrap();
             let map = db.get_value("k", None).unwrap().as_map().unwrap();
-            let want = b(&format!("{}", 2 * i + 1));
+            let want = b(&format!("{}", 9 * i + 8));
             assert_eq!(map.get(db.store(), b"a"), Some(want), "round {i}");
         }
     }
 
     #[test]
     fn backpressure_bounds_the_queue() {
-        let db = hot_db(2, 1);
-        // Cap is 16 (8×2); writing far past it must not grow pending
-        // unboundedly and everything must land.
+        let db = hot_db(2);
+        // Cap is 16 (8×2); a writer that finds the queue full seals it,
+        // so writing far past it never grows pending past the cap, and
+        // everything lands.
         for i in 0..500 {
             db.hot_put("k", format!("sk{i:03}"), "v").unwrap();
             assert!(db.hot_stats().unwrap().pending <= 16);
@@ -1211,7 +1090,7 @@ mod tests {
                 HotTierConfig {
                     enabled: true,
                     publish_batch: 1 << 20,
-                    publish_interval: Duration::from_secs(3600),
+                    ..HotTierConfig::on()
                 },
             )
             .unwrap();
@@ -1241,7 +1120,7 @@ mod tests {
             HotTierConfig {
                 enabled: true,
                 publish_batch: 1 << 20,
-                publish_interval: Duration::from_secs(3600),
+                ..HotTierConfig::on()
             },
         )
         .unwrap();
@@ -1270,25 +1149,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `Drop` used to set `stop` and notify without the pending lock, so
-    /// the flag could land between the publisher's check and its wait —
-    /// and the drop then slept out the publish interval (here: an hour).
-    #[test]
-    fn drop_never_waits_out_the_publish_interval() {
-        for _ in 0..200 {
-            let db = hot_db(1 << 20, 3_600_000);
-            let start = std::time::Instant::now();
-            drop(db);
-            assert!(
-                start.elapsed() < Duration::from_secs(1),
-                "drop took {:?}",
-                start.elapsed()
-            );
-        }
-    }
-
     /// A write the tier refuses must not be served. A String head makes
-    /// the publisher's map edits fail and poison the tier, so a later
+    /// the flush's map edits fail and poison the tier, so a later
     /// `hot_put` to the key returns `Err`; reading its subkey must then
     /// fail as it does with the tier off, not return the refused value.
     #[test]
@@ -1297,7 +1159,7 @@ mod tests {
             let db = ForkBase::in_memory_hot(HotTierConfig {
                 enabled,
                 publish_batch: 1 << 20,
-                publish_interval: Duration::from_secs(3600),
+                ..HotTierConfig::on()
             });
             db.put("k", None, Value::String("s".into())).unwrap();
             if enabled {
@@ -1323,7 +1185,7 @@ mod tests {
         assert_eq!(db.hot_get("k", b"a").unwrap(), None);
     }
 
-    /// A durable instance whose publisher never runs on its own.
+    /// A durable instance with 64-edit batches.
     fn durable(dir: &std::path::Path, enabled: bool) -> ForkBase {
         ForkBase::open_with(
             dir,
@@ -1333,7 +1195,7 @@ mod tests {
             HotTierConfig {
                 enabled,
                 publish_batch: 64,
-                publish_interval: Duration::from_secs(3600),
+                ..HotTierConfig::on()
             },
         )
         .unwrap()
@@ -1437,7 +1299,7 @@ mod tests {
     }
 
     /// An edit the tier accepted for a key whose head is no Map can be
-    /// persisted before the publisher fails on it. Reopening must not
+    /// persisted before a round fails on it. Reopening must not
     /// fail on it: the key reads as it does with the tier off, and the
     /// other keys' persisted edits are there.
     #[test]
@@ -1495,7 +1357,7 @@ mod tests {
                 HotTierConfig {
                     enabled: true,
                     publish_batch: 8,
-                    publish_interval: Duration::from_secs(3600),
+                    ..HotTierConfig::on()
                 },
             )
             .unwrap();
@@ -1537,11 +1399,11 @@ mod tests {
         }
     }
 
-    /// The publisher builds a staged round inside the hash pool's
+    /// A staged round is built on its own thread inside the hash pool's
     /// background budget: on a 2-lane host no pool worker runs a job for
     /// it, where the same build on a caller's thread fans out. Both make
-    /// the same trees of the same chunks, in the same order, and the
-    /// next seal stores and commits them.
+    /// the same trees of the same chunks, in the same order, and
+    /// committing the round stores them.
     #[test]
     fn the_publishers_staged_build_keeps_to_its_own_core() {
         let dir = tempdir();
@@ -1563,43 +1425,27 @@ mod tests {
         // thresholds.
         let map = db.new_map((0..20_000u32).map(|i| (format!("sk{i:05}"), value(i, "v"))));
         db.put("k", None, Value::Map(map)).unwrap();
-        let block = |n: u32| -> Vec<(Bytes, Option<Bytes>)> {
-            (0..32u32)
-                .map(|j| (n * 32 + j) * 7919 % 20_000)
-                .map(|i| (b(&format!("sk{i:05}")), Some(value(i, &format!("b{n}-")))))
-                .collect()
-        };
         // Eight blocks of 32 edits: the eighth persist seals the round.
-        for n in 0..8 {
-            db.hot_put_many("k", block(n)).unwrap();
+        for n in 0..8u32 {
+            let block = (0..32u32)
+                .map(|j| (n * 32 + j) * 7919 % 20_000)
+                .map(|i| (b(&format!("sk{i:05}")), Some(value(i, &format!("b{n}-")))));
+            db.hot_put_many("k", block).unwrap();
             db.persist_hot().unwrap();
         }
         let shared = &db.hot_tier().unwrap().shared;
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let (work, built) = loop {
-            let mut p = shared.pending.lock().unwrap();
-            if let Staged::Built(..) = p.staged {
-                let Staged::Built(work, built) = std::mem::take(&mut p.staged) else {
-                    unreachable!("matched above")
-                };
-                break (work, built.unwrap());
-            }
-            drop(p);
-            assert!(
-                Instant::now() < deadline,
-                "the publisher never built the round"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        let staged = shared.pending.lock().unwrap().staged.take();
+        let (work, built) = staged.expect("the eighth persist sealed").join();
+        let built = built.expect("the build made the round's trees");
 
         let before = forkbase_crypto::metrics::snapshot();
         let control = shared.build(&work).unwrap();
         let caller = forkbase_crypto::metrics::snapshot().since(before);
         let cids = |b: &Built| b.chunks.iter().map(Chunk::cid).collect::<Vec<_>>();
         let (roots, chunks) = (built.roots.clone(), cids(&built));
-        // Back before any assert: a tier whose round is in flight and
-        // not staged would wait for it forever when dropped.
-        shared.pending.lock().unwrap().staged = Staged::Built(work, Ok(built));
+        // Committed before any assert: a tier whose round is in flight
+        // and not staged would wait for it forever when dropped.
+        shared.publish_work(&work, false, Some(built)).unwrap();
         assert_eq!(roots, control.roots);
         assert_eq!(chunks, cids(&control));
         let lanes = forkbase_crypto::parallel::lanes();
@@ -1613,12 +1459,7 @@ mod tests {
         if lanes <= 2 {
             assert_eq!((stats.pool_jobs, stats.pool_bytes), (0, 0));
         }
-
-        for n in 8..16 {
-            db.hot_put_many("k", block(n)).unwrap();
-            db.persist_hot().unwrap();
-        }
-        assert_eq!(db.hot_stats().unwrap().publish_rounds, 1);
+        assert_eq!(stats.publish_rounds, 1);
         assert!(control.chunks.iter().all(|c| db.store().contains(&c.cid())));
         let head = db.head("k", None).unwrap();
         crate::verify_history(db.store(), head).unwrap();
@@ -1626,8 +1467,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// As many new edits as the publisher would take on its own are
-    /// published, not journaled; in memory and with the tier off a
+    /// Calls cut every round, so one call sequence stores the same bytes
+    /// however slowly it runs: no clock adds a round between the calls.
+    #[test]
+    fn a_call_sequence_stores_the_same_bytes_however_slowly_it_runs() {
+        let run = |pause: Duration| {
+            let db = ForkBase::in_memory_hot(HotTierConfig::on());
+            for n in 0..8u32 {
+                db.hot_put_many("k", edits(&format!("b{n}-"), n * 8..n * 8 + 16))
+                    .unwrap();
+                std::thread::sleep(pause);
+            }
+            db.flush_hot().unwrap();
+            (db.head("k", None).unwrap(), db.store().stored_bytes())
+        };
+        assert_eq!(run(Duration::ZERO), run(Duration::from_millis(50)));
+    }
+
+    /// A persist of `publish_batch` new edits or more publishes them
+    /// instead of journaling them; in memory and with the tier off a
     /// persist is `flush_hot`.
     #[test]
     fn a_large_or_undurable_persist_publishes() {
@@ -1641,7 +1499,7 @@ mod tests {
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
 
-        let db = hot_db(1 << 20, 3_600_000);
+        let db = hot_db(1 << 20);
         db.hot_put("k", "a", "1").unwrap();
         db.persist_hot().unwrap();
         assert_eq!(db.hot_stats().unwrap().published, 1);

@@ -5,7 +5,6 @@
 use crate::error::{FbError, Result};
 use bytes::Bytes;
 use forkbase_chunk::codec::{get_bytes, get_varint, put_bytes, put_varint};
-use forkbase_chunk::ChunkStore;
 use forkbase_crypto::Digest;
 use forkbase_pos::{Blob, List, Map, Set, TreeType};
 
@@ -45,15 +44,6 @@ impl ValueType {
             7 => ValueType::Map,
             _ => return None,
         })
-    }
-
-    /// Primitive types are embedded in the meta chunk; chunkable types are
-    /// stored as a POS-Tree the meta chunk points to (§4.2.2).
-    pub fn is_chunkable(self) -> bool {
-        matches!(
-            self,
-            ValueType::Blob | ValueType::List | ValueType::Set | ValueType::Map
-        )
     }
 
     /// Short name for error messages.
@@ -295,21 +285,6 @@ impl Value {
                 Ok(())
             }
             other => Err(mismatch(other, "Int")),
-        }
-    }
-
-    /// Logical size in bytes: inline size for primitives, tree element
-    /// count for chunkables.
-    pub fn logical_size(&self, store: &dyn ChunkStore) -> u64 {
-        match self {
-            Value::Bool(_) => 1,
-            Value::Int(_) => 8,
-            Value::String(s) => s.len() as u64,
-            Value::Tuple(t) => t.iter().map(|f| f.len() as u64).sum(),
-            Value::Blob(b) => b.len(store),
-            Value::List(l) => l.len(store),
-            Value::Set(s) => s.len(store),
-            Value::Map(m) => m.len(store),
         }
     }
 }

@@ -11,14 +11,13 @@
 //! * **Tier off** — puts, a map batch, a blob, a fork and an untagged
 //!   head, with two `commit_checkpoint`s.
 //! * **Tier on** — a preload and ten blocks through `hot_put_many` and
-//!   `flush_hot`. `publish_batch` is huge and `publish_interval` an
-//!   hour, so no background round adds timing to the bytes.
+//!   `flush_hot`. `publish_batch` is huge, so no writer seals a round:
+//!   every round is a flush's. (No clock cuts a round either way.)
 
 use bytes::Bytes;
 use forkbase_chunk::{CacheConfig, Durability};
 use forkbase_core::{ChunkerConfig, ForkBase, HotTierConfig, Value, WriteBatch};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -124,7 +123,7 @@ fn tier_on_flushes_write_pinned_bytes() {
             HotTierConfig {
                 enabled: true,
                 publish_batch: 1 << 20,
-                publish_interval: Duration::from_secs(3600),
+                ..HotTierConfig::on()
             },
         );
         let account = |a: u64| Bytes::from(format!("acct{a:06}"));

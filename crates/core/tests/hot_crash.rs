@@ -1,34 +1,31 @@
-//! Crash test for the hot tier's publish window: a child process writes
+//! Crash test for the hot tier's loss contract: a child process writes
 //! through the hot surface, flushes a prefix, leaves a window of edits
-//! pending, and dies via `abort()` — no destructors, no publisher drain.
-//! The parent reopens and checks the loss bound:
+//! pending, and dies via `abort()` — no destructors, no drain. The
+//! parent reopens and checks:
 //!
-//! * everything acknowledged by `flush_hot` survives (the publisher
+//! * everything acknowledged by `flush_hot` survives (the flush
 //!   checkpointed it), and
-//! * the pending window loses *at most* its own edits — each window
-//!   subkey is either absent or carries exactly the value that was
-//!   written (a background publish round may have landed before the
-//!   abort, but nothing is ever torn or reordered).
+//! * the unflushed window is lost exactly and whole: no clock publishes
+//!   a round on its own, so none of the window reached the recovery
+//!   point, and no window subkey reads torn.
 //!
 //! The persist leg does the same with `persist_hot` as the barrier: the
-//! child persists after each of its blocks with the publisher held off,
-//! so every block's state is durable only as a journal Blob. The parent
-//! checks that every persisted edit is there after the replay, that the
-//! window loses at most its own edits, and that the state key's history
-//! verifies.
+//! child persists after each of its blocks, so every block's state is
+//! durable only as a journal Blob (the sixth persist seals a round that
+//! is still staged at the crash). The parent checks that every persisted
+//! edit is there after the replay, that the window is lost whole, and
+//! that the state key's history verifies.
 //!
 //! The `FB_HOT_TIER` env var (CI persistence-job matrix) picks the leg:
-//! `1`/unset runs the tier on with an aggressive publish schedule, `0`
-//! runs the tier off, where `hot_put` is a synchronous tree commit and
-//! the recovery point is the last explicit `commit_checkpoint` — the
-//! window is then *fully* lost on reopen, which the test pins too.
+//! `1`/unset runs the tier on, `0` runs the tier off, where `hot_put` is
+//! a synchronous tree commit and the recovery point is the last explicit
+//! `commit_checkpoint`. Both legs lose exactly the window.
 
 use bytes::Bytes;
 use forkbase_core::{verify_history, ForkBase, HotTierConfig};
 use std::collections::BTreeMap;
 use std::process::{Command, Stdio};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Subkeys flushed (or checkpointed) before the crash window opens.
 const FLUSHED: usize = 64;
@@ -41,17 +38,12 @@ fn hot_on() -> bool {
 }
 
 fn open(dir: &std::path::Path) -> ForkBase {
-    // Small rounds so background publishing genuinely races the abort —
-    // the window assertions must hold either way.
-    open_with(dir, 8, Duration::from_millis(1))
-}
-
-fn open_with(dir: &std::path::Path, publish_batch: usize, interval: Duration) -> ForkBase {
+    // 16-edit batches: a persist seals a round once 64 edits wait, and a
+    // persist of 12 edits journals them.
     let hot = if hot_on() {
         HotTierConfig {
-            enabled: true,
-            publish_batch,
-            publish_interval: interval,
+            publish_batch: 16,
+            ..HotTierConfig::on()
         }
     } else {
         HotTierConfig::disabled()
@@ -95,18 +87,12 @@ fn child_writer() {
     for i in FLUSHED..FLUSHED + WINDOW {
         db.hot_put(STATE_KEY, subkey(i), value(i)).expect("hot put");
     }
-    // Die with the window pending: no Drop, no publisher drain, no
-    // clean close.
+    // Die with the window pending: no Drop, no drain, no clean close.
     std::process::abort();
 }
 
 /// Blocks the persist leg's child persists before its window.
 const BLOCKS: usize = 8;
-
-/// The persist leg's publisher: never runs on its own.
-fn open_held(dir: &std::path::Path) -> ForkBase {
-    open_with(dir, 1 << 20, Duration::from_secs(3600))
-}
 
 /// Block `n`'s state writes: 12 accounts, some written before, and one
 /// delete.
@@ -131,13 +117,13 @@ fn child_persister() {
     let Some(dir) = std::env::var_os("FORKBASE_HOT_PERSIST_DIR") else {
         return;
     };
-    let db = open_held(std::path::Path::new(&dir));
+    let db = open(std::path::Path::new(&dir));
     for n in 0..BLOCKS {
         db.hot_put_many(STATE_KEY, block(n)).expect("hot put");
         db.persist_hot().expect("persist");
     }
     if let Some(stats) = db.hot_stats() {
-        assert_eq!(stats.published, 0, "the publisher was held off");
+        assert_eq!(stats.published, 0, "every block was journaled");
     }
     for i in FLUSHED..FLUSHED + WINDOW {
         db.hot_put(STATE_KEY, subkey(i), value(i)).expect("hot put");
@@ -189,10 +175,6 @@ fn window_lost(db: &ForkBase) -> usize {
             None => lost += 1,
         }
     }
-    assert!(
-        lost <= WINDOW,
-        "loss bounded by the pending window: lost {lost} of {WINDOW}"
-    );
     lost
 }
 
@@ -202,13 +184,13 @@ fn kill_after_persist_loses_at_most_the_window() {
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     let dir = crash_child("child_persister", "FORKBASE_HOT_PERSIST_DIR", true);
-    let db = open_held(&dir);
+    let db = open(&dir);
     for (subkey, value) in persisted_state() {
         let got = db.hot_get(STATE_KEY, &subkey).expect("read");
         assert_eq!(got, value, "persisted {subkey:?} must survive the crash");
     }
-    // Held off, the publisher wrote none of the window: it is lost
-    // whole, with the tier on as with it off.
+    // Nothing published the window: it is lost whole, with the tier on
+    // as with it off.
     assert_eq!(window_lost(&db), WINDOW);
     let head = db.head(STATE_KEY, None).expect("state head");
     verify_history(db.store(), head).expect("the replayed state verifies");
@@ -217,7 +199,7 @@ fn kill_after_persist_loses_at_most_the_window() {
 }
 
 #[test]
-fn kill_loses_at_most_the_publish_window() {
+fn kill_loses_exactly_the_unflushed_window() {
     let _alone = ONE_CRASH_AT_A_TIME
         .lock()
         .unwrap_or_else(|e| e.into_inner());
@@ -234,14 +216,10 @@ fn kill_loses_at_most_the_publish_window() {
         );
     }
 
-    // The window: bounded, prefix-free loss. Each subkey either made it
-    // into a published round (exact value) or is gone — never torn.
-    let lost = window_lost(&db);
-    if !hot_on() {
-        // Tier off: reopen restores the last checkpoint, taken before
-        // the window opened — the whole window is lost, exactly.
-        assert_eq!(lost, WINDOW, "tree-only recovery point is the checkpoint");
-    }
+    // The window: reopen restores the last checkpoint, taken before the
+    // window opened, with the tier on as with it off — the whole window
+    // is lost, exactly.
+    assert_eq!(window_lost(&db), WINDOW, "the recovery point is the flush");
 
     // The survivor is a fully functional engine: writes, flush, and a
     // clean reopen all keep working.

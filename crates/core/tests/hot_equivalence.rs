@@ -15,11 +15,11 @@
 //! content ⇒ identical roots, regardless of how writes were batched into
 //! publish rounds along the way.
 //!
-//! The `FB_HOT_TIER` CI matrix leg varies the publisher schedule rather
-//! than skipping anything: leg `0` runs an aggressive config
-//! (2-edit rounds, 1 ms interval) so publish rounds constantly race the
-//! checks, leg `1` (and local runs) the `on()` defaults where most
-//! publishing happens inside `flush_hot`/drains. Both legs must pass.
+//! The `FB_HOT_TIER` CI matrix leg varies the round size rather than
+//! skipping anything: leg `0` runs an aggressive config (2-edit batches,
+//! so a writer seals a round every 16 edits and staged rounds constantly
+//! race the checks), leg `1` (and local runs) the `on()` defaults where
+//! all publishing happens inside `flush_hot`/drains. Both legs must pass.
 
 use bytes::Bytes;
 use forkbase_core::{
@@ -27,7 +27,6 @@ use forkbase_core::{
 };
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Engine keys the schedule spreads over: enough for cross-key batching
 /// in one publish round, few enough that each sees real contention.
@@ -38,7 +37,7 @@ fn hot_cfg() -> HotTierConfig {
         Ok("0") => HotTierConfig {
             enabled: true,
             publish_batch: 2,
-            publish_interval: Duration::from_millis(1),
+            ..HotTierConfig::on()
         },
         _ => HotTierConfig::on(),
     }

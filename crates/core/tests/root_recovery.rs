@@ -125,7 +125,7 @@ fn open_restores_a_or_b_at_every_cut_of_the_last_window() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `Always`, the hot tier on and its publisher held off: only
+/// `Always`, the hot tier on with a queue no test fills: only
 /// `persist_hot` and explicit barriers write.
 fn open_held(dir: &Path) -> ForkBase {
     ForkBase::open_with(
@@ -136,7 +136,7 @@ fn open_held(dir: &Path) -> ForkBase {
         HotTierConfig {
             enabled: true,
             publish_batch: 1 << 20,
-            publish_interval: Duration::from_secs(3600),
+            ..HotTierConfig::on()
         },
     )
     .expect("open")
@@ -249,7 +249,7 @@ fn one_fsync_per_block(dir: &Path, persist: bool) -> ForkBase {
         HotTierConfig {
             enabled: true,
             publish_batch: 1 << 20,
-            publish_interval: Duration::from_secs(3600),
+            ..HotTierConfig::on()
         },
     )
     .expect("open");

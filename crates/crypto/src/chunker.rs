@@ -77,11 +77,6 @@ impl ChunkerConfig {
         self.max_factor << self.leaf_bits
     }
 
-    /// Expected index node fanout (entries per node).
-    pub fn expected_index_fanout(&self) -> usize {
-        1usize << self.index_bits
-    }
-
     /// Hard cap on index node fanout.
     pub fn max_index_fanout(&self) -> usize {
         self.max_factor << self.index_bits

@@ -31,8 +31,8 @@
 //! one core stays with the callers and one is the background thread's
 //! own. On a 2-core host a background thread therefore scans and hashes
 //! on its own thread, and its batches never wake a worker onto the core
-//! a caller is running on. Today that thread is the hot tier's
-//! publisher. [`lanes`] reads the budget: the hash batches and the
+//! a caller is running on. Today those threads are the hot tier's
+//! round builds. [`lanes`] reads the budget: the hash batches and the
 //! parallel boundary scan split by it, and a producer asks it before it
 //! [`spawn`]s.
 

@@ -1,8 +1,8 @@
 //! The flat hot-state tier, end to end:
 //!
 //! 1. open an engine with the tier on — `hot_put`/`hot_get` serve
-//!    latest-state point access from a flat hash-map index while
-//!    a background publisher drains edits into the versioned POS-Tree,
+//!    latest-state point access from a flat hash-map index, and
+//!    the edits reach the versioned POS-Tree in rounds the calls cut,
 //! 2. show the tier and the tree agreeing: `flush_hot` publishes
 //!    everything, and the committed Map answers the same reads.
 //!

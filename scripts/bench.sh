@@ -28,7 +28,7 @@
 #   latency and derived wire-tax ratios.
 # * BENCH_hot.json — the flat hot-state tier: YCSB-C/A zipfian point
 #   ops through the hot_get/hot_put engine surface with the tier on
-#   (flat hash map + background publisher) vs off (cached POS-Tree reads,
+#   (flat hash map + call-cut publish rounds) vs off (cached POS-Tree reads,
 #   synchronous commits), with derived hot-vs-tree speedups.
 #
 # Paper tier: `scripts/bench.sh --paper [prefix]` runs the paper-figure
@@ -497,7 +497,7 @@ hot_a_hot=$(median "$opt_json" "hot_tier/ycsba_hot")
     echo '  "n_keys": 10000,'
     echo '  "value_bytes": 100,'
     echo '  "zipf_s": 0.99,'
-    echo '  "note": "YCSB-C (100% reads) and YCSB-A (50/50 read/update), zipf 0.99, through the same hot_get/hot_put engine surface over a durable LogStore with the default chunk cache. tree_cached = tier off (every read a committed POS-Tree map lookup over the PR-5 sharded cache, every update a synchronous commit_map_batch); hot = tier on (flat hash-map reads, updates drained by the background publisher). The acceptance targets are hot_vs_tree_cached ycsb_c >= 5 and ycsb_a >= 3 at equal working set; the committed file records a full run (CI smoke budgets make absolute numbers meaningless there).",'
+    echo '  "note": "YCSB-C (100% reads) and YCSB-A (50/50 read/update), zipf 0.99, through the same hot_get/hot_put engine surface over a durable LogStore with the default chunk cache. tree_cached = tier off (every read a committed POS-Tree map lookup over the PR-5 sharded cache, every update a synchronous commit_map_batch); hot = tier on (flat hash-map reads, updates published in rounds the calls cut: a writer that finds the queue full seals it). The acceptance targets are hot_vs_tree_cached ycsb_c >= 5 and ycsb_a >= 3 at equal working set; the committed file records a full run (CI smoke budgets make absolute numbers meaningless there).",'
     echo '  "derived_speedups_hot_vs_tree_cached": {'
     echo "    \"ycsb_c\": $(ratio "$hot_c_tree" "$hot_c_hot"),"
     echo "    \"ycsb_a\": $(ratio "$hot_a_tree" "$hot_a_hot")"

@@ -33,7 +33,7 @@
 //!   times the block's three calls (`state_put_many`, `flush_state`,
 //!   `append_block`), counts the bytes the store accepted per block, and
 //!   prints the hot tier's publish rounds, edits per round and the
-//!   hash-pool jobs its publisher ran. It reads the block loop's time on
+//!   hash-pool jobs its round builds ran. It reads the block loop's time on
 //!   a CPU and waiting on a runqueue per block
 //!   (`/proc/thread-self/schedstat`), for every block and for the blocks
 //!   that commit a round.
@@ -350,17 +350,14 @@ fn ledger_block_phases() {
     const BLOCKS: u64 = 600;
     let dir = std::env::temp_dir().join(format!("forkbase-ledger-phases-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    // `ledger_blocks`' engine: default log and cache, the hot tier on
-    // with its publish timer slowed to 1 s. `flush_state` journals each
-    // block's state; every 32nd block (`4 × publish_batch` edits) seals a
-    // round, which the publisher builds and the next seal commits.
+    // `ledger_blocks`' engine: default log and cache, the hot tier on.
+    // `flush_state` journals each block's state; every 32nd block
+    // (`4 × publish_batch` edits) seals a round, which a build thread
+    // builds and the next seal commits.
     let chain = ChainStore::open_with(
         &dir,
         ChainConfig {
-            hot: HotTierConfig {
-                publish_interval: std::time::Duration::from_secs(1),
-                ..HotTierConfig::on()
-            },
+            hot: HotTierConfig::on(),
             ..ChainConfig::default()
         },
     )
@@ -504,7 +501,7 @@ fn ledger_block_phases() {
         hot.publish_ns - hot_before.publish_ns,
     );
     println!(
-        "ledger block publisher: {rounds} rounds, {edits} edits, {:.1} edits and {:.0} µs per round; \
+        "ledger block hot tier: {rounds} rounds, {edits} edits, {:.1} edits and {:.0} µs per round; \
          journaled {} edits in {} bytes; {carried} blocks' log writes topped 256 KiB",
         edits as f64 / rounds.max(1) as f64,
         ns as f64 / 1e3 / rounds.max(1) as f64,
@@ -516,7 +513,7 @@ fn ledger_block_phases() {
         hot.pool_bytes - hot_before.pool_bytes,
     );
     println!(
-        "ledger block publisher: pool workers ran {} jobs and {} bytes for it, {:.1} jobs and {:.0} bytes per round",
+        "ledger block hot tier: pool workers ran {} jobs and {} bytes for its builds, {:.1} jobs and {:.0} bytes per round",
         pool.0,
         pool.1,
         pool.0 as f64 / rounds.max(1) as f64,
